@@ -18,12 +18,22 @@ Servers model capacity and hold actual replica maps so layout figures
 """
 
 from repro.cluster.objects import DataObject, ObjectCatalog
-from repro.cluster.server import PowerState, StorageServer
+from repro.cluster.server import (
+    CapacityExceeded,
+    PowerState,
+    StorageServer,
+)
 from repro.cluster.power import MachineHourMeter, PowerModel
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
 from repro.cluster.recovery import RecoveryPlan, plan_departure_recovery
 from repro.cluster.vdi import VirtualDisk, VdiRange
-from repro.cluster.fsck import FsckIssue, FsckReport, check_cluster
+from repro.cluster.fsck import (
+    FsckIssue,
+    FsckReport,
+    check_cluster,
+    check_holder_index,
+    scan_holders,
+)
 from repro.cluster.migration import (
     TokenBucket,
     MigrationPlan,
@@ -36,6 +46,7 @@ __all__ = [
     "ObjectCatalog",
     "PowerState",
     "StorageServer",
+    "CapacityExceeded",
     "MachineHourMeter",
     "PowerModel",
     "ElasticCluster",
@@ -47,6 +58,8 @@ __all__ = [
     "FsckIssue",
     "FsckReport",
     "check_cluster",
+    "check_holder_index",
+    "scan_holders",
     "TokenBucket",
     "MigrationPlan",
     "full_reintegration_plan",

@@ -20,7 +20,9 @@ re-adding a server migrates everything the new layout maps onto it
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -84,12 +86,19 @@ class _ClusterBase:
         if n < replicas:
             raise ValueError("cluster smaller than replication factor")
         self.replicas = replicas
+        #: ``oid -> ascending ranks physically holding a replica``.
+        #: Shared with every server, which maintains it from
+        #: ``store_replica``/``drop_replica``; derived state only —
+        #: :func:`repro.cluster.fsck.check_holder_index` re-derives it
+        #: from the replica maps.
+        self._holders: Dict[int, Tuple[int, ...]] = {}
         self.servers: Dict[int, StorageServer] = {
             rank: StorageServer(
                 rank,
                 capacity_bytes=(capacities[rank - 1]
                                 if capacities is not None else None),
                 disk_bandwidth=disk_bandwidth,
+                holder_index=self._holders,
             )
             for rank in range(1, n + 1)
         }
@@ -101,9 +110,12 @@ class _ClusterBase:
 
     def stored_locations(self, oid: int) -> Tuple[int, ...]:
         """Ranks physically holding a replica of *oid* (any power
-        state)."""
-        return tuple(rank for rank, srv in self.servers.items()
-                     if srv.has_replica(oid))
+        state), ascending."""
+        return self._holders.get(oid, ())
+
+    def holder_index(self) -> Mapping[int, Tuple[int, ...]]:
+        """Read-only view of the whole ``oid -> holders`` index."""
+        return MappingProxyType(self._holders)
 
     def bytes_per_rank(self) -> Dict[int, int]:
         """Physical bytes per rank — Figure 5's y-axis."""
@@ -122,11 +134,10 @@ class _ClusterBase:
     def _drop_surplus(self, oid: int, keep: Sequence[int]) -> int:
         """Drop replicas from every server not in *keep*; returns bytes
         reclaimed."""
-        keep_set = set(keep)
         freed = 0
-        for rank, srv in self.servers.items():
-            if rank not in keep_set and srv.has_replica(oid):
-                freed += srv.drop_replica(oid)
+        for rank in self._holders.get(oid, ()):
+            if rank not in keep:
+                freed += self.servers[rank].drop_replica(oid)
         return freed
 
     def verify_replication(self, require_active: bool = False) -> List[int]:
@@ -690,7 +701,7 @@ class ElasticCluster(_ClusterBase):
         for obj, target in zip(objs, targets):
             if not any(r in self.unverified_ranks for r in target):
                 continue
-            stored = set(self.stored_locations(obj.oid))
+            stored = self.stored_locations(obj.oid)
             to_copy = [r for r in target
                        if r not in stored or r in self.unverified_ranks]
             if to_copy:
@@ -734,7 +745,7 @@ class ElasticCluster(_ClusterBase):
         for obj, target in zip(objs, targets):
             if not any(r in self.unverified_ranks for r in target):
                 continue
-            stored = set(self.stored_locations(obj.oid))
+            stored = self.stored_locations(obj.oid)
             total += obj.size * sum(
                 1 for r in target
                 if r not in stored or r in self.unverified_ranks)
@@ -757,7 +768,7 @@ class ElasticCluster(_ClusterBase):
         curr = self.ech.current_version
         objs, targets = self.catalog_placements(curr)
         for obj, target in zip(objs, targets):
-            stored = set(self.stored_locations(obj.oid))
+            stored = self.stored_locations(obj.oid)
             to_add = [r for r in target if r not in stored]
             if to_add:
                 self._store(obj.oid, obj.size, to_add)
@@ -901,7 +912,7 @@ class OriginalCHCluster(_ClusterBase):
         moved = 0
         objs, targets = self.catalog_placements()
         for obj, target in zip(objs, targets):
-            stored = set(self.stored_locations(obj.oid))
+            stored = self.stored_locations(obj.oid)
             for r in target:
                 if r not in stored:
                     self.servers[r].store_replica(obj.oid, obj.size)
@@ -925,7 +936,7 @@ class OriginalCHCluster(_ClusterBase):
             total = 0
             objs, targets = self.catalog_placements()
             for obj, target in zip(objs, targets):
-                stored = set(self.stored_locations(obj.oid))
+                stored = self.stored_locations(obj.oid)
                 total += obj.size * sum(1 for r in target if r not in stored)
             return total
         finally:

@@ -6,7 +6,7 @@ the equivalent for the simulated cluster, used by operators (the
 examples), by the test suite's stateful machine, and as a debugging
 aid when extending the system.
 
-:func:`check_cluster` performs four audits and returns a structured
+:func:`check_cluster` performs five audits and returns a structured
 :class:`FsckReport`:
 
 1. **replication** — every catalogued object has r replicas stored
@@ -18,17 +18,23 @@ aid when extending the system.
    catalogued object and a version that exists; a full-power cluster
    that claims quiescence has an empty table;
 4. **orphan replicas** — no server holds a replica of an object the
-   catalog does not know.
+   catalog does not know;
+5. **holder index** — the cluster's derived ``oid -> holders`` index
+   (what ``stored_locations`` answers from) equals a brute-force scan
+   of every server's replica map (:func:`scan_holders`, the one place
+   the scan survives, as the oracle — audits 1, 2 and 4 read it too,
+   so a stale index cannot hide a lost replica from the checker).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple, Union
 
-from repro.cluster.cluster import ElasticCluster
+from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
 
-__all__ = ["FsckIssue", "FsckReport", "check_cluster"]
+__all__ = ["FsckIssue", "FsckReport", "check_cluster", "scan_holders",
+           "check_holder_index"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,7 @@ class FsckIssue:
     """One inconsistency."""
 
     kind: str       # "replication" | "availability" | "placement" |
-                    # "dirty" | "orphan"
+                    # "dirty" | "orphan" | "index"
     oid: int
     detail: str
 
@@ -69,6 +75,36 @@ class FsckReport:
                 f"{self.objects_checked} objects ({kinds})")
 
 
+def scan_holders(cluster: Union[ElasticCluster, OriginalCHCluster]
+                 ) -> Dict[int, Tuple[int, ...]]:
+    """``oid -> ascending ranks holding a replica``, rebuilt by brute
+    force from every server's replica map — the oracle the cluster's
+    holder index is checked against."""
+    found: Dict[int, List[int]] = {}
+    for rank in sorted(cluster.servers):
+        for oid in cluster.servers[rank].replicas():
+            found.setdefault(oid, []).append(rank)
+    return {oid: tuple(ranks) for oid, ranks in found.items()}
+
+
+def check_holder_index(
+    cluster: Union[ElasticCluster, OriginalCHCluster],
+    scanned: Optional[Dict[int, Tuple[int, ...]]] = None,
+) -> List[FsckIssue]:
+    """One ``index`` issue per oid whose indexed holders differ from
+    the brute-force scan (missing, extra, or mis-ordered).  *scanned*
+    reuses a :func:`scan_holders` result the caller already has."""
+    actual = scanned if scanned is not None else scan_holders(cluster)
+    indexed = cluster.holder_index()
+    return [
+        FsckIssue("index", oid,
+                  f"indexed holders {indexed.get(oid)} != "
+                  f"scanned {actual.get(oid)}")
+        for oid in sorted(actual.keys() | indexed.keys())
+        if indexed.get(oid) != actual.get(oid)
+    ]
+
+
 def check_cluster(cluster: ElasticCluster,
                   expect_quiescent: bool = False) -> FsckReport:
     """Audit *cluster*.
@@ -81,6 +117,9 @@ def check_cluster(cluster: ElasticCluster,
     report = FsckReport()
     ech = cluster.ech
     known = set()
+    # Ground truth for audits 1, 2, 4 and 5: the checker reads the
+    # replica maps themselves, never the index it is about to audit.
+    scanned = scan_holders(cluster)
 
     # Pre-resolve every object's placement under its location version
     # in bulk (one locate_bulk per distinct version) — audit 2 below
@@ -103,7 +142,7 @@ def check_cluster(cluster: ElasticCluster,
     for obj in cluster.catalog:
         known.add(obj.oid)
         report.objects_checked += 1
-        stored = cluster.stored_locations(obj.oid)
+        stored = scanned.get(obj.oid, ())
         report.replicas_checked += len(stored)
 
         # 1. replication + availability
@@ -148,12 +187,15 @@ def check_cluster(cluster: ElasticCluster,
                 "entries remain"))
 
     # 4. orphan replicas
-    for rank, srv in cluster.servers.items():
-        for oid in srv.replicas():
-            if oid not in known:
+    for oid, ranks in scanned.items():
+        if oid not in known:
+            for rank in ranks:
                 report.issues.append(FsckIssue(
                     "orphan", oid,
                     f"rank {rank} holds a replica of an uncatalogued "
                     "object"))
+
+    # 5. holder index vs. the replica maps
+    report.issues.extend(check_holder_index(cluster, scanned))
 
     return report

@@ -57,6 +57,10 @@ class ObjectCatalog:
     where replicas *physically* live is the servers' replica maps —
     keeping the two separate mirrors the real system, where object
     headers travel with the data and no central location map exists.
+    (The simulator does keep a holder index derived from those maps,
+    ``_ClusterBase.stored_locations``, purely as an accelerator for
+    what the real system learns by asking its servers; the *modelled*
+    system still has none.)
     """
 
     def __init__(self) -> None:

@@ -15,9 +15,9 @@ re-integration only moves data written *while* the server was down.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator, Optional, Tuple
 
-__all__ = ["PowerState", "StorageServer"]
+__all__ = ["PowerState", "StorageServer", "CapacityExceeded"]
 
 
 class PowerState(enum.Enum):
@@ -44,6 +44,13 @@ class StorageServer:
         foreground IO, recovery and migration by the simulator).
     network_bandwidth:
         NIC throughput in bytes/second.
+    holder_index:
+        The owning cluster's ``oid -> ascending ranks holding a
+        replica`` map.  :meth:`store_replica` and :meth:`drop_replica`
+        — the only two places a replica map changes — keep this
+        server's rank in it, so the cluster answers "who holds *oid*"
+        without asking every server.  A stand-alone server keeps a
+        private one.
     """
 
     def __init__(
@@ -52,6 +59,7 @@ class StorageServer:
         capacity_bytes: Optional[int] = None,
         disk_bandwidth: float = 100e6,   # ~HDD-class, matches testbed scale
         network_bandwidth: float = 1.25e9,  # 10 GbE
+        holder_index: Optional[Dict[int, Tuple[int, ...]]] = None,
     ) -> None:
         if rank < 1:
             raise ValueError("rank must be >= 1")
@@ -62,6 +70,8 @@ class StorageServer:
         self.state = PowerState.ON
         self._replicas: Dict[int, int] = {}  # oid -> size
         self._used = 0
+        self._holders: Dict[int, Tuple[int, ...]] = (
+            holder_index if holder_index is not None else {})
 
     # ------------------------------------------------------------------
     # power
@@ -88,21 +98,32 @@ class StorageServer:
         """
         if not self.is_on:
             raise RuntimeError(f"write to powered-off server {self.rank}")
-        old = self._replicas.get(oid, 0)
-        new_used = self._used - old + size
+        old = self._replicas.get(oid)
+        new_used = self._used - (old or 0) + size
         if self.capacity_bytes is not None and new_used > self.capacity_bytes:
             raise CapacityExceeded(
                 f"server {self.rank}: {new_used} > {self.capacity_bytes}")
         self._replicas[oid] = size
         self._used = new_used
+        if old is None:
+            held = self._holders.get(oid)
+            self._holders[oid] = ((self.rank,) if held is None else
+                                  tuple(sorted(held + (self.rank,))))
 
     def drop_replica(self, oid: int) -> int:
         """Delete one replica (surplus after migration); returns its
         size.  Allowed while off — dropping is bookkeeping for data the
         new layout no longer maps here, reclaimed lazily when the
         server next powers on."""
-        size = self._replicas.pop(oid, 0)
+        size = self._replicas.pop(oid, None)
+        if size is None:
+            return 0
         self._used -= size
+        left = tuple(r for r in self._holders[oid] if r != self.rank)
+        if left:
+            self._holders[oid] = left
+        else:
+            del self._holders[oid]
         return size
 
     def has_replica(self, oid: int) -> bool:

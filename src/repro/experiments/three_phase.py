@@ -314,10 +314,6 @@ def run_three_phase(
             cluster.write(next(oid_counter), object_size)
             state["write_carry"] -= object_size
 
-    def on_tick(now: float) -> None:
-        if state["client"] is None:
-            return
-
     # Main loop ---------------------------------------------------------
     times: List[float] = []
     thr: List[float] = []

@@ -50,6 +50,9 @@ class TestDetection:
         assert kinds.get("replication") == 1
         assert kinds.get("placement", 0) >= 1
         assert any(i.oid == victim for i in report.issues)
+        # Reaching through cluster.servers[...] cannot desynchronise
+        # the holder index: the server maintains it.
+        assert "index" not in kinds
 
     def test_detects_unavailable_object(self, cluster):
         # Strand an object: drop its active replicas while shrunk.
@@ -61,6 +64,7 @@ class TestDetection:
         report = check_cluster(cluster)
         assert any(i.kind == "availability" and i.oid == oid
                    for i in report.issues)
+        assert "index" not in report.by_kind()
 
     def test_detects_misplaced_replica(self, cluster):
         oid = 3
@@ -70,12 +74,14 @@ class TestDetection:
         report = check_cluster(cluster)
         assert any(i.kind == "placement" and i.oid == oid
                    for i in report.issues)
+        assert "index" not in report.by_kind()
 
     def test_detects_orphan(self, cluster):
         cluster.servers[4].store_replica(999_999, MB4)
         report = check_cluster(cluster)
         assert any(i.kind == "orphan" and i.oid == 999_999
                    for i in report.issues)
+        assert "index" not in report.by_kind()
 
     def test_detects_stale_dirty_entry(self, cluster):
         cluster.ech.dirty.insert(888_888, cluster.current_version)

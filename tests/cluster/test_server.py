@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.cluster.server import PowerState, StorageServer
-from repro.cluster.server import CapacityExceeded
+from repro.cluster import CapacityExceeded, PowerState, StorageServer
 
 
 class TestPower:

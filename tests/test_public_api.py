@@ -24,11 +24,12 @@ SURFACE = {
     ],
     "repro.cluster": [
         "ElasticCluster", "OriginalCHCluster", "StorageServer",
-        "DataObject", "ObjectCatalog", "PowerState",
+        "DataObject", "ObjectCatalog", "PowerState", "CapacityExceeded",
         "plan_departure_recovery", "RecoveryPlan", "TokenBucket",
         "MigrationPlan", "full_reintegration_plan",
         "addition_migration_plan", "VirtualDisk", "VdiRange",
-        "check_cluster", "FsckReport", "FsckIssue",
+        "check_cluster", "FsckReport", "FsckIssue", "scan_holders",
+        "check_holder_index",
         "MachineHourMeter", "PowerModel",
     ],
     "repro.simulation": [
