@@ -28,6 +28,7 @@ the result via :func:`render_kv_churn_report` and exits 1 unless
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -208,8 +209,17 @@ def run_kv_churn(
     them directly.  *plan* defaults to
     :meth:`FaultPlan.generate(seed, nodes, 0.6 * duration, ...)
     <repro.faults.plan.FaultPlan.generate>` — one crash with delayed
-    repair plus one link-loss window, both inside the run, so the
-    drain phase always converges.  All randomness lives in the plan
+    repair plus one link-loss window.  Both heal inside the run, so
+    the drain phase ends with every node reachable and the final audit
+    finds no acked write lost and the replication factor restored.
+    The two windows may overlap, though: when the crashed node and
+    the dead link sit in one replica set, that set is short of its
+    quorum until one heals, and a write that exhausts its retries
+    meanwhile is quarantined — the run ends ``DEGRADED`` (``--seed 6
+    --nodes 15 --clients 32 --keys 900 --duration 600`` does).  Pass
+    a *plan* with disjoint windows to rule that out.  *dt*,
+    *churn_every* and *audit_every* are periods in simulated seconds
+    and must be finite and ``> 0``.  All randomness lives in the plan
     and one ``default_rng(seed)`` stream; the run is otherwise a pure
     function of its parameters, which is what makes same-seed traces
     byte-identical.
@@ -220,6 +230,11 @@ def run_kv_churn(
         raise ValueError("clients must be >= 1")
     if keys < 3:
         raise ValueError("keys must be >= 3 (strings, counters, lists)")
+    for name, period in (("dt", dt), ("churn_every", churn_every),
+                         ("audit_every", audit_every)):
+        if not (math.isfinite(period) and period > 0):
+            raise ValueError(f"{name} must be > 0 and finite "
+                             f"(got {period})")
     if plan is None:
         plan = FaultPlan.generate(seed, n=nodes,
                                   duration=max(0.6 * duration, 3 * dt),

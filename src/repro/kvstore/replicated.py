@@ -54,6 +54,7 @@ runs unchanged on top of either backend.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
     Any,
     Callable,
@@ -263,11 +264,8 @@ class ReplicatedKVStore:
         #: elastic principle: powering down is not a crash).
         self._nodes: Dict[NodeId, _Node] = {}
         self._down: set = set()
-        self._ring = HashRing()
         self._members: Tuple[NodeId, ...] = tuple(node_ids)
-        for nid in node_ids:
-            self._admit(nid)
-            self._ring.add_server(nid, weight=vnodes_per_node)
+        self._build_ring(node_ids)
         self._epoch = 0
         self._staged: Optional[Tuple[int, Tuple[NodeId, ...]]] = None
         self.view = View(epoch=0, members=self._members)
@@ -294,6 +292,17 @@ class ReplicatedKVStore:
             node = _Node(node_id)
             self._nodes[node_id] = node
         return node
+
+    def _build_ring(self, members: Sequence[NodeId]) -> None:
+        """A fresh ring over *members* and, with it, an empty
+        ``key -> owners`` table.  Placement is a pure function of
+        (key, committed view), so the table lives exactly as long as
+        the ring it was read from — that is its only invalidation."""
+        self._ring = HashRing()
+        for nid in members:
+            self._admit(nid)
+            self._ring.add_server(nid, weight=self._vnodes)
+        self._owners: Dict[str, Tuple[NodeId, ...]] = {}
 
     @property
     def epoch(self) -> int:
@@ -342,10 +351,7 @@ class ReplicatedKVStore:
         self._staged = None
         self._epoch = epoch
         self._members = members
-        self._ring = HashRing()
-        for nid in members:
-            self._admit(nid)
-            self._ring.add_server(nid, weight=self._vnodes)
+        self._build_ring(members)
         self.view = View(epoch=epoch, members=members)
         self.stats["views_committed"] += 1
         if OBS.bus.active:
@@ -400,13 +406,14 @@ class ReplicatedKVStore:
     # ------------------------------------------------------------------
     def replica_set(self, key: str) -> List[NodeId]:
         """The R members owning *key* under the committed view: first
-        R distinct members clockwise from the key's hash."""
-        out: List[NodeId] = []
-        for nid in self._ring.walk_servers(self._ring.key_position(key)):
-            out.append(nid)
-            if len(out) == self.replicas:
-                break
-        return out
+        R distinct members clockwise from the key's hash (walked once
+        per key per view; the caller gets its own list)."""
+        owners = self._owners.get(key)
+        if owners is None:
+            owners = self._owners[key] = tuple(islice(
+                self._ring.walk_servers(self._ring.key_position(key)),
+                self.replicas))
+        return list(owners)
 
     def coordinator_for(self, key: str) -> NodeId:
         return self.replica_set(key)[0]
@@ -447,15 +454,24 @@ class ReplicatedKVStore:
                             else _Versioned(vv={}, state=None)))
         return replies, reachable, coordinator
 
+    @staticmethod
+    def _newest(copies: Iterable[_Versioned]) -> Optional[_Versioned]:
+        """The dominant copy: greatest ``_vv_sortkey``, first wins
+        ties; ``None`` when there are no copies.  Equal vectors have
+        equal sort keys, so the key is built only when two differ."""
+        best: Optional[_Versioned] = None
+        for versioned in copies:
+            if best is None or (
+                    versioned.vv != best.vv
+                    and _vv_sortkey(versioned.vv) > _vv_sortkey(best.vv)):
+                best = versioned
+        return best
+
     def _choose_reply(self, replies: List[Tuple[NodeId, _Versioned]]
                       ) -> _Versioned:
         """The dominant reply (newest vector; deterministic tie-break).
         Mutants override this to serve stale data."""
-        best = replies[0][1]
-        for _nid, versioned in replies[1:]:
-            if _vv_sortkey(versioned.vv) > _vv_sortkey(best.vv):
-                best = versioned
-        return best
+        return self._newest(versioned for _nid, versioned in replies)
 
     def _replicate(self, key: str, versioned: _Versioned,
                    targets: Sequence[NodeId]) -> List[NodeId]:
@@ -601,17 +617,11 @@ class ReplicatedKVStore:
         Mutants override this to skip repair."""
         copied = 0
         dropped = 0
+        order = sorted(self._nodes, key=str)
         for key in self._all_keys(include_tombstones=True):
-            best: Optional[_Versioned] = None
-            holders: List[NodeId] = []
-            for nid in sorted(self._nodes, key=str):
-                versioned = self._nodes[nid].data.get(key)
-                if versioned is None:
-                    continue
-                holders.append(nid)
-                if best is None or (_vv_sortkey(versioned.vv)
-                                    > _vv_sortkey(best.vv)):
-                    best = versioned
+            holders = [nid for nid in order if key in self._nodes[nid].data]
+            best = self._newest(self._nodes[nid].data[key]
+                                for nid in holders)
             if best is None:
                 continue
             owners = self.replica_set(key)
@@ -660,15 +670,12 @@ class ReplicatedKVStore:
         lost = 0
         under = 0
         live_keys = 0
+        tables = [self._nodes[nid].data
+                  for nid in sorted(self._nodes, key=str)]
         for key in sorted(self._acked):
             acked_vv = self._acked[key]
-            newest: Optional[_Versioned] = None
-            for nid in sorted(self._nodes, key=str):
-                versioned = self._nodes[nid].data.get(key)
-                if versioned is not None and (
-                        newest is None or _vv_sortkey(versioned.vv)
-                        > _vv_sortkey(newest.vv)):
-                    newest = versioned
+            newest = self._newest(table[key] for table in tables
+                                  if key in table)
             if newest is None or not vv_dominates(newest.vv, acked_vv):
                 lost += 1
                 continue
@@ -678,8 +685,9 @@ class ReplicatedKVStore:
             holders = 0
             for nid in self.replica_set(key):
                 versioned = self._nodes[nid].data.get(key)
-                if versioned is not None and vv_dominates(versioned.vv,
-                                                          acked_vv):
+                if versioned is not None and (
+                        versioned.vv == acked_vv
+                        or vv_dominates(versioned.vv, acked_vv)):
                     holders += 1
             if holders < self.replicas:
                 under += 1

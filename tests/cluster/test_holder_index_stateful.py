@@ -104,7 +104,7 @@ class HolderIndexInvariants:
     def orphan_replica_behind_the_clusters_back(self, rank, which, size):
         srv = self.cluster.servers[rank]
         if srv.is_on:
-            srv.store_replica(ORPHAN + which, size)
+            attempt(srv.store_replica, ORPHAN + which, size)
 
 
 class ElasticIndexMachine(HolderIndexInvariants, RuleBasedStateMachine):

@@ -108,6 +108,36 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             run_kv_churn(nodes=5, plan=bad)
 
+    @pytest.mark.parametrize("name", ["dt", "churn_every", "audit_every"])
+    @pytest.mark.parametrize("bad", [0, -3.0, float("nan"), float("inf")])
+    def test_periods_must_be_finite_and_positive(self, name, bad):
+        # 0 / negative used to mean "every tick", silently.
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            run_kv_churn(**{name: bad})
+
+
+class TestOverlappingFaultWindows:
+    """The generated default plan does not keep its crash and its
+    link-loss window apart.  Pinned so that changing the generator (or
+    the retry budget) to rule this out is a visible decision."""
+
+    def test_seed_6_quarantines_a_write_and_ends_degraded(self):
+        result = run_kv_churn(seed=6, nodes=15, replicas=3, clients=32,
+                              keys=900, duration=600.0)
+        fired = {f["kind"]: f["t"] for f in result.faults}
+        # rank 15 is down across the whole 3<->6 link loss
+        assert (fired["crash"] < fired["link_loss.start"]
+                < fired["link_loss.end"] < fired["repair"])
+        assert result.quarantined_writes == 1
+        assert result.store_stats["writes_failed"] == 5
+        assert not result.ok
+        assert "verdict: **DEGRADED**" in render_kv_churn_report(result)
+        # ... but nothing acked was lost, replication came back and no
+        # checker fired: the only casualty is the unacked write.
+        assert result.violations == []
+        assert result.final_audit["lost_acked"] == 0
+        assert result.final_audit["under_replicated"] == 0
+
 
 class TestResultAndReport:
     def test_ok_requires_clean_final_audit(self):

@@ -1,0 +1,171 @@
+"""Generated differential test for the replicated store's per-view
+replica-set table and its single newest-copy scan.
+
+Hypothesis drives :class:`ReplicatedKVStore` and the test-only
+:class:`ReferenceKVStore` (the unmemoised, sort-per-key bodies the
+table replaced) side by side through arbitrary interleavings of quorum
+ops, sessions, two-step view changes, crashes, repairs, partitions,
+anti-entropy, audits and admin wipes.  Every op must return (or raise)
+the same thing on both, and after every step placement, every node's
+contents, the durability ledger, the audit report, the counters and
+the emitted events must be identical.
+"""
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+from repro.kvstore.replicated import (
+    NoQuorumError,
+    ReplicatedKVStore,
+    StaleSessionError,
+)
+from repro.kvstore.store import WrongTypeError
+from repro.obs.runtime import OBS
+
+from ._reference_store import ReferenceKVStore
+
+NODES = [1, 2, 3, 4, 5, 6]
+REPLICAS = 3
+# Strings, counters and lists share one keyspace on purpose: a
+# WrongTypeError raised half-way through a mutation is one more outcome
+# the two stores must agree on.
+KEYS = [f"k{i}" for i in range(8)]
+
+keys = st.sampled_from(KEYS)
+clients = st.sampled_from([None, "alice", "bob"])
+nodes = st.sampled_from(NODES)
+
+# What an op may legitimately raise in the states this machine reaches.
+EXPECTED = (NoQuorumError, StaleSessionError, WrongTypeError,
+            ValueError, RuntimeError, KeyError)
+
+
+def contents(store):
+    """Every node's table, vectors and states."""
+    return {nid: {key: (v.vv, v.state) for key, v in node.data.items()}
+            for nid, node in store._nodes.items()}
+
+
+class TableVsReferenceMachine(RuleBasedStateMachine):
+    ON_NO_QUORUM = "raise"
+
+    def __init__(self):
+        super().__init__()
+        self.blocked = set()     # frozenset({a, b}) dead links, shared
+
+        def link_blocked(pair):
+            return frozenset(pair) in self.blocked
+
+        self.events = ([], [])
+        self.stores = []
+        for cls, log in zip((ReplicatedKVStore, ReferenceKVStore),
+                            self.events):
+            with OBS.bus.capture() as sink:
+                self.stores.append(cls(
+                    NODES[:4], replicas=REPLICAS, vnodes_per_node=8,
+                    link_blocked=link_blocked,
+                    on_no_quorum=self.ON_NO_QUORUM))
+                log.extend(sink.events())
+
+    def both(self, op):
+        """Run *op* on the real store, then on the reference: same
+        result or same exception.  Events land in per-store logs."""
+        outcomes = []
+        for store, log in zip(self.stores, self.events):
+            with OBS.bus.capture() as sink:
+                try:
+                    outcome = ("returned", op(store))
+                except EXPECTED as exc:
+                    outcome = ("raised", type(exc).__name__, str(exc))
+                log.extend(sink.events())
+            outcomes.append(outcome)
+        assert outcomes[0] == outcomes[1]
+
+    # -- quorum ops, with and without a session ------------------------
+    @rule(key=keys, value=st.integers(0, 3), client=clients)
+    def set(self, key, value, client):
+        self.both(lambda s: s.set(key, value, client=client))
+
+    @rule(key=keys, client=clients)
+    def incr(self, key, client):
+        self.both(lambda s: s.incr(key, client=client))
+
+    @rule(key=keys, value=st.integers(0, 3), client=clients)
+    def rpush(self, key, value, client):
+        self.both(lambda s: s.rpush(key, value, client=client))
+
+    @rule(key=keys, client=clients)
+    def lpop(self, key, client):
+        self.both(lambda s: s.lpop(key, client=client))
+
+    @rule(key=keys, client=clients)
+    def delete(self, key, client):
+        self.both(lambda s: s.delete(key, client=client))
+
+    @rule(key=keys, client=clients)
+    def get(self, key, client):
+        self.both(lambda s: s.get(key, client=client))
+
+    @rule(key=keys, client=clients)
+    def lrange(self, key, client):
+        self.both(lambda s: s.lrange(key, 0, -1, client=client))
+
+    # -- membership ----------------------------------------------------
+    @rule(members=st.lists(nodes, unique=True, min_size=REPLICAS - 1))
+    def propose_view(self, members):
+        self.both(lambda s: s.propose_view(members))
+
+    @rule()
+    def commit_view(self):
+        self.both(lambda s: s.commit_view())
+
+    # -- faults --------------------------------------------------------
+    @rule(node=nodes)
+    def crash_node(self, node):
+        self.both(lambda s: s.crash_node(node))
+
+    @rule(node=nodes)
+    def repair_node(self, node):
+        self.both(lambda s: s.repair_node(node))
+
+    @rule(a=nodes, b=nodes)
+    def toggle_link(self, a, b):
+        self.blocked ^= {frozenset((a, b))}
+
+    # -- whole-keyspace passes -----------------------------------------
+    @rule()
+    def anti_entropy(self):
+        self.both(lambda s: s.anti_entropy())
+
+    @rule()
+    def flushall(self):
+        self.both(lambda s: s.flushall())
+
+    # -- after every step ----------------------------------------------
+    @invariant()
+    def stores_are_indistinguishable(self):
+        real, ref = self.stores
+        for key in KEYS:
+            assert real.replica_set(key) == ref.replica_set(key), key
+        assert contents(real) == contents(ref)
+        assert real._acked == ref._acked
+        self.both(lambda s: s.audit("step"))
+        assert real.stats == ref.stats
+        assert self.events[0] == self.events[1]
+
+
+class TableVsReferenceDegradeMachine(TableVsReferenceMachine):
+    """Same, in the availability-over-consistency mode the chaos
+    harness runs the dirty table in."""
+
+    ON_NO_QUORUM = "degrade"
+
+
+SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None,
+                    derandomize=True)
+
+TestTableVsReference = TableVsReferenceMachine.TestCase
+TestTableVsReference.settings = SETTINGS
+TestTableVsReferenceDegrade = TableVsReferenceDegradeMachine.TestCase
+TestTableVsReferenceDegrade.settings = SETTINGS

@@ -115,6 +115,18 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["serve", "--controller", "bogus"])
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--audit-every", "0", "audit_every"),
+        ("--churn-every", "-3", "churn_every"),
+        ("--audit-every", "nan", "audit_every"),
+    ])
+    def test_kvchurn_bad_period_is_clean_error(self, flag, value, name):
+        with pytest.raises(
+                SystemExit,
+                match=f"repro kvchurn: {name} must be > 0") as exc:
+            main(["kvchurn", flag, value])
+        assert exc.value.code not in (0, None)
+
 
 class TestObservabilityFlags:
     def test_trace_out_writes_parseable_jsonl(self, tmp_path, capsys):
