@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.elastic import ElasticConsistentHash
-from repro.core.placement import place_original, place_primary
+from repro.core.placement import place_original
 from repro.hashring.hashing import bulk_hash
 from repro.hashring.ring import HashRing
 
@@ -28,8 +28,9 @@ def ech():
 def bench_primary_placement(benchmark, ech):
     """Algorithm 1, one fresh object against a settled slot table (the
     steady-state per-IO cost: hash + successor search + table hit).
-    First-touch fills pay the reference ring walk once per slot — that
-    walk is benched directly by bench_original_placement."""
+    A scalar first touch pays the reference ring walk for its slot —
+    that walk is benched directly by bench_original_placement; a bulk
+    first touch is bench_locate_bulk_cold."""
     ech.locate_bulk(np.arange(200_000))    # settle the slot table
     counter = iter(range(10**6, 10**9))    # fresh oids, warm slots
 
@@ -89,16 +90,44 @@ def bench_locate_settled(benchmark, ech):
 
 
 def bench_locate_bulk(benchmark, ech):
-    """100k-object bulk placement through the slot table (the
-    whole-cluster-sweep primitive)."""
+    """100k-object bulk placement through a *settled* slot table (the
+    whole-cluster-sweep primitive, second sweep onward): the module's
+    ``ech`` arrives filled by the benches above and the first round
+    fills whatever they left, so the median is bulk_hash + one
+    searchsorted + the table gather.  The first sweep of a version is
+    bench_locate_bulk_cold."""
     oids = np.arange(100_000, dtype=np.int64)
-    ech.locate_bulk(oids[:1])      # warm the table
+    ech.locate_bulk(oids)          # settle every slot the sweep reads
 
     def place():
         return ech.locate_bulk(oids)
 
     bulk = benchmark(place)
     assert len(bulk) == 100_000 and bulk.all_ok
+
+
+def bench_locate_bulk_cold(benchmark):
+    """The same 100k-object sweep against a membership version nothing
+    has placed yet: every round resizes first, so the sweep meets a
+    cold slot table and pays the batched fill for each of the ~19.5k
+    slots (of 24k) it touches — what the first whole-catalog pass
+    after every resize costs."""
+    ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
+    oids = np.arange(100_000, dtype=np.int64)
+    sizes = itertools.cycle((6, 8))
+
+    def resize():
+        ech.set_active(next(sizes))    # new version: new, empty table
+        return (), {}
+
+    def place():
+        return ech.locate_bulk(oids)
+
+    bulk = benchmark.pedantic(place, setup=resize, rounds=40)
+    assert len(bulk) == 100_000 and bulk.all_ok
+    tbl = ech._kernel.table(ech.current_version,
+                            ech.membership.is_active)
+    assert tbl.filled_slots > 15_000
 
 
 def bench_locate_loop_10k(benchmark, ech):
@@ -118,16 +147,17 @@ def bench_locate_loop_10k(benchmark, ech):
 
 def bench_trace_replay_throughput(benchmark):
     """Trace-replay proxy: bulk-place a 100k-object catalog against
-    every version of a resize history — the dominant inner loop of the
-    CC-a/CC-b replays (fig8/fig9).  Throughput = placements/sec is
-    ``5 * 100_000 / median``."""
+    every version of a resize history, all five tables settled
+    beforehand — the dominant inner loop of the CC-a/CC-b replays
+    (fig8/fig9) once each version has been swept once.  Throughput =
+    placements/sec is ``5 * 100_000 / median``."""
     ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
     for k in (8, 6, 9, 10):
         ech.set_active(k)
     oids = np.arange(100_000, dtype=np.int64)
     versions = range(1, ech.current_version + 1)
-    for v in versions:             # warm every version's table
-        ech.locate_bulk(oids[:1], v)
+    for v in versions:             # settle every version's table
+        ech.locate_bulk(oids, v)
 
     def replay():
         placed = 0

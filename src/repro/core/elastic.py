@@ -334,9 +334,10 @@ class ElasticConsistentHash:
 
         Hashes all keys (``bulk_hash``), resolves successor slots in
         one ``searchsorted``, and gathers placements from the slot
-        table — per-object Python work only for slots never seen
-        before.  Returns compact arrays; see
-        :class:`~repro.core.kernel.BulkPlacement`.
+        table — slots never seen before are settled together, in one
+        array pass of the placement rule, so there is no per-object
+        (or per-slot) Python work even on a cold table.  Returns
+        compact arrays; see :class:`~repro.core.kernel.BulkPlacement`.
         """
         return self.locate_bulk_positions(
             bulk_hash(oids, self.ring.hash_method), version)

@@ -155,10 +155,13 @@ def place_original_from_slot(
         sid = slist[oidx]
         if is_active is not None and not is_active(sid):
             skipped = True
-            continue
-        servers.append(sid)
-        if len(servers) == r:
-            return PlacementResult(tuple(servers), skipped_inactive=skipped)
+        else:
+            servers.append(sid)
+            if len(servers) == r:
+                return PlacementResult(tuple(servers),
+                                       skipped_inactive=skipped)
+        if len(seen) == len(slist):
+            break   # every server met: no vnode further on is new
     raise LookupError(
         f"only {len(servers)} of {r} replicas placeable"
     )
@@ -207,6 +210,8 @@ class _RingWalker:
             if predicate(sid):
                 self._slot = (slot + 1) % self._n
                 return sid
+            if len(seen) == len(slist):
+                break   # every server met: no vnode further on is new
         return None
 
 

@@ -95,14 +95,28 @@ class TestLocateEquivalence:
     """Property: kernel-served locate / locate_bulk match the reference
     walk across seeds, cluster sizes, power states and chain modes."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("n,chain,mode", [
+    CASES = [
         (4, "walk", "primary"),
         (10, "rehash", "primary"),
         (25, "walk", "primary"),
         (10, "walk", "original"),
-    ])
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n,chain,mode", CASES)
     def test_scalar_and_bulk_match_reference(self, seed, n, chain, mode):
+        """Scalar first: the walk fills every slot, the bulk call that
+        follows is all table hits."""
+        self._check(seed, n, chain, mode, bulk_first=False)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n,chain,mode", CASES)
+    def test_bulk_first_matches_reference(self, seed, n, chain, mode):
+        """Bulk first: the batched fill settles every slot, the scalar
+        lookups that follow read its rows."""
+        self._check(seed, n, chain, mode, bulk_first=True)
+
+    def _check(self, seed, n, chain, mode, bulk_first):
         rng = np.random.default_rng(seed)
         ech = ElasticConsistentHash(n=n, replicas=3, B=200, chain=chain,
                                     placement_mode=mode)
@@ -110,14 +124,16 @@ class TestLocateEquivalence:
                             replace=True):
             ech.set_active(int(k))
         oids = [int(x) for x in rng.integers(0, 10**9, size=400)]
-        for version in [None] + list(range(1, ech.current_version + 1)):
-            refs = [reference(ech, oid, version) for oid in oids]
+
+        def check_scalar(version, refs):
             for oid, ref in zip(oids, refs):
                 if ref is None:
                     with pytest.raises(LookupError):
                         ech.locate(oid, version)
                 else:
                     assert ech.locate(oid, version) == ref
+
+        def check_bulk(version, refs):
             bulk = ech.locate_bulk(oids, version)
             assert len(bulk) == len(oids)
             for i, ref in enumerate(refs):
@@ -130,6 +146,17 @@ class TestLocateEquivalence:
                     assert bool(bulk.skipped_inactive[i]) == \
                         ref.skipped_inactive
                     assert bulk.result(i) == ref
+
+        checks = [check_scalar, check_bulk]
+        if bulk_first:
+            checks.reverse()
+        for version in [None] + list(range(1, ech.current_version + 1)):
+            refs = [reference(ech, oid, version) for oid in oids]
+            # Every version starts cold, so the first check is the one
+            # that fills the table.
+            ech.invalidate_placement_cache()
+            for check in checks:
+                check(version, refs)
 
     def test_bulk_positions_match_bulk(self):
         from repro.hashring.hashing import bulk_hash
