@@ -64,7 +64,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.elastic import ElasticConsistentHash
-from repro.core.layout import CapacityPlan, EqualWorkLayout
+from repro.core.layout import CapacityPlan
 from repro.faults import FaultPlan, render_chaos_report, run_chaos
 from repro.serving import render_serve_report, run_serve
 from repro.kvstore.harness import render_kv_churn_report, run_kv_churn
@@ -401,8 +401,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _facade(args) -> ElasticConsistentHash:
+    # The library lets tests build a cluster too small for its replica
+    # count (every locate then raises); the CLI refuses it up front.
+    if args.n < args.replicas:
+        raise ValueError(f"--n {args.n} servers cannot hold "
+                         f"--replicas {args.replicas}")
+    return ElasticConsistentHash(n=args.n, replicas=args.replicas, B=args.B)
+
+
 def _cmd_info(args) -> str:
-    ech = ElasticConsistentHash(n=args.n, replicas=args.replicas, B=args.B)
+    ech = _facade(args)
     return "\n".join([
         ech.describe(),
         f"primary ranks : 1..{ech.p}",
@@ -413,8 +422,8 @@ def _cmd_info(args) -> str:
 
 
 def _cmd_layout(args) -> str:
-    layout = EqualWorkLayout.create(args.n, args.replicas, args.B)
-    ech = ElasticConsistentHash(n=args.n, replicas=args.replicas, B=args.B)
+    ech = _facade(args)
+    layout = ech.layout
     counts = ech.blocks_per_rank(range(args.objects))
     plan = CapacityPlan.for_layout(layout)
     return "\n".join([
@@ -473,32 +482,26 @@ def _cmd_chaos(args):
             plan = FaultPlan.load(args.plan)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"repro chaos: bad --plan file: {exc}")
-    try:
-        result = run_chaos(seed=args.seed, n=args.n,
-                           replicas=args.replicas, scale=args.scale,
-                           off_count=args.off_count, plan=plan,
-                           audit_every=args.audit_every)
-    except ValueError as exc:
-        raise SystemExit(f"repro chaos: {exc}")
+    result = run_chaos(seed=args.seed, n=args.n,
+                       replicas=args.replicas, scale=args.scale,
+                       off_count=args.off_count, plan=plan,
+                       audit_every=args.audit_every)
     return render_chaos_report(result), (0 if result.ok else 1)
 
 
 def _cmd_serve(args):
     # Returns (report, exit_code): 0 healthy, 1 unbounded queues,
     # violated invariants, or a missed SLO.
-    try:
-        result = run_serve(seed=args.seed, controller=args.controller,
-                           n=args.n, replicas=args.replicas,
-                           off_count=args.off_count,
-                           clients=args.clients, users=args.users,
-                           per_user_rate=args.per_user_rate,
-                           write_ratio=args.write_ratio,
-                           duration=args.duration,
-                           resize_at=args.resize_at,
-                           resize_back_at=args.resize_back_at,
-                           slo_p99=args.slo_p99)
-    except ValueError as exc:
-        raise SystemExit(f"repro serve: {exc}")
+    result = run_serve(seed=args.seed, controller=args.controller,
+                       n=args.n, replicas=args.replicas,
+                       off_count=args.off_count,
+                       clients=args.clients, users=args.users,
+                       per_user_rate=args.per_user_rate,
+                       write_ratio=args.write_ratio,
+                       duration=args.duration,
+                       resize_at=args.resize_at,
+                       resize_back_at=args.resize_back_at,
+                       slo_p99=args.slo_p99)
     return render_serve_report(result), (0 if result.ok else 1)
 
 
@@ -510,15 +513,12 @@ def _cmd_kvchurn(args):
             plan = FaultPlan.load(args.plan)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"repro kvchurn: bad --plan file: {exc}")
-    try:
-        result = run_kv_churn(seed=args.seed, nodes=args.nodes,
-                              replicas=args.replicas,
-                              clients=args.clients, keys=args.keys,
-                              duration=args.duration,
-                              churn_every=args.churn_every, plan=plan,
-                              audit_every=args.audit_every)
-    except ValueError as exc:
-        raise SystemExit(f"repro kvchurn: {exc}")
+    result = run_kv_churn(seed=args.seed, nodes=args.nodes,
+                          replicas=args.replicas,
+                          clients=args.clients, keys=args.keys,
+                          duration=args.duration,
+                          churn_every=args.churn_every, plan=plan,
+                          audit_every=args.audit_every)
     return render_kv_churn_report(result), (0 if result.ok else 1)
 
 
@@ -585,19 +585,16 @@ def _cmd_sweep(args):
         config = {"which": args.which}
     else:
         config = {"mode": args.mode, "scale": args.scale}
-    try:
-        specs = [TaskSpec(task_id=f"{args.kind}-s{seed:03d}",
-                          kind=args.kind, seed=seed, config=config,
-                          plan=plan_json)
-                 for seed in seeds]
-        runner = SweepRunner(
-            workers=args.workers or os.cpu_count() or 1,
-            task_timeout=args.timeout,
-            since=args.since, until=args.until,
-            profile=args.profile_out is not None)
-        result = runner.run(specs, args.out)
-    except ValueError as exc:
-        raise SystemExit(f"repro sweep: {exc}")
+    specs = [TaskSpec(task_id=f"{args.kind}-s{seed:03d}",
+                      kind=args.kind, seed=seed, config=config,
+                      plan=plan_json)
+             for seed in seeds]
+    runner = SweepRunner(
+        workers=args.workers or os.cpu_count() or 1,
+        task_timeout=args.timeout,
+        since=args.since, until=args.until,
+        profile=args.profile_out is not None)
+    result = runner.run(specs, args.out)
     report = render_sweep_report(result)
     if args.profile_out is not None \
             and result.profile_rollup_path is not None:
@@ -612,14 +609,9 @@ def _cmd_sweep(args):
 
 
 def _cmd_stats(args) -> str:
-    try:
-        return render_trace_stats(args.trace_file, kind=args.kind,
-                                  since=args.since, until=args.until,
-                                  top=args.top)
-    except TraceParseError:
-        raise                      # main() reports these with exit 2
-    except ValueError as exc:
-        raise SystemExit(f"repro stats: {exc}")
+    return render_trace_stats(args.trace_file, kind=args.kind,
+                              since=args.since, until=args.until,
+                              top=args.top)
 
 
 def _cmd_check(args):
@@ -628,13 +620,8 @@ def _cmd_check(args):
 
 
 def _cmd_report(args) -> str:
-    try:
-        return render_run_report(args.trace_file, since=args.since,
-                                 until=args.until)
-    except (TraceParseError, EmptyTraceError):
-        raise                      # main() reports these with exit 2
-    except ValueError as exc:
-        raise SystemExit(f"repro report: {exc}")
+    return render_run_report(args.trace_file, since=args.since,
+                             until=args.until)
 
 
 def _cmd_timeline(args) -> str:
@@ -644,15 +631,10 @@ def _cmd_timeline(args) -> str:
         doc = load_analytics(args.input)
         built = False
     else:
-        try:
-            doc = analytics_from_trace(args.input,
-                                       bin_seconds=args.bin_seconds,
-                                       since=args.since,
-                                       until=args.until)
-        except (TraceParseError, EmptyTraceError, AnalyticsError):
-            raise                  # main() reports these with exit 2
-        except ValueError as exc:
-            raise SystemExit(f"repro timeline: {exc}")
+        doc = analytics_from_trace(args.input,
+                                   bin_seconds=args.bin_seconds,
+                                   since=args.since,
+                                   until=args.until)
         built = True
 
     extras: List[str] = []
@@ -680,10 +662,7 @@ def _cmd_timeline(args) -> str:
 
 def _cmd_profile(args):
     doc = load_profile(args.profile_file)
-    try:
-        report = render_profile(doc, top=args.top)
-    except ValueError as exc:
-        raise SystemExit(f"repro profile: {exc}")
+    report = render_profile(doc, top=args.top)
     if args.collapsed is not None:
         lines = collapsed_stacks(doc["root"])
         if args.collapsed == "-":
@@ -796,6 +775,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 2
+    except ValueError as exc:
+        # Bad input that only the command's own code could judge
+        # (impossible cluster, non-positive period, empty window):
+        # one line and exit 1, never a traceback.
+        raise SystemExit(f"repro {args.command}: {exc}")
     finally:
         OBS.profiler = None
         if stats:

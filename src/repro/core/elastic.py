@@ -118,10 +118,7 @@ class ElasticConsistentHash:
 
         #: Slot-table placement kernel: memoizes the per-slot walk for
         #: each membership version so a settled ``locate`` is a cache
-        #: hit and ``locate_bulk`` is pure array work.  ``kernel_enabled
-        #: = False`` forces every scalar locate down the reference walk
-        #: (equivalence tests; the bulk API always uses the kernel).
-        self.kernel_enabled = True
+        #: hit and ``locate_bulk`` is pure array work.
         self._kernel = PlacementKernel(
             self.ring, replicas,
             placement_mode=placement_mode,
@@ -304,8 +301,6 @@ class ElasticConsistentHash:
                 version: Optional[int] = None) -> PlacementResult:
         table = (self.history.current if version is None
                  else self.history.get(version))
-        if not self.kernel_enabled:
-            return self._locate_reference(oid, table)
         tbl = self._kernel.table(table.version, table.is_active)
         slot = self._kernel.slot_of(oid)
         try:

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.cluster.cluster import CrashRecoveryWork, ElasticCluster
 from repro.core.dirty_table import DirtyTable
 from repro.faults.injector import FaultAction, FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, require_periods
 from repro.faults.retry import RetryPolicy
 from repro.kvstore.replicated import ReplicatedKVStore
 from repro.faults.transfers import (
@@ -42,7 +42,7 @@ from repro.faults.transfers import (
     TransferJob,
     TransferManager,
 )
-from repro.obs.invariants import CheckerSink, InvariantSuite, default_checkers
+from repro.obs.invariants import checked_run, render_invariants
 from repro.obs.runtime import OBS
 from repro.simulation.bandwidth import apply_capacity_factors
 from repro.simulation.engine import Simulator
@@ -125,7 +125,8 @@ def run_chaos(
     <repro.faults.plan.FaultPlan.three_phase_default>`.  All
     randomness lives in the plan generation; the run itself is a pure
     function of (plan, parameters), which is what the byte-identical
-    trace guarantee rests on.
+    trace guarantee rests on.  *dt* and *audit_every* are periods in
+    simulated seconds and must be finite and ``> 0``.
     """
     if not 0 <= off_count < n:
         raise ValueError("off_count must be in [0, n)")
@@ -133,6 +134,7 @@ def run_chaos(
         raise ValueError(
             f"phase-2 active count {n - off_count} cannot hold "
             f"{replicas} replicas; lower off_count or replicas")
+    require_periods(dt=dt, audit_every=audit_every)
     if plan is None:
         plan = FaultPlan.three_phase_default(seed, n=n, off_count=off_count)
     plan.check_ranks(n)
@@ -383,16 +385,11 @@ def run_chaos(
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    checker_sink: Optional[CheckerSink] = None
-    if check:
-        checker_sink = CheckerSink(InvariantSuite(default_checkers()))
-        OBS.bus.attach(checker_sink)
-    run_span = OBS.spans.begin("chaos.run", seed=seed, n=n,
-                               faults=len(plan))
     throughput: List[float] = []
     now = 0.0
     next_audit = audit_every
-    try:
+    with checked_run("chaos.run", check, seed=seed, n=n,
+                     faults=len(plan)) as checked:
         start_phase(0)
         while now < max_duration:
             now += dt
@@ -447,20 +444,6 @@ def run_chaos(
 
         dirty_store.anti_entropy()     # settle any repair debt left
         emit_audit(now, label="final")
-        run_span.end(status="completed")
-    except BaseException:
-        run_span.end(status="failed")
-        raise
-    finally:
-        if checker_sink is not None:
-            OBS.bus.detach(checker_sink)
-
-    violations: List[str] = []
-    checkers = events_seen = 0
-    if checker_sink is not None:
-        violations = [v.describe() for v in checker_sink.finish()]
-        checkers = len(checker_sink.suite.checkers)
-        events_seen = checker_sink.suite.events_seen
 
     # A quarantined re-integration round can be *superseded*: a later
     # round settles the same dirty entries (each plan re-snapshots the
@@ -489,9 +472,9 @@ def run_chaos(
         audits=audits,
         final_audit=audits[-1] if audits else {},
         dirty_backlog=len(cluster.ech.dirty),
-        violations=violations,
-        checkers=checkers,
-        events_seen=events_seen,
+        violations=checked.violations,
+        checkers=checked.checkers,
+        events_seen=checked.events_seen,
         peak_throughput=max(throughput) if throughput else 0.0,
         mean_throughput=(sum(throughput) / len(throughput)
                          if throughput else 0.0),
@@ -564,17 +547,7 @@ def render_chaos_report(result: ChaosResult) -> str:
             f"| {a['quarantined']} |")
     if len(result.audits) > 12:
         lines.append(f"(… {len(result.audits) - 12} audits elided …)")
-    lines += ["", "## invariants", ""]
-    if result.checkers:
-        if result.violations:
-            lines.append(f"{len(result.violations)} violation(s) across "
-                         f"{result.checkers} checkers:")
-            lines += [f"- {v}" for v in result.violations]
-        else:
-            lines.append(f"all {result.checkers} checkers hold over "
-                         f"{result.events_seen} events.")
-    else:
-        lines.append("checkers not attached (check=False).")
+    lines += ["", *render_invariants(result)]
     verdict = "OK" if result.ok else "DEGRADED"
     lines += [
         "",

@@ -40,13 +40,23 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
-__all__ = ["FaultEvent", "FaultPlan", "KINDS", "TRIGGERS"]
+__all__ = ["FaultEvent", "FaultPlan", "KINDS", "TRIGGERS",
+           "require_periods"]
 
 #: Recognised fault kinds.
 KINDS = ("crash", "slow_disk", "link_loss")
 
 #: Recognised trigger names (see module docstring).
 TRIGGERS = ("phase2", "phase3", "recovery", "reintegration")
+
+
+def require_periods(**periods: float) -> None:
+    """Reject a harness period (simulated seconds, by keyword) that is
+    not finite and ``> 0``."""
+    for name, period in periods.items():
+        if not (math.isfinite(period) and period > 0):
+            raise ValueError(f"{name} must be > 0 and finite "
+                             f"(got {period})")
 
 
 @dataclass(frozen=True)

@@ -28,21 +28,20 @@ the result via :func:`render_kv_churn_report` and exits 1 unless
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from repro.faults.injector import FaultAction, FaultInjector
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import FaultPlan, require_periods
 from repro.faults.retry import RetryPolicy
 from repro.kvstore.replicated import (
     NoQuorumError,
     ReplicatedKVStore,
     StaleSessionError,
 )
-from repro.obs.invariants import CheckerSink, InvariantSuite, default_checkers
+from repro.obs.invariants import checked_run, render_invariants
 from repro.obs.runtime import OBS
 from repro.simulation.engine import Simulator
 
@@ -230,11 +229,7 @@ def run_kv_churn(
         raise ValueError("clients must be >= 1")
     if keys < 3:
         raise ValueError("keys must be >= 3 (strings, counters, lists)")
-    for name, period in (("dt", dt), ("churn_every", churn_every),
-                         ("audit_every", audit_every)):
-        if not (math.isfinite(period) and period > 0):
-            raise ValueError(f"{name} must be > 0 and finite "
-                             f"(got {period})")
+    require_periods(dt=dt, churn_every=churn_every, audit_every=audit_every)
     if plan is None:
         plan = FaultPlan.generate(seed, n=nodes,
                                   duration=max(0.6 * duration, 3 * dt),
@@ -365,17 +360,12 @@ def run_kv_churn(
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    checker_sink: Optional[CheckerSink] = None
-    if check:
-        checker_sink = CheckerSink(InvariantSuite(default_checkers()))
-        OBS.bus.attach(checker_sink)
-    run_span = OBS.spans.begin("kvchurn.run", seed=seed, nodes=nodes,
-                               replicas=replicas, faults=len(plan))
     now = 0.0
     next_audit = audit_every
     next_churn = churn_every
     tick = 0
-    try:
+    with checked_run("kvchurn.run", check, seed=seed, nodes=nodes,
+                     replicas=replicas, faults=len(plan)) as checked:
         while now < duration:
             now += dt
             tick += 1
@@ -400,20 +390,6 @@ def run_kv_churn(
         commit_staged()
         store.anti_entropy()
         audits.append({"t": now, **store.audit("final")})
-        run_span.end(status="completed")
-    except BaseException:
-        run_span.end(status="failed")
-        raise
-    finally:
-        if checker_sink is not None:
-            OBS.bus.detach(checker_sink)
-
-    violations: List[str] = []
-    checkers = events_seen = 0
-    if checker_sink is not None:
-        violations = [v.describe() for v in checker_sink.finish()]
-        checkers = len(checker_sink.suite.checkers)
-        events_seen = checker_sink.suite.events_seen
 
     return KVChurnResult(
         seed=plan.seed,
@@ -432,9 +408,9 @@ def run_kv_churn(
         unavailable_reads=counters["unavailable"],
         audits=audits,
         final_audit=audits[-1] if audits else {},
-        violations=violations,
-        checkers=checkers,
-        events_seen=events_seen,
+        violations=checked.violations,
+        checkers=checked.checkers,
+        events_seen=checked.events_seen,
     )
 
 
@@ -499,17 +475,7 @@ def render_kv_churn_report(result: KVChurnResult) -> str:
                      f"| {a['lost_acked']} | {a['under_replicated']} |")
     if len(result.audits) > 12:
         lines.append(f"(… {len(result.audits) - 12} audits elided …)")
-    lines += ["", "## invariants", ""]
-    if result.checkers:
-        if result.violations:
-            lines.append(f"{len(result.violations)} violation(s) across "
-                         f"{result.checkers} checkers:")
-            lines += [f"- {v}" for v in result.violations]
-        else:
-            lines.append(f"all {result.checkers} checkers hold over "
-                         f"{result.events_seen} events.")
-    else:
-        lines.append("checkers not attached (check=False).")
+    lines += ["", *render_invariants(result)]
     verdict = "OK" if result.ok else "DEGRADED"
     lines += [
         "",

@@ -74,9 +74,11 @@ pass them vacuously.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
+from repro.obs.runtime import OBS
 from repro.obs.trace import Sink, TraceEvent
 
 __all__ = [
@@ -85,6 +87,9 @@ __all__ = [
     "Checker",
     "InvariantSuite",
     "CheckerSink",
+    "CheckedRun",
+    "checked_run",
+    "render_invariants",
     "default_checkers",
     "check_events",
     "VersionMonotonicChecker",
@@ -795,3 +800,62 @@ class CheckerSink(Sink):
 
     def finish(self) -> List[Violation]:
         return self.suite.finish()
+
+
+@dataclass
+class CheckedRun:
+    """What the live suite found over one :func:`checked_run` — the
+    three fields every harness result carries.  Filled in when the run
+    completes; all zero/empty when checking was off."""
+
+    violations: List[str] = field(default_factory=list)
+    checkers: int = 0
+    events_seen: int = 0
+
+
+@contextmanager
+def checked_run(span_name: str, check: bool,
+                **span_attrs: object) -> Iterator[CheckedRun]:
+    """A harness's main loop under the stock suite and a run span.
+
+    Attaches a :class:`CheckerSink` (when *check*), opens the
+    *span_name* span, and on the way out ends the span ``completed``
+    or ``failed``, detaches the sink and — after a completed run —
+    fills the yielded :class:`CheckedRun` from the suite's
+    end-of-stream verdict.
+    """
+    outcome = CheckedRun()
+    sink: Optional[CheckerSink] = None
+    if check:
+        sink = CheckerSink()
+        OBS.bus.attach(sink)
+    span = OBS.spans.begin(span_name, **span_attrs)
+    try:
+        yield outcome
+        span.end(status="completed")
+    except BaseException:
+        span.end(status="failed")
+        raise
+    finally:
+        if sink is not None:
+            OBS.bus.detach(sink)
+    if sink is not None:
+        outcome.violations = [v.describe() for v in sink.finish()]
+        outcome.checkers = len(sink.suite.checkers)
+        outcome.events_seen = sink.suite.events_seen
+
+
+def render_invariants(result) -> List[str]:
+    """The ``## invariants`` section of a harness report, from a
+    result carrying ``violations`` / ``checkers`` / ``events_seen``."""
+    lines = ["## invariants", ""]
+    if not result.checkers:
+        lines.append("checkers not attached (check=False).")
+    elif result.violations:
+        lines.append(f"{len(result.violations)} violation(s) across "
+                     f"{result.checkers} checkers:")
+        lines += [f"- {v}" for v in result.violations]
+    else:
+        lines.append(f"all {result.checkers} checkers hold over "
+                     f"{result.events_seen} events.")
+    return lines

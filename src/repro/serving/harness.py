@@ -26,8 +26,7 @@ from typing import Dict, List, Optional
 from repro.cluster.cluster import ElasticCluster
 from repro.hashring.hashing import hash64
 from repro.obs.analytics import percentile
-from repro.obs.invariants import CheckerSink, InvariantSuite, default_checkers
-from repro.obs.runtime import OBS
+from repro.obs.invariants import checked_run, render_invariants
 from repro.simulation.engine import Simulator
 from repro.simulation.flows import FluidFlow
 from repro.simulation.iomodel import IOModel
@@ -85,6 +84,8 @@ class ServeResult:
     slo_p99: float
     #: None when there were no completions to judge.
     slo_met: Optional[bool]
+    #: Left of a re-integration flow still live at the cutoff.
+    migration_unfinished_bytes: float = 0.0
     violations: List[str] = field(default_factory=list)
     checkers: int = 0
     events_seen: int = 0
@@ -229,13 +230,9 @@ def run_serve(
     sim.schedule_at(resize_back_at, resize_up)
 
     # -- run ------------------------------------------------------------
-    checker_sink: Optional[CheckerSink] = None
-    if check:
-        checker_sink = CheckerSink(InvariantSuite(default_checkers()))
-        OBS.bus.attach(checker_sink)
-    run_span = OBS.spans.begin("serve.run", seed=seed, n=n,
-                               controller=ctrl.name)
-    try:
+    migration_unfinished = 0.0
+    with checked_run("serve.run", check, seed=seed, n=n,
+                     controller=ctrl.name) as checked:
         closed.start()
         open_pop.start()
         ticks = round(duration / dt)
@@ -247,20 +244,12 @@ def run_serve(
             achieved = io.step(now)
             coord.end_tick(now, achieved)
         coord.shutdown()
-        run_span.end(status="completed")
-    except BaseException:
-        run_span.end(status="failed")
-        raise
-    finally:
-        if checker_sink is not None:
-            OBS.bus.detach(checker_sink)
-
-    violations: List[str] = []
-    checkers = events_seen = 0
-    if checker_sink is not None:
-        violations = [v.describe() for v in checker_sink.finish()]
-        checkers = len(checker_sink.suite.checkers)
-        events_seen = checker_sink.suite.events_seen
+        # A re-integration still moving at the cutoff is retired like
+        # the serve streams, so flow accounting closes out; what it
+        # had left is reported, never silently completed.
+        for flow in io.flows.by_name("migration"):
+            migration_unfinished += flow.remaining
+            io.flows.remove(flow)
 
     latency = {pop: latency_stats(vals)
                for pop, vals in sorted(coord.latencies.items())}
@@ -288,8 +277,9 @@ def run_serve(
         migration_bytes=io.total_moved("migration"),
         served_bytes=coord.served_bytes,
         slo_p99=slo_p99, slo_met=slo_met,
-        violations=violations, checkers=checkers,
-        events_seen=events_seen,
+        migration_unfinished_bytes=migration_unfinished,
+        violations=checked.violations, checkers=checked.checkers,
+        events_seen=checked.events_seen,
     )
 
 
@@ -335,20 +325,12 @@ def render_serve_report(result: ServeResult) -> str:
         f"- closed-loop retries: {result.closed_retries}",
         f"- failovers on resize: {result.failovers}",
         f"- outstanding at cutoff: {result.outstanding}",
-        "",
-        "## invariants",
-        "",
     ]
-    if result.checkers:
-        if result.violations:
-            lines.append(f"{len(result.violations)} violation(s) across "
-                         f"{result.checkers} checkers:")
-            lines += [f"- {v}" for v in result.violations]
-        else:
-            lines.append(f"all {result.checkers} checkers hold over "
-                         f"{result.events_seen} events.")
-    else:
-        lines.append("checkers not attached (check=False).")
+    if result.migration_unfinished_bytes > 0:
+        lines.append(
+            f"- migration unfinished at cutoff: "
+            f"{result.migration_unfinished_bytes / MB:.0f} MB (cancelled)")
+    lines += ["", *render_invariants(result)]
     if result.slo_met is None:
         slo = "n/a (no completions)"
     elif result.slo_met:

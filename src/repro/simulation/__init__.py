@@ -13,27 +13,26 @@ storage servers' disks.  We reproduce them with:
 * :class:`IOModel` — the per-tick loop gluing flows to capacities and
   recording throughput timelines.
 
-Two env switches tune the hot loop without changing any result (both
-backends/paths are bit-identical, property- and trace-tested):
-``REPRO_SOLVER`` picks the allocation backend (``auto`` / ``scalar`` /
-``columnar`` — see :mod:`repro.simulation.columnar`), and
-``REPRO_BATCH_TICKS`` toggles allocation reuse and horizon-batched
-ticks across unchanged ticks.
+A tick advances in exactly two ways: a max-min-fair solve
+(:meth:`FlowSet.advance`; the scalar or the columnar backend by
+problem size — the two are bit-identical, see
+:mod:`repro.simulation.columnar`) or, when every solve input is
+provably unchanged, reuse of the previous solve's rates
+(:meth:`FlowSet.advance_cached`).  Neither choice can change a sample
+or a trace byte, and nothing outside the problem itself selects it.
 """
 
 from repro.simulation.engine import Event, Simulator
-from repro.simulation.bandwidth import max_min_fair, solver_mode
+from repro.simulation.bandwidth import max_min_fair
 from repro.simulation.columnar import max_min_fair_columnar
 from repro.simulation.flows import FluidFlow, FlowSet
-from repro.simulation.iomodel import IOModel, batching_enabled
+from repro.simulation.iomodel import IOModel
 
 __all__ = [
     "Event",
     "Simulator",
     "max_min_fair",
     "max_min_fair_columnar",
-    "solver_mode",
-    "batching_enabled",
     "FluidFlow",
     "FlowSet",
     "IOModel",

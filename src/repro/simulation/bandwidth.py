@@ -23,40 +23,24 @@ migration flow loads both its source (read) and destination (write).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence
 
 from repro.obs.runtime import OBS
 
 __all__ = ["FlowSpec", "max_min_fair", "max_min_fair_scalar",
-           "apply_capacity_factors", "solver_mode"]
+           "apply_capacity_factors"]
 
 Resource = Hashable
 
-#: ``REPRO_SOLVER`` values: ``scalar`` forces the reference dict-loop
-#: solver, ``columnar`` forces the struct-of-arrays backend
-#: (:mod:`repro.simulation.columnar`), ``auto`` (default) picks
-#: columnar once the problem is large enough to amortise array setup.
-#: Both backends return bit-identical rates, so the switch only moves
-#: wall-clock, never results.
-_SOLVER_MODES = ("auto", "scalar", "columnar")
-
-#: ``auto`` cutover: use the columnar backend when flows × resources
-#: reaches this many cells.  Below it the scalar dict loop wins on
-#: constant factors (array allocation costs more than the whole
-#: solve); above it the per-round O(F·R) interpreter work dominates.
+#: Size cutover: use the columnar backend
+#: (:mod:`repro.simulation.columnar`) when flows × resources reaches
+#: this many cells.  Below it the scalar dict loop wins on constant
+#: factors (array allocation costs more than the whole solve); above
+#: it the per-round O(F·R) interpreter work dominates.  Both backends
+#: return bit-identical rates, so the cutover only moves wall-clock,
+#: never results.
 _AUTO_CUTOVER_CELLS = 2048
-
-
-def solver_mode() -> str:
-    """The active solver backend per ``REPRO_SOLVER`` (read per call so
-    tests and drivers can flip it without re-importing)."""
-    mode = os.environ.get("REPRO_SOLVER", "auto").strip().lower() or "auto"
-    if mode not in _SOLVER_MODES:
-        raise ValueError(
-            f"REPRO_SOLVER must be one of {_SOLVER_MODES}, got {mode!r}")
-    return mode
 
 
 def apply_capacity_factors(
@@ -100,17 +84,14 @@ def max_min_fair(flows: Sequence[FlowSpec],
     unconstrained (rate = demand); a zero-capacity resource freezes its
     flows at 0.
 
-    Dispatches between the scalar reference implementation
-    (:func:`max_min_fair_scalar`) and the vectorised columnar backend
-    (:func:`repro.simulation.columnar.max_min_fair_columnar`) per
-    ``REPRO_SOLVER`` — see :func:`solver_mode`.  The two are
-    bit-identical, property-tested in
+    Dispatches by problem size between the scalar reference
+    implementation (:func:`max_min_fair_scalar`) and the vectorised
+    columnar backend
+    (:func:`repro.simulation.columnar.max_min_fair_columnar`).  The
+    two are bit-identical, property-tested in
     ``tests/simulation/test_columnar.py``.
     """
-    mode = solver_mode()
-    if mode == "columnar" or (
-            mode == "auto"
-            and len(flows) * len(capacities) >= _AUTO_CUTOVER_CELLS):
+    if len(flows) * len(capacities) >= _AUTO_CUTOVER_CELLS:
         from repro.simulation.columnar import max_min_fair_columnar
         return max_min_fair_columnar(flows, capacities)
     return max_min_fair_scalar(flows, capacities)

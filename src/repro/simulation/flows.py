@@ -107,9 +107,8 @@ class FlowSet:
     half of it is dead.
 
     :attr:`generation` increments on every membership change (add /
-    remove / interrupt / completion) — the allocation cache and
-    :class:`~repro.simulation.iomodel.IOModel`'s horizon batching key
-    on it to know when a cached max-min-fair solution is stale.
+    remove / interrupt / completion) — the allocation cache keys on it
+    to know when a cached max-min-fair solution is stale.
     """
 
     #: Compact the backing list when it holds at least this many
@@ -123,7 +122,7 @@ class FlowSet:
         #: Monotone membership version; any change invalidates cached
         #: allocations.
         self.generation = 0
-        #: Last-solve snapshot for the batched fast path (see
+        #: Last-solve snapshot for allocation reuse (see
         #: :meth:`advance_cached`).
         self._alloc: Optional[Dict[str, object]] = None
 
@@ -255,7 +254,7 @@ class FlowSet:
                 "max_util": max_util, "max_util_rank": max_util_rank}
 
     def _finish(self, finished: List[FluidFlow], bus) -> None:
-        """Completion processing shared by every advance path: metric,
+        """Completion processing shared by both advance paths: metric,
         ``flow.finish`` event, span close, ``on_complete`` callback,
         then removal.  The callback may add or remove other flows —
         removal below is lenient for exactly that reason."""

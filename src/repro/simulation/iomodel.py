@@ -13,8 +13,6 @@ which becomes the client flow's per-server coefficients.
 
 from __future__ import annotations
 
-import math
-import os
 from typing import (
     Callable,
     Dict,
@@ -31,30 +29,10 @@ import numpy as np
 from repro.obs.runtime import OBS
 from repro.simulation.flows import FlowSet
 
-__all__ = ["IOModel", "batching_enabled", "replica_load_fractions",
+__all__ = ["IOModel", "replica_load_fractions",
            "replica_load_fractions_from_matrix", "client_coefficients"]
 
 CapacityFn = Callable[[], Mapping[Hashable, float]]
-
-#: Upper bound on ticks folded into one vectorised batch — bounds the
-#: (flows × horizon) progress matrix a batch materialises.
-_BATCH_MAX_TICKS = 16384
-
-
-def batching_enabled() -> bool:
-    """Whether allocation reuse / horizon batching is on, per the
-    ``REPRO_BATCH_TICKS`` env switch (default on; ``0`` / ``off`` /
-    ``false`` / ``no`` restore the solve-every-tick behaviour).  Read
-    per call so tests can flip it without re-importing.
-
-    Batching never changes results — same-seed runs produce
-    byte-identical traces and samples with it on or off (pinned by
-    ``tests/simulation/test_batching.py``); the switch exists for A/B
-    timing and as an escape hatch.
-    """
-    val = os.environ.get("REPRO_BATCH_TICKS", "1").strip().lower()
-    return val not in ("0", "off", "false", "no")
-
 
 def replica_load_fractions(
     locate: Callable[[int], Iterable[int]],
@@ -156,7 +134,7 @@ class IOModel:
         #: (time, {flow name: achieved bytes/s}) per tick.
         self.samples: List[Tuple[float, Dict[str, float]]] = []
         #: Capacities (and token) observed at the last full solve —
-        #: the reuse paths compare against these.
+        #: the reuse path compares against these.
         self._caps: Optional[Dict[Hashable, float]] = None
         self._caps_token: object = None
 
@@ -184,14 +162,12 @@ class IOModel:
             prof.push("io.step")
         try:
             achieved: Optional[Dict[str, float]] = None
-            caps: Optional[Dict[Hashable, float]] = None
-            if batching_enabled():
-                unchanged, caps = self._caps_unchanged()
-                if unchanged:
-                    if len(self.flows) == 0:
-                        achieved = {}
-                    else:
-                        achieved = self.flows.advance_cached(self.dt)
+            unchanged, caps = self._caps_unchanged()
+            if unchanged:
+                if len(self.flows) == 0:
+                    achieved = {}
+                else:
+                    achieved = self.flows.advance_cached(self.dt)
             if achieved is None:
                 if caps is None:
                     caps = dict(self.capacity_fn())
@@ -214,126 +190,14 @@ class IOModel:
             on_tick: Callable[[float], None] | None = None) -> None:
         """Convenience loop: tick from *start* for *duration* seconds.
         *on_tick(t)* fires before each tick — drivers mutate flows and
-        memberships there.
-
-        Without an *on_tick* (nothing can change between ticks), runs
-        of unchanged ticks are folded into vectorised batches — see
-        :meth:`_run_batch`."""
+        memberships there."""
         t = start
         end = start + duration
-        batchable = on_tick is None
         while t < end - 1e-9:
-            if batchable:
-                nt = self._run_batch(t, end)
-                if nt is not None:
-                    t = nt
-                    continue
             t = min(t + self.dt, end)
             if on_tick is not None:
                 on_tick(t)
             self.step(t)
-
-    def _run_batch(self, t: float, end: float) -> Optional[float]:
-        """Advance as many provably-unchanged ticks as possible in one
-        vectorised step; returns the new clock, or ``None`` to fall
-        back to per-tick stepping.
-
-        The horizon is the longest run of ticks over which the cached
-        allocation stays exactly valid: membership generation, flow
-        coefficients/caps, and capacities unchanged, every per-tick
-        demand bit-equal to the solve's, and no finite flow completing
-        before the batch's *final* tick (a completion is handled at
-        the last tick, exactly where per-tick stepping would).
-        Progress and tick labels are computed with ``np.cumsum`` —
-        serial addition chains, so every per-flow ``progressed`` and
-        every sample timestamp is bit-identical to the per-tick loop.
-
-        Requires an inactive event bus and no profiler: both demand
-        per-tick emission, which per-tick stepping provides (the
-        cached :meth:`~repro.simulation.flows.FlowSet.advance_cached`
-        path still skips the solver there).
-        """
-        if not batching_enabled():
-            return None
-        bus = OBS.bus
-        if bus.active or OBS.profiler is not None or OBS.hot:
-            return None
-        a = self.flows._alloc
-        if a is None:
-            return None
-        dt = self.dt
-        if a["generation"] != self.flows.generation or a["dt"] != dt:
-            return None
-        unchanged, _ = self._caps_unchanged()
-        if not unchanged:
-            return None
-        live = a["live"]
-        # Coefficients compare by ordered value, not identity: an
-        # in-place mutation (serving throttle, coefficient refresh)
-        # must cut the batch horizon exactly like a replacement dict.
-        for f, items, cap in zip(live, a["coeff_items"], a["caps"]):
-            if f.rate_cap != cap or list(f.coefficients.items()) != items:
-                return None
-
-        # Tick labels by the loop's own recurrence t = min(t+dt, end):
-        # the clamp can only bind on the final executed tick, so the
-        # plain cumsum chain is the exact serial sequence.
-        n = min(_BATCH_MAX_TICKS,
-                max(1, int(math.ceil((end - t) / dt)) + 1))
-        chain = np.empty(n + 1, dtype=np.float64)
-        chain[0] = t
-        chain[1:] = dt
-        labels = np.minimum(np.cumsum(chain), end)
-        # Tick j executes iff the clock *before* it is < end - 1e-9.
-        h = int(np.count_nonzero(labels[:-1] < end - 1e-9))
-        if h == 0:
-            return None
-
-        # Per-tick progress chains: ps[i, j] = flow i's progressed
-        # after j ticks, bit-identical to j serial `p += rate*dt`s.
-        inc = np.asarray(a["incs"], dtype=np.float64)
-        mat = np.empty((len(live), h + 1), dtype=np.float64)
-        mat[:, 0] = [f.progressed for f in live]
-        mat[:, 1:] = inc[:, None]
-        ps = np.cumsum(mat, axis=1)
-
-        total = np.array([math.inf if f.total_bytes is None
-                          else f.total_bytes for f in live])
-        rate_cap = np.asarray(a["caps"], dtype=np.float64)
-        dem = np.asarray(a["demands"], dtype=np.float64)
-        # Demand each tick would compute (from the pre-tick progress)
-        # must equal the solve's; the first mismatching tick needs a
-        # fresh solve and bounds the horizon.
-        d_mat = np.minimum(rate_cap[:, None],
-                           np.maximum(0.0, total[:, None] - ps[:, :h]) / dt)
-        valid = np.all(d_mat == dem[:, None], axis=0)
-        bad = np.flatnonzero(~valid)
-        if bad.size:
-            h = int(bad[0])     # ticks 1..bad[0] are valid
-        # A completion ends the batch at that tick.
-        done_tick = total[:, None] - ps[:, 1:h + 1] <= 1e-6
-        done_any = np.flatnonzero(np.any(done_tick, axis=0))
-        if done_any.size:
-            h = int(done_any[0]) + 1
-        if h < 2:
-            return None         # per-tick stepping handles it as fast
-
-        rates = a["rates"]
-        for i, f in enumerate(live):
-            f.last_rate = rates[i]
-            f.progressed = float(ps[i, h])
-        achieved = a["achieved"]
-        for j in range(1, h + 1):
-            self.samples.append((float(labels[j]), dict(achieved)))
-        OBS.metrics.inc("engine.ticks", h)
-        OBS.metrics.inc("bandwidth.reused", h)
-        now = float(labels[h])
-        bus.clock = now
-        finished = [f for f in live if f.done]
-        if finished:
-            self.flows._finish(finished, bus)
-        OBS.metrics.gauge("io.live_flows").set(len(self.flows))
-        return now
 
     # ------------------------------------------------------------------
     def series(self, name: str) -> Tuple[List[float], List[float]]:

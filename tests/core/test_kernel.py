@@ -282,13 +282,22 @@ class TestTraceIdentity:
     def test_three_phase_trace_identical(self):
         assert self._trace() == self._trace()
 
-    def test_cluster_scenario_identical_with_and_without_kernel(self):
+    def test_cluster_scenario_identical_with_and_without_kernel(
+            self, monkeypatch):
         def run(enabled):
             OBS.reset()
             from repro.cluster.cluster import ElasticCluster
             with OBS.bus.capture(capacity=100_000) as sink:
                 cl = ElasticCluster(n=10, replicas=2, B=200)
-                cl.ech.kernel_enabled = enabled
+                if not enabled:
+                    # Every scalar locate down the per-object ring
+                    # walk (the bulk API always uses the kernel).
+                    ech = cl.ech
+                    monkeypatch.setattr(
+                        ech, "_locate",
+                        lambda oid, version=None: ech._locate_reference(
+                            oid, ech.history.current if version is None
+                            else ech.history.get(version)))
                 for oid in range(400):
                     cl.write(oid)
                 cl.resize(6)

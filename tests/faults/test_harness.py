@@ -83,6 +83,13 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match="replicas"):
             run_chaos(n=4, replicas=2, off_count=3)
 
+    @pytest.mark.parametrize("name", ["dt", "audit_every"])
+    @pytest.mark.parametrize("value", [0, -1.0, float("nan"), float("inf")])
+    def test_periods_must_be_positive_and_finite(self, name, value):
+        # audit_every <= 0 used to be accepted and audit every tick.
+        with pytest.raises(ValueError, match=f"{name} must be > 0"):
+            run_chaos(**{name: value})
+
     def test_plan_ranks_validated(self):
         plan = FaultPlan.three_phase_default(seed=1, n=25, off_count=8)
         with pytest.raises(ValueError, match="rank"):

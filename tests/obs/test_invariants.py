@@ -21,8 +21,11 @@ from repro.obs.invariants import (
     ServeQueueBoundedChecker,
     VersionMonotonicChecker,
     check_events,
+    checked_run,
     default_checkers,
+    render_invariants,
 )
+from repro.obs.runtime import OBS
 from repro.obs.trace import TraceBus
 
 
@@ -411,3 +414,57 @@ class TestSweepBoundary:
             {"kind": SWEEP_BOUNDARY_KIND, "t": 0.0, "task": "b"},
         ])
         assert [v.checker for v in suite.finish()] == ["flow-accounting"]
+
+
+class TestCheckedRun:
+    """The harnesses' shared attach → span → detach → verdict block."""
+
+    def events(self, body, check=True):
+        OBS.reset()
+        try:
+            with OBS.bus.capture() as sink:
+                try:
+                    with checked_run("x.run", check, seed=3) as checked:
+                        body()
+                except RuntimeError:
+                    pass
+                return checked, sink.events(), list(OBS.bus.sinks)
+        finally:
+            OBS.reset()
+
+    def test_completed_run_collects_the_verdict(self):
+        def body():
+            OBS.bus.emit("flow.start", name="c", span_id=99)
+
+        checked, events, sinks = self.events(body)
+        assert [(e["kind"], e.get("status")) for e in events] == [
+            ("span.begin", None), ("flow.start", None),
+            ("span.end", "completed")]
+        assert events[0]["name"] == "x.run" and events[0]["seed"] == 3
+        assert len(sinks) == 1                  # only the capture is left
+        assert checked.checkers == len(default_checkers())
+        assert checked.events_seen == 3
+        assert len(checked.violations) == 1
+        assert "flow-accounting" in checked.violations[0]
+        assert render_invariants(checked) == [
+            "## invariants", "",
+            f"1 violation(s) across {checked.checkers} checkers:",
+            f"- {checked.violations[0]}"]
+
+    def test_failed_run_ends_the_span_failed_and_detaches(self):
+        def body():
+            raise RuntimeError("boom")
+
+        checked, events, sinks = self.events(body)
+        assert events[-1]["kind"] == "span.end"
+        assert events[-1]["status"] == "failed"
+        assert len(sinks) == 1
+        assert checked.checkers == 0            # no verdict on a crash
+
+    def test_check_off_attaches_nothing(self):
+        checked, events, _ = self.events(lambda: None, check=False)
+        assert [e["kind"] for e in events] == ["span.begin", "span.end"]
+        assert (checked.violations, checked.checkers,
+                checked.events_seen) == ([], 0, 0)
+        assert render_invariants(checked)[-1] \
+            == "checkers not attached (check=False)."

@@ -127,6 +127,28 @@ class TestReportAndVerdicts:
         r = run_serve(controller="adaptive", **SMALL)
         OBS.reset()
         assert r.migration_bytes > 0
+        # ... and finishes before the cutoff: nothing to report.
+        assert r.migration_unfinished_bytes == 0.0
+        assert "unfinished" not in render_serve_report(r)
+
+    def test_migration_live_at_cutoff_is_cancelled_not_a_violation(self):
+        # The resize-back lands two seconds before the cutoff with a
+        # write-heavy backlog: the re-integration flow cannot finish.
+        # It is retired like the serve streams (flow.cancel), so
+        # flow-accounting stays green, and the report says what was
+        # left.
+        OBS.reset()
+        with OBS.bus.capture(capacity=200_000) as sink:
+            r = run_serve(controller="adaptive", write_ratio=0.9,
+                          **dict(SMALL, resize_back_at=28.0))
+            cancels = [e for e in sink.events("flow.cancel")
+                       if e["name"] == "migration"]
+        OBS.reset()
+        assert r.violations == [] and r.ok
+        assert len(cancels) == 1
+        assert r.migration_unfinished_bytes > 0
+        assert cancels[0]["nbytes"] == pytest.approx(r.migration_bytes)
+        assert "migration unfinished at cutoff" in render_serve_report(r)
 
     @pytest.mark.parametrize("kwargs", [
         {"off_count": 6},                     # nothing left

@@ -1,78 +1,121 @@
-"""Batching and allocation reuse must never change a result.
+"""Allocation reuse must never change a result.
+
+A tick advances in exactly two ways — a max-min-fair solve
+(``FlowSet.advance``) or reuse of the previous solve's rates
+(``FlowSet.advance_cached``).  The always-solve reference is reached
+from outside the product: ``advance_cached`` is patched to report "not
+provably fresh" (``None``), which sends every tick down ``advance``.
 
 Two layers of pinning:
 
-* sha256 trace identity — same-seed experiment runs produce the
-  byte-identical event stream with batching on or off and with either
-  solver backend (the traces carry every per-tick ``bandwidth.solve``
-  / ``engine.tick`` event and every rate, so this is the strongest
-  cheap check we have);
-* sample identity — ``IOModel.run``'s vectorised horizon batches
-  reproduce the per-tick loop's ``samples`` exactly (timestamps and
-  rates bit-for-bit), and every cache-invalidation edge (capacity,
-  coefficient, rate-cap, membership changes, completions) re-solves.
+* whole runs — fig7 and chaos produce the identical result object
+  (samples, progress, completion ticks) and the sha256-identical event
+  stream with reuse or without it, and with either solver backend
+  (forced by moving the size cutover); the traces carry every per-tick
+  ``bandwidth.solve`` / ``engine.tick`` event and every rate, so this
+  is the strongest cheap check we have;
+* single models — ``IOModel.run`` reproduces the always-solve
+  ``samples`` exactly (timestamps and rates bit-for-bit), and every
+  cache-invalidation edge (capacity, coefficient, rate-cap, membership
+  changes, completions) re-solves.
+
+``test_reuse_stateful.py`` generates the interleavings these cases
+pick by hand.
 """
 
 import hashlib
 import io
-
-import pytest
+import math
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 from repro.experiments.three_phase import run_three_phase
 from repro.faults.harness import run_chaos
 from repro.obs.runtime import OBS
 from repro.obs.trace import JSONLSink
-from repro.simulation.flows import FluidFlow
-from repro.simulation.iomodel import IOModel, batching_enabled
+from repro.simulation import bandwidth
+from repro.simulation.flows import FlowSet, FluidFlow
+from repro.simulation.iomodel import IOModel
 
 
-def traced_digest(fn):
+@contextmanager
+def always_solve():
+    """No tick may reuse an allocation inside this block."""
+    with mock.patch.object(FlowSet, "advance_cached",
+                           lambda self, dt: None):
+        yield
+
+
+def solver_cutover(cells):
+    """Force one backend: 0 = always columnar, inf = always scalar."""
+    return mock.patch.object(bandwidth, "_AUTO_CUTOVER_CELLS", cells)
+
+
+def traced(fn):
+    """(sha256 of the run's JSONL trace, the run's result)."""
     OBS.reset()
     buf = io.StringIO()
     sink = JSONLSink(buf)
     OBS.bus.attach(sink)
     try:
-        fn()
+        result = fn()
     finally:
         OBS.bus.detach(sink)
         OBS.reset()
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest(), result
+
+
+def solves(fn):
+    """How many times *fn* went to the solver."""
+    OBS.reset()
+    fn()
+    count = OBS.metrics.counter("bandwidth.solves").value
+    OBS.reset()
+    return count
 
 
 class TestTraceIdentity:
-    def test_fig7_batching_and_solver_invariant(self, monkeypatch):
+    def test_fig7_batching_and_solver_invariant(self):
+        def replay():
+            return run_three_phase(mode="selective", scale=0.02)
+
+        base = traced(replay)
+        with always_solve():
+            assert traced(replay) == base
+            with solver_cutover(0):
+                assert traced(replay) == base
+        with solver_cutover(0):
+            assert traced(replay) == base
+        with solver_cutover(math.inf):
+            assert traced(replay) == base
+
+    def test_chaos_batching_invariant(self):
+        def replay():
+            return run_chaos(seed=7, scale=0.1, check=False)
+
+        base = traced(replay)
+        with always_solve():
+            assert traced(replay) == base
+        with solver_cutover(0):
+            assert traced(replay) == base
+
+    def test_reuse_actually_engages(self):
+        # The identities above would hold trivially if reuse never
+        # fired; most ticks of this short replay must skip the solver.
         def replay():
             run_three_phase(mode="selective", scale=0.02)
 
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        monkeypatch.delenv("REPRO_BATCH_TICKS", raising=False)
-        base = traced_digest(replay)
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "0")
-        assert traced_digest(replay) == base
-        monkeypatch.setenv("REPRO_SOLVER", "columnar")
-        assert traced_digest(replay) == base
-        monkeypatch.delenv("REPRO_BATCH_TICKS")
-        assert traced_digest(replay) == base
-
-    def test_chaos_batching_invariant(self, monkeypatch):
-        def replay():
-            run_chaos(seed=7, scale=0.1, check=False)
-
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        monkeypatch.delenv("REPRO_BATCH_TICKS", raising=False)
-        base = traced_digest(replay)
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "0")
-        assert traced_digest(replay) == base
-        monkeypatch.setenv("REPRO_SOLVER", "columnar")
-        monkeypatch.delenv("REPRO_BATCH_TICKS")
-        assert traced_digest(replay) == base
+        reused = solves(replay)
+        with always_solve():
+            every_tick = solves(replay)
+        assert reused * 2 < every_tick
 
 
-def run_samples(build, duration, monkeypatch, batch):
+def run_samples(build, duration, reuse):
     """Run a scenario and return (samples, final flow progress)."""
-    monkeypatch.setenv("REPRO_BATCH_TICKS", "1" if batch else "0")
     io_model, flows = build()
-    io_model.run(duration)
+    with nullcontext() if reuse else always_solve():
+        io_model.run(duration)
     return io_model.samples, [(f.name, f.progressed) for f in flows]
 
 
@@ -86,18 +129,16 @@ class TestRunBatchIdentity:
                       total_bytes=2_000.0, rate_cap=45.0))
         return io_model, [stream, finite]
 
-    def test_samples_bitwise_identical(self, monkeypatch):
-        batched, prog_b = run_samples(self.scenario_mixed, 300.0,
-                                      monkeypatch, batch=True)
-        pertick, prog_p = run_samples(self.scenario_mixed, 300.0,
-                                      monkeypatch, batch=False)
-        assert len(batched) == len(pertick) == 300
-        for (tb, sb), (tp, sp) in zip(batched, pertick):
-            assert tb == tp
-            assert sb == sp
-        assert prog_b == prog_p
+    def test_samples_bitwise_identical(self):
+        reused, prog_r = run_samples(self.scenario_mixed, 300.0, reuse=True)
+        solved, prog_s = run_samples(self.scenario_mixed, 300.0, reuse=False)
+        assert len(reused) == len(solved) == 300
+        for (tr, sr), (ts, ss) in zip(reused, solved):
+            assert tr == ts
+            assert sr == ss
+        assert prog_r == prog_s
 
-    def test_completion_lands_on_same_tick(self, monkeypatch):
+    def test_completion_lands_on_same_tick(self):
         completions = []
 
         def build():
@@ -108,28 +149,27 @@ class TestRunBatchIdentity:
                               len(io_model.samples))))
             return io_model, [f]
 
-        batched, _ = run_samples(build, 100.0, monkeypatch, batch=True)
-        tick_batched = completions.pop()
-        pertick, _ = run_samples(build, 100.0, monkeypatch, batch=False)
-        tick_pertick = completions.pop()
-        assert tick_batched == tick_pertick
-        assert batched == pertick
+        reused, _ = run_samples(build, 100.0, reuse=True)
+        tick_reused = completions.pop()
+        solved, _ = run_samples(build, 100.0, reuse=False)
+        tick_solved = completions.pop()
+        assert tick_reused == tick_solved
+        assert reused == solved
 
-    def test_fractional_final_tick(self, monkeypatch):
+    def test_fractional_final_tick(self):
         def build():
             io_model = IOModel(lambda: {"a": 40.0}, dt=1.0)
             f = io_model.flows.add(FluidFlow("c", {"a": 1.0}, rate_cap=30.0))
             return io_model, [f]
 
-        batched, prog_b = run_samples(build, 10.5, monkeypatch, batch=True)
-        pertick, prog_p = run_samples(build, 10.5, monkeypatch, batch=False)
-        assert batched == pertick
-        assert prog_b == prog_p
+        reused, prog_r = run_samples(build, 10.5, reuse=True)
+        solved, prog_s = run_samples(build, 10.5, reuse=False)
+        assert reused == solved
+        assert prog_r == prog_s
 
 
 class TestCacheInvalidation:
-    def test_capacity_change_via_token(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "1")
+    def test_capacity_change_via_token(self):
         state = {"cap": 100.0, "version": 0}
         io_model = IOModel(lambda: {"a": state["cap"]}, dt=1.0,
                            capacity_token=lambda: state["version"])
@@ -141,8 +181,7 @@ class TestCacheInvalidation:
         _, vals = io_model.series("c")
         assert vals == [100.0, 40.0]
 
-    def test_capacity_change_via_dict_compare(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "1")
+    def test_capacity_change_via_dict_compare(self):
         state = {"cap": 100.0}
         io_model = IOModel(lambda: {"a": state["cap"]}, dt=1.0)
         io_model.flows.add(FluidFlow("c", {"a": 1.0}))
@@ -152,8 +191,7 @@ class TestCacheInvalidation:
         _, vals = io_model.series("c")
         assert vals == [100.0, 40.0]
 
-    def test_coefficient_change_invalidates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "1")
+    def test_coefficient_change_invalidates(self):
         io_model = IOModel(lambda: {"a": 100.0, "b": 100.0}, dt=1.0)
         f = io_model.flows.add(FluidFlow("c", {"a": 1.0}))
         io_model.step(1.0)
@@ -163,8 +201,7 @@ class TestCacheInvalidation:
         _, vals = io_model.series("c")
         assert vals == [100.0, 100.0, 50.0]
 
-    def test_rate_cap_change_invalidates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "1")
+    def test_rate_cap_change_invalidates(self):
         io_model = IOModel(lambda: {"a": 100.0}, dt=1.0)
         f = io_model.flows.add(FluidFlow("c", {"a": 1.0}))
         io_model.step(1.0)
@@ -173,8 +210,7 @@ class TestCacheInvalidation:
         _, vals = io_model.series("c")
         assert vals == [100.0, 25.0]
 
-    def test_membership_change_invalidates(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "1")
+    def test_membership_change_invalidates(self):
         io_model = IOModel(lambda: {"a": 100.0}, dt=1.0)
         io_model.flows.add(FluidFlow("c", {"a": 1.0}))
         io_model.step(1.0)
@@ -185,43 +221,26 @@ class TestCacheInvalidation:
         _, vals = io_model.series("c")
         assert vals == [100.0, 50.0, 100.0]
 
-    def test_in_place_coefficient_mutation_invalidates(self, monkeypatch):
+    def test_in_place_coefficient_mutation_invalidates(self):
         # A driver may mutate the coefficient mapping *in place*
-        # (identity unchanged).  The cached fast path compares by
-        # ordered value, so the next step must re-solve.
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "1")
+        # (identity unchanged).  Reuse compares by ordered value, so
+        # the next step must re-solve.
         io_model = IOModel(lambda: {"a": 100.0}, dt=1.0)
         coeffs = {"a": 1.0}
         io_model.flows.add(FluidFlow("c", coeffs))
         io_model.step(1.0)
-        io_model.step(2.0)          # cached fast path engages
+        io_model.step(2.0)          # reuse engages
         coeffs["a"] = 2.0           # same dict object, new value
         io_model.step(3.0)
         _, vals = io_model.series("c")
         assert vals == [100.0, 100.0, 50.0]
 
-    def test_in_place_mutation_cuts_batch_horizon(self, monkeypatch):
-        # Same property through the vectorised _run_batch path: a
-        # mutation between run() segments must cut the horizon, not
-        # ride a stale allocation.
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "1")
-        io_model = IOModel(lambda: {"a": 100.0}, dt=1.0)
-        coeffs = {"a": 1.0}
-        io_model.flows.add(FluidFlow("c", coeffs))
-        io_model.run(5.0)
-        coeffs["a"] = 4.0
-        io_model.run(5.0, start=5.0)
-        _, vals = io_model.series("c")
-        assert vals == [100.0] * 5 + [25.0] * 5
-
-    def test_demand_change_mid_stretch_differs_from_stale_cache(
-            self, monkeypatch):
+    def test_demand_change_mid_stretch_differs_from_stale_cache(self):
         # The regression the serving throttle flushed out: a demand
         # (rate_cap) change mid-stretch must produce the same rates
-        # the never-cached path computes — i.e. genuinely different
+        # the always-solve path computes — i.e. genuinely different
         # from what replaying the stale allocation would give.
-        def run(batch):
-            monkeypatch.setenv("REPRO_BATCH_TICKS", "1" if batch else "0")
+        def run():
             io_model = IOModel(lambda: {"a": 100.0}, dt=1.0)
             f = io_model.flows.add(FluidFlow("c", {"a": 1.0}))
             io_model.run(4.0)
@@ -229,15 +248,15 @@ class TestCacheInvalidation:
             io_model.run(4.0, start=4.0)
             return io_model.series("c")[1]
 
-        cached = run(batch=True)
-        fresh = run(batch=False)
+        cached = run()
+        with always_solve():
+            fresh = run()
         assert cached == fresh == [100.0] * 4 + [30.0] * 4
 
-    def test_retired_by_total_bytes_clamp(self, monkeypatch):
+    def test_retired_by_total_bytes_clamp(self):
         # The original-CH driver retires a flow by setting
         # total_bytes = progressed; the next tick must notice despite
         # no generation bump (the demand check catches it).
-        monkeypatch.setenv("REPRO_BATCH_TICKS", "1")
         io_model = IOModel(lambda: {"a": 100.0}, dt=1.0)
         f = io_model.flows.add(
             FluidFlow("r", {"a": 1.0}, total_bytes=1e9, rate_cap=10.0))
@@ -249,18 +268,3 @@ class TestCacheInvalidation:
         assert len(io_model.flows) == 1
         _, vals = io_model.series("c")
         assert vals == [90.0, 90.0, 100.0]
-
-
-class TestSwitchParsing:
-    @pytest.mark.parametrize("val", ["0", "off", "false", "no", "OFF"])
-    def test_disabled_values(self, monkeypatch, val):
-        monkeypatch.setenv("REPRO_BATCH_TICKS", val)
-        assert batching_enabled() is False
-
-    @pytest.mark.parametrize("val", [None, "1", "on", "yes"])
-    def test_enabled_values(self, monkeypatch, val):
-        if val is None:
-            monkeypatch.delenv("REPRO_BATCH_TICKS", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_BATCH_TICKS", val)
-        assert batching_enabled() is True

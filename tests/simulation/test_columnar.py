@@ -8,14 +8,15 @@ zero demands, zero-capacity resources, unknown resources).
 
 import math
 import random
+from unittest import mock
 
 import pytest
 
+from repro.simulation import bandwidth, columnar
 from repro.simulation.bandwidth import (
     FlowSpec,
     max_min_fair,
     max_min_fair_scalar,
-    solver_mode,
 )
 from repro.simulation.columnar import (
     compile_problem,
@@ -102,32 +103,51 @@ class TestIdenticalErrors:
 
 
 class TestDispatch:
-    def test_default_mode_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
-        assert solver_mode() == "auto"
+    """``max_min_fair`` picks a backend by problem size alone."""
 
-    def test_unknown_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVER", "quantum")
-        with pytest.raises(ValueError):
-            solver_mode()
+    @staticmethod
+    def backends_called(flows, capacities):
+        """Which backends one ``max_min_fair`` call reaches."""
+        with mock.patch.object(bandwidth, "max_min_fair_scalar",
+                               wraps=max_min_fair_scalar) as scalar, \
+                mock.patch.object(columnar, "max_min_fair_columnar",
+                                  wraps=max_min_fair_columnar) as col:
+            rates = max_min_fair(flows, capacities)
+        called = (["scalar"] * scalar.call_count
+                  + ["columnar"] * col.call_count)
+        return called, rates
+
+    def test_cutover_is_by_cells(self):
+        # flows x resources on either side of _AUTO_CUTOVER_CELLS.
+        capacities = {i: 50.0 for i in range(64)}
+        flow = FlowSpec({0: 1.0, 1: 1.0}, 10.0)
+        below = bandwidth._AUTO_CUTOVER_CELLS // 64 - 1
+        assert self.backends_called([flow] * below, capacities)[0] \
+            == ["scalar"]
+        assert self.backends_called([flow] * (below + 1), capacities)[0] \
+            == ["columnar"]
 
     @pytest.mark.parametrize("mode", ["scalar", "columnar"])
     def test_forced_modes_agree(self, monkeypatch, mode):
+        # Moving the cutover is how a test forces one backend.
         rng = random.Random(42)
         flows, capacities = random_instance(rng)
         reference = max_min_fair_scalar(flows, capacities)
-        monkeypatch.setenv("REPRO_SOLVER", mode)
-        assert_bit_identical(max_min_fair(flows, capacities), reference)
+        monkeypatch.setattr(bandwidth, "_AUTO_CUTOVER_CELLS",
+                            math.inf if mode == "scalar" else 0)
+        called, rates = self.backends_called(flows, capacities)
+        assert called == [mode]
+        assert_bit_identical(rates, reference)
 
-    def test_auto_cutover_matches_scalar(self, monkeypatch):
-        # Large enough that auto dispatches columnar.
-        monkeypatch.delenv("REPRO_SOLVER", raising=False)
+    def test_auto_cutover_matches_scalar(self):
+        # Large enough that the size rule dispatches columnar.
         rng = random.Random(3)
         capacities = {i: rng.uniform(10.0, 100.0) for i in range(256)}
         flows = [FlowSpec({r: 1.0 for r in rng.sample(range(256), 4)},
                           rng.uniform(1.0, 50.0)) for _ in range(32)]
-        assert_bit_identical(max_min_fair(flows, capacities),
-                             max_min_fair_scalar(flows, capacities))
+        called, rates = self.backends_called(flows, capacities)
+        assert called == ["columnar"]
+        assert_bit_identical(rates, max_min_fair_scalar(flows, capacities))
 
 
 class TestCompile:

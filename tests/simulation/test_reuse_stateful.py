@@ -1,0 +1,219 @@
+"""Generated equivalence test for allocation reuse.
+
+Two ``IOModel``\\ s are driven side by side through the same arbitrary
+interleaving of everything a driver can do between ticks — add and
+retire flows, preempt them, re-point or mutate coefficients, throttle,
+change capacities (vouched for by a ``capacity_token`` or not), step,
+run.  One model is the product as shipped; on the other,
+``advance_cached`` always answers "not provably fresh", so every tick
+is a real solve.  After every operation the two must agree on what
+they emitted, and after every step on the samples, each flow's
+``progressed`` and the order callbacks fired in: reuse may skip the
+solver, never change what the solver would have said.
+"""
+
+import math
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.obs.runtime import OBS
+from repro.simulation.flows import FluidFlow
+from repro.simulation.iomodel import IOModel
+
+SERVERS = ("a", "b", "c", "d")
+COEFFS = st.dictionaries(st.sampled_from(SERVERS),
+                         st.sampled_from([0.25, 0.5, 1.0, 2.0]),
+                         min_size=1, max_size=3)
+RATE_CAPS = st.sampled_from([math.inf, 5.0, 20.0, 33.3, 80.0])
+CAPACITIES = st.sampled_from([0.0, 10.0, 40.0, 64.0, 100.0])
+#: Whether a perturbation is followed by a tick straight away.
+TICK_NEXT = st.sampled_from([True, True, True, False])
+#: Span ids come from one process-wide counter, so the two models
+#: never share them; everything else in an event must match.
+_PER_MODEL_FIELDS = ("span_id", "parent_id")
+
+
+class Side:
+    """One model plus everything observed about it."""
+
+    def __init__(self, use_token, reuse):
+        self.caps = {s: 64.0 for s in SERVERS}
+        self.version = 0
+        self.io = IOModel(
+            lambda: dict(self.caps), dt=1.0,
+            capacity_token=(lambda: self.version) if use_token else None)
+        if not reuse:
+            self.io.flows.advance_cached = lambda dt: None
+        self.flows = []         # every flow ever added, by position
+        self.callbacks = []     # (kind, flow position), in firing order
+        self.now = 0.0
+
+    def add(self, name, coeffs, total_bytes, rate_cap):
+        pos = len(self.flows)
+        flow = FluidFlow(
+            name, dict(coeffs), total_bytes=total_bytes, rate_cap=rate_cap,
+            on_complete=lambda f: self.callbacks.append(("complete", pos)),
+            on_interrupt=lambda f: self.callbacks.append(("interrupt", pos)))
+        self.flows.append(flow)
+        self.io.flows.add(flow)
+
+    def live(self):
+        """Positions of the flows still in the set."""
+        members = {id(f) for f in self.io.flows}
+        return [i for i, f in enumerate(self.flows) if id(f) in members]
+
+
+class ReuseMachine(RuleBasedStateMachine):
+    @initialize(use_token=st.booleans(), coeffs=COEFFS)
+    def build(self, use_token, coeffs):
+        OBS.reset()
+        self.product = Side(use_token, reuse=True)
+        self.reference = Side(use_token, reuse=False)
+        self.sides = (self.product, self.reference)
+        # Start with an allocation already cached, so the very first
+        # perturbation lands on a warm cache.
+        self.add_stream(coeffs, math.inf, then_tick=True)
+
+    def teardown(self):
+        OBS.reset()
+
+    def both(self, op):
+        """Apply *op* to each side in turn; the event streams the two
+        applications emit must be equal."""
+        emitted = []
+        for side in self.sides:
+            with OBS.bus.capture(capacity=100_000) as sink:
+                op(side)
+                emitted.append([
+                    {k: v for k, v in e.items()
+                     if k not in _PER_MODEL_FIELDS}
+                    for e in sink.events()])
+        assert emitted[0] == emitted[1]
+
+    def perturb(self, op, then_tick):
+        """A change between ticks.  Usually the next thing a driver
+        does is tick — the moment a stale allocation would show — so
+        most perturbations are followed by one directly; the rest pile
+        up several changes before the next tick."""
+        self.both(op)
+        if then_tick:
+            self.step()
+
+    def pick_live(self, data):
+        return data.draw(st.sampled_from(self.product.live()))
+
+    def has_live(self):
+        return bool(self.product.live())
+
+    # -- membership ----------------------------------------------------
+    @rule(coeffs=COEFFS, rate_cap=RATE_CAPS, then_tick=TICK_NEXT)
+    def add_stream(self, coeffs, rate_cap, then_tick):
+        self.perturb(lambda s: s.add("stream", coeffs, None, rate_cap),
+                     then_tick)
+
+    @rule(coeffs=COEFFS, rate_cap=RATE_CAPS, then_tick=TICK_NEXT,
+          total=st.sampled_from([1.0, 60.0, 333.0, 5_000.0]))
+    def add_finite(self, coeffs, rate_cap, total, then_tick):
+        self.perturb(lambda s: s.add("transfer", coeffs, total, rate_cap),
+                     then_tick)
+
+    @precondition(has_live)
+    @rule(data=st.data(), then_tick=TICK_NEXT)
+    def remove(self, data, then_tick):
+        pos = self.pick_live(data)
+        self.perturb(lambda s: s.io.flows.remove(s.flows[pos]), then_tick)
+
+    @precondition(has_live)
+    @rule(data=st.data(), then_tick=TICK_NEXT)
+    def interrupt(self, data, then_tick):
+        pos = self.pick_live(data)
+        self.perturb(lambda s: s.io.flows.interrupt(s.flows[pos]),
+                     then_tick)
+
+    # -- solve inputs, changed behind the cache's back -----------------
+    @precondition(has_live)
+    @rule(data=st.data(), coeffs=COEFFS, then_tick=TICK_NEXT)
+    def replace_coefficients(self, data, coeffs, then_tick):
+        pos = self.pick_live(data)
+        self.perturb(lambda s: setattr(s.flows[pos], "coefficients",
+                                       dict(coeffs)), then_tick)
+
+    @precondition(has_live)
+    @rule(data=st.data(), server=st.sampled_from(SERVERS),
+          coef=st.sampled_from([0.25, 1.0, 3.0]), then_tick=TICK_NEXT)
+    def mutate_coefficients_in_place(self, data, server, coef, then_tick):
+        pos = self.pick_live(data)
+
+        def mutate(side):
+            side.flows[pos].coefficients[server] = coef
+        self.perturb(mutate, then_tick)
+
+    @precondition(has_live)
+    @rule(data=st.data(), rate_cap=RATE_CAPS, then_tick=TICK_NEXT)
+    def change_rate_cap(self, data, rate_cap, then_tick):
+        pos = self.pick_live(data)
+        self.perturb(lambda s: setattr(s.flows[pos], "rate_cap", rate_cap),
+                     then_tick)
+
+    @rule(server=st.sampled_from(SERVERS), cap=CAPACITIES,
+          then_tick=TICK_NEXT)
+    def change_capacity(self, server, cap, then_tick):
+        # With a token the driver's side of the contract is to move it
+        # whenever a capacity input moves; without one the model
+        # compares dicts itself.
+        def change(side):
+            side.caps[server] = cap
+            side.version += 1
+        self.perturb(change, then_tick)
+
+    @rule(then_tick=TICK_NEXT)
+    def token_moves_without_a_change(self, then_tick):
+        # Over-reporting is allowed: it may cost a solve, nothing else.
+        def bump(side):
+            side.version += 1
+        self.perturb(bump, then_tick)
+
+    # -- time ----------------------------------------------------------
+    @rule()
+    def step(self):
+        def step(side):
+            side.now += side.io.dt
+            side.io.step(side.now)
+        self.both(step)
+
+    @rule(ticks=st.integers(min_value=1, max_value=12),
+          half=st.booleans(), watch=st.booleans())
+    def run(self, ticks, half, watch):
+        duration = ticks + (0.5 if half else 0.0)
+
+        def run(side):
+            on_tick = ((lambda t: side.callbacks.append(("tick", t)))
+                       if watch else None)
+            side.io.run(duration, start=side.now, on_tick=on_tick)
+            side.now = side.io.samples[-1][0]
+        self.both(run)
+
+    # -- the comparison ------------------------------------------------
+    @invariant()
+    def same_observable_state(self):
+        if not hasattr(self, "sides"):
+            return
+        product, reference = self.sides
+        assert product.io.samples == reference.io.samples
+        assert ([(f.progressed, f.last_rate) for f in product.flows]
+                == [(f.progressed, f.last_rate) for f in reference.flows])
+        assert product.callbacks == reference.callbacks
+        assert product.live() == reference.live()
+
+
+TestReuseMachine = ReuseMachine.TestCase
+TestReuseMachine.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None)

@@ -128,6 +128,37 @@ class TestCommands:
         assert exc.value.code not in (0, None)
 
 
+class TestBadInputIsAMessage:
+    """Bad values for a command's own options end the process with
+    one ``repro <cmd>: ...`` line and a non-zero code — raised as
+    ``SystemExit`` from one place in ``main()``, never a traceback."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["three-phase", "--scale", "0"], "scale must be positive"),
+        (["layout", "--n", "0"], "cannot hold"),
+        (["fig5", "--objects-v1", "0"], "degenerate"),
+        (["info", "--n", "1", "--replicas", "3"], "cannot hold"),
+        (["layout", "--n", "1", "--replicas", "3"], "cannot hold"),
+        (["chaos", "--audit-every", "0"], "audit_every must be > 0"),
+        (["chaos", "--audit-every", "-1"], "audit_every must be > 0"),
+    ])
+    def test_one_line_and_nonzero_exit(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code not in (0, None)
+        text = str(exc.value.code)
+        assert text.startswith(f"repro {argv[0]}: ")
+        assert message in text and "\n" not in text
+        assert capsys.readouterr().out == ""
+
+    def test_sinks_are_detached_on_the_way_out(self, tmp_path):
+        from repro.obs import OBS
+        with pytest.raises(SystemExit):
+            main(["three-phase", "--scale", "0", "--stats",
+                  "--trace-out", str(tmp_path / "t.jsonl")])
+        assert OBS.bus.active is False and OBS.hot is False
+
+
 class TestObservabilityFlags:
     def test_trace_out_writes_parseable_jsonl(self, tmp_path, capsys):
         from repro.obs import OBS
