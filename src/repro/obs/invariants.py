@@ -79,7 +79,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.obs.runtime import OBS
-from repro.obs.trace import Sink, TraceEvent
+from repro.obs.trace import Sink, TraceBus, TraceEvent
 
 __all__ = [
     "SWEEP_BOUNDARY_KIND",
@@ -138,11 +138,14 @@ class Violation:
 class Checker:
     """One online invariant.
 
-    Subclasses set :attr:`name`, override :meth:`observe` (called per
-    event) and optionally :meth:`finish` (called once, after the last
-    event, for whole-trace invariants like flow accounting)."""
+    Subclasses set :attr:`name` and :attr:`kinds`, override
+    :meth:`observe` (called per event of a declared kind) and
+    optionally :meth:`finish` (called once, after the last event, for
+    whole-trace invariants like flow accounting)."""
 
     name = "checker"
+    #: The exact event kinds ``observe`` reads: it is handed no other.
+    kinds: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.violations: List[Violation] = []
@@ -173,14 +176,13 @@ class VersionMonotonicChecker(Checker):
     (§III-E-1: every resize creates the *next* epoch)."""
 
     name = "version-monotonic"
+    kinds = ("version.advance",)
 
     def __init__(self) -> None:
         super().__init__()
         self._last: Optional[int] = None
 
     def observe(self, event: TraceEvent, index: int) -> None:
-        if event.get("kind") != "version.advance":
-            return
         version = event.get("version")
         if not isinstance(version, int):
             self.fail(event, index,
@@ -200,6 +202,7 @@ class PoweredMoveChecker(Checker):
     *because* nothing needs to reach them)."""
 
     name = "powered-move"
+    kinds = ("server.state", "server.fail", "migration.move")
 
     def __init__(self) -> None:
         super().__init__()
@@ -230,6 +233,7 @@ class DirtyDisciplineChecker(Checker):
     objects the dirty table has recorded."""
 
     name = "dirty-discipline"
+    kinds = ("version.advance", "dirty.insert", "migration.move")
 
     def __init__(self) -> None:
         super().__init__()
@@ -263,11 +267,10 @@ class BandwidthCapChecker(Checker):
     for the progressive-filling arithmetic)."""
 
     name = "bandwidth-cap"
+    kinds = ("bandwidth.solve",)
     TOLERANCE = 1e-6
 
     def observe(self, event: TraceEvent, index: int) -> None:
-        if event.get("kind") != "bandwidth.solve":
-            return
         util = event.get("max_util")
         if not isinstance(util, (int, float)):
             return              # pre-span-era trace: field absent
@@ -287,10 +290,9 @@ class ServeQueueBoundedChecker(Checker):
     traces with no serving layer."""
 
     name = "serve-queue-bounded"
+    kinds = ("serve.queue",)
 
     def observe(self, event: TraceEvent, index: int) -> None:
-        if event.get("kind") != "serve.queue":
-            return
         depth = event.get("depth")
         bound = event.get("bound")
         if not isinstance(depth, int) or not isinstance(bound, int):
@@ -308,6 +310,7 @@ class FlowAccountingChecker(Checker):
     throughput figures)."""
 
     name = "flow-accounting"
+    kinds = ("flow.start", "flow.finish", "flow.cancel", "flow.interrupt")
 
     def __init__(self) -> None:
         super().__init__()
@@ -356,6 +359,7 @@ class MachineHourChecker(Checker):
     are vacuously consistent."""
 
     name = "machine-hours"
+    kinds = ("server.state", "server.fail", "power.sample")
 
     def __init__(self) -> None:
         super().__init__()
@@ -397,6 +401,7 @@ class NoLostObjectChecker(Checker):
     injection never carry either and pass vacuously."""
 
     name = "no-lost-object"
+    kinds = ("object.lost", "chaos.audit")
 
     def observe(self, event: TraceEvent, index: int) -> None:
         kind = event.get("kind")
@@ -421,14 +426,14 @@ class ReplicationRestoredChecker(Checker):
     Traces without audits pass vacuously."""
 
     name = "replication-restored-after-repair"
+    kinds = ("chaos.audit",)
 
     def __init__(self) -> None:
         super().__init__()
         self._last: Optional[Tuple[int, TraceEvent]] = None
 
     def observe(self, event: TraceEvent, index: int) -> None:
-        if event.get("kind") == "chaos.audit":
-            self._last = (index, event)
+        self._last = (index, event)
 
     def finish(self) -> None:
         if self._last is None:
@@ -457,6 +462,7 @@ class DirtyAckChecker(Checker):
     ``transfer.start``) pass vacuously."""
 
     name = "dirty-entry-cleared-only-on-ack"
+    kinds = ("transfer.start", "transfer.ack", "dirty.remove")
 
     def __init__(self) -> None:
         super().__init__()
@@ -513,6 +519,7 @@ class ViewEpochMonotonicChecker(Checker):
     view events pass vacuously."""
 
     name = "view-epoch-monotonic"
+    kinds = ("kv.view.propose", "kv.view.commit")
 
     def __init__(self) -> None:
         super().__init__()
@@ -558,6 +565,7 @@ class KVNoAckedWriteLostChecker(Checker):
     pass vacuously."""
 
     name = "kv-no-acked-write-lost"
+    kinds = ("kv.write.ack", "kv.read", "kv.audit")
 
     def __init__(self) -> None:
         super().__init__()
@@ -598,6 +606,7 @@ class KVReadYourWritesChecker(Checker):
     vacuously."""
 
     name = "kv-read-your-writes"
+    kinds = ("kv.write.ack", "kv.read")
 
     def __init__(self) -> None:
         super().__init__()
@@ -631,14 +640,13 @@ class KVMonotonicReadsChecker(Checker):
     ``kv.*`` events pass vacuously."""
 
     name = "kv-monotonic-reads"
+    kinds = ("kv.read",)
 
     def __init__(self) -> None:
         super().__init__()
         self._seen: Dict[Tuple[str, str], Dict[str, int]] = {}
 
     def observe(self, event: TraceEvent, index: int) -> None:
-        if event.get("kind") != "kv.read":
-            return
         client, key = event.get("client"), event.get("key")
         if not isinstance(client, str) or not isinstance(key, str):
             return
@@ -665,14 +673,14 @@ class KVReplicationRestoredChecker(Checker):
     ``kv.audit`` events pass vacuously."""
 
     name = "kv-replication-factor-restored"
+    kinds = ("kv.audit",)
 
     def __init__(self) -> None:
         super().__init__()
         self._last: Optional[Tuple[int, TraceEvent]] = None
 
     def observe(self, event: TraceEvent, index: int) -> None:
-        if event.get("kind") == "kv.audit":
-            self._last = (index, event)
+        self._last = (index, event)
 
     def finish(self) -> None:
         if self._last is None:
@@ -711,7 +719,8 @@ def default_checkers() -> List[Checker]:
 
 
 class InvariantSuite:
-    """Fan one event stream out to a set of checkers.
+    """Route one event stream to the checkers that declared its kind
+    (:attr:`Checker.kinds`), in checker order.
 
     A :data:`SWEEP_BOUNDARY_KIND` event marks the start of a new
     independent run inside the same stream (a merged sweep trace):
@@ -736,14 +745,28 @@ class InvariantSuite:
         self._archived: List[Violation] = []
         self._finished = False
         self.events_seen = 0
+        self._route()
+
+    def _route(self) -> None:
+        """Build the ``kind -> (bound observe, ...)`` table."""
+        self._routes: Dict[str, list] = {}
+        for checker in self.checkers:
+            if not checker.kinds:
+                raise ValueError(f"{type(checker).__name__} declares no "
+                                 f"kinds: it would never observe an event")
+            for kind in checker.kinds:
+                self._routes.setdefault(kind, []).append(checker.observe)
+        #: Every kind some checker of the suite reads.
+        self.kinds = frozenset(self._routes)
 
     def observe(self, event: TraceEvent, index: int) -> None:
         self.events_seen += 1
-        if event.get("kind") == SWEEP_BOUNDARY_KIND:
+        kind = event.get("kind")
+        if kind == SWEEP_BOUNDARY_KIND:
             self._restart()
-            return
-        for checker in self.checkers:
-            checker.observe(event, index)
+        elif isinstance(kind, str):     # a corrupt trace's need not hash
+            for observe in self._routes.get(kind, ()):
+                observe(event, index)
 
     def _restart(self) -> None:
         """Close out the current run's checkers and start fresh ones."""
@@ -751,6 +774,7 @@ class InvariantSuite:
             checker.finish()
             self._archived.extend(checker.violations)
         self.checkers = [type(checker)() for checker in self.checkers]
+        self._route()
 
     def finish(self) -> List[Violation]:
         """Run end-of-stream checks (once) and return all violations,
@@ -787,18 +811,30 @@ def check_events(events: Iterable[TraceEvent],
 
 class CheckerSink(Sink):
     """Bus sink that feeds a live run's events straight into an
-    :class:`InvariantSuite` — the ``--check`` flag's engine.  Indices
-    are emit ordinals (1-based)."""
+    :class:`InvariantSuite` — the ``--check`` flag's engine.  It takes
+    the kinds the suite reads, yet indices (1-based) and, from detach
+    or :meth:`finish` on, ``suite.events_seen`` count every event the
+    bus emitted while the sink was attached."""
 
     def __init__(self, suite: Optional[InvariantSuite] = None) -> None:
         self.suite = suite if suite is not None else InvariantSuite()
-        self._count = 0
+        self.kinds = self.suite.kinds | {SWEEP_BOUNDARY_KIND}
+        self._bus: Optional[TraceBus] = None    # while attached
+
+    def attached(self, bus: TraceBus) -> None:
+        # _base: the bus ordinal of this sink's event 0.
+        self._bus, self._base = bus, bus.ordinal - self.suite.events_seen
+
+    def detached(self, bus: TraceBus) -> None:
+        self.suite.events_seen = bus.ordinal - self._base
+        self._bus = None
 
     def write(self, event: TraceEvent) -> None:
-        self._count += 1
-        self.suite.observe(event, self._count)
+        self.suite.observe(event, self._bus.ordinal - self._base)
 
     def finish(self) -> List[Violation]:
+        if self._bus is not None:
+            self.suite.events_seen = self._bus.ordinal - self._base
         return self.suite.finish()
 
 

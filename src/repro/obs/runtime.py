@@ -53,11 +53,13 @@ class Runtime:
 
     def reset(self) -> None:
         """Return to the pristine state: no sinks, empty registry, hot
-        profiling off, no profiler, clock at zero, span ids rewound."""
+        profiling off, no profiler, clock and emit ordinal at zero, span
+        ids rewound."""
         for sink in list(self.bus.sinks):
             self.bus.detach(sink)
             sink.close()
         self.bus.clock = 0.0
+        self.bus.ordinal = 0
         self.spans.reset()
         self.metrics.reset()
         self.hot = False

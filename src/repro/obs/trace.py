@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import IO, Dict, Iterable, List, Optional, Union
+from typing import IO, Dict, FrozenSet, Iterable, List, Optional, Union
 
 __all__ = [
     "TraceEvent",
@@ -55,11 +55,20 @@ class Sink:
     """Sink protocol: anything with ``write(event)`` (and optionally
     ``close()``) can be attached to a :class:`TraceBus`."""
 
+    #: The exact kinds this sink takes (read on attach); None = all.
+    kinds: Optional[FrozenSet[str]] = None
+
     def write(self, event: TraceEvent) -> None:  # pragma: no cover
         raise NotImplementedError
 
     def close(self) -> None:
         pass
+
+    def attached(self, bus: "TraceBus") -> None:
+        """Called by *bus* once the sink is attached to it."""
+
+    def detached(self, bus: "TraceBus") -> None:
+        """Called by *bus* once the sink is detached from it."""
 
 
 class NullSink(Sink):
@@ -190,13 +199,17 @@ class TraceBus:
     'client'
     """
 
-    __slots__ = ("sinks", "clock")
+    __slots__ = ("sinks", "clock", "ordinal", "_every", "_takers")
 
     def __init__(self) -> None:
         self.sinks: List[Sink] = []
         #: Current simulation time, published by whichever driver owns
         #: the clock; used when emitters pass ``t=None``.
         self.clock: float = 0.0
+        #: Events emitted while any sink was attached, taken or not:
+        #: inside ``write``, the 1-based position of the event.
+        self.ordinal = 0
+        self._subscribe()
 
     # ------------------------------------------------------------------
     @property
@@ -207,10 +220,24 @@ class TraceBus:
 
     def attach(self, sink: Sink) -> Sink:
         self.sinks.append(sink)
+        self._subscribe()
+        if isinstance(sink, Sink):
+            sink.attached(self)
         return sink
 
     def detach(self, sink: Sink) -> None:
         self.sinks.remove(sink)
+        self._subscribe()
+        if isinstance(sink, Sink):
+            sink.detached(self)
+
+    def _subscribe(self) -> None:
+        """Recompute who takes each declared kind, and who any other."""
+        subs = [(s, getattr(s, "kinds", None)) for s in self.sinks]
+        self._every = tuple(s for s, kinds in subs if kinds is None)
+        self._takers = {
+            kind: tuple(s for s, ks in subs if ks is None or kind in ks)
+            for _s, kinds in subs for kind in kinds or ()}
 
     def capture(self, capacity: int = 4096) -> "_Capture":
         """``with bus.capture() as sink:`` — scoped ring-buffer capture."""
@@ -219,14 +246,19 @@ class TraceBus:
     # ------------------------------------------------------------------
     def emit(self, kind: str, t: Optional[float] = None,
              **fields: object) -> None:
-        """Publish one event to every sink (no-op without sinks)."""
+        """Publish one event to the sinks that take its kind; if none
+        does it is only counted, before the event dict is built."""
         if not self.sinks:
+            return
+        self.ordinal += 1
+        takers = self._takers.get(kind, self._every)
+        if not takers:
             return
         event: TraceEvent = {"kind": kind,
                              "t": self.clock if t is None else t}
         if fields:
             event.update(fields)
-        for sink in self.sinks:
+        for sink in takers:
             sink.write(event)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.runtime import OBS
 
@@ -52,9 +52,6 @@ class Event:
         if self._sim is not None:
             self._sim._live -= 1
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """The event loop.
@@ -74,7 +71,9 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self.now = float(start_time)
-        self._heap: List[Event] = []
+        #: ``(time, seq, event)`` entries: seq is unique, so the heap
+        #: orders by the documented key in C and never compares events.
+        self._heap: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         #: Live (scheduled, not yet fired or cancelled) event count —
         #: kept exact on schedule/cancel/pop so :attr:`pending` is O(1)
@@ -106,7 +105,7 @@ class Simulator:
         if t < self.now:
             raise ValueError(f"cannot schedule at {t} < now={self.now}")
         ev = Event(t, next(self._seq), fn, args, sim=self)
-        heapq.heappush(self._heap, ev)
+        heapq.heappush(self._heap, (t, ev.seq, ev))
         self._live += 1
         self._sched_counter.inc()
         return ev
@@ -144,7 +143,7 @@ class Simulator:
         schedule, e.g. abandoning an armed fault plan).  Returns how
         many live events were cancelled."""
         cancelled = 0
-        for ev in self._heap:
+        for _t, _seq, ev in self._heap:
             if not ev.cancelled:
                 ev.cancel()
                 cancelled += 1
@@ -152,15 +151,15 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next live event, or None."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is
         empty."""
         while self._heap:
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[2]
             if ev.cancelled:
                 OBS.metrics.inc("engine.cancelled")
                 continue
@@ -169,15 +168,17 @@ class Simulator:
             self.now = ev.time
             self._events_counter.inc()
             bus = OBS.bus
+            prof = OBS.profiler
+            if bus.active or prof is not None:
+                label = getattr(ev.fn, "__qualname__", None)
+                if label is None:       # e.g. a functools.partial
+                    label = repr(ev.fn)
             if bus.active:
                 bus.clock = ev.time
-                bus.emit("engine.event", t=ev.time, seq=ev.seq,
-                         fn=getattr(ev.fn, "__qualname__", repr(ev.fn)))
-            prof = OBS.profiler
+                bus.emit("engine.event", t=ev.time, seq=ev.seq, fn=label)
             if prof is not None:
                 prof.advance_sim(ev.time)
-                prof.push("engine:" + getattr(
-                    ev.fn, "__qualname__", repr(ev.fn)))
+                prof.push("engine:" + label)
                 try:
                     ev.fn(*ev.args)
                 finally:

@@ -10,6 +10,7 @@ fails loudly without making the suite timing-flaky.
 from time import perf_counter
 
 from repro.obs import OBS
+from repro.obs.invariants import CheckerSink
 from repro.obs.trace import NullSink, TraceBus
 
 
@@ -29,6 +30,18 @@ class TestEmitCost:
         # path must be far below a microsecond even on slow CI (loose:
         # 2 us, ~20x headroom over a dict build).
         assert cost < 2e-6, f"no-sink emit cost {cost * 1e9:.0f} ns"
+
+    def test_emit_of_a_kind_nobody_takes_builds_nothing(self):
+        # A checker-only bus (--check without --trace-out): the event
+        # is counted and dropped before its dict is built, so the cost
+        # stays in the no-sink class (same loose 2 us), not the 10 us
+        # class of a delivered event.
+        bus = TraceBus()
+        bus.attach(CheckerSink())
+        cost = _per_call(
+            lambda: bus.emit("engine.event", t=0.0, seq=1, fn="f"), 50_000)
+        assert bus.ordinal == 50_000
+        assert cost < 2e-6, f"untaken emit cost {cost * 1e9:.0f} ns"
 
     def test_null_sink_swallows_cheaply(self):
         bus = TraceBus()
