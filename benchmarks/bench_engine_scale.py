@@ -2,11 +2,14 @@
 
 Not a paper artefact — this guards the fluid-IO engine's own
 performance at the cluster sizes the trace replays and robustness
-sweeps want.  Three layers, all absolute medians of the one path the
+sweeps want.  Four layers, all absolute medians of the one path the
 product has (size-dispatched solver + allocation reuse):
 
 * a (servers × flows) grid of static-flow ``IOModel.run`` scenarios —
   one solve, then every tick reuses it (``advance_cached``);
+* a churn scenario where finite flows arrive and finish every tick, so
+  *no* tick can reuse and each pays compile + solve — the per-solve
+  path the static grid never shows — fingerprint asserted run to run;
 * an end-to-end fig7 replay scaled to 1000 servers, with the result
   fingerprint asserted identical run to run;
 * solver micro-medians (scalar vs columnar on one 1000-server
@@ -38,13 +41,27 @@ from repro.simulation.iomodel import IOModel
 GRID = [(25, 16), (100, 16), (400, 16), (1000, 16), (1000, 64)]
 GRID_TICKS = 120
 
-#: Runs per median for the fig7 replay.
-FIG7_RUNS = 3
+#: The churn scenario: servers, cluster-wide capped streams, finite
+#: flows arriving per tick, servers each one touches, ticks.
+CHURN = dict(servers=200, streams=8, per_tick=6, fanout=6, ticks=120)
+
+#: Runs per median for the fingerprinted scenarios (churn, fig7).
+FINGERPRINTED_RUNS = 3
 
 
 def _median(values):
     ordered = sorted(values)
     return ordered[len(ordered) // 2]
+
+
+def _repeatable_median(scenario, runs, label):
+    """Median elapsed seconds over *runs* calls of *scenario* — which
+    returns ``(elapsed, result fingerprint)`` — asserting that every
+    run produced the same fingerprint."""
+    results = [scenario() for _ in range(runs)]
+    assert len({fingerprint for _, fingerprint in results}) == 1, \
+        f"{label} results diverged"
+    return _median([elapsed for elapsed, _ in results])
 
 
 def _engine_scenario(n, n_flows, ticks):
@@ -65,6 +82,33 @@ def _engine_scenario(n, n_flows, ticks):
     elapsed = time.perf_counter() - t0
     assert len(io.samples) == ticks
     return elapsed
+
+
+def _churn_scenario(servers, streams, per_tick, fanout, ticks):
+    """Rate-capped streams over every server plus *per_tick* finite
+    *fanout*-server flows arriving each tick (and draining a few ticks
+    later): membership changes every tick, so every tick re-solves.
+    Returns (elapsed wall seconds, result fingerprint)."""
+    rng = random.Random(0xC4A)
+    mb = 1 << 20
+    caps = {r: 64.0 * mb for r in range(1, servers + 1)}
+    io = IOModel(lambda: caps, dt=1.0, capacity_token=lambda: 0)
+    for i in range(streams):
+        io.flows.add(FluidFlow(f"stream{i}", {r: 1.0 / servers for r in caps},
+                               rate_cap=400.0 * mb))
+    finite = []
+    t0 = time.perf_counter()
+    for tick in range(1, ticks + 1):
+        for _ in range(per_tick):
+            finite.append(io.flows.add(FluidFlow(
+                "bulk", {r: 1.0 / fanout
+                         for r in rng.sample(range(1, servers + 1), fanout)},
+                total_bytes=rng.uniform(200.0 * mb, 2048.0 * mb))))
+        io.step(float(tick))
+    elapsed = time.perf_counter() - t0
+    fingerprint = (len(io.flows), tuple(f.progressed for f in finite),
+                   tuple(sum(s.values()) for _, s in io.samples))
+    return elapsed, fingerprint
 
 
 def _fig7_replay():
@@ -109,17 +153,22 @@ def _measure():
             "what": f"IOModel.run, {n} servers x {n_flows} flows x "
                     f"{GRID_TICKS} ticks, median of 3"}
 
+    # Churn: every tick compiles and solves (reuse never applies).
+    out["benches"]["engine_churn_200"] = {
+        "median_s": _repeatable_median(lambda: _churn_scenario(**CHURN),
+                                       FINGERPRINTED_RUNS, "churn scenario"),
+        "what": "IOModel.step, {servers} servers, {streams} capped "
+                "streams + {per_tick} finite {fanout}-server flows "
+                "arriving per tick x {ticks} ticks (a solve every "
+                "tick), median of {runs}".format(
+                    runs=FINGERPRINTED_RUNS, **CHURN)}
+
     # End-to-end fig7 replay at 1000 servers.
-    runs, fingerprints = [], set()
-    for _ in range(FIG7_RUNS):
-        elapsed, fingerprint = _fig7_replay()
-        runs.append(elapsed)
-        fingerprints.add(fingerprint)
-    assert len(fingerprints) == 1, "fig7 replay results diverged"
     out["benches"]["fig7_replay_1000"] = {
-        "median_s": _median(runs),
+        "median_s": _repeatable_median(_fig7_replay, FINGERPRINTED_RUNS,
+                                       "fig7 replay"),
         "what": f"run_three_phase selective, n=1000, end-to-end, "
-                f"median of {FIG7_RUNS}"}
+                f"median of {FINGERPRINTED_RUNS}"}
 
     # Solver micro-medians (both backends, bit-identical results).
     flows, caps = _solver_instance(1000, 64)
@@ -163,8 +212,9 @@ def bench_engine_scale(benchmark):
                  for g in out["grid"]]
     other_rows = [
         [name, f"{out['benches'][name]['median_s'] * 1e3:.3f}"]
-        for name in ("fig7_replay_1000", "solver_scalar_1000x64",
-                     "solver_columnar_1000x64", "solver_scalar_25x8")
+        for name in ("engine_churn_200", "fig7_replay_1000",
+                     "solver_scalar_1000x64", "solver_columnar_1000x64",
+                     "solver_scalar_25x8")
     ]
     # Bench entries go at the top level of ``data`` so ``repro
     # compare`` finds their ``median_s`` leaves and can gate this file
@@ -178,7 +228,8 @@ def bench_engine_scale(benchmark):
                   "= ticks/s (dt=1)"),
         "",
         render_table(["bench", "median ms"], other_rows,
-                     title="fig7 replay at n=1000 end to end, and "
-                           "one-solve medians (both backends produce "
-                           "identical rates)"),
+                     title="flow churn (a solve every tick), fig7 "
+                           "replay at n=1000 end to end, and one-solve "
+                           "medians (both backends produce identical "
+                           "rates)"),
     ]), data={**out["benches"], "grid": out["grid"]})

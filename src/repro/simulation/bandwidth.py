@@ -75,7 +75,8 @@ class FlowSpec:
 
 
 def max_min_fair(flows: Sequence[FlowSpec],
-                 capacities: Mapping[Resource, float]) -> List[float]:
+                 capacities: Mapping[Resource, float],
+                 columns=None) -> List[float]:
     """Allocate rates to *flows* under *capacities* by progressive
     filling.
 
@@ -90,10 +91,15 @@ def max_min_fair(flows: Sequence[FlowSpec],
     (:func:`repro.simulation.columnar.max_min_fair_columnar`).  The
     two are bit-identical, property-tested in
     ``tests/simulation/test_columnar.py``.
+
+    *columns*: the caller's :class:`~repro.simulation.columnar.ColumnCache`,
+    which a scalar solve empties — it only describes the latest solve.
     """
     if len(flows) * len(capacities) >= _AUTO_CUTOVER_CELLS:
         from repro.simulation.columnar import max_min_fair_columnar
-        return max_min_fair_columnar(flows, capacities)
+        return max_min_fair_columnar(flows, capacities, columns)
+    if columns is not None:
+        columns.clear()
     return max_min_fair_scalar(flows, capacities)
 
 

@@ -1,50 +1,92 @@
 """Columnar (struct-of-arrays) backend for the fluid IO hot loop.
 
-The scalar :func:`~repro.simulation.bandwidth.max_min_fair` walks
-Python dicts once per filling round — O(F·R) interpreter work per
-round, which is what caps simulated cluster size.  This module
-compiles the same allocation problem into CSR-style NumPy columns
-(``flow_idx`` / ``res_idx`` / ``coef`` entry arrays plus ``demand`` /
-``remaining`` / per-resource live-load columns) and runs progressive
-filling as array ops per round.
+The scalar :func:`~repro.simulation.bandwidth.max_min_fair_scalar` is
+O(F·R) interpreter work per filling round, which caps simulated
+cluster size.  This module compiles the same problem into CSR-style
+NumPy columns (flow-major ``flow_idx`` / ``res_idx`` / ``coef``
+entries) and fills on those.
 
-**Bit-for-bit identity with the scalar solver is a hard contract**,
-not an aspiration: traces hash the rates, so the columnar path must
-produce the identical IEEE-754 doubles.  Three observations make that
-possible without giving up vectorisation:
+**Bit-for-bit identity with the scalar solver is a hard contract**
+(``tests/simulation/test_columnar.py``: ``==``, never ``approx``):
+traces hash the rates and ledger digests the round counter, so this
+path returns the identical IEEE-754 doubles, the same
+``bandwidth.filling_rounds`` and the same exceptions.  Resource-side
+arithmetic is the scalar solver's, replayed: ``np.bincount(idx,
+weights=w)`` and ``np.subtract.at`` accumulate serially in input order
+and flow-major is the order the scalar loops run in, so each
+per-resource ``+= coef`` / ``-= coef * step`` chain is the same chain.
+The flow side rests on three facts:
 
-* ``np.bincount(idx, weights=w)`` accumulates ``out[idx[i]] += w[i]``
-  serially in input order — with entries kept in the scalar loop's
-  flow-major order, each resource's initial live load is the *same
-  chain of additions* the scalar dict loop performs.
-* ``np.add.at(arr, idx, v)`` is the unbuffered scatter-add with the
-  same in-order guarantee, and ``a + (-(c*s))`` is bitwise ``a - c*s``
-  — so per-round capacity drains and freeze-time live-load retirement
-  replay the scalar subtraction chains exactly.
-* every remaining per-element op (rate advance, demand gaps, the
-  ``1e-9`` clamp, the ``1e-12`` freeze tolerance) is embarrassingly
-  element-wise, where NumPy float64 and Python floats share IEEE-754
-  semantics.
+1. *One water level.*  Every live flow has received the same
+   ``+= step`` sequence from 0.0, so all live rates are one float: the
+   loop carries a scalar ``level`` (the same additions, done once) and
+   writes a flow's rate once, when it freezes.
+2. *Demand order is freeze order.*  IEEE subtraction of a common value
+   is monotone in the minuend, so ``min_i(demand_i - level)`` **is**
+   ``min_i(demand_i) - level`` and the flows with
+   ``level >= demand_i - 1e-12`` are a prefix of the live flows in
+   demand order: one stable argsort per solve and a cursor replace the
+   per-round gap / ``isfinite`` / ``min`` / compare arrays.
+3. *Saturation concerns live entries only.*  A resource that reached
+   0.0 froze every live flow on it in that round and nothing
+   un-freezes, so ``remaining == 0`` is tested on live flows' entries
+   only and the columns are compacted (order kept, so the chains stay
+   flow-major) as flows freeze; a resource no longer in them has no
+   live user, and its load is pinned to exact 0.0 as the scalar
+   solver's user counter does.
 
-The property suite (``tests/simulation/test_columnar.py``) pins the
-contract over randomized instances: ``rates_columnar == rates_scalar``
-with exact float equality, never ``approx``.
+Compilation is incremental: a :class:`ColumnCache` (one per
+:class:`~repro.simulation.flows.FlowSet`) keeps, per coefficient
+mapping, the ordered-items snapshot it compiled and the resulting
+``(res_idx, coef)`` segment.  A solve validates and compiles only
+mappings that are new or whose ``list(items())`` no longer equals the
+snapshot — in-place mutation, re-pointing and ``id`` reuse all fall
+out of that compare — and concatenates segments; a cold compile is the
+same code with an empty cache.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Sequence, Tuple
+from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.obs.runtime import OBS
 
-__all__ = ["CompiledProblem", "compile_problem", "solve_compiled",
-           "max_min_fair_columnar"]
+__all__ = ["ColumnCache", "CompiledProblem", "compile_problem",
+           "solve_compiled", "max_min_fair_columnar"]
 
 Resource = Hashable
+#: (ordered items a mapping was compiled from, its ``res_idx``, ``coef``)
+Segment = Tuple[List[Tuple[Resource, float]], np.ndarray, np.ndarray]
+
+
+class ColumnCache:
+    """Compiled segments per coefficient mapping, kept between solves.
+
+    Keyed by ``id(mapping)`` but trusted only when the stored snapshot
+    equals the mapping's current ordered items, so a stale or recycled
+    id never supplies columns.  Segments index one capacity key order
+    (``resources``); another order empties the cache, and each compile
+    rebuilds ``segments`` from the flows it saw, evicting the departed.
+    """
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self, resources: Tuple[Resource, ...] = ()) -> None:
+        """Forget every segment; the next ones index *resources*."""
+        self.resources = resources
+        self.col = {res: j for j, res in enumerate(resources)}
+        self.segments: Dict[int, Segment] = {}
+
+    def items(self, mapping: Mapping[Resource, float]) -> list:
+        """The snapshot the last compile read *mapping* as (a fresh one
+        if it never saw it): what a reuse proof must compare against."""
+        seg = self.segments.get(id(mapping))
+        return seg[0] if seg is not None else list(mapping.items())
 
 
 @dataclass
@@ -78,161 +120,169 @@ class CompiledProblem:
         return int(self.flow_idx.size)
 
 
-def compile_problem(flows: Sequence, capacities: Mapping[Resource, float]
-                    ) -> CompiledProblem:
-    """Compile ``FlowSpec``-likes (anything with ``coefficients`` and
-    ``demand``) plus capacities into columns.
+def _compile_segment(items: list, col: Mapping[Resource, int]) -> Segment:
+    """Validate one mapping's items and index its known resources."""
+    res_idx: List[int] = []
+    coefs: List[float] = []
+    for res, coef in items:
+        if coef <= 0:
+            raise ValueError(f"coefficient must be > 0 (resource {res!r})")
+        j = col.get(res)
+        if j is not None:
+            res_idx.append(j)
+            coefs.append(coef)
+    return (items, np.array(res_idx, dtype=np.int64),
+            np.array(coefs, dtype=np.float64))
 
-    Validation mirrors the scalar solver exactly — same error
-    messages, raised at the same first-offender, so dispatching
-    between the two backends never changes an exception.
+
+def compile_problem(flows: Sequence, capacities: Mapping[Resource, float],
+                    cache: Optional[ColumnCache] = None) -> CompiledProblem:
+    """Compile ``FlowSpec``-likes (anything with ``coefficients`` and
+    ``demand``) plus capacities into columns, taking from *cache* the
+    segment of every mapping whose items have not changed.
+
+    Validation mirrors the scalar solver exactly — same messages, same
+    first offender (only validated segments are cached, so reusing one
+    skips nothing that could raise) — so dispatching between the two
+    backends never changes an exception.
     """
-    n = len(flows)
-    flow_idx: List[int] = []
-    res_list: List[Resource] = []
-    demand = np.empty(n, dtype=np.float64)
-    for i, f in enumerate(flows):
-        for res, coef in f.coefficients.items():
-            if coef <= 0:
-                raise ValueError(
-                    f"coefficient must be > 0 (resource {res!r})")
+    if cache is None:
+        cache = ColumnCache()
+    resources = tuple(capacities)
+    if resources != cache.resources:
+        cache.clear(resources)
+    col, known = cache.col, cache.segments
+    cache.segments = segments = {}
+
+    demand: List[float] = []
+    segs: List[Segment] = []
+    for f in flows:
+        mapping = f.coefficients
+        items = list(mapping.items())
+        seg = known.get(id(mapping))
+        if seg is None or seg[0] != items:
+            seg = _compile_segment(items, col)
         if f.demand < 0:
             raise ValueError("demand must be >= 0")
-        demand[i] = f.demand
+        segments[id(mapping)] = seg
+        demand.append(f.demand)
+        segs.append(seg)
 
-    resources = tuple(capacities)
-    col = {res: j for j, res in enumerate(resources)}
-    capacity = np.empty(len(resources), dtype=np.float64)
-    for j, (res, cap) in enumerate(capacities.items()):
-        if cap < 0:
-            raise ValueError(f"capacity must be >= 0 (resource {res!r})")
-        capacity[j] = float(cap)
+    capacity = np.fromiter(capacities.values(), dtype=np.float64,
+                           count=len(resources))
+    if (capacity < 0).any():
+        res = resources[int(np.argmax(capacity < 0))]
+        raise ValueError(f"capacity must be >= 0 (resource {res!r})")
 
-    coef_list: List[float] = []
-    res_idx: List[int] = []
-    for i, f in enumerate(flows):
-        for res, coef in f.coefficients.items():
-            j = col.get(res)
-            if j is None:
-                continue
-            flow_idx.append(i)
-            res_idx.append(j)
-            coef_list.append(coef)
-
+    n = len(segs)
+    parts = segs or [_compile_segment([], col)]
     return CompiledProblem(
         n_flows=n,
         n_resources=len(resources),
-        flow_idx=np.asarray(flow_idx, dtype=np.int64),
-        res_idx=np.asarray(res_idx, dtype=np.int64),
-        coef=np.asarray(coef_list, dtype=np.float64),
-        demand=demand,
+        flow_idx=np.repeat(np.arange(n, dtype=np.int64),
+                           [seg[1].size for seg in segs]),
+        res_idx=np.concatenate([seg[1] for seg in parts]),
+        coef=np.concatenate([seg[2] for seg in parts]),
+        demand=np.array(demand, dtype=np.float64),
         capacity=capacity,
         resources=resources,
     )
 
 
 def solve_compiled(problem: CompiledProblem) -> List[float]:
-    """Progressive filling over the compiled columns.
-
-    Every filling round is O(nnz) array work; the Python-level round
-    loop runs at most ``n_flows + n_resources + 1`` times, exactly
-    like the scalar solver's bounded ``for``.
+    """Progressive filling over the compiled columns; the module
+    docstring says why each shortcut keeps the scalar solver's bits.
+    A round is O(entries of still-live flows) array work, and there are
+    at most ``n_flows + n_resources + 1`` — the scalar solver's bound.
     """
-    n = problem.n_flows
-    nres = problem.n_resources
-    fidx, ridx, coef = problem.flow_idx, problem.res_idx, problem.coef
+    n, nres = problem.n_flows, problem.n_resources
     demand = problem.demand
-
     rates = np.zeros(n, dtype=np.float64)
-    frozen = np.zeros(n, dtype=bool)
     remaining = problem.capacity.copy()
 
-    # Initial freezes: zero demand, or any coefficient on an exactly
-    # zero-capacity resource.
-    frozen |= demand == 0
-    if problem.nnz:
-        zero_cap_entry = remaining[ridx] == 0.0
-        if zero_cap_entry.any():
-            frozen |= np.bincount(fidx[zero_cap_entry],
-                                  minlength=n).astype(bool)
+    # Frozen at entry: zero demand, or a coefficient on an exactly zero
+    # capacity.  From here on the columns hold live flows' entries only.
+    live = demand != 0
+    cf, cr, cc = problem.flow_idx, problem.res_idx, problem.coef
+    live[cf[remaining[cr] == 0.0]] = False
+    n_live = int(np.count_nonzero(live))
+    keep = live[cf]
+    cf, cr, cc = cf[keep], cr[keep], cc[keep]
+    # Serial additions in flow-major order, matching the scalar init.
+    live_load = np.bincount(cr, weights=cc, minlength=nres)
 
-    # Per-resource live load (serial additions in flow-major order,
-    # matching the scalar init loop) and live-user counts, for the
-    # exact-zero pin when a resource loses its last user.
-    live_entry = ~frozen[fidx] if problem.nnz else np.zeros(0, dtype=bool)
-    live_load = np.zeros(nres, dtype=np.float64)
-    live_users = np.zeros(nres, dtype=np.int64)
-    if problem.nnz:
-        sel = live_entry
-        if sel.any():
-            live_load += np.bincount(ridx[sel], weights=coef[sel],
-                                     minlength=nres)
-            live_users += np.bincount(ridx[sel], minlength=nres)
-        live_load[live_users == 0] = 0.0
-
-    rounds = 0
+    # Flows in demand order; every flow before `cursor` is frozen.
+    order = np.argsort(demand, kind="stable")
+    by_demand = order.tolist()
+    caps = demand[order].tolist()
+    reached_at = (demand[order] - 1e-12).tolist()
+    cursor = rounds = 0
+    level = 0.0
     for _round in range(n + nres + 1):
-        live = ~frozen
-        if not live.any():
+        if not n_live:
             break
         rounds += 1
 
+        candidates = []
         # Fastest-saturating resource under equal rate growth.
-        step_res = None
         loaded = live_load > 0
-        if loaded.any():
-            step_res = float(np.min(remaining[loaded] / live_load[loaded]))
-
+        left = remaining[loaded]
+        if left.size:
+            candidates.append(float((left / live_load[loaded]).min()))
         # Closest demand cap among live flows.
-        step_dem = None
-        gaps = demand[live] - rates[live]
-        finite = np.isfinite(gaps)
-        if finite.any():
-            step_dem = float(np.min(gaps[finite]))
-
-        candidates = [s for s in (step_res, step_dem) if s is not None]
+        while cursor < n and not live[by_demand[cursor]]:
+            cursor += 1
+        if cursor < n:
+            gap = caps[cursor] - level
+            if math.isfinite(gap):
+                candidates.append(gap)
         if not candidates:
             raise ValueError(
                 "unbounded allocation: an elastic flow touches no "
                 "capacitated resource")
         step = max(0.0, min(candidates))
 
-        # Advance all live flows and drain resources — the scatter-add
-        # replays the scalar `remaining[res] -= coef * step` chains in
-        # flow-major order.
-        rates[live] += step
-        if problem.nnz:
-            le = live[fidx]
-            if le.any():
-                np.add.at(remaining, ridx[le], -(coef[le] * step))
-        remaining[remaining < 1e-9] = 0.0
+        # Raise the level and drain: the scalar solver's
+        # `remaining[res] -= coef * step` chains, in flow-major order.
+        level += step
+        np.subtract.at(remaining, cr, cc * step)
+        drained = remaining < 1e-9
+        remaining[drained] = 0.0
 
-        # Freeze: demand reached (within tolerance) or any touched
-        # resource saturated; retire frozen flows from the live loads.
-        newly = live & (rates >= demand - 1e-12)
-        if problem.nnz:
-            sat_entry = remaining[ridx] == 0.0
-            if sat_entry.any():
-                newly |= live & np.bincount(fidx[sat_entry],
-                                            minlength=n).astype(bool)
-        if newly.any():
-            frozen |= newly
-            if problem.nnz:
-                re = newly[fidx]
-                if re.any():
-                    np.add.at(live_load, ridx[re], -coef[re])
-                    live_users -= np.bincount(ridx[re], minlength=nres)
-            live_load[live_users == 0] = 0.0
+        # Freeze: demand reached (within tolerance) or a touched
+        # resource saturated (`drained` is now `remaining == 0.0`).
+        while cursor < n and level >= reached_at[cursor]:
+            i = by_demand[cursor]
+            if live[i]:
+                live[i] = False
+                rates[i] = level
+            cursor += 1
+        saturated = cf[drained[cr]]
+        live[saturated] = False
+        rates[saturated] = level
 
+        # Retire the newly frozen from the live loads and the columns.
+        still = int(np.count_nonzero(live))
+        if still != n_live:
+            n_live = still
+            keep = live[cf]
+            gone = ~keep
+            np.subtract.at(live_load, cr[gone], cc[gone])
+            cf, cr, cc = cf[keep], cr[keep], cc[keep]
+            live_load[np.bincount(cr, minlength=nres) == 0] = 0.0
+
+    # A flow the round bound left unfrozen keeps the level it reached.
+    rates[live] = level
     OBS.metrics.inc("bandwidth.solves")
     OBS.metrics.inc("bandwidth.filling_rounds", rounds)
     return rates.tolist()
 
 
 def max_min_fair_columnar(flows: Sequence,
-                          capacities: Mapping[Resource, float]
+                          capacities: Mapping[Resource, float],
+                          cache: Optional[ColumnCache] = None
                           ) -> List[float]:
-    """Drop-in columnar replacement for
-    :func:`repro.simulation.bandwidth.max_min_fair` — same signature,
-    same exceptions, bit-identical rates."""
-    return solve_compiled(compile_problem(flows, capacities))
+    """:func:`repro.simulation.bandwidth.max_min_fair_scalar` on columns
+    — same exceptions, bit-identical rates; *cache* carries compiled
+    segments from one solve to the next."""
+    return solve_compiled(compile_problem(flows, capacities, cache))

@@ -24,8 +24,12 @@ from typing import (
 
 from repro.obs.runtime import OBS
 from repro.simulation.bandwidth import FlowSpec, max_min_fair
+from repro.simulation.columnar import ColumnCache
 
 __all__ = ["FluidFlow", "FlowSet"]
+
+#: A finite flow with this little left to move is done.
+_DONE_BYTES = 1e-6
 
 
 @dataclass
@@ -84,7 +88,7 @@ class FluidFlow:
 
     @property
     def done(self) -> bool:
-        return self.total_bytes is not None and self.remaining <= 1e-6
+        return self.total_bytes is not None and self.remaining <= _DONE_BYTES
 
     def demand_for(self, dt: float) -> float:
         """Rate demand for a tick of length *dt*: capped by the rate
@@ -125,6 +129,8 @@ class FlowSet:
         #: Last-solve snapshot for allocation reuse (see
         #: :meth:`advance_cached`).
         self._alloc: Optional[Dict[str, object]] = None
+        #: Compiled coefficient columns carried from solve to solve.
+        self._columns = ColumnCache()
 
     # -- membership internals ------------------------------------------
     def _live_list(self) -> List[FluidFlow]:
@@ -287,18 +293,24 @@ class FlowSet:
         if dt <= 0:
             raise ValueError("dt must be positive")
         self._alloc = None
-        flows = self._live_list()
-        live = [f for f in flows if not f.done]
-        if len(live) != len(flows):
-            # Drop flows already done on entry (a driver retired one by
-            # clamping total_bytes) — silently, as the tail filter
-            # always has.
-            for f in flows:
-                if f.done:
+        # One `remaining` per flow decides both "done on entry" and the
+        # tick's demand (`done` + `demand_for` would compute it twice).
+        live: List[FluidFlow] = []
+        demands: List[float] = []
+        for f in self._live_list():
+            d = f.rate_cap
+            if f.total_bytes is not None:
+                left = f.remaining
+                if left <= _DONE_BYTES:
+                    # Retired by a driver clamping total_bytes:
+                    # dropped silently, as the tail filter always has.
                     self._discard(f, strict=False)
+                    continue
+                d = min(d, left / dt)
+            live.append(f)
+            demands.append(d)
         if not live:
             return {}
-        demands = [f.demand_for(dt) for f in live]
         specs = [FlowSpec(coefficients=f.coefficients, demand=d)
                  for f, d in zip(live, demands)]
         prof = OBS.profiler
@@ -307,9 +319,9 @@ class FlowSet:
         try:
             if OBS.hot:
                 with OBS.metrics.timer("perf.bandwidth.solve"):
-                    rates = max_min_fair(specs, capacities)
+                    rates = max_min_fair(specs, capacities, self._columns)
             else:
-                rates = max_min_fair(specs, capacities)
+                rates = max_min_fair(specs, capacities, self._columns)
         finally:
             if prof is not None:
                 prof.pop()
@@ -320,12 +332,13 @@ class FlowSet:
             bus.emit("bandwidth.solve", **payload)
 
         achieved: Dict[str, float] = {}
+        finished: List[FluidFlow] = []
         for f, rate in zip(live, rates):
             f.last_rate = rate
             f.progressed += rate * dt
             achieved[f.name] = achieved.get(f.name, 0.0) + rate
-
-        finished = [f for f in live if f.done]
+            if f.total_bytes is not None and f.remaining <= _DONE_BYTES:
+                finished.append(f)
         if finished:
             self._finish(finished, bus)
         else:
@@ -341,8 +354,8 @@ class FlowSet:
                 # prove freshness — a driver (the serving throttle, a
                 # coefficient refresh) may mutate a coefficient mapping
                 # *in place*, leaving the identity unchanged while the
-                # solve inputs drift.
-                "coeff_items": [list(f.coefficients.items())
+                # solve inputs drift.  (Shared with a columnar compile.)
+                "coeff_items": [self._columns.items(f.coefficients)
                                 for f in live],
                 "caps": [f.rate_cap for f in live],
                 "demands": demands,

@@ -133,6 +133,8 @@ class IOModel:
         self.flows = FlowSet()
         #: (time, {flow name: achieved bytes/s}) per tick.
         self.samples: List[Tuple[float, Dict[str, float]]] = []
+        #: Sample index -> length of a tick shorter than ``dt``.
+        self._short_ticks: Dict[int, float] = {}
         #: Capacities (and token) observed at the last full solve —
         #: the reuse path compares against these.
         self._caps: Optional[Dict[Hashable, float]] = None
@@ -152,8 +154,13 @@ class IOModel:
         # tie-breaks are not — demand the exact same dict.
         return (list(caps.items()) == list(self._caps.items())), caps
 
-    def step(self, now: float) -> Dict[str, float]:
-        """Advance one tick ending at *now* and record the sample."""
+    def step(self, now: float, dt: Optional[float] = None
+             ) -> Dict[str, float]:
+        """Advance one tick ending at *now*, ``self.dt`` long unless a
+        shorter *dt* is given, and record the sample."""
+        dt = self.dt if dt is None else dt
+        if dt != self.dt:
+            self._short_ticks[len(self.samples)] = dt
         bus = OBS.bus
         bus.clock = now
         prof = OBS.profiler
@@ -167,14 +174,14 @@ class IOModel:
                 if len(self.flows) == 0:
                     achieved = {}
                 else:
-                    achieved = self.flows.advance_cached(self.dt)
+                    achieved = self.flows.advance_cached(dt)
             if achieved is None:
                 if caps is None:
                     caps = dict(self.capacity_fn())
                 self._caps = caps
                 if self.capacity_token is not None:
                     self._caps_token = self.capacity_token()
-                achieved = self.flows.advance(self.dt, caps)
+                achieved = self.flows.advance(dt, caps)
         finally:
             if prof is not None:
                 prof.pop()
@@ -182,7 +189,7 @@ class IOModel:
         OBS.metrics.inc("engine.ticks")
         OBS.metrics.gauge("io.live_flows").set(len(self.flows))
         if bus.active:
-            bus.emit("engine.tick", t=now, dt=self.dt,
+            bus.emit("engine.tick", t=now, dt=dt,
                      flows=len(self.flows), servers=len(self._caps))
         return achieved
 
@@ -190,14 +197,16 @@ class IOModel:
             on_tick: Callable[[float], None] | None = None) -> None:
         """Convenience loop: tick from *start* for *duration* seconds.
         *on_tick(t)* fires before each tick — drivers mutate flows and
-        memberships there."""
+        memberships there.  A last tick cut short by *duration*
+        advances the flows by its actual length."""
         t = start
         end = start + duration
         while t < end - 1e-9:
+            short = end - t if end - t < self.dt - 1e-9 else None
             t = min(t + self.dt, end)
             if on_tick is not None:
                 on_tick(t)
-            self.step(t)
+            self.step(t, short)
 
     # ------------------------------------------------------------------
     def series(self, name: str) -> Tuple[List[float], List[float]]:
@@ -209,4 +218,6 @@ class IOModel:
 
     def total_moved(self, name: str) -> float:
         """Total bytes achieved by *name* across the run."""
-        return sum(s.get(name, 0.0) for _, s in self.samples) * self.dt
+        return (sum(s.get(name, 0.0) for _, s in self.samples) * self.dt
+                - sum(self.samples[i][1].get(name, 0.0) * (self.dt - dt)
+                      for i, dt in self._short_ticks.items()))

@@ -235,6 +235,23 @@ class TestCacheInvalidation:
         _, vals = io_model.series("c")
         assert vals == [100.0, 100.0, 50.0]
 
+    def test_scalar_solve_never_borrows_a_columnar_snapshot(self):
+        # The reuse proof takes its coefficient snapshots from the
+        # column cache.  A scalar solve does not refresh that cache, so
+        # it must not leave an older columnar solve's snapshot there: a
+        # mapping mutated back to the stale value would "prove" fresh.
+        io_model = IOModel(lambda: {"a": 100.0}, dt=1.0)
+        coeffs = {"a": 1.0}
+        io_model.flows.add(FluidFlow("c", coeffs))
+        with solver_cutover(0):
+            io_model.step(1.0)      # columnar: snapshots {"a": 1.0}
+        coeffs["a"] = 2.0
+        io_model.step(2.0)          # scalar solve of the mutated mapping
+        coeffs["a"] = 1.0
+        io_model.step(3.0)
+        _, vals = io_model.series("c")
+        assert vals == [100.0, 50.0, 100.0]
+
     def test_demand_change_mid_stretch_differs_from_stale_cache(self):
         # The regression the serving throttle flushed out: a demand
         # (rate_cap) change mid-stretch must produce the same rates

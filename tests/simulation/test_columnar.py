@@ -11,7 +11,10 @@ import random
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs.runtime import OBS
 from repro.simulation import bandwidth, columnar
 from repro.simulation.bandwidth import (
     FlowSpec,
@@ -19,6 +22,7 @@ from repro.simulation.bandwidth import (
     max_min_fair_scalar,
 )
 from repro.simulation.columnar import (
+    ColumnCache,
     compile_problem,
     max_min_fair_columnar,
 )
@@ -59,6 +63,61 @@ def assert_bit_identical(a, b):
         assert math.copysign(1.0, x) == math.copysign(1.0, y)
 
 
+# Few distinct values, most of them powers of two: equal demands,
+# several resources draining at the same pace, and a demand cap met in
+# the very round a resource saturates all come up constantly — the
+# ties `random_instance`'s continuous draws never produce.
+TIED_DEMANDS = st.sampled_from(
+    [0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0, 400.0, math.inf, math.inf])
+TIED_COEFS = st.sampled_from([0.25, 0.5, 1.0, 2.0, 1.0 / 6.0])
+TIED_CAPS = st.sampled_from([0.0, 1.0, 2.0, 4.0, 8.0, 64.0, 64.0])
+
+
+@st.composite
+def tied_instances(draw):
+    """`flow_storm`'s shape in miniature: a few flows over *every*
+    resource, then many flows over at most six, some frozen at entry
+    (zero demand, a zero-capacity or only an unknown resource)."""
+    resources = list(range(draw(st.integers(1, 10))))
+    capacities = {r: draw(TIED_CAPS) for r in resources}
+    flows = [FlowSpec({r: 1.0 / len(resources) for r in resources},
+                      draw(TIED_DEMANDS))
+             for _ in range(draw(st.integers(0, 3)))]
+    for _ in range(draw(st.integers(1, 14))):
+        touched = draw(st.lists(st.sampled_from(resources + ["ghost"]),
+                                min_size=1, max_size=6, unique=True))
+        flows.append(FlowSpec({r: draw(TIED_COEFS) for r in touched},
+                              draw(TIED_DEMANDS)))
+    return flows, capacities
+
+
+def outcome(solver, flows, capacities, *extra):
+    """(rates or the error text, solves counted, rounds counted)."""
+    solves = OBS.metrics.counter("bandwidth.solves")
+    rounds = OBS.metrics.counter("bandwidth.filling_rounds")
+    before = solves.value, rounds.value
+    try:
+        result = solver(flows, capacities, *extra)
+    except ValueError as err:
+        result = str(err)
+    return result, solves.value - before[0], rounds.value - before[1]
+
+
+def assert_same_outcome(flows, capacities, *extra):
+    """The columnar backend returns the scalar solver's bits (or its
+    error) and moves the two solver counters — both are in the metrics
+    snapshot every ledger digest hashes — by the same amounts."""
+    rates_s, solves_s, rounds_s = outcome(max_min_fair_scalar, flows,
+                                          capacities)
+    rates_c, solves_c, rounds_c = outcome(max_min_fair_columnar, flows,
+                                          capacities, *extra)
+    if isinstance(rates_s, str):
+        assert rates_c == rates_s
+    else:
+        assert_bit_identical(rates_s, rates_c)
+    assert (solves_c, rounds_c) == (solves_s, rounds_s)
+
+
 class TestBitIdentity:
     def test_property_randomized_instances(self):
         rng = random.Random(0xC01)
@@ -77,6 +136,36 @@ class TestBitIdentity:
                  for i in range(60)]
         assert_bit_identical(max_min_fair_scalar(flows, capacities),
                              max_min_fair_columnar(flows, capacities))
+
+    @settings(max_examples=400, deadline=None)
+    @given(tied_instances())
+    def test_property_tied_instances_and_counters(self, instance):
+        assert_same_outcome(*instance)
+
+    def test_randomized_instances_count_the_same_rounds(self):
+        rng = random.Random(0xF111)
+        for _ in range(100):
+            assert_same_outcome(*random_instance(rng))
+
+    def test_demand_and_saturation_tie_in_one_round(self):
+        # Round 1: level 2.0 meets flow 0's cap exactly as "a" and "b"
+        # both reach 0.0; flow 3 is frozen at entry by "z".
+        flows = [FlowSpec({"a": 1.0}, 2.0), FlowSpec({"a": 1.0, "b": 0.5}),
+                 FlowSpec({"b": 1.5, "c": 1.0}, 2.0), FlowSpec({"z": 1.0}),
+                 FlowSpec({"c": 1.0}, math.inf)]
+        capacities = {"a": 4.0, "b": 4.0, "c": 64.0, "z": 0.0}
+        assert_same_outcome(flows, capacities)
+        assert max_min_fair_columnar(flows, capacities) \
+            == [2.0, 2.0, 2.0, 0.0, 62.0]
+
+    def test_flow_storm_shape(self):
+        rng = random.Random(17)
+        capacities = {r: 64.0 for r in range(1, 41)}
+        flows = [FlowSpec({r: 1.0 / 40 for r in capacities}, 400.0)
+                 for _ in range(3)]
+        flows += [FlowSpec({r: 1.0 / 6 for r in rng.sample(range(1, 41), 6)},
+                           rng.uniform(200.0, 2000.0)) for _ in range(30)]
+        assert_same_outcome(flows, capacities)
 
     def test_empty_flows(self):
         assert max_min_fair_columnar([], {"s": 10.0}) == []
@@ -100,6 +189,37 @@ class TestIdenticalErrors:
         with pytest.raises(ValueError) as columnar_err:
             max_min_fair_columnar(flows, capacities)
         assert str(scalar_err.value) == str(columnar_err.value)
+
+    def test_first_offender_order_with_a_warm_cache(self):
+        # A cached segment skips re-validating its coefficients; the
+        # flows after it must still be checked in flow order,
+        # coefficients before demand within a flow.
+        capacities = {"s": 10.0, "t": 10.0}
+        valid = FlowSpec({"s": 1.0, "t": 2.0}, 3.0)
+        negative_demand = FlowSpec({"t": 1.0}, -2.0)
+        bad_coefficient = FlowSpec({"t": -1.0}, 1.0)
+        cache = ColumnCache()
+        max_min_fair_columnar([valid], capacities, cache)
+        for flows, message in [
+            ([valid, negative_demand, bad_coefficient],
+             "demand must be >= 0"),
+            ([valid, bad_coefficient, negative_demand],
+             "coefficient must be > 0 (resource 't')"),
+        ]:
+            assert outcome(max_min_fair_scalar, flows, capacities) \
+                == (message, 0, 0)
+            assert outcome(max_min_fair_columnar, flows, capacities,
+                           cache) == (message, 0, 0)
+        # A capacity error still comes after every flow error, and a
+        # cached mapping gone bad in place is validated afresh.
+        assert_same_outcome([valid], {"s": -1.0, "t": 10.0}, cache)
+        assert_same_outcome([valid, negative_demand],
+                            {"s": -1.0, "t": 10.0}, cache)
+        max_min_fair_columnar([valid], capacities, cache)
+        valid.coefficients["t"] = 0.0
+        assert_same_outcome([valid], capacities, cache)
+        assert outcome(max_min_fair_columnar, [valid], capacities, cache) \
+            == ("coefficient must be > 0 (resource 't')", 0, 0)
 
 
 class TestDispatch:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.elastic import ElasticConsistentHash
+from repro.obs.runtime import OBS
 from repro.simulation.flows import FluidFlow
 from repro.simulation.iomodel import (
     IOModel,
@@ -149,6 +150,23 @@ class TestIOModel:
         io.flows.add(FluidFlow("m", {"s": 1.0}, total_bytes=120.0))
         io.run(5.0)
         assert io.total_moved("m") == pytest.approx(120.0)
+
+    def test_partial_last_tick_advances_by_its_length(self):
+        # run(2.5) at dt=1 ends with a half tick: flows, the tick event
+        # and total_moved must all see 0.5 s, not a full dt.
+        io = IOModel(lambda: {"a": 10.0}, dt=1.0)
+        stream = io.flows.add(FluidFlow("s", {"a": 1.0}))
+        with OBS.bus.capture() as sink:
+            io.run(2.5)
+        assert [t for t, _ in io.samples] == [1.0, 2.0, 2.5]
+        assert stream.progressed == 25.0
+        assert io.total_moved("s") == 25.0
+        assert [e["dt"] for e in sink.events()
+                if e["kind"] == "engine.tick"] == [1.0, 1.0, 0.5]
+        # A further whole run keeps counting full ticks.
+        io.run(2.0, start=2.5)
+        assert stream.progressed == 45.0
+        assert io.total_moved("s") == 45.0
 
     def test_absent_flow_series_is_zero(self):
         io = IOModel(lambda: {"s": 50.0}, dt=1.0)

@@ -10,11 +10,21 @@ is a real solve.  After every operation the two must agree on what
 they emitted, and after every step on the samples, each flow's
 ``progressed`` and the order callbacks fired in: reuse may skip the
 solver, never change what the solver would have said.
+
+Four servers keep every solve below the size cutover, so
+``ReuseMachine`` only ever drives the scalar backend.
+``ColumnarReuseMachine`` is the same machine with the product side's
+cutover patched to 0 — the columnar backend and the flow set's column
+cache on every solve — against an always-solve, always-scalar
+reference; ``test_cached_compile_equals_fresh_compile`` checks the
+cache at the level below, column for column.
 """
 
 import math
+from unittest import mock
 
-from hypothesis import settings
+import numpy as np
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -25,6 +35,9 @@ from hypothesis.stateful import (
 )
 
 from repro.obs.runtime import OBS
+from repro.simulation import bandwidth
+from repro.simulation.bandwidth import FlowSpec
+from repro.simulation.columnar import ColumnCache, compile_problem
 from repro.simulation.flows import FluidFlow
 from repro.simulation.iomodel import IOModel
 
@@ -44,7 +57,10 @@ _PER_MODEL_FIELDS = ("span_id", "parent_id")
 class Side:
     """One model plus everything observed about it."""
 
-    def __init__(self, use_token, reuse):
+    def __init__(self, use_token, reuse, cutover):
+        #: ``_AUTO_CUTOVER_CELLS`` while this side runs: 0 = columnar
+        #: on every solve, ``inf`` = always scalar.
+        self.cutover = cutover
         self.caps = {s: 64.0 for s in SERVERS}
         self.version = 0
         self.io = IOModel(
@@ -56,10 +72,14 @@ class Side:
         self.callbacks = []     # (kind, flow position), in firing order
         self.now = 0.0
 
-    def add(self, name, coeffs, total_bytes, rate_cap):
+    def add(self, name, coeffs, total_bytes, rate_cap, share_with=None):
+        """*share_with* = position of a flow whose coefficient mapping
+        *object* the new flow uses too, instead of a copy of *coeffs*."""
         pos = len(self.flows)
+        mapping = (dict(coeffs) if share_with is None
+                   else self.flows[share_with].coefficients)
         flow = FluidFlow(
-            name, dict(coeffs), total_bytes=total_bytes, rate_cap=rate_cap,
+            name, mapping, total_bytes=total_bytes, rate_cap=rate_cap,
             on_complete=lambda f: self.callbacks.append(("complete", pos)),
             on_interrupt=lambda f: self.callbacks.append(("interrupt", pos)))
         self.flows.append(flow)
@@ -72,11 +92,16 @@ class Side:
 
 
 class ReuseMachine(RuleBasedStateMachine):
+    #: The product side's solver cutover: as shipped (every solve here
+    #: is then scalar) unless a subclass moves it.
+    PRODUCT_CUTOVER = bandwidth._AUTO_CUTOVER_CELLS
+
     @initialize(use_token=st.booleans(), coeffs=COEFFS)
     def build(self, use_token, coeffs):
         OBS.reset()
-        self.product = Side(use_token, reuse=True)
-        self.reference = Side(use_token, reuse=False)
+        self.product = Side(use_token, reuse=True,
+                            cutover=self.PRODUCT_CUTOVER)
+        self.reference = Side(use_token, reuse=False, cutover=math.inf)
         self.sides = (self.product, self.reference)
         # Start with an allocation already cached, so the very first
         # perturbation lands on a warm cache.
@@ -90,7 +115,9 @@ class ReuseMachine(RuleBasedStateMachine):
         applications emit must be equal."""
         emitted = []
         for side in self.sides:
-            with OBS.bus.capture(capacity=100_000) as sink:
+            with mock.patch.object(bandwidth, "_AUTO_CUTOVER_CELLS",
+                                   side.cutover), \
+                    OBS.bus.capture(capacity=100_000) as sink:
                 op(side)
                 emitted.append([
                     {k: v for k, v in e.items()
@@ -124,6 +151,15 @@ class ReuseMachine(RuleBasedStateMachine):
     def add_finite(self, coeffs, rate_cap, total, then_tick):
         self.perturb(lambda s: s.add("transfer", coeffs, total, rate_cap),
                      then_tick)
+
+    @precondition(has_live)
+    @rule(data=st.data(), rate_cap=RATE_CAPS, then_tick=TICK_NEXT)
+    def add_sharing_a_mapping(self, data, rate_cap, then_tick):
+        # Two flows, one coefficient mapping object: an in-place
+        # mutation through either moves both.
+        pos = self.pick_live(data)
+        self.perturb(lambda s: s.add("stream", None, None, rate_cap,
+                                     share_with=pos), then_tick)
 
     @precondition(has_live)
     @rule(data=st.data(), then_tick=TICK_NEXT)
@@ -174,6 +210,17 @@ class ReuseMachine(RuleBasedStateMachine):
             side.version += 1
         self.perturb(change, then_tick)
 
+    @rule(server=st.sampled_from(SERVERS), then_tick=TICK_NEXT)
+    def drop_or_restore_capacity_key(self, server, then_tick):
+        # A server leaves the capacity dict (its coefficients now name
+        # an unknown resource) or comes back *last* in key order:
+        # either way every later column is renumbered.
+        def flip(side):
+            if side.caps.pop(server, None) is None:
+                side.caps[server] = 64.0
+            side.version += 1
+        self.perturb(flip, then_tick)
+
     @rule(then_tick=TICK_NEXT)
     def token_moves_without_a_change(self, then_tick):
         # Over-reporting is allowed: it may cost a solve, nothing else.
@@ -182,11 +229,21 @@ class ReuseMachine(RuleBasedStateMachine):
         self.perturb(bump, then_tick)
 
     # -- time ----------------------------------------------------------
+    @staticmethod
+    def solving(side, advance):
+        """Run *advance*; a solver error (an elastic flow left with no
+        known resource once a capacity key is gone) is an outcome to
+        compare like any other, not a test failure."""
+        try:
+            advance()
+        except ValueError as err:
+            side.callbacks.append(("error", str(err)))
+
     @rule()
     def step(self):
         def step(side):
             side.now += side.io.dt
-            side.io.step(side.now)
+            self.solving(side, lambda: side.io.step(side.now))
         self.both(step)
 
     @rule(ticks=st.integers(min_value=1, max_value=12),
@@ -197,7 +254,8 @@ class ReuseMachine(RuleBasedStateMachine):
         def run(side):
             on_tick = ((lambda t: side.callbacks.append(("tick", t)))
                        if watch else None)
-            side.io.run(duration, start=side.now, on_tick=on_tick)
+            self.solving(side, lambda: side.io.run(
+                duration, start=side.now, on_tick=on_tick))
             side.now = side.io.samples[-1][0]
         self.both(run)
 
@@ -214,6 +272,70 @@ class ReuseMachine(RuleBasedStateMachine):
         assert product.live() == reference.live()
 
 
+class ColumnarReuseMachine(ReuseMachine):
+    PRODUCT_CUTOVER = 0
+
+
 TestReuseMachine = ReuseMachine.TestCase
-TestReuseMachine.settings = settings(
+TestColumnarReuseMachine = ColumnarReuseMachine.TestCase
+TestReuseMachine.settings = TestColumnarReuseMachine.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None)
+
+
+# ----------------------------------------------------------------------
+# the column cache, directly
+# ----------------------------------------------------------------------
+SLOTS = st.integers(min_value=0, max_value=5)
+CACHE_OPS = st.one_of(
+    st.tuples(st.just("add"), COEFFS),
+    st.tuples(st.just("share"), SLOTS),
+    st.tuples(st.just("remove"), SLOTS),
+    st.tuples(st.just("replace"), SLOTS, COEFFS),
+    st.tuples(st.just("mutate"), SLOTS, st.sampled_from(SERVERS + ("ghost",)),
+              st.sampled_from([0.25, 1.0, 3.0])),
+    st.tuples(st.just("forget"), SLOTS, st.sampled_from(SERVERS)),
+    st.tuples(st.just("capacity"), st.sampled_from(SERVERS), CAPACITIES),
+    st.tuples(st.just("key"), st.sampled_from(SERVERS)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(CACHE_OPS, min_size=1, max_size=30))
+def test_cached_compile_equals_fresh_compile(ops):
+    """Whatever happened to the flows and capacities since the cache
+    last compiled them, compiling through it gives the columns a cold
+    compile gives, array for array."""
+    flows = [FlowSpec({"a": 1.0, "b": 0.5}, 10.0)]
+    capacities = {s: 64.0 for s in SERVERS}
+    cache = ColumnCache()
+    for op, *args in ops:
+        if op == "add":
+            flows.append(FlowSpec(dict(args[0]), 5.0))
+        elif op == "capacity":
+            capacities[args[0]] = args[1]
+        elif op == "key":
+            if capacities.pop(args[0], None) is None:
+                capacities[args[0]] = 64.0
+        elif flows:                     # the rest act on one flow
+            slot = args[0] % len(flows)
+            if op == "share":
+                flows.append(FlowSpec(flows[slot].coefficients, 7.0))
+            elif op == "remove":
+                del flows[slot]
+            elif op == "replace":
+                flows[slot].coefficients = dict(args[1])
+            elif op == "mutate":
+                flows[slot].coefficients[args[1]] = args[2]
+            elif op == "forget":
+                flows[slot].coefficients.pop(args[1], None)
+        warm = compile_problem(flows, capacities, cache)
+        cold = compile_problem(flows, capacities)
+        assert (warm.n_flows, warm.n_resources, warm.resources) \
+            == (cold.n_flows, cold.n_resources, cold.resources)
+        for column in ("flow_idx", "res_idx", "coef", "demand", "capacity"):
+            got, want = getattr(warm, column), getattr(cold, column)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), column
+        # The snapshots a reuse proof would take are the current items.
+        assert ([cache.items(f.coefficients) for f in flows]
+                == [list(f.coefficients.items()) for f in flows])
