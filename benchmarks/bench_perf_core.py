@@ -26,12 +26,12 @@ def ech():
 
 
 def bench_primary_placement(benchmark, ech):
-    """Algorithm 1, one fresh object against a settled slot table (the
-    steady-state per-IO cost: hash + successor search + table hit).
-    A scalar first touch pays the reference ring walk for its slot —
-    that walk is benched directly by bench_original_placement; a bulk
-    first touch is bench_locate_bulk_cold."""
-    ech.locate_bulk(np.arange(200_000))    # settle the slot table
+    """Algorithm 1, one fresh object against a built slot table (the
+    steady-state per-IO cost: hash + bisect + table row).  The first
+    lookups of a membership version also pay the table build:
+    bench_locate_scalar_cold, bench_locate_bulk_cold.  The reference
+    ring walk is benched by bench_original_placement."""
+    ech.locate_bulk(np.arange(200_000))    # build the slot table
     counter = iter(range(10**6, 10**9))    # fresh oids, warm slots
 
     def place():
@@ -77,7 +77,7 @@ def bench_locate_settled(benchmark, ech):
     """Repeated ``locate`` against a settled version: the oid→slot and
     slot→placement caches are hot, so this is the kernel's scalar
     fast path (compare with bench_primary_placement, which pays the
-    hash + searchsorted on every fresh oid)."""
+    hash + bisect on every fresh oid)."""
     oids = itertools.cycle(range(10_000))
     for oid in range(10_000):      # warm both cache layers
         ech.locate(oid)
@@ -90,14 +90,12 @@ def bench_locate_settled(benchmark, ech):
 
 
 def bench_locate_bulk(benchmark, ech):
-    """100k-object bulk placement through a *settled* slot table (the
-    whole-cluster-sweep primitive, second sweep onward): the module's
-    ``ech`` arrives filled by the benches above and the first round
-    fills whatever they left, so the median is bulk_hash + one
-    searchsorted + the table gather.  The first sweep of a version is
-    bench_locate_bulk_cold."""
+    """100k-object bulk placement through a built slot table (the
+    whole-cluster-sweep primitive, second sweep onward): bulk_hash +
+    one searchsorted + the table gather.  The first sweep of a version
+    is bench_locate_bulk_cold."""
     oids = np.arange(100_000, dtype=np.int64)
-    ech.locate_bulk(oids)          # settle every slot the sweep reads
+    ech.locate_bulk(oids)          # build the version's table
 
     def place():
         return ech.locate_bulk(oids)
@@ -108,16 +106,16 @@ def bench_locate_bulk(benchmark, ech):
 
 def bench_locate_bulk_cold(benchmark):
     """The same 100k-object sweep against a membership version nothing
-    has placed yet: every round resizes first, so the sweep meets a
-    cold slot table and pays the batched fill for each of the ~19.5k
-    slots (of 24k) it touches — what the first whole-catalog pass
-    after every resize costs."""
+    has placed yet: every round resizes first, so the sweep builds the
+    version's whole slot table (one array pass over all 24k slots) and
+    then gathers from it — what the first whole-catalog pass after
+    every resize costs."""
     ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
     oids = np.arange(100_000, dtype=np.int64)
     sizes = itertools.cycle((6, 8))
 
     def resize():
-        ech.set_active(next(sizes))    # new version: new, empty table
+        ech.set_active(next(sizes))    # new version: no table yet
         return (), {}
 
     def place():
@@ -125,9 +123,28 @@ def bench_locate_bulk_cold(benchmark):
 
     bulk = benchmark.pedantic(place, setup=resize, rounds=40)
     assert len(bulk) == 100_000 and bulk.all_ok
-    tbl = ech._kernel.table(ech.current_version,
-                            ech.membership.is_active)
-    assert tbl.filled_slots > 15_000
+
+
+def bench_locate_scalar_cold(benchmark):
+    """5 000 scalar locates of never-seen oids against a membership
+    version nothing has placed yet — the shape ``repro serve`` and the
+    fig7 replay issue after a resize: one whole-table build, then per
+    oid hash + bisect + the first materialisation of its slot's
+    result (~4.5k distinct slots of 24k)."""
+    ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
+    sizes = itertools.cycle((6, 8))
+    starts = itertools.count(0, 5_000)
+
+    def resize():
+        ech.set_active(next(sizes))    # new version: no table yet
+        start = next(starts)
+        return (range(start, start + 5_000),), {}
+
+    def place(oids):
+        return [ech.locate(oid) for oid in oids]
+
+    results = benchmark.pedantic(place, setup=resize, rounds=40)
+    assert len(results) == 5_000
 
 
 def bench_locate_loop_10k(benchmark, ech):

@@ -116,9 +116,9 @@ class ElasticConsistentHash:
         for rank in self.layout.ranks:
             self.ring.add_server(rank, weight=self.layout.weight_of(rank))
 
-        #: Slot-table placement kernel: memoizes the per-slot walk for
-        #: each membership version so a settled ``locate`` is a cache
-        #: hit and ``locate_bulk`` is pure array work.
+        #: Slot-table placement kernel: places every slot of a
+        #: membership version once, so ``locate`` is a table read and
+        #: ``locate_bulk`` is pure array work.
         self._kernel = PlacementKernel(
             self.ring, replicas,
             placement_mode=placement_mode,
@@ -328,11 +328,12 @@ class ElasticConsistentHash:
         """Vectorised :meth:`locate` over a whole key collection.
 
         Hashes all keys (``bulk_hash``), resolves successor slots in
-        one ``searchsorted``, and gathers placements from the slot
-        table — slots never seen before are settled together, in one
-        array pass of the placement rule, so there is no per-object
-        (or per-slot) Python work even on a cold table.  Returns
-        compact arrays; see :class:`~repro.core.kernel.BulkPlacement`.
+        one ``searchsorted``, and gathers placements from the
+        version's slot table — built whole, in one array pass of the
+        placement rule, if this is the first lookup against the
+        version — so there is no per-object (or per-slot) Python work.
+        Returns compact arrays; see
+        :class:`~repro.core.kernel.BulkPlacement`.
         """
         return self.locate_bulk_positions(
             bulk_hash(oids, self.ring.hash_method), version)

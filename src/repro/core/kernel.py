@@ -8,25 +8,26 @@ But for a *fixed* membership version the placement of a key depends
 only on its successor slot (the first vnode at or after ``hash(key)``):
 every key landing in the same arc walks the identical server sequence.
 There are only V vnode slots, so the placement of an entire version is
-a table of V rows, computed lazily.
+a table of V rows — computed whole, in one array pass of the placement
+rule, the first time anything asks about that version, and immutable
+from then on (1–12 ms per version; a version pays for itself after a
+few hundred lookups, and the workloads issue thousands).
 
-Two access paths share the table, and the call shape picks how a
-missing row is computed:
+Two access paths read the table:
 
-* scalar ``lookup(slot)`` — one list/array access once the slot is
-  filled; the :class:`~repro.core.elastic.ElasticConsistentHash` facade
-  adds an oid→slot cache on top, so a repeated ``locate`` never touches
-  the ring again.  A miss runs the reference walk
-  (``place_*_from_slot``) for that one slot;
-* vectorised ``gather(slots)`` — settle every missing slot of the batch
-  in one array pass of the same algorithm
-  (:meth:`SlotPlacementTable._fill_batch`), then one fancy-index
-  produces a compact :class:`BulkPlacement` (server-index matrix plus
-  degraded / offloaded bitmasks) for a whole key array.  The pass costs
-  a fixed 0.1–0.3 ms per call and well under a microsecond per slot
-  against ~12 µs per walk, so it wins from a few dozen slots up and
-  would lose tenfold on one — which is why the scalar miss keeps the
-  walk.
+* scalar ``lookup(slot)`` — one list access; the frozen
+  :class:`~repro.core.placement.PlacementResult` of a slot is built
+  from its array row on the first ask and kept.  The
+  :class:`~repro.core.elastic.ElasticConsistentHash` facade adds an
+  oid→slot cache on top, so a repeated ``locate`` never touches the
+  ring again;
+* vectorised ``gather(slots)`` — one fancy-index produces a compact
+  :class:`BulkPlacement` (server-index matrix plus degraded / offloaded
+  bitmasks) for a whole key array.
+
+The reference walks (``place_*_from_slot``) live only in
+:mod:`repro.core.placement`: they are the oracle the tests hold every
+row to, never a path of this module.
 
 Invalidation rules
 ------------------
@@ -48,16 +49,11 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Hashable, List, Mapping, NamedTuple,
-                    Optional, Tuple, Union)
+                    Optional, Tuple)
 
 import numpy as np
 
-from repro.core.placement import (
-    ChainMode,
-    PlacementResult,
-    place_original_from_slot,
-    place_primary_from_slot,
-)
+from repro.core.placement import ChainMode, PlacementResult
 from repro.hashring.hashing import bulk_hash
 from repro.hashring.ring import HashRing
 from repro.obs.runtime import OBS
@@ -66,10 +62,8 @@ __all__ = ["BulkPlacement", "SlotPlacementTable", "PlacementKernel"]
 
 Predicate = Callable[[Hashable], bool]
 
-_FILLED = np.uint8(1)
-_DEGRADED = np.uint8(2)
-_SKIPPED = np.uint8(4)
-_ERROR = np.uint8(8)
+_DEGRADED = np.uint8(1)
+_SKIPPED = np.uint8(2)
 
 #: Cap on the facade-level oid→slot cache (see :class:`PlacementKernel`).
 _SLOT_CACHE_MAX = 1 << 20
@@ -133,9 +127,9 @@ class BulkPlacement:
 
 
 class _SlotClasses(NamedTuple):
-    """What the batched fill knows about one membership: the vnode
-    slots of each eligibility class as sorted index arrays ("next
-    eligible slot from a cursor" is one ``searchsorted``), and how many
+    """What the array pass knows about one membership: the vnode slots
+    of each eligibility class as sorted index arrays ("next eligible
+    slot from a cursor" is one ``searchsorted``), and how many
     *servers* each class has ("no eligible server left" is a count
     comparison, not a walk round the circle)."""
 
@@ -156,17 +150,144 @@ class _SlotClasses(NamedTuple):
 _ANY, _SEC, _PRI = 0, 1, 2
 
 
-class SlotPlacementTable:
-    """Per-slot placements for one (membership version, chain, r).
+def _slot_classes(ring: HashRing, is_active: Optional[Predicate],
+                  is_primary: Optional[Predicate],
+                  chain: ChainMode) -> _SlotClasses:
+    slist = ring._server_list
+    active = np.ones(len(slist), dtype=bool)
+    if is_active is not None:
+        active[:] = [is_active(s) for s in slist]
+    primary = np.zeros(len(slist), dtype=bool)
+    if is_primary is not None:
+        primary[:] = [is_primary(s) for s in slist]
+    rehash_cursor = None
+    if is_primary is not None and chain == "rehash":
+        rehash_cursor = ring.bulk_successor_slots(bulk_hash(
+            [s if isinstance(s, (str, bytes, int)) else repr(s)
+             for s in slist]))
+    owners = ring._owners
+    slot_active = active[owners]
+    slot_primary = primary[owners]
+    return _SlotClasses(
+        by_role=(np.flatnonzero(slot_active),
+                 np.flatnonzero(slot_active & ~slot_primary),
+                 np.flatnonzero(slot_active & slot_primary)),
+        inactive=np.flatnonzero(~slot_active),
+        is_primary=primary,
+        n_active=int(np.count_nonzero(active)),
+        n_secondary=int(np.count_nonzero(active & ~primary)),
+        n_primary=int(np.count_nonzero(active & primary)),
+        rehash_cursor=rehash_cursor)
 
-    Rows fill lazily, by whichever path asks first.  A scalar
-    :meth:`lookup` miss runs the reference walk (``place_*_from_slot``)
-    for its slot; a bulk :meth:`fill` settles all its missing slots in
-    one array pass and writes only the array rows — the frozen
-    :class:`PlacementResult` of such a slot is built if and when a
-    scalar lookup asks for it.  A slot that cannot be placed caches the
-    ``LookupError`` message instead, so the failure is as cheap — and
-    as deterministic — as a success.
+
+def _next_free(owners: np.ndarray, eligible: np.ndarray, cursor: np.ndarray,
+               chosen: List[np.ndarray]) -> np.ndarray:
+    """For each row, the first slot of the sorted slot array *eligible*
+    at or clockwise of *cursor* whose owner is not among the row's
+    *chosen* owners.  The caller guarantees one exists.
+
+    One ``searchsorted`` lands every row on its next eligible slot;
+    rows that landed on a server they already hold step to the next
+    eligible slot, and only those rows are probed again.
+    """
+    size = eligible.size
+    at = eligible.searchsorted(cursor)
+    at[at == size] = 0
+    match = eligible[at]
+    if not chosen:
+        return match
+    again = np.arange(match.size)    # rows not yet known to be free
+    while True:
+        own = owners[match[again]]
+        clash = chosen[0][again] == own
+        for col in chosen[1:]:
+            clash |= col[again] == own
+        again = again[clash]
+        if not again.size:
+            return match
+        step = at[again] + 1
+        step[step == size] = 0
+        at[again] = step
+        match[again] = eligible[step]
+
+
+def _place_all_slots(owners: np.ndarray, r: int, cls: _SlotClasses,
+                     algorithm1: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1 (or the original-CH rule) for every slot at once, as
+    ``(V, r)`` server indices and ``(V,)`` flag bits — row for row what
+    ``place_*_from_slot`` returns, which
+    ``tests/core/test_kernel_batch.py`` holds it to.  The caller has
+    checked that r servers are active.
+
+    Replica by replica, every row searches clockwise from its cursor in
+    the slot class of its role constraint.  A constraint no server can
+    meet is known from the class's server count, not by walking the
+    circle: the row is marked degraded and searches without the
+    constraint (§III-B).  An inactive server was skipped when the next
+    inactive slot is nearer the cursor than the match is — or, for the
+    fruitless constrained search, when the ring has any inactive slot
+    at all.
+    """
+    nslots = owners.size
+    inactive = cls.inactive
+    rehash = cls.rehash_cursor
+    flags = np.zeros(nslots, dtype=np.uint8)
+    held_primaries = np.zeros(nslots, dtype=np.intp)
+    chosen: List[np.ndarray] = []
+    cursor = np.arange(nslots)
+    for i in range(r):
+        role = np.full(nslots, _ANY, dtype=np.int8)
+        if algorithm1 and (i > 0 or r == 1):
+            # Lines 3-15: secondaries only once a primary is held; the
+            # last replica must be the primary if none is.
+            has_primary = held_primaries > 0
+            role[has_primary] = _SEC
+            unmet = has_primary & (i - held_primaries >= cls.n_secondary)
+            if i == r - 1:
+                role[~has_primary] = _PRI
+                if not cls.n_primary:
+                    unmet |= ~has_primary
+            role[unmet] = _ANY
+            flags[unmet] |= (_DEGRADED | _SKIPPED if inactive.size
+                             else _DEGRADED)
+        match = np.empty(nslots, dtype=np.intp)
+        for code, eligible in enumerate(cls.by_role):
+            rows = np.flatnonzero(role == code)
+            if rows.size == nslots:
+                match = _next_free(owners, eligible, cursor, chosen)
+            elif rows.size:
+                match[rows] = _next_free(owners, eligible, cursor[rows],
+                                         [col[rows] for col in chosen])
+        if inactive.size:
+            reach = match - cursor
+            reach[reach < 0] += nslots
+            at = inactive.searchsorted(cursor)
+            at[at == inactive.size] = 0
+            gap = inactive[at] - cursor
+            gap[gap < 0] += nslots
+            flags[gap < reach] |= _SKIPPED
+        own = owners[match]
+        chosen.append(own)
+        held_primaries += cls.is_primary[own]
+        if rehash is not None:
+            cursor = rehash[own]
+        else:
+            cursor = match + 1
+            cursor[cursor == nslots] = 0
+    return np.stack(chosen, axis=1), flags
+
+
+class SlotPlacementTable:
+    """Every slot's placement for one (membership version, chain, r).
+
+    The constructor computes all V rows in one array pass
+    (:func:`_place_all_slots`) and the table never changes afterwards.
+    Only the array rows are written; the frozen
+    :class:`PlacementResult` of a slot is built if and when a scalar
+    lookup asks for it.  A membership with fewer than r active servers
+    places nothing, whatever the slot: the table keeps the one
+    ``LookupError`` message instead of rows, so the failure is as
+    cheap — and as deterministic — as a success.
 
     *is_primary* ``None`` selects the original-CH rule; otherwise
     Algorithm 1 with *chain*.
@@ -179,272 +300,70 @@ class SlotPlacementTable:
         if r < 1:
             raise ValueError("replica count must be >= 1")
         ring._rebuild_if_dirty()
-        self._ring = ring
         self._r = r
-        self._is_active = is_active
-        self._is_primary = is_primary
-        self._chain: ChainMode = chain
-        nslots = ring._positions.size
-        self._servers = np.full((nslots, r), -1, dtype=np.intp)
-        self._flags = np.zeros(nslots, dtype=np.uint8)
-        #: Per-slot cache: PlacementResult | str (error message) | None
-        #: (not filled, or bulk-filled and not yet asked for).
-        self._results: List[Union[PlacementResult, str, None]] = \
-            [None] * nslots
         self._server_list = ring._server_list
-        self._sid_index: Dict[Hashable, int] = {
-            sid: i for i, sid in enumerate(self._server_list)}
         ids = np.asarray(self._server_list)
         if ids.ndim != 1 or ids.dtype.kind not in "iu":
             ids = np.empty(len(self._server_list), dtype=object)
             ids[:] = self._server_list
         self._server_ids = ids
-        self._classes: Optional[_SlotClasses] = None
+        algorithm1 = is_primary is not None
+        cls = _slot_classes(ring, is_active, is_primary, chain)
+        #: Why no slot of this membership is placeable (``None``: every
+        #: slot is, and ``_servers`` / ``_flags`` hold the V rows).
+        self._error: Optional[str] = None
+        if cls.n_active < r:
+            # The unconstrained search runs dry at replica n_active+1,
+            # whatever the slot: every row fails the same way.
+            self._error = (
+                "no active server" if algorithm1 and not cls.n_active
+                else f"only {cls.n_active} of {r} replicas placeable")
+            self._servers = np.empty((0, r), dtype=np.intp)
+            self._flags = np.empty(0, dtype=np.uint8)
+        else:
+            self._servers, self._flags = _place_all_slots(
+                ring._owners, r, cls, algorithm1)
+        #: Per-slot PlacementResult, built on the first scalar ask.
+        self._results: List[Optional[PlacementResult]] = \
+            [None] * ring._positions.size
 
-    # ------------------------------------------------------------------
     @property
     def num_slots(self) -> int:
         return len(self._results)
-
-    @property
-    def filled_slots(self) -> int:
-        """Slots computed so far (tests + capacity accounting)."""
-        return int(np.count_nonzero(self._flags))
-
-    # ------------------------------------------------------------------
-    # scalar path: one reference walk per missing slot
-    # ------------------------------------------------------------------
-    def _walk_slot(self, slot: int) -> Union[PlacementResult, str]:
-        try:
-            if self._is_primary is None:
-                res = place_original_from_slot(
-                    self._ring, slot, self._r, self._is_active)
-            else:
-                res = place_primary_from_slot(
-                    self._ring, slot, self._r, self._is_primary,
-                    self._is_active, self._chain)
-        except LookupError as exc:
-            self._flags[slot] = _FILLED | _ERROR
-            msg = str(exc)
-            self._results[slot] = msg
-            return msg
-        flags = _FILLED
-        if res.degraded:
-            flags |= _DEGRADED
-        if res.skipped_inactive:
-            flags |= _SKIPPED
-        self._servers[slot] = [self._sid_index[s] for s in res.servers]
-        self._flags[slot] = flags
-        self._results[slot] = res
-        return res
-
-    def _result_of_row(self, slot: int) -> PlacementResult:
-        """The :class:`PlacementResult` of a slot the batched fill
-        placed (array row only, so far)."""
-        flags = self._flags[slot]
-        slist = self._server_list
-        res = PlacementResult(
-            tuple([slist[i] for i in self._servers[slot].tolist()]),
-            degraded=bool(flags & _DEGRADED),
-            skipped_inactive=bool(flags & _SKIPPED))
-        self._results[slot] = res
-        return res
 
     def lookup(self, slot: int) -> PlacementResult:
         """Placement of one slot (raising ``LookupError`` exactly where
         the reference walk would)."""
         res = self._results[slot]
-        if res is None and not self._flags[slot]:
-            res = self._walk_slot(slot)
-        else:
-            if res is None:
-                res = self._result_of_row(slot)
-            if OBS.hot:
-                OBS.metrics.inc("ring.table_hits")
-        if type(res) is str:
-            raise LookupError(res)
-        return res
-
-    # ------------------------------------------------------------------
-    # bulk path: one array pass per batch of missing slots
-    # ------------------------------------------------------------------
-    def fill(self, slots: np.ndarray) -> int:
-        """Ensure every slot in *slots* is computed; returns how many
-        were already filled (table-hit accounting for the bulk path)."""
-        missing = self._flags[slots] == 0
-        hits = slots.size - int(np.count_nonzero(missing))
-        if hits < slots.size:
-            # Distinct and sorted in O(V + N), not a sort of N slots.
-            wanted = np.zeros(self._flags.size, dtype=bool)
-            wanted[slots[missing]] = True
-            self._fill_batch(np.flatnonzero(wanted))
-        return hits
-
-    def _slot_classes(self) -> _SlotClasses:
-        classes = self._classes
-        if classes is None:
+        if res is None:
+            if self._error is not None:
+                raise LookupError(self._error)
+            flags = self._flags[slot]
             slist = self._server_list
-            active = np.ones(len(slist), dtype=bool)
-            if self._is_active is not None:
-                active[:] = [self._is_active(s) for s in slist]
-            primary = np.zeros(len(slist), dtype=bool)
-            if self._is_primary is not None:
-                primary[:] = [self._is_primary(s) for s in slist]
-            rehash_cursor = None
-            if self._is_primary is not None and self._chain == "rehash":
-                rehash_cursor = self._ring.bulk_successor_slots(bulk_hash(
-                    [s if isinstance(s, (str, bytes, int)) else repr(s)
-                     for s in slist]))
-            owners = self._ring._owners
-            slot_active = active[owners]
-            slot_primary = primary[owners]
-            classes = self._classes = _SlotClasses(
-                by_role=(np.flatnonzero(slot_active),
-                         np.flatnonzero(slot_active & ~slot_primary),
-                         np.flatnonzero(slot_active & slot_primary)),
-                inactive=np.flatnonzero(~slot_active),
-                is_primary=primary,
-                n_active=int(np.count_nonzero(active)),
-                n_secondary=int(np.count_nonzero(active & ~primary)),
-                n_primary=int(np.count_nonzero(active & primary)),
-                rehash_cursor=rehash_cursor)
-        return classes
-
-    def _next_free(self, eligible: np.ndarray, cursor: np.ndarray,
-                   chosen: List[np.ndarray]) -> np.ndarray:
-        """For each row, the first slot of the sorted slot array
-        *eligible* at or clockwise of *cursor* whose owner is not among
-        the row's *chosen* owners.  The caller guarantees one exists.
-
-        One ``searchsorted`` lands every row on its next eligible slot;
-        rows that landed on a server they already hold step to the next
-        eligible slot, and only those rows are probed again.
-        """
-        size = eligible.size
-        at = eligible.searchsorted(cursor)
-        at[at == size] = 0
-        match = eligible[at]
-        if not chosen:
-            return match
-        owners = self._ring._owners
-        again = np.arange(match.size)    # rows not yet known to be free
-        while True:
-            own = owners[match[again]]
-            clash = chosen[0][again] == own
-            for col in chosen[1:]:
-                clash |= col[again] == own
-            again = again[clash]
-            if not again.size:
-                return match
-            step = at[again] + 1
-            step[step == size] = 0
-            at[again] = step
-            match[again] = eligible[step]
-
-    def _fill_batch(self, slots: np.ndarray) -> None:
-        """Algorithm 1 (or the original-CH rule) for the distinct,
-        unfilled *slots*, all at once — row for row what
-        ``place_*_from_slot`` returns or raises, which
-        ``tests/core/test_kernel_batch.py`` holds it to.
-
-        Replica by replica, every row searches clockwise from its
-        cursor in the slot class of its role constraint.  A constraint
-        no server can meet is known from the class's server count, not
-        by walking the circle: the row is marked degraded and searches
-        without the constraint (§III-B).  An inactive server was
-        skipped when the next inactive slot is nearer the cursor than
-        the match is — or, for the fruitless constrained search, when
-        the ring has any inactive slot at all.
-        """
-        cls = self._slot_classes()
-        r = self._r
-        algorithm1 = self._is_primary is not None
-        if cls.n_active < r:
-            # The unconstrained search runs dry at replica n_active+1,
-            # whatever the slot: every row fails the same way.
-            msg = ("no active server" if algorithm1 and not cls.n_active
-                   else f"only {cls.n_active} of {r} replicas placeable")
-            self._flags[slots] = _FILLED | _ERROR
-            results = self._results
-            for slot in slots.tolist():
-                results[slot] = msg
-            return
-
-        owners = self._ring._owners
-        nslots = owners.size
-        inactive = cls.inactive
-        rehash = cls.rehash_cursor
-        flags = np.full(slots.size, _FILLED, dtype=np.uint8)
-        held_primaries = np.zeros(slots.size, dtype=np.intp)
-        chosen: List[np.ndarray] = []
-        cursor = slots
-        for i in range(r):
-            role = np.full(slots.size, _ANY, dtype=np.int8)
-            if algorithm1 and (i > 0 or r == 1):
-                # Lines 3-15: secondaries only once a primary is held;
-                # the last replica must be the primary if none is.
-                has_primary = held_primaries > 0
-                role[has_primary] = _SEC
-                unmet = has_primary & (i - held_primaries
-                                       >= cls.n_secondary)
-                if i == r - 1:
-                    role[~has_primary] = _PRI
-                    if not cls.n_primary:
-                        unmet |= ~has_primary
-                role[unmet] = _ANY
-                flags[unmet] |= (_DEGRADED | _SKIPPED if inactive.size
-                                 else _DEGRADED)
-            match = np.empty(slots.size, dtype=np.intp)
-            for code, eligible in enumerate(cls.by_role):
-                rows = np.flatnonzero(role == code)
-                if rows.size == slots.size:
-                    match = self._next_free(eligible, cursor, chosen)
-                elif rows.size:
-                    match[rows] = self._next_free(
-                        eligible, cursor[rows],
-                        [col[rows] for col in chosen])
-            if inactive.size:
-                reach = match - cursor
-                reach[reach < 0] += nslots
-                at = inactive.searchsorted(cursor)
-                at[at == inactive.size] = 0
-                gap = inactive[at] - cursor
-                gap[gap < 0] += nslots
-                flags[gap < reach] |= _SKIPPED
-            own = owners[match]
-            chosen.append(own)
-            held_primaries += cls.is_primary[own]
-            if rehash is not None:
-                cursor = rehash[own]
-            else:
-                cursor = match + 1
-                cursor[cursor == nslots] = 0
-        self._servers[slots] = np.stack(chosen, axis=1)
-        self._flags[slots] = flags
+            res = self._results[slot] = PlacementResult(
+                tuple([slist[i] for i in self._servers[slot].tolist()]),
+                degraded=bool(flags & _DEGRADED),
+                skipped_inactive=bool(flags & _SKIPPED))
+        return res
 
     def gather(self, slots: np.ndarray) -> BulkPlacement:
         """Vectorised placement of a slot array."""
-        hits = self.fill(slots)
-        if OBS.hot and hits:
-            OBS.metrics.inc("ring.table_hits", hits)
-        idx = self._servers[slots]
+        ids = self._server_ids
+        if self._error is not None:
+            return BulkPlacement(
+                servers=np.full((slots.size, self._r),
+                                -1 if ids.dtype.kind in "iu" else None,
+                                dtype=ids.dtype),
+                degraded=np.zeros(slots.size, dtype=bool),
+                skipped_inactive=np.zeros(slots.size, dtype=bool),
+                ok=np.zeros(slots.size, dtype=bool),
+                reasons=dict.fromkeys(range(slots.size), self._error))
         flags = self._flags[slots]
-        ok = (flags & _ERROR) == 0
-        ids = self._server_ids[idx]      # -1 reads the last id: masked next
-        reasons: Dict[int, str] = {}
-        bad = np.flatnonzero(~ok)
-        if bad.size:
-            ids[bad] = -1 if ids.dtype.kind in "iu" else None
-            results = self._results
-            reasons = {i: results[s] for i, s in
-                       zip(bad.tolist(), slots[bad].tolist())}
         return BulkPlacement(
-            servers=ids,
+            servers=ids[self._servers[slots]],
             degraded=(flags & _DEGRADED) != 0,
             skipped_inactive=(flags & _SKIPPED) != 0,
-            ok=ok,
-            reasons=reasons,
-        )
+            ok=np.ones(slots.size, dtype=bool))
 
 
 class PlacementKernel:
@@ -510,11 +429,12 @@ class PlacementKernel:
     # ------------------------------------------------------------------
     def table(self, key: Hashable,
               is_active: Optional[Predicate]) -> SlotPlacementTable:
-        """The (lazily created) slot table for one membership *key*.
+        """The slot table for one membership *key*, built whole the
+        first time the key is asked for.
 
         *is_active* must be the pure membership predicate belonging to
-        *key*; it is captured at table creation, which is sound because
-        membership tables are immutable.
+        *key*; it is evaluated once per server at table creation, which
+        is sound because membership tables are immutable.
         """
         if (key == self._last_key
                 and self._ring.generation == self._generation):
@@ -540,7 +460,7 @@ class PlacementKernel:
         """Successor slot of *oid*, memoized per ring generation.
 
         The cache is what turns a repeated scalar ``locate`` into two
-        dict hits: oid→slot here, slot→result in the table.
+        lookups: oid→slot here, slot→result in the table.
         """
         slot = self._slot_cache.get(oid)
         if slot is None:

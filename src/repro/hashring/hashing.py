@@ -18,14 +18,15 @@ Two families are provided:
     restores full avalanche at negligible cost.  This is the default
     used throughout the reproduction.
 
-Both accept ``str``, ``bytes`` and ``int`` keys; integers are encoded as
-their decimal string so that object ids hash identically whether the
-caller stores them as ints or strings.
+Both accept ``str``, ``bytes`` and integer keys; integers (NumPy ones
+included) are encoded as their decimal string so that object ids hash
+identically whether the caller stores them as ints or strings.
 """
 
 from __future__ import annotations
 
 import hashlib
+from numbers import Integral
 from typing import Iterable, Literal, Union
 
 import numpy as np
@@ -54,6 +55,8 @@ def _to_bytes(key: Key) -> bytes:
         return b"%d" % key
     if isinstance(key, str):
         return key.encode("utf-8")
+    if isinstance(key, Integral):    # NumPy integers: the same oid
+        return b"%d" % int(key)
     raise TypeError(f"unhashable key type for ring hashing: {type(key)!r}")
 
 

@@ -8,9 +8,10 @@ found walking clockwise from the key's own hash.
 Implementation notes
 --------------------
 * Positions live in a single sorted ``numpy.uint64`` array with a
-  parallel ``intp`` array of owning-server indices, so a successor
-  lookup is one ``np.searchsorted`` (O(log V)) and bulk lookups
-  vectorise.
+  parallel ``intp`` array of owning-server indices, so bulk successor
+  lookups are one ``np.searchsorted``; the same positions are kept as
+  a list of Python ints, so a scalar successor lookup is one
+  ``bisect_left`` (O(log V), exact, no NumPy scalar boxing).
 * Membership changes rebuild the arrays (O(V log V)).  Resizes are rare
   relative to placements, and — crucially for the elastic design —
   powering a server *off* does **not** remove it from the ring (§IV:
@@ -24,6 +25,8 @@ Implementation notes
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from numbers import Integral
 from time import perf_counter
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
@@ -60,6 +63,7 @@ class HashRing:
         self._weights: Dict[ServerId, int] = {}
         # Parallel arrays, rebuilt lazily on membership change.
         self._positions = np.empty(0, dtype=np.uint64)
+        self._position_ints: List[int] = []     # _positions.tolist()
         self._owners = np.empty(0, dtype=np.intp)
         self._vnode_idx = np.empty(0, dtype=np.intp)
         self._server_list: List[ServerId] = []
@@ -173,6 +177,7 @@ class HashRing:
             self._positions = np.empty(0, dtype=np.uint64)
             self._owners = np.empty(0, dtype=np.intp)
             self._vnode_idx = np.empty(0, dtype=np.intp)
+        self._position_ints = self._positions.tolist()
         self._dirty = False
 
     # ------------------------------------------------------------------
@@ -180,29 +185,32 @@ class HashRing:
     # ------------------------------------------------------------------
     def key_position(self, key: Hashable) -> int:
         """Ring position of a data key."""
-        return hash64(key if isinstance(key, (str, bytes, int)) else repr(key),
-                      self.hash_method)
+        # Integral last: only a key that is none of the builtin types
+        # pays the ABC check (a NumPy integer is the oid it equals, not
+        # its repr).
+        return hash64(
+            key if isinstance(key, (str, bytes, int, Integral))
+            else repr(key), self.hash_method)
+
+    def _slot_at(self, position: int) -> int:
+        """:meth:`successor_slot` on a rebuilt, non-empty ring."""
+        positions = self._position_ints
+        slot = bisect_left(positions, position)
+        return slot if slot < len(positions) else 0
 
     def successor_slot(self, position: int) -> int:
         """Index (into the vnode arrays) of the first vnode at or after
         *position*, wrapping at the top of the ring."""
         self._rebuild_if_dirty()
-        if self._positions.size == 0:
+        if not self._position_ints:
             raise LookupError("ring is empty")
-        # ndarray-method searchsorted: skips the np.searchsorted
-        # dispatch wrapper, which is measurable at per-IO call rates.
-        # The np.uint64 wrap is load-bearing — a raw int needle would
-        # upcast the uint64 comparison to float64 and lose precision.
         if OBS.hot:   # per-lookup profiling (--stats / perf runs)
             t0 = perf_counter()
-            slot = int(self._positions.searchsorted(np.uint64(position),
-                                                    side="left"))
+            slot = self._slot_at(position)
             OBS.metrics.observe("perf.ring.successor", perf_counter() - t0)
             OBS.metrics.inc("ring.lookups")
-            return slot % self._positions.size
-        slot = int(self._positions.searchsorted(np.uint64(position),
-                                                side="left"))
-        return slot % self._positions.size
+            return slot
+        return self._slot_at(position)
 
     def successor(self, key: Hashable) -> ServerId:
         """Physical server owning the first vnode clockwise of *key*."""
@@ -218,11 +226,10 @@ class HashRing:
         placement algorithms).
         """
         self._rebuild_if_dirty()
-        n = self._positions.size
+        n = len(self._position_ints)
         if n == 0:
             return
-        start = int(np.searchsorted(self._positions, np.uint64(position),
-                                    side="left")) % n
+        start = self._slot_at(position)
         for i in range(n):
             yield (start + i) % n
 

@@ -1,5 +1,6 @@
 """The ElasticConsistentHash facade."""
 
+import numpy as np
 import pytest
 
 from repro.core.elastic import ElasticConsistentHash
@@ -100,6 +101,27 @@ class TestLocate:
         for oid in range(200):
             res = ech10.locate(oid)
             assert sum(1 for s in res.servers if ech10.is_primary(s)) == 1
+
+
+    @pytest.mark.parametrize("numpy_first", [True, False])
+    def test_numpy_integer_oid_is_the_same_object(self, numpy_first):
+        """Regression: ``locate(np.int64(o))`` hashed ``repr(o)``, placed
+        188 of 199 oids elsewhere than ``locate(o)`` — and, the two
+        being equal dict keys, left that slot in the oid→slot cache for
+        the next ``locate(o)``."""
+        ech = ElasticConsistentHash(n=10, replicas=2, B=200)
+        want = ElasticConsistentHash(n=10, replicas=2, B=200)
+        for o in range(1, 200):
+            shapes = [lambda: ech.locate(np.int64(o)),
+                      lambda: ech.locate(o)]
+            if not numpy_first:
+                shapes.reverse()
+            got = [shape() for shape in shapes]
+            bulk = ech.locate_bulk(np.array([o]))
+            ref = want._locate_reference(o, want.history.current)
+            assert got[0] == got[1] == bulk.result(0) == ref
+        assert ech.ring.key_position(np.int64(7)) == \
+            ech.ring.key_position(7)
 
 
 class TestRecordWrite:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.elastic import ElasticConsistentHash
-from repro.core.kernel import PlacementKernel
+from repro.core.kernel import PlacementKernel, SlotPlacementTable
 from repro.core.placement import (
     place_original_from_slot,
     place_primary_from_slot,
@@ -105,15 +105,15 @@ class TestLocateEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n,chain,mode", CASES)
     def test_scalar_and_bulk_match_reference(self, seed, n, chain, mode):
-        """Scalar first: the walk fills every slot, the bulk call that
-        follows is all table hits."""
+        """Scalar first: the lookups build the table and their result
+        objects, the bulk call that follows gathers the same rows."""
         self._check(seed, n, chain, mode, bulk_first=False)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("n,chain,mode", CASES)
     def test_bulk_first_matches_reference(self, seed, n, chain, mode):
-        """Bulk first: the batched fill settles every slot, the scalar
-        lookups that follow read its rows."""
+        """Bulk first: the gather builds the table, the scalar lookups
+        that follow materialise results from its rows."""
         self._check(seed, n, chain, mode, bulk_first=True)
 
     def _check(self, seed, n, chain, mode, bulk_first):
@@ -153,7 +153,7 @@ class TestLocateEquivalence:
         for version in [None] + list(range(1, ech.current_version + 1)):
             refs = [reference(ech, oid, version) for oid in oids]
             # Every version starts cold, so the first check is the one
-            # that fills the table.
+            # that builds the table.
             ech.invalidate_placement_cache()
             for check in checks:
                 check(version, refs)
@@ -234,27 +234,57 @@ class TestInvalidation:
 
 
 class TestKernelInternals:
-    def test_lazy_fill(self):
+    def test_table_is_whole_at_construction(self):
+        """Every row is there before the first lookup, and traffic
+        changes none of them."""
         ech = ElasticConsistentHash(n=10, replicas=2, B=200)
         tbl = ech._kernel.table(1, ech.history.current.is_active)
-        assert tbl.filled_slots == 0
+        servers, flags = tbl._servers.copy(), tbl._flags.copy()
+        assert servers.shape == (tbl.num_slots, 2)
+        assert (servers >= 0).all()
         ech.locate(42)
-        assert tbl.filled_slots >= 1
         ech.locate_bulk(range(100))
-        assert 0 < tbl.filled_slots <= tbl.num_slots
+        assert ech._kernel.table(1, ech.history.current.is_active) is tbl
+        assert np.array_equal(tbl._servers, servers)
+        assert np.array_equal(tbl._flags, flags)
 
-    def test_table_hits_metric(self):
+    def test_one_table_construction_per_version_touched(self, monkeypatch):
+        built = []
+        init = SlotPlacementTable.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SlotPlacementTable, "__init__", counted)
         ech = ElasticConsistentHash(n=10, replicas=2, B=200)
-        ech.locate(42)
-        OBS.hot = True
-        try:
-            before = OBS.metrics.counter("ring.table_hits").value
-            ech.locate(42)                    # scalar table hit
-            ech.locate_bulk([42, 42, 42])     # three bulk table hits
-            after = OBS.metrics.counter("ring.table_hits").value
-        finally:
-            OBS.hot = False
-        assert after - before == 4
+        for k in (6, 8, 4):
+            ech.set_active(k)           # versions 2, 3, 4
+        assert built == []              # a resize alone builds nothing
+        for version in (1, 3, 3, 1, None, 3):
+            ech.locate(7, version)
+            ech.locate_bulk(range(300), version)
+            for oid in range(50):
+                ech.locate(oid, version)
+        assert len(built) == 3          # versions 1, 3 and 4 — never 2
+        assert set(ech._kernel.cached_tables) == {1, 3, 4}
+
+    def test_evicted_version_rebuilds_identical_rows(self):
+        ech = ElasticConsistentHash(n=10, replicas=3, B=200)
+        ech._kernel._max_tables = 2
+        for k in (6, 8):
+            ech.set_active(k)
+        first = ech._kernel.table(1, ech.history.get(1).is_active)
+        results = [first.lookup(slot) for slot in range(first.num_slots)]
+        for version in (2, 3):
+            ech.locate(7, version)
+        assert 1 not in ech._kernel.cached_tables
+        again = ech._kernel.table(1, ech.history.get(1).is_active)
+        assert again is not first
+        assert np.array_equal(again._servers, first._servers)
+        assert np.array_equal(again._flags, first._flags)
+        assert [again.lookup(slot)
+                for slot in range(again.num_slots)] == results
 
     def test_requires_primary_oracle(self):
         ring = HashRing()

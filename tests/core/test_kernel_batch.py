@@ -1,14 +1,16 @@
-"""The batched slot fill: ``SlotPlacementTable.fill`` must settle a
-batch of cold slots exactly as one reference walk per slot would —
+"""The whole-table array pass: a :class:`SlotPlacementTable` must hold,
+for every slot, exactly what one reference walk of that slot says —
 servers, ``degraded``, ``skipped_inactive`` and the ``LookupError``
-message — and must never take the walk itself."""
+message — and the product must never take the walk itself."""
+
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.core.kernel as kernel_mod
+import repro.core.placement as placement_mod
 from repro.core.elastic import ElasticConsistentHash
 from repro.core.kernel import PlacementKernel
 from repro.core.placement import (
@@ -88,11 +90,10 @@ class TestBatchedFillProperty:
     @given(ech=clusters(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_cold_bulk_fill_equals_walk(self, ech, data):
-        """Bulk-fill a cold table with a random slot subset, interleave
-        scalar lookups and further bulk fills, then compare *every*
-        slot with the walk."""
+        """Read a cold table through a random interleaving of scalar
+        lookups and bulk gathers, then compare *every* slot with the
+        walk."""
         table, tbl = cold_table(ech)
-        assert tbl.filled_slots == 0
         slot = st.integers(min_value=0, max_value=tbl.num_slots - 1)
         for step in data.draw(st.lists(
                 st.one_of(slot, st.lists(slot, min_size=1, max_size=40)),
@@ -108,7 +109,6 @@ class TestBatchedFillProperty:
             else:
                 assert_slots_match_walk(ech, table, tbl, step)
         assert_slots_match_walk(ech, table, tbl, range(tbl.num_slots))
-        assert tbl.filled_slots == tbl.num_slots
 
 
 def _every_power_level(ech):
@@ -121,8 +121,8 @@ def _every_power_level(ech):
 
 class TestEverySlotBatched:
     """The configurations of ``TestExhaustiveEquivalence`` (and the
-    corners it leaves out), every slot settled by one cold bulk fill
-    per version."""
+    corners it leaves out), every slot of a freshly built table per
+    version."""
 
     @pytest.mark.parametrize("kwargs", [
         dict(n=4, replicas=2, chain="walk"),
@@ -218,39 +218,54 @@ class TestUnplaceableRows:
 
 @pytest.fixture
 def walks(monkeypatch):
-    """Counts the reference walks the kernel takes."""
+    """Counts the reference walks the product takes: every ``repro.*``
+    module attribute bound to ``place_*_from_slot`` is counted, however
+    the module imported it."""
     calls = []
     for name in ("place_primary_from_slot", "place_original_from_slot"):
-        fn = getattr(kernel_mod, name)
+        fn = getattr(placement_mod, name)
 
         def counted(*args, _fn=fn, **kwargs):
             calls.append(_fn.__name__)
             return _fn(*args, **kwargs)
 
-        monkeypatch.setattr(kernel_mod, name, counted)
+        for mod_name, mod in list(sys.modules.items()):
+            if mod is None or not mod_name.startswith("repro."):
+                continue
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
     return calls
 
 
 class TestWalkCounts:
-    """The call shape selects the fill: a bulk call never walks, a
-    scalar miss walks once."""
+    """The reference walks are the oracle, never a product path:
+    whatever the traffic, the kernel answers from its array pass."""
+
+    def test_fixture_counts_the_oracle(self, walks):
+        ech = ElasticConsistentHash(n=10, replicas=2, B=200)
+        ech._locate_reference(42, ech.history.current)
+        assert walks == ["place_primary_from_slot"]
 
     @pytest.mark.parametrize("mode", ["primary", "original"])
-    def test_bulk_never_walks_scalar_miss_walks_once(self, walks, mode):
+    def test_product_never_takes_reference_walk(self, walks, mode):
         ech = ElasticConsistentHash(n=10, replicas=2, B=200,
                                     placement_mode=mode)
-        ech.set_active(6)
+        for oid in range(300):                # scalar only, cold table
+            ech.locate(oid)
+        ech.set_active(6)                     # bulk only, cold table
         ech.locate_bulk(range(2_000))
         ech.locate_bulk([5])                  # a one-key batch too
-        assert walks == []
-        for oid in range(100):                # bulk-filled: table hits
+        ech.set_active(8)                     # interleaved, cold table
+        for oid in range(0, 400, 40):
             ech.locate(oid)
+            ech.locate_bulk(range(oid, oid + 40))
+            ech.locate(oid + 1, version=1)
+            ech.record_write(oid)
+        ech.mark_failed(7)                    # every table dropped
+        ech.locate(42)
+        ech.locate_bulk(range(100), version=2)
         assert walks == []
-        ech.set_active(8)                     # cold table
-        ech.locate(42)
-        assert walks == [f"place_{mode}_from_slot"]
-        ech.locate(42)
-        assert len(walks) == 1
 
     def test_cold_sweep_at_minimum_power_takes_no_walk(self, walks):
         ech = ElasticConsistentHash(n=100, replicas=3)
@@ -258,3 +273,50 @@ class TestWalkCounts:
         bulk = ech.locate_bulk(range(20_000))
         assert walks == []
         assert bulk.all_ok and bulk.degraded.all()
+
+
+class TestUnplaceableTable:
+    """r > active: nothing is placeable, and the table says so once."""
+
+    @staticmethod
+    def _build(B):
+        ech = ElasticConsistentHash(n=6, replicas=3, B=B, p=1)
+        ech.history.advance([1, 4])
+        asked = []
+        table = ech.history.current
+
+        def is_active(rank):
+            asked.append(rank)
+            return table.is_active(rank)
+
+        ech.invalidate_placement_cache()
+        return ech, ech._kernel.table(table.version, is_active), asked
+
+    def test_build_does_no_per_slot_python_work(self):
+        """The membership predicate runs once per server and the
+        message exists once, however many slots the ring has."""
+        for B in (60, 6_000):
+            ech, tbl, asked = self._build(B)
+            assert tbl.num_slots >= B
+            assert sorted(asked) == list(ech.layout.ranks)
+            assert tbl._error == "only 2 of 3 replicas placeable"
+            assert set(tbl._results) == {None}
+
+    def test_reasons_and_result_text(self):
+        ech, tbl, _ = self._build(60)
+        slots = np.array([0, 5, 5, tbl.num_slots - 1])
+        bulk = tbl.gather(slots)
+        assert not bulk.ok.any() and (bulk.servers == -1).all()
+        assert not bulk.degraded.any() and not bulk.skipped_inactive.any()
+        assert dict(bulk.reasons) == dict.fromkeys(
+            range(4), "only 2 of 3 replicas placeable")
+        for i, slot in enumerate(slots.tolist()):
+            with pytest.raises(LookupError) as bulk_err:
+                bulk.result(i)
+            with pytest.raises(LookupError) as scalar_err:
+                tbl.lookup(slot)
+            assert str(bulk_err.value) == str(scalar_err.value) \
+                == "only 2 of 3 replicas placeable"
+        with pytest.raises(LookupError, match=r"only 2 of 3 replicas "
+                                              r"placeable \(oid 9\)"):
+            ech.locate(9)

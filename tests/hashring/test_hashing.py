@@ -22,6 +22,16 @@ class TestHash64:
     def test_bytes_and_str_agree(self):
         assert hash64(b"abc") == hash64("abc")
 
+    @pytest.mark.parametrize("np_int", [np.int64, np.int32, np.uint64,
+                                        np.intp])
+    def test_numpy_integers_hash_as_their_value(self, np_int):
+        """Regression: ``hash64(np.int64(5))`` raised ``TypeError``."""
+        for value in (0, 5, 10010, 2 ** 31 - 1):
+            assert hash64(np_int(value)) == hash64(value)
+            assert hash64(np_int(value), "sha1") == hash64(value, "sha1")
+        assert bulk_hash([np_int(5), np_int(7)]).tolist() == \
+            [hash64(5), hash64(7)]
+
     def test_different_keys_differ(self):
         assert hash64("a") != hash64("b")
 

@@ -1,9 +1,15 @@
 """HashRing: membership, lookups, walks, views, arc shares."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.hashring.ring as ring_mod
 from repro.hashring.ring import HashRing
+from repro.obs.runtime import OBS
 
 
 @pytest.fixture
@@ -113,6 +119,68 @@ class TestLookup:
         moved = sum(1 for k in keys if ring.successor(k) != before[k])
         # New server owns ~1/6 of the ring; allow generous slack.
         assert 0.08 < moved / len(keys) < 0.26
+
+
+TOP = 2 ** 64 - 1
+
+
+@st.composite
+def colliding_rings(draw):
+    """A ring whose vnode positions come from a pool of a few values
+    (the ends of the circle among them), so several vnodes — of one
+    server and of different servers — share a position."""
+    pool = draw(st.lists(st.integers(0, TOP), min_size=1, max_size=5))
+    pool += draw(st.lists(st.sampled_from([0, 1, TOP - 1, TOP]),
+                          max_size=2))
+    per_server = draw(st.lists(
+        st.lists(st.sampled_from(pool), min_size=1, max_size=6),
+        min_size=1, max_size=5))
+    ring = HashRing()
+    for sid, positions in enumerate(per_server):
+        ring.add_server(sid, weight=len(positions))
+    with mock.patch.object(
+            ring_mod, "vnode_positions",
+            lambda sid, count, method: np.array(per_server[sid],
+                                                dtype=np.uint64)):
+        assert ring.num_vnodes == sum(map(len, per_server))
+    return ring
+
+
+class TestScalarSuccessor:
+    """``successor_slot`` (a bisect over Python ints) is the same
+    function as the array ``searchsorted`` it replaced and as the bulk
+    lookup, ties and wrap-around included."""
+
+    @given(ring=colliding_rings(), hot=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_searchsorted_and_bulk(self, ring, hot):
+        positions = ring._positions
+        nslots = positions.size
+        probes = {0, TOP}
+        for at in positions.tolist():
+            probes |= {at, max(at - 1, 0), min(at + 1, TOP)}
+        OBS.hot = hot
+        try:
+            for p in sorted(probes):
+                want = int(np.searchsorted(positions, np.uint64(p),
+                                           side="left")) % nslots
+                assert ring.successor_slot(p) == want
+                assert ring.bulk_successor_slots(
+                    np.array([p], dtype=np.uint64))[0] == want
+                assert next(ring.walk_slots(p)) == want
+        finally:
+            OBS.hot = False
+
+    def test_wraps_past_the_last_vnode(self, ring):
+        nslots = ring.num_vnodes
+        last = int(ring._positions[-1])
+        assert last < TOP
+        assert ring.successor_slot(last) == nslots - 1
+        assert ring.successor_slot(last + 1) == 0
+        assert list(ring.walk_slots(last + 1))[:2] == [0, 1]
+
+    def test_walk_slots_on_empty_ring_is_silent(self):
+        assert list(HashRing().walk_slots(5)) == []
 
 
 class TestBulkSuccessor:
