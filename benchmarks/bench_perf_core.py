@@ -196,3 +196,53 @@ def bench_dirty_table_insert(benchmark):
         table.insert(next(counter), 1)
 
     benchmark(insert)
+
+
+# ----------------------------------------------------------------------
+# replicated KV: the whole-keyspace passes (what a kv_churn rep repeats
+# 23 + 61 times)
+# ----------------------------------------------------------------------
+def _kv_in_sync(nodes=15, replicas=3, keys=900):
+    """The ``kv_churn`` shape — every key acked and fully replicated."""
+    from repro.kvstore.replicated import ReplicatedKVStore
+    store = ReplicatedKVStore(list(range(1, nodes + 1)), replicas=replicas)
+    for i in range(keys):
+        store.set(f"k{i:03d}", i)
+    return store
+
+
+def bench_kv_anti_entropy_in_sync(benchmark):
+    """One anti-entropy pass over 900 keys that are all in sync:
+    nothing to copy or drop (the common case of a pass — 78 % of key
+    visits on kv_churn, 96 % on chaos_n30)."""
+    store = _kv_in_sync()
+    copied = benchmark(store.anti_entropy)
+    assert copied == 0
+
+
+def bench_kv_audit_in_sync(benchmark):
+    """One ledger-vs-replica audit of 900 acked keys, all in sync."""
+    store = _kv_in_sync()
+    report = benchmark(store.audit)
+    assert (report["keys"], report["lost_acked"],
+            report["under_replicated"]) == (900, 0, 0)
+
+
+def bench_kv_view_commit_one_member(benchmark):
+    """Commit a view that retires one of 15 members: ~R/N of the 900
+    keys lose an owner and are re-replicated, the rest are in sync
+    (re-admitting the member between rounds is untimed)."""
+    store = _kv_in_sync()
+    members = list(store.members)
+
+    def readmit_and_propose():
+        store.change_view(members)
+        store.propose_view(members[:-1])
+
+    benchmark.pedantic(store.commit_view, setup=readmit_and_propose,
+                       rounds=30)
+    readmit_and_propose()
+    before = store.stats["repair_copies"]
+    store.commit_view()
+    moved = store.stats["repair_copies"] - before
+    assert 0.5 * 900 * 3 / 15 < moved < 2 * 900 * 3 / 15

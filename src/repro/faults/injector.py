@@ -197,5 +197,7 @@ class FaultInjector:
 
     def link_blocked(self, ranks: Iterable[int]) -> bool:
         """Would a transfer spanning *ranks* cross a dead link?"""
+        if not self._lost_links:
+            return False
         rs = set(ranks)
         return any(pair <= rs for pair in self._lost_links)

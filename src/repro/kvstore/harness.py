@@ -216,9 +216,9 @@ def run_kv_churn(
     quorum until one heals, and a write that exhausts its retries
     meanwhile is quarantined — the run ends ``DEGRADED`` (``--seed 6
     --nodes 15 --clients 32 --keys 900 --duration 600`` does).  Pass
-    a *plan* with disjoint windows to rule that out.  *dt*,
-    *churn_every* and *audit_every* are periods in simulated seconds
-    and must be finite and ``> 0``.  All randomness lives in the plan
+    a *plan* with disjoint windows to rule that out.  *duration*, *dt*,
+    *churn_every* and *audit_every* are simulated seconds and must be
+    finite and ``> 0``.  All randomness lives in the plan
     and one ``default_rng(seed)`` stream; the run is otherwise a pure
     function of its parameters, which is what makes same-seed traces
     byte-identical.
@@ -229,7 +229,8 @@ def run_kv_churn(
         raise ValueError("clients must be >= 1")
     if keys < 3:
         raise ValueError("keys must be >= 3 (strings, counters, lists)")
-    require_periods(dt=dt, churn_every=churn_every, audit_every=audit_every)
+    require_periods(duration=duration, dt=dt, churn_every=churn_every,
+                    audit_every=audit_every)
     if plan is None:
         plan = FaultPlan.generate(seed, n=nodes,
                                   duration=max(0.6 * duration, 3 * dt),

@@ -26,8 +26,8 @@ flows.  :class:`ReplicatedKVStore` layers all of that on the existing
   and monotonic-reads hold across live resharding: a read that cannot
   satisfy its session floor fails (``unavailable``) instead of
   returning stale data;
-* **crash/partition handling** — :meth:`crash_node` wipes a node (a
-  crash loses its local data, as in
+* **crash/partition handling** — :meth:`crash_node` drops the node's
+  copy of every key (a crash loses its local data, as in
   :meth:`repro.cluster.cluster.ElasticCluster.crash_server`);
   :meth:`repair_node` re-admits it empty and immediately re-replicates
   toward it; a ``link_blocked`` predicate (wire it to
@@ -45,6 +45,12 @@ Every decision the consistency checkers care about is emitted as a
 ``kv.read.fail``, ``kv.repair`` and ``kv.audit``.  All iteration is
 over sorted structures, so a seeded run's event stream is
 byte-identical across replays.
+
+Replicas are stored **key-major**: one ``key -> {node: copy}`` mapping
+holds every copy there is, so the whole-keyspace passes (anti-entropy,
+:meth:`~ReplicatedKVStore.audit`) read a key's ~R copies instead of
+asking every node, and settle a key that is already in sync — exactly
+R copies, one per owner, vectors all equal — without repair work.
 
 The command surface mirrors :class:`~repro.kvstore.store.KVStore`
 (strings + Redis LISTs), so :class:`~repro.core.dirty_table.DirtyTable`
@@ -180,21 +186,6 @@ class _Versioned:
         return _Versioned(vv=dict(self.vv), state=state)
 
 
-class _Node:
-    """One storage node: key -> versioned state, wiped on crash."""
-
-    def __init__(self, node_id: NodeId) -> None:
-        self.node_id = node_id
-        self.data: Dict[str, _Versioned] = {}
-
-    def wipe(self) -> None:
-        self.data = {}
-
-    def live_keys(self) -> List[str]:
-        return sorted(k for k, v in self.data.items()
-                      if v.state is not None)
-
-
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
@@ -260,9 +251,16 @@ class ReplicatedKVStore:
         self._vnodes = vnodes_per_node
         self._link_blocked = link_blocked
         self._on_no_quorum = on_no_quorum
-        #: Every node ever seen — data survives leaving a view (the
-        #: elastic principle: powering down is not a crash).
-        self._nodes: Dict[NodeId, _Node] = {}
+        #: Every node ever seen -> its rank in ``str`` order (and kept
+        #: in that order); data survives leaving a view (the elastic
+        #: principle: powering down is not a crash).
+        self._nodes: Dict[NodeId, int] = {}
+        #: The only replica storage: ``key -> {node: copy}``.  A key
+        #: with no copy left has no entry.
+        self._copies: Dict[str, Dict[NodeId, _Versioned]] = {}
+        #: ``key -> ring position``: a pure function of the key and the
+        #: hash method, so nothing ever invalidates it.
+        self._positions: Dict[str, int] = {}
         self._down: set = set()
         self._members: Tuple[NodeId, ...] = tuple(node_ids)
         self._build_ring(node_ids)
@@ -286,12 +284,10 @@ class ReplicatedKVStore:
     # ------------------------------------------------------------------
     # membership: epoch-numbered views
     # ------------------------------------------------------------------
-    def _admit(self, node_id: NodeId) -> _Node:
-        node = self._nodes.get(node_id)
-        if node is None:
-            node = _Node(node_id)
-            self._nodes[node_id] = node
-        return node
+    def _admit(self, node_id: NodeId) -> None:
+        if node_id not in self._nodes:
+            self._nodes = {nid: rank for rank, nid in enumerate(
+                sorted([*self._nodes, node_id], key=str))}
 
     def _build_ring(self, members: Sequence[NodeId]) -> None:
         """A fresh ring over *members* and, with it, an empty
@@ -315,7 +311,7 @@ class ReplicatedKVStore:
     @property
     def node_ids(self) -> List[NodeId]:
         """Every node ever admitted (sorted), member or not."""
-        return sorted(self._nodes, key=str)
+        return list(self._nodes)
 
     def propose_view(self, members: Sequence[NodeId]) -> int:
         """Stage the next view (epoch + 1).  Ops keep running against
@@ -374,7 +370,12 @@ class ReplicatedKVStore:
         unchanged — a crash is not a resize."""
         if node_id not in self._nodes:
             raise KeyError(f"unknown node: {node_id!r}")
-        self._nodes[node_id].wipe()
+        emptied = []
+        for key, copies in self._copies.items():
+            if copies.pop(node_id, None) is not None and not copies:
+                emptied.append(key)
+        for key in emptied:
+            del self._copies[key]
         self._down.add(node_id)
         if OBS.bus.active:
             OBS.bus.emit("kv.node.crash", node=str(node_id))
@@ -404,16 +405,24 @@ class ReplicatedKVStore:
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    def replica_set(self, key: str) -> List[NodeId]:
-        """The R members owning *key* under the committed view: first
-        R distinct members clockwise from the key's hash (walked once
-        per key per view; the caller gets its own list)."""
+    def _owners_of(self, key: str) -> Tuple[NodeId, ...]:
+        """The owner table's entry for *key*: hashed once per store,
+        walked once per view."""
         owners = self._owners.get(key)
         if owners is None:
+            position = self._positions.get(key)
+            if position is None:
+                position = self._positions[key] = \
+                    self._ring.key_position(key)
             owners = self._owners[key] = tuple(islice(
-                self._ring.walk_servers(self._ring.key_position(key)),
-                self.replicas))
-        return list(owners)
+                self._ring.walk_servers(position), self.replicas))
+        return owners
+
+    def replica_set(self, key: str) -> List[NodeId]:
+        """The R members owning *key* under the committed view: first
+        R distinct members clockwise from the key's hash (the caller
+        gets its own list)."""
+        return list(self._owners_of(key))
 
     def coordinator_for(self, key: str) -> NodeId:
         return self.replica_set(key)[0]
@@ -441,15 +450,16 @@ class ReplicatedKVStore:
         """Poll the replica set: ``(replies, reachable, coordinator)``.
         A reachable replica that has never seen the key replies with an
         empty vector (it can still acknowledge a write)."""
-        targets = self.replica_set(key)
+        targets = self._owners_of(key)
         coordinator = targets[0]
+        copies = self._copies.get(key, {})
         replies: List[Tuple[NodeId, _Versioned]] = []
         reachable: List[NodeId] = []
         for nid in targets:
             if not self._reachable(nid, coordinator):
                 continue
             reachable.append(nid)
-            versioned = self._nodes[nid].data.get(key)
+            versioned = copies.get(nid)
             replies.append((nid, versioned if versioned is not None
                             else _Versioned(vv={}, state=None)))
         return replies, reachable, coordinator
@@ -478,8 +488,10 @@ class ReplicatedKVStore:
         """Store *versioned* on every target; returns the ack list.
         Mutants override this to drop writes after acking."""
         acked: List[NodeId] = []
+        # (_mutate never replicates to nobody: no empty entry is left)
+        copies = self._copies.setdefault(key, {})
         for nid in targets:
-            self._nodes[nid].data[key] = versioned.copy()
+            copies[nid] = versioned.copy()
             acked.append(nid)
         return acked
 
@@ -592,7 +604,7 @@ class ReplicatedKVStore:
         # and deterministic).
         for nid, versioned in replies:
             if versioned.vv != best.vv:
-                self._nodes[nid].data[key] = best.copy()
+                self._copies[key][nid] = best.copy()
                 self.stats["repair_copies"] += 1
         self.stats["reads"] += 1
         if degraded:
@@ -617,33 +629,40 @@ class ReplicatedKVStore:
         Mutants override this to skip repair."""
         copied = 0
         dropped = 0
-        order = sorted(self._nodes, key=str)
-        for key in self._all_keys(include_tombstones=True):
-            holders = [nid for nid in order if key in self._nodes[nid].data]
-            best = self._newest(self._nodes[nid].data[key]
-                                for nid in holders)
-            if best is None:
-                continue
-            owners = self.replica_set(key)
+        rank = self._nodes.__getitem__
+        for key in sorted(self._copies):
+            copies = self._copies[key]
+            owners = self._owners_of(key)
+            if len(copies) == self.replicas and owners[0] in copies:
+                # In sync — one copy per owner (R copies, every owner
+                # among them: no stray to drop, none missing), vectors
+                # all equal (none stale): nothing to copy or drop.
+                vv = copies[owners[0]].vv
+                for nid in owners:
+                    have = copies.get(nid)
+                    if have is None or have.vv != vv:
+                        break
+                else:
+                    continue
+            holders = sorted(copies, key=rank)
+            best = self._newest(copies[nid] for nid in holders)
             coordinator = owners[0]
             for nid in owners:
                 if not self._reachable(nid, coordinator):
                     continue
-                have = self._nodes[nid].data.get(key)
+                have = copies.get(nid)
                 if have is None or have.vv != best.vv:
-                    self._nodes[nid].data[key] = best.copy()
+                    copies[nid] = best.copy()
                     copied += 1
-            owner_set = set(owners)
             for nid in holders:
-                if nid in owner_set or nid in self._down:
+                if nid in owners or nid in self._down:
                     continue
                 # The old owner hands off only once an in-view replica
                 # holds a copy at least as new as its own.
-                if any(self._nodes[o].data.get(key) is not None
-                       and vv_dominates(self._nodes[o].data[key].vv,
-                                        self._nodes[nid].data[key].vv)
+                if any(o in copies
+                       and vv_dominates(copies[o].vv, copies[nid].vv)
                        for o in owners):
-                    del self._nodes[nid].data[key]
+                    del copies[nid]
                     dropped += 1
         self.stats["repair_copies"] += copied
         if OBS.bus.active:
@@ -670,12 +689,30 @@ class ReplicatedKVStore:
         lost = 0
         under = 0
         live_keys = 0
-        tables = [self._nodes[nid].data
-                  for nid in sorted(self._nodes, key=str)]
+        rank = self._nodes.__getitem__
         for key in sorted(self._acked):
             acked_vv = self._acked[key]
-            newest = self._newest(table[key] for table in tables
-                                  if key in table)
+            copies = self._copies.get(key, {})
+            owners = self._owners_of(key)
+            if len(copies) == self.replicas:
+                # In sync with the ledger — one copy per owner, each
+                # at exactly the acked vector: not lost, R holders.
+                # (Equal vectors can still disagree on the state after
+                # degraded writes; then "newest" is a tie-break, below.)
+                tombstones = 0
+                for nid in owners:
+                    versioned = copies.get(nid)
+                    if versioned is None or versioned.vv != acked_vv:
+                        break
+                    tombstones += versioned.state is None
+                else:
+                    if not tombstones:
+                        live_keys += 1
+                        continue
+                    if tombstones == self.replicas:
+                        continue       # deleted: nothing to replicate
+            newest = self._newest(copies[nid]
+                                  for nid in sorted(copies, key=rank))
             if newest is None or not vv_dominates(newest.vv, acked_vv):
                 lost += 1
                 continue
@@ -683,8 +720,8 @@ class ReplicatedKVStore:
                 continue               # deleted: nothing to replicate
             live_keys += 1
             holders = 0
-            for nid in self.replica_set(key):
-                versioned = self._nodes[nid].data.get(key)
+            for nid in owners:
+                versioned = copies.get(nid)
                 if versioned is not None and (
                         versioned.vv == acked_vv
                         or vv_dominates(versioned.vv, acked_vv)):
@@ -884,27 +921,20 @@ class ReplicatedKVStore:
         return box["removed"]
 
     # -- fan-out -------------------------------------------------------
-    def _all_keys(self, include_tombstones: bool = False) -> List[str]:
-        seen: set = set()
-        for nid in sorted(self._nodes, key=str):
-            node = self._nodes[nid]
-            for key, versioned in node.data.items():
-                if include_tombstones or versioned.state is not None:
-                    seen.add(key)
-        return sorted(seen)
-
     def keys(self) -> List[str]:
-        """Every live key (union over all nodes, sorted — a
-        deterministic fan-out like the sharded store's)."""
-        return self._all_keys()
+        """Every live key (some node holds a copy that is not a
+        tombstone), sorted — a deterministic fan-out like the sharded
+        store's."""
+        return sorted(key for key, copies in self._copies.items()
+                      if any(versioned.state is not None
+                             for versioned in copies.values()))
 
     def dbsize(self) -> int:
         return len(self.keys())
 
     def flushall(self) -> None:
         """Admin wipe: every node, every version, the ledger."""
-        for node in self._nodes.values():
-            node.wipe()
+        self._copies.clear()
         self._acked.clear()
         for sess in self._sessions.values():
             sess.floor.clear()

@@ -105,6 +105,30 @@ class TestAmbientState:
         sim.run_until(6.0)
         assert not injector.link_blocked({3, 7})
 
+    def test_link_blocked_reads_ranks_only_while_a_link_is_down(self):
+        # The replicated store asks once per replica per op; with every
+        # link up the answer is False before the ranks are looked at.
+        reads = []
+
+        def ranks(*rs):
+            reads.append(rs)
+            yield from rs
+
+        plan = FaultPlan([FaultEvent(kind="link_loss", time=1.0, rank=3,
+                                     peer=7, duration=4.0)])
+        sim = Simulator()
+        injector = FaultInjector(plan)
+        injector.arm(sim, lambda a: None)
+        assert injector.link_blocked(ranks(3, 7)) is False
+        assert reads == []
+        sim.run_until(2.0)
+        assert injector.link_blocked(ranks(3, 7)) is True
+        assert injector.link_blocked(ranks(3, 9)) is False
+        assert reads == [(3, 7), (3, 9)]
+        sim.run_until(6.0)
+        assert injector.link_blocked(ranks(3, 7)) is False
+        assert reads == [(3, 7), (3, 9)]
+
 
 class TestEvents:
     def test_fault_inject_events_emitted(self):

@@ -155,7 +155,7 @@ class TestMutantMechanics:
     def test_drop_write_store_stores_nothing(self):
         store = DropWriteStore([1, 2, 3], replicas=3)
         store.set("k", "v")
-        assert all(not node.data for node in store._nodes.values())
+        assert store._copies == {}     # no node holds anything
 
     def test_stale_read_store_serves_old_value(self):
         blocked = set()
@@ -173,7 +173,7 @@ class TestMutantMechanics:
         store.set("k", "v")
         store.crash_node(2)
         store.repair_node(2)
-        assert store._nodes[2].data == {}
+        assert all(2 not in copies for copies in store._copies.values())
 
     def test_bad_epoch_store_freezes_epoch(self):
         store = BadEpochStore([1, 2, 3], replicas=3)

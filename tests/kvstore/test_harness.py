@@ -115,6 +115,18 @@ class TestParameterValidation:
         with pytest.raises(ValueError, match=f"{name} must be > 0"):
             run_kv_churn(**{name: bad})
 
+    @pytest.mark.parametrize("bad", [0, -3.0, float("nan"), float("inf")])
+    def test_duration_must_be_finite_and_positive(self, bad):
+        # duration <= 0 used to issue zero ops and report verdict OK;
+        # inf with an explicit plan never returned (a generated plan
+        # happened to reject it, as "time must be a finite number").
+        with pytest.raises(ValueError,
+                           match="duration must be > 0 and finite"):
+            run_kv_churn(duration=bad, plan=FaultPlan(events=[], seed=1))
+        with pytest.raises(ValueError,
+                           match="duration must be > 0 and finite"):
+            run_kv_churn(duration=bad)
+
 
 class TestOverlappingFaultWindows:
     """The generated default plan does not keep its crash and its

@@ -3,7 +3,9 @@ buys, and its invisibility in traces.
 
 Placement is a pure function of (key, committed view), so the store
 tabulates ``key -> owners`` once per view and every pass (reads,
-writes, ``audit``, anti-entropy) reads the table.  The generated
+writes, ``audit``, anti-entropy) reads the table; a key's ring
+position is a pure function of the key alone, so it is hashed once per
+store and a new view costs a ring walk per key, no hash.  The generated
 equivalence test lives in ``test_replicated_stateful.py``; the checker
 mutants (which override ``_choose_reply`` / ``_anti_entropy_pass`` and
 friends) keep tripping their checkers in ``test_checker_mutations.py``.
@@ -29,19 +31,35 @@ def placement(store):
     return {key: store.replica_set(key) for key in KEYS}
 
 
+class _Counts:
+    """Keys hashed (``HashRing.key_position``) and ring positions
+    walked (``HashRing.walk_servers``) since the last ``clear``."""
+
+    def __init__(self):
+        self.hashes = []
+        self.walks = []
+
+    def clear(self):
+        del self.hashes[:], self.walks[:]
+
+
 @pytest.fixture
 def ring_walks(monkeypatch):
-    """Counts ``HashRing.key_position`` calls — one per ring walk the
-    store starts."""
-    calls = []
-    real = HashRing.key_position
+    counts = _Counts()
+    real_position = HashRing.key_position
+    real_walk = HashRing.walk_servers
 
-    def counting(self, key):
-        calls.append(key)
-        return real(self, key)
+    def key_position(self, key):
+        counts.hashes.append(key)
+        return real_position(self, key)
 
-    monkeypatch.setattr(HashRing, "key_position", counting)
-    return calls
+    def walk_servers(self, position):
+        counts.walks.append(position)
+        return real_walk(self, position)
+
+    monkeypatch.setattr(HashRing, "key_position", key_position)
+    monkeypatch.setattr(HashRing, "walk_servers", walk_servers)
+    return counts
 
 
 class TestMemoDiscipline:
@@ -85,10 +103,10 @@ class TestOneWalkPerKeyPerView:
         for key in KEYS:
             store.set(key, "v")
         store.audit()
-        del ring_walks[:]
+        ring_walks.clear()
         report = store.audit()
         assert report["keys"] == len(KEYS)
-        assert ring_walks == []
+        assert ring_walks.walks == [] and ring_walks.hashes == []
 
     @pytest.mark.parametrize("passes", [1, 5])
     def test_k_keys_v_views_cost_at_most_k_times_v_walks(
@@ -104,8 +122,11 @@ class TestOneWalkPerKeyPerView:
                     store.get(key, client="alice")
                 store.audit()
                 store.anti_entropy()
-        # every walk is the first touch of that key in that view
-        assert len(ring_walks) == len(KEYS) * (len(views) + 1)
+        # every walk is the first touch of that key in that view ...
+        assert len(ring_walks.walks) == len(KEYS) * (len(views) + 1)
+        # ... and starts from a position hashed once, when the store
+        # first saw the key
+        assert sorted(ring_walks.hashes) == KEYS
 
 
 # sha256 of the JSONL trace each run emitted at the parent commit

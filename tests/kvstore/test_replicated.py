@@ -117,12 +117,12 @@ class TestRedisSurface:
     def test_write_lands_on_every_replica(self, kv):
         kv.set("k", "v")
         for nid in kv.replica_set("k"):
-            assert "k" in kv._nodes[nid].live_keys()
+            assert kv._copies["k"][nid].state is not None
 
     def test_lists_are_not_aliased_between_replicas(self, kv):
         kv.rpush("l", 1)
         owners = kv.replica_set("l")
-        copies = [kv._nodes[nid].data["l"].state[1] for nid in owners]
+        copies = [kv._copies["l"][nid].state[1] for nid in owners]
         assert copies[0] is not copies[1]
 
 
@@ -180,8 +180,9 @@ class TestViews:
         kv.change_view([1, 2, 3])
         # Node 4 left the view; anti-entropy moved its copies to the
         # new owners and dropped the strays.
-        leftovers = [k for k in kv._nodes[4].live_keys()
-                     if 4 not in kv.replica_set(k)]
+        leftovers = [k for k, copies in sorted(kv._copies.items())
+                     if 4 in copies and copies[4].state is not None
+                     and 4 not in kv.replica_set(k)]
         assert leftovers == []
 
 
@@ -229,7 +230,7 @@ class TestCrashRepair:
         kv.crash_node(2)
         assert kv.node_is_down(2)
         assert kv.members == (1, 2, 3)
-        assert kv._nodes[2].data == {}
+        assert all(2 not in copies for copies in kv._copies.values())
 
     def test_write_without_quorum_raises(self, kv):
         kv.crash_node(1)
@@ -269,7 +270,7 @@ class TestCrashRepair:
         kv.set("k", "v2")  # quorum of 2, straggler left behind
         blocked.clear()
         assert kv.get("k") == "v2"  # quorum read repairs on the way
-        assert kv._nodes[straggler].data["k"].state == ("string", "v2")
+        assert kv._copies["k"][straggler].state == ("string", "v2")
 
 
 class TestTombstones:
@@ -277,7 +278,7 @@ class TestTombstones:
         kv.set("k", "v")
         kv.delete("k")
         for nid in kv.replica_set("k"):
-            versioned = kv._nodes[nid].data["k"]
+            versioned = kv._copies["k"][nid]
             assert versioned.state is None
 
     def test_stale_replica_cannot_resurrect_deleted_key(self):
@@ -292,7 +293,7 @@ class TestTombstones:
         blocked.clear()
         kv.anti_entropy()  # tombstone dominates: delete propagates
         assert not kv.exists("k")
-        assert kv._nodes[straggler].data["k"].state is None
+        assert kv._copies["k"][straggler].state is None
 
 
 class TestDegradeMode:

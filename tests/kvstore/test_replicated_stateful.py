@@ -1,14 +1,18 @@
 """Generated differential test for the replicated store's per-view
-replica-set table and its single newest-copy scan.
+replica-set table, its single newest-copy scan, and the key-major
+replica storage with its in-sync early-outs.
 
 Hypothesis drives :class:`ReplicatedKVStore` and the test-only
-:class:`ReferenceKVStore` (the unmemoised, sort-per-key bodies the
-table replaced) side by side through arbitrary interleavings of quorum
-ops, sessions, two-step view changes, crashes, repairs, partitions,
-anti-entropy, audits and admin wipes.  Every op must return (or raise)
+:class:`ReferenceKVStore` (the unmemoised, every-key × every-node
+bodies they replaced) side by side through arbitrary interleavings of
+quorum ops, sessions, two-step view changes, crashes (of members and
+of nodes that left the view), repairs, partitions, anti-entropy,
+audits, key listings and admin wipes.  Every op must return (or raise)
 the same thing on both, and after every step placement, every node's
 contents, the durability ledger, the audit report, the counters and
-the emitted events must be identical.
+the emitted events must be identical — and the mapping well formed.
+``test_insync_mutants.py`` pins what this machine is too shallow to
+find by itself: the stores with one early-out condition removed.
 """
 
 from hypothesis import settings
@@ -42,9 +46,13 @@ EXPECTED = (NoQuorumError, StaleSessionError, WrongTypeError,
 
 
 def contents(store):
-    """Every node's table, vectors and states."""
-    return {nid: {key: (v.vv, v.state) for key, v in node.data.items()}
-            for nid, node in store._nodes.items()}
+    """Every admitted node's table, vectors and states, read out of
+    the key-major mapping."""
+    tables = {nid: {} for nid in store._nodes}
+    for key, copies in store._copies.items():
+        for nid, v in copies.items():
+            tables[nid][key] = (v.vv, v.state)
+    return tables
 
 
 class TableVsReferenceMachine(RuleBasedStateMachine):
@@ -125,13 +133,44 @@ class TableVsReferenceMachine(RuleBasedStateMachine):
     def crash_node(self, node):
         self.both(lambda s: s.crash_node(node))
 
+    @rule(pick=st.integers(0, len(NODES)))
+    def crash_non_member(self, pick):
+        """Powering down is not a crash: a node that left the view may
+        still hold copies nobody has taken over — until it crashes."""
+        real = self.stores[0]
+        outside = [n for n in real.node_ids if n not in real.members]
+        if outside:
+            self.both(lambda s: s.crash_node(outside[pick % len(outside)]))
+
+    @rule(key=keys, i=st.integers(0, REPLICAS - 1))
+    def crash_owner(self, key, i):
+        node = self.stores[0].replica_set(key)[i]
+        self.both(lambda s: s.crash_node(node))
+
     @rule(node=nodes)
     def repair_node(self, node):
         self.both(lambda s: s.repair_node(node))
 
+    @rule()
+    def repair_every_node(self):
+        for node in self.stores[0].node_ids:
+            if self.stores[0].node_is_down(node):
+                self.both(lambda s: s.repair_node(node))
+
     @rule(a=nodes, b=nodes)
     def toggle_link(self, a, b):
         self.blocked ^= {frozenset((a, b))}
+
+    @rule(key=keys, i=st.integers(1, REPLICAS - 1))
+    def toggle_replica_link(self, key, i):
+        """The link a write to *key* has to cross: how stragglers are
+        made (and, toggled back, how they get found)."""
+        owners = self.stores[0].replica_set(key)
+        self.blocked ^= {frozenset((owners[0], owners[i]))}
+
+    @rule()
+    def heal_links(self):
+        self.blocked.clear()
 
     # -- whole-keyspace passes -----------------------------------------
     @rule()
@@ -141,6 +180,10 @@ class TableVsReferenceMachine(RuleBasedStateMachine):
     @rule()
     def flushall(self):
         self.both(lambda s: s.flushall())
+
+    @rule()
+    def keys_and_dbsize(self):
+        self.both(lambda s: (s.keys(), s.dbsize()))
 
     # -- after every step ----------------------------------------------
     @invariant()
@@ -153,6 +196,15 @@ class TableVsReferenceMachine(RuleBasedStateMachine):
         self.both(lambda s: s.audit("step"))
         assert real.stats == ref.stats
         assert self.events[0] == self.events[1]
+
+    @invariant()
+    def mapping_is_well_formed(self):
+        """No empty per-key dict survives a wipe or a drop, and every
+        stored node id is an admitted one."""
+        for store in self.stores:
+            for key, copies in store._copies.items():
+                assert copies, key
+                assert set(copies) <= set(store._nodes), key
 
 
 class TableVsReferenceDegradeMachine(TableVsReferenceMachine):

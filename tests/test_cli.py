@@ -119,6 +119,8 @@ class TestCommands:
         ("--audit-every", "0", "audit_every"),
         ("--churn-every", "-3", "churn_every"),
         ("--audit-every", "nan", "audit_every"),
+        ("--duration", "0", "duration"),       # was: zero ops, "OK"
+        ("--duration", "inf", "duration"),
     ])
     def test_kvchurn_bad_period_is_clean_error(self, flag, value, name):
         with pytest.raises(
