@@ -461,6 +461,11 @@ def _cmd_agility(args) -> str:
 
 def _cmd_three_phase(args) -> str:
     r = run_three_phase(args.mode, scale=args.scale)
+    if not r.finished:
+        raise SystemExit(
+            f"repro three-phase: {r.unfinished[0]} unfinished after "
+            f"{r.duration:.0f} simulated s (completed: "
+            f"{', '.join(r.phase_ends) or 'none'})")
     p2 = r.phase_ends["phase2"]
     return "\n".join([
         f"mode={args.mode} scale={args.scale}",
@@ -474,17 +479,21 @@ def _cmd_three_phase(args) -> str:
     ])
 
 
+def _load_plan(args) -> Optional[FaultPlan]:
+    """The ``--plan PLAN.json`` of chaos / kvchurn / sweep, if given."""
+    if not args.plan:
+        return None
+    try:
+        return FaultPlan.load(args.plan)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"repro {args.command}: bad --plan file: {exc}")
+
+
 def _cmd_chaos(args):
     # Returns (report, exit_code): 0 healthy, 1 degraded or violated.
-    plan = None
-    if args.plan:
-        try:
-            plan = FaultPlan.load(args.plan)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro chaos: bad --plan file: {exc}")
     result = run_chaos(seed=args.seed, n=args.n,
                        replicas=args.replicas, scale=args.scale,
-                       off_count=args.off_count, plan=plan,
+                       off_count=args.off_count, plan=_load_plan(args),
                        audit_every=args.audit_every)
     return render_chaos_report(result), (0 if result.ok else 1)
 
@@ -507,17 +516,12 @@ def _cmd_serve(args):
 
 def _cmd_kvchurn(args):
     # Returns (report, exit_code): 0 healthy, 1 degraded or violated.
-    plan = None
-    if args.plan:
-        try:
-            plan = FaultPlan.load(args.plan)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro kvchurn: bad --plan file: {exc}")
     result = run_kv_churn(seed=args.seed, nodes=args.nodes,
                           replicas=args.replicas,
                           clients=args.clients, keys=args.keys,
                           duration=args.duration,
-                          churn_every=args.churn_every, plan=plan,
+                          churn_every=args.churn_every,
+                          plan=_load_plan(args),
                           audit_every=args.audit_every)
     return render_kv_churn_report(result), (0 if result.ok else 1)
 
@@ -572,12 +576,8 @@ def _parse_seeds(text: str) -> List[int]:
 def _cmd_sweep(args):
     # Returns (report, exit_code): 0 iff every task ran and is healthy.
     seeds = _parse_seeds(args.seeds)
-    plan_json = None
-    if args.plan:
-        try:
-            plan_json = FaultPlan.load(args.plan).to_json()
-        except (OSError, ValueError) as exc:
-            raise SystemExit(f"repro sweep: bad --plan file: {exc}")
+    plan = _load_plan(args)
+    plan_json = plan.to_json() if plan is not None else None
     if args.kind == "chaos":
         config = {"n": args.n, "replicas": args.replicas,
                   "scale": args.scale, "off_count": args.off_count}

@@ -265,6 +265,20 @@ class ElasticCluster(_ClusterBase):
     def current_version(self) -> int:
         return self.ech.current_version
 
+    @property
+    def membership_token(self) -> int:
+        """Moves whenever the active set does: the placement version
+        (every membership transition creates one)."""
+        return self.ech.current_version
+
+    def active_ranks(self) -> List[int]:
+        """Powered-on ranks of the current version, ascending."""
+        return self.ech.membership.active_ranks()
+
+    def placement_bulk(self, oids: Iterable[int]) -> BulkPlacement:
+        """Current-version placement of a key collection, in bulk."""
+        return self.ech.locate_bulk(oids)
+
     @profiled("cluster.resize")
     def resize(self, k: int) -> None:
         """Resize to *k* active servers along the expansion chain —
@@ -613,16 +627,24 @@ class ElasticCluster(_ClusterBase):
         limit hook).  Clears catalog dirty bits for objects whose last
         dirty entry was consumed."""
         report = self._engine.step(budget_bytes=budget_bytes)
+        self._settle_selective(report, report.caught_up)
+        return report
+
+    def _settle_selective(self, report: ReintegrationReport,
+                          reconciled: bool) -> None:
+        """What follows a selective pass, immediate or deferred: clear
+        the catalog dirty bit of objects whose last entry was consumed
+        and, once the table is *reconciled* against the current version,
+        trust the re-powered ranks and close a drained ``resize.cycle``."""
         self.migrated_bytes["selective"] += report.bytes_migrated
         for entry in report.removed:
             if not self.ech.dirty.contains_oid(entry.oid):
                 obj = self.catalog.get(entry.oid)
                 if obj is not None:
                     obj.dirty = False
-        if report.caught_up:
-            # The dirty table has been reconciled against the current
-            # version: re-powered servers hold exactly what the layout
-            # expects of them, no blanket re-copy needed.
+        if reconciled:
+            # Re-powered servers hold exactly what the layout expects
+            # of them, no blanket re-copy needed.
             self.unverified_ranks.clear()
             if (self.reintegration_cycle is not None
                     and self.ech.is_full_power
@@ -630,7 +652,6 @@ class ElasticCluster(_ClusterBase):
                 self.reintegration_cycle.end(status="drained")
                 self.reintegration_cycle = None
                 self._engine.span_parent = None
-        return report
 
     def selective_backlog_bytes(self) -> int:
         """Bytes the selective engine would move right now."""
@@ -652,22 +673,9 @@ class ElasticCluster(_ClusterBase):
         the same catalog/cycle bookkeeping as
         :meth:`run_selective_reintegration` applies."""
         report = self._engine.commit_entries(plan.entries)
-        self.migrated_bytes["selective"] += report.bytes_migrated
-        for entry in report.removed:
-            if not self.ech.dirty.contains_oid(entry.oid):
-                obj = self.catalog.get(entry.oid)
-                if obj is not None:
-                    obj.dirty = False
-        if self._engine.plan_pass().actionable == 0:
-            # Nothing left a commit could act on: the dirty table is
-            # reconciled against the current version.
-            self.unverified_ranks.clear()
-            if (self.reintegration_cycle is not None
-                    and self.ech.is_full_power
-                    and self.ech.dirty.is_empty()):
-                self.reintegration_cycle.end(status="drained")
-                self.reintegration_cycle = None
-                self._engine.span_parent = None
+        # Reconciled when nothing is left a commit could act on.
+        self._settle_selective(
+            report, self._engine.plan_pass().actionable == 0)
         return report
 
     @profiled("reintegration.full")
@@ -818,11 +826,21 @@ class OriginalCHCluster(_ClusterBase):
     # ------------------------------------------------------------------
     @property
     def members(self) -> Tuple[int, ...]:
-        return tuple(sorted(self.ring.servers))
+        return tuple(self.active_ranks())
 
     @property
     def num_active(self) -> int:
         return len(self.ring)
+
+    @property
+    def membership_token(self) -> int:
+        """Moves whenever the member set does: the ring's generation
+        (servers join and leave by mutating the ring)."""
+        return self.ring.generation
+
+    def active_ranks(self) -> List[int]:
+        """Ring members, ascending."""
+        return sorted(self.ring.servers)
 
     def placement(self, oid: int) -> PlacementResult:
         tbl = self._kernel.table(None, None)

@@ -29,26 +29,22 @@ taken from the real object-level cluster state.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Literal, Optional, Tuple
+from typing import Dict, List, Literal, Tuple
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
 from repro.cluster.migration import addition_migration_plan
 from repro.cluster.recovery import plan_departure_recovery
+from repro.cluster.runtime import (CLIENT_CAP, DISK_BW, DT, MAX_DURATION,
+                                   OBJECT_SIZE, PHASE2_RATE, PROBE_OBJECTS,
+                                   REINTEGRATION_RATE, REPLICAS,
+                                   ClusterRuntime, ThreePhaseLoad)
 from repro.simulation.flows import FluidFlow
-from repro.simulation.iomodel import (
-    IOModel,
-    client_coefficients,
-    replica_load_fractions_from_matrix,
-)
-from repro.workloads.three_phase import Phase, three_phase_workload
+from repro.workloads.three_phase import PHASE_NAMES, three_phase_workload
 
 __all__ = ["ThreePhaseResult", "run_three_phase"]
 
 Mode = Literal["none", "original", "full", "selective"]
-
-MB = 10 ** 6
 
 
 @dataclass
@@ -63,6 +59,16 @@ class ThreePhaseResult:
     migrated_bytes: float
     rereplicated_bytes: float
     duration: float
+
+    @property
+    def unfinished(self) -> Tuple[str, ...]:
+        """Phases that had not completed when the run stopped at
+        ``max_duration``, in order (empty: the run finished)."""
+        return tuple(p for p in PHASE_NAMES if p not in self.phase_ends)
+
+    @property
+    def finished(self) -> bool:
+        return not self.unfinished
 
     def mean_throughput(self, t0: float, t1: float) -> float:
         vals = [v for t, v in zip(self.times, self.throughput)
@@ -85,23 +91,26 @@ class ThreePhaseResult:
 def run_three_phase(
     mode: Mode = "selective",
     n: int = 10,
-    replicas: int = 2,
     scale: float = 1.0,
     off_count: int = 4,
-    disk_bw: float = 64e6,
-    client_cap: float = 320e6,
-    object_size: int = 4 * 1024 * 1024,
-    selective_rate_limit: float = 50e6,
-    phase2_rate: float = 20e6,
-    dt: float = 1.0,
-    max_duration: float = 3_600.0,
-    probe_objects: int = 2_000,
+    disk_bw: float = DISK_BW,
+    client_cap: float = CLIENT_CAP,
+    object_size: int = OBJECT_SIZE,
+    selective_rate_limit: float = REINTEGRATION_RATE,
+    phase2_rate: float = PHASE2_RATE,
+    max_duration: float = MAX_DURATION,
+    probe_objects: int = PROBE_OBJECTS,
     isolate_reintegration: bool = True,
 ) -> ThreePhaseResult:
     """Run one 3-phase experiment and return its timeline.
 
     *scale* shrinks the workload byte totals (tests use 0.02-0.05;
-    the benches use the paper's full sizes).
+    the benches use the paper's full sizes).  A run whose phases have
+    not drained after *max_duration* simulated seconds stops there:
+    check :attr:`ThreePhaseResult.finished` before reading a phase end.
+    The testbed values nobody varies (2 replicas, 1 s ticks) and the
+    defaults of the ones the benches do are declared in
+    :mod:`repro.cluster.runtime`.
 
     *isolate_reintegration* reproduces the §V-A setup exactly: "Note
     that primary server and data layout are not considered here
@@ -116,90 +125,28 @@ def run_three_phase(
         raise ValueError(f"unknown mode: {mode!r}")
     phases = three_phase_workload(scale=scale, phase2_rate=phase2_rate)
 
-    elastic_mode = mode in ("none", "full", "selective")
-    if elastic_mode:
-        if isolate_reintegration:
-            cluster: object = ElasticCluster(
-                n, replicas, disk_bandwidth=disk_bw,
-                layout_mode="uniform", placement_mode="original")
-        else:
-            cluster = ElasticCluster(n, replicas, disk_bandwidth=disk_bw)
+    elastic_mode = mode != "original"
+    if not elastic_mode:
+        cluster: object = OriginalCHCluster(n, REPLICAS,
+                                            vnodes_per_server=1_000,
+                                            disk_bandwidth=disk_bw)
+    elif isolate_reintegration:
+        cluster = ElasticCluster(n, REPLICAS, disk_bandwidth=disk_bw,
+                                 layout_mode="uniform",
+                                 placement_mode="original")
     else:
-        cluster = OriginalCHCluster(n, replicas, vnodes_per_server=1_000,
-                                    disk_bandwidth=disk_bw)
+        cluster = ElasticCluster(n, REPLICAS, disk_bandwidth=disk_bw)
 
-    oid_counter = itertools.count(1)
+    # No Simulator: nothing here is event-driven, and ``run_until``
+    # would add an ``engine.clock`` event per tick to the trace.
+    rt = ClusterRuntime(cluster, DT)
+    io = rt.io
+    load = ThreePhaseLoad(rt, phases, client_cap, object_size,
+                          probe_objects)
 
-    # ------------------------------------------------------------------
-    # membership-dependent state
-    # ------------------------------------------------------------------
-    def active_ranks() -> List[int]:
-        if elastic_mode:
-            table = cluster.ech.membership
-            return [r for r in cluster.servers if table.is_active(r)]
-        return list(cluster.members)
-
-    def capacities() -> Dict[int, float]:
-        return {r: disk_bw for r in active_ranks()}
-
-    frac_cache: Dict[Tuple[int, ...], Dict[int, float]] = {}
-
-    def fractions() -> Dict[int, float]:
-        key = tuple(sorted(active_ranks()))
-        if key not in frac_cache:
-            probe = range(10_000_000, 10_000_000 + probe_objects)
-            if elastic_mode:
-                matrix = cluster.ech.locate_bulk(probe).servers
-            else:
-                matrix = cluster.placement_bulk(probe).servers
-            frac_cache[key] = replica_load_fractions_from_matrix(matrix)
-        return frac_cache[key]
-
-    if elastic_mode:
-        # Capacities depend only on the membership table, and every
-        # membership transition bumps the placement version — a cheap
-        # token that lets unchanged ticks reuse the last allocation.
-        io = IOModel(capacities, dt=dt,
-                     capacity_token=lambda: cluster.ech.current_version)
-    else:
-        # Original-CH membership has no version counter; the dict-
-        # compare fallback is plenty at these cluster sizes.
-        io = IOModel(capacities, dt=dt)
-
-    # ------------------------------------------------------------------
-    # client phases
-    # ------------------------------------------------------------------
-    state = {
-        "phase_idx": 0,
-        "client": None,            # live client flow
-        "write_carry": 0.0,        # fractional object accumulator
-        "phase_ends": {},
-        "pending_actions": [],     # resize work queued at phase ends
-        "removal_queue": [],       # original-CH sequential departures
-        "removal_flow": None,
-        "rereplicated": 0.0,
-    }
-
-    def start_phase(idx: int) -> None:
-        phase = phases[idx]
-        coeffs = client_coefficients(fractions(), replicas,
-                                     phase.write_ratio)
-        cap = min(client_cap, phase.rate_cap or client_cap)
-        flow = FluidFlow(
-            name="client",
-            coefficients=coeffs,
-            total_bytes=phase.total_bytes,
-            rate_cap=cap,
-        )
-        state["client"] = io.flows.add(flow)
-
-    def refresh_client_coefficients() -> None:
-        """Re-point the live client flow at the current membership."""
-        flow = state["client"]
-        if flow is not None and not flow.done:
-            phase = phases[state["phase_idx"]]
-            flow.coefficients = client_coefficients(
-                fractions(), replicas, phase.write_ratio)
+    # Original-CH departures run one at a time, each gated on its
+    # re-replication flow (Figure 2's lag).
+    removal = {"queue": [], "flow": None}
 
     # ------------------------------------------------------------------
     # resize actions at phase boundaries
@@ -209,165 +156,110 @@ def run_three_phase(
         once somewhere; spread the read side evenly over active
         servers."""
         total = sum(per_dest.values())
-        active = active_ranks()
-        coeffs: Dict[int, float] = {r: 1.0 / len(active) for r in active}
+        coeffs = rt.even_coefficients()
         if total > 0:
             for rank, b in per_dest.items():
                 coeffs[rank] = coeffs.get(rank, 0.0) + b / total
         return coeffs
 
-    def resize_down(now: float) -> None:
+    def resize_down() -> None:
         if elastic_mode:
             cluster.resize(n - off_count)       # instant
-            refresh_client_coefficients()
         else:
-            state["removal_queue"] = sorted(cluster.members)[-off_count:][::-1]
-            start_next_removal(now)
+            removal["queue"] = cluster.active_ranks()[-off_count:][::-1]
+            start_next_removal()
 
-    def start_next_removal(now: float) -> None:
-        if state["removal_flow"] is not None or not state["removal_queue"]:
+    def start_next_removal() -> None:
+        if removal["flow"] is not None or not removal["queue"]:
             return
-        victim = state["removal_queue"][0]
+        victim = removal["queue"][0]
         plan = plan_departure_recovery(cluster, victim)
 
         def finish(_flow: FluidFlow) -> None:
-            moved = cluster.remove_server(victim)
-            state["rereplicated"] += moved
-            state["removal_queue"].pop(0)
-            state["removal_flow"] = None
-            refresh_client_coefficients()
-            start_next_removal(io.samples[-1][0] if io.samples else now)
+            cluster.remove_server(victim)
+            removal["queue"].pop(0)
+            removal["flow"] = None
+            load.refresh()
+            start_next_removal()
 
-        flow = FluidFlow(
+        removal["flow"] = io.flows.add(FluidFlow(
             name="recovery",
             coefficients=migration_coefficients(plan.bytes_per_destination()),
             total_bytes=float(max(plan.total_bytes, 1)),
             on_complete=finish,
-        )
-        state["removal_flow"] = io.flows.add(flow)
+        ))
 
-    def resize_up(now: float) -> None:
+    def resize_up() -> None:
         if elastic_mode:
             cluster.resize(n)
-            refresh_client_coefficients()
-            # The resize may open a resize.cycle span; grab it before
-            # the (logically instant) re-integration pass closes it so
-            # the byte-moving flow below is parented to its cycle.
-            cycle = cluster.reintegration_cycle
             if mode == "selective":
-                backlog = cluster.selective_backlog_bytes()
-                report = cluster.run_selective_reintegration()
-                volume = max(report.bytes_migrated, backlog)
-                if volume > 0:
-                    io.flows.add(FluidFlow(
-                        name="migration",
-                        coefficients=migration_coefficients({}),
-                        total_bytes=float(volume),
-                        rate_cap=selective_rate_limit,
-                    ), parent=cycle)
-            elif mode == "full":
-                moved = cluster.run_full_reintegration()
-                if moved > 0:
-                    io.flows.add(FluidFlow(
-                        name="migration",
-                        coefficients=migration_coefficients({}),
-                        total_bytes=float(moved),
-                    ), parent=cycle)
-        else:
-            # Baseline: any departures still pending are abandoned, the
-            # servers rejoin empty and consistent hashing pulls their
-            # share of data back — uncontrolled.
-            state["removal_queue"] = []
-            if state["removal_flow"] is not None:
-                state["removal_flow"].total_bytes = state[
-                    "removal_flow"].progressed  # retire at next tick
-                state["removal_flow"] = None
-            off = [r for r in cluster.servers if r not in cluster.ring]
-            moved = 0
-            per_dest: Dict[int, float] = {}
-            if off:
-                plan = addition_migration_plan(cluster, off)
-                per_dest = plan.bytes_per_destination()
-                for rank in off:
-                    moved += cluster.add_server(rank)
-            refresh_client_coefficients()
-            if moved > 0:
-                io.flows.add(FluidFlow(
-                    name="migration",
-                    coefficients=migration_coefficients(per_dest),
-                    total_bytes=float(moved),
-                ))
-
-    # ------------------------------------------------------------------
-    # per-tick bookkeeping
-    # ------------------------------------------------------------------
-    def materialise_writes(now: float) -> None:
-        """Turn the client flow's written bytes into placed objects so
-        migration volumes and dirty tracking reflect real state."""
-        flow = state["client"]
-        if flow is None:
+                rt.reintegrate_selective(selective_rate_limit)
+            else:
+                # Grab the resize.cycle span before the (logically
+                # instant) pass closes it, so the byte-moving flow is
+                # parented to its cycle.
+                cycle = cluster.reintegration_cycle
+                rt.add_reintegration_flow(cluster.run_full_reintegration(),
+                                          parent=cycle)
             return
-        phase = phases[state["phase_idx"]]
-        written = flow.last_rate * dt * phase.write_ratio
-        state["write_carry"] += written
-        while state["write_carry"] >= object_size:
-            cluster.write(next(oid_counter), object_size)
-            state["write_carry"] -= object_size
+        # Baseline: any departures still pending are abandoned, the
+        # servers rejoin empty and consistent hashing pulls their
+        # share of data back — uncontrolled.
+        removal["queue"] = []
+        if removal["flow"] is not None:
+            removal["flow"].total_bytes = removal[
+                "flow"].progressed  # retire at next tick
+            removal["flow"] = None
+        off = [r for r in cluster.servers if r not in cluster.ring]
+        moved = 0
+        per_dest: Dict[int, float] = {}
+        if off:
+            per_dest = addition_migration_plan(
+                cluster, off).bytes_per_destination()
+            for rank in off:
+                moved += cluster.add_server(rank)
+        rt.add_reintegration_flow(
+            moved, coefficients=migration_coefficients(per_dest))
 
     # Main loop ---------------------------------------------------------
-    times: List[float] = []
-    thr: List[float] = []
-    mig: List[float] = []
-
-    start_phase(0)
     now = 0.0
+    load.start()
     while now < max_duration:
-        now += dt
-        achieved = io.step(now)
-        times.append(now)
-        thr.append(achieved.get("client", 0.0))
-        mig.append(achieved.get("migration", 0.0)
-                   + achieved.get("recovery", 0.0))
-        materialise_writes(now)
+        now += DT
+        io.step(now)
+        load.materialise_writes()
+        if not load.phase_done:
+            continue
+        idx = load.finish_phase(now)
+        if mode != "none":
+            if idx == 0:
+                resize_down()
+            elif idx == 1:
+                resize_up()
+        if not load.advance():
+            # Drain background flows (a rate-limited migration can
+            # outlive phase 3) so migration durations are measured
+            # to completion, then stop.
+            while len(io.flows) > 0 and now < max_duration:
+                now += DT
+                io.step(now)
+            break
 
-        flow = state["client"]
-        if flow is not None and flow.done:
-            idx = state["phase_idx"]
-            state["phase_ends"][phases[idx].name] = now
-            state["client"] = None
-            state["write_carry"] = 0.0
-            if mode != "none":
-                if idx == 0:
-                    resize_down(now)
-                elif idx == 1:
-                    resize_up(now)
-            if idx + 1 < len(phases):
-                state["phase_idx"] = idx + 1
-                start_phase(idx + 1)
-            else:
-                # Drain background flows (a rate-limited migration can
-                # outlive phase 3) so migration durations are measured
-                # to completion, then stop.
-                while len(io.flows) > 0 and now < max_duration:
-                    now += dt
-                    achieved = io.step(now)
-                    times.append(now)
-                    thr.append(achieved.get("client", 0.0))
-                    mig.append(achieved.get("migration", 0.0)
-                               + achieved.get("recovery", 0.0))
-                break
-
+    times, thr = io.series("client")
+    mig = [achieved.get("migration", 0.0) + achieved.get("recovery", 0.0)
+           for _, achieved in io.samples]
     if elastic_mode:
-        migrated = sum(cluster.migrated_bytes.values())
+        migrated, rereplicated = sum(cluster.migrated_bytes.values()), 0
     else:
-        migrated = cluster.migrated_bytes
+        migrated, rereplicated = (cluster.migrated_bytes,
+                                  cluster.rereplicated_bytes)
     return ThreePhaseResult(
         mode=mode,
         times=times,
         throughput=thr,
         migration_rate=mig,
-        phase_ends=dict(state["phase_ends"]),
+        phase_ends=dict(load.phase_ends),
         migrated_bytes=float(migrated),
-        rereplicated_bytes=float(state["rereplicated"]),
+        rereplicated_bytes=float(rereplicated),
         duration=now,
     )

@@ -27,13 +27,20 @@ What the run asserts (``check=True``, the default):
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.cluster.cluster import CrashRecoveryWork, ElasticCluster
+from repro.cluster.runtime import (DISK_BW, DT, MAX_DURATION, PHASE2_RATE,
+                                   REINTEGRATION_RATE, ClusterRuntime,
+                                   ThreePhaseLoad)
 from repro.core.dirty_table import DirtyTable
-from repro.faults.injector import FaultAction, FaultInjector
+from repro.faults.injector import (
+    FaultAction,
+    FaultInjector,
+    render_audit_rows,
+    render_fault_timeline,
+)
 from repro.faults.plan import FaultPlan, require_periods
 from repro.faults.retry import RetryPolicy
 from repro.kvstore.replicated import ReplicatedKVStore
@@ -44,14 +51,7 @@ from repro.faults.transfers import (
 )
 from repro.obs.invariants import checked_run, render_invariants
 from repro.obs.runtime import OBS
-from repro.simulation.bandwidth import apply_capacity_factors
 from repro.simulation.engine import Simulator
-from repro.simulation.flows import FluidFlow
-from repro.simulation.iomodel import (
-    IOModel,
-    client_coefficients,
-    replica_load_fractions_from_matrix,
-)
 from repro.workloads.three_phase import three_phase_workload
 
 __all__ = ["ChaosResult", "run_chaos", "render_chaos_report"]
@@ -107,14 +107,7 @@ def run_chaos(
     scale: float = 0.25,
     off_count: int = 4,
     plan: Optional[FaultPlan] = None,
-    disk_bw: float = 64e6,
-    client_cap: float = 320e6,
-    object_size: int = 4 * 1024 * 1024,
-    reintegration_rate: float = 50e6,
-    phase2_rate: float = 20e6,
-    dt: float = 1.0,
-    max_duration: float = 3_600.0,
-    probe_objects: int = 2_000,
+    dt: float = DT,
     audit_every: float = 10.0,
     check: bool = True,
 ) -> ChaosResult:
@@ -126,7 +119,9 @@ def run_chaos(
     randomness lives in the plan generation; the run itself is a pure
     function of (plan, parameters), which is what the byte-identical
     trace guarantee rests on.  *dt* and *audit_every* are periods in
-    simulated seconds and must be finite and ``> 0``.
+    simulated seconds and must be finite and ``> 0``.  Disks, client
+    cap, object size and the re-integration rate limit are the §V-A
+    testbed's (:mod:`repro.cluster.runtime`).
     """
     if not 0 <= off_count < n:
         raise ValueError("off_count must be in [0, n)")
@@ -139,7 +134,7 @@ def run_chaos(
         plan = FaultPlan.three_phase_default(seed, n=n, off_count=off_count)
     plan.check_ranks(n)
 
-    phases = three_phase_workload(scale=scale, phase2_rate=phase2_rate)
+    phases = three_phase_workload(scale=scale, phase2_rate=PHASE2_RATE)
     sim = Simulator()
     injector = FaultInjector(plan)
     # The dirty table rides the replicated KV across ALL ranks (not
@@ -151,103 +146,41 @@ def run_chaos(
     dirty_store = ReplicatedKVStore(
         list(range(1, n + 1)), replicas=min(3, n),
         link_blocked=injector.link_blocked, on_no_quorum="degrade")
-    cluster = ElasticCluster(n, replicas, disk_bandwidth=disk_bw,
+    cluster = ElasticCluster(n, replicas, disk_bandwidth=DISK_BW,
                              layout_mode="uniform",
                              placement_mode="original",
                              dirty_table=DirtyTable(dirty_store))
     policy = RetryPolicy(seed=seed if seed is not None else 0)
-    oid_counter = itertools.count(1)
-
-    # ------------------------------------------------------------------
-    # membership-dependent state (same shape as the three-phase driver)
-    # ------------------------------------------------------------------
-    def active_ranks() -> List[int]:
-        table = cluster.ech.membership
-        return [r for r in cluster.servers if table.is_active(r)]
-
-    def capacities() -> Dict[int, float]:
-        return apply_capacity_factors(
-            {r: disk_bw for r in active_ranks()},
-            injector.capacity_factors())
-
-    frac_cache: Dict[Tuple[int, ...], Dict[int, float]] = {}
-
-    def fractions() -> Dict[int, float]:
-        key = tuple(sorted(active_ranks()))
-        if key not in frac_cache:
-            probe = range(10_000_000, 10_000_000 + probe_objects)
-            matrix = cluster.ech.locate_bulk(probe).servers
-            frac_cache[key] = replica_load_fractions_from_matrix(matrix)
-        return frac_cache[key]
-
-    # Capacities depend on the membership table (placement version)
-    # and the injector's ambient degradation windows (its generation
-    # bumps on every fired action) — together a complete, cheap token
-    # for "capacities provably unchanged since the last solve".
-    io = IOModel(capacities, dt=dt,
-                 capacity_token=lambda: (cluster.ech.current_version,
-                                         injector.generation))
+    # Capacities follow the membership and the injector's slow-disk
+    # windows; the runtime's token covers both.
+    rt = ClusterRuntime(cluster, dt, sim=sim, injector=injector)
+    io = rt.io
+    load = ThreePhaseLoad(rt, phases)
 
     def transfer_coefficients(planned: PlannedTransfer,
                               _job: TransferJob) -> Dict[int, float]:
-        ranks = sorted(planned.ranks) or active_ranks()
-        return {r: 1.0 / len(ranks) for r in ranks}
+        return rt.even_coefficients(sorted(planned.ranks))
 
     manager = TransferManager(cluster, io.flows, policy,
                               coefficients_for=transfer_coefficients,
                               link_blocked=injector.link_blocked)
 
     state = {
-        "phase_idx": 0,
-        "client": None,
-        "write_carry": 0.0,
-        "phase_ends": {},
         "desired": n,
         "crashed": set(),
         "reint_round": 0,
-        "written": 0,
         "degraded_reads": 0,
         "unavailable_reads": 0,
     }
     audits: List[Dict[str, object]] = []
 
-    # ------------------------------------------------------------------
-    # client phases
-    # ------------------------------------------------------------------
-    def start_phase(idx: int) -> None:
-        phase = phases[idx]
-        coeffs = client_coefficients(fractions(), replicas,
-                                     phase.write_ratio)
-        cap = min(client_cap, phase.rate_cap or client_cap)
-        state["client"] = io.flows.add(FluidFlow(
-            name="client", coefficients=coeffs,
-            total_bytes=phase.total_bytes, rate_cap=cap))
-
-    def refresh_client_coefficients() -> None:
-        flow = state["client"]
-        if flow is not None and not flow.done:
-            phase = phases[state["phase_idx"]]
-            flow.coefficients = client_coefficients(
-                fractions(), replicas, phase.write_ratio)
-
-    def materialise_writes(now: float) -> None:
-        flow = state["client"]
-        if flow is None:
-            return
-        phase = phases[state["phase_idx"]]
-        state["write_carry"] += flow.last_rate * dt * phase.write_ratio
-        while state["write_carry"] >= object_size:
-            cluster.write(next(oid_counter), object_size)
-            state["written"] += 1
-            state["write_carry"] -= object_size
-
     def sample_read(now: float) -> None:
         """One deterministic read per tick through the degraded-read
         fallback path — exercises the replica-chain walk whenever a
         crash window leaves primaries dark."""
-        if state["written"] == 0:
+        if load.written == 0:
             return
-        oid = (int(round(now / dt)) % state["written"]) + 1
+        oid = (int(round(now / dt)) % load.written) + 1
         try:
             _, degraded = cluster.read_with_fallback(oid)
         except LookupError:
@@ -308,7 +241,7 @@ def run_chaos(
 
         manager.submit(TransferJob(key=key, kind="reintegration",
                                    plan_fn=plan_fn,
-                                   rate_cap=reintegration_rate), now=now)
+                                   rate_cap=REINTEGRATION_RATE), now=now)
         return True
 
     def on_transfer_start(job: TransferJob, now: float) -> None:
@@ -332,7 +265,7 @@ def run_chaos(
         target = min(state["desired"], n - len(state["crashed"]))
         if target != cluster.num_active:
             cluster.resize(target)
-        refresh_client_coefficients()
+        load.refresh()
         maybe_submit_reintegration(sim.now)
 
     def handle_fault(action: FaultAction) -> None:
@@ -345,7 +278,7 @@ def run_chaos(
             dirty_store.crash_node(rank)   # its kv shard dies with it
             work = cluster.crash_server(rank)
             state["crashed"].add(rank)
-            refresh_client_coefficients()
+            load.refresh()
             if work.lost:
                 submit_recovery(work, now)
             else:
@@ -385,57 +318,45 @@ def run_chaos(
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------
-    throughput: List[float] = []
     now = 0.0
     next_audit = audit_every
     with checked_run("chaos.run", check, seed=seed, n=n,
                      faults=len(plan)) as checked:
-        start_phase(0)
-        while now < max_duration:
+        load.start()
+        while now < MAX_DURATION:
             now += dt
             sim.run_until(now)          # fault actions interleave here
             manager.poll(now)
-            achieved = io.step(now)
-            throughput.append(achieved.get("client", 0.0))
-            materialise_writes(now)
+            io.step(now)
+            load.materialise_writes()
             sample_read(now)
             if now >= next_audit:
                 emit_audit(now)
                 next_audit += audit_every
-            flow = state["client"]
-            if flow is None or not flow.done:
+            if not load.phase_done:
                 continue
-            idx = state["phase_idx"]
-            state["phase_ends"][phases[idx].name] = now
-            state["client"] = None
-            state["write_carry"] = 0.0
+            idx = load.finish_phase(now)
             if idx == 0:
                 state["desired"] = n - off_count
                 cluster.resize(min(state["desired"],
                                    n - len(state["crashed"])))
-                refresh_client_coefficients()
             elif idx == 1:
                 state["desired"] = n
                 cluster.resize(n - len(state["crashed"]))
-                refresh_client_coefficients()
                 maybe_submit_reintegration(now)
-            if idx + 1 < len(phases):
-                state["phase_idx"] = idx + 1
-                start_phase(idx + 1)
-                injector.fire_trigger(phases[idx + 1].name, now)
-            else:
+            if not load.advance():
                 break
+            injector.fire_trigger(phases[load.index].name, now)
 
         # Drain: faults may still be scheduled (a delayed repair), and
         # preempted transfers retry until done or quarantined.
-        while (now < max_duration
+        while (now < MAX_DURATION
                and (len(io.flows) > 0 or not manager.idle
                     or sim.pending > 0)):
             now += dt
             sim.run_until(now)
             manager.poll(now)
-            achieved = io.step(now)
-            throughput.append(achieved.get("client", 0.0))
+            io.step(now)
             if now >= next_audit:
                 emit_audit(now)
                 next_audit += audit_every
@@ -449,6 +370,7 @@ def run_chaos(
     # round settles the same dirty entries (each plan re-snapshots the
     # table).  Only objects still dirty or short of r copies at the end
     # are genuinely degraded.
+    throughput = io.series("client")[1]
     degraded = [oid for oid in manager.degraded_objects()
                 if cluster.ech.dirty.contains_oid(oid)
                 or len(cluster.stored_locations(oid)) < replicas]
@@ -459,7 +381,7 @@ def run_chaos(
         replicas=replicas,
         scale=scale,
         duration=now,
-        phase_ends=dict(state["phase_ends"]),
+        phase_ends=dict(load.phase_ends),
         faults=[{"t": t, "kind": a.kind, "rank": a.rank,
                  "peer": a.peer, "factor": a.factor}
                 for t, a in injector.applied],
@@ -499,24 +421,7 @@ def render_chaos_report(result: ChaosResult) -> str:
         f"{result.peak_throughput / 1e6:.1f} MB/s, mean "
         f"{result.mean_throughput / 1e6:.1f} MB/s",
         "",
-        "## fault timeline",
-        "",
-    ]
-    if result.faults:
-        lines += ["| t(s) | action | detail |", "| --- | --- | --- |"]
-        for f in result.faults:
-            detail = []
-            if f.get("rank") is not None:
-                detail.append(f"rank {f['rank']}")
-            if f.get("peer") is not None:
-                detail.append(f"peer {f['peer']}")
-            if f.get("factor") is not None:
-                detail.append(f"factor {f['factor']}")
-            lines.append(f"| {float(f['t']):.1f} | {f['kind']} | "
-                         f"{', '.join(detail)} |")
-    else:
-        lines.append("no faults fired.")
-    lines += [
+        *render_fault_timeline(result.faults),
         "",
         "## transfers",
         "",
@@ -538,15 +443,9 @@ def render_chaos_report(result: ChaosResult) -> str:
         "| t(s) | objects | lost | under-replicated | dirty | quarantined |",
         "| --- | --- | --- | --- | --- | --- |",
     ]
-    shown = (result.audits if len(result.audits) <= 12
-             else result.audits[:6] + result.audits[-6:])
-    for a in shown:
-        lines.append(
-            f"| {float(a['t']):.0f} | {a['objects']} | {a['lost']} "
-            f"| {a['under_replicated']} | {a['dirty']} "
-            f"| {a['quarantined']} |")
-    if len(result.audits) > 12:
-        lines.append(f"(… {len(result.audits) - 12} audits elided …)")
+    lines += render_audit_rows(
+        result.audits, "| {t:.0f} | {objects} | {lost} "
+        "| {under_replicated} | {dirty} | {quarantined} |")
     lines += ["", *render_invariants(result)]
     verdict = "OK" if result.ok else "DEGRADED"
     lines += [

@@ -25,7 +25,9 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -34,7 +36,8 @@ from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs.runtime import OBS
 from repro.simulation.engine import Simulator
 
-__all__ = ["FaultAction", "FaultInjector"]
+__all__ = ["FaultAction", "FaultInjector", "render_fault_timeline",
+           "render_audit_rows"]
 
 Handler = Callable[["FaultAction"], None]
 
@@ -201,3 +204,34 @@ class FaultInjector:
             return False
         rs = set(ranks)
         return any(pair <= rs for pair in self._lost_links)
+
+
+# ----------------------------------------------------------------------
+# report fragments shared by the harnesses that arm an injector
+# ----------------------------------------------------------------------
+def render_fault_timeline(faults: Sequence[Mapping[str, object]]
+                          ) -> List[str]:
+    """The ``## fault timeline`` section of a harness report, from the
+    fired-fault records a harness keeps of :attr:`FaultInjector.applied`
+    (``{t, kind, rank, peer}``, plus ``factor`` where disks degrade)."""
+    lines = ["## fault timeline", ""]
+    if not faults:
+        return lines + ["no faults fired."]
+    lines += ["| t(s) | action | detail |", "| --- | --- | --- |"]
+    for f in faults:
+        detail = [f"{key} {f[key]}" for key in ("rank", "peer", "factor")
+                  if f.get(key) is not None]
+        lines.append(f"| {float(f['t']):.1f} | {f['kind']} | "
+                     f"{', '.join(detail)} |")
+    return lines
+
+
+def render_audit_rows(audits: Sequence[Mapping[str, object]],
+                      row: str) -> List[str]:
+    """One table line per periodic audit — *row* formatted with the
+    audit's fields; past twelve audits only the first and last six are
+    shown and the gap is stated."""
+    if len(audits) <= 12:
+        return [row.format(**a) for a in audits]
+    return ([row.format(**a) for a in (*audits[:6], *audits[-6:])]
+            + [f"(… {len(audits) - 12} audits elided …)"])

@@ -33,7 +33,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.faults.injector import FaultAction, FaultInjector
+from repro.faults.injector import (
+    FaultAction,
+    FaultInjector,
+    render_audit_rows,
+    render_fault_timeline,
+)
 from repro.faults.plan import FaultPlan, require_periods
 from repro.faults.retry import RetryPolicy
 from repro.kvstore.replicated import (
@@ -447,35 +452,16 @@ def render_kv_churn_report(result: KVChurnResult) -> str:
         f"| {stats.get('reads_failed', 0)} "
         f"| {stats.get('repair_copies', 0)} |",
         "",
-        "## fault timeline",
-        "",
-    ]
-    if result.faults:
-        lines += ["| t(s) | action | detail |", "| --- | --- | --- |"]
-        for f in result.faults:
-            detail = []
-            if f.get("rank") is not None:
-                detail.append(f"rank {f['rank']}")
-            if f.get("peer") is not None:
-                detail.append(f"peer {f['peer']}")
-            lines.append(f"| {float(f['t']):.1f} | {f['kind']} | "
-                         f"{', '.join(detail)} |")
-    else:
-        lines.append("no faults fired.")
-    lines += [
+        *render_fault_timeline(result.faults),
         "",
         "## consistency audits",
         "",
         "| t(s) | epoch | keys | lost acked | under-replicated |",
         "| --- | --- | --- | --- | --- |",
     ]
-    shown = (result.audits if len(result.audits) <= 12
-             else result.audits[:6] + result.audits[-6:])
-    for a in shown:
-        lines.append(f"| {float(a['t']):.0f} | {a['epoch']} | {a['keys']} "
-                     f"| {a['lost_acked']} | {a['under_replicated']} |")
-    if len(result.audits) > 12:
-        lines.append(f"(… {len(result.audits) - 12} audits elided …)")
+    lines += render_audit_rows(
+        result.audits, "| {t:.0f} | {epoch} | {keys} "
+        "| {lost_acked} | {under_replicated} |")
     lines += ["", *render_invariants(result)]
     verdict = "OK" if result.ok else "DEGRADED"
     lines += [

@@ -141,6 +141,12 @@ def _run_three_phase_task(spec: TaskSpec, attempt: int) -> Tuple[Dict, bool]:
     config = dict(spec.config)
     mode = config.pop("mode", "selective")
     result = run_three_phase(mode, **config)
+    if not result.finished:
+        # A legitimate outcome (the workload outlasts max_duration),
+        # not a crash: unhealthy once, never retried.
+        return {"mode": mode, "phase_ends": result.phase_ends,
+                "unfinished": list(result.unfinished),
+                "duration": result.duration}, False
     p2 = result.phase_ends["phase2"]
     summary = {
         "mode": mode,

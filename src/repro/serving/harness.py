@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster.cluster import ElasticCluster
+from repro.cluster.runtime import DISK_BW, REINTEGRATION_RATE, ClusterRuntime
+from repro.faults.plan import require_periods
 from repro.hashring.hashing import hash64
 from repro.obs.analytics import percentile
 from repro.obs.invariants import checked_run, render_invariants
 from repro.simulation.engine import Simulator
-from repro.simulation.flows import FluidFlow
-from repro.simulation.iomodel import IOModel
 
 from repro.serving.clients import ClosedLoopPopulation, OpenLoopPopulation
 from repro.serving.coordinator import AdmissionCoordinator, Request
@@ -38,6 +38,13 @@ from repro.serving.flowcontrol import FlowController, make_controller
 __all__ = ["ServeResult", "render_serve_report", "run_serve"]
 
 MB = 10 ** 6
+
+#: Every request reads or writes one object of this size.
+REQUEST_BYTES = 1 * MB
+#: Admission tick, simulated seconds.
+DT = 0.5
+#: Objects written before the clients start, so early reads hit.
+PREPOPULATE = 256
 
 
 def latency_stats(values: List[float]) -> Dict[str, Optional[float]]:
@@ -111,18 +118,12 @@ def run_serve(
     think_time: float = 1.0,
     users: int = 4_000_000,
     per_user_rate: float = 5e-5,
-    request_bytes: int = 1 * MB,
     write_ratio: float = 0.3,
     duration: float = 180.0,
-    dt: float = 0.5,
     resize_at: float = 60.0,
     resize_back_at: float = 120.0,
-    disk_bw: float = 64e6,
-    prepopulate: int = 256,
-    selective_rate_limit: float = 50e6,
     slo_p99: float = 3.0,
     check: bool = True,
-    controller_kwargs: Optional[dict] = None,
 ) -> ServeResult:
     """Serve a mixed open/closed population across a resize.
 
@@ -130,10 +131,12 @@ def run_serve(
     ``per_user_rate`` requests/s — millions of users collapse into a
     single arrival rate, which is how the population scales without
     per-user state.  ``write_ratio`` of requests are writes, charged
-    ``replicas * request_bytes`` of disk work on their primary and
+    ``replicas * REQUEST_BYTES`` of disk work on their primary and
     materialised into the catalog on completion (so the shrunken
     cluster accumulates a real dirty backlog for the resize-back to
-    reintegrate).
+    reintegrate).  *duration* and *slo_p99* are simulated seconds and
+    must be finite and ``> 0``.  Disks and the re-integration rate
+    limit are the §V-A testbed's (:mod:`repro.cluster.runtime`).
     """
     if not 0 <= off_count < n:
         raise ValueError("off_count must be in [0, n)")
@@ -143,24 +146,18 @@ def run_serve(
         raise ValueError("need 0 < resize_at < resize_back_at < duration")
     if not 0.0 <= write_ratio <= 1.0:
         raise ValueError("write_ratio must be in [0, 1]")
+    require_periods(duration=duration, slo_p99=slo_p99)
 
-    ctrl: FlowController = make_controller(
-        controller, **(controller_kwargs or {}))
-    sim = Simulator()
-    cluster = ElasticCluster(n, replicas, disk_bandwidth=disk_bw)
-
-    def capacities() -> Dict[int, float]:
-        table = cluster.ech.membership
-        return {r: disk_bw for r in cluster.servers if table.is_active(r)}
-
-    io = IOModel(capacities, dt,
-                 capacity_token=lambda: cluster.ech.current_version)
-    coord = AdmissionCoordinator(sim, io, ctrl, dt)
+    ctrl: FlowController = make_controller(controller)
+    cluster = ElasticCluster(n, replicas, disk_bandwidth=DISK_BW)
+    rt = ClusterRuntime(cluster, DT, sim=Simulator())
+    sim, io = rt.sim, rt.io
+    coord = AdmissionCoordinator(sim, io, ctrl, DT)
 
     oid_counter = itertools.count(1)
     state = {"written": 0}
-    for _ in range(prepopulate):
-        cluster.write(next(oid_counter), request_bytes)
+    for _ in range(PREPOPULATE):
+        cluster.write(next(oid_counter), REQUEST_BYTES)
         state["written"] += 1
 
     # -- request fabrication (placement + disk cost + materialisation) --
@@ -172,7 +169,7 @@ def run_serve(
         return servers[hash64(key + ":replica") % len(servers)]
 
     def materialise(req: Request, _t: float) -> None:
-        cluster.write(req.oid, request_bytes)
+        cluster.write(req.oid, REQUEST_BYTES)
         state["written"] += 1
 
     def factory(pop: str, rid: int, key: str) -> Request:
@@ -180,12 +177,12 @@ def run_serve(
         if is_write:
             oid = next(oid_counter)
             server = cluster.ech.locate(oid).servers[0]
-            nbytes = float(replicas * request_bytes)
+            nbytes = float(replicas * REQUEST_BYTES)
             on_complete = materialise
         else:
             oid = 1 + hash64(key + ":oid") % max(1, state["written"])
             server = pick_replica(oid, key)
-            nbytes = float(request_bytes)
+            nbytes = float(REQUEST_BYTES)
             on_complete = None
         return Request(rid=rid, pop=pop, oid=oid, is_write=is_write,
                        server=server, nbytes=nbytes, t_enqueue=sim.now,
@@ -206,25 +203,12 @@ def run_serve(
 
     def resize_down() -> None:
         cluster.resize(n - off_count)
-        table = cluster.ech.membership
-        gone = [r for r in cluster.servers if not table.is_active(r)]
+        gone = sorted(set(cluster.servers) - set(cluster.active_ranks()))
         coord.failover(gone, relocate)
 
     def resize_up() -> None:
         cluster.resize(n)
-        cycle = cluster.reintegration_cycle
-        backlog = cluster.selective_backlog_bytes()
-        report = cluster.run_selective_reintegration()
-        volume = max(report.bytes_migrated, backlog)
-        if volume > 0:
-            table = cluster.ech.membership
-            active = [r for r in cluster.servers if table.is_active(r)]
-            io.flows.add(FluidFlow(
-                name="migration",
-                coefficients={r: 1.0 / len(active) for r in active},
-                total_bytes=float(volume),
-                rate_cap=selective_rate_limit,
-            ), parent=cycle)
+        rt.reintegrate_selective(REINTEGRATION_RATE)
 
     sim.schedule_at(resize_at, resize_down)
     sim.schedule_at(resize_back_at, resize_up)
@@ -235,10 +219,10 @@ def run_serve(
                      controller=ctrl.name) as checked:
         closed.start()
         open_pop.start()
-        ticks = round(duration / dt)
+        ticks = round(duration / DT)
         for i in range(1, ticks + 1):
             coord.begin_tick()
-            now = i * dt
+            now = i * DT
             sim.run_until(now)
             coord.background_active = bool(io.flows.by_name("migration"))
             achieved = io.step(now)

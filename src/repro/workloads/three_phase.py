@@ -17,13 +17,18 @@ experiment driver turns each into a fluid client flow.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
-__all__ = ["Phase", "three_phase_workload"]
+__all__ = ["Phase", "PHASE_NAMES", "three_phase_workload"]
 
 MB = 10 ** 6
 GB = 10 ** 9
+
+#: The phases :func:`three_phase_workload` returns, in order — a run
+#: has *finished* when each has an end time.
+PHASE_NAMES = ("phase1", "phase2", "phase3")
 
 
 @dataclass(frozen=True)
@@ -76,9 +81,12 @@ def three_phase_workload(scale: float = 1.0,
                          phase2_rate: float = 20 * MB) -> List[Phase]:
     """The §V-A workload.  *scale* shrinks the byte totals uniformly
     (the unit tests run at scale=0.05 to stay fast); *phase2_rate* is
-    Filebench's ``rate`` attribute for the middle phase."""
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    Filebench's ``rate`` attribute for the middle phase.  Both must be
+    finite and positive: a ``nan`` or ``inf`` workload never drains."""
+    for name, value in (("scale", scale), ("phase2_rate", phase2_rate)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite "
+                             f"(got {value})")
     return [
         # 7 files x 2 GB, pure sequential write.
         Phase("phase1", total_bytes=14 * GB * scale, write_ratio=1.0),

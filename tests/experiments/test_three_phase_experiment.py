@@ -82,6 +82,24 @@ class TestOptions:
         with pytest.raises(ValueError):
             run_three_phase("bogus", scale=SCALE)
 
+    def test_running_out_of_time_is_an_outcome(self):
+        # Phase 2 alone needs ~19 s at this scale.
+        cut = run_three_phase("selective", scale=SCALE, max_duration=10.0)
+        assert not cut.finished
+        assert cut.unfinished == ("phase2", "phase3")
+        assert list(cut.phase_ends) == ["phase1"]
+        assert cut.duration == 10.0 == cut.times[-1]
+        whole = run_three_phase("selective", scale=SCALE)
+        assert whole.finished and whole.unfinished == ()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf")])
+    @pytest.mark.parametrize("name", ["scale", "phase2_rate"])
+    def test_non_finite_workload_rejected(self, name, bad):
+        # nan used to tick through all 3 600 s moving nothing.
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            run_three_phase("none", **{name: bad})
+
     def test_full_design_lowers_write_peak(self):
         """Ablation: with the real equal-work + primary layout the
         write phase bottlenecks on the primaries (§III-C trade-off)."""

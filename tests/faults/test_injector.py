@@ -3,7 +3,11 @@ state."""
 
 import pytest
 
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import (
+    FaultInjector,
+    render_audit_rows,
+    render_fault_timeline,
+)
 from repro.faults.plan import FaultEvent, FaultPlan
 from repro.obs import OBS
 from repro.obs.trace import RingBufferSink
@@ -146,3 +150,35 @@ class TestEvents:
         assert all(e["rank"] == 6 for e in injected)
         assert [(t, a.kind) for t, a in injector.applied] == \
             [(1.0, "crash"), (3.0, "repair")]
+
+
+class TestReportFragments:
+    """Shared by the chaos and kv-churn reports."""
+
+    def test_timeline_details_only_what_a_record_carries(self):
+        lines = render_fault_timeline([
+            {"t": 1.0, "kind": "crash", "rank": 6, "peer": None,
+             "factor": None},
+            {"t": 2.5, "kind": "slow_disk.start", "rank": 3, "peer": None,
+             "factor": 0.25},
+            # kv-churn's records have no "factor" key at all.
+            {"t": 4.0, "kind": "link_loss.start", "rank": 1, "peer": 2},
+        ])
+        assert lines[:2] == ["## fault timeline", ""]
+        assert lines[4:] == [
+            "| 1.0 | crash | rank 6 |",
+            "| 2.5 | slow_disk.start | rank 3, factor 0.25 |",
+            "| 4.0 | link_loss.start | rank 1, peer 2 |"]
+
+    def test_timeline_without_faults(self):
+        assert render_fault_timeline([]) == [
+            "## fault timeline", "", "no faults fired."]
+
+    def test_audit_rows_elide_the_middle_past_twelve(self):
+        row = "| {t} |"
+        audits = [{"t": t, "label": "periodic"} for t in range(30)]
+        assert render_audit_rows(audits[:12], row) == [
+            f"| {t} |" for t in range(12)]
+        assert render_audit_rows(audits, row) == (
+            [f"| {t} |" for t in (0, 1, 2, 3, 4, 5, 24, 25, 26, 27, 28, 29)]
+            + ["(… 18 audits elided …)"])

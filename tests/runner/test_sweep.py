@@ -213,6 +213,19 @@ class TestOutcomes:
         assert result.task("sick").status == "unhealthy"
         assert result.task("sick").outcome is not None
 
+    def test_unfinished_three_phase_is_unhealthy_once(self, tmp_path):
+        # scale 6 outlasts the 3 600 simulated s.  The worker used to
+        # index phase_ends["phase2"] and burn every attempt on the
+        # same KeyError.
+        specs = [TaskSpec(task_id="long", kind="three-phase", seed=0,
+                          config={"mode": "selective", "scale": 6.0})]
+        result = SweepRunner(workers=1).run(specs, tmp_path)
+        task = result.task("long")
+        assert (task.status, task.attempts) == ("unhealthy", 1)
+        summary = task.outcome["summary"]
+        assert summary["unfinished"] == ["phase2", "phase3"]
+        assert list(summary["phase_ends"]) == ["phase1"]
+
     def test_failed_task_excluded_from_merged_trace(self, tmp_path):
         specs = [TaskSpec(task_id="doomed", kind="selftest", seed=1,
                           config={"fail_attempts": 99, "mode": "raise"}),

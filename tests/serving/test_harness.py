@@ -155,6 +155,11 @@ class TestReportAndVerdicts:
         {"off_count": 5},                     # cannot hold replicas
         {"resize_at": 25.0},                  # after resize_back_at
         {"write_ratio": 1.5},
+        {"duration": float("inf")},           # was OverflowError
+        {"duration": float("nan")},
+        {"slo_p99": float("nan")},            # was "MISSED (p99 > nans)"
+        {"slo_p99": float("inf")},
+        {"slo_p99": 0.0},
     ])
     def test_bad_parameters_rejected(self, kwargs):
         cfg = dict(SMALL, n=6)

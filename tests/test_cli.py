@@ -143,6 +143,20 @@ class TestBadInputIsAMessage:
         (["layout", "--n", "1", "--replicas", "3"], "cannot hold"),
         (["chaos", "--audit-every", "0"], "audit_every must be > 0"),
         (["chaos", "--audit-every", "-1"], "audit_every must be > 0"),
+        # Non-finite values: were an OverflowError / KeyError traceback,
+        # a vacuous 3 600-tick run exiting 0, or "MISSED (p99 > nans)".
+        (["three-phase", "--scale", "nan"], "scale must be positive"),
+        (["three-phase", "--scale", "inf"], "scale must be positive"),
+        (["chaos", "--scale", "nan"], "scale must be positive"),
+        (["chaos", "--scale", "inf"], "scale must be positive"),
+        (["serve", "--duration", "nan"], "resize_back_at < duration"),
+        (["serve", "--duration", "inf"], "duration must be > 0"),
+        (["serve", "--slo-p99", "nan"], "slo_p99 must be > 0"),
+        (["serve", "--slo-p99", "inf"], "slo_p99 must be > 0"),
+        # A legitimate scale the 3 600 simulated s cannot drain: was
+        # KeyError: 'phase2'.
+        (["three-phase", "--scale", "6"],
+         "phase2 unfinished after 3600 simulated s (completed: phase1)"),
     ])
     def test_one_line_and_nonzero_exit(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -361,6 +375,13 @@ class TestSweepCommand:
         with pytest.raises(SystemExit, match="bad --plan"):
             main(["sweep", "--seeds", "0", "--out", str(tmp_path / "s"),
                   "--plan", str(bad)])
+
+    @pytest.mark.parametrize("command", ["chaos", "kvchurn"])
+    def test_bad_plan_file_names_its_command(self, command, tmp_path):
+        # One --plan loader serves sweep, chaos and kvchurn.
+        with pytest.raises(SystemExit,
+                           match=f"repro {command}: bad --plan file"):
+            main([command, "--plan", str(tmp_path / "missing.json")])
 
 
 class TestStatsWindowGuard:

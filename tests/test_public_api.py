@@ -32,6 +32,11 @@ SURFACE = {
         "check_holder_index",
         "MachineHourMeter", "PowerModel",
     ],
+    "repro.cluster.runtime": [
+        "ClusterRuntime", "ThreePhaseLoad", "REPLICAS", "DISK_BW",
+        "CLIENT_CAP", "OBJECT_SIZE", "REINTEGRATION_RATE", "PHASE2_RATE",
+        "DT", "MAX_DURATION", "PROBE_OBJECTS",
+    ],
     "repro.simulation": [
         "Simulator", "Event", "max_min_fair", "FluidFlow", "FlowSet",
         "IOModel",

@@ -2,13 +2,20 @@
 
 import pytest
 
-from repro.workloads.three_phase import GB, MB, Phase, three_phase_workload
+from repro.workloads.three_phase import (
+    GB,
+    MB,
+    PHASE_NAMES,
+    Phase,
+    three_phase_workload,
+)
 
 
 class TestPaperParameters:
     def test_three_phases(self):
         phases = three_phase_workload()
         assert [p.name for p in phases] == ["phase1", "phase2", "phase3"]
+        assert tuple(p.name for p in phases) == PHASE_NAMES
 
     def test_phase1_is_14gb_pure_write(self):
         p1 = three_phase_workload()[0]
