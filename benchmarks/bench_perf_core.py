@@ -16,7 +16,7 @@ import pytest
 
 from repro.core.elastic import ElasticConsistentHash
 from repro.core.placement import place_original
-from repro.hashring.hashing import bulk_hash
+from repro.hashring.hashing import bulk_hash, bulk_hash_concat, hash64
 from repro.hashring.ring import HashRing
 
 
@@ -196,6 +196,43 @@ def bench_dirty_table_insert(benchmark):
         table.insert(next(counter), 1)
 
     benchmark(insert)
+
+
+# ----------------------------------------------------------------------
+# serving's deterministic draws (what a serve_resize rep takes ~124 k of)
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shape", ["block_4096", "grid_200x20"])
+def bench_bulk_hash_concat(benchmark, shape):
+    """One draw block: 4 096 open-loop ordinals between a prefix and a
+    suffix, or 200 closed-loop clients x 20 ordinals."""
+    if shape == "block_4096":
+        parts = ("7:open:", np.arange(4096, 8192), ":replica")
+        first = "7:open:4096:replica"
+    else:
+        parts = ("7:closed:", np.arange(200)[:, None], ":",
+                 np.arange(100, 120)[None, :], ":replica")
+        first = "7:closed:0:100:replica"
+    block = benchmark(bulk_hash_concat, *parts)
+    assert block.size in (4096, 4000)
+    assert int(block.flat[0]) == hash64(first)
+
+
+def bench_serve_request_draws(benchmark):
+    """The three draws one read request takes from its handle (write or
+    read, which oid, which replica), blocks already computed — against
+    three ~18-byte scalar ``hash64`` folds before."""
+    from repro.serving.clients import Draw, DrawStream
+    stream = DrawStream("7:closed:", 200)
+    for suffix in (":rw", ":oid", ":replica"):
+        stream.hash(suffix, 0)
+    ordinals = itertools.cycle(range(20))
+
+    def draws():
+        key = Draw(stream, next(ordinals), 137)
+        return key.unit(":rw"), key.hash(":oid"), key.hash(":replica")
+
+    rw, oid, _ = benchmark(draws)
+    assert 0.0 < rw < 1.0 and 0 <= oid < 2 ** 64
 
 
 # ----------------------------------------------------------------------

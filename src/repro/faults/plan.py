@@ -51,8 +51,8 @@ TRIGGERS = ("phase2", "phase3", "recovery", "reintegration")
 
 
 def require_periods(**periods: float) -> None:
-    """Reject a harness period (simulated seconds, by keyword) that is
-    not finite and ``> 0``."""
+    """Reject a harness period or rate (simulated seconds or 1/s, by
+    keyword) that is not finite and ``> 0``."""
     for name, period in periods.items():
         if not (math.isfinite(period) and period > 0):
             raise ValueError(f"{name} must be > 0 and finite "

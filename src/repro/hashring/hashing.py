@@ -159,36 +159,43 @@ def splitmix64_array(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _bulk_fnv1a_uint64(vals: np.ndarray) -> np.ndarray:
-    """Vectorised FNV-1a over the decimal encoding of non-negative
-    integers — bit-identical to ``hash64(int(v))`` for every element.
+def bulk_hash_concat(*parts: Union[str, np.ndarray]) -> np.ndarray:
+    """Element-wise ``hash64("".join(...))`` of a concatenation.
 
+    Each part is a constant ``str`` or an array of non-negative integers
+    standing for its decimal text; arrays broadcast against each other
+    (a ``(rows, 1)`` column against a ``(1, k)`` row gives a grid).
     FNV-1a is a sequential byte fold, so it cannot be vectorised across
-    byte *positions*; it can across *keys*: group values by decimal
-    length and fold digit-by-digit over each group (at most 20 passes
-    of whole-array NumPy ops instead of one Python loop per key).
+    byte *positions*; it can across *keys*: a constant byte is one
+    whole-array xor-multiply, and an integer part folds most significant
+    digit first, each pass touching only the elements long enough to
+    have that digit.  Bit-identical to the scalar :func:`hash64`.
     """
-    out = np.empty(vals.shape, dtype=np.uint64)
-    offset = np.uint64(_FNV_OFFSET)
+    h = np.full(np.broadcast_shapes(
+        *(p.shape for p in parts if not isinstance(p, str))),
+        _FNV_OFFSET, dtype=np.uint64)
+    if h.size == 0:
+        return h
     prime = np.uint64(_FNV_PRIME)
     with np.errstate(over="ignore"):
-        lo = np.uint64(0)
-        for ndigits in range(1, 21):
-            hi = np.uint64(10 ** ndigits) if ndigits < 20 else None
-            mask = (vals >= lo) if hi is None else (vals >= lo) & (vals < hi)
-            if ndigits == 1:
-                mask |= vals == 0
-            lo = hi if hi is not None else lo
-            if not mask.any():
+        for part in parts:
+            if isinstance(part, str):
+                for byte in part.encode("utf-8"):
+                    h ^= np.uint64(byte)
+                    h *= prime
                 continue
-            group = vals[mask]
-            h = np.full(group.shape, offset, dtype=np.uint64)
-            for j in range(ndigits - 1, -1, -1):
-                digit = (group // np.uint64(10) ** np.uint64(j)) % np.uint64(10)
-                h ^= digit + np.uint64(48)   # ord('0')
-                h *= prime
-            out[mask] = h
-    return splitmix64_array(out)
+            if part.dtype.kind not in "iu" or int(part.min()) < 0:
+                raise ValueError("bulk_hash_concat takes str parts and "
+                                 "arrays of non-negative integers")
+            vals = part.astype(np.uint64, copy=False)
+            for j in range(len(str(int(vals.max()))) - 1, -1, -1):
+                power = np.uint64(10 ** j)
+                step = h ^ ((vals // power) % np.uint64(10)
+                            + np.uint64(48))   # ord('0')
+                step *= prime
+                short = vals < power    # no such digit (0 keeps its one)
+                h = np.where(short, h, step) if j and short.any() else step
+    return splitmix64_array(h)
 
 
 def bulk_hash(keys: Iterable[Key], method: HashFunction = "fnv1a") -> np.ndarray:
@@ -212,7 +219,7 @@ def bulk_hash(keys: Iterable[Key], method: HashFunction = "fnv1a") -> np.ndarray
             if arr.size == 0:
                 return np.empty(0, dtype=np.uint64)
             if arr.dtype.kind == "u" or int(arr.min()) >= 0:
-                return _bulk_fnv1a_uint64(arr.astype(np.uint64, copy=False))
+                return bulk_hash_concat(arr)
             keys = (int(k) for k in arr)   # negatives: scalar fallback
     return np.fromiter(
         (hash64(k, method) for k in keys), dtype=np.uint64, count=-1

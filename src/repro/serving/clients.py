@@ -13,38 +13,92 @@ Two canonical load shapes from the queueing literature:
   admission control, not just backpressure.
 
 All "randomness" (think-time jitter, interarrival gaps, retry
-backoff) derives from FNV-1a hashes of ``(seed, population, ordinal)``
-— no PRNG state, so a same-seed run replays byte-identically no
-matter how completions and arrivals interleave.
+backoff) derives from FNV-1a hashes of ``(seed, population, ordinal,
+purpose)`` — no PRNG state, so a same-seed run replays byte-identically
+no matter how completions and arrivals interleave.  A
+:class:`DrawStream` evaluates them a block of ordinals at a time.
 
 Populations do not fabricate requests themselves; the harness passes
 a ``factory(pop, rid, key) -> Request`` that owns placement (which
-oid, read or write, which server, what disk cost).  Populations own
-only pacing: when to issue, when to retry, when to think.
+oid, read or write, which server, what disk cost) and takes its own
+draws from *key*, the issue's :class:`Draw`.  Populations own only
+pacing: when to issue, when to retry, when to think.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.hashring.hashing import hash64
+import numpy as np
+
+from repro.faults.plan import require_periods
+from repro.hashring.hashing import bulk_hash_concat, hash64
 from repro.simulation.engine import Simulator
 
 from repro.serving.coordinator import AdmissionCoordinator, Request
 
-__all__ = ["ClosedLoopPopulation", "OpenLoopPopulation"]
+__all__ = ["ClosedLoopPopulation", "Draw", "DrawStream",
+           "OpenLoopPopulation"]
 
-#: ``factory(pop, rid, key)`` builds the request; *key* is the
-#: deterministic hash namespace for this issue.
-RequestFactory = Callable[[str, int, str], Request]
+#: Draws held per block: 32 KB of ``uint64``, ~0.2 ms to compute.
+_BLOCK_DRAWS = 4096
 
 
-def _unit(key: str) -> float:
-    """Deterministic uniform in (0, 1) — the +0.5 offset keeps it off
-    both endpoints so it is safe inside ``log``."""
-    return (hash64(key) + 0.5) / 2.0 ** 64
+def _unit(h: int) -> float:
+    """A 64-bit hash as a uniform in (0, 1) — the +0.5 offset keeps it
+    off both endpoints so it is safe inside ``log``."""
+    return (h + 0.5) / 2.0 ** 64
+
+
+class DrawStream:
+    """The hash family ``hash64(f"{prefix}{n}{suffix}")`` — with *rows*,
+    ``hash64(f"{prefix}{row}:{n}{suffix}")`` — read by ordinal *n*.
+
+    A suffix's values are computed a block of consecutive ordinals (for
+    every row) at a time, on first use, and kept as ``uint64`` arrays:
+    lists of Python ints cost 9 MB more on a ``run_serve``.
+    """
+
+    def __init__(self, prefix: str, rows: Optional[int] = None) -> None:
+        self._lead = (prefix,) if rows is None else (
+            prefix, np.arange(rows)[:, None], ":")
+        self._width = max(1, _BLOCK_DRAWS // (rows or 1))
+        self._blocks: Dict[Tuple[str, int], np.ndarray] = {}
+
+    def hash(self, suffix: str, n: int, row: int = 0) -> int:
+        b, i = divmod(n, self._width)
+        block = self._blocks.get((suffix, b))
+        if block is None:
+            ns = np.arange(b * self._width, (b + 1) * self._width)[None, :]
+            block = self._blocks[suffix, b] = bulk_hash_concat(
+                *self._lead, ns, suffix)
+        return int(block[row, i])
+
+    def unit(self, suffix: str, n: int, row: int = 0) -> float:
+        return _unit(self.hash(suffix, n, row))
+
+
+class Draw:
+    """One issue's draws, by purpose: ``key.hash(":oid")`` is the
+    stream's value for this issue's ``(row, n)`` and that suffix."""
+
+    __slots__ = ("_stream", "_n", "_row")
+
+    def __init__(self, stream: DrawStream, n: int, row: int = 0) -> None:
+        self._stream, self._n, self._row = stream, n, row
+
+    def hash(self, suffix: str) -> int:
+        return self._stream.hash(suffix, self._n, self._row)
+
+    def unit(self, suffix: str) -> float:
+        return self._stream.unit(suffix, self._n, self._row)
+
+
+#: ``factory(pop, rid, key)`` builds the request, taking whatever
+#: deterministic draws it needs from *key*.
+RequestFactory = Callable[[str, int, Draw], Request]
 
 
 class ClosedLoopPopulation:
@@ -63,10 +117,7 @@ class ClosedLoopPopulation:
                  retry_delay: float = 0.5, name: str = "closed") -> None:
         if clients < 1:
             raise ValueError("clients must be >= 1")
-        if think_time <= 0:
-            raise ValueError("think_time must be > 0")
-        if retry_delay <= 0:
-            raise ValueError("retry_delay must be > 0")
+        require_periods(think_time=think_time, retry_delay=retry_delay)
         self.sim = sim
         self.coordinator = coordinator
         self.factory = factory
@@ -78,20 +129,22 @@ class ClosedLoopPopulation:
         self.retries = 0
         self._issues = [0] * clients
         self._rid = itertools.count()
+        self._keys = DrawStream(f"{seed}:{name}:", clients)
+        self._thinks = DrawStream(f"{seed}:{name}:think:", clients)
 
     def start(self) -> None:
         """Stagger first issues over one think time so thousands of
         clients do not arrive as a single same-instant spike."""
         for c in range(self.clients):
-            first = self.think_time * _unit(
-                f"{self.seed}:{self.name}:first:{c}")
+            first = self.think_time * _unit(hash64(
+                f"{self.seed}:{self.name}:first:{c}"))
             self.sim.schedule_at(self.sim.now + first, self._issue, c)
 
     # ------------------------------------------------------------------
     def _issue(self, c: int) -> None:
         n = self._issues[c]
         self._issues[c] += 1
-        key = f"{self.seed}:{self.name}:{c}:{n}"
+        key = Draw(self._keys, n, c)
         req = self.factory(self.name, next(self._rid), key)
         wrapped = req.on_complete
 
@@ -101,9 +154,9 @@ class ClosedLoopPopulation:
                 _orig(r, t)
             self._think(_c)
 
-        def rejected(r: Request, _c: int = c, _key: str = key) -> None:
+        def rejected(r: Request, _c: int = c, _key: Draw = key) -> None:
             self.retries += 1
-            backoff = self.retry_delay * (0.5 + _unit(_key + ":retry"))
+            backoff = self.retry_delay * (0.5 + _key.unit(":retry"))
             self.sim.schedule_at(self.sim.now + backoff, self._issue, _c)
 
         req.on_complete = done
@@ -112,8 +165,7 @@ class ClosedLoopPopulation:
 
     def _think(self, c: int) -> None:
         n = self._issues[c]
-        think = self.think_time * (
-            0.5 + _unit(f"{self.seed}:{self.name}:think:{c}:{n}"))
+        think = self.think_time * (0.5 + self._thinks.unit("", n, c))
         self.sim.schedule_at(self.sim.now + think, self._issue, c)
 
 
@@ -134,8 +186,7 @@ class OpenLoopPopulation:
                  name: str = "open") -> None:
         if users < 1:
             raise ValueError("users must be >= 1")
-        if per_user_rate <= 0:
-            raise ValueError("per_user_rate must be > 0")
+        require_periods(per_user_rate=per_user_rate)
         self.sim = sim
         self.coordinator = coordinator
         self.factory = factory
@@ -146,19 +197,20 @@ class OpenLoopPopulation:
         self.until = until
         self.name = name
         self.arrivals = 0
+        self._keys = DrawStream(f"{seed}:{name}:")
+        self._gaps = DrawStream(f"{seed}:{name}:gap:")
 
     def start(self) -> None:
         self.sim.schedule_at(self.sim.now + self._gap(0), self._arrive, 0)
 
     def _gap(self, n: int) -> float:
-        u = _unit(f"{self.seed}:{self.name}:gap:{n}")
-        return -math.log(u) / self.rate
+        return -math.log(self._gaps.unit("", n)) / self.rate
 
     def _arrive(self, n: int) -> None:
         if self.until is not None and self.sim.now >= self.until:
             return
         self.arrivals += 1
-        key = f"{self.seed}:{self.name}:{n}"
-        self.coordinator.enqueue(self.factory(self.name, n, key))
+        self.coordinator.enqueue(
+            self.factory(self.name, n, Draw(self._keys, n)))
         self.sim.schedule_at(self.sim.now + self._gap(n + 1),
                              self._arrive, n + 1)

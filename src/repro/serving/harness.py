@@ -31,7 +31,11 @@ from repro.obs.analytics import percentile
 from repro.obs.invariants import checked_run, render_invariants
 from repro.simulation.engine import Simulator
 
-from repro.serving.clients import ClosedLoopPopulation, OpenLoopPopulation
+from repro.serving.clients import (
+    ClosedLoopPopulation,
+    Draw,
+    OpenLoopPopulation,
+)
 from repro.serving.coordinator import AdmissionCoordinator, Request
 from repro.serving.flowcontrol import FlowController, make_controller
 
@@ -146,7 +150,8 @@ def run_serve(
         raise ValueError("need 0 < resize_at < resize_back_at < duration")
     if not 0.0 <= write_ratio <= 1.0:
         raise ValueError("write_ratio must be in [0, 1]")
-    require_periods(duration=duration, slo_p99=slo_p99)
+    require_periods(duration=duration, slo_p99=slo_p99,
+                    think_time=think_time, per_user_rate=per_user_rate)
 
     ctrl: FlowController = make_controller(controller)
     cluster = ElasticCluster(n, replicas, disk_bandwidth=DISK_BW)
@@ -161,27 +166,24 @@ def run_serve(
         state["written"] += 1
 
     # -- request fabrication (placement + disk cost + materialisation) --
-    def _unit_of(key: str) -> float:
-        return (hash64(key) + 0.5) / 2.0 ** 64
-
-    def pick_replica(oid: int, key: str) -> int:
+    def pick_replica(oid: int, draw: int) -> int:
         servers = cluster.ech.locate(oid).servers
-        return servers[hash64(key + ":replica") % len(servers)]
+        return servers[draw % len(servers)]
 
     def materialise(req: Request, _t: float) -> None:
         cluster.write(req.oid, REQUEST_BYTES)
         state["written"] += 1
 
-    def factory(pop: str, rid: int, key: str) -> Request:
-        is_write = _unit_of(key + ":rw") < write_ratio
+    def factory(pop: str, rid: int, key: Draw) -> Request:
+        is_write = key.unit(":rw") < write_ratio
         if is_write:
             oid = next(oid_counter)
             server = cluster.ech.locate(oid).servers[0]
             nbytes = float(replicas * REQUEST_BYTES)
             on_complete = materialise
         else:
-            oid = 1 + hash64(key + ":oid") % max(1, state["written"])
-            server = pick_replica(oid, key)
+            oid = 1 + key.hash(":oid") % max(1, state["written"])
+            server = pick_replica(oid, key.hash(":replica"))
             nbytes = float(REQUEST_BYTES)
             on_complete = None
         return Request(rid=rid, pop=pop, oid=oid, is_write=is_write,
@@ -199,7 +201,8 @@ def run_serve(
     def relocate(req: Request) -> int:
         if req.is_write:
             return cluster.ech.locate(req.oid).servers[0]
-        return pick_replica(req.oid, f"{seed}:failover:{req.rid}")
+        return pick_replica(
+            req.oid, hash64(f"{seed}:failover:{req.rid}:replica"))
 
     def resize_down() -> None:
         cluster.resize(n - off_count)

@@ -2,9 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.hashring.hashing import (
+    _FNV_OFFSET,
+    _FNV_PRIME,
     bulk_hash,
+    bulk_hash_concat,
     hash64,
     hash_key,
     splitmix64_array,
@@ -134,6 +139,109 @@ class TestBulkHash:
     def test_empty_inputs(self):
         assert bulk_hash(range(0)).size == 0
         assert bulk_hash(np.empty(0, dtype=np.uint64)).size == 0
+
+
+def _bulk_fnv1a_uint64_oracle(vals: np.ndarray) -> np.ndarray:
+    """``_bulk_fnv1a_uint64`` as it stood before ``bulk_hash_concat``
+    replaced it (group by decimal length, fold each group), verbatim."""
+    out = np.empty(vals.shape, dtype=np.uint64)
+    offset = np.uint64(_FNV_OFFSET)
+    prime = np.uint64(_FNV_PRIME)
+    with np.errstate(over="ignore"):
+        lo = np.uint64(0)
+        for ndigits in range(1, 21):
+            hi = np.uint64(10 ** ndigits) if ndigits < 20 else None
+            mask = (vals >= lo) if hi is None else (vals >= lo) & (vals < hi)
+            if ndigits == 1:
+                mask |= vals == 0
+            lo = hi if hi is not None else lo
+            if not mask.any():
+                continue
+            group = vals[mask]
+            h = np.full(group.shape, offset, dtype=np.uint64)
+            for j in range(ndigits - 1, -1, -1):
+                digit = (group // np.uint64(10) ** np.uint64(j)) % np.uint64(10)
+                h ^= digit + np.uint64(48)   # ord('0')
+                h *= prime
+            out[mask] = h
+    return splitmix64_array(out)
+
+
+#: 0, 9/10, 99/100, ..., 10**19 and the uint64 maximum: every decimal
+#: length and both sides of every length boundary.
+_EDGES = sorted({0, 2 ** 64 - 1}
+                | {10 ** d for d in range(20)}
+                | {10 ** d - 1 for d in range(1, 20)})
+_uint64s = st.one_of(st.sampled_from(_EDGES),
+                     st.integers(0, 2 ** 64 - 1),
+                     st.integers(0, 5_000))
+_strs = st.one_of(st.just(""), st.sampled_from([":", "7:open:", ":oid"]),
+                  st.text(max_size=6),
+                  st.text(alphabet="é✓𝄞:0", max_size=4))
+
+
+@st.composite
+def _templates(draw):
+    """``(parts, rows)``: a template of ``str`` parts and equal-length
+    integer columns, and the strings it stands for, row by row."""
+    size = draw(st.integers(1, 12))
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=5)
+                 .filter(any))
+    parts = [np.array(draw(st.lists(_uint64s, min_size=size,
+                                    max_size=size)), dtype=np.uint64)
+             if is_column else draw(_strs) for is_column in kinds]
+    rows = ["".join(p if isinstance(p, str) else str(int(p[i]))
+                    for p in parts) for i in range(size)]
+    return parts, rows
+
+
+class TestBulkHashConcat:
+    @settings(max_examples=300, deadline=None)
+    @given(_templates())
+    def test_matches_scalar_hash_of_the_joined_string(self, template):
+        parts, rows = template
+        before = [p if isinstance(p, str) else p.copy() for p in parts]
+        got = bulk_hash_concat(*parts)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [hash64(row) for row in rows]
+        for p, b in zip(parts, before):       # inputs are not mutated
+            assert np.array_equal(p, b)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_uint64s, min_size=1, max_size=40))
+    def test_one_part_case_matches_the_old_integer_fold(self, values):
+        arr = np.array(values, dtype=np.uint64)
+        before = arr.copy()
+        assert np.array_equal(bulk_hash_concat(arr),
+                              _bulk_fnv1a_uint64_oracle(arr))
+        assert np.array_equal(bulk_hash(arr), _bulk_fnv1a_uint64_oracle(arr))
+        assert np.array_equal(arr, before)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_uint64s, min_size=1, max_size=6),
+           st.lists(_uint64s, min_size=1, max_size=6), _strs, _strs)
+    def test_column_against_row_broadcasts_to_a_grid(self, rows, cols,
+                                                     prefix, suffix):
+        grid = bulk_hash_concat(
+            prefix, np.array(rows, dtype=np.uint64)[:, None], ":",
+            np.array(cols, dtype=np.uint64)[None, :], suffix)
+        assert grid.tolist() == [
+            [hash64(f"{prefix}{r}:{c}{suffix}") for c in cols] for r in rows]
+
+    def test_signed_and_platform_integer_arrays(self):
+        for dtype in (np.int64, np.int32, np.intp):
+            arr = np.array([0, 7, 10, 123_456], dtype=dtype)
+            assert bulk_hash_concat("k", arr).tolist() == [
+                hash64(f"k{int(v)}") for v in arr]
+
+    def test_empty_and_constant_only(self):
+        assert bulk_hash_concat("a", np.empty(0, dtype=np.int64)).shape == (0,)
+        assert int(bulk_hash_concat("a", "bc")) == hash64("abc")
+
+    @pytest.mark.parametrize("bad", [np.array([3, -1]), np.array([0.5])])
+    def test_rejects_what_has_no_decimal_digits(self, bad):
+        with pytest.raises(ValueError, match="non-negative integers"):
+            bulk_hash_concat("k", bad)
 
 
 class TestSplitmix64Array:

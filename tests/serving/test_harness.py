@@ -160,9 +160,29 @@ class TestReportAndVerdicts:
         {"slo_p99": float("nan")},            # was "MISSED (p99 > nans)"
         {"slo_p99": float("inf")},
         {"slo_p99": 0.0},
+        {"per_user_rate": float("inf")},      # was: never returned
+        {"per_user_rate": float("nan")},
+        {"per_user_rate": 0.0},
+        {"think_time": float("inf")},
+        {"think_time": float("nan")},
     ])
     def test_bad_parameters_rejected(self, kwargs):
         cfg = dict(SMALL, n=6)
         cfg.update(kwargs)
         with pytest.raises(ValueError):
             run_serve(**cfg)
+
+    def test_bad_rate_is_rejected_before_the_cluster_is_built(
+            self, monkeypatch):
+        import repro.serving.harness as harness_mod
+
+        def no_cluster(*args, **kwargs):
+            raise AssertionError("cluster built for a run that cannot start")
+
+        monkeypatch.setattr(harness_mod, "ElasticCluster", no_cluster)
+        with pytest.raises(ValueError, match=r"per_user_rate must be > 0 "
+                                             r"and finite \(got inf\)"):
+            run_serve(**dict(SMALL, per_user_rate=float("inf")))
+        with pytest.raises(ValueError, match="think_time must be > 0 "
+                                             "and finite"):
+            run_serve(**dict(SMALL, think_time=float("nan")))

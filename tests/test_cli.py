@@ -157,6 +157,13 @@ class TestBadInputIsAMessage:
         # KeyError: 'phase2'.
         (["three-phase", "--scale", "6"],
          "phase2 unfinished after 3600 simulated s (completed: phase1)"),
+        # Every gap 0.0: the arrival chain rescheduled itself at one
+        # instant forever.  nan was "cannot schedule at non-finite time".
+        (["serve", "--per-user-rate", "inf"],
+         "per_user_rate must be > 0 and finite (got inf)"),
+        (["serve", "--per-user-rate", "nan"],
+         "per_user_rate must be > 0 and finite (got nan)"),
+        (["serve", "--per-user-rate", "0"], "per_user_rate must be > 0"),
     ])
     def test_one_line_and_nonzero_exit(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
