@@ -423,6 +423,9 @@ def _cmd_info(args) -> str:
 
 def _cmd_layout(args) -> str:
     ech = _facade(args)
+    if args.objects < 1:
+        raise ValueError(f"objects must be >= 1 (got {args.objects}): "
+                         f"nothing placed is an all-zero distribution")
     layout = ech.layout
     counts = ech.blocks_per_rank(range(args.objects))
     plan = CapacityPlan.for_layout(layout)

@@ -25,7 +25,7 @@ from repro.cluster.server import (
 )
 from repro.cluster.power import MachineHourMeter, PowerModel
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
-from repro.cluster.recovery import RecoveryPlan, plan_departure_recovery
+from repro.cluster.recovery import plan_departure_recovery
 from repro.cluster.vdi import VirtualDisk, VdiRange
 from repro.cluster.fsck import (
     FsckIssue,
@@ -35,11 +35,10 @@ from repro.cluster.fsck import (
     scan_holders,
 )
 from repro.cluster.migration import (
-    TokenBucket,
-    MigrationPlan,
     full_reintegration_plan,
     addition_migration_plan,
 )
+from repro.core.reintegration import MigrationPlan
 
 __all__ = [
     "DataObject",
@@ -51,7 +50,6 @@ __all__ = [
     "PowerModel",
     "ElasticCluster",
     "OriginalCHCluster",
-    "RecoveryPlan",
     "plan_departure_recovery",
     "VirtualDisk",
     "VdiRange",
@@ -60,7 +58,6 @@ __all__ = [
     "check_cluster",
     "check_holder_index",
     "scan_holders",
-    "TokenBucket",
     "MigrationPlan",
     "full_reintegration_plan",
     "addition_migration_plan",

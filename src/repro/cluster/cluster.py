@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import (Container, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from repro.core.kernel import BulkPlacement, PlacementKernel
 from repro.core.placement import ChainMode, PlacementResult, place_original
 from repro.hashring.hashing import bulk_hash
 from repro.core.reintegration import (
+    MigrationPlan,
     MigrationTask,
     ReintegrationEngine,
     ReintegrationPlan,
@@ -67,14 +68,6 @@ class CrashRecoveryWork:
     lost: Dict[int, int] = field(default_factory=dict)
     #: The open ``recovery.fail`` span; closed by the commit.
     span: Optional[object] = None
-
-    @property
-    def num_objects(self) -> int:
-        return len(self.lost)
-
-    @property
-    def lost_bytes(self) -> int:
-        return sum(self.lost.values())
 
 
 class _ClusterBase:
@@ -139,6 +132,50 @@ class _ClusterBase:
             if rank not in keep:
                 freed += self.servers[rank].drop_replica(oid)
         return freed
+
+    # ------------------------------------------------------------------
+    # data movement: plan, then apply (DESIGN.md)
+    # ------------------------------------------------------------------
+    def _placement_rows(self, oids: Sequence[int]) -> List[Tuple[int, ...]]:
+        """Current placement of *oids*, in bulk, as server tuples.  An
+        unplaceable object raises the scalar path's ``LookupError``,
+        naming the oid."""
+        if not oids:
+            return []
+        bulk = self.placement_bulk(oids)
+        if not bulk.all_ok:
+            bad = int(np.flatnonzero(~bulk.ok)[0])
+            raise LookupError(f"{bulk.reasons[bad]} (oid {oids[bad]!r})")
+        return [tuple(row) for row in bulk.rows()]
+
+    def catalog_placements(self) -> Tuple[list, List[Tuple[int, ...]]]:
+        """Every catalog object's current placement: ``(objects,
+        target-server rows)`` aligned by index — what the whole-catalog
+        rules run on instead of a scalar lookup per object."""
+        objs = list(self.catalog)
+        return objs, self._placement_rows([o.oid for o in objs])
+
+    def _task(self, oid: int, size: int, target: Sequence[int],
+              recopy: Container[int] = ()) -> MigrationTask:
+        """The comparison every rule shares: stored holders against the
+        *target* placement.  Copies go to targets that hold nothing
+        (or sit in *recopy*: held, but not trusted); holders outside
+        the target are surplus."""
+        stored = self._holders.get(oid, ())
+        return MigrationTask(
+            oid, size, from_servers=stored, to_servers=tuple(target),
+            moved_to=tuple(r for r in target
+                           if r not in stored or r in recopy),
+            dropped_from=tuple(r for r in stored if r not in target))
+
+    def _apply(self, task: MigrationTask) -> int:
+        """The one applier: land *task*'s copies, then drop its surplus
+        (receives first — never dips below r).  Returns the bytes
+        copied."""
+        self._store(task.oid, task.size, task.moved_to)
+        for rank in task.dropped_from:
+            self.servers[rank].drop_replica(task.oid)
+        return task.nbytes
 
     def verify_replication(self, require_active: bool = False) -> List[int]:
         """OIDs stored on fewer than r servers (optionally counting
@@ -234,21 +271,6 @@ class ElasticCluster(_ClusterBase):
     def _object_size(self, oid: int) -> int:
         obj = self.catalog.get(oid)
         return obj.size if obj is not None else DEFAULT_OBJECT_SIZE
-
-    def catalog_placements(self, version: Optional[int] = None
-                           ) -> Tuple[list, List[Tuple[int, ...]]]:
-        """Every catalog object's placement under one version, placed
-        in bulk: ``(objects, target-server rows)`` aligned by index.
-        The whole-catalog sweeps (full re-integration, planning, fsck)
-        run on this instead of a scalar ``locate`` per object."""
-        objs = list(self.catalog)
-        if not objs:
-            return objs, []
-        bulk = self.ech.locate_bulk([o.oid for o in objs], version)
-        if not bulk.all_ok:
-            bad = int(np.flatnonzero(~bulk.ok)[0])
-            self.ech.locate(objs[bad].oid, version)   # raises with the oid
-        return objs, [tuple(row) for row in bulk.rows()]
 
     # ------------------------------------------------------------------
     # power / membership
@@ -365,12 +387,33 @@ class ElasticCluster(_ClusterBase):
         return CrashRecoveryWork(rank=rank, version=curr, lost=dict(lost),
                                  span=recovery_span)
 
+    def crash_recovery_outlook(self, work: CrashRecoveryWork
+                               ) -> MigrationPlan:
+        """The §IV crash re-replication rule, mutating nothing: what
+        :meth:`commit_crash_recovery` would do *right now*.  One task
+        per lost replica, in the crashed server's replica-map order:
+        copy from a surviving holder to the placement under the
+        version current now, drop what that placement does not keep.
+        An object with no surviving replica gets a task with no
+        sources and no target — nothing can be copied, it contributes
+        no bytes (its loss is the commit's business)."""
+        oids = list(work.lost)
+        try:
+            targets = self._placement_rows(oids)
+        except LookupError:
+            # Fewer active servers than replicas: degraded mode —
+            # keep as many copies alive as there are servers.
+            targets = [self.active_ranks()] * len(oids)
+        return MigrationPlan([
+            self._task(oid, size, target if oid in self._holders else ())
+            for (oid, size), target in zip(work.lost.items(), targets)])
+
     def commit_crash_recovery(self, work: CrashRecoveryWork,
                               strict: bool = True) -> int:
-        """Land the re-replication debt of one crash: every lost
-        replica is copied from a surviving copy to the placement under
-        the version current *now* (which may be newer than the crash
-        version — recovery re-plans at commit time).
+        """Land the re-replication debt of one crash: apply
+        :meth:`crash_recovery_outlook`, planned against the version
+        current *now* (which may be newer than the crash version —
+        recovery re-plans at commit time).
 
         Returns the bytes re-replicated.  An object with no surviving
         replica is irrecoverable: with *strict* (the immediate
@@ -382,39 +425,24 @@ class ElasticCluster(_ClusterBase):
         """
         moved = 0
         curr = self.ech.current_version
-        active = self.ech.membership.active_ranks()
-        lost_oids = list(work.lost)
-        bulk = (self.ech.locate_bulk(lost_oids, curr)
-                if lost_oids else None)
-        for i, (oid, size) in enumerate(work.lost.items()):
-            survivors = self.stored_locations(oid)
-            if not survivors:
+        for task in self.crash_recovery_outlook(work).tasks:
+            if not task.from_servers:
                 if strict:
                     raise RuntimeError(
-                        f"object {oid} lost every replica in the crash "
-                        f"of rank {work.rank}")
-                self.lost_objects.append(oid)
+                        f"object {task.oid} lost every replica in the "
+                        f"crash of rank {work.rank}")
+                self.lost_objects.append(task.oid)
                 OBS.metrics.inc("cluster.lost_objects")
                 if OBS.bus.active:
-                    OBS.bus.emit("object.lost", oid=oid,
-                                 rank=work.rank, nbytes=size)
+                    OBS.bus.emit("object.lost", oid=task.oid,
+                                 rank=work.rank, nbytes=task.size)
                 continue
-            if bulk.ok[i]:
-                target = tuple(bulk.servers[i].tolist())
-            else:
-                # Fewer active servers than replicas: degraded mode —
-                # keep as many copies alive as there are servers.
-                target = tuple(active)
-            for r in target:
-                if not self.servers[r].has_replica(oid):
-                    self.servers[r].store_replica(oid, size)
-                    moved += size
-            # The replicas now live at the current version's placement;
-            # surplus copies elsewhere (e.g. parked by an earlier
-            # partial re-integration) are stale relative to it and
-            # must go, or the location-version chain breaks.
-            self._drop_surplus(oid, target)
-            self.ech.location_version[oid] = curr
+            # Surplus copies outside the current placement (e.g. parked
+            # by an earlier partial re-integration) are stale relative
+            # to it and go with the apply, or the location-version
+            # chain breaks.
+            moved += self._apply(task)
+            self.ech.location_version[task.oid] = curr
         OBS.metrics.inc("recovery.bytes", moved)
         if OBS.bus.active:
             OBS.bus.emit("recovery.rereplicate", rank=work.rank,
@@ -422,36 +450,6 @@ class ElasticCluster(_ClusterBase):
         if work.span is not None:
             work.span.end(nbytes=moved)
         return moved
-
-    def crash_recovery_outlook(self, work: CrashRecoveryWork
-                               ) -> Tuple[int, Tuple[int, ...]]:
-        """What :meth:`commit_crash_recovery` would do *right now*:
-        ``(bytes to copy, ranks involved)`` — the sources and targets
-        the recovery transfer depends on, without mutating anything.
-        Unrecoverable objects contribute no bytes (their loss is the
-        commit's business)."""
-        nbytes = 0
-        ranks: set = set()
-        curr = self.ech.current_version
-        active = self.ech.membership.active_ranks()
-        lost_oids = list(work.lost)
-        bulk = (self.ech.locate_bulk(lost_oids, curr)
-                if lost_oids else None)
-        for i, (oid, size) in enumerate(work.lost.items()):
-            survivors = self.stored_locations(oid)
-            if not survivors:
-                continue
-            if bulk.ok[i]:
-                target = tuple(bulk.servers[i].tolist())
-            else:
-                target = tuple(active)
-            missing = [r for r in target
-                       if not self.servers[r].has_replica(oid)]
-            if missing:
-                nbytes += size * len(missing)
-                ranks.update(missing)
-                ranks.update(survivors)
-        return nbytes, tuple(sorted(ranks))
 
     def fail_server(self, rank: int) -> int:
         """A crash handled instantaneously: :meth:`crash_server`'s
@@ -603,13 +601,9 @@ class ElasticCluster(_ClusterBase):
     # re-integration
     # ------------------------------------------------------------------
     def apply_migration(self, task: MigrationTask) -> None:
-        """Physically execute one migration task against the replica
-        maps (receives first, then drops — never dips below r)."""
-        size = self._object_size(task.oid)
-        for rank in task.moved_to:
-            self.servers[rank].store_replica(task.oid, size)
-        for rank in task.dropped_from:
-            self.servers[rank].drop_replica(task.oid)
+        """Execute one selective (Algorithm 2) move against the
+        replica maps and publish it."""
+        self._apply(task)
         OBS.metrics.inc("migration.objects")
         OBS.metrics.inc("migration.bytes", task.nbytes)
         if OBS.bus.active:
@@ -678,22 +672,32 @@ class ElasticCluster(_ClusterBase):
             report, self._engine.plan_pass().actionable == 0)
         return report
 
-    @profiled("reintegration.full")
-    def run_full_reintegration(self) -> int:
-        """The "primary+full" re-integration (§V-B): restore the layout
-        for the just-re-powered servers without consulting the dirty
-        table.
+    def plan_full_reintegration(self) -> MigrationPlan:
+        """The "primary+full" rule (§V-B), mutating nothing.
 
         Re-integration is triggered by server *additions* (§III-E:
         "data re-integration means the data migration when servers are
         re-integrated to a cluster"), so only objects whose current
         placement touches an unverified (newly powered-on) rank are
-        processed — sizing down must stay clean-up-free.  For those
+        planned — sizing down must stay clean-up-free.  For those
         objects, because this path cannot tell which replicas on the
         re-added servers are stale, it re-copies **every** replica the
         placement maps onto them — §II-C's over-migration ("consistent
         hashing assumes that the added servers are empty") — plus any
-        replica a server genuinely lacks, then drops surplus copies.
+        replica a server genuinely lacks, and drops surplus copies.
+        """
+        unverified = self.unverified_ranks
+        objs, targets = self.catalog_placements()
+        return MigrationPlan([
+            self._task(obj.oid, obj.size, target, recopy=unverified)
+            for obj, target in zip(objs, targets)
+            if any(r in unverified for r in target)])
+
+    @profiled("reintegration.full")
+    def run_full_reintegration(self) -> int:
+        """Apply :meth:`plan_full_reintegration`: restore the layout
+        for the just-re-powered servers without consulting the dirty
+        table.
 
         Returns bytes migrated (including the redundant re-copies:
         they cost real IO bandwidth even when the payload is already
@@ -705,17 +709,9 @@ class ElasticCluster(_ClusterBase):
         full_span = OBS.spans.begin("reintegration.full",
                                     parent=self.reintegration_cycle,
                                     version=curr)
-        objs, targets = self.catalog_placements(curr)
-        for obj, target in zip(objs, targets):
-            if not any(r in self.unverified_ranks for r in target):
-                continue
-            stored = self.stored_locations(obj.oid)
-            to_copy = [r for r in target
-                       if r not in stored or r in self.unverified_ranks]
-            if to_copy:
-                self._store(obj.oid, obj.size, to_copy)
-                moved += obj.size * len(to_copy)
-            self._drop_surplus(obj.oid, target)
+        for task in self.plan_full_reintegration().tasks:
+            moved += self._apply(task)
+            obj = self.catalog[task.oid]
             obj.version = curr
             self.ech.location_version[obj.oid] = curr
             if not full_power:
@@ -726,7 +722,7 @@ class ElasticCluster(_ClusterBase):
                 # compose).
                 obj.dirty = True
                 self.ech.dirty.insert(obj.oid, curr)
-        if self.ech.is_full_power:
+        if full_power:
             for obj in self.catalog:
                 obj.dirty = False
                 self.ech.last_written[obj.oid] = max(
@@ -738,26 +734,11 @@ class ElasticCluster(_ClusterBase):
         if OBS.bus.active:
             OBS.bus.emit("migration.full", nbytes=moved, version=curr)
         full_span.end(nbytes=moved)
-        if self.reintegration_cycle is not None and self.ech.is_full_power:
+        if self.reintegration_cycle is not None and full_power:
             self.reintegration_cycle.end(status="drained")
             self.reintegration_cycle = None
             self._engine.span_parent = None
         return moved
-
-    def full_reintegration_bytes(self) -> int:
-        """Volume :meth:`run_full_reintegration` would move, without
-        moving it — used by the policy analyser."""
-        curr = self.ech.current_version
-        total = 0
-        objs, targets = self.catalog_placements(curr)
-        for obj, target in zip(objs, targets):
-            if not any(r in self.unverified_ranks for r in target):
-                continue
-            stored = self.stored_locations(obj.oid)
-            total += obj.size * sum(
-                1 for r in target
-                if r not in stored or r in self.unverified_ranks)
-        return total
 
     # ------------------------------------------------------------------
     # dynamic primary count (SpringFS-style extension)
@@ -774,14 +755,9 @@ class ElasticCluster(_ClusterBase):
         apply_relayout(self.ech, new_p)
         moved = 0
         curr = self.ech.current_version
-        objs, targets = self.catalog_placements(curr)
+        objs, targets = self.catalog_placements()
         for obj, target in zip(objs, targets):
-            stored = self.stored_locations(obj.oid)
-            to_add = [r for r in target if r not in stored]
-            if to_add:
-                self._store(obj.oid, obj.size, to_add)
-                moved += obj.size * len(to_add)
-            self._drop_surplus(obj.oid, target)
+            moved += self._apply(self._task(obj.oid, obj.size, target))
             obj.version = curr
             self.ech.location_version[obj.oid] = curr
         self.migrated_bytes["full"] += moved
@@ -855,17 +831,6 @@ class OriginalCHCluster(_ClusterBase):
         slots = self.ring.bulk_successor_slots(positions)
         return self._kernel.table(None, None).gather(slots)
 
-    def catalog_placements(self) -> Tuple[list, List[Tuple[int, ...]]]:
-        """Bulk placement of the whole catalog: ``(objects, rows)``."""
-        objs = list(self.catalog)
-        if not objs:
-            return objs, []
-        bulk = self.placement_bulk([o.oid for o in objs])
-        if not bulk.all_ok:
-            bad = int(np.flatnonzero(~bulk.ok)[0])
-            self.placement(objs[bad].oid)   # raises with the oid
-        return objs, [tuple(row) for row in bulk.rows()]
-
     def write(self, oid: int, size: int = DEFAULT_OBJECT_SIZE
               ) -> PlacementResult:
         placement = self.placement(oid)
@@ -883,6 +848,56 @@ class OriginalCHCluster(_ClusterBase):
         return servers, available
 
     # ------------------------------------------------------------------
+    # §II-C's two rules.  Each is stated once, against the ring *as it
+    # stands*; the planners put the ring in the hypothetical state and
+    # restore it, the mutators change it for good and apply.
+    # ------------------------------------------------------------------
+    def _departure_tasks(self, rank: int) -> List[MigrationTask]:
+        """Every replica *rank* holds goes to its placement on a ring
+        that has already lost the server."""
+        srv = self.servers[rank]
+        victims = list(srv.replicas())
+        return [self._task(oid, srv.replica_size(oid), target)
+                for oid, target in zip(victims,
+                                       self._placement_rows(victims))]
+
+    def _addition_tasks(self) -> List[MigrationTask]:
+        """Every object settles on its placement under a ring the new
+        servers have already joined — assumed empty, so all the data
+        mapping onto them moves."""
+        objs, targets = self.catalog_placements()
+        return [self._task(obj.oid, obj.size, target)
+                for obj, target in zip(objs, targets)]
+
+    def plan_departure(self, rank: int) -> MigrationPlan:
+        """What :meth:`remove_server` would re-replicate, computed
+        against a temporary ring without the server (the cluster is
+        left as it was)."""
+        if rank not in self.ring:
+            raise KeyError(f"server {rank} not a member")
+        self.ring.remove_server(rank)
+        try:
+            return MigrationPlan(self._departure_tasks(rank))
+        finally:
+            self.ring.add_server(rank, weight=self.vnodes_per_server)
+
+    def plan_addition(self, ranks: Sequence[int]) -> MigrationPlan:
+        """What re-adding *ranks* (assumed empty) in one step would
+        migrate; the cluster is left as it was.  Every rank is checked
+        before the ring is first touched."""
+        for rank in ranks:
+            if rank in self.ring:
+                raise KeyError(f"server {rank} already a member")
+        if len(set(ranks)) != len(ranks):
+            raise ValueError(f"duplicate ranks in {list(ranks)}")
+        for rank in ranks:
+            self.ring.add_server(rank, weight=self.vnodes_per_server)
+        try:
+            return MigrationPlan(self._addition_tasks())
+        finally:
+            for rank in ranks:
+                self.ring.remove_server(rank)
+
     def remove_server(self, rank: int) -> int:
         """Power a server down, baseline-style: every replica it holds
         is first re-replicated to its successor placement, then the
@@ -894,20 +909,8 @@ class OriginalCHCluster(_ClusterBase):
         if len(self.ring) - 1 < self.replicas:
             raise RuntimeError("removal would break replication level")
         departure_span = OBS.spans.begin("recovery.departure", rank=rank)
-        victims = list(self.servers[rank].replicas())
         self.ring.remove_server(rank)
-        moved = 0
-        bulk = self.placement_bulk(victims) if victims else None
-        for i, oid in enumerate(victims):
-            size = self.servers[rank].replica_size(oid)
-            if not bulk.ok[i]:
-                self.placement(oid)   # raises with the oid
-            target = tuple(bulk.servers[i].tolist())
-            for r in target:
-                if not self.servers[r].has_replica(oid):
-                    self.servers[r].store_replica(oid, size)
-                    moved += size
-            self.servers[rank].drop_replica(oid)
+        moved = sum(map(self._apply, self._departure_tasks(rank)))
         self.servers[rank].power_off()
         self.rereplicated_bytes += moved
         OBS.metrics.inc("recovery.bytes", moved)
@@ -927,15 +930,7 @@ class OriginalCHCluster(_ClusterBase):
         addition_span = OBS.spans.begin("migration.addition", rank=rank)
         self.servers[rank].power_on()
         self.ring.add_server(rank, weight=self.vnodes_per_server)
-        moved = 0
-        objs, targets = self.catalog_placements()
-        for obj, target in zip(objs, targets):
-            stored = self.stored_locations(obj.oid)
-            for r in target:
-                if r not in stored:
-                    self.servers[r].store_replica(obj.oid, obj.size)
-                    moved += obj.size
-            self._drop_surplus(obj.oid, target)
+        moved = sum(map(self._apply, self._addition_tasks()))
         self.migrated_bytes += moved
         OBS.metrics.inc("migration.bytes", moved)
         OBS.metrics.gauge("cluster.active_servers").set(len(self.ring))
@@ -944,18 +939,3 @@ class OriginalCHCluster(_ClusterBase):
             OBS.bus.emit("migration.addition", rank=rank, nbytes=moved)
         addition_span.end(nbytes=moved)
         return moved
-
-    def addition_migration_bytes(self, rank: int) -> int:
-        """Volume :meth:`add_server` would migrate, without doing it."""
-        if rank in self.ring:
-            raise KeyError(f"server {rank} already a member")
-        self.ring.add_server(rank, weight=self.vnodes_per_server)
-        try:
-            total = 0
-            objs, targets = self.catalog_placements()
-            for obj, target in zip(objs, targets):
-                stored = self.stored_locations(obj.oid)
-                total += obj.size * sum(1 for r in target if r not in stored)
-            return total
-        finally:
-            self.ring.remove_server(rank)

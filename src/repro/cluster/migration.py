@@ -1,6 +1,4 @@
-"""Migration planning and rate limiting.
-
-Two planners mirror the paper's two re-integration flavours:
+"""Public planner entries for the two bulk migrations.
 
 * :func:`full_reintegration_plan` — "primary+full": restore the layout
   by copying every replica the current placement expects but the
@@ -10,141 +8,40 @@ Two planners mirror the paper's two re-integration flavours:
   onto it moves (§II-C: "it migrates all the data that are supposed to
   place on the added servers").
 
-Selective planning lives in
-:class:`repro.core.reintegration.ReintegrationEngine`; this module
-contributes the :class:`TokenBucket` that throttles it (§III-E: "limit
-the migration rate").
+The rules themselves live on the clusters
+(:meth:`~repro.cluster.cluster.ElasticCluster.plan_full_reintegration`,
+:meth:`~repro.cluster.cluster.OriginalCHCluster.plan_addition`), where
+the mutating methods apply the same plans; these entries announce the
+plan as a ``migration.plan`` event.  Selective planning lives in
+:class:`repro.core.reintegration.ReintegrationEngine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
+from repro.core.reintegration import MigrationPlan
 from repro.obs.runtime import OBS
 
-__all__ = ["TokenBucket", "MigrationMove", "MigrationPlan",
-           "full_reintegration_plan", "addition_migration_plan"]
+__all__ = ["full_reintegration_plan", "addition_migration_plan"]
 
 
-class TokenBucket:
-    """A byte-rate token bucket.
-
-    ``grant(dt)`` accrues ``rate * dt`` tokens (capped at *burst*) and
-    returns the whole balance for the caller to spend; ``spend(n)``
-    returns unspent tokens.  Drivers call ``grant`` once per simulation
-    tick and hand the result to
-    :meth:`~repro.cluster.cluster.ElasticCluster.run_selective_reintegration`
-    as the byte budget.
-    """
-
-    def __init__(self, rate_bytes_per_s: float,
-                 burst_bytes: float | None = None) -> None:
-        if rate_bytes_per_s <= 0:
-            raise ValueError("rate must be positive")
-        self.rate = float(rate_bytes_per_s)
-        self.burst = float(burst_bytes if burst_bytes is not None
-                           else rate_bytes_per_s)
-        self._tokens = self.burst
-
-    @property
-    def tokens(self) -> float:
-        return self._tokens
-
-    def grant(self, dt: float) -> int:
-        """Accrue *dt* seconds of tokens and return the spendable
-        balance (floored to whole bytes)."""
-        if dt < 0:
-            raise ValueError("dt must be >= 0")
-        self._tokens = min(self.burst, self._tokens + self.rate * dt)
-        balance = int(self._tokens)
-        self._tokens -= balance
-        OBS.metrics.inc("migration.tokens_granted", balance)
-        return balance
-
-    def refund(self, nbytes: int) -> None:
-        """Return unspent budget (kept under the burst cap)."""
-        if nbytes < 0:
-            raise ValueError("refund must be >= 0")
-        self._tokens = min(self.burst, self._tokens + nbytes)
-
-
-@dataclass(frozen=True)
-class MigrationMove:
-    """Copy one object's replica(s) to specific servers."""
-
-    oid: int
-    nbytes: int
-    destinations: Tuple[int, ...]
-
-
-@dataclass
-class MigrationPlan:
-    """A batch of migration moves with per-server accounting."""
-
-    moves: List[MigrationMove] = field(default_factory=list)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(m.nbytes * len(m.destinations) for m in self.moves)
-
-    @property
-    def num_objects(self) -> int:
-        return len(self.moves)
-
-    def bytes_per_destination(self) -> Dict[int, int]:
-        out: Dict[int, int] = {}
-        for m in self.moves:
-            for dst in m.destinations:
-                out[dst] = out.get(dst, 0) + m.nbytes
-        return out
+def _announce(planner: str, plan: MigrationPlan) -> MigrationPlan:
+    if OBS.bus.active:
+        OBS.bus.emit("migration.plan", planner=planner,
+                     objects=plan.num_objects, nbytes=plan.total_bytes)
+    return plan
 
 
 def full_reintegration_plan(cluster: ElasticCluster) -> MigrationPlan:
-    """What "primary+full" would move right now (no mutation): for
-    every object mapped onto an unverified (just re-powered) server,
-    the replicas the placement expects there — including re-copies of
-    payloads already in place, the over-migration that makes "full"
-    pay for skipping the dirty table — plus any replica a server
-    genuinely lacks."""
-    plan = MigrationPlan()
-    curr = cluster.ech.current_version
-    objs, targets = cluster.catalog_placements(curr)
-    for obj, target in zip(objs, targets):
-        if not any(r in cluster.unverified_ranks for r in target):
-            continue
-        stored = set(cluster.stored_locations(obj.oid))
-        dests = tuple(r for r in target
-                      if r not in stored or r in cluster.unverified_ranks)
-        if dests:
-            plan.moves.append(MigrationMove(obj.oid, obj.size, dests))
-    if OBS.bus.active:
-        OBS.bus.emit("migration.plan", planner="full_reintegration",
-                     objects=plan.num_objects, nbytes=plan.total_bytes)
-    return plan
+    """What "primary+full" would move right now (no mutation)."""
+    return _announce("full_reintegration",
+                     cluster.plan_full_reintegration())
 
 
 def addition_migration_plan(cluster: OriginalCHCluster,
                             ranks: Sequence[int]) -> MigrationPlan:
     """What re-adding *ranks* (assumed empty) to the baseline cluster
     would migrate (no mutation)."""
-    for rank in ranks:
-        if rank in cluster.ring:
-            raise KeyError(f"server {rank} already a member")
-        cluster.ring.add_server(rank, weight=cluster.vnodes_per_server)
-    try:
-        plan = MigrationPlan()
-        objs, targets = cluster.catalog_placements()
-        for obj, target in zip(objs, targets):
-            stored = set(cluster.stored_locations(obj.oid))
-            dests = tuple(r for r in target if r not in stored)
-            if dests:
-                plan.moves.append(MigrationMove(obj.oid, obj.size, dests))
-        if OBS.bus.active:
-            OBS.bus.emit("migration.plan", planner="addition",
-                         objects=plan.num_objects, nbytes=plan.total_bytes)
-        return plan
-    finally:
-        for rank in ranks:
-            cluster.ring.remove_server(rank)
+    return _announce("addition", cluster.plan_addition(ranks))

@@ -13,124 +13,20 @@ the trace analyser can model the delay a departure imposes:
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
-
 from repro.cluster.cluster import OriginalCHCluster
+from repro.core.reintegration import MigrationPlan
 from repro.obs.runtime import OBS
 
-__all__ = ["RecoveryTask", "RecoveryPlan", "plan_departure_recovery"]
-
-
-@dataclass(frozen=True)
-class RecoveryTask:
-    """Re-replicate one object after a departure."""
-
-    oid: int
-    nbytes: int
-    #: Surviving servers a copy can be read from.
-    sources: Tuple[int, ...]
-    #: Servers that must receive a new replica.
-    destinations: Tuple[int, ...]
-
-
-def _check_recovery_rate(per_server_bandwidth: float,
-                         fraction_for_recovery: float) -> None:
-    """Reject bandwidth/fraction inputs that would make a recovery-time
-    estimate divide by zero or go negative/NaN — a degraded-bandwidth
-    fault can legitimately drive a capacity to 0, and the planner must
-    say so instead of raising ``ZeroDivisionError`` downstream."""
-    if (not isinstance(per_server_bandwidth, (int, float))
-            or not math.isfinite(per_server_bandwidth)
-            or per_server_bandwidth <= 0):
-        raise ValueError(
-            f"per_server_bandwidth must be a positive, finite number of "
-            f"bytes/s, got {per_server_bandwidth!r}")
-    if (not isinstance(fraction_for_recovery, (int, float))
-            or not math.isfinite(fraction_for_recovery)
-            or not 0 < fraction_for_recovery <= 1):
-        raise ValueError(
-            f"fraction_for_recovery must be in (0, 1], got "
-            f"{fraction_for_recovery!r}")
-
-
-@dataclass
-class RecoveryPlan:
-    """All clean-up work a single departure requires."""
-
-    departing: int
-    tasks: List[RecoveryTask] = field(default_factory=list)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(t.nbytes * len(t.destinations) for t in self.tasks)
-
-    @property
-    def num_objects(self) -> int:
-        return len(self.tasks)
-
-    def bytes_per_destination(self) -> Dict[int, int]:
-        """Ingest volume per receiving server — the hot spot that
-        bounds recovery time."""
-        out: Dict[int, int] = {}
-        for t in self.tasks:
-            for dst in t.destinations:
-                out[dst] = out.get(dst, 0) + t.nbytes
-        return out
-
-    def estimated_seconds(self, per_server_bandwidth: float,
-                          fraction_for_recovery: float = 1.0) -> float:
-        """Lower-bound (fully parallel) recovery time: the busiest
-        receiver's ingest divided by the bandwidth share granted to
-        recovery traffic."""
-        _check_recovery_rate(per_server_bandwidth, fraction_for_recovery)
-        per_dst = self.bytes_per_destination()
-        if not per_dst:
-            return 0.0
-        return max(per_dst.values()) / (per_server_bandwidth
-                                        * fraction_for_recovery)
-
-    def serialized_seconds(self, per_server_bandwidth: float,
-                           fraction_for_recovery: float = 1.0) -> float:
-        """Serialized recovery time: the whole plan pushed through one
-        disk-equivalent pipeline.
-
-        Sheepdog-era recovery walks its queue object by object with
-        little parallelism, which is what made the paper's testbed
-        take tens of seconds per departure (Figure 2); this estimate —
-        total plan bytes over one server's granted bandwidth — is the
-        faithful model of that behaviour and the one the agility
-        experiment uses."""
-        _check_recovery_rate(per_server_bandwidth, fraction_for_recovery)
-        return self.total_bytes / (per_server_bandwidth
-                                   * fraction_for_recovery)
+__all__ = ["plan_departure_recovery"]
 
 
 def plan_departure_recovery(cluster: OriginalCHCluster,
-                            rank: int) -> RecoveryPlan:
-    """The re-replication a departure of *rank* would require, computed
-    against a temporary ring without the server (the cluster is left
-    untouched)."""
-    if rank not in cluster.ring:
-        raise KeyError(f"server {rank} not a member")
-    plan = RecoveryPlan(departing=rank)
-    victims = list(cluster.servers[rank].replicas())
-    cluster.ring.remove_server(rank)
-    try:
-        for oid in victims:
-            size = cluster.servers[rank].replica_size(oid)
-            target = cluster.placement(oid).servers
-            stored = set(cluster.stored_locations(oid)) - {rank}
-            dests = tuple(r for r in target if r not in stored)
-            if dests:
-                plan.tasks.append(RecoveryTask(
-                    oid=oid, nbytes=size,
-                    sources=tuple(sorted(stored)),
-                    destinations=dests,
-                ))
-    finally:
-        cluster.ring.add_server(rank, weight=cluster.vnodes_per_server)
+                            rank: int) -> MigrationPlan:
+    """The re-replication a departure of *rank* would require (the
+    rule is :meth:`OriginalCHCluster.plan_departure`, which
+    ``remove_server`` applies), announced as a ``recovery.plan``
+    event."""
+    plan = cluster.plan_departure(rank)
     if OBS.bus.active:
         OBS.bus.emit("recovery.plan", departing=rank,
                      objects=plan.num_objects, nbytes=plan.total_bytes)

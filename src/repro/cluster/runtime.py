@@ -137,12 +137,10 @@ class ClusterRuntime:
     def reintegrate_selective(self, rate_cap: float) -> Optional[FluidFlow]:
         """Run Algorithm 2 now and move its bytes through a
         rate-limited flow parented to the open ``resize.cycle``."""
-        cluster = self.cluster
-        cycle = cluster.reintegration_cycle     # the pass may close it
-        backlog = cluster.selective_backlog_bytes()
-        report = cluster.run_selective_reintegration()
+        cycle = self.cluster.reintegration_cycle   # the pass may close it
+        report = self.cluster.run_selective_reintegration()
         return self.add_reintegration_flow(
-            max(report.bytes_migrated, backlog), rate_cap, parent=cycle)
+            report.bytes_migrated, rate_cap, parent=cycle)
 
 
 class ThreePhaseLoad:

@@ -30,6 +30,7 @@ from repro.core.placement import (
 from repro.core.versioning import MembershipTable, VersionHistory
 from repro.core.dirty_table import DirtyEntry, DirtyTable
 from repro.core.reintegration import (
+    MigrationPlan,
     MigrationTask,
     ReintegrationEngine,
     ReintegrationReport,
@@ -49,6 +50,7 @@ __all__ = [
     "VersionHistory",
     "DirtyEntry",
     "DirtyTable",
+    "MigrationPlan",
     "MigrationTask",
     "ReintegrationEngine",
     "ReintegrationReport",

@@ -33,17 +33,16 @@ tick with the bytes the token bucket grants that tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.dirty_table import DirtyEntry, DirtyTable
+from repro.core.dirty_table import DirtyEntry
 from repro.core.elastic import ElasticConsistentHash
 from repro.obs.runtime import OBS
 
-__all__ = ["MigrationTask", "ReintegrationReport", "ReintegrationPlan",
-           "ReintegrationEngine"]
+__all__ = ["MigrationTask", "MigrationPlan", "ReintegrationReport",
+           "ReintegrationPlan", "ReintegrationEngine"]
 
 ObjectSizeFn = Callable[[int], int]
 MigrateCallback = Callable[["MigrationTask"], None]
@@ -51,24 +50,110 @@ MigrateCallback = Callable[["MigrationTask"], None]
 DEFAULT_OBJECT_SIZE = 4 * 1024 * 1024  # Sheepdog's 4 MB objects (§V-A)
 
 
-@dataclass(frozen=True)
-class MigrationTask:
-    """One object's re-integration move.
+class MigrationTask(NamedTuple):
+    """One object's data movement — the record every movement rule
+    (selective and full re-integration, crash re-replication,
+    original-CH addition and departure) plans and the cluster's one
+    applier executes.
 
-    ``moved_to`` are the servers that must *receive* a replica (present
-    in the new placement, absent from the old); ``dropped_from`` are
-    servers whose replica becomes surplus.  ``bytes`` counts the copy
-    traffic: one object size per receiving server.
+    ``moved_to`` are the servers that must *receive* a copy (read from
+    any of ``from_servers``, the current holders); ``dropped_from`` are
+    holders whose replica becomes surplus once the copies have landed.
+    A task with no ``from_servers`` is an object nothing can be copied
+    from (every replica lost).
     """
 
     oid: int
-    entry_version: int
-    target_version: int
-    from_servers: Tuple[int, ...]
-    to_servers: Tuple[int, ...]
-    moved_to: Tuple[int, ...]
-    dropped_from: Tuple[int, ...]
-    nbytes: int
+    #: Bytes per copy.
+    size: int
+    from_servers: Tuple[int, ...] = ()
+    #: The target placement.
+    to_servers: Tuple[int, ...] = ()
+    moved_to: Tuple[int, ...] = ()
+    dropped_from: Tuple[int, ...] = ()
+    #: Selective moves only: the dirty entry's version and the version
+    #: it migrates to (0 for the rules that read no dirty table).
+    entry_version: int = 0
+    target_version: int = 0
+
+    @property
+    def nbytes(self) -> int:
+        """Copy traffic: one object size per receiving server."""
+        return self.size * len(self.moved_to)
+
+
+@dataclass
+class MigrationPlan:
+    """What one movement rule would do right now, computed without
+    mutating anything: one :class:`MigrationTask` per object the rule
+    settles (a task may have nothing to copy or drop), in apply
+    order."""
+
+    tasks: List[MigrationTask] = field(default_factory=list)
+
+    @property
+    def total_bytes(self) -> int:
+        return sum(t.nbytes for t in self.tasks)
+
+    @property
+    def num_objects(self) -> int:
+        """Objects that receive at least one copy."""
+        return sum(1 for t in self.tasks if t.moved_to)
+
+    @property
+    def oids(self) -> Tuple[int, ...]:
+        """Objects the apply settles."""
+        return tuple(t.oid for t in self.tasks)
+
+    def bytes_per_destination(self) -> Dict[int, int]:
+        """Ingest volume per receiving server — the hot spot that
+        bounds recovery time."""
+        out: Dict[int, int] = {}
+        for t in self.tasks:
+            for dst in t.moved_to:
+                out[dst] = out.get(dst, 0) + t.size
+        return out
+
+    def involved_ranks(self) -> Tuple[int, ...]:
+        """Every rank a planned copy reads from or writes to, sorted —
+        the fault-domain of the transfer that will carry this plan (a
+        drop moves no bytes and pins nothing)."""
+        ranks: set = set()
+        for t in self.tasks:
+            if t.moved_to:
+                ranks.update(t.from_servers)
+                ranks.update(t.moved_to)
+        return tuple(sorted(ranks))
+
+    def serialized_seconds(self, per_server_bandwidth: float,
+                           fraction_for_recovery: float = 1.0) -> float:
+        """Serialized transfer time: the whole plan pushed through one
+        disk-equivalent pipeline.
+
+        Sheepdog-era recovery walks its queue object by object with
+        little parallelism, which is what made the paper's testbed
+        take tens of seconds per departure (Figure 2); this estimate —
+        total plan bytes over one server's granted bandwidth — is the
+        faithful model of that behaviour and the one the agility
+        experiment uses.
+
+        A degraded-bandwidth fault can legitimately drive a capacity to
+        0: inputs that would divide by zero or go negative/NaN are
+        rejected with ``ValueError``."""
+        if (not isinstance(per_server_bandwidth, (int, float))
+                or not math.isfinite(per_server_bandwidth)
+                or per_server_bandwidth <= 0):
+            raise ValueError(
+                f"per_server_bandwidth must be a positive, finite number "
+                f"of bytes/s, got {per_server_bandwidth!r}")
+        if (not isinstance(fraction_for_recovery, (int, float))
+                or not math.isfinite(fraction_for_recovery)
+                or not 0 < fraction_for_recovery <= 1):
+            raise ValueError(
+                f"fraction_for_recovery must be in (0, 1], got "
+                f"{fraction_for_recovery!r}")
+        return self.total_bytes / (per_server_bandwidth
+                                   * fraction_for_recovery)
 
 
 @dataclass
@@ -96,41 +181,26 @@ class ReintegrationReport:
 
 
 @dataclass
-class ReintegrationPlan:
+class ReintegrationPlan(MigrationPlan):
     """A non-mutating snapshot of one Algorithm-2 pass: the entries a
-    commit would scan, the migration each actionable entry implies
-    *under the planning version*, and the copy traffic.  Built by
+    commit would scan and the migration each actionable entry implies
+    *under the planning version*.  Built by
     :meth:`ReintegrationEngine.plan_pass` and consumed by
     :meth:`ReintegrationEngine.commit_entries` — the split lets a
     transfer layer move the bytes (interruptibly) before any placement
     state mutates, so a crash mid-transfer simply discards the plan.
     """
 
-    version: int
+    version: int = 0
     entries: List[DirtyEntry] = field(default_factory=list)
-    #: Per-entry planned task, aligned with ``entries``; None where the
-    #: entry is stale, already in place, or not actionable yet.
-    tasks: List[Optional[MigrationTask]] = field(default_factory=list)
     #: Entries a commit would migrate and/or remove.
     actionable: int = 0
-    #: Planned copy traffic in bytes.
-    nbytes: int = 0
 
     @property
     def oids(self) -> Tuple[int, ...]:
-        """OIDs covered by this plan, in entry (fetch) order."""
+        """OIDs of every scanned entry, in fetch order: a commit may
+        remove an entry that has no task (stale, or already in place)."""
         return tuple(e.oid for e in self.entries)
-
-    def involved_ranks(self) -> Tuple[int, ...]:
-        """Every rank a planned migration reads from or writes to,
-        sorted — the fault-domain of the transfer that will carry this
-        plan."""
-        ranks: set = set()
-        for task in self.tasks:
-            if task is not None:
-                ranks.update(task.from_servers)
-                ranks.update(task.moved_to)
-        return tuple(sorted(ranks))
 
 
 class ReintegrationEngine:
@@ -147,9 +217,6 @@ class ReintegrationEngine:
         layer hooks the actual byte movement here.
     """
 
-    RUNNING = "RUNNING"
-    PAUSED = "PAUSED"
-
     def __init__(
         self,
         ech: ElasticConsistentHash,
@@ -161,7 +228,6 @@ class ReintegrationEngine:
             object_size if object_size is not None
             else (lambda _oid: DEFAULT_OBJECT_SIZE))
         self.on_migrate = on_migrate
-        self.state = self.RUNNING
         #: Parent span for ``reintegration.pass`` spans — the cluster
         #: layer points this at the open ``resize.cycle`` span so a
         #: trace reader can attribute each pass to its resize.
@@ -171,18 +237,6 @@ class ReintegrationEngine:
         self._snapshot: List[DirtyEntry] = []
         self._cursor = 0
 
-    # ------------------------------------------------------------------
-    def pause(self) -> None:
-        self.state = self.PAUSED
-
-    def resume(self) -> None:
-        self.state = self.RUNNING
-
-    @property
-    def pending(self) -> int:
-        """Entries not yet scanned in the current pass."""
-        return max(0, len(self._snapshot) - self._cursor)
-
     def _restart(self) -> None:
         """``restart_dirty_entry()``: re-snapshot in fetch order and
         rewind to the head."""
@@ -190,40 +244,51 @@ class ReintegrationEngine:
         self._cursor = 0
 
     # ------------------------------------------------------------------
-    def plan_task(self, entry: DirtyEntry) -> Optional[MigrationTask]:
-        """The migration implied by one entry under the current
-        version, or None when placements already agree.
+    def plan_entry(self, entry: DirtyEntry
+                   ) -> Tuple[str, Optional[MigrationTask]]:
+        """Algorithm 2 lines 5-9 for one entry under the current
+        version, mutating nothing — the one statement of the rule that
+        :meth:`step`, :meth:`commit_entries`, :meth:`plan_pass` and
+        :meth:`total_pending_bytes` all go through.
+
+        Returns ``(verdict, task)``: ``"stale"`` — a newer write
+        supersedes the entry; ``"wait"`` — the cluster has not grown
+        past the entry's version (line 6); ``"grown"`` — act, with the
+        migration the entry implies or None when placements already
+        agree.
 
         The *from* side is the object's **location version** — a prior
         partial re-integration may already have moved the replicas past
         the entry's write version (Figure 6's v10→v11 step migrates
         from server 9, where the v10 pass parked the copy)."""
-        curr = self.ech.current_version
-        loc_ver = self.ech.location_version.get(entry.oid, entry.version)
-        old = self.ech.locate(entry.oid, loc_ver).servers
-        new = self.ech.locate(entry.oid, curr).servers
+        ech = self.ech
+        if ech.last_written.get(entry.oid, entry.version) > entry.version:
+            return "stale", None
+        if ech.num_active <= ech.history.num_active(entry.version):
+            return "wait", None
+        loc_ver = ech.location_version.get(entry.oid, entry.version)
+        old = ech.locate(entry.oid, loc_ver).servers
+        new = ech.locate(entry.oid).servers
         moved_to = tuple(s for s in new if s not in old)
         dropped = tuple(s for s in old if s not in new)
         if not moved_to and not dropped:
-            return None
-        size = self.object_size(entry.oid)
-        return MigrationTask(
+            return "grown", None
+        return "grown", MigrationTask(
             oid=entry.oid,
-            entry_version=entry.version,
-            target_version=curr,
+            size=self.object_size(entry.oid),
             from_servers=old,
             to_servers=new,
             moved_to=moved_to,
             dropped_from=dropped,
-            nbytes=size * len(moved_to),
+            entry_version=entry.version,
+            target_version=ech.current_version,
         )
 
     # ------------------------------------------------------------------
-    def step(self, budget_bytes: Optional[int] = None,
-             max_entries: Optional[int] = None) -> ReintegrationReport:
-        """Run the Algorithm 2 loop until the dirty table is drained,
-        the byte budget is spent, or *max_entries* entries have been
-        processed.
+    def step(self, budget_bytes: Optional[int] = None
+             ) -> ReintegrationReport:
+        """Run the Algorithm 2 loop until the dirty table is drained or
+        the byte budget is spent.
 
         Returns a report; ``caught_up`` is True when every entry
         currently in the table has been scanned against the current
@@ -231,16 +296,10 @@ class ReintegrationEngine:
         is not full power).
         """
         report = ReintegrationReport()
-        if self.state != self.RUNNING:
-            return report
-
         curr_ver = self.ech.current_version
         if curr_ver > self._last_version:
             self._restart()
             self._last_version = curr_ver
-
-        full_power = self.ech.is_full_power
-        curr_active = self.ech.history.num_active(curr_ver)
 
         pass_span = None
         if self._cursor < len(self._snapshot):
@@ -251,14 +310,9 @@ class ReintegrationEngine:
         while self._cursor < len(self._snapshot):
             if budget_bytes is not None and report.bytes_migrated >= budget_bytes:
                 break
-            if max_entries is not None and report.entries_processed >= max_entries:
-                break
-
             entry = self._snapshot[self._cursor]
             self._cursor += 1
-            report.entries_processed += 1
-            self._process_entry(entry, report, curr_ver, full_power,
-                                curr_active)
+            self._process_entry(entry, report)
         else:
             # Scanned every entry without exhausting a budget.
             report.caught_up = True
@@ -272,25 +326,17 @@ class ReintegrationEngine:
         return report
 
     def _process_entry(self, entry: DirtyEntry,
-                       report: ReintegrationReport, curr_ver: int,
-                       full_power: bool, curr_active: int) -> None:
-        """Algorithm 2's per-entry body (lines 5-13), shared by the
-        immediate :meth:`step` loop and the deferred
+                       report: ReintegrationReport) -> None:
+        """Plan one entry and apply the plan (lines 5-13) — shared by
+        the immediate :meth:`step` loop and the deferred
         :meth:`commit_entries` path."""
-        # Staleness: a newer write supersedes this entry.
-        latest = self.ech.last_written.get(entry.oid, entry.version)
-        if latest > entry.version:
-            report.entries_stale += 1
-            if full_power:
-                self.ech.dirty.remove(entry)
-                report.removed.append(entry)
-                report.entries_removed += 1
+        report.entries_processed += 1
+        verdict, task = self.plan_entry(entry)
+        if verdict == "wait":
             return
-
-        # Line 6: only act when the cluster has grown past the
-        # entry's version.
-        if curr_active > self.ech.history.num_active(entry.version):
-            task = self.plan_task(entry)
+        if verdict == "stale":
+            report.entries_stale += 1
+        else:
             if task is not None:
                 if self.on_migrate is not None:
                     self.on_migrate(task)
@@ -300,12 +346,12 @@ class ReintegrationEngine:
             # The replicas now sit at the current version's
             # placement — advance the header's location version so
             # a later pass migrates from here (Figure 6).
-            self.ech.location_version[entry.oid] = curr_ver
-            # Lines 11-13: clear only at full power.
-            if full_power:
-                self.ech.dirty.remove(entry)
-                report.removed.append(entry)
-                report.entries_removed += 1
+            self.ech.location_version[entry.oid] = self.ech.current_version
+        # Lines 11-13: clear only at full power.
+        if self.ech.is_full_power:
+            self.ech.dirty.remove(entry)
+            report.removed.append(entry)
+            report.entries_removed += 1
 
     # ------------------------------------------------------------------
     # deferred (plan → transfer → commit) path
@@ -316,26 +362,24 @@ class ReintegrationEngine:
         an interruptible flow from the plan; the plan's entries are
         handed back to :meth:`commit_entries` once the bytes have
         actually moved and been acknowledged."""
-        curr_ver = self.ech.current_version
         full_power = self.ech.is_full_power
-        curr_active = self.ech.history.num_active(curr_ver)
-        plan = ReintegrationPlan(version=curr_ver,
+        plan = ReintegrationPlan(version=self.ech.current_version,
                                  entries=self.ech.dirty.entries())
+        # Objects an earlier entry of this pass brings to the current
+        # placement (a write and a later crash each log one): the pass
+        # advances their location version, so a second grown entry
+        # finds nothing left to move.
+        settled: set = set()
         for entry in plan.entries:
-            latest = self.ech.last_written.get(entry.oid, entry.version)
-            if latest > entry.version:
-                plan.tasks.append(None)
-                if full_power:      # a commit would remove the stale row
-                    plan.actionable += 1
-                continue
-            if curr_active > self.ech.history.num_active(entry.version):
-                task = self.plan_task(entry)
-                plan.tasks.append(task)
+            verdict, task = self.plan_entry(entry)
+            # A commit migrates a grown entry, and at full power also
+            # removes a stale row.
+            if verdict == "grown" or (verdict == "stale" and full_power):
                 plan.actionable += 1
-                if task is not None:
-                    plan.nbytes += task.nbytes
-            else:
-                plan.tasks.append(None)
+            if task is not None and entry.oid not in settled:
+                plan.tasks.append(task)
+            if verdict == "grown":
+                settled.add(entry.oid)
         return plan
 
     def commit_entries(self, entries: Sequence[DirtyEntry]
@@ -353,22 +397,15 @@ class ReintegrationEngine:
         touched.
         """
         report = ReintegrationReport()
-        if self.state != self.RUNNING:
-            return report
-        curr_ver = self.ech.current_version
-        full_power = self.ech.is_full_power
-        curr_active = self.ech.history.num_active(curr_ver)
         live = [e for e in entries
                 if self.ech.dirty.contains(e.oid, e.version)]
         commit_span = None
         if live:
             commit_span = OBS.spans.begin("reintegration.commit",
                                           parent=self.span_parent,
-                                          version=curr_ver)
+                                          version=self.ech.current_version)
         for entry in live:
-            report.entries_processed += 1
-            self._process_entry(entry, report, curr_ver, full_power,
-                                curr_active)
+            self._process_entry(entry, report)
         report.caught_up = True
         self._record(report)
         if commit_span is not None:
@@ -394,56 +431,7 @@ class ReintegrationEngine:
                          nbytes=report.bytes_migrated,
                          caught_up=report.caught_up)
 
-    # ------------------------------------------------------------------
-    def drain(self) -> ReintegrationReport:
-        """Run to quiescence under the current version (no budget)."""
-        return self.step()
-
     def total_pending_bytes(self) -> int:
-        """Upper bound on migration traffic if the scan ran now —
-        used by the policy analyser to size the re-integration load.
-
-        Vectorised: actionable entries are placed in bulk (grouped by
-        their location version) instead of two scalar locates each —
-        the dominant cost when the dirty table holds a whole catalog.
-        """
-        curr = self.ech.current_version
-        curr_active = self.ech.num_active
-        actionable: List[DirtyEntry] = []
-        for entry in self.ech.dirty.entries():
-            latest = self.ech.last_written.get(entry.oid, entry.version)
-            if latest > entry.version:
-                continue
-            if curr_active > self.ech.history.num_active(entry.version):
-                actionable.append(entry)
-        if not actionable:
-            return 0
-        oids = [e.oid for e in actionable]
-        loc_vers = [self.ech.location_version.get(e.oid, e.version)
-                    for e in actionable]
-        old = self._bulk_servers(oids, loc_vers)
-        new = self._bulk_servers(oids, [curr] * len(oids))
-        # Per entry: how many servers of the new placement are missing
-        # from the old one — each receives one copy of the object.
-        moved = (~(new[:, :, None] == old[:, None, :]).any(axis=2)) \
-            .sum(axis=1)
-        return sum(self.object_size(e.oid) * int(m)
-                   for e, m in zip(actionable, moved) if m)
-
-    def _bulk_servers(self, oids: Sequence[int],
-                      versions: Sequence[int]) -> np.ndarray:
-        """``(N, r)`` server matrix for per-entry versions: one
-        ``locate_bulk`` per distinct version, scattered back in order.
-        Raises the scalar path's ``LookupError`` for unplaceable oids.
-        """
-        out = np.empty((len(oids), self.ech.replicas), dtype=np.intp)
-        by_version: dict = {}
-        for i, ver in enumerate(versions):
-            by_version.setdefault(ver, []).append(i)
-        for ver, idx in by_version.items():
-            bulk = self.ech.locate_bulk([oids[i] for i in idx], ver)
-            if not bulk.all_ok:
-                bad = idx[int(np.flatnonzero(~bulk.ok)[0])]
-                self.ech.locate(oids[bad], versions[bad])   # raises
-            out[idx] = bulk.servers
-        return out
+        """Copy traffic a pass would move if it ran now: the planned
+        pass's ``total_bytes``."""
+        return self.plan_pass().total_bytes

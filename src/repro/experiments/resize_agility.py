@@ -65,8 +65,12 @@ def run_resize_agility(
     *step_interval* seconds until only the minimum remain, then add
     them back at the same cadence from the midpoint.  *objects* ×
     *object_size* is the resident dataset whose re-replication gates
-    the baseline's shrink.
+    the baseline's shrink: with no data the baseline has nothing to
+    re-replicate and the figure is vacuous, so *objects* must be >= 1.
     """
+    if objects < 1:
+        raise ValueError(f"objects must be >= 1 (got {objects}): an empty "
+                         f"dataset gates no departure")
     # ---------------- ideal (requested) pattern ----------------------
     ideal = StepSeries()
     ideal.append(0.0, n)

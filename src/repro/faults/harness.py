@@ -197,15 +197,10 @@ def run_chaos(
     def submit_recovery(work: CrashRecoveryWork, now: float) -> None:
         key = f"recovery:r{work.rank}v{work.version}"
 
-        def plan_fn(work: CrashRecoveryWork = work
-                    ) -> Optional[PlannedTransfer]:
-            nbytes, ranks = cluster.crash_recovery_outlook(work)
-            return PlannedTransfer(
-                nbytes=float(nbytes),
-                ranks=frozenset(ranks),
-                oids=tuple(sorted(work.lost)),
-                commit=lambda: cluster.commit_crash_recovery(
-                    work, strict=False))
+        def plan_fn() -> Optional[PlannedTransfer]:
+            return PlannedTransfer.of(
+                cluster.crash_recovery_outlook(work),
+                lambda: cluster.commit_crash_recovery(work, strict=False))
 
         manager.submit(TransferJob(key=key, kind="recovery",
                                    plan_fn=plan_fn), now=now)
@@ -220,7 +215,7 @@ def run_chaos(
         outlook = cluster.plan_selective_reintegration()
         if outlook.actionable == 0:
             return False
-        if outlook.nbytes == 0 and not cluster.ech.is_full_power:
+        if outlook.total_bytes == 0 and not cluster.ech.is_full_power:
             # Nothing to move, and below full power Algorithm 2 may not
             # clear entries (lines 11-13): a round would be pure churn.
             # The entries wait for the repair/repower round.
@@ -232,12 +227,8 @@ def run_chaos(
             p = cluster.plan_selective_reintegration()
             if p.actionable == 0:
                 return None
-            return PlannedTransfer(
-                nbytes=float(p.nbytes),
-                ranks=frozenset(p.involved_ranks()),
-                oids=p.oids,
-                commit=lambda p=p:
-                    cluster.commit_selective_reintegration(p))
+            return PlannedTransfer.of(
+                p, lambda: cluster.commit_selective_reintegration(p))
 
         manager.submit(TransferJob(key=key, kind="reintegration",
                                    plan_fn=plan_fn,

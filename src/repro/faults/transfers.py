@@ -59,6 +59,15 @@ class PlannedTransfer:
     #: ``coefficients_for`` hook (or an even spread) applies when None.
     coefficients: Optional[Mapping[int, float]] = None
 
+    @classmethod
+    def of(cls, plan, commit: Callable[[], None]) -> "PlannedTransfer":
+        """The transfer that carries a movement *plan*
+        (:class:`~repro.core.reintegration.MigrationPlan`): its bytes,
+        the ranks its copies touch, the objects *commit* settles."""
+        return cls(nbytes=float(plan.total_bytes),
+                   ranks=frozenset(plan.involved_ranks()),
+                   oids=plan.oids, commit=commit)
+
 
 @dataclass
 class TransferJob:

@@ -179,7 +179,7 @@ class TestFullReintegration:
 
     def test_full_bytes_prediction(self, elastic10):
         self._cycle(elastic10)
-        predicted = elastic10.full_reintegration_bytes()
+        predicted = elastic10.plan_full_reintegration().total_bytes
         assert elastic10.run_full_reintegration() == predicted
 
     def test_full_includes_unverified_recopies(self, elastic10):
@@ -190,7 +190,7 @@ class TestFullReintegration:
         elastic10.resize(6)
         elastic10.resize(10)       # nothing written while down
         assert elastic10.selective_backlog_bytes() == 0
-        assert elastic10.full_reintegration_bytes() > 0
+        assert elastic10.plan_full_reintegration().total_bytes > 0
 
 
 class TestAccounting:

@@ -75,7 +75,7 @@ class TestAddition:
 
     def test_addition_plan_matches_actual(self, loaded_original10):
         loaded_original10.remove_server(10)
-        predicted = loaded_original10.addition_migration_bytes(10)
+        predicted = loaded_original10.plan_addition([10]).total_bytes
         actual = loaded_original10.add_server(10)
         assert actual == predicted
 
@@ -83,7 +83,7 @@ class TestAddition:
                                                       loaded_original10):
         loaded_original10.remove_server(10)
         before = loaded_original10.replicas_per_rank()
-        loaded_original10.addition_migration_bytes(10)
+        loaded_original10.plan_addition([10])
         assert loaded_original10.replicas_per_rank() == before
         assert 10 not in loaded_original10.ring
 

@@ -1,55 +1,14 @@
-"""Migration planning and the token bucket."""
+"""Migration planning."""
 
 import pytest
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
 from repro.cluster.migration import (
-    TokenBucket,
     addition_migration_plan,
     full_reintegration_plan,
 )
 
 MB4 = 4 * 1024 * 1024
-
-
-class TestTokenBucket:
-    def test_grant_accrues_rate(self):
-        tb = TokenBucket(rate_bytes_per_s=100, burst_bytes=1000)
-        tb.grant(0)  # drain the initial burst
-        assert tb.grant(1.0) == 100
-
-    def test_burst_cap(self):
-        tb = TokenBucket(rate_bytes_per_s=100, burst_bytes=250)
-        assert tb.grant(100.0) == 250
-
-    def test_initial_balance_is_burst(self):
-        tb = TokenBucket(rate_bytes_per_s=10, burst_bytes=500)
-        assert tb.grant(0.0) == 500
-
-    def test_refund(self):
-        tb = TokenBucket(rate_bytes_per_s=100, burst_bytes=1000)
-        tb.grant(0)
-        tb.refund(300)
-        assert tb.grant(0.0) == 300
-
-    def test_refund_capped_at_burst(self):
-        tb = TokenBucket(rate_bytes_per_s=100, burst_bytes=100)
-        tb.refund(10_000)
-        assert tb.grant(0.0) == 100
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(0)
-        tb = TokenBucket(10)
-        with pytest.raises(ValueError):
-            tb.grant(-1)
-        with pytest.raises(ValueError):
-            tb.refund(-1)
-
-    def test_long_run_rate_respected(self):
-        tb = TokenBucket(rate_bytes_per_s=50, burst_bytes=50)
-        total = sum(tb.grant(1.0) for _ in range(100))
-        assert total <= 50 * 101  # burst + 100s of rate
 
 
 class TestFullReintegrationPlan:

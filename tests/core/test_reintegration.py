@@ -127,22 +127,6 @@ class TestBudget:
         assert moved == total
         assert rounds > 1
 
-    def test_max_entries_limit(self):
-        ech = shrink_write_grow()
-        engine = ReintegrationEngine(ech)
-        rep = engine.step(max_entries=10)
-        assert rep.entries_processed == 10
-        assert not rep.caught_up
-        assert engine.pending == 90
-
-    def test_pause_blocks_processing(self):
-        ech = shrink_write_grow()
-        engine = ReintegrationEngine(ech)
-        engine.pause()
-        assert engine.step().entries_processed == 0
-        engine.resume()
-        assert engine.step().entries_processed == 100
-
 
 class TestPendingBytes:
     def test_total_pending_matches_actual(self):
@@ -162,8 +146,9 @@ class TestPendingBytes:
 class TestReportMerge:
     def test_merge_accumulates(self):
         ech = shrink_write_grow()
-        engine = ReintegrationEngine(ech)
-        acc = engine.step(max_entries=30)
+        engine = ReintegrationEngine(ech, object_size=lambda oid: 1000)
+        acc = engine.step(budget_bytes=5_000)
+        assert not acc.caught_up
         rest = engine.step()
         acc.merge(rest)
         assert acc.entries_processed == 100

@@ -164,6 +164,12 @@ class TestBadInputIsAMessage:
         (["serve", "--per-user-rate", "nan"],
          "per_user_rate must be > 0 and finite (got nan)"),
         (["serve", "--per-user-rate", "0"], "per_user_rate must be > 0"),
+        # An empty dataset: was exit 0 with "shrink lag: original 0
+        # server-s" (Figure 2's point is that the original lags) and an
+        # all-zero distribution.
+        (["agility", "--objects", "0"], "objects must be >= 1 (got 0)"),
+        (["agility", "--objects", "-5"], "objects must be >= 1 (got -5)"),
+        (["layout", "--objects", "0"], "objects must be >= 1 (got 0)"),
     ])
     def test_one_line_and_nonzero_exit(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -17,7 +17,8 @@ SURFACE = {
     ],
     "repro.core": [
         "ElasticConsistentHash", "ReintegrationEngine", "MigrationTask",
-        "DirtyEntry", "DirtyTable", "CapacityPlan", "ChainMode",
+        "MigrationPlan", "DirtyEntry", "DirtyTable", "CapacityPlan",
+        "ChainMode",
     ],
     "repro.core.dynamic_primaries": [
         "plan_primary_resize", "apply_relayout", "PrimaryResizePlan",
@@ -25,8 +26,7 @@ SURFACE = {
     "repro.cluster": [
         "ElasticCluster", "OriginalCHCluster", "StorageServer",
         "DataObject", "ObjectCatalog", "PowerState", "CapacityExceeded",
-        "plan_departure_recovery", "RecoveryPlan", "TokenBucket",
-        "MigrationPlan", "full_reintegration_plan",
+        "plan_departure_recovery", "MigrationPlan", "full_reintegration_plan",
         "addition_migration_plan", "VirtualDisk", "VdiRange",
         "check_cluster", "FsckReport", "FsckIssue", "scan_holders",
         "check_holder_index",
