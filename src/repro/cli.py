@@ -31,8 +31,9 @@ Every experiment subcommand also takes the observability flags:
     JSON Lines.  Inspect afterwards with ``python -m repro stats``.
 
 ``--stats``
-    Enable the hot-path ``perf.*`` timers for the run and append the
-    metrics-registry table to the report.
+    Append the metrics-registry table (counters and gauges: simulation
+    state, same-seed deterministic) to the report.  For wall-clock
+    questions use ``--profile-out``.
 
 ``--check``
     Attach the online invariant checkers
@@ -115,7 +116,7 @@ def _add_obs_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-out", metavar="PATH", default=None,
                    help="write the run's trace events to PATH as JSONL")
     p.add_argument("--stats", action="store_true",
-                   help="collect perf timers and append the metrics table")
+                   help="append the metrics table (counters and gauges)")
     p.add_argument("--check", action="store_true",
                    help="run the invariant checkers live against this "
                         "run's events; exit 1 on any violation")
@@ -732,8 +733,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if check:
         checker_sink = CheckerSink()
         OBS.bus.attach(checker_sink)
-    if stats:
-        OBS.hot = True
     profiler = None
     if profile_out is not None:
         profiler = Profiler()
@@ -785,8 +784,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         raise SystemExit(f"repro {args.command}: {exc}")
     finally:
         OBS.profiler = None
-        if stats:
-            OBS.hot = False
         if checker_sink is not None:
             OBS.bus.detach(checker_sink)
         if sink is not None:

@@ -73,19 +73,17 @@ class DirtyTable:
     kv:
         Backing Redis-like store — sharded (single-copy) or
         replicated; a private 4-shard store is created when omitted.
-    dedupe:
-        When True (default), re-inserting an ``(oid, version)`` pair
-        that is already present is a no-op — re-writing an object in
-        the same epoch does not need a second re-integration pass.
+
+    Re-inserting an ``(oid, version)`` pair that is already present is
+    a no-op — re-writing an object in the same epoch does not need a
+    second re-integration pass.
     """
 
     def __init__(self,
                  kv: Optional[Union[ShardedKVStore,
-                                    "ReplicatedKVStore"]] = None,
-                 dedupe: bool = True) -> None:
+                                    "ReplicatedKVStore"]] = None) -> None:
         self._kv = kv if kv is not None else ShardedKVStore(
             [f"shard-{i}" for i in range(4)])
-        self._dedupe = dedupe
         self._index: Set[Tuple[int, int]] = set()
         self._last_version: int = 0
         self._count: int = 0  # O(1) __len__; mirrors the list lengths
@@ -114,14 +112,13 @@ class DirtyTable:
         tags writes with the *current* version, which only grows — and
         that monotonicity is what keeps every shard list sorted.
         """
-        if version < self._last_version and self._dedupe:
-            # Tolerated for dedupe-off test scenarios; with dedupe on,
-            # an out-of-order version would silently break fetch order.
+        if version < self._last_version:
+            # An out-of-order version would silently break fetch order.
             raise ValueError(
                 f"dirty insert version went backwards: {version} < "
                 f"{self._last_version}")
         entry = DirtyEntry(version=version, oid=oid)
-        if self._dedupe and (version, oid) in self._index:
+        if (version, oid) in self._index:
             return False
         self._kv.rpush(self._key(oid), entry)
         self._count += 1

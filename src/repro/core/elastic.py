@@ -21,7 +21,6 @@ on, where objects belong.  Actual bytes live in
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
@@ -285,13 +284,6 @@ class ElasticConsistentHash:
         if prof is not None:
             prof.push("kernel.locate")
         try:
-            if OBS.hot:   # per-lookup profiling (--stats / perf runs)
-                t0 = perf_counter()
-                result = self._locate(oid, version)
-                OBS.metrics.observe("perf.core.locate",
-                                    perf_counter() - t0)
-                OBS.metrics.inc("core.locates")
-                return result
             return self._locate(oid, version)
         finally:
             if prof is not None:
@@ -349,24 +341,13 @@ class ElasticConsistentHash:
         if prof is not None:
             prof.push("kernel.locate_bulk")
         try:
-            if OBS.hot:
-                t0 = perf_counter()
-                result = self._locate_bulk_positions(positions, table)
-                OBS.metrics.observe("perf.core.locate_bulk",
-                                    perf_counter() - t0)
-                OBS.metrics.inc("core.locates", len(result))
-                return result
-            return self._locate_bulk_positions(positions, table)
+            slots = self.ring.bulk_successor_slots(
+                np.asarray(positions, dtype=np.uint64))
+            tbl = self._kernel.table(table.version, table.is_active)
+            return tbl.gather(slots)
         finally:
             if prof is not None:
                 prof.pop()
-
-    def _locate_bulk_positions(self, positions: np.ndarray,
-                               table: MembershipTable) -> BulkPlacement:
-        slots = self.ring.bulk_successor_slots(
-            np.asarray(positions, dtype=np.uint64))
-        tbl = self._kernel.table(table.version, table.is_active)
-        return tbl.gather(slots)
 
     def invalidate_placement_cache(self) -> None:
         """Drop every memoized slot table.  Required only after

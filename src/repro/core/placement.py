@@ -32,12 +32,10 @@ compares their distribution quality and movement on resize.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Hashable, List, Literal, Optional, Tuple
 
 from repro.hashring.hashing import hash64
 from repro.hashring.ring import HashRing
-from repro.obs.runtime import OBS
 
 __all__ = ["ChainMode", "PlacementResult", "place_original", "place_primary",
            "place_original_from_slot", "place_primary_from_slot"]
@@ -96,22 +94,6 @@ def place_original(
     ones; the baseline cluster model removes servers instead, this
     filter exists for analysis convenience.
     """
-    if OBS.hot:   # per-placement profiling (--stats / perf runs)
-        t0 = perf_counter()
-        result = _place_original(ring, oid, r, is_active)
-        OBS.metrics.observe("perf.core.place_original",
-                            perf_counter() - t0)
-        OBS.metrics.inc("core.placements")
-        return result
-    return _place_original(ring, oid, r, is_active)
-
-
-def _place_original(
-    ring: HashRing,
-    oid: Hashable,
-    r: int,
-    is_active: Optional[Predicate] = None,
-) -> PlacementResult:
     ring._rebuild_if_dirty()
     if ring._positions.size == 0:
         raise LookupError("ring is empty")
@@ -244,24 +226,6 @@ def place_primary(
     LookupError
         When fewer than *r* active servers exist in total.
     """
-    if OBS.hot:   # per-placement profiling (--stats / perf runs)
-        t0 = perf_counter()
-        result = _place_primary(ring, oid, r, is_primary, is_active, chain)
-        OBS.metrics.observe("perf.core.place_primary",
-                            perf_counter() - t0)
-        OBS.metrics.inc("core.placements")
-        return result
-    return _place_primary(ring, oid, r, is_primary, is_active, chain)
-
-
-def _place_primary(
-    ring: HashRing,
-    oid: Hashable,
-    r: int,
-    is_primary: Predicate,
-    is_active: Predicate,
-    chain: ChainMode = "walk",
-) -> PlacementResult:
     ring._rebuild_if_dirty()
     if ring._positions.size == 0:
         raise LookupError("ring is empty")

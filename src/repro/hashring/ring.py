@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from numbers import Integral
-from time import perf_counter
 from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -204,12 +203,6 @@ class HashRing:
         self._rebuild_if_dirty()
         if not self._position_ints:
             raise LookupError("ring is empty")
-        if OBS.hot:   # per-lookup profiling (--stats / perf runs)
-            t0 = perf_counter()
-            slot = self._slot_at(position)
-            OBS.metrics.observe("perf.ring.successor", perf_counter() - t0)
-            OBS.metrics.inc("ring.lookups")
-            return slot
         return self._slot_at(position)
 
     def successor(self, key: Hashable) -> ServerId:
@@ -288,15 +281,6 @@ class HashRing:
         self._rebuild_if_dirty()
         if self._positions.size == 0:
             raise LookupError("ring is empty")
-        if OBS.hot:
-            t0 = perf_counter()
-            slots = np.searchsorted(self._positions, positions, side="left")
-            slots %= self._positions.size
-            OBS.metrics.observe("perf.ring.bulk_successor",
-                                perf_counter() - t0)
-            OBS.metrics.inc("ring.lookups", int(positions.size))
-            OBS.metrics.inc("ring.bulk_keys", int(positions.size))
-            return slots
         slots = np.searchsorted(self._positions, positions, side="left")
         slots %= self._positions.size
         return slots

@@ -53,23 +53,25 @@ def gini(values: Sequence[float]) -> float:
     return float((2 * (index * arr).sum() - (n + 1) * total) / (n * total))
 
 
-def equal_work_reference(n: int, p: int) -> Dict[int, float]:
-    """The ideal equal-work block fractions for an n-server, p-primary,
-    r-replica cluster with one copy pinned to primaries.
+def equal_work_reference(n: int, p: int,
+                         replicas: int = 2) -> Dict[int, float]:
+    """The ideal equal-work share of stored replicas per rank for an
+    n-server, p-primary cluster with one copy pinned to primaries.
 
     Primaries each take ``1/(r·p)`` of all replicas (one of the r
     copies, split evenly over p); secondary rank i takes the remaining
-    ``(r-1)/r`` in proportion to ``1/i``.  With r folded out the shape
-    depends only on n and p for the 2-way case the paper evaluates;
-    the general form is exposed via :func:`distribution_stats`.
+    ``(r-1)/r`` in proportion to ``1/i``.
     """
     if not 1 <= p < n:
         raise ValueError("need 1 <= p < n")
+    if replicas < 1:
+        raise ValueError("need replicas >= 1")
     sec = {i: 1.0 / i for i in range(p + 1, n + 1)}
     sec_total = sum(sec.values())
-    # r=2: half the replicas on primaries, half on secondaries.
-    out = {rank: 0.5 / p for rank in range(1, p + 1)}
-    out.update({i: 0.5 * w / sec_total for i, w in sec.items()})
+    on_primaries = 1.0 / replicas
+    out = {rank: on_primaries / p for rank in range(1, p + 1)}
+    out.update({i: (1.0 - on_primaries) * w / sec_total
+                for i, w in sec.items()})
     return out
 
 

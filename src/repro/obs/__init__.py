@@ -12,11 +12,12 @@ The observability layer under every experiment and benchmark:
 * :mod:`~repro.obs.report` — the ``repro report`` markdown run
   analysis built from one JSONL trace;
 * :class:`~repro.obs.metrics.MetricsRegistry` (``OBS.metrics``) —
-  named counters / gauges / fixed-bucket histograms with a
-  deterministic ``snapshot()`` / ``render()`` API;
+  named counters / gauges with a deterministic ``snapshot()`` /
+  ``render()`` API (simulation state only, no wall time);
 * :mod:`~repro.obs.profile` — the deterministic instrumentation
   profiler behind ``--profile-out`` / ``repro profile`` (hierarchical
-  wall-clock + sim-time attribution, flamegraph collapsed stacks);
+  wall-clock + sim-time attribution, flamegraph collapsed stacks); the
+  one module in ``src/`` that reads the wall clock to measure;
 * :mod:`~repro.obs.compare` — the ``repro compare`` run-vs-run diff
   (metrics, span distributions, profile hotspots, bench JSON) with
   regression thresholds;
@@ -26,8 +27,7 @@ The observability layer under every experiment and benchmark:
 * :mod:`~repro.obs.dashboard` — the dependency-free, byte-deterministic
   HTML dashboard rendered from one analytics document;
 * :data:`~repro.obs.runtime.OBS` — the process-wide runtime binding
-  them, plus the ``hot`` switch for wall-clock ``perf.*`` timers on
-  the hot paths (ring lookup, placement, fair-share solve).
+  them.
 
 See docs/OBSERVABILITY.md for event kinds, the span schema, the
 checker protocol, and metric naming conventions.
@@ -49,7 +49,7 @@ from repro.obs.invariants import (
     check_events,
     default_checkers,
 )
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.profile import (
     ProfileError,
     ProfileNode,
@@ -96,7 +96,6 @@ __all__ = [
     "MetricsRegistry",
     "Counter",
     "Gauge",
-    "Histogram",
     "Profiler",
     "ProfileNode",
     "ProfileError",

@@ -32,7 +32,8 @@ import json
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.report import EmptyTraceError, SpanRecord, collect_spans
+from repro.obs.report import (EmptyTraceError, SpanRecord, _fmt_gb, _num,
+                              collect_spans)
 from repro.obs.stats import check_window, event_in_window, is_number
 from repro.obs.trace import TraceEvent, iter_jsonl
 
@@ -120,10 +121,6 @@ def _round(v: float) -> float:
     """Canonical float rounding for document fields (deterministic,
     keeps JSON free of 17-digit float-noise tails)."""
     return round(float(v), 9)
-
-
-def _num(v: object) -> Optional[float]:
-    return float(v) if is_number(v) else None
 
 
 # ----------------------------------------------------------------------
@@ -741,10 +738,6 @@ def _fmt(v: object, unit: str = "") -> str:
     if isinstance(v, float):
         return f"{v:g}{unit}"
     return f"{v}{unit}"
-
-
-def _fmt_gb(v: object) -> str:
-    return "-" if not is_number(v) else f"{float(v) / 1e9:.3f}"  # type: ignore[arg-type]
 
 
 def _series_summary_rows(series: Dict[str, object], bins: int,

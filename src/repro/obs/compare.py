@@ -32,7 +32,10 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional
+
+from repro.obs.report import _md_table, collect_spans
+from repro.obs.stats import is_number
 
 __all__ = [
     "CompareError",
@@ -138,17 +141,13 @@ class ComparisonResult:
 # ----------------------------------------------------------------------
 # numeric flattening
 # ----------------------------------------------------------------------
-def _is_number(v: object) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
 def _flatten_numeric(obj: object, prefix: str = "",
                      out: Optional[Dict[str, float]] = None
                      ) -> Dict[str, float]:
     """Dotted-path → value for every numeric leaf of a JSON object."""
     if out is None:
         out = {}
-    if _is_number(obj):
+    if is_number(obj):
         out[prefix or "value"] = float(obj)   # type: ignore[arg-type]
     elif isinstance(obj, dict):
         for k in sorted(obj):
@@ -208,7 +207,6 @@ def _load_json(path: str) -> object:
 
 def _span_distributions(trace_path: str) -> Dict[str, float]:
     """Per-span-name closed count + sim-duration stats from one trace."""
-    from repro.obs.report import collect_spans
     from repro.obs.trace import read_jsonl
 
     spans = collect_spans(read_jsonl(trace_path))
@@ -255,11 +253,11 @@ def _analytics_summary(path: str) -> Dict[str, float]:
                         "p50", "p99", "p999", "mean", "max",
                         "bytes_completed", "bytes_wasted"):
                 v = entry.get(key)
-                if _is_number(v):
+                if is_number(v):
                     out[f"latency.{name}.{key}"] = float(v)
         for key in SERIES_KEYS:
             vals = [v for v in (doc["series"].get(key) or [])
-                    if _is_number(v)]
+                    if is_number(v)]
             if vals:
                 out[f"series.{key}.total"] = float(sum(vals))
                 out[f"series.{key}.peak"] = float(max(vals))
@@ -268,17 +266,17 @@ def _analytics_summary(path: str) -> Dict[str, float]:
         for name, band in doc["latency_bands"].items():
             for key in ("completed", "interrupted", "cancelled", "open"):
                 v = band.get(key)
-                if _is_number(v):
+                if is_number(v):
                     out[f"latency.{name}.{key}"] = float(v)
             for q in ("p50", "p99", "p999"):
                 sub = band.get(q)
                 if isinstance(sub, dict):
                     for edge in ("lo", "p50", "hi"):
                         v = sub.get(edge)
-                        if _is_number(v):
+                        if is_number(v):
                             out[f"latency.{name}.{q}.{edge}"] = float(v)
         for key, band in doc["series_bands"].items():
-            his = [v for v in (band.get("hi") or []) if _is_number(v)]
+            his = [v for v in (band.get("hi") or []) if is_number(v)]
             if his:
                 out[f"series.{key}.peak_hi"] = float(max(his))
     return out
@@ -308,7 +306,7 @@ def _bench_timings(doc: object) -> Optional[Dict[str, float]]:
     for raw_name in sorted(table):
         entry = table[raw_name]
         name = str(raw_name).split("::")[-1]
-        if _is_number(entry):
+        if is_number(entry):
             out[name] = float(entry)
             continue
         if not isinstance(entry, dict):
@@ -317,7 +315,7 @@ def _bench_timings(doc: object) -> Optional[Dict[str, float]]:
         # baselines record), mean as fallback — so A and B line up
         # even when one side records more statistics than the other.
         for key in ("median_s", "mean_s"):
-            if _is_number(entry.get(key)):
+            if is_number(entry.get(key)):
                 out[name] = float(entry[key])
                 break
     return out or None
@@ -444,15 +442,6 @@ def _fmt_rel(rel: Optional[float]) -> str:
     if rel is None:
         return "-"
     return f"{rel * 100.0:+.1f}%"
-
-
-def _md_table(headers: Sequence[str],
-              rows: Sequence[Sequence[object]]) -> List[str]:
-    lines = ["| " + " | ".join(headers) + " |",
-             "|" + "|".join("---" for _ in headers) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return lines
 
 
 #: Section-table row cap; the per-kind counts stay exact.

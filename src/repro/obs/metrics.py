@@ -1,4 +1,4 @@
-"""The metrics registry: named counters, gauges and histograms.
+"""The metrics registry: named counters and gauges.
 
 Instruments are created lazily by name (+ optional labels) and live for
 the process; :meth:`MetricsRegistry.snapshot` returns a plain,
@@ -10,29 +10,22 @@ benchmark reports use (via :mod:`repro.metrics.report`).
 Naming conventions (see docs/OBSERVABILITY.md):
 
 * dotted, subsystem-first: ``engine.events``, ``migration.bytes``;
-* wall-clock timing histograms sit under ``perf.*`` and are recorded
-  only while hot-path profiling is enabled
-  (:attr:`repro.obs.runtime.Runtime.hot`), so the default snapshot
-  stays deterministic — simulation state only, no wall time.
+* simulation state only, no wall time: the registry is same-seed
+  deterministic.  Wall-clock questions go to the profiler
+  (:mod:`repro.obs.profile`), the one module that reads the clock.
 
-The hot-path helpers :meth:`MetricsRegistry.inc` /
-:meth:`MetricsRegistry.observe` are get-or-create shorthands; prefer
-binding the instrument once (``c = registry.counter("x"); c.inc()``)
-in per-tick loops.
+The hot-path helper :meth:`MetricsRegistry.inc` is a get-or-create
+shorthand; prefer binding the instrument once
+(``c = registry.counter("x"); c.inc()``) in per-tick loops.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Union
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "MetricsRegistry"]
 
 Number = Union[int, float]
-
-#: Default histogram buckets for wall-clock seconds (perf timers).
-TIME_BUCKETS: Tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0)
 
 
 def _key(name: str, labels: Mapping[str, object]) -> str:
@@ -74,85 +67,6 @@ class Gauge:
         self.value -= n
 
 
-class Histogram:
-    """Fixed-bucket histogram (cumulative-style: ``counts[i]`` counts
-    observations ``<= bounds[i]``; the implicit last bucket is +inf)."""
-
-    __slots__ = ("name", "bounds", "counts", "overflow", "total", "count")
-
-    def __init__(self, name: str,
-                 buckets: Sequence[float] = TIME_BUCKETS) -> None:
-        if not buckets or list(buckets) != sorted(buckets):
-            raise ValueError("buckets must be a non-empty ascending sequence")
-        self.name = name
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in buckets)
-        self.counts: List[int] = [0] * len(self.bounds)
-        self.overflow = 0
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, v: Number) -> None:
-        self.total += v
-        self.count += 1
-        for i, bound in enumerate(self.bounds):
-            if v <= bound:
-                self.counts[i] += 1
-                return
-        self.overflow += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Estimate the *q*-quantile (``0 <= q <= 1``) by linear
-        interpolation within the bucket holding the target rank — the
-        Prometheus ``histogram_quantile`` estimate.  The first bucket
-        interpolates from a lower bound of 0; ranks falling in the
-        overflow bucket clamp to the largest finite bound (the estimate
-        cannot exceed what the buckets resolve)."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be in [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        cum = 0
-        lower = 0.0
-        for bound, n in zip(self.bounds, self.counts):
-            if n and cum + n >= target:
-                frac = (target - cum) / n
-                return lower + (bound - lower) * min(1.0, max(0.0, frac))
-            cum += n
-            lower = bound
-        return self.bounds[-1]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "count": self.count,
-            "sum": self.total,
-            "buckets": {f"le_{b:g}": c
-                        for b, c in zip(self.bounds, self.counts)},
-            "overflow": self.overflow,
-        }
-
-
-class _Timer:
-    """``with registry.timer("perf.x"):`` — observes elapsed seconds."""
-
-    __slots__ = ("_hist", "_t0")
-
-    def __init__(self, hist: Histogram) -> None:
-        self._hist = hist
-        self._t0 = 0.0
-
-    def __enter__(self) -> "_Timer":
-        self._t0 = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._hist.observe(time.perf_counter() - self._t0)
-
-
 class MetricsRegistry:
     """Process-local instrument store.
 
@@ -167,15 +81,14 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        self._instruments: Dict[str, object] = {}
+        self._instruments: Dict[str, Union[Counter, Gauge]] = {}
 
     # ------------------------------------------------------------------
-    def _get(self, name: str, cls, labels: Mapping[str, object],
-             **kwargs) -> object:
+    def _get(self, name: str, cls, labels: Mapping[str, object]):
         key = _key(name, labels)
         inst = self._instruments.get(key)
         if inst is None:
-            inst = cls(key, **kwargs)
+            inst = cls(key)
             self._instruments[key] = inst
         elif not isinstance(inst, cls):
             raise TypeError(
@@ -184,32 +97,17 @@ class MetricsRegistry:
         return inst
 
     def counter(self, name: str, **labels: object) -> Counter:
-        return self._get(name, Counter, labels)  # type: ignore[return-value]
+        return self._get(name, Counter, labels)
 
     def gauge(self, name: str, **labels: object) -> Gauge:
-        return self._get(name, Gauge, labels)  # type: ignore[return-value]
+        return self._get(name, Gauge, labels)
 
-    def histogram(self, name: str,
-                  buckets: Sequence[float] = TIME_BUCKETS,
-                  **labels: object) -> Histogram:
-        return self._get(name, Histogram, labels,  # type: ignore[return-value]
-                         buckets=buckets)
-
-    def timer(self, name: str, **labels: object) -> _Timer:
-        return _Timer(self.histogram(name, **labels))
-
-    # Hot-path shorthands ----------------------------------------------
+    # Hot-path shorthand -----------------------------------------------
     def inc(self, name: str, n: Number = 1) -> None:
         inst = self._instruments.get(name)
         if inst is None:
             inst = self.counter(name)
-        inst.inc(n)  # type: ignore[union-attr]
-
-    def observe(self, name: str, v: Number) -> None:
-        inst = self._instruments.get(name)
-        if inst is None:
-            inst = self.histogram(name)
-        inst.observe(v)  # type: ignore[union-attr]
+        inst.inc(n)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -222,39 +120,25 @@ class MetricsRegistry:
         """Drop every instrument (a fresh registry for the next run)."""
         self._instruments.clear()
 
-    def snapshot(self, include_perf: bool = True) -> Dict[str, object]:
-        """``{metric key: value}`` in sorted-key order.  Counters and
-        gauges map to their value; histograms to a stats dict.  With
-        ``include_perf=False`` the wall-clock ``perf.*`` instruments
-        are omitted — the deterministic, simulation-state-only view."""
-        out: Dict[str, object] = {}
+    def snapshot(self, include_perf: bool = True) -> Dict[str, Number]:
+        """``{metric key: value}`` in sorted-key order.  With
+        ``include_perf=False`` instruments named ``perf.*`` are omitted
+        (the product registers none; the perf ledger still passes the
+        keyword)."""
+        out: Dict[str, Number] = {}
         for key in sorted(self._instruments):
             if not include_perf and key.startswith("perf."):
                 continue
-            inst = self._instruments[key]
-            if isinstance(inst, Histogram):
-                out[key] = inst.to_dict()
-            else:
-                out[key] = inst.value  # type: ignore[union-attr]
+            out[key] = self._instruments[key].value
         return out
 
     def render(self, title: Optional[str] = "metrics") -> str:
-        """ASCII table of the snapshot (histograms as count/mean/sum)."""
+        """ASCII table of the snapshot."""
         from repro.metrics.report import render_table
-        rows: List[List[object]] = []
-        for key in sorted(self._instruments):
-            inst = self._instruments[key]
-            if isinstance(inst, Histogram):
-                rows.append([key, "histogram",
-                             f"n={inst.count} mean={inst.mean:.3g} "
-                             f"p50={inst.quantile(0.5):.3g} "
-                             f"p95={inst.quantile(0.95):.3g} "
-                             f"p99={inst.quantile(0.99):.3g} "
-                             f"sum={inst.total:.6g}"])
-            elif isinstance(inst, Gauge):
-                rows.append([key, "gauge", inst.value])
-            else:
-                rows.append([key, "counter", inst.value])
+        rows: List[List[object]] = [
+            [key, "gauge" if isinstance(inst, Gauge) else "counter",
+             inst.value]
+            for key, inst in sorted(self._instruments.items())]
         if not rows:
             return f"{title}: (no metrics recorded)" if title else \
                 "(no metrics recorded)"

@@ -1,8 +1,10 @@
 """The instrumentation profiler: who steals time from whom.
 
-The ``perf.*`` timers (PR 1) answer "how long does one lookup take";
-this module answers the question Figures 3/7 are actually about —
-*where a whole run's time goes*: engine event dispatch by callback,
+This is the one module in ``src/`` that reads the wall clock to
+measure anything.  It answers the question Figures 3/7 are about —
+*where a whole run's time goes* — and, through each frame's ``calls`` /
+``wall_s`` / ``self_s``, "how long does one lookup take" as well:
+engine event dispatch by callback,
 kernel lookups, ``max_min_fair`` solves, migration and re-integration
 phases, policy replays.  A :class:`Profiler` maintains a call-stack of
 named frames and accounts two clocks to each node of the resulting
@@ -24,8 +26,8 @@ runner's ``run_info.json``).  A same-seed run with ``--profile-out``
 therefore produces a byte-identical trace to one without.
 
 The hot-path guard is one attribute load and a ``None`` check
-(``prof = OBS.profiler``; ``if prof is not None``), mirroring the
-``OBS.hot`` pattern, so disabled profiling stays near-free.
+(``prof = OBS.profiler``; ``if prof is not None``), so disabled
+profiling stays near-free.
 
 Exports
 -------

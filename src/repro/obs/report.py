@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.invariants import Checker, InvariantSuite, Violation
-from repro.obs.stats import check_window, event_in_window
+from repro.obs.stats import check_window, event_in_window, is_number
 from repro.obs.trace import TraceEvent, iter_jsonl
 
 __all__ = [
@@ -147,15 +147,15 @@ def collect_spans(events: Sequence[TraceEvent]) -> List[SpanRecord]:
 
 
 def _num(v: object) -> Optional[float]:
-    return float(v) if isinstance(v, (int, float)) else None
+    return float(v) if is_number(v) else None  # type: ignore[arg-type]
 
 
 def _fmt_t(v: Optional[float]) -> str:
     return "-" if v is None else f"{v:.1f}"
 
 
-def _fmt_gb(nbytes: float) -> str:
-    return f"{nbytes / 1e9:.3f}"
+def _fmt_gb(v: object) -> str:
+    return "-" if not is_number(v) else f"{float(v) / 1e9:.3f}"  # type: ignore[arg-type]
 
 
 def _md_table(headers: Sequence[str],

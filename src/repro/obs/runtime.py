@@ -11,11 +11,6 @@ members:
   (flows, resize cycles, re-integration passes, recovery).
 * ``OBS.metrics`` — the :class:`~repro.obs.metrics.MetricsRegistry` of
   always-on simulation counters/gauges.
-* ``OBS.hot`` — master switch for *hot-path* profiling (per-lookup
-  counters and wall-clock ``perf.*`` timers on ring lookup, placement,
-  fair-share solve, dirty-table insert).  Off by default so the
-  per-operation cost of instrumentation is one ``if OBS.hot`` check;
-  the CLI's ``--stats`` flag and perf investigations turn it on.
 * ``OBS.profiler`` — the optional
   :class:`~repro.obs.profile.Profiler` attributing hierarchical
   wall-clock + sim-time to named components (``--profile-out``).
@@ -39,22 +34,20 @@ __all__ = ["Runtime", "OBS", "get_runtime"]
 
 
 class Runtime:
-    """Bundle of trace bus + span tracker + metrics registry + hot-path
-    switch."""
+    """Bundle of trace bus + span tracker + metrics registry + optional
+    profiler."""
 
-    __slots__ = ("bus", "spans", "metrics", "hot", "profiler")
+    __slots__ = ("bus", "spans", "metrics", "profiler")
 
     def __init__(self) -> None:
         self.bus = TraceBus()
         self.spans = SpanTracker(self.bus)
         self.metrics = MetricsRegistry()
-        self.hot = False
         self.profiler = None
 
     def reset(self) -> None:
-        """Return to the pristine state: no sinks, empty registry, hot
-        profiling off, no profiler, clock and emit ordinal at zero, span
-        ids rewound."""
+        """Return to the pristine state: no sinks, empty registry, no
+        profiler, clock and emit ordinal at zero, span ids rewound."""
         for sink in list(self.bus.sinks):
             self.bus.detach(sink)
             sink.close()
@@ -62,7 +55,6 @@ class Runtime:
         self.bus.ordinal = 0
         self.spans.reset()
         self.metrics.reset()
-        self.hot = False
         self.profiler = None
 
 

@@ -41,6 +41,7 @@ from typing import Dict
 import numpy as np
 
 from repro.core.layout import primary_count
+from repro.metrics.distribution import equal_work_reference
 from repro.policy.ideal import ideal_servers
 from repro.workloads.trace import LoadTrace
 
@@ -146,15 +147,13 @@ class PolicyResult:
 
 
 def _equal_work_shares(n: int, p: int, r: int) -> np.ndarray:
-    """Fraction of stored *replica bytes* per rank under the equal-work
-    layout: primaries split 1/r of all replicas evenly; secondaries
-    split the rest proportional to 1/i."""
-    shares = np.zeros(n)
-    shares[:p] = (1.0 / r) / p
-    sec = np.array([1.0 / i for i in range(p + 1, n + 1)])
-    if sec.size:
-        shares[p:] = (1.0 - 1.0 / r) * sec / sec.sum()
-    return shares
+    """:func:`~repro.metrics.distribution.equal_work_reference` as an
+    array indexed by ``rank - 1``.  A cluster of primaries only has no
+    reference shape; it keeps just the pinned copy, ``1/(r·p)`` each."""
+    if p == n:
+        return np.full(n, (1.0 / r) / p)
+    ref = equal_work_reference(n, p, r)
+    return np.array([ref[rank] for rank in range(1, n + 1)])
 
 
 class _PolicyBase:

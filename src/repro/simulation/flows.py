@@ -317,11 +317,7 @@ class FlowSet:
         if prof is not None:
             prof.push("bandwidth.max_min_fair")
         try:
-            if OBS.hot:
-                with OBS.metrics.timer("perf.bandwidth.solve"):
-                    rates = max_min_fair(specs, capacities, self._columns)
-            else:
-                rates = max_min_fair(specs, capacities, self._columns)
+            rates = max_min_fair(specs, capacities, self._columns)
         finally:
             if prof is not None:
                 prof.pop()

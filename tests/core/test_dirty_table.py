@@ -133,12 +133,6 @@ class TestSharding:
         entries = table.entries()
         assert entries == sorted(entries)
 
-    def test_dedupe_off_allows_duplicates(self):
-        table = DirtyTable(dedupe=False)
-        table.insert(1, 1)
-        table.insert(1, 1)
-        assert len(table) == 2
-
 
 class TestMembershipChange:
     """§III-E-2: the table follows cluster membership.  Because every

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import repro.hashring.ring as ring_mod
 from repro.hashring.ring import HashRing
-from repro.obs.runtime import OBS
 
 
 @pytest.fixture
@@ -151,25 +150,21 @@ class TestScalarSuccessor:
     function as the array ``searchsorted`` it replaced and as the bulk
     lookup, ties and wrap-around included."""
 
-    @given(ring=colliding_rings(), hot=st.booleans())
+    @given(ring=colliding_rings())
     @settings(max_examples=200, deadline=None)
-    def test_equals_searchsorted_and_bulk(self, ring, hot):
+    def test_equals_searchsorted_and_bulk(self, ring):
         positions = ring._positions
         nslots = positions.size
         probes = {0, TOP}
         for at in positions.tolist():
             probes |= {at, max(at - 1, 0), min(at + 1, TOP)}
-        OBS.hot = hot
-        try:
-            for p in sorted(probes):
-                want = int(np.searchsorted(positions, np.uint64(p),
-                                           side="left")) % nslots
-                assert ring.successor_slot(p) == want
-                assert ring.bulk_successor_slots(
-                    np.array([p], dtype=np.uint64))[0] == want
-                assert next(ring.walk_slots(p)) == want
-        finally:
-            OBS.hot = False
+        for p in sorted(probes):
+            want = int(np.searchsorted(positions, np.uint64(p),
+                                       side="left")) % nslots
+            assert ring.successor_slot(p) == want
+            assert ring.bulk_successor_slots(
+                np.array([p], dtype=np.uint64))[0] == want
+            assert next(ring.walk_slots(p)) == want
 
     def test_wraps_past_the_last_vnode(self, ring):
         nslots = ring.num_vnodes

@@ -54,6 +54,20 @@ class TestEqualWorkReference:
         ref = equal_work_reference(10, 2)
         assert ref[4] / ref[8] == pytest.approx(2.0)
 
+    def test_three_way_replication_matches_the_observed_layout(self):
+        # r = 3: primaries hold one copy of three, not half of all
+        # replicas (the r = 2 constant the reference used to assume).
+        from repro.core.elastic import ElasticConsistentHash
+        ech = ElasticConsistentHash(n=10, replicas=3)
+        observed = normalized_shape(ech.blocks_per_rank(range(20_000)))
+        ref = equal_work_reference(10, ech.p, replicas=3)
+        assert sum(ref.values()) == pytest.approx(1.0)
+        primaries = range(1, ech.p + 1)
+        assert sum(ref[r] for r in primaries) == pytest.approx(1 / 3)
+        assert sum(observed[r] for r in primaries) == pytest.approx(
+            1 / 3, abs=0.01)
+        assert max(abs(observed[r] - ref[r]) for r in ref) < 0.03
+
     def test_bad_p_rejected(self):
         with pytest.raises(ValueError):
             equal_work_reference(10, 0)

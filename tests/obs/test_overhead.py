@@ -1,7 +1,7 @@
 """Overhead guards: disabled observability must stay near-free.
 
 The acceptance bar for the instrumentation is that the default state —
-no sinks attached, ``OBS.hot`` off — adds only a branch to the hot
+no sinks attached, no profiler — adds only a branch to the hot
 paths.  These tests put loose absolute bounds on the per-call cost so
 a regression (say, building the event dict before checking for sinks)
 fails loudly without making the suite timing-flaky.
@@ -61,29 +61,12 @@ class TestEmitCost:
 
 
 class TestHotFlag:
-    def test_hot_defaults_off(self):
-        assert OBS.hot is False
+    """The ``OBS.hot`` switch is gone; what is left to guard is that
+    the placement hot path writes nothing wall-clock to the registry."""
 
     def test_locate_unaffected_when_cold(self, ech10):
-        # Warm up (ring build, caches), then compare the same loop with
-        # instrumentation present-but-disabled against itself; mostly a
-        # smoke check that the cold path does not record perf metrics.
         OBS.metrics.reset()
         for oid in range(200):
             ech10.locate(oid)
-        assert "perf.core.locate" not in OBS.metrics.snapshot()
-
-    def test_hot_records_perf_metrics(self, ech10):
-        OBS.metrics.reset()
-        OBS.hot = True
-        try:
-            for oid in range(50):
-                ech10.locate(oid)
-        finally:
-            OBS.hot = False
-        snap = OBS.metrics.snapshot()
-        assert snap["perf.core.locate"]["count"] == 50
-        assert snap["core.locates"] == 50
-        # ...and the deterministic view hides the wall-clock part.
-        assert "perf.core.locate" not in OBS.metrics.snapshot(
-            include_perf=False)
+        assert not [k for k in OBS.metrics.snapshot()
+                    if k.startswith("perf.")]
