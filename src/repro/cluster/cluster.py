@@ -827,7 +827,7 @@ class OriginalCHCluster(_ClusterBase):
 
     def placement_bulk(self, oids: Iterable[int]) -> BulkPlacement:
         """Vectorised :meth:`placement` over a key collection."""
-        positions = bulk_hash(oids, self.ring.hash_method)
+        positions = bulk_hash(oids)
         slots = self.ring.bulk_successor_slots(positions)
         return self._kernel.table(None, None).gather(slots)
 

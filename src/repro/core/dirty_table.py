@@ -11,45 +11,35 @@ As in the paper's implementation (§IV), the table lives in a Redis-like
 key-value store as LIST values: entries enter with RPUSH, are peeked
 with LRANGE during non-full-power re-integration, and are removed with
 LPOP/LREM once re-integrated into a full-power version.  Each object's
-entries live under a per-OID list key (``oid:<oid>``), routed to its
-shard by hashing the OID (§III-E-2); every per-OID list stays
-version-sorted automatically (versions only grow) and the global order
-is recovered with a sort-merge at fetch time.  Because every key is
-routed, the table survives shard-membership changes unharmed:
-:meth:`~repro.kvstore.sharded.ShardedKVStore.add_shard` /
-``remove_shard`` migrate the remapped lists wholesale and the routed
-accessors simply follow the new ring.
+entries live under a per-OID list key (``oid:<oid>``) — on a
+distributed backend that routes all of them to one replica set by
+hashing the OID (§III-E-2); every per-OID list stays version-sorted
+automatically (versions only grow) and the global order is recovered
+with a sort-merge at fetch time, so the order the backend lists its
+keys in is never observable.
 
-The table is backend-agnostic across the repo's two Redis-like stores:
-the single-copy :class:`~repro.kvstore.sharded.ShardedKVStore` (the
-default) and the fault-tolerant
-:class:`~repro.kvstore.replicated.ReplicatedKVStore` — the chaos
-harness runs it on the latter so crashed shards lose nothing.
+The table does not care what holds it (the tests run one generated op
+sequence against all of them): a plain
+:class:`~repro.kvstore.store.KVStore` by default — no fault-free run
+reads which server held an entry, so none pays to route it — or a
+:class:`~repro.kvstore.replicated.ReplicatedKVStore`, which is the
+paper's "distributed key-value store across the storage servers": the
+chaos harness runs the table on one (R = 3) so crashed servers lose
+nothing, and a view change there moves only the remapped lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (
-    TYPE_CHECKING,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterator, List, Optional, Set
 
-from repro.kvstore.sharded import ShardedKVStore
+from repro.kvstore.store import KVStore
 from repro.obs.runtime import OBS
-
-if TYPE_CHECKING:  # hint-only: avoids a kvstore <-> core import cycle
-    from repro.kvstore.replicated import ReplicatedKVStore
 
 __all__ = ["DirtyEntry", "DirtyTable"]
 
 #: Per-OID list keys: ``oid:<oid>`` routes all of one object's entries
-#: to a single shard.
+#: to a single replica set.
 _KEY_PREFIX = "oid:"
 
 
@@ -71,20 +61,19 @@ class DirtyTable:
     Parameters
     ----------
     kv:
-        Backing Redis-like store — sharded (single-copy) or
-        replicated; a private 4-shard store is created when omitted.
+        Backing store — anything with :class:`KVStore`'s command
+        surface; a private :class:`KVStore` when omitted.
 
     Re-inserting an ``(oid, version)`` pair that is already present is
     a no-op — re-writing an object in the same epoch does not need a
     second re-integration pass.
     """
 
-    def __init__(self,
-                 kv: Optional[Union[ShardedKVStore,
-                                    "ReplicatedKVStore"]] = None) -> None:
-        self._kv = kv if kv is not None else ShardedKVStore(
-            [f"shard-{i}" for i in range(4)])
-        self._index: Set[Tuple[int, int]] = set()
+    def __init__(self, kv: Optional[KVStore] = None) -> None:
+        self._kv = kv if kv is not None else KVStore()
+        #: ``oid -> versions present``: every membership question is a
+        #: dict probe, never a scan or a backend call.
+        self._index: Dict[int, Set[int]] = {}
         self._last_version: int = 0
         self._count: int = 0  # O(1) __len__; mirrors the list lengths
         # Pre-bound: insert is on the per-write hot path.
@@ -93,12 +82,12 @@ class DirtyTable:
     # ------------------------------------------------------------------
     def _key(self, oid: int) -> str:
         """The per-OID list key; routing by OID keeps all of one
-        object's entries on a single shard."""
+        object's entries together."""
         return f"{_KEY_PREFIX}{oid}"
 
     def _oid_keys(self) -> Iterator[str]:
         """Every per-OID list key, via the backend's whole-keyspace
-        fan-out (deterministically ordered on both backends)."""
+        fan-out."""
         for key in self._kv.keys():
             if key.startswith(_KEY_PREFIX):
                 yield key
@@ -110,19 +99,19 @@ class DirtyTable:
         Returns whether a new entry was actually appended.  Versions
         must be non-decreasing across inserts — the logging component
         tags writes with the *current* version, which only grows — and
-        that monotonicity is what keeps every shard list sorted.
+        that monotonicity is what keeps every per-OID list sorted.
         """
         if version < self._last_version:
             # An out-of-order version would silently break fetch order.
             raise ValueError(
                 f"dirty insert version went backwards: {version} < "
                 f"{self._last_version}")
-        entry = DirtyEntry(version=version, oid=oid)
-        if (version, oid) in self._index:
+        if self.contains(oid, version):
             return False
-        self._kv.rpush(self._key(oid), entry)
+        self._kv.rpush(self._key(oid),
+                       DirtyEntry(version=version, oid=oid))
         self._count += 1
-        self._index.add((version, oid))
+        self._index.setdefault(oid, set()).add(version)
         self._last_version = max(self._last_version, version)
         self._insert_counter.inc()
         if OBS.bus.active:
@@ -130,10 +119,17 @@ class DirtyTable:
         return True
 
     def contains(self, oid: int, version: int) -> bool:
-        return (version, oid) in self._index
+        return version in self._index.get(oid, ())
 
     def contains_oid(self, oid: int) -> bool:
-        return any(o == oid for (_v, o) in self._index)
+        return oid in self._index
+
+    def _forget(self, entry: DirtyEntry) -> None:
+        versions = self._index.get(entry.oid)
+        if versions is not None:
+            versions.discard(entry.version)
+            if not versions:
+                del self._index[entry.oid]
 
     def __len__(self) -> int:
         return self._count
@@ -181,7 +177,7 @@ class DirtyTable:
             removed = self._kv.lrem(key, 1, entry)
         if removed:
             self._count -= removed
-            self._index.discard((entry.version, entry.oid))
+            self._forget(entry)
             OBS.metrics.inc("dirty.removes")
             if OBS.bus.active:
                 OBS.bus.emit("dirty.remove", oid=entry.oid,
@@ -197,7 +193,7 @@ class DirtyTable:
         self._kv.delete(key)
         self._count -= len(victims)
         for e in victims:
-            self._index.discard((e.version, e.oid))
+            self._forget(e)
             OBS.metrics.inc("dirty.removes")
             if OBS.bus.active:
                 OBS.bus.emit("dirty.remove", oid=e.oid,
@@ -214,7 +210,7 @@ class DirtyTable:
     def versions_present(self) -> List[int]:
         """Distinct versions with at least one entry, ascending —
         a Figure-6-style summary used by tests and examples."""
-        return sorted({v for (v, _o) in self._index})
+        return sorted(set().union(*self._index.values()))
 
     def entries_for_version(self, version: int) -> List[DirtyEntry]:
         return [e for e in self.entries() if e.version == version]

@@ -35,9 +35,8 @@ from repro.core.placement import (
     place_primary,
 )
 from repro.core.versioning import MembershipTable, VersionHistory
-from repro.hashring.hashing import HashFunction, bulk_hash
+from repro.hashring.hashing import bulk_hash
 from repro.hashring.ring import HashRing
-from repro.kvstore.sharded import ShardedKVStore
 from repro.obs.runtime import OBS
 
 __all__ = ["ElasticConsistentHash"]
@@ -94,7 +93,6 @@ class ElasticConsistentHash:
         chain: ChainMode = "walk",
         layout_mode: str = "equal-work",
         placement_mode: str = "primary",
-        hash_method: HashFunction = "fnv1a",
         initially_active: Optional[Sequence[int]] = None,
         dirty_table: Optional[DirtyTable] = None,
     ) -> None:
@@ -111,7 +109,7 @@ class ElasticConsistentHash:
         self.replicas = replicas
         self.chain: ChainMode = chain
 
-        self.ring = HashRing(hash_method)
+        self.ring = HashRing()
         for rank in self.layout.ranks:
             self.ring.add_server(rank, weight=self.layout.weight_of(rank))
 
@@ -133,13 +131,7 @@ class ElasticConsistentHash:
                for r in self.layout.primary_ranks):
             raise ValueError("primary servers must be active in version 1")
 
-        if dirty_table is None:
-            # The table shards over the primaries — the servers that are
-            # always on, so the table never loses a shard to a resize.
-            shards = ShardedKVStore(
-                [f"rank-{r}" for r in self.layout.primary_ranks])
-            dirty_table = DirtyTable(shards)
-        self.dirty = dirty_table
+        self.dirty = DirtyTable() if dirty_table is None else dirty_table
 
         #: Last version each object was written in — the object-header
         #: (version, dirty-bit) state of §III-E-2, kept here because
@@ -327,8 +319,7 @@ class ElasticConsistentHash:
         Returns compact arrays; see
         :class:`~repro.core.kernel.BulkPlacement`.
         """
-        return self.locate_bulk_positions(
-            bulk_hash(oids, self.ring.hash_method), version)
+        return self.locate_bulk_positions(bulk_hash(oids), version)
 
     def locate_bulk_positions(self, positions: np.ndarray,
                               version: Optional[int] = None

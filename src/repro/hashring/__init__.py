@@ -8,12 +8,7 @@ so that successor walks can filter servers by role (primary/secondary)
 and power state — the hooks :mod:`repro.core.placement` needs.
 """
 
-from repro.hashring.hashing import (
-    hash64,
-    hash_key,
-    vnode_positions,
-    HashFunction,
-)
+from repro.hashring.hashing import hash64, vnode_positions
 from repro.hashring.ring import HashRing, RingView
 from repro.hashring.weights import (
     uniform_weights,
@@ -22,9 +17,7 @@ from repro.hashring.weights import (
 
 __all__ = [
     "hash64",
-    "hash_key",
     "vnode_positions",
-    "HashFunction",
     "HashRing",
     "RingView",
     "uniform_weights",

@@ -1,39 +1,29 @@
-"""Stable 64-bit hash functions for ring positions and object keys.
+"""The stable 64-bit hash behind ring positions and object keys.
 
 Consistent hashing needs a hash that is (a) stable across processes —
 Python's builtin ``hash`` is salted per process and therefore unusable —
 (b) well distributed over the 64-bit space, and (c) cheap for bulk use.
 
-Two families are provided:
+There is one family, used by everything that hashes (ring, kernel,
+replicated KV, serving draws, retry jitter): 64-bit FNV-1a — what
+modern Sheepdog's ``sd_hash`` is — followed by a splitmix64 avalanche
+finalizer.  Plain FNV-1a mixes its *high* bits poorly on short keys
+(vnode labels like ``"5#17"``), which measurably skews ring arc
+shares; the finalizer restores full avalanche at negligible cost.
 
-``sha1``
-    The first 8 bytes of SHA-1, the approach Sheepdog itself uses
-    (``sd_hash`` is FNV in modern Sheepdog, but the original paper-era
-    code hashed with SHA-1 object ids).  Cryptographic quality, slower.
-
-``fnv1a``
-    64-bit FNV-1a followed by a splitmix64 avalanche finalizer.  Plain
-    FNV-1a mixes its *high* bits poorly on short keys (vnode labels like
-    ``"5#17"``), which measurably skews ring arc shares; the finalizer
-    restores full avalanche at negligible cost.  This is the default
-    used throughout the reproduction.
-
-Both accept ``str``, ``bytes`` and integer keys; integers (NumPy ones
+It accepts ``str``, ``bytes`` and integer keys; integers (NumPy ones
 included) are encoded as their decimal string so that object ids hash
 identically whether the caller stores them as ints or strings.
 """
 
 from __future__ import annotations
 
-import hashlib
 from numbers import Integral
-from typing import Iterable, Literal, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-__all__ = ["HashFunction", "hash64", "hash_key", "vnode_positions"]
-
-HashFunction = Literal["fnv1a", "sha1"]
+__all__ = ["hash64", "vnode_positions"]
 
 Key = Union[str, bytes, int]
 
@@ -78,40 +68,14 @@ def _fnv1a64(data: bytes) -> int:
     return _splitmix64(h)
 
 
-def _sha1_64(data: bytes) -> int:
-    return int.from_bytes(hashlib.sha1(data).digest()[:8], "big")
+def hash64(key: Key) -> int:
+    """Hash *key* (object id, server id, or any ring key) to a position
+    in ``[0, 2**64)``."""
+    return _fnv1a64(_to_bytes(key))
 
 
-def hash64(key: Key, method: HashFunction = "fnv1a") -> int:
-    """Hash *key* to a position in ``[0, 2**64)``.
-
-    Parameters
-    ----------
-    key:
-        Object id, server id, or any ring key.
-    method:
-        ``"fnv1a"`` (default) or ``"sha1"``.
-    """
-    data = _to_bytes(key)
-    if method == "fnv1a":
-        return _fnv1a64(data)
-    if method == "sha1":
-        return _sha1_64(data)
-    raise ValueError(f"unknown hash method: {method!r}")
-
-
-def hash_key(key: Key, method: HashFunction = "fnv1a") -> int:
-    """Alias of :func:`hash64` kept for call-site readability: hashing a
-    *data key* rather than a ring member."""
-    return hash64(key, method)
-
-
-def vnode_positions(
-    server_id: Key,
-    count: int,
-    method: HashFunction = "fnv1a",
-    start_index: int = 0,
-) -> np.ndarray:
+def vnode_positions(server_id: Key, count: int,
+                    start_index: int = 0) -> np.ndarray:
     """Ring positions for *count* virtual nodes of one server.
 
     Virtual node *j* of server *s* is placed at
@@ -141,7 +105,7 @@ def vnode_positions(
     """
     if count < 0:
         raise ValueError("vnode count must be >= 0")
-    seed = np.uint64(hash64(server_id, method))
+    seed = np.uint64(hash64(server_id))
     idx = np.arange(start_index, start_index + count, dtype=np.uint64)
     return splitmix64_array(seed + idx)
 
@@ -198,7 +162,7 @@ def bulk_hash_concat(*parts: Union[str, np.ndarray]) -> np.ndarray:
     return splitmix64_array(h)
 
 
-def bulk_hash(keys: Iterable[Key], method: HashFunction = "fnv1a") -> np.ndarray:
+def bulk_hash(keys: Iterable[Key]) -> np.ndarray:
     """Hash an iterable of keys into a ``uint64`` array (bulk helper for
     vectorised placement and distribution analysis).
 
@@ -208,19 +172,16 @@ def bulk_hash(keys: Iterable[Key], method: HashFunction = "fnv1a") -> np.ndarray
     falls back to the scalar :func:`hash64` loop.  Both paths produce
     identical values.
     """
-    if method == "fnv1a":
-        arr = None
-        if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-            arr = keys
-        elif isinstance(keys, range):
-            arr = np.arange(keys.start, keys.stop, keys.step, dtype=np.int64) \
-                if len(keys) else np.empty(0, dtype=np.int64)
-        if arr is not None:
-            if arr.size == 0:
-                return np.empty(0, dtype=np.uint64)
-            if arr.dtype.kind == "u" or int(arr.min()) >= 0:
-                return bulk_hash_concat(arr)
-            keys = (int(k) for k in arr)   # negatives: scalar fallback
-    return np.fromiter(
-        (hash64(k, method) for k in keys), dtype=np.uint64, count=-1
-    )
+    arr = None
+    if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
+        arr = keys
+    elif isinstance(keys, range):
+        arr = np.arange(keys.start, keys.stop, keys.step, dtype=np.int64) \
+            if len(keys) else np.empty(0, dtype=np.int64)
+    if arr is not None:
+        if arr.size == 0:
+            return np.empty(0, dtype=np.uint64)
+        if arr.dtype.kind == "u" or int(arr.min()) >= 0:
+            return bulk_hash_concat(arr)
+        keys = (int(k) for k in arr)   # negatives: scalar fallback
+    return np.fromiter(map(hash64, keys), dtype=np.uint64, count=-1)

@@ -31,7 +31,7 @@ from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.hashring.hashing import HashFunction, hash64, vnode_positions
+from repro.hashring.hashing import hash64, vnode_positions
 from repro.obs.runtime import OBS
 
 __all__ = ["HashRing", "RingView"]
@@ -40,13 +40,8 @@ ServerId = Hashable
 
 
 class HashRing:
-    """A weighted consistent-hash ring over physical servers.
-
-    Parameters
-    ----------
-    hash_method:
-        Hash family for both vnode positions and keys (see
-        :mod:`repro.hashring.hashing`).
+    """A weighted consistent-hash ring over physical servers; vnode
+    positions and keys share :mod:`repro.hashring.hashing`'s one hash.
 
     Examples
     --------
@@ -57,8 +52,7 @@ class HashRing:
     True
     """
 
-    def __init__(self, hash_method: HashFunction = "fnv1a") -> None:
-        self.hash_method: HashFunction = hash_method
+    def __init__(self) -> None:
         self._weights: Dict[ServerId, int] = {}
         # Parallel arrays, rebuilt lazily on membership change.
         self._positions = np.empty(0, dtype=np.uint64)
@@ -156,10 +150,7 @@ class HashRing:
         for idx, sid in enumerate(self._server_list):
             w = self._weights[sid]
             pos = vnode_positions(
-                sid if isinstance(sid, (str, bytes, int)) else repr(sid),
-                w,
-                self.hash_method,
-            )
+                sid if isinstance(sid, (str, bytes, int)) else repr(sid), w)
             chunks_pos.append(pos)
             chunks_owner.append(np.full(w, idx, dtype=np.intp))
             chunks_vidx.append(np.arange(w, dtype=np.intp))
@@ -187,9 +178,8 @@ class HashRing:
         # Integral last: only a key that is none of the builtin types
         # pays the ABC check (a NumPy integer is the oid it equals, not
         # its repr).
-        return hash64(
-            key if isinstance(key, (str, bytes, int, Integral))
-            else repr(key), self.hash_method)
+        return hash64(key if isinstance(key, (str, bytes, int, Integral))
+                      else repr(key))
 
     def _slot_at(self, position: int) -> int:
         """:meth:`successor_slot` on a rebuilt, non-empty ring."""

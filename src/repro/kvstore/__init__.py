@@ -1,25 +1,24 @@
-"""In-memory key-value store modelled on Redis, plus a hash-sharded
-distributed wrapper and an R-way replicated, membership-versioned
-service.
+"""In-memory key-value stores modelled on Redis: one command table,
+two stores that apply it.
 
 The paper (§IV) keeps the dirty table in Redis as a LIST, manipulated
 with RPUSH / LPOP / LRANGE, and notes the table "is maintained in a
 distributed key-value store across the storage servers to balance the
-storage usage and the lookup load" (§III-E-2).  :class:`KVStore`
-reproduces the command surface the paper uses (and the handful of
-adjacent commands the tests exercise); :class:`ShardedKVStore` spreads
-keys over several stores with consistent hashing, as the deployment
-described in the paper would; :class:`ReplicatedKVStore` adds what a
-real deployment cannot live without — quorum replication over
-ring-successor replica sets, epoch-numbered view changes, and
-anti-entropy repair — so the metadata survives the same faults
-:mod:`repro.faults` injects everywhere else.  The churn harness
-(:mod:`repro.kvstore.harness`) drives it through membership churn
-under injected faults with the online consistency checkers attached.
+storage usage and the lookup load" (§III-E-2).  :mod:`~.commands` says
+what the commands the paper uses mean (and the handful of adjacent
+ones the tests exercise); :class:`KVStore` applies them to a dict;
+:class:`ReplicatedKVStore` applies them across the storage servers —
+ring-successor replica sets (at ``replicas=1``, plain hash sharding),
+and what a real deployment cannot live without: quorum replication,
+epoch-numbered view changes, and anti-entropy repair — so the metadata
+survives the same faults :mod:`repro.faults` injects everywhere else.
+The churn harness (:mod:`repro.kvstore.harness`) drives it through
+membership churn under injected faults with the online consistency
+checkers attached.
 """
 
-from repro.kvstore.store import KVStore, WrongTypeError
-from repro.kvstore.sharded import ShardedKVStore
+from repro.kvstore.commands import WrongTypeError
+from repro.kvstore.store import KVStore
 from repro.kvstore.replicated import (
     NoQuorumError,
     ReplicatedKVStore,
@@ -45,7 +44,6 @@ def __getattr__(name):
 __all__ = [
     "KVStore",
     "WrongTypeError",
-    "ShardedKVStore",
     "ReplicatedKVStore",
     "NoQuorumError",
     "StaleSessionError",

@@ -52,9 +52,10 @@ holds every copy there is, so the whole-keyspace passes (anti-entropy,
 asking every node, and settle a key that is already in sync — exactly
 R copies, one per owner, vectors all equal — without repair work.
 
-The command surface mirrors :class:`~repro.kvstore.store.KVStore`
-(strings + Redis LISTs), so :class:`~repro.core.dirty_table.DirtyTable`
-runs unchanged on top of either backend.
+The command surface is :class:`~repro.kvstore.store.KVStore`'s — both
+apply the one command table of :mod:`repro.kvstore.commands` (strings +
+Redis LISTs) — so :class:`~repro.core.dirty_table.DirtyTable` runs
+unchanged on top of either.
 """
 
 from __future__ import annotations
@@ -74,6 +75,8 @@ from typing import (
 )
 
 from repro.hashring.ring import HashRing
+from repro.kvstore import commands
+from repro.kvstore.commands import Value
 from repro.obs.runtime import OBS
 
 __all__ = [
@@ -166,24 +169,27 @@ class Session:
         self.floor[key] = vv_merge(cur, vv) if cur else dict(vv)
 
 
+def _own(state: Value) -> Value:
+    """*state* with its list payload duplicated: safe to change in
+    place, and no two nodes ever alias the same mutable object."""
+    if state is not None and state[0] == "list":
+        return ("list", list(state[1]))
+    return state
+
+
 @dataclass
 class _Versioned:
     """One replica's copy of a key: the full state plus its vector.
-    ``state`` is ``("string", value)`` / ``("list", [...])`` or
-    ``None`` for a tombstone (deletes replicate by dominance like any
-    other write, so a partitioned stale replica can never resurrect a
-    deleted key)."""
+    ``state`` is a :data:`~repro.kvstore.commands.Value`; ``None`` is a
+    tombstone (deletes replicate by dominance like any other write, so
+    a partitioned stale replica can never resurrect a deleted key)."""
 
     vv: VersionVector
-    state: Optional[Tuple[str, Any]]
+    state: Value
 
     def copy(self) -> "_Versioned":
-        """An independent replica copy: list payloads are duplicated
-        so no two nodes ever alias the same mutable object."""
-        state = self.state
-        if state is not None and state[0] == "list":
-            state = ("list", list(state[1]))
-        return _Versioned(vv=dict(self.vv), state=state)
+        """An independent replica copy."""
+        return _Versioned(vv=dict(self.vv), state=_own(self.state))
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +203,10 @@ class ReplicatedKVStore:
     node_ids:
         Initial members (view epoch 1).
     replicas:
-        Replication factor R; quorum is ``R // 2 + 1``.
+        Replication factor R; quorum is ``R // 2 + 1``.  ``replicas=1``
+        **is** the hash-sharded store of §III-E-2: every key lives as a
+        single copy on its ring successor, and a view change moves only
+        the remapped keys (the commit's anti-entropy pass carries them).
     vnodes_per_node:
         Ring weight per member.
     link_blocked:
@@ -511,9 +520,7 @@ class ReplicatedKVStore:
     # ------------------------------------------------------------------
     # core quorum ops
     # ------------------------------------------------------------------
-    def _mutate(self, key: str,
-                transform: Callable[[Optional[Tuple[str, Any]]],
-                                    Optional[Tuple[str, Any]]],
+    def _mutate(self, key: str, transform: Callable[[Value], Value],
                 client: Optional[str] = None) -> Tuple[Any, VersionVector]:
         """Read-newest, transform the full state, replicate it with a
         bumped vector.  Returns ``(pre-transform state, new vector)``.
@@ -567,7 +574,7 @@ class ReplicatedKVStore:
         return current.state, new_vv
 
     def _read(self, key: str, client: Optional[str] = None
-              ) -> Tuple[Optional[Tuple[str, Any]], VersionVector, bool]:
+              ) -> Tuple[Value, VersionVector, bool]:
         """Quorum read: ``(state, vector, degraded)``.  Serves from a
         single replica only as a flagged degraded read, and never
         returns data older than the client session's floor."""
@@ -739,192 +746,79 @@ class ReplicatedKVStore:
         return report
 
     # ------------------------------------------------------------------
-    # Redis-style command surface (KVStore-compatible)
+    # Redis-style command surface: the command table of
+    # repro.kvstore.commands, applied through a quorum round
     # ------------------------------------------------------------------
-    @staticmethod
-    def _as_list(state: Optional[Tuple[str, Any]], key: str) -> List[Any]:
-        if state is None:
-            return []
-        kind, value = state
-        if kind != "list":
-            from repro.kvstore.store import WrongTypeError
-            raise WrongTypeError(f"key {key!r} holds a string")
-        return list(value)
+    def _write(self, command: Callable[..., Tuple[Value, Any]], key: str,
+               client: Optional[str], *args: Any) -> Any:
+        """One mutator through :meth:`_mutate`, on a private copy of
+        the newest state; a :class:`WrongTypeError` aborts the round
+        before anything replicates."""
+        reply = None
 
-    @staticmethod
-    def _as_string(state: Optional[Tuple[str, Any]], key: str) -> Any:
-        if state is None:
-            return None
-        kind, value = state
-        if kind != "string":
-            from repro.kvstore.store import WrongTypeError
-            raise WrongTypeError(f"key {key!r} holds a list")
-        return value
+        def transform(state: Value) -> Value:
+            nonlocal reply
+            state, reply = command(_own(state), key, *args)
+            return state
+
+        self._mutate(key, transform, client)
+        return reply
 
     def set(self, key: str, value: Any, client: Optional[str] = None
             ) -> None:
-        self._mutate(key, lambda _s: ("string", value), client)
+        self._write(commands.set, key, client, value)
 
     def get(self, key: str, client: Optional[str] = None) -> Any:
-        state, _vv, _deg = self._read(key, client)
-        return self._as_string(state, key)
+        return commands.get(self._read(key, client)[0], key)
 
     def incr(self, key: str, amount: int = 1,
              client: Optional[str] = None) -> int:
-        box: Dict[str, int] = {}
-
-        def transform(state: Optional[Tuple[str, Any]]
-                      ) -> Tuple[str, Any]:
-            cur = self._as_string(state, key)
-            if cur is None:
-                cur = 0
-            if not isinstance(cur, int):
-                from repro.kvstore.store import WrongTypeError
-                raise WrongTypeError(f"key {key!r} is not an integer")
-            box["value"] = cur + amount
-            return ("string", cur + amount)
-
-        self._mutate(key, transform, client)
-        return box["value"]
+        return self._write(commands.incr, key, client, amount)
 
     def delete(self, key: str, client: Optional[str] = None) -> bool:
-        box: Dict[str, bool] = {}
-
-        def transform(state: Optional[Tuple[str, Any]]) -> None:
-            box["existed"] = state is not None
-            return None                # tombstone
-
-        self._mutate(key, transform, client)
-        return box["existed"]
+        """Replicates a tombstone (the command's ``None``)."""
+        return self._write(commands.delete, key, client)
 
     def exists(self, key: str, client: Optional[str] = None) -> bool:
-        state, _vv, _deg = self._read(key, client)
-        return state is not None
+        return commands.exists(self._read(key, client)[0], key)
 
     # -- lists ---------------------------------------------------------
     def rpush(self, key: str, *values: Any,
               client: Optional[str] = None) -> int:
-        if not values:
-            raise ValueError("rpush requires at least one value")
-        box: Dict[str, int] = {}
-
-        def transform(state):
-            lst = self._as_list(state, key)
-            lst.extend(values)
-            box["len"] = len(lst)
-            return ("list", lst)
-
-        self._mutate(key, transform, client)
-        return box["len"]
+        commands.require_values("rpush", values)  # not a failed write
+        return self._write(commands.rpush, key, client, *values)
 
     def lpush(self, key: str, *values: Any,
               client: Optional[str] = None) -> int:
-        if not values:
-            raise ValueError("lpush requires at least one value")
-        box: Dict[str, int] = {}
-
-        def transform(state):
-            lst = self._as_list(state, key)
-            for v in values:
-                lst.insert(0, v)
-            box["len"] = len(lst)
-            return ("list", lst)
-
-        self._mutate(key, transform, client)
-        return box["len"]
+        commands.require_values("lpush", values)  # not a failed write
+        return self._write(commands.lpush, key, client, *values)
 
     def lpop(self, key: str, client: Optional[str] = None) -> Any:
-        box: Dict[str, Any] = {"value": None}
-
-        def transform(state):
-            lst = self._as_list(state, key)
-            if not lst:
-                return None if state is None else state
-            box["value"] = lst.pop(0)
-            return ("list", lst) if lst else None
-
-        self._mutate(key, transform, client)
-        return box["value"]
+        return self._write(commands.lpop, key, client)
 
     def rpop(self, key: str, client: Optional[str] = None) -> Any:
-        box: Dict[str, Any] = {"value": None}
-
-        def transform(state):
-            lst = self._as_list(state, key)
-            if not lst:
-                return None if state is None else state
-            box["value"] = lst.pop()
-            return ("list", lst) if lst else None
-
-        self._mutate(key, transform, client)
-        return box["value"]
-
-    def llen(self, key: str, client: Optional[str] = None) -> int:
-        state, _vv, _deg = self._read(key, client)
-        return len(self._as_list(state, key)) if state is not None else 0
-
-    def lindex(self, key: str, index: int,
-               client: Optional[str] = None) -> Any:
-        state, _vv, _deg = self._read(key, client)
-        lst = self._as_list(state, key) if state is not None else []
-        try:
-            return lst[index]
-        except IndexError:
-            return None
-
-    def lrange(self, key: str, start: int, stop: int,
-               client: Optional[str] = None) -> List[Any]:
-        state, _vv, _deg = self._read(key, client)
-        lst = self._as_list(state, key) if state is not None else []
-        n = len(lst)
-        if not n:
-            return []
-        if start < 0:
-            start = max(n + start, 0)
-        if stop < 0:
-            stop = n + stop
-        stop = min(stop, n - 1)
-        if start > stop or start >= n:
-            return []
-        return lst[start:stop + 1]
+        return self._write(commands.rpop, key, client)
 
     def lrem(self, key: str, count: int, value: Any,
              client: Optional[str] = None) -> int:
-        box: Dict[str, int] = {"removed": 0}
+        return self._write(commands.lrem, key, client, count, value)
 
-        def transform(state):
-            lst = self._as_list(state, key)
-            if not lst:
-                return None if state is None else state
-            removed = 0
-            if count >= 0:
-                limit = count if count > 0 else len(lst)
-                out = []
-                for item in lst:
-                    if item == value and removed < limit:
-                        removed += 1
-                    else:
-                        out.append(item)
-            else:
-                limit = -count
-                out_rev = []
-                for item in reversed(lst):
-                    if item == value and removed < limit:
-                        removed += 1
-                    else:
-                        out_rev.append(item)
-                out = list(reversed(out_rev))
-            box["removed"] = removed
-            return ("list", out) if out else None
+    def llen(self, key: str, client: Optional[str] = None) -> int:
+        return commands.llen(self._read(key, client)[0], key)
 
-        self._mutate(key, transform, client)
-        return box["removed"]
+    def lindex(self, key: str, index: int,
+               client: Optional[str] = None) -> Any:
+        return commands.lindex(self._read(key, client)[0], key, index)
+
+    def lrange(self, key: str, start: int, stop: int,
+               client: Optional[str] = None) -> List[Any]:
+        return commands.lrange(self._read(key, client)[0], key, start, stop)
 
     # -- fan-out -------------------------------------------------------
     def keys(self) -> List[str]:
         """Every live key (some node holds a copy that is not a
-        tombstone), sorted — a deterministic fan-out like the sharded
-        store's."""
+        tombstone), sorted — a deterministic fan-out, independent of
+        the order nodes were admitted in."""
         return sorted(key for key, copies in self._copies.items()
                       if any(versioned.state is not None
                              for versioned in copies.values()))

@@ -1,15 +1,11 @@
-"""A single-node, in-memory key-value store with Redis LIST semantics.
+"""A single-node, in-memory key-value store: one ``key -> value`` dict
+applying the command table of :mod:`repro.kvstore.commands` (strings
+and Redis LISTs; that module documents the semantics).
 
-Only the data types the reproduction needs are implemented — strings
-and lists — but their edge-case behaviour follows Redis precisely
-(verified by the test suite against the documented Redis semantics):
-
-* reading a missing key returns ``None`` / empty, never raises;
-* list commands against a string key (and vice versa) raise
-  :class:`WrongTypeError`, mirroring Redis ``WRONGTYPE``;
-* a list that becomes empty is deleted (``EXISTS`` turns false);
-* ``LRANGE`` accepts negative and out-of-range indices with Redis'
-  clamping rules.
+This is what the dirty table runs on wherever the run injects no
+faults — nothing there reads which server held an entry, so nothing
+routes it (DESIGN.md, "Metadata stores").  The distributed store is
+:class:`~repro.kvstore.replicated.ReplicatedKVStore`.
 
 The store is deliberately unsynchronised: the simulator is single-
 threaded and deterministic, and the paper's consistency argument does
@@ -18,15 +14,12 @@ not rest on the KV store's concurrency behaviour.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, List
+
+from repro.kvstore import commands
+from repro.kvstore.commands import Value, WrongTypeError
 
 __all__ = ["KVStore", "WrongTypeError"]
-
-
-class WrongTypeError(TypeError):
-    """Operation against a key holding the wrong kind of value
-    (Redis ``WRONGTYPE``)."""
 
 
 class KVStore:
@@ -44,186 +37,72 @@ class KVStore:
     """
 
     def __init__(self) -> None:
-        self._strings: Dict[str, Any] = {}
-        self._lists: Dict[str, Deque[Any]] = {}
+        self._data: Dict[str, Value] = {}
+
+    def _write(self, command: Callable[..., Any], key: str,
+               *args: Any) -> Any:
+        """Apply one mutator to the store's own value of *key* (lists
+        change in place) and keep what it leaves."""
+        value, reply = command(self._data.get(key), key, *args)
+        if value is None:
+            self._data.pop(key, None)
+        else:
+            self._data[key] = value
+        return reply
 
     # ------------------------------------------------------------------
     # generic
     # ------------------------------------------------------------------
     def exists(self, key: str) -> bool:
-        return key in self._strings or key in self._lists
+        return commands.exists(self._data.get(key), key)
 
     def delete(self, key: str) -> bool:
-        """Remove *key* of any type; returns whether it existed."""
-        found = self._strings.pop(key, _MISSING) is not _MISSING
-        found = (self._lists.pop(key, None) is not None) or found
-        return found
+        return self._write(commands.delete, key)
 
     def keys(self) -> List[str]:
-        return list(self._strings) + list(self._lists)
+        return list(self._data)
 
     def flushall(self) -> None:
-        self._strings.clear()
-        self._lists.clear()
-
-    def type_of(self, key: str) -> Optional[str]:
-        if key in self._strings:
-            return "string"
-        if key in self._lists:
-            return "list"
-        return None
+        self._data.clear()
 
     def dbsize(self) -> int:
-        return len(self._strings) + len(self._lists)
+        return len(self._data)
 
     # ------------------------------------------------------------------
     # strings
     # ------------------------------------------------------------------
     def set(self, key: str, value: Any) -> None:
-        """SET — overwrites any existing value, including a list
-        (Redis SET replaces keys of any type)."""
-        self._lists.pop(key, None)
-        self._strings[key] = value
+        self._write(commands.set, key, value)
 
     def get(self, key: str) -> Any:
-        if key in self._lists:
-            raise WrongTypeError(f"key {key!r} holds a list")
-        return self._strings.get(key)
+        return commands.get(self._data.get(key), key)
 
     def incr(self, key: str, amount: int = 1) -> int:
-        """INCRBY — initialises a missing key to 0 first."""
-        if key in self._lists:
-            raise WrongTypeError(f"key {key!r} holds a list")
-        cur = self._strings.get(key, 0)
-        if not isinstance(cur, int):
-            raise WrongTypeError(f"key {key!r} is not an integer")
-        cur += amount
-        self._strings[key] = cur
-        return cur
+        return self._write(commands.incr, key, amount)
 
     # ------------------------------------------------------------------
     # lists
     # ------------------------------------------------------------------
-    def _list_for_write(self, key: str) -> Deque[Any]:
-        if key in self._strings:
-            raise WrongTypeError(f"key {key!r} holds a string")
-        lst = self._lists.get(key)
-        if lst is None:
-            lst = deque()
-            self._lists[key] = lst
-        return lst
-
-    def _list_for_read(self, key: str) -> Optional[Deque[Any]]:
-        if key in self._strings:
-            raise WrongTypeError(f"key {key!r} holds a string")
-        return self._lists.get(key)
-
     def rpush(self, key: str, *values: Any) -> int:
-        """RPUSH — append; returns the new length.  This is how dirty
-        entries enter the table (§IV)."""
-        if not values:
-            raise ValueError("rpush requires at least one value")
-        lst = self._list_for_write(key)
-        lst.extend(values)
-        return len(lst)
+        return self._write(commands.rpush, key, *values)
 
     def lpush(self, key: str, *values: Any) -> int:
-        """LPUSH — prepend (values land in reverse order, as in Redis)."""
-        if not values:
-            raise ValueError("lpush requires at least one value")
-        lst = self._list_for_write(key)
-        for v in values:
-            lst.appendleft(v)
-        return len(lst)
+        return self._write(commands.lpush, key, *values)
 
     def lpop(self, key: str) -> Any:
-        """LPOP — pop from the head; ``None`` on missing/empty key.
-        Used to consume a dirty entry once it is fully re-integrated."""
-        lst = self._list_for_read(key)
-        if not lst:
-            return None
-        value = lst.popleft()
-        if not lst:
-            del self._lists[key]
-        return value
+        return self._write(commands.lpop, key)
 
     def rpop(self, key: str) -> Any:
-        lst = self._list_for_read(key)
-        if not lst:
-            return None
-        value = lst.pop()
-        if not lst:
-            del self._lists[key]
-        return value
-
-    def llen(self, key: str) -> int:
-        lst = self._list_for_read(key)
-        return len(lst) if lst else 0
-
-    def lindex(self, key: str, index: int) -> Any:
-        lst = self._list_for_read(key)
-        if not lst:
-            return None
-        try:
-            return lst[index]
-        except IndexError:
-            return None
-
-    def lrange(self, key: str, start: int, stop: int) -> List[Any]:
-        """LRANGE with Redis index semantics: *stop* is inclusive,
-        negative indices count from the tail, and out-of-range bounds
-        clamp rather than raise.  This is the non-destructive fetch used
-        while the cluster is not yet at full power (§IV)."""
-        lst = self._list_for_read(key)
-        if not lst:
-            return []
-        n = len(lst)
-        if start < 0:
-            start = max(n + start, 0)
-        if stop < 0:
-            stop = n + stop
-        stop = min(stop, n - 1)
-        if start > stop or start >= n:
-            return []
-        # deque slicing is O(n) anyway; materialise once.
-        seq = list(lst)
-        return seq[start:stop + 1]
+        return self._write(commands.rpop, key)
 
     def lrem(self, key: str, count: int, value: Any) -> int:
-        """LREM — remove up to *count* occurrences of *value* (all when
-        count == 0; from the tail when count < 0)."""
-        lst = self._list_for_read(key)
-        if not lst:
-            return 0
-        seq = list(lst)
-        removed = 0
-        if count >= 0:
-            limit = count if count > 0 else len(seq)
-            out = []
-            for item in seq:
-                if item == value and removed < limit:
-                    removed += 1
-                else:
-                    out.append(item)
-        else:
-            limit = -count
-            out_rev = []
-            for item in reversed(seq):
-                if item == value and removed < limit:
-                    removed += 1
-                else:
-                    out_rev.append(item)
-            out = list(reversed(out_rev))
-        if out:
-            self._lists[key] = deque(out)
-        else:
-            del self._lists[key]
-        return removed
+        return self._write(commands.lrem, key, count, value)
 
-    def lists_iter(self, key: str) -> Iterator[Any]:
-        """Non-Redis convenience: iterate a list without copying."""
-        lst = self._list_for_read(key)
-        return iter(lst) if lst else iter(())
+    def llen(self, key: str) -> int:
+        return commands.llen(self._data.get(key), key)
 
+    def lindex(self, key: str, index: int) -> Any:
+        return commands.lindex(self._data.get(key), key, index)
 
-_MISSING = object()
+    def lrange(self, key: str, start: int, stop: int) -> List[Any]:
+        return commands.lrange(self._data.get(key), key, start, stop)

@@ -34,7 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.report import (EmptyTraceError, SpanRecord, _fmt_gb, _num,
                               collect_spans)
-from repro.obs.stats import check_window, event_in_window, is_number
+from repro.obs.stats import (check_window, event_in_window, is_number,
+                             percentile)
 from repro.obs.trace import TraceEvent, iter_jsonl
 
 __all__ = [
@@ -96,25 +97,6 @@ class AnalyticsError(ValueError):
     """An analytics document that cannot be built, parsed or merged
     (bad window, malformed JSON document, mismatched rollup inputs).
     CLI surfaces exit 2 on it, like any other corrupt input."""
-
-
-# ----------------------------------------------------------------------
-# percentiles
-# ----------------------------------------------------------------------
-def percentile(sorted_vals: Sequence[float], q: float) -> float:
-    """Exact nearest-rank percentile of an ascending-sorted sequence.
-
-    ``rank = ceil(q * N)`` (floored at 1) — no interpolation, so the
-    result is always an observed value and bit-identical across
-    platforms.  Raises :class:`ValueError` on an empty sequence or a
-    quantile outside ``(0, 1]``.
-    """
-    if not sorted_vals:
-        raise ValueError("percentile of empty sequence")
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"quantile must be in (0, 1], got {q!r}")
-    rank = max(1, math.ceil(q * len(sorted_vals)))
-    return sorted_vals[rank - 1]
 
 
 def _round(v: float) -> float:

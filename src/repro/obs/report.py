@@ -20,7 +20,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.invariants import Checker, InvariantSuite, Violation
-from repro.obs.stats import check_window, event_in_window, is_number
+from repro.obs.stats import (check_window, event_in_window, is_number,
+                             percentile)
 from repro.obs.trace import TraceEvent, iter_jsonl
 
 __all__ = [
@@ -259,9 +260,9 @@ def render_run_report(path: str, max_timeline_rows: int = 40,
             ds = sorted(stats.get(name, []))
             if ds:
                 mean = sum(ds) / len(ds)
-                p50 = ds[len(ds) // 2]
                 srows.append([name, len(ds), open_count.get(name, 0),
-                              f"{min(ds):g}", f"{p50:g}", f"{mean:g}",
+                              f"{min(ds):g}", f"{percentile(ds, 0.5):g}",
+                              f"{mean:g}",
                               f"{max(ds):g}", f"{sum(ds):g}"])
             else:
                 srows.append([name, 0, open_count.get(name, 0),

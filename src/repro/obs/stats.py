@@ -22,6 +22,7 @@ a trace without double-counting boundary events.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 from repro.metrics.report import render_table
@@ -35,6 +36,7 @@ __all__ = [
     "in_window",
     "event_in_window",
     "is_number",
+    "percentile",
 ]
 
 
@@ -44,6 +46,22 @@ def is_number(value: object) -> bool:
     in Python, so a malformed trace with ``"t": true`` would otherwise
     slip through the window filter as ``t == 1``."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def percentile(sorted_vals: Sequence[float], q: float) -> float:
+    """Exact nearest-rank percentile of an ascending-sorted sequence.
+
+    ``rank = ceil(q * N)`` (floored at 1) — no interpolation, so the
+    result is always an observed value and bit-identical across
+    platforms.  Raises :class:`ValueError` on an empty sequence or a
+    quantile outside ``(0, 1]``.
+    """
+    if not sorted_vals:
+        raise ValueError("percentile of empty sequence")
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"quantile must be in (0, 1], got {q!r}")
+    rank = max(1, math.ceil(q * len(sorted_vals)))
+    return sorted_vals[rank - 1]
 
 
 def check_window(since: Optional[float], until: Optional[float]) -> None:

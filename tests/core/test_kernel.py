@@ -164,7 +164,7 @@ class TestLocateEquivalence:
         ech.set_active(6)
         oids = range(5_000, 5_400)
         a = ech.locate_bulk(oids)
-        b = ech.locate_bulk_positions(bulk_hash(oids, "fnv1a"))
+        b = ech.locate_bulk_positions(bulk_hash(oids))
         assert np.array_equal(a.servers, b.servers)
         assert np.array_equal(a.degraded, b.degraded)
 

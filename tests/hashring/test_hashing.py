@@ -11,7 +11,6 @@ from repro.hashring.hashing import (
     bulk_hash,
     bulk_hash_concat,
     hash64,
-    hash_key,
     splitmix64_array,
     vnode_positions,
 )
@@ -33,7 +32,6 @@ class TestHash64:
         """Regression: ``hash64(np.int64(5))`` raised ``TypeError``."""
         for value in (0, 5, 10010, 2 ** 31 - 1):
             assert hash64(np_int(value)) == hash64(value)
-            assert hash64(np_int(value), "sha1") == hash64(value, "sha1")
         assert bulk_hash([np_int(5), np_int(7)]).tolist() == \
             [hash64(5), hash64(7)]
 
@@ -45,22 +43,17 @@ class TestHash64:
             h = hash64(key)
             assert 0 <= h < 2**64
 
-    def test_sha1_method_differs_from_fnv(self):
-        assert hash64("key", "sha1") != hash64("key", "fnv1a")
-
-    def test_sha1_deterministic(self):
-        assert hash64("key", "sha1") == hash64("key", "sha1")
-
     def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError):
-            hash64("key", "md5")  # type: ignore[arg-type]
+        """There is one hash family and no way to ask for another —
+        the ring, the kernel's rehash chain, the replicated KV and the
+        serving draws could never have agreed on a second one."""
+        for method in ("md5", "fnv1a"):
+            with pytest.raises(TypeError):
+                hash64("key", method)  # type: ignore[call-arg]
 
     def test_unhashable_type_rejected(self):
         with pytest.raises(TypeError):
             hash64(3.14)  # type: ignore[arg-type]
-
-    def test_hash_key_is_alias(self):
-        assert hash_key("k") == hash64("k")
 
     def test_avalanche_on_sequential_ints(self):
         """Sequential object ids must land uniformly: chi-square over

@@ -139,8 +139,7 @@ def colliding_rings(draw):
         ring.add_server(sid, weight=len(positions))
     with mock.patch.object(
             ring_mod, "vnode_positions",
-            lambda sid, count, method: np.array(per_server[sid],
-                                                dtype=np.uint64)):
+            lambda sid, count: np.array(per_server[sid], dtype=np.uint64)):
         assert ring.num_vnodes == sum(map(len, per_server))
     return ring
 

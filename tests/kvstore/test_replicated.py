@@ -13,6 +13,7 @@ from repro.kvstore.replicated import (
     vv_merge,
 )
 from repro.kvstore.store import WrongTypeError
+from repro.obs.runtime import OBS
 
 
 @pytest.fixture
@@ -239,6 +240,20 @@ class TestCrashRepair:
             kv.set("k", "v")
         assert err.value.got == 1 and err.value.need == 2
         assert kv.stats["writes_failed"] == 1
+
+    def test_push_of_nothing_is_not_a_failed_write(self, kv):
+        """RPUSH / LPUSH with no values is a malformed call: it raises
+        before any quorum round — no ``NoQuorumError``, no failed-write
+        count, no ``kv.write.fail`` — even when no quorum is there."""
+        kv.crash_node(1)
+        kv.crash_node(2)
+        with OBS.bus.capture() as sink:
+            for push in (kv.rpush, kv.lpush):
+                with pytest.raises(ValueError):
+                    push("l")
+            events = list(sink.events())
+        assert events == []
+        assert kv.stats["writes_failed"] == 0
 
     def test_single_replica_read_is_degraded(self, kv):
         kv.set("k", "v")

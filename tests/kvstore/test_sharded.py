@@ -1,30 +1,70 @@
-"""ShardedKVStore: routing stability, fan-out ops, list locality."""
+"""``ReplicatedKVStore(replicas=1)`` is the hash-sharded store of
+§III-E-2: routing stability, fan-out ops, list locality, and
+minimal-movement membership changes.
+
+These are the assertions the deleted ``ShardedKVStore`` was held to,
+made against the store that replaced it: a key's shard is its
+``replica_set`` of one, ``add_shard`` / ``remove_shard`` are a
+``change_view`` (whose commit runs the anti-entropy pass that carries
+the remapped keys), and "which shard holds it" is read off the copies
+themselves."""
+
+from collections import Counter
 
 import pytest
 
-from repro.kvstore.sharded import ShardedKVStore
+from repro.kvstore.replicated import ReplicatedKVStore
+
+
+def sharded(shard_ids):
+    return ReplicatedKVStore(shard_ids, replicas=1)
+
+
+def shard_for(store, key):
+    (owner,) = store.replica_set(key)
+    return owner
+
+
+def holders(store, key):
+    """The nodes physically holding a live copy of *key*."""
+    return [nid for nid, versioned in store._copies.get(key, {}).items()
+            if versioned.state is not None]
+
+
+def set_shards(store, shard_ids):
+    """Commit a view of *shard_ids*; returns how many copies moved."""
+    before = store.stats["repair_copies"]
+    store.change_view(shard_ids)
+    return store.stats["repair_copies"] - before
+
+
+def add_shard(store, shard_id):
+    return set_shards(store, [*store.members, shard_id])
+
+
+def remove_shard(store, shard_id):
+    return set_shards(store, [m for m in store.members if m != shard_id])
 
 
 @pytest.fixture
 def store():
-    return ShardedKVStore(["s1", "s2", "s3", "s4"])
+    return sharded(["s1", "s2", "s3", "s4"])
 
 
 class TestRouting:
     def test_requires_shards(self):
         with pytest.raises(ValueError):
-            ShardedKVStore([])
+            sharded([])
 
     def test_routing_is_stable(self, store):
-        assert store.shard_for("key-x") == store.shard_for("key-x")
+        assert shard_for(store, "key-x") == shard_for(store, "key-x")
 
     def test_keys_spread_over_shards(self, store):
-        owners = {store.shard_for(f"key-{i}") for i in range(200)}
+        owners = {shard_for(store, f"key-{i}") for i in range(200)}
         assert len(owners) == 4
 
     def test_roughly_balanced(self, store):
-        from collections import Counter
-        counts = Counter(store.shard_for(f"key-{i}") for i in range(2000))
+        counts = Counter(shard_for(store, f"key-{i}") for i in range(2000))
         assert max(counts.values()) / min(counts.values()) < 2.5
 
 
@@ -36,18 +76,11 @@ class TestRoutedCommands:
 
     def test_value_lands_on_owning_shard_only(self, store):
         store.set("k", "v")
-        owner = store.shard_for("k")
-        for sid in store.shard_ids:
-            if sid == owner:
-                assert store.shard(sid).get("k") == "v"
-            else:
-                assert not store.shard(sid).exists("k")
+        assert holders(store, "k") == [shard_for(store, "k")]
 
     def test_list_stays_on_one_shard(self, store):
         store.rpush("list-key", 1, 2, 3)
-        holders = [sid for sid in store.shard_ids
-                   if store.shard(sid).llen("list-key")]
-        assert len(holders) == 1
+        assert holders(store, "list-key") == [shard_for(store, "list-key")]
         assert store.lrange("list-key", 0, -1) == [1, 2, 3]
 
     def test_list_ops_route_consistently(self, store):
@@ -84,8 +117,8 @@ class TestFanOut:
 
 
 class TestMembership:
-    """add_shard / remove_shard: consistent-hash minimal movement
-    applied to the metadata store itself."""
+    """A view change at R = 1: consistent-hash minimal movement applied
+    to the metadata store itself."""
 
     def populate(self, store, count=200):
         data = {}
@@ -106,82 +139,82 @@ class TestMembership:
                 assert store.get(key) == value, key
             else:
                 assert store.lrange(key, 0, -1) == value, key
+            # One copy, on the owner: the old shard dropped its own.
+            assert holders(store, key) == [shard_for(store, key)], key
         assert store.dbsize() == len(data)
+        assert store.anti_entropy() == 0     # nothing left to move
 
     def test_add_shard_moves_only_remapped_keys(self):
-        store = ShardedKVStore(["s1", "s2", "s3"])
+        store = sharded(["s1", "s2", "s3"])
         data = self.populate(store)
-        before = {key: store.shard_for(key) for key in data}
-        moved = store.add_shard("s4")
+        before = {key: shard_for(store, key) for key in data}
+        moved = add_shard(store, "s4")
         # Minimal movement: every key either stayed put or moved to the
         # NEW shard — no key changed hands between surviving shards.
         for key in data:
-            after = store.shard_for(key)
+            after = shard_for(store, key)
             assert after == before[key] or after == "s4", key
-        remapped = [k for k in data if store.shard_for(k) != before[k]]
+        remapped = [k for k in data if shard_for(store, k) != before[k]]
         assert moved == len(remapped) > 0
         # Far fewer keys move than a full rehash would touch.
         assert moved < len(data) / 2
         self.assert_intact(store, data)
 
     def test_remove_shard_returns_keys_to_survivors(self):
-        store = ShardedKVStore(["s1", "s2", "s3", "s4"])
+        store = sharded(["s1", "s2", "s3", "s4"])
         data = self.populate(store)
-        before = {key: store.shard_for(key) for key in data}
+        before = {key: shard_for(store, key) for key in data}
         victims = [k for k in data if before[k] == "s4"]
-        moved = store.remove_shard("s4")
+        moved = remove_shard(store, "s4")
         assert moved == len(victims)
         # Keys not on the removed shard did not move.
         for key in data:
             if before[key] != "s4":
-                assert store.shard_for(key) == before[key], key
-        assert "s4" not in store.shard_ids
+                assert shard_for(store, key) == before[key], key
+        assert "s4" not in store.members
         self.assert_intact(store, data)
 
     def test_add_then_remove_is_an_identity_on_placement(self):
-        store = ShardedKVStore(["s1", "s2", "s3"])
+        store = sharded(["s1", "s2", "s3"])
         data = self.populate(store)
-        before = {key: store.shard_for(key) for key in data}
-        store.add_shard("s4")
-        store.remove_shard("s4")
-        assert {key: store.shard_for(key) for key in data} == before
+        before = {key: shard_for(store, key) for key in data}
+        add_shard(store, "s4")
+        remove_shard(store, "s4")
+        assert {key: shard_for(store, key) for key in data} == before
         self.assert_intact(store, data)
 
     def test_duplicate_add_rejected(self):
-        store = ShardedKVStore(["s1", "s2"])
+        store = sharded(["s1", "s2"])
         with pytest.raises(ValueError):
-            store.add_shard("s1")
-
-    def test_remove_unknown_rejected(self):
-        store = ShardedKVStore(["s1", "s2"])
-        with pytest.raises(ValueError):
-            store.remove_shard("nope")
+            add_shard(store, "s1")
+        assert store.members == ("s1", "s2")
 
     def test_cannot_remove_last_shard(self):
-        store = ShardedKVStore(["s1"])
+        store = sharded(["s1"])
         with pytest.raises(ValueError):
-            store.remove_shard("s1")
+            remove_shard(store, "s1")
+        assert store.members == ("s1",)
 
     def test_list_order_preserved_across_migration(self):
-        store = ShardedKVStore(["s1", "s2"])
+        store = sharded(["s1", "s2"])
         for i in range(50):
             store.rpush(f"q-{i}", "a", "b", "c")
-        store.add_shard("s3")
-        store.remove_shard("s1")
+        add_shard(store, "s3")
+        remove_shard(store, "s1")
         for i in range(50):
             assert store.lrange(f"q-{i}", 0, -1) == ["a", "b", "c"]
 
 
 class TestFanOutDeterminism:
-    """Regression: keys()/dbsize()/flushall() and migrations iterate
-    shards in sorted-id order, independent of insertion history."""
+    """keys()/dbsize()/flushall() and migrations do not depend on the
+    order shards were admitted in."""
 
     IDS = ["s1", "s2", "s3", "s4"]
 
     def build(self, order):
-        store = ShardedKVStore([order[0]])
+        store = sharded([order[0]])
         for sid in order[1:]:
-            store.add_shard(sid)
+            add_shard(store, sid)
         for i in range(60):
             store.set(f"k{i}", i)
             store.rpush(f"l{i}", i, i + 1)
@@ -194,39 +227,37 @@ class TestFanOutDeterminism:
         assert a.dbsize() == b.dbsize() == 120
 
     def test_keys_order_is_shard_sorted(self, store):
+        """One sorted listing, whichever shard holds what."""
         for i in range(40):
             store.set(f"k{i}", i)
-        expected = []
-        for sid in sorted(store.shard_ids, key=str):
-            expected.extend(store.shard(sid).keys())
-        assert store.keys() == expected
+        assert store.keys() == sorted(f"k{i}" for i in range(40))
+        assert len({shard_for(store, key) for key in store.keys()}) == 4
 
     def test_flushall_covers_every_shard(self):
         store = self.build(list(reversed(self.IDS)))
         store.flushall()
         assert store.dbsize() == 0
-        for sid in store.shard_ids:
-            assert store.shard(sid).dbsize() == 0
+        assert store._copies == {}
 
     def test_migration_audit_order_independent(self):
         # Same final membership reached through different histories
         # must land every key on the same shard.
         a = self.build(self.IDS)
         b = self.build(list(reversed(self.IDS)))
-        a.add_shard("s9")
-        b.add_shard("s9")
+        add_shard(a, "s9")
+        add_shard(b, "s9")
         for i in range(60):
-            assert a.shard_for(f"k{i}") == b.shard_for(f"k{i}")
+            assert shard_for(a, f"k{i}") == shard_for(b, f"k{i}")
+            assert holders(a, f"k{i}") == holders(b, f"k{i}")
             assert a.get(f"k{i}") == b.get(f"k{i}") == i
 
 
 class TestChurnInterleaving:
-    """Regression: writes interleaved with membership changes — every
-    acked write survives and list order is preserved (mid-migration
-    mutation audit)."""
+    """Writes interleaved with membership changes — every acked write
+    survives and list order is preserved."""
 
     def test_writes_between_membership_changes_survive(self):
-        store = ShardedKVStore(["s1", "s2"])
+        store = sharded(["s1", "s2"])
         expected = {}
         step = 0
         for op in ["+s3", "w", "-s1", "w", "+s4", "w", "-s2", "w"]:
@@ -238,24 +269,26 @@ class TestChurnInterleaving:
                     store.rpush(f"l-{step % 7}", step)
                     step += 1
             elif op.startswith("+"):
-                store.add_shard(op[1:])
+                add_shard(store, op[1:])
             else:
-                store.remove_shard(op[1:])
+                remove_shard(store, op[1:])
         for key, value in expected.items():
             assert store.get(key) == value, key
         # List pushes were strictly increasing: order must be too.
         for i in range(7):
             items = store.lrange(f"l-{i}", 0, -1)
             assert items == sorted(items), f"l-{i}"
+        audit = store.audit("end")
+        assert audit["lost_acked"] == audit["under_replicated"] == 0
 
     def test_mid_migration_counter_not_double_counted(self):
-        store = ShardedKVStore(["s1", "s2", "s3"])
+        store = sharded(["s1", "s2", "s3"])
         for i in range(30):
             store.incr(f"c-{i}")
-        store.add_shard("s4")
+        add_shard(store, "s4")
         for i in range(30):
             store.incr(f"c-{i}")
-        store.remove_shard("s2")
+        remove_shard(store, "s2")
         for i in range(30):
             assert store.get(f"c-{i}") == 2, f"c-{i}"
         assert store.dbsize() == 30

@@ -27,7 +27,8 @@ class TestStrings:
         kv.rpush("k", "a")
         kv.set("k", "str")
         assert kv.get("k") == "str"
-        assert kv.type_of("k") == "string"
+        with pytest.raises(WrongTypeError):
+            kv.llen("k")
 
     def test_incr_initialises_to_zero(self, kv):
         assert kv.incr("counter") == 1
@@ -66,13 +67,6 @@ class TestGenericOps:
         kv.rpush("b", 2)
         kv.flushall()
         assert kv.dbsize() == 0
-
-    def test_type_of(self, kv):
-        kv.set("s", 1)
-        kv.rpush("l", 1)
-        assert kv.type_of("s") == "string"
-        assert kv.type_of("l") == "list"
-        assert kv.type_of("missing") is None
 
 
 class TestListPush:

@@ -13,6 +13,7 @@ from repro.obs.report import (
     render_check,
     render_run_report,
 )
+from repro.obs.stats import percentile
 from repro.obs.trace import TraceParseError
 
 
@@ -97,6 +98,26 @@ class TestRunReport:
         assert "| flow |" in report_text
         assert "resize.cycle" in report_text
         assert "reintegration.pass" in report_text
+
+    def test_p50_is_the_one_percentile(self, tmp_path):
+        """Regression: the span table took the *upper* median
+        (``ds[len(ds) // 2]``) while ``repro timeline`` and the serve
+        report use nearest-rank — four flows lasting 3, 3, 8 and 32 s
+        (the CI three-phase trace) printed p50 = 8 here and 3 there."""
+        durations = [3.0, 32.0, 3.0, 8.0]
+        events = []
+        for i, d in enumerate(durations):
+            events += [{"kind": "span.begin", "t": float(i),
+                        "name": "flow", "span_id": i},
+                       {"kind": "span.end", "t": i + d, "name": "flow",
+                        "span_id": i, "duration": d}]
+        text = render_run_report(write_jsonl(tmp_path / "t.jsonl", events))
+        (row,) = [line for line in text.splitlines()
+                  if line.startswith("| flow |")]
+        cells = [c.strip() for c in row.strip("|").split("|")]
+        assert percentile(sorted(durations), 0.5) == 3.0
+        # span, closed, open, min, p50, mean, max, total
+        assert cells == ["flow", "4", "0", "3", "3", "11.5", "32", "46"]
 
     def test_byte_breakdown_totals(self, report_text):
         assert "**total**" in report_text

@@ -74,10 +74,9 @@ SURFACE = {
         "ChaosResult", "run_chaos", "render_chaos_report",
     ],
     "repro.kvstore": [
-        "KVStore", "WrongTypeError", "ShardedKVStore",
-        "ReplicatedKVStore", "NoQuorumError", "StaleSessionError",
-        "Session", "View", "KVChurnResult", "run_kv_churn",
-        "render_kv_churn_report",
+        "KVStore", "WrongTypeError", "ReplicatedKVStore",
+        "NoQuorumError", "StaleSessionError", "Session", "View",
+        "KVChurnResult", "run_kv_churn", "render_kv_churn_report",
     ],
     "repro.serving": [
         "FlowController", "UnthrottledController",
