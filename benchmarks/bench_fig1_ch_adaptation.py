@@ -19,16 +19,15 @@ KEYS = 20_000
 
 
 def movement_on_addition(n_before: int, vnodes: int = 200):
-    ring = HashRing()
-    for rank in range(1, n_before + 1):
-        ring.add_server(rank, weight=vnodes)
-    before = {k: place_original(ring, k, 2).servers for k in range(KEYS)}
-    ring.add_server(n_before + 1, weight=vnodes)
+    weights = dict.fromkeys(range(1, n_before + 1), vnodes)
+    ring = HashRing(weights)
+    grown = HashRing({**weights, n_before + 1: vnodes})
     moved_onto_new = 0
     collateral = 0
     for k in range(KEYS):
-        after = place_original(ring, k, 2).servers
-        if after != before[k]:
+        before = place_original(ring, k, 2).servers
+        after = place_original(grown, k, 2).servers
+        if after != before:
             if n_before + 1 in after:
                 moved_onto_new += 1
             else:
@@ -45,9 +44,7 @@ def bench_fig1_adaptation(benchmark):
         rows.append([f"{n}->{n + 1}", f"{2 / (n + 1):.3f}",
                      f"{frac:.3f}", collateral])
 
-    ring = HashRing()
-    for rank in range(1, 11):
-        ring.add_server(rank, weight=200)
+    ring = HashRing(dict.fromkeys(range(1, 11), 200))
     n_keys = 5_000
 
     def lookups():

@@ -17,7 +17,6 @@ import pytest
 from repro.core.elastic import ElasticConsistentHash
 from repro.core.placement import place_original
 from repro.hashring.hashing import bulk_hash, bulk_hash_concat, hash64
-from repro.hashring.ring import HashRing
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +53,6 @@ def bench_original_placement(benchmark, ech):
 def bench_ring_construction(benchmark):
     """Build + sort a 24k-vnode equal-work ring (per re-weighting)."""
     def build():
-        ring = HashRing()
         ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
         return ech.ring.num_vnodes
 
@@ -63,14 +61,15 @@ def bench_ring_construction(benchmark):
 
 
 def bench_bulk_successor(benchmark, ech):
-    """Vectorised first-successor lookup for 100k keys."""
+    """Vectorised successor-slot lookup for 100k keys — the kernel's
+    ``locate_bulk`` entry point."""
     positions = bulk_hash(range(100_000))
 
     def lookup():
-        return ech.ring.bulk_successor(positions)
+        return ech.ring.bulk_successor_slots(positions)
 
-    owners = benchmark(lookup)
-    assert owners.shape == (100_000,)
+    slots = benchmark(lookup)
+    assert slots.shape == (100_000,)
 
 
 def bench_locate_settled(benchmark, ech):

@@ -10,7 +10,7 @@ offloading with dirty tracking, instant power-state resizing, and full
 or selective re-integration.
 
 :class:`OriginalCHCluster` is the §II-C baseline: uniform vnode
-weights, no roles, and servers *leave the ring* when turned down.
+weights, no roles, and servers *leave the cluster* when turned down.
 Removing a server therefore requires re-replicating every replica it
 held before the next removal can proceed (that is Figure 2's lag), and
 re-adding a server migrates everything the new layout maps onto it
@@ -21,13 +21,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import (Container, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Container, Dict, FrozenSet, Iterable, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
 from repro.core.elastic import ElasticConsistentHash
-from repro.core.kernel import BulkPlacement, PlacementKernel
+from repro.core.kernel import (BulkPlacement, PlacementKernel,
+                               SlotPlacementTable)
 from repro.core.placement import ChainMode, PlacementResult, place_original
 from repro.hashring.hashing import bulk_hash
 from repro.core.reintegration import (
@@ -68,6 +69,17 @@ class CrashRecoveryWork:
     lost: Dict[int, int] = field(default_factory=dict)
     #: The open ``recovery.fail`` span; closed by the commit.
     span: Optional[object] = None
+
+
+def _rows(bulk: BulkPlacement, oids: Sequence[int]
+          ) -> List[Tuple[int, ...]]:
+    """*bulk*, the placement of *oids*, as server tuples.  An
+    unplaceable object raises the scalar path's ``LookupError``, naming
+    the oid."""
+    if not bulk.all_ok:
+        bad = int(np.flatnonzero(~bulk.ok)[0])
+        raise LookupError(f"{bulk.reasons[bad]} (oid {oids[bad]!r})")
+    return [tuple(row) for row in bulk.rows()]
 
 
 class _ClusterBase:
@@ -137,16 +149,8 @@ class _ClusterBase:
     # data movement: plan, then apply (DESIGN.md)
     # ------------------------------------------------------------------
     def _placement_rows(self, oids: Sequence[int]) -> List[Tuple[int, ...]]:
-        """Current placement of *oids*, in bulk, as server tuples.  An
-        unplaceable object raises the scalar path's ``LookupError``,
-        naming the oid."""
-        if not oids:
-            return []
-        bulk = self.placement_bulk(oids)
-        if not bulk.all_ok:
-            bad = int(np.flatnonzero(~bulk.ok)[0])
-            raise LookupError(f"{bulk.reasons[bad]} (oid {oids[bad]!r})")
-        return [tuple(row) for row in bulk.rows()]
+        """Current placement of *oids*, in bulk, as server tuples."""
+        return _rows(self.placement_bulk(oids), oids) if oids else []
 
     def catalog_placements(self) -> Tuple[list, List[Tuple[int, ...]]]:
         """Every catalog object's current placement: ``(objects,
@@ -772,13 +776,16 @@ class ElasticCluster(_ClusterBase):
 class OriginalCHCluster(_ClusterBase):
     """The unmodified consistent-hashing baseline (Sheepdog semantics).
 
-    Uniform vnode weights, no server roles.  Membership changes mutate
-    the ring itself:
+    Uniform vnode weights, no server roles, and a server turned down
+    *leaves* the member set.  The ring holds all n servers and never
+    changes: placing under a member set walks it skipping non-members,
+    which gives the same replicas, in the same order, as a ring built
+    from the members alone (one slot table per member set).
 
     * :meth:`remove_server` re-replicates the departing server's data
       *first* (returning the volume, which gates how fast the caller
-      may shrink — Figure 2), then drops the server from the ring;
-    * :meth:`add_server` re-inserts the server **empty** and returns
+      may shrink — Figure 2), then the server is out;
+    * :meth:`add_server` re-admits the server **empty** and returns
       the migration volume consistent hashing will pull onto it
       (Figure 3's dip).
     """
@@ -788,14 +795,13 @@ class OriginalCHCluster(_ClusterBase):
                  capacities: Optional[Sequence[Optional[int]]] = None,
                  disk_bandwidth: float = 100e6) -> None:
         super().__init__(n, replicas, capacities, disk_bandwidth)
-        self.ring = HashRing()
         self.vnodes_per_server = vnodes_per_server
-        for rank in self.servers:
-            self.ring.add_server(rank, weight=vnodes_per_server)
+        self.ring = HashRing(dict.fromkeys(self.servers, vnodes_per_server))
+        self._members: FrozenSet[int] = frozenset(self.servers)
+        #: Departures plus additions so far: the membership token.
+        self._membership_changes = 0
         self.rereplicated_bytes = 0
         self.migrated_bytes = 0
-        # Membership changes mutate the ring, so the ring's generation
-        # counter alone keeps this kernel's single table honest.
         self._kernel = PlacementKernel(self.ring, replicas,
                                        placement_mode="original")
 
@@ -806,30 +812,38 @@ class OriginalCHCluster(_ClusterBase):
 
     @property
     def num_active(self) -> int:
-        return len(self.ring)
+        return len(self._members)
 
     @property
     def membership_token(self) -> int:
-        """Moves whenever the member set does: the ring's generation
-        (servers join and leave by mutating the ring)."""
-        return self.ring.generation
+        """Moves whenever the member set does: one step per departure
+        or addition."""
+        return self._membership_changes
 
     def active_ranks(self) -> List[int]:
-        """Ring members, ascending."""
-        return sorted(self.ring.servers)
+        """Members, ascending."""
+        return sorted(self._members)
+
+    def _table(self, members: FrozenSet[int]) -> SlotPlacementTable:
+        """The slot table of one member set: the walk skips the rest."""
+        return self._kernel.table(members, members.__contains__)
 
     def placement(self, oid: int) -> PlacementResult:
-        tbl = self._kernel.table(None, None)
         try:
-            return tbl.lookup(self._kernel.slot_of(oid))
+            return self._table(self._members).lookup(
+                self._kernel.slot_of(oid))
         except LookupError as exc:
             raise LookupError(f"{exc} (oid {oid!r})") from None
 
     def placement_bulk(self, oids: Iterable[int]) -> BulkPlacement:
         """Vectorised :meth:`placement` over a key collection."""
-        positions = bulk_hash(oids)
-        slots = self.ring.bulk_successor_slots(positions)
-        return self._kernel.table(None, None).gather(slots)
+        return self._placement_under(self._members, oids)
+
+    def _placement_under(self, members: FrozenSet[int],
+                         oids: Iterable[int]) -> BulkPlacement:
+        """Placement of *oids* while exactly *members* are in."""
+        slots = self.ring.bulk_successor_slots(bulk_hash(oids))
+        return self._table(members).gather(slots)
 
     def write(self, oid: int, size: int = DEFAULT_OBJECT_SIZE
               ) -> PlacementResult:
@@ -848,73 +862,73 @@ class OriginalCHCluster(_ClusterBase):
         return servers, available
 
     # ------------------------------------------------------------------
-    # §II-C's two rules.  Each is stated once, against the ring *as it
-    # stands*; the planners put the ring in the hypothetical state and
-    # restore it, the mutators change it for good and apply.
+    # §II-C's two rules.  Each is stated once, against the member set
+    # it is given: the planners pass the hypothetical one and mutate
+    # nothing, the mutators install the new one and apply.
     # ------------------------------------------------------------------
-    def _departure_tasks(self, rank: int) -> List[MigrationTask]:
-        """Every replica *rank* holds goes to its placement on a ring
-        that has already lost the server."""
+    def _without(self, rank: int) -> FrozenSet[int]:
+        """The member set once *rank* has left."""
+        if rank not in self._members:
+            raise KeyError(f"server {rank} not a member")
+        return self._members - {rank}
+
+    def _with(self, ranks: Sequence[int]) -> FrozenSet[int]:
+        """The member set once *ranks* have joined."""
+        for rank in ranks:
+            if rank in self._members:
+                raise KeyError(f"server {rank} already a member")
+        if len(set(ranks)) != len(ranks):
+            raise ValueError(f"duplicate ranks in {list(ranks)}")
+        return self._members.union(ranks)
+
+    def _departure_tasks(self, rank: int, members: FrozenSet[int]
+                         ) -> List[MigrationTask]:
+        """Every replica *rank* holds goes to its placement under
+        *members*, which no longer include the server."""
         srv = self.servers[rank]
         victims = list(srv.replicas())
+        targets = _rows(self._placement_under(members, victims), victims)
         return [self._task(oid, srv.replica_size(oid), target)
-                for oid, target in zip(victims,
-                                       self._placement_rows(victims))]
+                for oid, target in zip(victims, targets)]
 
-    def _addition_tasks(self) -> List[MigrationTask]:
-        """Every object settles on its placement under a ring the new
-        servers have already joined — assumed empty, so all the data
+    def _addition_tasks(self, members: FrozenSet[int]
+                        ) -> List[MigrationTask]:
+        """Every object settles on its placement under *members*, which
+        include the new servers — assumed empty, so all the data
         mapping onto them moves."""
-        objs, targets = self.catalog_placements()
+        objs = list(self.catalog)
+        oids = [o.oid for o in objs]
+        targets = _rows(self._placement_under(members, oids), oids)
         return [self._task(obj.oid, obj.size, target)
                 for obj, target in zip(objs, targets)]
 
     def plan_departure(self, rank: int) -> MigrationPlan:
-        """What :meth:`remove_server` would re-replicate, computed
-        against a temporary ring without the server (the cluster is
-        left as it was)."""
-        if rank not in self.ring:
-            raise KeyError(f"server {rank} not a member")
-        self.ring.remove_server(rank)
-        try:
-            return MigrationPlan(self._departure_tasks(rank))
-        finally:
-            self.ring.add_server(rank, weight=self.vnodes_per_server)
+        """What :meth:`remove_server` would re-replicate (mutates
+        nothing)."""
+        return MigrationPlan(self._departure_tasks(rank, self._without(rank)))
 
     def plan_addition(self, ranks: Sequence[int]) -> MigrationPlan:
         """What re-adding *ranks* (assumed empty) in one step would
-        migrate; the cluster is left as it was.  Every rank is checked
-        before the ring is first touched."""
-        for rank in ranks:
-            if rank in self.ring:
-                raise KeyError(f"server {rank} already a member")
-        if len(set(ranks)) != len(ranks):
-            raise ValueError(f"duplicate ranks in {list(ranks)}")
-        for rank in ranks:
-            self.ring.add_server(rank, weight=self.vnodes_per_server)
-        try:
-            return MigrationPlan(self._addition_tasks())
-        finally:
-            for rank in ranks:
-                self.ring.remove_server(rank)
+        migrate (mutates nothing)."""
+        return MigrationPlan(self._addition_tasks(self._with(ranks)))
 
     def remove_server(self, rank: int) -> int:
         """Power a server down, baseline-style: every replica it holds
         is first re-replicated to its successor placement, then the
-        server leaves the ring.  Returns the bytes re-replicated —
+        server leaves the member set.  Returns the bytes re-replicated —
         the "clean-up work" the elastic design eliminates.
         """
-        if rank not in self.ring:
-            raise KeyError(f"server {rank} not a member")
-        if len(self.ring) - 1 < self.replicas:
+        members = self._without(rank)
+        if len(members) < self.replicas:
             raise RuntimeError("removal would break replication level")
         departure_span = OBS.spans.begin("recovery.departure", rank=rank)
-        self.ring.remove_server(rank)
-        moved = sum(map(self._apply, self._departure_tasks(rank)))
+        self._members = members
+        self._membership_changes += 1
+        moved = sum(map(self._apply, self._departure_tasks(rank, members)))
         self.servers[rank].power_off()
         self.rereplicated_bytes += moved
         OBS.metrics.inc("recovery.bytes", moved)
-        OBS.metrics.gauge("cluster.active_servers").set(len(self.ring))
+        OBS.metrics.gauge("cluster.active_servers").set(len(members))
         if OBS.bus.active:
             OBS.bus.emit("server.state", rank=rank, state="off")
             OBS.bus.emit("recovery.rereplicate", rank=rank, nbytes=moved)
@@ -923,17 +937,17 @@ class OriginalCHCluster(_ClusterBase):
 
     def add_server(self, rank: int) -> int:
         """Re-add a server (empty — the baseline discarded its data on
-        departure) and migrate everything the new ring maps onto it.
-        Returns the bytes migrated."""
-        if rank in self.ring:
-            raise KeyError(f"server {rank} already a member")
+        departure) and migrate everything the new member set maps onto
+        it.  Returns the bytes migrated."""
+        members = self._with([rank])
         addition_span = OBS.spans.begin("migration.addition", rank=rank)
         self.servers[rank].power_on()
-        self.ring.add_server(rank, weight=self.vnodes_per_server)
-        moved = sum(map(self._apply, self._addition_tasks()))
+        self._members = members
+        self._membership_changes += 1
+        moved = sum(map(self._apply, self._addition_tasks(members)))
         self.migrated_bytes += moved
         OBS.metrics.inc("migration.bytes", moved)
-        OBS.metrics.gauge("cluster.active_servers").set(len(self.ring))
+        OBS.metrics.gauge("cluster.active_servers").set(len(members))
         if OBS.bus.active:
             OBS.bus.emit("server.state", rank=rank, state="on")
             OBS.bus.emit("migration.addition", rank=rank, nbytes=moved)

@@ -12,8 +12,9 @@ A primary-count change is a *re-layout*: weights move, roles move, so
 placements move, so data moves.  Two properties keep it tractable:
 
 * vnode position streams are prefix-stable (a weight change only adds
-  or removes the tail of a server's vnode list), so most of the ring
-  is untouched and data movement is proportional to the weight delta;
+  or removes the tail of a server's vnode list), so the new ring keeps
+  most of the old one's positions and data movement is proportional to
+  the weight delta;
 * it is only legal in a quiescent state — full power, dirty table
   empty — because historical placements are computed against the
   *current* layout: re-layouting under outstanding dirty entries would
@@ -109,11 +110,6 @@ def apply_relayout(ech: ElasticConsistentHash, new_p: int) -> None:
         raise RuntimeError(
             "re-layout requires an empty dirty table (run selective "
             "re-integration first)")
-    new_layout = _layout_for(ech, new_p)
-    for rank in new_layout.ranks:
-        ech.ring.set_weight(rank, new_layout.weight_of(rank))
-    ech.layout = new_layout
-    # Roles changed even if no weight did (possible in uniform mode,
-    # where the ring generation would not advance): the memoized slot
-    # tables are placement-stale either way.
-    ech.invalidate_placement_cache()
+    # New weights and roles: a new ring and a new kernel, not an edit
+    # of the old ones.
+    ech._use_layout(_layout_for(ech, new_p))

@@ -97,9 +97,9 @@ class ElasticConsistentHash:
         dirty_table: Optional[DirtyTable] = None,
     ) -> None:
         if layout_mode == "equal-work":
-            self.layout = EqualWorkLayout.create(n, replicas, B, p)
+            layout = EqualWorkLayout.create(n, replicas, B, p)
         elif layout_mode == "uniform":
-            self.layout = EqualWorkLayout.uniform(n, replicas, B, p)
+            layout = EqualWorkLayout.uniform(n, replicas, B, p)
         else:
             raise ValueError(f"unknown layout_mode: {layout_mode!r}")
         if placement_mode not in ("primary", "original"):
@@ -108,20 +108,7 @@ class ElasticConsistentHash:
         self.placement_mode = placement_mode
         self.replicas = replicas
         self.chain: ChainMode = chain
-
-        self.ring = HashRing()
-        for rank in self.layout.ranks:
-            self.ring.add_server(rank, weight=self.layout.weight_of(rank))
-
-        #: Slot-table placement kernel: places every slot of a
-        #: membership version once, so ``locate`` is a table read and
-        #: ``locate_bulk`` is pure array work.
-        self._kernel = PlacementKernel(
-            self.ring, replicas,
-            placement_mode=placement_mode,
-            chain=chain,
-            is_primary=self.is_primary,
-        )
+        self._use_layout(layout)
 
         self.history = VersionHistory(
             ranks=list(self.layout.ranks),
@@ -152,6 +139,23 @@ class ElasticConsistentHash:
         #: "mainly utilized for tolerating failures" (§IV), so the
         #: facade models both exits from the active set.
         self.failed: set = set()
+
+    def _use_layout(self, layout: EqualWorkLayout) -> None:
+        """Place by *layout* from now on: a ring built from its weights
+        (in rank order) and a slot-table kernel for its roles.  Neither
+        ever changes; the next layout gets new ones."""
+        self.layout = layout
+        self.ring = HashRing({rank: layout.weight_of(rank)
+                              for rank in layout.ranks})
+        #: Slot-table placement kernel: places every slot of a
+        #: membership version once, so ``locate`` is a table read and
+        #: ``locate_bulk`` is pure array work.
+        self._kernel = PlacementKernel(
+            self.ring, self.replicas,
+            placement_mode=self.placement_mode,
+            chain=self.chain,
+            is_primary=self.is_primary,
+        )
 
     # ------------------------------------------------------------------
     # roles and power state
@@ -232,13 +236,9 @@ class ElasticConsistentHash:
         if not active:
             self.failed.discard(rank)
             raise RuntimeError("failure would empty the cluster")
-        # Fault-driven membership change: drop every memoized slot
-        # table.  Per-version keying alone would stay correct (tables
-        # are immutable snapshots), but a crash invalidates the cached
-        # oid→slot fast paths' assumption that the table set is settled
-        # — re-deriving from the ring is the belt-and-braces guarantee
-        # that no stale table survives a fault.
-        self._kernel.invalidate()
+        # Nothing to invalidate: a crash is a new version, and a new
+        # version is a new slot-table key; the old version's table is
+        # still that version's placement.
         if active == self.history.current.active:
             return self.history.current   # was not active anyway
         return self.history.advance(sorted(active))
@@ -251,9 +251,6 @@ class ElasticConsistentHash:
             self.failed.remove(rank)
         except KeyError:
             raise ValueError(f"rank {rank} is not failed") from None
-        # Mirror of mark_failed: restart/repair is a fault-driven
-        # membership change too.
-        self._kernel.invalidate()
 
     def power_off(self, count: int = 1) -> MembershipTable:
         """Turn off *count* servers from the top of the chain."""
@@ -339,13 +336,6 @@ class ElasticConsistentHash:
         finally:
             if prof is not None:
                 prof.pop()
-
-    def invalidate_placement_cache(self) -> None:
-        """Drop every memoized slot table.  Required only after
-        mutations the ring cannot see — a re-layout that changes roles
-        without changing weights (uniform mode); ring weight changes
-        self-invalidate via the generation counter."""
-        self._kernel.invalidate()
 
     def record_write(self, oid: int) -> PlacementResult:
         """Place *oid* for a write in the current version and perform

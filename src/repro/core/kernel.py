@@ -29,19 +29,8 @@ The reference walks (``place_*_from_slot``) live only in
 :mod:`repro.core.placement`: they are the oracle the tests hold every
 row to, never a path of this module.
 
-Invalidation rules
-------------------
-* **Ring membership** (``add_server`` / ``remove_server`` /
-  ``set_weight``, e.g. a dynamic-primary re-layout) renumbers the vnode
-  slots: the ring's ``generation`` counter advances and the kernel
-  drops *every* table on the next access.
-* **Resizes** (``set_active`` and friends) never mutate the ring — the
-  elastic design's point — so existing tables stay valid; the new
-  version simply keys a new table.  Membership tables are immutable,
-  which is what makes per-version memoization sound.
-* Role changes without a weight change (possible under the *uniform*
-  layout) are covered by an explicit :meth:`PlacementKernel.invalidate`
-  hook called by the re-layout path.
+Nothing is ever invalidated: a kernel belongs to one (immutable) ring
+and one role assignment, and a table belongs to one membership key.
 """
 
 from __future__ import annotations
@@ -56,7 +45,6 @@ import numpy as np
 from repro.core.placement import ChainMode, PlacementResult
 from repro.hashring.hashing import bulk_hash
 from repro.hashring.ring import HashRing
-from repro.obs.runtime import OBS
 
 __all__ = ["BulkPlacement", "SlotPlacementTable", "PlacementKernel"]
 
@@ -68,7 +56,7 @@ _SKIPPED = np.uint8(2)
 #: Cap on the facade-level oid→slot cache (see :class:`PlacementKernel`).
 _SLOT_CACHE_MAX = 1 << 20
 
-#: Sentinel for "no table cached yet" (``None`` is a legal version key).
+#: Sentinel for "no table cached yet" (any hashable is a legal key).
 _NO_KEY = object()
 
 
@@ -299,7 +287,6 @@ class SlotPlacementTable:
                  chain: ChainMode = "walk") -> None:
         if r < 1:
             raise ValueError("replica count must be >= 1")
-        ring._rebuild_if_dirty()
         self._r = r
         self._server_list = ring._server_list
         ids = np.asarray(self._server_list)
@@ -367,14 +354,15 @@ class SlotPlacementTable:
 
 
 class PlacementKernel:
-    """Slot tables for every membership version of one ring, plus an
-    oid→slot cache for the scalar hot path.
+    """Slot tables for every membership of one ring and one role
+    assignment, plus an oid→slot cache for the scalar hot path.
 
-    Tables are keyed by the caller's version key (``None`` for an
-    unversioned ring, e.g. the original-CH baseline) and kept in a
-    small LRU — trace replays can touch hundreds of versions but only
-    the recent few stay hot.  All state is dropped when the ring's
-    membership generation advances.
+    Tables are keyed by the caller's membership key (a version number
+    for the elastic facade, the member set for the original-CH
+    baseline) and kept in a small LRU — trace replays can touch
+    hundreds of versions but only the recent few stay hot.  The ring
+    never changes, so neither does a table or a cached slot: a new
+    weighting or role assignment is a new ring and a new kernel.
     """
 
     def __init__(
@@ -399,31 +387,15 @@ class PlacementKernel:
         self._tables: "OrderedDict[Hashable, SlotPlacementTable]" = \
             OrderedDict()
         self._slot_cache: Dict[Hashable, int] = {}
-        self._generation = ring.generation
         # One-entry fast path over the LRU: repeated locates against a
         # settled version skip the OrderedDict bookkeeping entirely.
         self._last_key: Hashable = _NO_KEY
         self._last_tbl: Optional[SlotPlacementTable] = None
 
-    # ------------------------------------------------------------------
-    def invalidate(self) -> None:
-        """Drop every memoized table (role/layout change and
-        crash/repair hook)."""
-        self._tables.clear()
-        self._slot_cache.clear()
-        self._last_key = _NO_KEY
-        self._last_tbl = None
-        self._generation = self._ring.generation
-        OBS.metrics.inc("kernel.invalidations")
-
-    def _check_generation(self) -> None:
-        if self._ring.generation != self._generation:
-            self.invalidate()
-
     @property
     def cached_tables(self) -> Tuple[Hashable, ...]:
-        """Version keys currently memoized (oldest first) — for tests
-        and capacity introspection."""
+        """Membership keys currently memoized (oldest first) — for
+        tests and capacity introspection."""
         return tuple(self._tables)
 
     # ------------------------------------------------------------------
@@ -434,13 +406,11 @@ class PlacementKernel:
 
         *is_active* must be the pure membership predicate belonging to
         *key*; it is evaluated once per server at table creation, which
-        is sound because membership tables are immutable.
+        is sound because a key names one membership for good.
         """
-        if (key == self._last_key
-                and self._ring.generation == self._generation):
+        if key == self._last_key:
             # Already the most-recent LRU entry: no move_to_end needed.
             return self._last_tbl  # type: ignore[return-value]
-        self._check_generation()
         tbl = self._tables.get(key)
         if tbl is None:
             tbl = SlotPlacementTable(
@@ -457,14 +427,13 @@ class PlacementKernel:
 
     # ------------------------------------------------------------------
     def slot_of(self, oid: Hashable) -> int:
-        """Successor slot of *oid*, memoized per ring generation.
+        """Successor slot of *oid*, memoized for the kernel's lifetime.
 
         The cache is what turns a repeated scalar ``locate`` into two
         lookups: oid→slot here, slot→result in the table.
         """
         slot = self._slot_cache.get(oid)
         if slot is None:
-            self._check_generation()
             slot = self._ring.successor_slot(self._ring.key_position(oid))
             if len(self._slot_cache) >= _SLOT_CACHE_MAX:
                 self._slot_cache.clear()

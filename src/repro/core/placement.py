@@ -88,15 +88,13 @@ def place_original(
     """Original consistent hashing (§II-A): the first *r* distinct
     servers clockwise of ``hash(oid)``.
 
-    With *is_active* given, inactive servers are skipped — in the real
-    baseline system inactive servers have *left* the ring, which yields
-    the same server set for the first replica but can differ for later
-    ones; the baseline cluster model removes servers instead, this
-    filter exists for analysis convenience.
+    With *is_active* given, inactive servers are skipped.  In the real
+    baseline system inactive servers have *left* the ring; skipping
+    them yields the same replicas, in the same order, as walking a ring
+    built from the active servers alone (only a skipped server's vnodes
+    are gone, and the walk passes over them either way), which is how
+    the baseline cluster model places.
     """
-    ring._rebuild_if_dirty()
-    if ring._positions.size == 0:
-        raise LookupError("ring is empty")
     slot = ring.successor_slot(ring.key_position(oid))
     try:
         return place_original_from_slot(ring, slot, r, is_active)
@@ -120,7 +118,6 @@ def place_original_from_slot(
     """
     if r < 1:
         raise ValueError("replica count must be >= 1")
-    ring._rebuild_if_dirty()
     n = ring._positions.size
     if n == 0:
         raise LookupError("ring is empty")
@@ -159,7 +156,6 @@ class _RingWalker:
 
     def __init__(self, ring: HashRing, slot: int) -> None:
         self._ring = ring
-        ring._rebuild_if_dirty()
         self._n = ring._positions.size
         if self._n == 0:
             raise LookupError("ring is empty")
@@ -226,9 +222,6 @@ def place_primary(
     LookupError
         When fewer than *r* active servers exist in total.
     """
-    ring._rebuild_if_dirty()
-    if ring._positions.size == 0:
-        raise LookupError("ring is empty")
     slot = ring.successor_slot(ring.key_position(oid))
     try:
         return place_primary_from_slot(ring, slot, r, is_primary,

@@ -142,7 +142,7 @@ def run_resize_agility(
         added = 0
         rank = 1
         while added < batch and state["members"] < n:
-            while rank in baseline.ring:
+            while rank in baseline.members:
                 rank += 1
             baseline.add_server(rank)
             state["members"] += 1

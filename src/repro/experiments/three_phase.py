@@ -210,7 +210,7 @@ def run_three_phase(
             removal["flow"].total_bytes = removal[
                 "flow"].progressed  # retire at next tick
             removal["flow"] = None
-        off = [r for r in cluster.servers if r not in cluster.ring]
+        off = [r for r in cluster.servers if r not in cluster.members]
         moved = 0
         per_dest: Dict[int, float] = {}
         if off:

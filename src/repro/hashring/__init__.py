@@ -9,7 +9,7 @@ and power state — the hooks :mod:`repro.core.placement` needs.
 """
 
 from repro.hashring.hashing import hash64, vnode_positions
-from repro.hashring.ring import HashRing, RingView
+from repro.hashring.ring import HashRing
 from repro.hashring.weights import (
     uniform_weights,
     validate_weights,
@@ -19,7 +19,6 @@ __all__ = [
     "hash64",
     "vnode_positions",
     "HashRing",
-    "RingView",
     "uniform_weights",
     "validate_weights",
 ]

@@ -271,11 +271,8 @@ class ReplicatedKVStore:
         #: hash method, so nothing ever invalidates it.
         self._positions: Dict[str, int] = {}
         self._down: set = set()
-        self._members: Tuple[NodeId, ...] = tuple(node_ids)
-        self._build_ring(node_ids)
         self._epoch = 0
         self._staged: Optional[Tuple[int, Tuple[NodeId, ...]]] = None
-        self.view = View(epoch=0, members=self._members)
         #: Newest acked vector per key — the durability ledger audits
         #: compare replica contents against.
         self._acked: Dict[str, VersionVector] = {}
@@ -286,7 +283,8 @@ class ReplicatedKVStore:
             "reads": 0, "reads_degraded": 0, "reads_failed": 0,
             "repair_copies": 0, "views_committed": 0,
         }
-        # Views are the only membership mechanism, including the first.
+        # Views are the only membership mechanism, including the first:
+        # its commit sets the members, the ring and the view.
         self.propose_view(node_ids)
         self.commit_view()
 
@@ -303,10 +301,9 @@ class ReplicatedKVStore:
         ``key -> owners`` table.  Placement is a pure function of
         (key, committed view), so the table lives exactly as long as
         the ring it was read from — that is its only invalidation."""
-        self._ring = HashRing()
         for nid in members:
             self._admit(nid)
-            self._ring.add_server(nid, weight=self._vnodes)
+        self._ring = HashRing(dict.fromkeys(members, self._vnodes))
         self._owners: Dict[str, Tuple[NodeId, ...]] = {}
 
     @property

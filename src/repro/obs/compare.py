@@ -35,7 +35,7 @@ import os
 from typing import Dict, List, Mapping, Optional
 
 from repro.obs.report import _md_table, collect_spans
-from repro.obs.stats import is_number
+from repro.obs.stats import is_number, percentile
 
 __all__ = [
     "CompareError",
@@ -221,7 +221,7 @@ def _span_distributions(trace_path: str) -> Dict[str, float]:
         out[f"{name}.count"] = float(len(ds))
         out[f"{name}.total_s"] = sum(ds)
         out[f"{name}.max_s"] = ds[-1]
-        out[f"{name}.p50_s"] = ds[len(ds) // 2]
+        out[f"{name}.p50_s"] = percentile(ds, 0.5)
     return out
 
 

@@ -183,7 +183,7 @@ def _replay_original(trace: LoadTrace, config: PolicyConfig,
         if target > cluster.num_active:
             removal_credit = 0.0
             missing = [r for r in cluster.servers
-                       if r not in cluster.ring]
+                       if r not in cluster.members]
             for rank in sorted(missing)[:target - cluster.num_active]:
                 moved = cluster.add_server(rank)
                 migrated += moved

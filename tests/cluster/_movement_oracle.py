@@ -109,10 +109,9 @@ def expected_selective(cluster):
 
 
 def _ring_of(cluster, members):
-    ring = HashRing()
-    for rank in members:
-        ring.add_server(rank, weight=cluster.vnodes_per_server)
-    return ring
+    """A ring over *members* alone, built here rather than asked of the
+    product (whose one ring holds every server)."""
+    return HashRing(dict.fromkeys(members, cluster.vnodes_per_server))
 
 
 def expected_addition(cluster, ranks):

@@ -35,7 +35,7 @@ class TestRemoval:
         assert held > 0
         moved = loaded_original10.remove_server(10)
         assert moved > 0
-        assert 10 not in loaded_original10.ring
+        assert 10 not in loaded_original10.members
         assert loaded_original10.servers[10].num_replicas == 0
         assert loaded_original10.verify_replication() == []
 
@@ -85,7 +85,7 @@ class TestAddition:
         before = loaded_original10.replicas_per_rank()
         loaded_original10.plan_addition([10])
         assert loaded_original10.replicas_per_rank() == before
-        assert 10 not in loaded_original10.ring
+        assert 10 not in loaded_original10.members
 
     def test_roundtrip_restores_layout(self, loaded_original10):
         """Remove + re-add: every object's placement is satisfied."""

@@ -303,14 +303,14 @@ class OriginalIndexMachine(HolderIndexInvariants, RuleBasedStateMachine):
         self.next_oid = 0
 
     def planned(self, planner, expected_fn, *ranks):
-        """The baseline's planners put the ring in the hypothetical
-        state and restore it: one mutation and one restore per rank,
-        which is what ``membership_token`` counts."""
-        generation = self.cluster.ring.generation
+        """The baseline's planners pass a hypothetical member set and
+        mutate nothing: the ring is the same object, and the members
+        and ``membership_token`` are as they were."""
+        cl = self.cluster
+        ring, members, token = cl.ring, cl.members, cl.membership_token
         planned = super().planned(planner, expected_fn, *ranks)
-        many = isinstance(ranks[0], list)
-        assert (self.cluster.ring.generation - generation
-                == 2 * (len(ranks[0]) if many else 1))
+        assert cl.ring is ring
+        assert (cl.members, cl.membership_token) == (members, token)
         return planned
 
     @precondition(lambda self: self.cluster.num_active > 2)

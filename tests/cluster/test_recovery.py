@@ -22,7 +22,7 @@ class TestPlan:
         before = loaded_original10.replicas_per_rank()
         plan_departure_recovery(loaded_original10, 10)
         assert loaded_original10.replicas_per_rank() == before
-        assert 10 in loaded_original10.ring
+        assert 10 in loaded_original10.members
 
     def test_plan_matches_actual_removal(self, loaded_original10):
         plan = plan_departure_recovery(loaded_original10, 10)

@@ -4,7 +4,7 @@ Two :class:`~repro.cluster.runtime.ClusterRuntime`\\ s over identical
 clusters are driven through the same arbitrary interleaving of
 everything a harness does between ticks — writes, resizes, crashes and
 repairs (or, for the original-CH baseline, servers leaving and joining
-the ring), slow-disk windows opening and closing, a §V-A client flow
+the member set), slow-disk windows opening and closing, a §V-A client flow
 started, re-pointed and retired, selective re-integration — and ticked
 in lockstep.  One side is the runtime as shipped: its ``IOModel``
 trusts ``capacity_token()`` to say when the capacities moved.  The
@@ -343,7 +343,7 @@ def window_opens_under_a_steady_client(side):
 
 
 def bottleneck_leaves_under_a_steady_client(side):
-    """The busiest server leaves the ring and nobody re-points the
+    """The busiest server leaves the cluster and nobody re-points the
     client: its load on the departed server no longer counts."""
     side.load.start()
     side.tick()
@@ -389,7 +389,8 @@ def test_regression_original_ch_token_must_follow_the_ring():
 def test_original_mode_samples_same_with_ring_token_as_with_fallback(
         monkeypatch):
     """``run_three_phase("original")`` had no capacity token (the
-    dict-compare fallback); it now runs on ``ring.generation``."""
+    dict-compare fallback); it now runs on the cluster's membership
+    counter."""
     made = []
 
     class Recording(IOModel):

@@ -53,7 +53,4 @@ def loaded_original10(original10):
 
 @pytest.fixture
 def uniform_ring():
-    ring = HashRing()
-    for rank in range(1, 11):
-        ring.add_server(rank, weight=100)
-    return ring
+    return HashRing(dict.fromkeys(range(1, 11), 100))

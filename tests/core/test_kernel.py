@@ -1,6 +1,6 @@
 """The slot-table placement kernel: table/bulk placement must be
-indistinguishable from the reference ring walk, and the memo must drop
-itself whenever the state it caches changes."""
+indistinguishable from the reference ring walk, and a memo belongs to
+one ring and one membership key — nothing ever needs dropping."""
 
 import json
 
@@ -152,9 +152,10 @@ class TestLocateEquivalence:
             checks.reverse()
         for version in [None] + list(range(1, ech.current_version + 1)):
             refs = [reference(ech, oid, version) for oid in oids]
-            # Every version starts cold, so the first check is the one
-            # that builds the table.
-            ech.invalidate_placement_cache()
+            # Every version starts cold (a fresh ring and kernel for the
+            # same layout), so the first check is the one that builds
+            # the table.
+            ech._use_layout(ech.layout)
             for check in checks:
                 check(version, refs)
 
@@ -187,26 +188,21 @@ class TestInvalidation:
         # ... and the new version re-placed against its own membership.
         assert after == reference(ech, 42, None)
 
-    def test_set_weight_drops_every_table(self):
+    def test_relayout_is_a_new_ring_and_kernel(self):
+        """New weights are a new ring, and a new ring is a new kernel:
+        the old one is left as it was, never edited."""
+        from repro.core.dynamic_primaries import apply_relayout
         ech = ElasticConsistentHash(n=6, replicas=2, B=100)
         ech.locate(42)
         ech.locate(43)
-        assert ech._kernel.cached_tables
-        gen = ech.ring.generation
-        ech.ring.set_weight(2, 500)
-        assert ech.ring.generation == gen + 1
-        # Next locate sees the generation bump and rebuilds from the
-        # re-weighted ring.
-        got = ech.locate(42)
-        assert ech._kernel.cached_tables == (1,)
-        assert got == reference(ech, 42, None)
-
-    def test_explicit_invalidate(self):
-        ech = ElasticConsistentHash(n=6, replicas=2, B=100)
-        ech.locate(42)
-        assert ech._kernel.cached_tables
-        ech.invalidate_placement_cache()
+        ring, kernel = ech.ring, ech._kernel
+        num_vnodes = ring.num_vnodes
+        apply_relayout(ech, ech.p + 1)
+        assert ech.ring is not ring and ech._kernel is not kernel
+        assert ring.num_vnodes == num_vnodes != ech.ring.num_vnodes
+        assert kernel.cached_tables == (1,)
         assert ech._kernel.cached_tables == ()
+        assert ech.locate(42) == reference(ech, 42, None)
 
     def test_relayout_invalidates_uniform_mode(self):
         # Uniform layout: weights do not change with p, so only the
@@ -287,8 +283,7 @@ class TestKernelInternals:
                 for slot in range(again.num_slots)] == results
 
     def test_requires_primary_oracle(self):
-        ring = HashRing()
-        ring.add_server(1, weight=10)
+        ring = HashRing({1: 10})
         with pytest.raises(ValueError):
             PlacementKernel(ring, 2, placement_mode="primary")
         with pytest.raises(ValueError):
@@ -347,27 +342,50 @@ class TestTraceIdentity:
         assert t_on == t_off
 
 
+def assert_cached_versions_match_reference(ech, oids):
+    """Every memoized version still places *oids* exactly as the
+    reference walk does under that version."""
+    assert ech._kernel.cached_tables
+    for version in ech._kernel.cached_tables:
+        refs = [reference(ech, oid, version) for oid in oids]
+        bulk = ech.locate_bulk(oids, version)
+        for i, (oid, ref) in enumerate(zip(oids, refs)):
+            assert ech.locate(oid, version) == ref
+            assert bulk.result(i) == ref
+
+
 class TestFaultInvalidation:
-    """Fault-driven membership changes (crash, repair) must drop every
-    memoized slot table — a stale table must never serve a placement."""
+    """Fault-driven membership changes (crash, repair) drop nothing: a
+    crash is a new version, and a new version is a new key.  Every
+    table kept across one must still be its version's placement, and
+    no table may serve a failed rank to a later version."""
 
-    def test_mark_failed_drops_tables_and_counts(self):
+    def _warm(self):
         ech = ElasticConsistentHash(n=8, replicas=2, B=100)
-        ech.locate_bulk(range(50))
-        assert ech._kernel.cached_tables
-        before = OBS.metrics.counter("kernel.invalidations").value
-        ech.mark_failed(5)
-        assert ech._kernel.cached_tables == ()
-        assert OBS.metrics.counter("kernel.invalidations").value \
-            == before + 1
+        ech.set_active(6)
+        ech.set_active(8)
+        for version in (1, 2, 3):
+            ech.locate_bulk(range(200), version)
+        return ech
 
-    def test_mark_repaired_drops_tables(self):
-        ech = ElasticConsistentHash(n=8, replicas=2, B=100)
+    def test_mark_failed_keeps_every_table_correct(self):
+        ech = self._warm()
+        kept = ech._kernel.cached_tables
         ech.mark_failed(5)
-        ech.locate_bulk(range(50))
-        assert ech._kernel.cached_tables
+        ech.locate_bulk(range(200))                 # the crash version
+        assert set(kept) < set(ech._kernel.cached_tables)
+        assert_cached_versions_match_reference(ech, range(200))
+
+    def test_mark_repaired_keeps_every_table_correct(self):
+        ech = self._warm()
+        ech.mark_failed(5)
+        ech.locate_bulk(range(200))
+        kept = ech._kernel.cached_tables
         ech.mark_repaired(5)
-        assert ech._kernel.cached_tables == ()
+        assert ech._kernel.cached_tables == kept
+        ech.set_active(8)                           # 5 is back in
+        ech.locate_bulk(range(200))
+        assert_cached_versions_match_reference(ech, range(200))
 
     def test_stale_table_never_served_after_crash(self):
         """The warm pre-crash cache must not leak the failed rank into

@@ -58,7 +58,7 @@ def assert_slots_match_walk(ech, table, tbl, slots):
 def cold_table(ech, version=None):
     table = (ech.history.current if version is None
              else ech.history.get(version))
-    ech.invalidate_placement_cache()
+    ech._use_layout(ech.layout)         # a fresh ring and kernel
     return table, ech._kernel.table(table.version, table.is_active)
 
 
@@ -186,9 +186,7 @@ class TestUnplaceableRows:
     type, and fail with the scalar path's reason."""
 
     def test_string_ids_get_none_not_a_real_server(self):
-        ring = HashRing()
-        for sid in "abc":
-            ring.add_server(sid, weight=20)
+        ring = HashRing(dict.fromkeys("abc", 20))
         kernel = PlacementKernel(ring, 3, is_primary=lambda s: s == "a")
         tbl = kernel.table(1, lambda s: s != "c")
         bulk = tbl.gather(np.arange(tbl.num_slots))
@@ -289,7 +287,7 @@ class TestUnplaceableTable:
             asked.append(rank)
             return table.is_active(rank)
 
-        ech.invalidate_placement_cache()
+        ech._use_layout(ech.layout)     # a fresh ring and kernel
         return ech, ech._kernel.table(table.version, is_active), asked
 
     def test_build_does_no_per_slot_python_work(self):

@@ -14,12 +14,21 @@ the scalar successor is also held to the array ``searchsorted`` at the
 positions where the two could differ: on a vnode, one either side of
 it, and at both ends of the circle.
 
-``TestSeededMutants`` shows the machine is not vacuous: it fails on a
-re-layout that forgets to invalidate, on ``bisect_right``, and on a
-successor that does not wrap at slot == V.
+Nothing in the kernel is ever invalidated: a kernel belongs to one ring
+and one role assignment, so a re-layout is a new ring and a new kernel,
+and a table belongs to one membership key.  ``OriginalKernelMachine``
+holds the original-CH baseline, whose tables are keyed by member set,
+to a ring built from the members alone.
+
+``TestSeededMutants`` shows the machines are not vacuous: they fail on
+a re-layout that swaps the layout but keeps the old ring and kernel, on
+an original-CH cluster that keys every table by ``None``, on
+``bisect_right``, and on a successor that does not wrap at slot == V.
 """
 
 import bisect
+import inspect
+import textwrap
 
 import numpy as np
 import pytest
@@ -34,9 +43,11 @@ from hypothesis.stateful import (
     run_state_machine_as_test,
 )
 
+import repro.core.dynamic_primaries as dynamic_primaries
 import repro.hashring.ring as ring_mod
-from repro.core.dynamic_primaries import apply_relayout
+from repro.cluster.cluster import OriginalCHCluster
 from repro.core.elastic import ElasticConsistentHash
+from repro.core.placement import place_original
 from repro.hashring.ring import HashRing
 from tests.core.test_kernel_batch import walk
 
@@ -92,9 +103,7 @@ class KernelMachine(RuleBasedStateMachine):
         return st.integers(min_value=1, max_value=self.ech.current_version)
 
     def vnode_positions(self):
-        ring = self.ech.ring
-        ring._rebuild_if_dirty()        # a re-layout leaves it dirty
-        return ring._position_ints
+        return self.ech.ring._position_ints
 
     # -- membership ----------------------------------------------------
     @rule(k=st.integers(min_value=1, max_value=12))
@@ -118,14 +127,13 @@ class KernelMachine(RuleBasedStateMachine):
     @precondition(lambda self: not self.ech.failed)
     @rule(data=st.data())
     def relayout(self, data):
-        """New primary count: ring weights change under the equal-work
-        layout (generation rule); under the uniform layout only the
-        explicit ``invalidate_placement_cache`` protects the tables."""
+        """New primary count: new roles (and, under the equal-work
+        layout, new weights), so a new ring and a new kernel."""
         ech = self.ech
         ech.set_active(ech.n)
         new_p = data.draw(st.integers(min_value=1, max_value=ech.n))
         if new_p != ech.p:
-            apply_relayout(ech, new_p)
+            dynamic_primaries.apply_relayout(ech, new_p)
 
     # -- lookups -------------------------------------------------------
     @rule(data=st.data(), oid=OIDS)
@@ -177,6 +185,13 @@ class KernelMachine(RuleBasedStateMachine):
 
     # ------------------------------------------------------------------
     @invariant()
+    def ring_is_the_layouts(self):
+        ech = self.ech
+        assert ech.ring.servers == tuple(ech.layout.ranks)
+        assert all(ech.ring.weight_of(rank) == ech.layout.weight_of(rank)
+                   for rank in ech.layout.ranks)
+
+    @invariant()
     def cached_and_current_versions_equal_reference(self):
         ech = self.ech
         for version in [*ech._kernel.cached_tables, ech.current_version]:
@@ -191,6 +206,76 @@ TestKernelMachine.settings = settings(
     max_examples=60, stateful_step_count=30, deadline=None)
 
 
+def members_alone(cluster):
+    """A ring built from *cluster*'s members alone — the ring the
+    baseline's servers leave, rebuilt without the product's help."""
+    return HashRing(dict.fromkeys(cluster.members, cluster.vnodes_per_server))
+
+
+def assert_places_like_members_alone(cluster, oids):
+    ring = members_alone(cluster)
+    want = [place_original(ring, oid, cluster.replicas).servers
+            for oid in oids]
+    assert [cluster.placement(oid).servers for oid in oids] == want
+    assert [tuple(row) for row in cluster.placement_bulk(oids).rows()] \
+        == want
+
+
+class OriginalKernelMachine(RuleBasedStateMachine):
+    """The original-CH baseline: one ring over every server, one slot
+    table per member set.  After any departures, additions and plans,
+    scalar and bulk placement equal the walk of a ring built from the
+    members alone."""
+
+    CLUSTER = OriginalCHCluster
+
+    @initialize(n=st.integers(min_value=2, max_value=8),
+                replicas=st.integers(min_value=1, max_value=3),
+                vnodes=st.sampled_from([5, 20, 60]),
+                max_tables=st.integers(min_value=2, max_value=3))
+    def build(self, n, replicas, vnodes, max_tables):
+        self.cluster = self.CLUSTER(n=n, replicas=min(replicas, n),
+                                    vnodes_per_server=vnodes)
+        self.cluster._kernel._max_tables = max_tables
+
+    def leavers(self):
+        cl = self.cluster
+        return cl.members if cl.num_active > cl.replicas else ()
+
+    @precondition(lambda self: self.leavers())
+    @rule(data=st.data(), apply=st.booleans())
+    def departure(self, data, apply):
+        rank = data.draw(st.sampled_from(self.leavers()))
+        self.cluster.plan_departure(rank)
+        if apply:
+            self.cluster.remove_server(rank)
+
+    @precondition(lambda self: self.cluster.num_active < self.cluster.n)
+    @rule(data=st.data(), apply=st.booleans())
+    def addition(self, data, apply):
+        cl = self.cluster
+        out = sorted(set(cl.servers) - set(cl.members))
+        ranks = data.draw(st.lists(st.sampled_from(out), min_size=1,
+                                   unique=True))
+        cl.plan_addition(ranks)
+        if apply:
+            for rank in ranks:
+                cl.add_server(rank)
+
+    @rule(oids=st.lists(OIDS, min_size=1, max_size=30))
+    def locate(self, oids):
+        assert_places_like_members_alone(self.cluster, oids)
+
+    @invariant()
+    def probes_place_like_members_alone(self):
+        assert_places_like_members_alone(self.cluster, list(PROBES))
+
+
+TestOriginalKernelMachine = OriginalKernelMachine.TestCase
+TestOriginalKernelMachine.settings = settings(
+    max_examples=40, stateful_step_count=20, deadline=None)
+
+
 # ----------------------------------------------------------------------
 # regressions
 # ----------------------------------------------------------------------
@@ -203,32 +288,100 @@ def test_numpy_oid_does_not_poison_the_slot_cache():
     assert ech.locate(7) == ech._locate_reference(7, ech.history.current)
 
 
+def relayout_then_locate(relayout):
+    """Re-layout a warm facade under both layouts: the ring is the new
+    layout's, and every placement is the reference walk's."""
+    for layout_mode in ("uniform", "equal-work"):
+        ech = ElasticConsistentHash(n=10, replicas=2, B=200,
+                                    layout_mode=layout_mode)
+        ech.locate_bulk(range(200))
+        relayout(ech, ech.p + 2)
+        assert all(ech.ring.weight_of(rank) == ech.layout.weight_of(rank)
+                   for rank in ech.layout.ranks)
+        for oid in range(200):
+            assert ech.locate(oid) == ech._locate_reference(
+                oid, ech.history.current)
+
+
+def depart_then_locate(cluster_class):
+    """A warm baseline loses a server: placement is a ring built from
+    the members alone."""
+    cl = cluster_class(n=6, replicas=2, vnodes_per_server=40)
+    cl.placement_bulk(range(300))
+    cl.remove_server(6)
+    assert_places_like_members_alone(cl, range(300))
+
+
+def test_regression_relayout_is_a_new_ring_and_kernel():
+    relayout_then_locate(dynamic_primaries.apply_relayout)
+
+
+def test_regression_original_tables_are_keyed_by_member_set():
+    depart_then_locate(OriginalCHCluster)
+
+
 # ----------------------------------------------------------------------
-# the machine fails when the kernel is broken
+# the machines fail when the kernel is broken
 # ----------------------------------------------------------------------
+def rewritten(fn, old, new):
+    """*fn* with one fragment of its own source rewritten, compiled in
+    its module's namespace — a mutant that cannot drift from the
+    product."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, f"{fn.__qualname__} no longer reads {old!r}"
+    namespace = {}
+    exec(compile(source.replace(old, new), f"<mutant {fn.__qualname__}>",
+                 "exec"), fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+#: A re-layout that swaps the layout but keeps the old ring and kernel.
+relayout_keeps_ring_and_kernel = rewritten(
+    dynamic_primaries.apply_relayout,
+    "ech._use_layout(_layout_for(ech, new_p))",
+    "ech.layout = _layout_for(ech, new_p)")
+
+
+class OriginalKeysByNone(OriginalCHCluster):
+    """One slot table for every member set."""
+
+    _table = rewritten(OriginalCHCluster._table, "table(members,",
+                       "table(None,")
+
+
 class TestSeededMutants:
     SETTINGS = settings(max_examples=200, stateful_step_count=30,
                         deadline=None, derandomize=True, database=None,
                         phases=[Phase.generate])
 
-    def assert_caught(self):
+    def assert_caught(self, machine=KernelMachine):
         with pytest.raises(AssertionError):
-            run_state_machine_as_test(KernelMachine,
-                                      settings=self.SETTINGS)
+            run_state_machine_as_test(machine, settings=self.SETTINGS)
 
     def test_relayout_without_invalidation(self, monkeypatch):
-        monkeypatch.setattr(ElasticConsistentHash,
-                            "invalidate_placement_cache",
-                            lambda self: None)
+        """A re-layout that swaps the layout but keeps the old ring and
+        kernel — every table and cached slot it had survives."""
+        with pytest.raises(AssertionError):
+            relayout_then_locate(relayout_keeps_ring_and_kernel)
+        monkeypatch.setattr(dynamic_primaries, "apply_relayout",
+                            relayout_keeps_ring_and_kernel)
         self.assert_caught()
+
+    def test_original_tables_keyed_by_none(self):
+        with pytest.raises(AssertionError):
+            depart_then_locate(OriginalKeysByNone)
+
+        class Machine(OriginalKernelMachine):
+            CLUSTER = OriginalKeysByNone
+
+        self.assert_caught(Machine)
 
     def test_bisect_right(self, monkeypatch):
         monkeypatch.setattr(ring_mod, "bisect_left", bisect.bisect_right)
         self.assert_caught()
 
     def test_no_wrap_at_the_top_of_the_ring(self, monkeypatch):
-        monkeypatch.setattr(
-            HashRing, "_slot_at",
-            lambda self, position: bisect.bisect_left(
-                self._position_ints, position))
+        monkeypatch.setattr(HashRing, "successor_slot", rewritten(
+            HashRing.successor_slot,
+            "return slot if slot < len(positions) else 0", "return slot"))
         self.assert_caught()

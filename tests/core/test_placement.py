@@ -9,9 +9,7 @@ from repro.hashring.ring import HashRing
 
 def make_ring(n=10, B=10_000):
     layout = EqualWorkLayout.create(n, B=B)
-    ring = HashRing()
-    for rank in layout.ranks:
-        ring.add_server(rank, weight=layout.weight_of(rank))
+    ring = HashRing({rank: layout.weight_of(rank) for rank in layout.ranks})
     return ring, layout
 
 

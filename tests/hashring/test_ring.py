@@ -1,4 +1,5 @@
-"""HashRing: membership, lookups, walks, views, arc shares."""
+"""HashRing: a value built from its weights — contents, lookups, walks,
+arc shares."""
 
 from unittest import mock
 
@@ -10,13 +11,18 @@ from hypothesis import strategies as st
 import repro.hashring.ring as ring_mod
 from repro.hashring.ring import HashRing
 
+WEIGHTS = dict.fromkeys(range(1, 6), 50)
+
 
 @pytest.fixture
 def ring():
-    r = HashRing()
-    for rank in range(1, 6):
-        r.add_server(rank, weight=50)
-    return r
+    return HashRing(WEIGHTS)
+
+
+def successor(ring, key):
+    """The server owning the first vnode clockwise of *key*."""
+    slot = ring.successor_slot(ring.key_position(key))
+    return ring.servers[ring._owners[slot]]
 
 
 class TestMembership:
@@ -27,95 +33,69 @@ class TestMembership:
     def test_len_counts_servers(self, ring):
         assert len(ring) == 5
 
-    def test_duplicate_add_rejected(self, ring):
+    def test_weight_validation(self):
         with pytest.raises(ValueError):
-            ring.add_server(1)
-
-    def test_remove(self, ring):
-        ring.remove_server(5)
-        assert 5 not in ring
-        assert len(ring) == 4
-
-    def test_remove_unknown_rejected(self, ring):
-        with pytest.raises(KeyError):
-            ring.remove_server(42)
-
-    def test_weight_validation(self, ring):
+            HashRing({1: 10, 99: 0})
         with pytest.raises(ValueError):
-            ring.add_server(99, weight=0)
-        with pytest.raises(ValueError):
-            ring.set_weight(1, -3)
-
-    def test_set_weight_changes_vnode_count(self, ring):
-        before = ring.num_vnodes
-        ring.set_weight(1, 150)
-        assert ring.num_vnodes == before + 100
-
-    def test_set_weight_unknown_rejected(self, ring):
-        with pytest.raises(KeyError):
-            ring.set_weight(42, 10)
+            HashRing({1: -3})
 
     def test_num_vnodes(self, ring):
         assert ring.num_vnodes == 250
 
     def test_servers_insertion_order(self):
-        r = HashRing()
-        r.add_server("b")
-        r.add_server("a")
+        r = HashRing({"b": 1, "a": 1})
         assert r.servers == ("b", "a")
+
+    def test_built_once_from_its_weights(self):
+        """The constructor copies the mapping it was given: changing
+        the mapping afterwards changes nothing on the ring."""
+        weights = {"a": 3, "b": 5}
+        r = HashRing(weights)
+        weights["c"] = 7
+        weights["a"] = 1
+        assert r.servers == ("a", "b") and r.num_vnodes == 8
+        assert r.weight_of("a") == 3
 
 
 class TestLookup:
     def test_successor_is_member(self, ring):
-        assert ring.successor("some-key") in ring.servers
+        assert successor(ring, "some-key") in ring.servers
 
     def test_successor_stable(self, ring):
-        assert ring.successor("k1") == ring.successor("k1")
+        assert successor(ring, "k1") == successor(ring, "k1")
 
     def test_empty_ring_raises(self):
         with pytest.raises(LookupError):
-            HashRing().successor("k")
-
-    def test_find_returns_distinct_servers(self, ring):
-        servers = ring.find("key", r=3)
-        assert len(servers) == 3
-        assert len(set(servers)) == 3
-
-    def test_find_with_predicate(self, ring):
-        servers = ring.find("key", r=2, predicate=lambda s: s != 1)
-        assert 1 not in servers
-
-    def test_find_too_many_raises(self, ring):
-        with pytest.raises(LookupError):
-            ring.find("key", r=6)
+            HashRing({}).successor_slot(5)
 
     def test_walk_servers_yields_all_distinct(self, ring):
         walked = list(ring.walk_servers(0))
         assert sorted(walked) == [1, 2, 3, 4, 5]
 
     def test_walk_after_membership_change(self, ring):
-        """Regression: the walk must see a rebuilt ring even when the
-        generator is created before the first lookup."""
-        ring.remove_server(2)
-        assert sorted(ring.walk_servers(0)) == [1, 3, 4, 5]
+        """A server leaving is a walk that skips it: the same servers,
+        in the same order, as a ring built without it."""
+        without = HashRing({s: w for s, w in WEIGHTS.items() if s != 2})
+        for key in range(50):
+            position = ring.key_position(key)
+            assert ([s for s in ring.walk_servers(position) if s != 2]
+                    == list(without.walk_servers(position)))
 
     def test_minimal_movement_on_addition(self, ring):
         """Consistent hashing's core promise (Figure 1): adding a
         server only moves keys *onto* it, never between old servers."""
         keys = [f"key-{i}" for i in range(3000)]
-        before = {k: ring.successor(k) for k in keys}
-        ring.add_server(6, weight=50)
+        grown = HashRing({**WEIGHTS, 6: 50})
         moved_elsewhere = [
             k for k in keys
-            if ring.successor(k) != before[k] and ring.successor(k) != 6
+            if successor(grown, k) not in (successor(ring, k), 6)
         ]
         assert moved_elsewhere == []
 
     def test_movement_fraction_roughly_proportional(self, ring):
         keys = [f"key-{i}" for i in range(5000)]
-        before = {k: ring.successor(k) for k in keys}
-        ring.add_server(6, weight=50)
-        moved = sum(1 for k in keys if ring.successor(k) != before[k])
+        grown = HashRing({**WEIGHTS, 6: 50})
+        moved = sum(1 for k in keys if successor(grown, k) != successor(ring, k))
         # New server owns ~1/6 of the ring; allow generous slack.
         assert 0.08 < moved / len(keys) < 0.26
 
@@ -134,13 +114,12 @@ def colliding_rings(draw):
     per_server = draw(st.lists(
         st.lists(st.sampled_from(pool), min_size=1, max_size=6),
         min_size=1, max_size=5))
-    ring = HashRing()
-    for sid, positions in enumerate(per_server):
-        ring.add_server(sid, weight=len(positions))
     with mock.patch.object(
             ring_mod, "vnode_positions",
             lambda sid, count: np.array(per_server[sid], dtype=np.uint64)):
-        assert ring.num_vnodes == sum(map(len, per_server))
+        ring = HashRing({sid: len(positions)
+                         for sid, positions in enumerate(per_server)})
+    assert ring.num_vnodes == sum(map(len, per_server))
     return ring
 
 
@@ -163,7 +142,8 @@ class TestScalarSuccessor:
             assert ring.successor_slot(p) == want
             assert ring.bulk_successor_slots(
                 np.array([p], dtype=np.uint64))[0] == want
-            assert next(ring.walk_slots(p)) == want
+            assert next(ring.walk_servers(p)) == \
+                ring.servers[ring._owners[want]]
 
     def test_wraps_past_the_last_vnode(self, ring):
         nslots = ring.num_vnodes
@@ -171,23 +151,24 @@ class TestScalarSuccessor:
         assert last < TOP
         assert ring.successor_slot(last) == nslots - 1
         assert ring.successor_slot(last + 1) == 0
-        assert list(ring.walk_slots(last + 1))[:2] == [0, 1]
+        assert next(ring.walk_servers(last + 1)) == \
+            ring.servers[ring._owners[0]]
 
-    def test_walk_slots_on_empty_ring_is_silent(self):
-        assert list(HashRing().walk_slots(5)) == []
+    def test_walk_servers_on_empty_ring_is_silent(self):
+        assert list(HashRing({}).walk_servers(5)) == []
 
 
 class TestBulkSuccessor:
     def test_matches_scalar(self, ring):
         positions = np.array([ring.key_position(f"k{i}") for i in range(100)],
                              dtype=np.uint64)
-        bulk = ring.bulk_successor(positions)
-        servers = [ring.servers[i] for i in bulk]
-        assert servers == [ring.successor(f"k{i}") for i in range(100)]
+        bulk = ring.bulk_successor_slots(positions)
+        assert bulk.tolist() == [ring.successor_slot(int(p))
+                                 for p in positions]
 
     def test_empty_ring_raises(self):
         with pytest.raises(LookupError):
-            HashRing().bulk_successor(np.array([1], dtype=np.uint64))
+            HashRing({}).bulk_successor_slots(np.array([1], dtype=np.uint64))
 
 
 class TestArcShare:
@@ -195,25 +176,9 @@ class TestArcShare:
         assert sum(ring.arc_share().values()) == pytest.approx(1.0)
 
     def test_share_tracks_weight(self):
-        r = HashRing()
-        r.add_server("heavy", weight=3000)
-        r.add_server("light", weight=1000)
+        r = HashRing({"heavy": 3000, "light": 1000})
         share = r.arc_share()
         assert share["heavy"] == pytest.approx(0.75, abs=0.05)
 
     def test_empty_ring(self):
-        assert HashRing().arc_share() == {}
-
-
-class TestRingView:
-    def test_view_filters_servers(self, ring):
-        view = ring.view(lambda s: s % 2 == 1)
-        assert sorted(view.servers()) == [1, 3, 5]
-
-    def test_view_find_respects_predicate(self, ring):
-        view = ring.view(lambda s: s != 2)
-        assert 2 not in view.find("key", r=4)
-
-    def test_view_walk(self, ring):
-        view = ring.view(lambda s: s in (1, 2))
-        assert sorted(view.walk_servers(0)) == [1, 2]
+        assert HashRing({}).arc_share() == {}

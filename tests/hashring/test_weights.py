@@ -59,9 +59,7 @@ class TestShareError:
         the §III-C requirement that B be 'large enough'."""
         errors = []
         for vnodes in (8, 64, 512):
-            ring = HashRing()
-            for rank in range(1, 11):
-                ring.add_server(rank, weight=vnodes)
+            ring = HashRing(dict.fromkeys(range(1, 11), vnodes))
             exp = expected_shares({r: vnodes for r in range(1, 11)})
             errors.append(share_error(ring.arc_share(), exp))
         assert errors[2] < errors[0]

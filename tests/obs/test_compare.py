@@ -260,3 +260,28 @@ class TestAnalyticsComparison:
         (bad / "analytics.json").write_text('{"kind": "repro.analytics"}')
         with pytest.raises(CompareError):
             compare_runs(str(a), str(bad / "analytics.json"))
+
+
+class TestSpanDistributions:
+    def test_p50_is_the_one_percentile(self, tmp_path):
+        """Regression: ``compare``'s span rows took the *upper* median
+        (``ds[len(ds) // 2]``) while ``repro report`` and ``repro
+        timeline`` use nearest-rank — four flows lasting 3, 3, 8 and
+        32 s compared as p50 = 8 here and read 3 there."""
+        from repro.obs.compare import _span_distributions
+        from repro.obs.stats import percentile
+
+        durations = [3.0, 32.0, 3.0, 8.0]
+        path = tmp_path / "t.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i, d in enumerate(durations):
+                for ev in ({"kind": "span.begin", "t": float(i),
+                            "name": "flow", "span_id": i},
+                           {"kind": "span.end", "t": i + d, "name": "flow",
+                            "span_id": i, "duration": d}):
+                    fh.write(json.dumps(ev) + "\n")
+        stats = _span_distributions(str(path))
+        assert stats["flow.p50_s"] == percentile(sorted(durations), 0.5) \
+            == 3.0
+        assert (stats["flow.count"], stats["flow.max_s"],
+                stats["flow.total_s"]) == (4.0, 32.0, 46.0)

@@ -1,7 +1,13 @@
 """Property-based tests for the placement invariants (DESIGN.md §5)."""
 
+from unittest import mock
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import repro.hashring.ring as ring_mod
 
 from repro.core.elastic import ElasticConsistentHash
 from repro.core.layout import EqualWorkLayout, primary_count
@@ -16,9 +22,8 @@ def get_ring(n, B=2_000):
     key = (n, B)
     if key not in _ring_cache:
         layout = EqualWorkLayout.create(n, B=B)
-        ring = HashRing()
-        for rank in layout.ranks:
-            ring.add_server(rank, weight=layout.weight_of(rank))
+        ring = HashRing({rank: layout.weight_of(rank)
+                         for rank in layout.ranks})
         _ring_cache[key] = (ring, layout)
     return _ring_cache[key]
 
@@ -83,16 +88,70 @@ class TestOriginalPlacementProperties:
     def test_monotonicity_on_growth(self, oid):
         """Ring monotonicity: growing the ring never moves a key
         between two pre-existing servers (first replica)."""
-        ring = HashRing()
-        for rank in range(1, 8):
-            ring.add_server(rank, weight=64)
-        before = place_original(ring, oid, 1).servers[0]
-        ring.add_server(99, weight=64)
-        try:
-            after = place_original(ring, oid, 1).servers[0]
-            assert after in (before, 99)
-        finally:
-            ring.remove_server(99)
+        weights = dict.fromkeys(range(1, 8), 64)
+        before = place_original(HashRing(weights), oid, 1).servers[0]
+        after = place_original(HashRing({**weights, 99: 64}), oid,
+                               1).servers[0]
+        assert after in (before, 99)
+
+
+def _members_alone(weights, members):
+    """*weights* restricted to *members*, in the weights' own order (the
+    order owner indices break position ties by)."""
+    return {sid: w for sid, w in weights.items() if sid in members}
+
+
+def _assert_skip_is_leave(weights, members, oid, r):
+    full, alone = HashRing(weights), HashRing(_members_alone(weights, members))
+    if r > len(members):
+        with pytest.raises(LookupError):
+            place_original(full, oid, r, is_active=members.__contains__)
+        with pytest.raises(LookupError):
+            place_original(alone, oid, r)
+        return
+    skipped = place_original(full, oid, r, is_active=members.__contains__)
+    assert skipped.servers == place_original(alone, oid, r).servers
+
+
+server_weights = st.dictionaries(st.integers(1, 12), st.integers(1, 40),
+                                 min_size=1, max_size=8)
+
+
+class TestSkipIsLeave:
+    """The premise the original-CH baseline rests on: a server that left
+    the ring and a server the walk skips are the same thing.  Walking
+    the full ring past non-members gives the same replicas, in the same
+    order, as walking a ring built from the members alone."""
+
+    @given(data=st.data(), weights=server_weights, oid=oids,
+           r=st.integers(min_value=1, max_value=3))
+    @settings(max_examples=300, deadline=None)
+    def test_hashed_positions(self, data, weights, oid, r):
+        members = data.draw(st.frozensets(st.sampled_from(sorted(weights)),
+                                          min_size=1))
+        _assert_skip_is_leave(weights, members, oid, r)
+
+    @given(data=st.data(), r=st.integers(min_value=1, max_value=3),
+           oid=oids)
+    @settings(max_examples=300, deadline=None)
+    def test_colliding_positions(self, data, r, oid):
+        """Vnodes drawn from a pool of a few positions, so servers share
+        positions and owner order breaks the ties."""
+        pool = data.draw(st.lists(st.integers(0, 2**64 - 1), min_size=1,
+                                  max_size=4))
+        per_server = data.draw(st.dictionaries(
+            st.integers(1, 12),
+            st.lists(st.sampled_from(pool), min_size=1, max_size=5),
+            min_size=1, max_size=8))
+        members = data.draw(st.frozensets(
+            st.sampled_from(sorted(per_server)), min_size=1))
+        with mock.patch.object(
+                ring_mod, "vnode_positions",
+                lambda sid, count: np.array(per_server[sid],
+                                            dtype=np.uint64)):
+            _assert_skip_is_leave(
+                {sid: len(p) for sid, p in per_server.items()}, members,
+                oid, r)
 
 
 class TestVersionedPlacementProperties:
