@@ -92,14 +92,12 @@ def max_min_fair(flows: Sequence[FlowSpec],
     two are bit-identical, property-tested in
     ``tests/simulation/test_columnar.py``.
 
-    *columns*: the caller's :class:`~repro.simulation.columnar.ColumnCache`,
-    which a scalar solve empties — it only describes the latest solve.
+    *columns*: the caller's :class:`~repro.simulation.columnar.ColumnCache`
+    of compiled coefficient segments, kept across scalar solves.
     """
     if len(flows) * len(capacities) >= _AUTO_CUTOVER_CELLS:
         from repro.simulation.columnar import max_min_fair_columnar
         return max_min_fair_columnar(flows, capacities, columns)
-    if columns is not None:
-        columns.clear()
     return max_min_fair_scalar(flows, capacities)
 
 

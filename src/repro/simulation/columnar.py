@@ -37,12 +37,12 @@ The flow side rests on three facts:
 
 Compilation is incremental: a :class:`ColumnCache` (one per
 :class:`~repro.simulation.flows.FlowSet`) keeps, per coefficient
-mapping, the ordered-items snapshot it compiled and the resulting
-``(res_idx, coef)`` segment.  A solve validates and compiles only
-mappings that are new or whose ``list(items())`` no longer equals the
-snapshot — in-place mutation, re-pointing and ``id`` reuse all fall
-out of that compare — and concatenates segments; a cold compile is the
-same code with an empty cache.
+mapping, the mapping it compiled and the resulting ``(res_idx, coef)``
+segment.  Coefficients are values — a ``FluidFlow`` holds a frozen
+copy of what it was given — so a solve reuses the segment of a frozen
+mapping it compiled before, validates and compiles any other mapping
+(a plain dict on every solve) and concatenates segments; a cold
+compile is the same code with an empty cache.
 """
 
 from __future__ import annotations
@@ -59,16 +59,24 @@ __all__ = ["ColumnCache", "CompiledProblem", "compile_problem",
            "solve_compiled", "max_min_fair_columnar"]
 
 Resource = Hashable
-#: (ordered items a mapping was compiled from, its ``res_idx``, ``coef``)
-Segment = Tuple[List[Tuple[Resource, float]], np.ndarray, np.ndarray]
+#: (the mapping a segment was compiled from, its ``res_idx``, ``coef``)
+Segment = Tuple[Mapping[Resource, float], np.ndarray, np.ndarray]
+
+
+class _FrozenCoefficients(dict):
+    """A flow's coefficients as a value; only ``FluidFlow`` makes one."""
+    def _frozen(self, *args, **kwargs):
+        raise TypeError("flow coefficients are a value: assign a new mapping")
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = _frozen
+    setdefault = update = _frozen
 
 
 class ColumnCache:
     """Compiled segments per coefficient mapping, kept between solves.
 
-    Keyed by ``id(mapping)`` but trusted only when the stored snapshot
-    equals the mapping's current ordered items, so a stale or recycled
-    id never supplies columns.  Segments index one capacity key order
+    Keyed by ``id(mapping)`` but trusted only for the same
+    :class:`_FrozenCoefficients` object the segment holds, which cannot
+    have changed since.  Segments index one capacity key order
     (``resources``); another order empties the cache, and each compile
     rebuilds ``segments`` from the flows it saw, evicting the departed.
     """
@@ -81,12 +89,6 @@ class ColumnCache:
         self.resources = resources
         self.col = {res: j for j, res in enumerate(resources)}
         self.segments: Dict[int, Segment] = {}
-
-    def items(self, mapping: Mapping[Resource, float]) -> list:
-        """The snapshot the last compile read *mapping* as (a fresh one
-        if it never saw it): what a reuse proof must compare against."""
-        seg = self.segments.get(id(mapping))
-        return seg[0] if seg is not None else list(mapping.items())
 
 
 @dataclass
@@ -120,18 +122,18 @@ class CompiledProblem:
         return int(self.flow_idx.size)
 
 
-def _compile_segment(items: list, col: Mapping[Resource, int]) -> Segment:
-    """Validate one mapping's items and index its known resources."""
+def _compile_segment(mapping: Mapping, col: Mapping[Resource, int]) -> Segment:
+    """Validate one mapping and index its known resources."""
     res_idx: List[int] = []
     coefs: List[float] = []
-    for res, coef in items:
+    for res, coef in mapping.items():
         if coef <= 0:
             raise ValueError(f"coefficient must be > 0 (resource {res!r})")
         j = col.get(res)
         if j is not None:
             res_idx.append(j)
             coefs.append(coef)
-    return (items, np.array(res_idx, dtype=np.int64),
+    return (mapping, np.array(res_idx, dtype=np.int64),
             np.array(coefs, dtype=np.float64))
 
 
@@ -139,7 +141,7 @@ def compile_problem(flows: Sequence, capacities: Mapping[Resource, float],
                     cache: Optional[ColumnCache] = None) -> CompiledProblem:
     """Compile ``FlowSpec``-likes (anything with ``coefficients`` and
     ``demand``) plus capacities into columns, taking from *cache* the
-    segment of every mapping whose items have not changed.
+    segment of every frozen mapping it compiled before.
 
     Validation mirrors the scalar solver exactly — same messages, same
     first offender (only validated segments are cached, so reusing one
@@ -158,10 +160,10 @@ def compile_problem(flows: Sequence, capacities: Mapping[Resource, float],
     segs: List[Segment] = []
     for f in flows:
         mapping = f.coefficients
-        items = list(mapping.items())
         seg = known.get(id(mapping))
-        if seg is None or seg[0] != items:
-            seg = _compile_segment(items, col)
+        if (seg is None or seg[0] is not mapping
+                or type(mapping) is not _FrozenCoefficients):
+            seg = _compile_segment(mapping, col)
         if f.demand < 0:
             raise ValueError("demand must be >= 0")
         segments[id(mapping)] = seg
@@ -175,7 +177,7 @@ def compile_problem(flows: Sequence, capacities: Mapping[Resource, float],
         raise ValueError(f"capacity must be >= 0 (resource {res!r})")
 
     n = len(segs)
-    parts = segs or [_compile_segment([], col)]
+    parts = segs or [_compile_segment({}, col)]
     return CompiledProblem(
         n_flows=n,
         n_resources=len(resources),

@@ -5,7 +5,9 @@ recovery (re-replication) batch, or a re-integration batch.  Finite
 flows carry a byte total and complete; streams (client IO during a
 phase) run until the driver retires them.  :class:`FlowSet` holds the
 live flows and advances them tick by tick against a
-:func:`~repro.simulation.bandwidth.max_min_fair` allocation.
+:func:`~repro.simulation.bandwidth.max_min_fair` allocation, reused
+while provably fresh: coefficients are values (frozen copies), so an
+unchanged flow still holds the very mapping object of the last solve.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import (
 
 from repro.obs.runtime import OBS
 from repro.simulation.bandwidth import FlowSpec, max_min_fair
-from repro.simulation.columnar import ColumnCache
+from repro.simulation.columnar import ColumnCache, _FrozenCoefficients
 
 __all__ = ["FluidFlow", "FlowSet"]
 
@@ -42,7 +44,7 @@ class FluidFlow:
         Label for timelines ("client", "migration", ...).
     coefficients:
         ``{server/resource: load per unit rate}`` — see
-        :mod:`repro.simulation.bandwidth`.
+        :mod:`repro.simulation.bandwidth`.  Stored as a frozen copy.
     total_bytes:
         Remaining payload; ``None`` makes this an open-ended stream.
     rate_cap:
@@ -97,6 +99,13 @@ class FluidFlow:
         if self.total_bytes is not None and dt > 0:
             d = min(d, self.remaining / dt)
         return d
+
+
+#: Every assignment stores a frozen copy: coefficients are values.
+FluidFlow.coefficients = property(  # type: ignore[assignment]
+    lambda flow: flow._coefficients,
+    lambda flow, mapping: setattr(flow, "_coefficients",
+                                  _FrozenCoefficients(mapping)))
 
 
 class FlowSet:
@@ -346,13 +355,7 @@ class FlowSet:
                 "generation": self.generation,
                 "dt": dt,
                 "live": live,
-                # Order-sensitive value snapshot: identity alone cannot
-                # prove freshness — a driver (the serving throttle, a
-                # coefficient refresh) may mutate a coefficient mapping
-                # *in place*, leaving the identity unchanged while the
-                # solve inputs drift.  (Shared with a columnar compile.)
-                "coeff_items": [self._columns.items(f.coefficients)
-                                for f in live],
+                "coefficients": [f.coefficients for f in live],
                 "caps": [f.rate_cap for f in live],
                 "demands": demands,
                 "rates": rates,
@@ -369,24 +372,21 @@ class FlowSet:
         :meth:`advance`).
 
         Soundness, not heuristics: the cached rates are the exact
-        solver output for inputs (coefficient mappings by ordered
-        value, rate caps, demands bit-for-bit, membership generation)
-        — when all of those compare equal and the caller vouches for
-        unchanged capacities, the solver would return the identical
-        rates, so skipping it cannot change a single sample or trace
-        byte.  Coefficients are compared by *value* (ordered items),
-        not identity: a throttle that mutates a flow's coefficient
-        mapping in place between ticks must invalidate the cache even
-        though the mapping object never changed.
+        solver output for inputs (coefficient mappings by identity —
+        they are values, a re-point is a new object — rate caps,
+        demands bit-for-bit, membership generation); when all of those
+        hold and the caller vouches for unchanged capacities, the
+        solver would return the identical rates, so skipping it cannot
+        change a single sample or trace byte.
         """
         a = self._alloc
         if a is None or a["generation"] != self.generation or dt != a["dt"]:
             return None
         live: List[FluidFlow] = a["live"]          # type: ignore[assignment]
-        for f, items, cap, dem in zip(live, a["coeff_items"], a["caps"],
-                                      a["demands"]):
-            if (f.rate_cap != cap or f.demand_for(dt) != dem
-                    or list(f.coefficients.items()) != items):
+        for f, coefficients, cap, dem in zip(live, a["coefficients"],
+                                             a["caps"], a["demands"]):
+            if (f.coefficients is not coefficients or f.rate_cap != cap
+                    or f.demand_for(dt) != dem):
                 return None
         bus = OBS.bus
         if bus.active:

@@ -27,7 +27,10 @@ import hashlib
 import io
 import math
 from contextlib import contextmanager, nullcontext
+from types import MappingProxyType
 from unittest import mock
+
+import pytest
 
 from repro.experiments.three_phase import run_three_phase
 from repro.faults.harness import run_chaos
@@ -221,36 +224,31 @@ class TestCacheInvalidation:
         _, vals = io_model.series("c")
         assert vals == [100.0, 50.0, 100.0]
 
-    def test_in_place_coefficient_mutation_invalidates(self):
-        # A driver may mutate the coefficient mapping *in place*
-        # (identity unchanged).  Reuse compares by ordered value, so
-        # the next step must re-solve.
-        io_model = IOModel(lambda: {"a": 100.0}, dt=1.0)
-        coeffs = {"a": 1.0}
-        io_model.flows.add(FluidFlow("c", coeffs))
-        io_model.step(1.0)
-        io_model.step(2.0)          # reuse engages
-        coeffs["a"] = 2.0           # same dict object, new value
-        io_model.step(3.0)
-        _, vals = io_model.series("c")
-        assert vals == [100.0, 100.0, 50.0]
+    def test_coefficients_reject_item_assignment(self):
+        # Coefficients are values: the only way to change them is to
+        # assign the flow a new mapping, which reuse sees by identity.
+        flow = FluidFlow("c", {"a": 1.0})
+        with pytest.raises(TypeError):
+            flow.coefficients["a"] = 2.0
+        with pytest.raises(TypeError):
+            flow.coefficients.update(b=1.0)
+        assert flow.coefficients == {"a": 1.0}
 
-    def test_scalar_solve_never_borrows_a_columnar_snapshot(self):
-        # The reuse proof takes its coefficient snapshots from the
-        # column cache.  A scalar solve does not refresh that cache, so
-        # it must not leave an older columnar solve's snapshot there: a
-        # mapping mutated back to the stale value would "prove" fresh.
+    @pytest.mark.parametrize("view", [lambda d: d, MappingProxyType],
+                             ids=["dict", "mappingproxy"])
+    def test_caller_dict_mutation_does_not_reach_the_flow(self, view):
+        # The flow keeps a copy, so the caller's dict (or a read-only
+        # view of it) changing in place changes no rate.
         io_model = IOModel(lambda: {"a": 100.0}, dt=1.0)
         coeffs = {"a": 1.0}
-        io_model.flows.add(FluidFlow("c", coeffs))
-        with solver_cutover(0):
-            io_model.step(1.0)      # columnar: snapshots {"a": 1.0}
+        io_model.flows.add(FluidFlow("c", view(coeffs)))
+        io_model.step(1.0)
         coeffs["a"] = 2.0
-        io_model.step(2.0)          # scalar solve of the mutated mapping
-        coeffs["a"] = 1.0
-        io_model.step(3.0)
+        io_model.step(2.0)
+        with always_solve():
+            io_model.step(3.0)
         _, vals = io_model.series("c")
-        assert vals == [100.0, 50.0, 100.0]
+        assert vals == [100.0, 100.0, 100.0]
 
     def test_demand_change_mid_stretch_differs_from_stale_cache(self):
         # The regression the serving throttle flushed out: a demand

@@ -26,6 +26,7 @@ from repro.simulation.columnar import (
     compile_problem,
     max_min_fair_columnar,
 )
+from repro.simulation.flows import FluidFlow
 
 
 def random_instance(rng):
@@ -191,11 +192,12 @@ class TestIdenticalErrors:
         assert str(scalar_err.value) == str(columnar_err.value)
 
     def test_first_offender_order_with_a_warm_cache(self):
-        # A cached segment skips re-validating its coefficients; the
-        # flows after it must still be checked in flow order,
-        # coefficients before demand within a flow.
+        # A cached segment (a flow's frozen coefficients) skips
+        # re-validating them; the flows after it must still be checked
+        # in flow order, coefficients before demand within a flow.
         capacities = {"s": 10.0, "t": 10.0}
-        valid = FlowSpec({"s": 1.0, "t": 2.0}, 3.0)
+        valid = FlowSpec(FluidFlow("v", {"s": 1.0, "t": 2.0}).coefficients,
+                         3.0)
         negative_demand = FlowSpec({"t": 1.0}, -2.0)
         bad_coefficient = FlowSpec({"t": -1.0}, 1.0)
         cache = ColumnCache()
@@ -211,15 +213,18 @@ class TestIdenticalErrors:
             assert outcome(max_min_fair_columnar, flows, capacities,
                            cache) == (message, 0, 0)
         # A capacity error still comes after every flow error, and a
-        # cached mapping gone bad in place is validated afresh.
+        # plain dict is recompiled every solve, so one gone bad in
+        # place is validated afresh.
         assert_same_outcome([valid], {"s": -1.0, "t": 10.0}, cache)
         assert_same_outcome([valid, negative_demand],
                             {"s": -1.0, "t": 10.0}, cache)
-        max_min_fair_columnar([valid], capacities, cache)
-        valid.coefficients["t"] = 0.0
-        assert_same_outcome([valid], capacities, cache)
-        assert outcome(max_min_fair_columnar, [valid], capacities, cache) \
-            == ("coefficient must be > 0 (resource 't')", 0, 0)
+        plain = FlowSpec({"s": 1.0, "t": 2.0}, 3.0)
+        max_min_fair_columnar([valid, plain], capacities, cache)
+        plain.coefficients["t"] = 0.0
+        assert_same_outcome([valid, plain], capacities, cache)
+        assert outcome(max_min_fair_columnar, [valid, plain], capacities,
+                       cache) == ("coefficient must be > 0 (resource 't')",
+                                  0, 0)
 
 
 class TestDispatch:

@@ -2,14 +2,17 @@
 
 Two ``IOModel``\\ s are driven side by side through the same arbitrary
 interleaving of everything a driver can do between ticks — add and
-retire flows, preempt them, re-point or mutate coefficients, throttle,
-change capacities (vouched for by a ``capacity_token`` or not), step,
-run.  One model is the product as shipped; on the other,
+retire flows, preempt them, replace or re-point coefficients,
+throttle, change capacities (vouched for by a ``capacity_token`` or
+not), step, run.  One model is the product as shipped; on the other,
 ``advance_cached`` always answers "not provably fresh", so every tick
 is a real solve.  After every operation the two must agree on what
 they emitted, and after every step on the samples, each flow's
 ``progressed`` and the order callbacks fired in: reuse may skip the
-solver, never change what the solver would have said.
+solver, never change what the solver would have said.  On every tick
+the product's identity proof is also held to :func:`fresh_by_value`,
+the ordered-items proof it replaced: it may answer "fresh" only when
+that one would.
 
 Four servers keep every solve below the size cutover, so
 ``ReuseMachine`` only ever drives the scalar backend.
@@ -54,6 +57,22 @@ TICK_NEXT = st.sampled_from([True, True, True, False])
 _PER_MODEL_FIELDS = ("span_id", "parent_id")
 
 
+def fresh_by_value(flows, dt, items):
+    """The reuse proof from before coefficients were values, kept as an
+    oracle: the cached allocation of *flows* is fresh for a tick of
+    *dt* when membership, dt, rate caps, demands and every live flow's
+    coefficients — compared as ordered items against *items*, taken
+    at the solve — are all unchanged."""
+    a = flows._alloc
+    if a is None or a["generation"] != flows.generation or dt != a["dt"]:
+        return False
+    return all(
+        f.rate_cap == cap and f.demand_for(dt) == dem
+        and list(f.coefficients.items()) == snapshot
+        for f, snapshot, cap, dem in zip(a["live"], items, a["caps"],
+                                         a["demands"]))
+
+
 class Side:
     """One model plus everything observed about it."""
 
@@ -66,7 +85,9 @@ class Side:
         self.io = IOModel(
             lambda: dict(self.caps), dt=1.0,
             capacity_token=(lambda: self.version) if use_token else None)
-        if not reuse:
+        if reuse:
+            self.hold_reuse_to_the_value_proof()
+        else:
             self.io.flows.advance_cached = lambda dt: None
         self.flows = []         # every flow ever added, by position
         self.callbacks = []     # (kind, flow position), in firing order
@@ -84,6 +105,28 @@ class Side:
             on_interrupt=lambda f: self.callbacks.append(("interrupt", pos)))
         self.flows.append(flow)
         self.io.flows.add(flow)
+
+    def hold_reuse_to_the_value_proof(self):
+        """Snapshot every solve's coefficients by value, and fail any
+        reuse :func:`fresh_by_value` would not grant."""
+        flows = self.io.flows
+        solve, reuse = flows.advance, flows.advance_cached
+        items = []
+
+        def advance(dt, capacities):
+            items.clear()
+            achieved = solve(dt, capacities)
+            if flows._alloc is not None:
+                items.extend(list(f.coefficients.items())
+                             for f in flows._alloc["live"])
+            return achieved
+
+        def advance_cached(dt):
+            by_value = fresh_by_value(flows, dt, items)
+            achieved = reuse(dt)
+            assert achieved is None or by_value
+            return achieved
+        flows.advance, flows.advance_cached = advance, advance_cached
 
     def live(self):
         """Positions of the flows still in the set."""
@@ -155,8 +198,8 @@ class ReuseMachine(RuleBasedStateMachine):
     @precondition(has_live)
     @rule(data=st.data(), rate_cap=RATE_CAPS, then_tick=TICK_NEXT)
     def add_sharing_a_mapping(self, data, rate_cap, then_tick):
-        # Two flows, one coefficient mapping object: an in-place
-        # mutation through either moves both.
+        # Two flows handed one coefficient mapping: each holds its own
+        # frozen copy, and re-pointing one leaves the other alone.
         pos = self.pick_live(data)
         self.perturb(lambda s: s.add("stream", None, None, rate_cap,
                                      share_with=pos), then_tick)
@@ -185,12 +228,15 @@ class ReuseMachine(RuleBasedStateMachine):
     @precondition(has_live)
     @rule(data=st.data(), server=st.sampled_from(SERVERS),
           coef=st.sampled_from([0.25, 1.0, 3.0]), then_tick=TICK_NEXT)
-    def mutate_coefficients_in_place(self, data, server, coef, then_tick):
+    def repoint_one_coefficient(self, data, server, coef, then_tick):
+        # The driver-side idiom for a value change: a new mapping that
+        # differs from the old one in one entry (or not at all).
         pos = self.pick_live(data)
 
-        def mutate(side):
-            side.flows[pos].coefficients[server] = coef
-        self.perturb(mutate, then_tick)
+        def repoint(side):
+            flow = side.flows[pos]
+            flow.coefficients = {**flow.coefficients, server: coef}
+        self.perturb(repoint, then_tick)
 
     @precondition(has_live)
     @rule(data=st.data(), rate_cap=RATE_CAPS, then_tick=TICK_NEXT)
@@ -286,12 +332,15 @@ TestReuseMachine.settings = TestColumnarReuseMachine.settings = settings(
 # the column cache, directly
 # ----------------------------------------------------------------------
 SLOTS = st.integers(min_value=0, max_value=5)
+#: Whether a mapping is a flow's frozen coefficients (cached by
+#: identity) or a plain dict (compiled afresh on every solve).
+FROZEN = st.booleans()
 CACHE_OPS = st.one_of(
-    st.tuples(st.just("add"), COEFFS),
+    st.tuples(st.just("add"), COEFFS, FROZEN),
     st.tuples(st.just("share"), SLOTS),
     st.tuples(st.just("remove"), SLOTS),
-    st.tuples(st.just("replace"), SLOTS, COEFFS),
-    st.tuples(st.just("mutate"), SLOTS, st.sampled_from(SERVERS + ("ghost",)),
+    st.tuples(st.just("replace"), SLOTS, COEFFS, FROZEN),
+    st.tuples(st.just("set"), SLOTS, st.sampled_from(SERVERS + ("ghost",)),
               st.sampled_from([0.25, 1.0, 3.0])),
     st.tuples(st.just("forget"), SLOTS, st.sampled_from(SERVERS)),
     st.tuples(st.just("capacity"), st.sampled_from(SERVERS), CAPACITIES),
@@ -299,18 +348,25 @@ CACHE_OPS = st.one_of(
 )
 
 
+def coefficients(mapping, frozen):
+    """*mapping* as a flow would hold it, or as a plain dict."""
+    return (FluidFlow("f", mapping).coefficients if frozen
+            else dict(mapping))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(CACHE_OPS, min_size=1, max_size=30))
 def test_cached_compile_equals_fresh_compile(ops):
     """Whatever happened to the flows and capacities since the cache
     last compiled them, compiling through it gives the columns a cold
-    compile gives, array for array."""
-    flows = [FlowSpec({"a": 1.0, "b": 0.5}, 10.0)]
+    compile gives, array for array.  A plain dict changes in place; a
+    frozen mapping changes only by re-pointing the flow."""
+    flows = [FlowSpec(coefficients({"a": 1.0, "b": 0.5}, True), 10.0)]
     capacities = {s: 64.0 for s in SERVERS}
     cache = ColumnCache()
     for op, *args in ops:
         if op == "add":
-            flows.append(FlowSpec(dict(args[0]), 5.0))
+            flows.append(FlowSpec(coefficients(args[0], args[1]), 5.0))
         elif op == "capacity":
             capacities[args[0]] = args[1]
         elif op == "key":
@@ -318,16 +374,22 @@ def test_cached_compile_equals_fresh_compile(ops):
                 capacities[args[0]] = 64.0
         elif flows:                     # the rest act on one flow
             slot = args[0] % len(flows)
+            flow = flows[slot]
+            mapping = flow.coefficients
             if op == "share":
-                flows.append(FlowSpec(flows[slot].coefficients, 7.0))
+                flows.append(FlowSpec(mapping, 7.0))
             elif op == "remove":
                 del flows[slot]
             elif op == "replace":
-                flows[slot].coefficients = dict(args[1])
-            elif op == "mutate":
-                flows[slot].coefficients[args[1]] = args[2]
-            elif op == "forget":
-                flows[slot].coefficients.pop(args[1], None)
+                flow.coefficients = coefficients(args[1], args[2])
+            else:               # a plain dict in place, a frozen one
+                target = mapping if type(mapping) is dict else dict(mapping)
+                if op == "set":
+                    target[args[1]] = args[2]
+                else:
+                    target.pop(args[1], None)
+                if target is not mapping:       # ... by re-pointing
+                    flow.coefficients = coefficients(target, True)
         warm = compile_problem(flows, capacities, cache)
         cold = compile_problem(flows, capacities)
         assert (warm.n_flows, warm.n_resources, warm.resources) \
@@ -336,6 +398,6 @@ def test_cached_compile_equals_fresh_compile(ops):
             got, want = getattr(warm, column), getattr(cold, column)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), column
-        # The snapshots a reuse proof would take are the current items.
-        assert ([cache.items(f.coefficients) for f in flows]
-                == [list(f.coefficients.items()) for f in flows])
+        # Each segment holds the very mapping it was compiled from.
+        assert all(cache.segments[id(f.coefficients)][0] is f.coefficients
+                   for f in flows)
