@@ -50,10 +50,13 @@ def bench_original_placement(benchmark, ech):
     assert len(result.servers) == 2
 
 
-def bench_ring_construction(benchmark):
-    """Build + sort a 24k-vnode equal-work ring (per re-weighting)."""
+@pytest.mark.parametrize("n", [10, 1000])
+def bench_ring_construction(benchmark, n):
+    """Build + sort an equal-work ring (per re-weighting): 24k vnodes
+    over 10 servers, or 29k over the 1 000 of the fig7 replay — every
+    server's vnodes in one array pass either way."""
     def build():
-        ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
+        ech = ElasticConsistentHash(n=n, replicas=2, B=10_000)
         return ech.ring.num_vnodes
 
     vnodes = benchmark(build)
@@ -140,6 +143,28 @@ def bench_locate_scalar_cold(benchmark):
         return (range(start, start + 5_000),), {}
 
     def place(oids):
+        return [ech.locate(oid) for oid in oids]
+
+    results = benchmark.pedantic(place, setup=resize, rounds=40)
+    assert len(results) == 5_000
+
+
+def bench_locate_scalar_prehashed(benchmark):
+    """bench_locate_scalar_cold's 5 000 fresh oids, hashed first by one
+    ``prehash`` (inside the timed region) — what a three-phase phase
+    or a serve oid block pays: one array pass, then per oid two
+    lookups and the slot's first materialisation."""
+    ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
+    sizes = itertools.cycle((6, 8))
+    starts = itertools.count(0, 5_000)
+
+    def resize():
+        ech.set_active(next(sizes))    # new version: no table yet
+        start = next(starts)
+        return (range(start, start + 5_000),), {}
+
+    def place(oids):
+        ech.prehash(oids)
         return [ech.locate(oid) for oid in oids]
 
     results = benchmark.pedantic(place, setup=resize, rounds=40)

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (Container, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple)
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -304,6 +304,10 @@ class ElasticCluster(_ClusterBase):
     def placement_bulk(self, oids: Iterable[int]) -> BulkPlacement:
         """Current-version placement of a key collection, in bulk."""
         return self.ech.locate_bulk(oids)
+
+    def prehash(self, oids: Union[range, np.ndarray]) -> None:
+        """See :meth:`~repro.core.elastic.ElasticConsistentHash.prehash`."""
+        self.ech.prehash(oids)
 
     @profiled("cluster.resize")
     def resize(self, k: int) -> None:
@@ -838,6 +842,10 @@ class OriginalCHCluster(_ClusterBase):
     def placement_bulk(self, oids: Iterable[int]) -> BulkPlacement:
         """Vectorised :meth:`placement` over a key collection."""
         return self._placement_under(self._members, oids)
+
+    def prehash(self, oids: Union[range, np.ndarray]) -> None:
+        """See :meth:`~repro.core.kernel.PlacementKernel.prehash`."""
+        self._kernel.prehash(oids)
 
     def _placement_under(self, members: FrozenSet[int],
                          oids: Iterable[int]) -> BulkPlacement:

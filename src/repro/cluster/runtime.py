@@ -63,12 +63,12 @@ class ClusterRuntime:
     """A cluster wired to one :class:`~repro.simulation.iomodel.IOModel`.
 
     *cluster* is either flavour — what is asked of it is ``servers``,
-    ``replicas``, ``active_ranks()``, ``placement_bulk(oids)`` and
-    ``membership_token``.  *sim* is the event heap the harness
-    interleaves with IO ticks (``None`` for a tick-only run), kept here
-    so whatever is built on the assembly takes one object.  With an
-    *injector*, its slow-disk windows scale the capacities and its
-    ``generation`` joins the capacity token.
+    ``replicas``, ``active_ranks()``, ``placement_bulk(oids)``,
+    ``prehash(oids)`` and ``membership_token``.  *sim* is the event
+    heap the harness interleaves with IO ticks (``None`` for a
+    tick-only run), kept here so whatever is built on the assembly
+    takes one object.  With an *injector*, its slow-disk windows scale
+    the capacities and its ``generation`` joins the capacity token.
     """
 
     def __init__(self, cluster, dt: float,
@@ -182,8 +182,13 @@ class ThreePhaseLoad:
                                    self.phases[self.index].write_ratio)
 
     def start(self) -> None:
-        """Open the current phase's client flow."""
+        """Open the current phase's client flow, and hash every oid it
+        can write (consecutive, at most ``write_bytes`` worth) in one
+        array pass before the first one is placed."""
         phase = self.phases[self.index]
+        first = self.written + 1
+        self.runtime.cluster.prehash(range(
+            first, first + 1 + int(phase.write_bytes // self.object_size)))
         cap = min(self.client_cap, phase.rate_cap or self.client_cap)
         self.flow = self.runtime.io.flows.add(FluidFlow(
             name="client", coefficients=self._coefficients(),

@@ -21,7 +21,7 @@ on, where objects belong.  Actual bytes live in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -303,6 +303,12 @@ class ElasticConsistentHash:
             is_active=table.is_active,
             chain=self.chain,
         )
+
+    def prehash(self, oids: Union[range, np.ndarray]) -> None:
+        """Hash *oids* (a ``range`` or an integer array) into the
+        oid→slot memo now, in one array pass, so their first
+        :meth:`locate` under any version is two lookups."""
+        self._kernel.prehash(oids)
 
     def locate_bulk(self, oids: Iterable[int],
                     version: Optional[int] = None) -> BulkPlacement:

@@ -20,7 +20,9 @@ Two access paths read the table:
   from its array row on the first ask and kept.  The
   :class:`~repro.core.elastic.ElasticConsistentHash` facade adds an
   oid→slot cache on top, so a repeated ``locate`` never touches the
-  ring again;
+  ring again.  Callers that know their oids ahead (a workload phase, a
+  block of minted ids) fill it with ``prehash`` in one array pass, so
+  even a first ``locate`` skips the scalar hash and bisect;
 * vectorised ``gather(slots)`` — one fancy-index produces a compact
   :class:`BulkPlacement` (server-index matrix plus degraded / offloaded
   bitmasks) for a whole key array.
@@ -38,7 +40,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Hashable, List, Mapping, NamedTuple,
-                    Optional, Tuple)
+                    Optional, Tuple, Union)
 
 import numpy as np
 
@@ -439,3 +441,19 @@ class PlacementKernel:
                 self._slot_cache.clear()
             self._slot_cache[oid] = slot
         return slot
+
+    def prehash(self, oids: Union[range, np.ndarray]) -> None:
+        """Fill the oid→slot memo for *oids* (a ``range`` or an integer
+        array) before anything asks: one ``bulk_hash`` and one
+        ``searchsorted`` instead of a hash and a bisect per oid.  A
+        slot is the ring's alone, so an entry holds under every
+        membership; the memo's size cap holds as in :meth:`slot_of`."""
+        keys = oids[:_SLOT_CACHE_MAX]
+        if not len(keys):
+            return
+        if len(self._slot_cache) + len(keys) > _SLOT_CACHE_MAX:
+            self._slot_cache.clear()
+        slots = self._ring.bulk_successor_slots(bulk_hash(keys))
+        if isinstance(keys, np.ndarray):
+            keys = keys.tolist()
+        self._slot_cache.update(zip(keys, slots.tolist()))

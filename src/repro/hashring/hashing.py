@@ -14,12 +14,16 @@ shares; the finalizer restores full avalanche at negligible cost.
 It accepts ``str``, ``bytes`` and integer keys; integers (NumPy ones
 included) are encoded as their decimal string so that object ids hash
 identically whether the caller stores them as ints or strings.
+
+What is known in bulk is hashed in bulk, bit for bit as :func:`hash64`
+would: a whole ring's vnodes (:func:`vnode_positions`), key arrays
+(:func:`bulk_hash`, :func:`bulk_hash_concat`).
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Iterable, Union
+from typing import Hashable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -74,40 +78,47 @@ def hash64(key: Key) -> int:
     return _fnv1a64(_to_bytes(key))
 
 
-def vnode_positions(server_id: Key, count: int,
-                    start_index: int = 0) -> np.ndarray:
-    """Ring positions for *count* virtual nodes of one server.
+def vnode_positions(server_ids: Sequence[Hashable],
+                    counts: Sequence[int]) -> np.ndarray:
+    """Positions of every virtual node of a whole ring, in one pass.
 
     Virtual node *j* of server *s* is placed at
     ``splitmix64(hash64(s) + j)`` — a counter-mode stream seeded by the
-    server's own hash.  Like the conventional ``hash(f"{s}#{j}")``
+    server's own hash (its ``repr`` for an id that is not a ``str``,
+    ``bytes`` or ``int``).  Like the conventional ``hash(f"{s}#{j}")``
     derivation it keeps positions stable when the vnode count changes
     (existing vnodes never move; new indices only append), which is what
     makes the equal-work layout's per-rank re-weighting cheap — but it
-    vectorises: generating the ~10^4 vnodes of an equal-work ring is a
-    handful of NumPy ops instead of 10^4 string hashes.
+    vectorises across servers too: one :func:`bulk_hash` of the server
+    keys, one ``repeat`` of the seeds against the vnode offsets and one
+    :func:`splitmix64_array`, whatever the ring's size.
 
     Parameters
     ----------
-    server_id:
-        Physical server identifier.
-    count:
-        Number of virtual nodes to generate (may be 0).
-    start_index:
-        First vnode index; lets callers extend an existing set.
+    server_ids:
+        Physical server identifiers, in ring order.
+    counts:
+        Vnodes per server (each may be 0), aligned with *server_ids*.
 
     Returns
     -------
     numpy.ndarray
-        ``uint64`` array of length *count* (unsorted; duplicates across
-        servers are possible but astronomically unlikely and handled by
-        the ring's stable sort).
+        ``uint64`` array of ``sum(counts)`` positions, server by server
+        and vnode by vnode (unsorted; duplicates are possible but
+        astronomically unlikely and handled by the ring's stable sort).
     """
-    if count < 0:
-        raise ValueError("vnode count must be >= 0")
-    seed = np.uint64(hash64(server_id))
-    idx = np.arange(start_index, start_index + count, dtype=np.uint64)
-    return splitmix64_array(seed + idx)
+    counts = np.asarray(counts, dtype=np.int64).reshape(-1)
+    if counts.size != len(server_ids) or (counts < 0).any():
+        raise ValueError("need one vnode count >= 0 per server")
+    seeds = bulk_hash([s if isinstance(s, (str, bytes, int)) else repr(s)
+                       for s in server_ids])
+    # seed + (vnode's ring index - its server's first), in place: at
+    # most two ring-sized arrays alive.
+    first = (np.cumsum(counts) - counts).astype(np.uint64)
+    h = np.arange(int(counts.sum()), dtype=np.uint64)
+    h -= np.repeat(first, counts)
+    h += np.repeat(seeds, counts)              # wraps mod 2**64
+    return splitmix64_array(h)
 
 
 def splitmix64_array(h: np.ndarray) -> np.ndarray:
@@ -166,11 +177,13 @@ def bulk_hash(keys: Iterable[Key]) -> np.ndarray:
     """Hash an iterable of keys into a ``uint64`` array (bulk helper for
     vectorised placement and distribution analysis).
 
-    Non-negative integer inputs (``range``, integer ndarrays) take a
-    fully vectorised path — the enabler for ``locate_bulk`` placing
+    Non-negative integer inputs (``range``, integer ndarrays, and
+    lists or tuples of plain ``int`` below ``2**63``) take a fully
+    vectorised path — the enabler for ``locate_bulk`` placing
     100k-object sweeps without a per-key Python hash; anything else
-    falls back to the scalar :func:`hash64` loop.  Both paths produce
-    identical values.
+    (strings, bools, negatives, larger ints, mixed types) falls back
+    to the scalar :func:`hash64` loop.  Both paths produce identical
+    values.
     """
     arr = None
     if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
@@ -178,6 +191,11 @@ def bulk_hash(keys: Iterable[Key]) -> np.ndarray:
     elif isinstance(keys, range):
         arr = np.arange(keys.start, keys.stop, keys.step, dtype=np.int64) \
             if len(keys) else np.empty(0, dtype=np.int64)
+    elif isinstance(keys, (list, tuple)) and set(map(type, keys)) == {int}:
+        try:
+            arr = np.array(keys, dtype=np.int64)
+        except OverflowError:      # beyond int64: scalar fallback
+            pass
     if arr is not None:
         if arr.size == 0:
             return np.empty(0, dtype=np.uint64)

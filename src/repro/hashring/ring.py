@@ -8,13 +8,14 @@ found walking clockwise from the key's own hash.
 Implementation notes
 --------------------
 * A ring is a value: the constructor takes every server's weight,
-  builds the arrays once (O(V log V)) and nothing changes them
-  afterwards.  Powering a server *off* never touches the ring (§IV:
-  "servers never leave the cluster when they are turned down"), and
-  neither does a server *leaving* the original-CH baseline: walking
-  distinct servers clockwise while skipping non-members gives the same
-  replicas, in the same order, as walking a ring built from the members
-  alone.  Membership is a placement-time filter, never a ring mutation;
+  builds the arrays once (O(V log V); every vnode position comes from
+  one whole-ring array pass, not one call per server) and nothing
+  changes them afterwards.  Powering a server *off* never touches the
+  ring (§IV: "servers never leave the cluster when they are turned
+  down"), and neither does a server *leaving* the original-CH
+  baseline: walking distinct servers clockwise while skipping
+  non-members gives the same replicas, in the same order, as walking a
+  ring built from the members alone.  Membership is a placement-time filter, never a ring mutation;
   a new weighting (a re-layout) is a new ring.
 * Positions live in a single sorted ``numpy.uint64`` array with a
   parallel ``intp`` array of owning-server indices, so bulk successor
@@ -65,11 +66,7 @@ class HashRing:
         OBS.metrics.inc("ring.rebuilds")
         self._server_list = list(self._weights)
         counts = list(self._weights.values())
-        positions = np.concatenate(
-            [vnode_positions(
-                sid if isinstance(sid, (str, bytes, int)) else repr(sid), w)
-             for sid, w in self._weights.items()]
-            or [np.empty(0, dtype=np.uint64)])
+        positions = vnode_positions(self._server_list, counts)
         owners = np.repeat(np.arange(len(counts), dtype=np.intp), counts)
         # The input runs server by server, vnode by vnode, and lexsort
         # is stable: ties break by (server, vnode) index.

@@ -49,6 +49,8 @@ REQUEST_BYTES = 1 * MB
 DT = 0.5
 #: Objects written before the clients start, so early reads hit.
 PREPOPULATE = 256
+#: Fresh oids are minted consecutively and hashed this many at a time.
+PREHASH_BLOCK = 4096
 
 
 def latency_stats(values: List[float]) -> Dict[str, Optional[float]]:
@@ -161,8 +163,17 @@ def run_serve(
 
     oid_counter = itertools.count(1)
     state = {"written": 0}
+
+    def mint() -> int:
+        """The next fresh oid; crossing into a new block of
+        ``PREHASH_BLOCK`` hashes the whole block in one array pass."""
+        oid = next(oid_counter)
+        if oid % PREHASH_BLOCK == 1:
+            cluster.prehash(range(oid, oid + PREHASH_BLOCK))
+        return oid
+
     for _ in range(PREPOPULATE):
-        cluster.write(next(oid_counter), REQUEST_BYTES)
+        cluster.write(mint(), REQUEST_BYTES)
         state["written"] += 1
 
     # -- request fabrication (placement + disk cost + materialisation) --
@@ -177,7 +188,7 @@ def run_serve(
     def factory(pop: str, rid: int, key: Draw) -> Request:
         is_write = key.unit(":rw") < write_ratio
         if is_write:
-            oid = next(oid_counter)
+            oid = mint()
             server = cluster.ech.locate(oid).servers[0]
             nbytes = float(replicas * REQUEST_BYTES)
             on_complete = materialise

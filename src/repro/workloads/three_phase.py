@@ -55,12 +55,16 @@ class Phase:
     rate_cap: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.total_bytes <= 0:
-            raise ValueError("phase must transfer some bytes")
+        # Finite too: a nan or inf phase never drains.
+        if not (math.isfinite(self.total_bytes) and self.total_bytes > 0):
+            raise ValueError(f"total_bytes must be positive and finite "
+                             f"(got {self.total_bytes})")
         if not 0.0 <= self.write_ratio <= 1.0:
             raise ValueError("write_ratio must be in [0, 1]")
-        if self.rate_cap is not None and self.rate_cap <= 0:
-            raise ValueError("rate_cap must be positive")
+        if self.rate_cap is not None and not (math.isfinite(self.rate_cap)
+                                              and self.rate_cap > 0):
+            raise ValueError(f"rate_cap must be positive and finite "
+                             f"(got {self.rate_cap})")
 
     @property
     def write_bytes(self) -> float:

@@ -3,12 +3,15 @@ interleavings live in ``test_runtime_stateful.py``)."""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
 from repro.cluster.runtime import ClusterRuntime
+from repro.experiments import run_three_phase
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultEvent, FaultPlan
+from repro.hashring.ring import HashRing
 from repro.obs.runtime import OBS
 from repro.simulation.engine import Simulator
 
@@ -49,6 +52,38 @@ class TestClusterMembers:
         bulk = cluster.placement_bulk(range(200))
         assert bulk.all_ok and bulk.servers.shape == (200, 2)
         assert set(bulk.servers.ravel().tolist()) <= {1, 2, 3, 4, 5}
+
+
+def scalar_successor_calls(monkeypatch):
+    """Positions the ring's scalar successor is asked for from now on —
+    an oid placed without a memo entry shows up here."""
+    calls = []
+    real = HashRing.successor_slot
+    monkeypatch.setattr(HashRing, "successor_slot",
+                        lambda ring, pos: calls.append(pos) or real(ring, pos))
+    return calls
+
+
+class TestPrehash:
+    def test_prehashed_oids_place_like_the_bulk_path(self, cluster,
+                                                     monkeypatch):
+        """Hashed before a membership change, placed after it: a slot
+        is the ring's alone, so the memo holds under any membership."""
+        cluster.prehash(range(100, 400))
+        cluster.prehash(np.arange(1_000, 1_100))
+        shrink(cluster)
+        calls = scalar_successor_calls(monkeypatch)
+        oids = [*range(100, 400), *range(1_000, 1_100)]
+        for oid, row in zip(oids, cluster.placement_bulk(oids).rows()):
+            assert cluster.write(oid, 10).servers == tuple(row)
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ["selective", "original"])
+    def test_a_three_phase_run_writes_only_prehashed_oids(self, mode,
+                                                          monkeypatch):
+        calls = scalar_successor_calls(monkeypatch)
+        result = run_three_phase(mode, scale=0.05)
+        assert result.finished and calls == []
 
 
 class TestCapacities:

@@ -12,7 +12,9 @@ reference's.
 The reference shares ``HashRing.successor_slot`` with the kernel, so
 the scalar successor is also held to the array ``searchsorted`` at the
 positions where the two could differ: on a vnode, one either side of
-it, and at both ends of the circle.
+it, and at both ends of the circle.  ``prehash`` fills the oid→slot
+memo ahead of any lookup, in one array pass; after every step, each
+memo entry must be the scalar successor of its oid's position.
 
 Nothing in the kernel is ever invalidated: a kernel belongs to one ring
 and one role assignment, so a re-layout is a new ring and a new kernel,
@@ -23,7 +25,8 @@ to a ring built from the members alone.
 ``TestSeededMutants`` shows the machines are not vacuous: they fail on
 a re-layout that swaps the layout but keeps the old ring and kernel, on
 an original-CH cluster that keys every table by ``None``, on
-``bisect_right``, and on a successor that does not wrap at slot == V.
+``bisect_right``, on a successor that does not wrap at slot == V, and
+on a ``prehash`` that pairs each oid with its neighbour's slot.
 """
 
 import bisect
@@ -47,6 +50,7 @@ import repro.core.dynamic_primaries as dynamic_primaries
 import repro.hashring.ring as ring_mod
 from repro.cluster.cluster import OriginalCHCluster
 from repro.core.elastic import ElasticConsistentHash
+from repro.core.kernel import PlacementKernel
 from repro.core.placement import place_original
 from repro.hashring.ring import HashRing
 from tests.core.test_kernel_batch import walk
@@ -54,6 +58,23 @@ from tests.core.test_kernel_batch import walk
 TOP = 2 ** 64 - 1
 OIDS = st.integers(min_value=0, max_value=5_000)
 PROBES = tuple(range(0, 120, 10))
+
+
+#: What ``prehash`` takes: a ``range`` or an integer array of oids
+#: (overlapping ``OIDS``, so prehashed entries are then located).
+PREHASHED = st.one_of(
+    st.builds(lambda start, size: range(start, start + size),
+              st.integers(0, 5_000), st.integers(0, 80)),
+    st.lists(OIDS, max_size=40).map(lambda xs: np.array(xs, dtype=np.int64)))
+
+
+def assert_slot_memo_exact(kernel):
+    """Every oid→slot memo entry, however it got there (``slot_of`` or
+    ``prehash``), is the scalar successor of the oid's position."""
+    ring = kernel._ring
+    for oid, slot in kernel._slot_cache.items():
+        assert type(slot) is int, (oid, slot)
+        assert slot == ring.successor_slot(ring.key_position(oid)), oid
 
 
 def outcome(fn, *args):
@@ -136,6 +157,10 @@ class KernelMachine(RuleBasedStateMachine):
             dynamic_primaries.apply_relayout(ech, new_p)
 
     # -- lookups -------------------------------------------------------
+    @rule(oids=PREHASHED)
+    def prehash(self, oids):
+        self.ech.prehash(oids)
+
     @rule(data=st.data(), oid=OIDS)
     def locate(self, data, oid):
         self.check_scalar(oid, data.draw(self.versions()))
@@ -190,6 +215,10 @@ class KernelMachine(RuleBasedStateMachine):
         assert ech.ring.servers == tuple(ech.layout.ranks)
         assert all(ech.ring.weight_of(rank) == ech.layout.weight_of(rank)
                    for rank in ech.layout.ranks)
+
+    @invariant()
+    def slot_memo_is_the_scalar_successor(self):
+        assert_slot_memo_exact(self.ech._kernel)
 
     @invariant()
     def cached_and_current_versions_equal_reference(self):
@@ -266,9 +295,14 @@ class OriginalKernelMachine(RuleBasedStateMachine):
     def locate(self, oids):
         assert_places_like_members_alone(self.cluster, oids)
 
+    @rule(oids=PREHASHED)
+    def prehash(self, oids):
+        self.cluster.prehash(oids)
+
     @invariant()
     def probes_place_like_members_alone(self):
         assert_places_like_members_alone(self.cluster, list(PROBES))
+        assert_slot_memo_exact(self.cluster._kernel)
 
 
 TestOriginalKernelMachine = OriginalKernelMachine.TestCase
@@ -378,6 +412,11 @@ class TestSeededMutants:
 
     def test_bisect_right(self, monkeypatch):
         monkeypatch.setattr(ring_mod, "bisect_left", bisect.bisect_right)
+        self.assert_caught()
+
+    def test_prehash_misaligns_oids_and_slots(self, monkeypatch):
+        monkeypatch.setattr(PlacementKernel, "prehash", rewritten(
+            PlacementKernel.prehash, "zip(keys, slots", "zip(keys[1:], slots"))
         self.assert_caught()
 
     def test_no_wrap_at_the_top_of_the_ring(self, monkeypatch):

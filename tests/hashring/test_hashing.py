@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from repro.hashring.hashing import (
     _FNV_OFFSET,
     _FNV_PRIME,
+    _MASK64,
+    _splitmix64,
     bulk_hash,
     bulk_hash_concat,
     hash64,
@@ -67,39 +69,62 @@ class TestHash64:
         assert chi2 < 37.7
 
 
+def vnode_oracle(server_ids, counts):
+    """Vnode *j* of server *s* from first principles, one at a time."""
+    return [_splitmix64((hash64(s if isinstance(s, (str, bytes, int))
+                                else repr(s)) + j) & _MASK64)
+            for s, count in zip(server_ids, counts) for j in range(count)]
+
+
+_server_ids = st.one_of(st.text(max_size=8), st.binary(max_size=8),
+                        st.integers(-2 ** 70, 2 ** 70),
+                        st.tuples(st.integers(0, 9), st.text(max_size=3)))
+
+
 class TestVnodePositions:
     def test_count(self):
-        assert vnode_positions("s1", 7).shape == (7,)
+        assert vnode_positions(["s1", "s2"], [7, 3]).shape == (10,)
 
     def test_zero_count(self):
-        assert vnode_positions("s1", 0).size == 0
+        assert vnode_positions(["s1"], [0]).size == 0
+        assert vnode_positions([], []).dtype == np.uint64
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
-            vnode_positions("s1", -1)
+            vnode_positions(["s1", "s2"], [3, -1])
+        with pytest.raises(ValueError):
+            vnode_positions(["s1", "s2"], [3])
 
     def test_prefix_stability(self):
         """Growing the vnode count only appends — existing positions
         never move (what makes re-weighting cheap)."""
-        small = vnode_positions("s1", 10)
-        big = vnode_positions("s1", 50)
-        assert np.array_equal(big[:10], small)
-
-    def test_start_index_continues_stream(self):
-        full = vnode_positions("s1", 20)
-        tail = vnode_positions("s1", 10, start_index=10)
-        assert np.array_equal(full[10:], tail)
+        small = vnode_positions(["s0", "s1"], [4, 10])
+        big = vnode_positions(["s0", "s1"], [4, 50])
+        assert np.array_equal(big[:14], small)
 
     def test_servers_get_distinct_streams(self):
-        a = vnode_positions("s1", 100)
-        b = vnode_positions("s2", 100)
-        assert len(np.intersect1d(a, b)) == 0
+        both = vnode_positions(["s1", "s2"], [100, 100])
+        assert len(np.intersect1d(both[:100], both[100:])) == 0
 
     def test_positions_spread_over_ring(self):
-        pos = vnode_positions("server-x", 1000).astype(np.float64)
+        pos = vnode_positions(["server-x"], [1000]).astype(np.float64)
         # Mean should be near the middle of the 64-bit space.
         mid = 2.0**63
         assert abs(pos.mean() - mid) / mid < 0.1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_server_ids,
+                              st.one_of(st.just(1), st.integers(0, 40))),
+                    max_size=8))
+    def test_whole_ring_matches_the_per_vnode_formula(self, servers):
+        """The empty ring, weight-1 servers and every id type (a tuple
+        hashes its ``repr``): one array pass equals ``splitmix64(
+        hash64(s) + j)`` vnode by vnode, server by server."""
+        ids = [sid for sid, _ in servers]
+        counts = [count for _, count in servers]
+        got = vnode_positions(ids, counts)
+        assert got.dtype == np.uint64
+        assert got.tolist() == vnode_oracle(ids, counts)
 
 
 class TestBulkHash:
@@ -132,6 +157,33 @@ class TestBulkHash:
     def test_empty_inputs(self):
         assert bulk_hash(range(0)).size == 0
         assert bulk_hash(np.empty(0, dtype=np.uint64)).size == 0
+        assert bulk_hash([]).size == 0 and bulk_hash(()).size == 0
+
+    @pytest.mark.parametrize("keys", [
+        # vectorised: plain ints in [0, 2**63), at every digit boundary
+        [0], [9, 10], [99, 100, 0], (2 ** 63 - 1, 7),
+        [10 ** d - 1 for d in range(1, 19)] + [10 ** d for d in range(19)],
+        # scalar fallback: every type a list may also carry
+        [5, -1], [-(2 ** 63)], [2 ** 63], [2 ** 64 - 1, 3], [2 ** 70],
+        [True, 1], [False], ["7", 7], ["a", "b"], [b"x", 1],
+        [np.int64(4), 4]])
+    def test_lists_and_tuples_match_scalar(self, keys):
+        got = bulk_hash(keys)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [hash64(k) for k in keys]
+
+    def test_a_float_among_ints_is_still_rejected(self):
+        """Not cast to the int it equals: ``hash64(2.0)`` raises."""
+        with pytest.raises(TypeError):
+            bulk_hash([3, 2.0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(0, 2 ** 63 - 1),
+                              st.sampled_from([0, 9, 10, 99, 100,
+                                               2 ** 63 - 1])),
+                    max_size=50))
+    def test_int_lists_match_scalar(self, keys):
+        assert bulk_hash(keys).tolist() == [hash64(k) for k in keys]
 
 
 def _bulk_fnv1a_uint64_oracle(vals: np.ndarray) -> np.ndarray:
@@ -242,7 +294,7 @@ class TestSplitmix64Array:
         seed = np.uint64(hash64("srv"))
         idx = np.arange(5, dtype=np.uint64)
         assert np.array_equal(splitmix64_array(seed + idx),
-                              vnode_positions("srv", 5))
+                              vnode_positions(["srv"], [5]))
 
     def test_does_not_mutate_input(self):
         arr = np.arange(4, dtype=np.uint64)

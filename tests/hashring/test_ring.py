@@ -114,12 +114,20 @@ def colliding_rings(draw):
     per_server = draw(st.lists(
         st.lists(st.sampled_from(pool), min_size=1, max_size=6),
         min_size=1, max_size=5))
-    with mock.patch.object(
-            ring_mod, "vnode_positions",
-            lambda sid, count: np.array(per_server[sid], dtype=np.uint64)):
-        ring = HashRing({sid: len(positions)
-                         for sid, positions in enumerate(per_server)})
-    assert ring.num_vnodes == sum(map(len, per_server))
+    return forced_ring(dict(enumerate(per_server)))
+
+
+def forced_ring(per_server):
+    """``HashRing`` over ``{server: its vnode positions}``, the positions
+    forced through the ring's one whole-ring ``vnode_positions`` call —
+    and proven to have reached the ring, so a seam the constructor
+    stopped calling fails here instead of testing nothing."""
+    forced = np.array([p for positions in per_server.values()
+                       for p in positions], dtype=np.uint64)
+    with mock.patch.object(ring_mod, "vnode_positions",
+                           lambda ids, counts: forced):
+        ring = HashRing({sid: len(p) for sid, p in per_server.items()})
+    assert sorted(ring._positions.tolist()) == sorted(forced.tolist())
     return ring
 
 

@@ -101,8 +101,8 @@ def _members_alone(weights, members):
     return {sid: w for sid, w in weights.items() if sid in members}
 
 
-def _assert_skip_is_leave(weights, members, oid, r):
-    full, alone = HashRing(weights), HashRing(_members_alone(weights, members))
+def _assert_skip_is_leave(weights, members, oid, r, build=HashRing):
+    full, alone = build(weights), build(_members_alone(weights, members))
     if r > len(members):
         with pytest.raises(LookupError):
             place_original(full, oid, r, is_active=members.__contains__)
@@ -145,13 +145,22 @@ class TestSkipIsLeave:
             min_size=1, max_size=8))
         members = data.draw(st.frozensets(
             st.sampled_from(sorted(per_server)), min_size=1))
-        with mock.patch.object(
-                ring_mod, "vnode_positions",
-                lambda sid, count: np.array(per_server[sid],
-                                            dtype=np.uint64)):
-            _assert_skip_is_leave(
-                {sid: len(p) for sid, p in per_server.items()}, members,
-                oid, r)
+
+        def forced_ring(weights):
+            """The ring over *weights*, its positions forced through
+            the one whole-ring ``vnode_positions`` call — and proven to
+            have reached it, so a seam the ring stopped calling fails
+            instead of testing nothing."""
+            forced = np.array([p for sid in weights for p in per_server[sid]],
+                              dtype=np.uint64)
+            with mock.patch.object(ring_mod, "vnode_positions",
+                                   lambda ids, counts: forced):
+                ring = HashRing(weights)
+            assert sorted(ring._positions.tolist()) == sorted(forced.tolist())
+            return ring
+
+        _assert_skip_is_leave({sid: len(p) for sid, p in per_server.items()},
+                              members, oid, r, build=forced_ring)
 
 
 class TestVersionedPlacementProperties:

@@ -7,7 +7,6 @@ sequence of adds, removes, and re-weightings of those weights.
 
 from itertools import islice
 
-import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -17,7 +16,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.hashring.hashing import hash64, vnode_positions
+from repro.hashring.hashing import _MASK64, _splitmix64, hash64
 from repro.hashring.ring import HashRing
 
 PROBE_KEYS = [f"probe-{i}" for i in range(25)]
@@ -27,8 +26,9 @@ def model_successors(weights, key, r):
     """Brute-force placement: hash all vnodes, sort, walk."""
     entries = []
     for idx, (sid, w) in enumerate(weights.items()):
-        for j, pos in enumerate(vnode_positions(sid, w)):
-            entries.append((int(pos), idx, j, sid))
+        for j in range(w):
+            pos = _splitmix64((hash64(sid) + j) & _MASK64)
+            entries.append((pos, idx, j, sid))
     entries.sort()
     kpos = hash64(key)
     start = 0

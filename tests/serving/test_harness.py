@@ -104,6 +104,32 @@ class TestFlowControlOutcomes:
             assert 0.0 < stats["p50"] <= stats["p99"] <= stats["p999"]
 
 
+class TestMintedOids:
+    @pytest.mark.parametrize("block", [4096, 64])
+    def test_every_fresh_oid_is_prehashed(self, block, monkeypatch):
+        """Minted oids are hashed a block at a time as the counter
+        enters each block (a small block crosses dozens), so no
+        placement takes the scalar successor — and nothing else
+        moves."""
+        import repro.serving.harness as harness_mod
+        from repro.hashring.ring import HashRing
+
+        cfg = dict(SMALL, write_ratio=0.9)
+        OBS.reset()
+        before = run_serve(**cfg)
+        calls = []
+        real = HashRing.successor_slot
+        monkeypatch.setattr(HashRing, "successor_slot",
+                            lambda ring, pos: calls.append(pos)
+                            or real(ring, pos))
+        monkeypatch.setattr(harness_mod, "PREHASH_BLOCK", block)
+        OBS.reset()
+        after = run_serve(**cfg)
+        OBS.reset()
+        assert sum(after.completed.values()) > 10 * 64
+        assert calls == [] and after == before
+
+
 class TestReportAndVerdicts:
     def test_report_sections(self):
         OBS.reset()

@@ -59,5 +59,15 @@ class TestPhaseValidation:
         with pytest.raises(ValueError):
             Phase("p", total_bytes=1, write_ratio=0.5, rate_cap=0)
 
+    @pytest.mark.parametrize("field,kwargs", [
+        ("total_bytes", dict(total_bytes=float("nan"))),
+        ("total_bytes", dict(total_bytes=float("inf"))),
+        ("rate_cap", dict(total_bytes=1.0, rate_cap=float("nan"))),
+        ("rate_cap", dict(total_bytes=1.0, rate_cap=float("inf")))])
+    def test_rejects_values_that_never_drain(self, field, kwargs):
+        """``nan <= 0`` is False: these used to pass and never drain."""
+        with pytest.raises(ValueError, match=field):
+            Phase("p", write_ratio=0.5, **kwargs)
+
     def test_uncapped_duration_is_none(self):
         assert Phase("p", 100, 1.0).min_duration() is None
