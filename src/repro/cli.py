@@ -57,7 +57,6 @@ and the reports remain embeddable (tests, notebooks, benchmarks).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import List, Optional
@@ -94,10 +93,9 @@ from repro.obs.dashboard import write_dashboard
 from repro.obs.invariants import CheckerSink
 from repro.obs.profile import (
     ProfileError,
-    Profiler,
     collapsed_stacks,
     load_profile,
-    profile_document,
+    profiling,
     render_profile,
 )
 from repro.obs.report import (
@@ -733,26 +731,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if check:
         checker_sink = CheckerSink()
         OBS.bus.attach(checker_sink)
-    profiler = None
-    if profile_out is not None:
-        profiler = Profiler()
-        OBS.profiler = profiler
-        profiler.push(f"cmd:{args.command}")
     code = 0
     try:
-        result = command(args)
+        with profiling(profile_out, f"cmd:{args.command}", args.command):
+            result = command(args)
         if isinstance(result, tuple):
             report, code = result
         else:
             report = result
-        if profiler is not None:
-            OBS.profiler = None
-            profiler.stop()
-            doc = profile_document(profiler,
-                                   command=args.command)
-            with open(profile_out, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(doc, indent=2, sort_keys=True)
-                         + "\n")
+        if profile_out is not None:
             report += f"\n\nprofile written to {profile_out}"
         if stats:
             report += "\n\n" + OBS.metrics.render(
@@ -783,7 +770,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # one line and exit 1, never a traceback.
         raise SystemExit(f"repro {args.command}: {exc}")
     finally:
-        OBS.profiler = None
         if checker_sink is not None:
             OBS.bus.detach(checker_sink)
         if sink is not None:

@@ -41,7 +41,6 @@ from repro.core.reintegration import (
 from repro.cluster.objects import DEFAULT_OBJECT_SIZE, ObjectCatalog
 from repro.cluster.server import StorageServer
 from repro.hashring.ring import HashRing
-from repro.obs.profile import profiled
 from repro.obs.runtime import OBS
 
 __all__ = ["ElasticCluster", "OriginalCHCluster", "CrashRecoveryWork"]
@@ -309,7 +308,6 @@ class ElasticCluster(_ClusterBase):
         """See :meth:`~repro.core.elastic.ElasticConsistentHash.prehash`."""
         self.ech.prehash(oids)
 
-    @profiled("cluster.resize")
     def resize(self, k: int) -> None:
         """Resize to *k* active servers along the expansion chain —
         **instant**, the point of the primary-server design: shrinking
@@ -621,7 +619,6 @@ class ElasticCluster(_ClusterBase):
                          entry_version=task.entry_version,
                          target_version=task.target_version)
 
-    @profiled("reintegration.selective")
     def run_selective_reintegration(
         self, budget_bytes: Optional[int] = None,
     ) -> ReintegrationReport:
@@ -659,14 +656,12 @@ class ElasticCluster(_ClusterBase):
         """Bytes the selective engine would move right now."""
         return self._engine.total_pending_bytes()
 
-    @profiled("reintegration.plan")
     def plan_selective_reintegration(self) -> ReintegrationPlan:
         """Snapshot one Algorithm-2 pass without mutating anything —
         the transfer layer routes an interruptible flow from it (see
         :class:`~repro.core.reintegration.ReintegrationPlan`)."""
         return self._engine.plan_pass()
 
-    @profiled("reintegration.commit")
     def commit_selective_reintegration(self, plan: ReintegrationPlan
                                        ) -> ReintegrationReport:
         """Commit a previously planned pass once its transfer has
@@ -701,7 +696,6 @@ class ElasticCluster(_ClusterBase):
             for obj, target in zip(objs, targets)
             if any(r in unverified for r in target)])
 
-    @profiled("reintegration.full")
     def run_full_reintegration(self) -> int:
         """Apply :meth:`plan_full_reintegration`: restore the layout
         for the just-re-powered servers without consulting the dirty

@@ -269,17 +269,6 @@ class ElasticConsistentHash:
         """Replica locations of *oid* under *version* (default:
         current).  Pure: repeated calls with the same arguments return
         the same servers — Algorithm 2's ``locate_ser``."""
-        prof = OBS.profiler
-        if prof is not None:
-            prof.push("kernel.locate")
-        try:
-            return self._locate(oid, version)
-        finally:
-            if prof is not None:
-                prof.pop()
-
-    def _locate(self, oid: int,
-                version: Optional[int] = None) -> PlacementResult:
         table = (self.history.current if version is None
                  else self.history.get(version))
         tbl = self._kernel.table(table.version, table.is_active)
@@ -331,17 +320,10 @@ class ElasticConsistentHash:
         cache hashes, e.g. repeated sweeps over a fixed catalog)."""
         table = (self.history.current if version is None
                  else self.history.get(version))
-        prof = OBS.profiler
-        if prof is not None:
-            prof.push("kernel.locate_bulk")
-        try:
-            slots = self.ring.bulk_successor_slots(
-                np.asarray(positions, dtype=np.uint64))
-            tbl = self._kernel.table(table.version, table.is_active)
-            return tbl.gather(slots)
-        finally:
-            if prof is not None:
-                prof.pop()
+        slots = self.ring.bulk_successor_slots(
+            np.asarray(positions, dtype=np.uint64))
+        tbl = self._kernel.table(table.version, table.is_active)
+        return tbl.gather(slots)
 
     def record_write(self, oid: int) -> PlacementResult:
         """Place *oid* for a write in the current version and perform

@@ -12,7 +12,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.obs.runtime import OBS
 from repro.policy.analysis import (
     TraceAnalysis,
     analyze_trace,
@@ -94,12 +93,7 @@ def run_trace_analysis(
     else:
         raise ValueError(f"unknown trace {which!r}; use 'CC-a' or 'CC-b'")
     kwargs = {"seed": seed} if seed is not None else {}
-    prof = OBS.profiler
-    if prof is not None:
-        with prof.frame("workload.generate"):
-            trace = generate(**kwargs)
-    else:
-        trace = generate(**kwargs)
+    trace = generate(**kwargs)
 
     config = config_for_trace(trace, FIGURE_N_MAX[which],
                               **config_overrides)

@@ -38,7 +38,6 @@ from typing import (
     Tuple,
 )
 
-from repro.obs.profile import profiled
 from repro.obs.runtime import OBS
 from repro.simulation.flows import FluidFlow, FlowSet
 
@@ -180,7 +179,6 @@ class TransferManager:
         OBS.metrics.inc("transfers.submitted")
         return job
 
-    @profiled("transfers.poll")
     def poll(self, now: float) -> int:
         """Launch every pending job whose backoff has expired; returns
         how many went live.  A launch that backs off again (dead link)

@@ -227,11 +227,10 @@ def _span_distributions(trace_path: str) -> Dict[str, float]:
 
 def _profile_hotspots(path: str) -> Dict[str, float]:
     """Component → self-seconds from one profile document."""
-    from repro.obs.profile import flatten, load_profile
+    from repro.obs.profile import load_profile
 
-    flat = flatten(load_profile(path))
-    return {name: float(agg.get("self_s", 0.0))
-            for name, agg in flat.items()}
+    return {name: float(agg["self_s"])
+            for name, agg in load_profile(path)["flat"].items()}
 
 
 def _analytics_summary(path: str) -> Dict[str, float]:

@@ -1,10 +1,10 @@
 """The instrumentation profiler: who steals time from whom.
 
 This is the one module in ``src/`` that reads the wall clock to
-measure anything.  It answers the question Figures 3/7 are about —
-*where a whole run's time goes* — and, through each frame's ``calls`` /
-``wall_s`` / ``self_s``, "how long does one lookup take" as well:
-engine event dispatch by callback,
+measure anything, and the one that says what is measured.  It answers
+the question Figures 3/7 are about — *where a whole run's time goes* —
+and, through each frame's ``calls`` / ``wall_s`` / ``self_s``, "how
+long does one lookup take" as well: engine event dispatch by callback,
 kernel lookups, ``max_min_fair`` solves, migration and re-integration
 phases, policy replays.  A :class:`Profiler` maintains a call-stack of
 named frames and accounts two clocks to each node of the resulting
@@ -15,7 +15,11 @@ tree:
   quantities;
 * **simulation seconds** — how far the simulated clock advanced while
   the frame was innermost, attributed via :meth:`Profiler.advance_sim`
-  by the engine/IO tick drivers.
+  at each IO tick, event dispatch and ``run_until``.
+
+:data:`FRAMES` says what is framed; :func:`attach` wraps those entry
+points only while a profiler is attached, so profiling off costs
+nothing and the product code has no profiling branch.
 
 Determinism contract
 --------------------
@@ -25,38 +29,39 @@ lands in its own JSON document (the same quarantine rule as the sweep
 runner's ``run_info.json``).  A same-seed run with ``--profile-out``
 therefore produces a byte-identical trace to one without.
 
-The hot-path guard is one attribute load and a ``None`` check
-(``prof = OBS.profiler``; ``if prof is not None``), so disabled
-profiling stays near-free.
-
 Exports
 -------
+* :func:`profiling` — profile a block and write its document;
 * :func:`profile_document` — the JSON profile (tree + flat hotspot
   aggregation + totals);
 * :func:`collapsed_stacks` — semicolon-joined frame paths with integer
   self-microsecond counts, the format ``flamegraph.pl`` /
   speedscope / inferno consume;
-* :func:`load_profile` / :func:`flatten` — read a profile back;
+* :func:`load_profile` — read a profile back, validated;
 * :func:`render_profile` — the ``repro profile`` hotspot report.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
-from functools import wraps
+import math
+from contextlib import contextmanager
+from functools import partial, update_wrapper
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = [
     "ProfileNode",
     "Profiler",
     "ProfileError",
     "ROOT_NAME",
-    "profiled",
+    "FRAMES",
+    "attach",
+    "profiling",
     "profile_document",
     "collapsed_stacks",
     "load_profile",
-    "flatten",
     "render_profile",
 ]
 
@@ -161,10 +166,6 @@ class Profiler:
             0.0, dt - child_wall)                 # type: ignore[operator]
         self._stack[-1][2] += dt                  # type: ignore[operator]
 
-    def frame(self, name: str) -> "_Frame":
-        """``with prof.frame("x"): ...`` — push now, pop on exit."""
-        return _Frame(self, name)
-
     @property
     def depth(self) -> int:
         """Open frames beyond the root (0 when idle)."""
@@ -234,42 +235,159 @@ class Profiler:
         return total(self.root)
 
 
-class _Frame:
-    """Context manager pushing/popping one profiler frame."""
+# ----------------------------------------------------------------------
+# what is framed
+# ----------------------------------------------------------------------
+_ECH = "repro.core.elastic:ElasticConsistentHash."
+_CLUSTER = "repro.cluster.cluster:ElasticCluster."
 
-    __slots__ = ("_prof", "_name")
+#: Frame name -> the entry points framed under it, ``"module:function"``
+#: or ``"module:Class.method"``, each replaced in that namespace only
+#: (``ideal_servers`` is ``policy:ideal`` in the trace analysis, not in
+#: a policy replay).  A ``<...>`` part is filled per call.
+FRAMES: Dict[str, Tuple[str, ...]] = {
+    "kernel.locate": (_ECH + "locate",),
+    "kernel.locate_bulk": (_ECH + "locate_bulk_positions",),
+    "cluster.resize": (_CLUSTER + "resize",),
+    "reintegration.selective": (_CLUSTER + "run_selective_reintegration",),
+    "reintegration.plan": (_CLUSTER + "plan_selective_reintegration",),
+    "reintegration.commit": (_CLUSTER + "commit_selective_reintegration",),
+    "reintegration.full": (_CLUSTER + "run_full_reintegration",),
+    "transfers.poll": ("repro.faults.transfers:TransferManager.poll",),
+    "io.step": ("repro.simulation.iomodel:IOModel.step",),
+    "bandwidth.max_min_fair": ("repro.simulation.flows:max_min_fair",),
+    "workload.generate": ("repro.experiments.traces:generate_cc_a",
+                          "repro.experiments.traces:generate_cc_b"),
+    "policy:ideal": ("repro.policy.analysis:ideal_servers",),
+    "policy:<name>": ("repro.policy.analysis:simulate_policy",),
+    "engine:<label>": ("repro.simulation.engine:Simulator.schedule_at",),
+}
 
-    def __init__(self, prof: Profiler, name: str) -> None:
-        self._prof = prof
-        self._name = name
 
-    def __enter__(self) -> "_Frame":
-        self._prof.push(self._name)
-        return self
+def _framed(prof: Profiler, name: str, fn: Callable) -> Callable:
+    def framed(*args, **kwargs):
+        prof.push(name)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            prof.pop()
+    return framed
 
-    def __exit__(self, *exc) -> None:
-        self._prof.pop()
+
+def _tick_framed(prof: Profiler, name: str, fn: Callable) -> Callable:
+    framed = _framed(prof, name, fn)
+
+    def step(model, now, *args, **kwargs):
+        prof.advance_sim(now)         # time up to the tick: the caller's
+        return framed(model, now, *args, **kwargs)
+    return step
 
 
-def profiled(name: str) -> Callable:
-    """Decorator framing every call of a function as *name* under the
-    active profiler.  For cool paths (resize, re-integration passes,
-    policy replays): it costs one wrapper call even when profiling is
-    off, so per-object hot paths inline the guard instead."""
-    def deco(fn: Callable) -> Callable:
-        @wraps(fn)
-        def wrapper(*args, **kwargs):
-            from repro.obs.runtime import OBS
-            prof = OBS.profiler
-            if prof is None:
-                return fn(*args, **kwargs)
-            prof.push(name)
+def _policy_framed(prof: Profiler, name: str, fn: Callable) -> Callable:
+    prefix = name.partition("<")[0]
+
+    def simulate(policy, *args, **kwargs):
+        return _framed(prof, prefix + policy, fn)(policy, *args, **kwargs)
+    return simulate
+
+
+def _handler_framed(prof: Profiler, name: str, fn: Callable) -> Callable:
+    """``schedule_at`` that schedules a plain closure per event, named
+    like its callback so the ``engine.event`` field is unchanged; fired
+    after *prof* is detached, it only calls the callback."""
+    from repro.simulation.engine import event_label
+    prefix = name.partition("<")[0]
+
+    def schedule_at(sim, t, callback, *args):
+        label = event_label(callback)
+        frame = prefix + label
+
+        def handler(*cargs):
+            if _attached is not prof:
+                return callback(*cargs)
+            prof.advance_sim(t)
+            prof.push(frame)
             try:
-                return fn(*args, **kwargs)
+                return callback(*cargs)
             finally:
                 prof.pop()
-        return wrapper
-    return deco
+        handler.__qualname__ = label
+        return fn(sim, t, handler, *args)
+    return schedule_at
+
+
+def _sim_clock(prof: Profiler, fn: Callable) -> Callable:
+    def run_until(sim, t):
+        fn(sim, t)
+        prof.advance_sim(t)
+    return run_until
+
+
+_FRAMERS = {"io.step": _tick_framed, "policy:<name>": _policy_framed,
+            "engine:<label>": _handler_framed}
+#: The attached profiler; ``(owner, attribute, original)`` per wrapped
+#: entry point.  Process-wide, like the attributes they patch.
+_attached: Optional[Profiler] = None
+_patched: List[Tuple[object, str, object]] = []
+
+
+def _wrap(path: str, make: Callable[[Callable], Callable]) -> None:
+    """Replace entry point *path* by ``make(original)``.  A path that
+    names nothing raises: a frame never goes silently missing."""
+    module, _, dotted = path.partition(":")
+    owner_name, _, attr = dotted.rpartition(".")
+    owner = importlib.import_module(module)
+    owner = getattr(owner, owner_name) if owner_name else owner
+    if attr not in vars(owner):
+        raise AttributeError(f"profile frame target {path!r} not found")
+    original = vars(owner)[attr]
+    _patched.append((owner, attr, original))
+    setattr(owner, attr, update_wrapper(make(original), original))
+
+
+def attach(prof: Optional[Profiler]) -> None:
+    """Put back what an earlier call wrapped, then wrap every
+    :data:`FRAMES` entry point (and ``run_until``'s sim clock) for
+    *prof*.  ``attach(None)`` only restores; assigning ``OBS.profiler``
+    calls this.  A bad path raises with every original in place."""
+    global _attached
+    while _patched:
+        owner, attr, original = _patched.pop()
+        setattr(owner, attr, original)
+    _attached = prof
+    if prof is None:
+        return
+    try:
+        for name, paths in FRAMES.items():
+            for path in paths:
+                _wrap(path, partial(_FRAMERS.get(name, _framed), prof, name))
+        _wrap("repro.simulation.engine:Simulator.run_until",
+              partial(_sim_clock, prof))
+    except BaseException:
+        attach(None)
+        raise
+
+
+@contextmanager
+def profiling(path: Optional[str], root: str, command: str,
+              meta: Optional[Dict[str, object]] = None) -> Iterator[None]:
+    """Profile the block under frame *root*; if it completes, write its
+    :func:`profile_document` to *path*.  Detaches however the block
+    ends; ``path=None`` profiles nothing."""
+    if path is None:
+        yield
+        return
+    from repro.obs.runtime import OBS   # runtime imports this module
+    prof = Profiler()
+    OBS.profiler = prof
+    prof.push(root)
+    try:
+        yield
+    finally:
+        OBS.profiler = None
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(profile_document(prof, command, meta),
+                            indent=2, sort_keys=True) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -317,10 +435,16 @@ def collapsed_stacks(root: Dict[str, object]) -> List[str]:
     return lines
 
 
+def _finite(value: object) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def load_profile(path: str) -> Dict[str, object]:
-    """Read a ``--profile-out`` document back, validating its shape.
-    Raises :class:`ProfileError` on anything that is not a v1 profile.
-    """
+    """Read a ``--profile-out`` document back, validating its shape:
+    finite numeric totals, and finite numeric ``calls`` / ``wall_s`` /
+    ``self_s`` / ``sim_s`` in every ``flat`` entry.  Raises
+    :class:`ProfileError` on anything that is not a v1 profile."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -336,15 +460,16 @@ def load_profile(path: str) -> Dict[str, object]:
             or not isinstance(doc.get("flat"), dict):
         raise ProfileError(f"{path}: profile document missing "
                            f"'root'/'flat' sections")
+    for key in ("total_wall_s", "total_sim_s", "unattributed_s"):
+        if not _finite(doc.get(key)):
+            raise ProfileError(f"{path}: {key!r} is not a finite number")
+    fields = ("calls", "wall_s", "self_s", "sim_s")
+    for name, entry in doc["flat"].items():
+        if not (isinstance(entry, dict)
+                and all(_finite(entry.get(k)) for k in fields)):
+            raise ProfileError(f"{path}: flat entry {name!r} needs "
+                               f"finite numeric {', '.join(fields)}")
     return doc
-
-
-def flatten(doc: Dict[str, object]) -> Dict[str, Dict[str, float]]:
-    """The hotspot aggregation of a loaded profile document."""
-    flat = doc.get("flat")
-    if not isinstance(flat, dict):
-        raise ProfileError("profile document has no 'flat' section")
-    return flat  # type: ignore[return-value]
 
 
 # ----------------------------------------------------------------------
@@ -361,12 +486,11 @@ def render_profile(doc: Dict[str, object], top: int = 15) -> str:
 
     if top < 1:
         raise ValueError("--top must be >= 1")
-    total = float(doc.get("total_wall_s") or 0.0)
-    total_sim = float(doc.get("total_sim_s") or 0.0)
-    unattributed = float(doc.get("unattributed_s") or 0.0)
-    attributed = max(0.0, total - unattributed)
+    total = float(doc["total_wall_s"])
+    total_sim = float(doc["total_sim_s"])
+    attributed = max(0.0, total - float(doc["unattributed_s"]))
     coverage = (attributed / total * 100.0) if total > 0 else 0.0
-    flat = flatten(doc)
+    flat: Dict[str, Dict[str, float]] = doc["flat"]  # type: ignore[assignment]
 
     lines: List[str] = [
         f"profile — repro {doc.get('command') or '?'}",

@@ -14,9 +14,9 @@ members:
 * ``OBS.profiler`` — the optional
   :class:`~repro.obs.profile.Profiler` attributing hierarchical
   wall-clock + sim-time to named components (``--profile-out``).
-  ``None`` by default; call sites guard with
-  ``prof = OBS.profiler`` / ``if prof is not None`` so disabled
-  profiling costs one attribute load and a ``None`` check.
+  ``None`` by default.  Assigning a profiler wraps the entry points
+  :data:`~repro.obs.profile.FRAMES` names; assigning ``None`` puts the
+  originals back, so no product code asks whether it is profiled.
 
 Keeping the runtime global (rather than threading it through every
 constructor) mirrors how logging works: producers are unconditional,
@@ -27,6 +27,7 @@ consumers opt in.  Tests and drivers that need isolation call
 from __future__ import annotations
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import attach
 from repro.obs.spans import SpanTracker
 from repro.obs.trace import TraceBus
 
@@ -37,13 +38,24 @@ class Runtime:
     """Bundle of trace bus + span tracker + metrics registry + optional
     profiler."""
 
-    __slots__ = ("bus", "spans", "metrics", "profiler")
+    __slots__ = ("bus", "spans", "metrics", "_profiler")
 
     def __init__(self) -> None:
         self.bus = TraceBus()
         self.spans = SpanTracker(self.bus)
         self.metrics = MetricsRegistry()
-        self.profiler = None
+        self._profiler = None
+
+    @property
+    def profiler(self):
+        """The attached profiler or ``None``; assigning calls
+        :func:`~repro.obs.profile.attach`."""
+        return self._profiler
+
+    @profiler.setter
+    def profiler(self, prof) -> None:
+        attach(prof)
+        self._profiler = prof
 
     def reset(self) -> None:
         """Return to the pristine state: no sinks, empty registry, no

@@ -13,7 +13,6 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.cluster.power import PowerModel
-from repro.obs.runtime import OBS
 from repro.policy.ideal import ideal_servers
 from repro.policy.resizer import (
     PolicyConfig,
@@ -137,20 +136,9 @@ def analyze_trace(trace: LoadTrace,
             "dataset_bytes", default_dataset_bytes(trace))
         config = PolicyConfig(n_max=n_max, **config_overrides)
 
-    prof = OBS.profiler
-    if prof is None:
-        ideal = ideal_servers(trace.load, config.per_server_bw,
-                              config.n_max)
-        results = {name: simulate_policy(name, trace, config)
-                   for name in POLICY_ORDER}
-    else:
-        with prof.frame("policy:ideal"):
-            ideal = ideal_servers(trace.load, config.per_server_bw,
-                                  config.n_max)
-        results = {}
-        for name in POLICY_ORDER:
-            with prof.frame("policy:" + name):
-                results[name] = simulate_policy(name, trace, config)
+    ideal = ideal_servers(trace.load, config.per_server_bw, config.n_max)
+    results = {name: simulate_policy(name, trace, config)
+               for name in POLICY_ORDER}
     return TraceAnalysis(
         trace_name=trace.name,
         config=config,

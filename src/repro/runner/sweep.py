@@ -46,6 +46,7 @@ from repro.faults.retry import RetryPolicy
 from repro.obs.analytics import (AnalyticsError, dump_analytics,
                                  load_analytics, merge_analytics)
 from repro.obs.invariants import SWEEP_BOUNDARY_KIND
+from repro.obs.profile import PROFILE_VERSION, ProfileError, load_profile
 from repro.obs.stats import check_window, event_in_window
 from repro.obs.trace import read_jsonl
 from repro.runner import worker as worker_mod
@@ -484,33 +485,29 @@ class SweepRunner:
         per_task: Dict[str, Dict[str, object]] = {}
         total_wall = total_sim = 0.0
         for result in ordered:
-            p = (out / result.spec.task_id
-                 / worker_mod.PROFILE_FILENAME)
             try:
-                doc = json.loads(p.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
+                doc = load_profile(str(out / result.spec.task_id
+                                       / worker_mod.PROFILE_FILENAME))
+            except ProfileError:
                 continue              # failed task: no profile to fold in
-            if not isinstance(doc, dict) \
-                    or doc.get("kind") != "repro.profile":
-                continue
-            wall = float(doc.get("total_wall_s") or 0.0)
-            sim = float(doc.get("total_sim_s") or 0.0)
+            wall = float(doc["total_wall_s"])
+            sim = float(doc["total_sim_s"])
             total_wall += wall
             total_sim += sim
             per_task[result.spec.task_id] = {
                 "total_wall_s": wall, "total_sim_s": sim}
-            root = dict(doc.get("root") or {})
+            root = dict(doc["root"])
             root["name"] = result.spec.task_id
             children.append(root)
-            for name, agg in sorted((doc.get("flat") or {}).items()):
+            for name, agg in sorted(doc["flat"].items()):
                 slot = flat.setdefault(name, {
                     "calls": 0, "wall_s": 0.0, "self_s": 0.0,
                     "sim_s": 0.0})
                 for key in slot:
-                    slot[key] += agg.get(key, 0)
+                    slot[key] += agg[key]
         rollup = {
             "kind": "repro.profile",
-            "version": 1,
+            "version": PROFILE_VERSION,
             "command": "sweep",
             "total_wall_s": total_wall,
             "total_sim_s": total_sim,

@@ -35,9 +35,10 @@ from typing import Callable, Dict, Tuple
 
 from repro.experiments import run_three_phase, run_trace_analysis
 from repro.faults import FaultPlan, run_chaos
-from repro.obs import JSONLSink, OBS, Profiler, profile_document
+from repro.obs import JSONLSink, OBS
 from repro.obs.analytics import analytics_from_trace, dump_analytics
 from repro.obs.invariants import CheckerSink
+from repro.obs.profile import profiling
 from repro.obs.report import EmptyTraceError
 from repro.runner.spec import TaskSpec
 
@@ -229,25 +230,15 @@ def run_task(spec_dict: Dict[str, object], out_dir: str,
     checker = CheckerSink()
     OBS.bus.attach(sink)
     OBS.bus.attach(checker)
-    profiler = None
-    if profile:
-        profiler = Profiler()
-        OBS.profiler = profiler
-        profiler.push(f"task:{spec.kind}")
     try:
-        summary, healthy = fn(spec, attempt)
+        with profiling(str(task_dir / PROFILE_FILENAME) if profile else None,
+                       f"task:{spec.kind}", f"sweep:{spec.kind}",
+                       meta={"task": spec.task_id, "attempt": attempt}):
+            summary, healthy = fn(spec, attempt)
     finally:
-        OBS.profiler = None
         OBS.bus.detach(checker)
         OBS.bus.detach(sink)
         sink.close()
-    if profiler is not None:
-        profiler.stop()
-        doc = profile_document(profiler, command=f"sweep:{spec.kind}",
-                               meta={"task": spec.task_id,
-                                     "attempt": attempt})
-        (task_dir / PROFILE_FILENAME).write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
     violations = [v.describe() for v in checker.finish()]
     metrics = OBS.metrics.snapshot()

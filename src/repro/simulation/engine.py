@@ -23,7 +23,15 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs.runtime import OBS
 
-__all__ = ["Event", "Simulator"]
+__all__ = ["Event", "Simulator", "event_label"]
+
+
+def event_label(fn: Callable[..., Any]) -> str:
+    """An event callback's name in the ``engine.event`` trace field and
+    the profiler's ``engine:<label>`` frame: its ``__qualname__``, or
+    its ``repr`` when it has none (e.g. a ``functools.partial``)."""
+    label = getattr(fn, "__qualname__", None)
+    return repr(fn) if label is None else label
 
 
 class Event:
@@ -168,23 +176,11 @@ class Simulator:
             self.now = ev.time
             self._events_counter.inc()
             bus = OBS.bus
-            prof = OBS.profiler
-            if bus.active or prof is not None:
-                label = getattr(ev.fn, "__qualname__", None)
-                if label is None:       # e.g. a functools.partial
-                    label = repr(ev.fn)
             if bus.active:
                 bus.clock = ev.time
-                bus.emit("engine.event", t=ev.time, seq=ev.seq, fn=label)
-            if prof is not None:
-                prof.advance_sim(ev.time)
-                prof.push("engine:" + label)
-                try:
-                    ev.fn(*ev.args)
-                finally:
-                    prof.pop()
-            else:
-                ev.fn(*ev.args)
+                bus.emit("engine.event", t=ev.time, seq=ev.seq,
+                         fn=event_label(ev.fn))
+            ev.fn(*ev.args)
             return True
         return False
 
@@ -208,6 +204,3 @@ class Simulator:
         if bus.active:
             bus.clock = t
             bus.emit("engine.clock", t=t, pending=self.pending)
-        prof = OBS.profiler
-        if prof is not None:
-            prof.advance_sim(t)

@@ -322,14 +322,7 @@ class FlowSet:
             return {}
         specs = [FlowSpec(coefficients=f.coefficients, demand=d)
                  for f, d in zip(live, demands)]
-        prof = OBS.profiler
-        if prof is not None:
-            prof.push("bandwidth.max_min_fair")
-        try:
-            rates = max_min_fair(specs, capacities, self._columns)
-        finally:
-            if prof is not None:
-                prof.pop()
+        rates = max_min_fair(specs, capacities, self._columns)
         bus = OBS.bus
         payload: Optional[Dict[str, object]] = None
         if bus.active:

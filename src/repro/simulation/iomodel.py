@@ -163,28 +163,20 @@ class IOModel:
             self._short_ticks[len(self.samples)] = dt
         bus = OBS.bus
         bus.clock = now
-        prof = OBS.profiler
-        if prof is not None:
-            prof.advance_sim(now)
-            prof.push("io.step")
-        try:
-            achieved: Optional[Dict[str, float]] = None
-            unchanged, caps = self._caps_unchanged()
-            if unchanged:
-                if len(self.flows) == 0:
-                    achieved = {}
-                else:
-                    achieved = self.flows.advance_cached(dt)
-            if achieved is None:
-                if caps is None:
-                    caps = dict(self.capacity_fn())
-                self._caps = caps
-                if self.capacity_token is not None:
-                    self._caps_token = self.capacity_token()
-                achieved = self.flows.advance(dt, caps)
-        finally:
-            if prof is not None:
-                prof.pop()
+        achieved: Optional[Dict[str, float]] = None
+        unchanged, caps = self._caps_unchanged()
+        if unchanged:
+            if len(self.flows) == 0:
+                achieved = {}
+            else:
+                achieved = self.flows.advance_cached(dt)
+        if achieved is None:
+            if caps is None:
+                caps = dict(self.capacity_fn())
+            self._caps = caps
+            if self.capacity_token is not None:
+                self._caps_token = self.capacity_token()
+            achieved = self.flows.advance(dt, caps)
         self.samples.append((now, achieved))
         OBS.metrics.inc("engine.ticks")
         OBS.metrics.gauge("io.live_flows").set(len(self.flows))

@@ -319,7 +319,7 @@ class TestTraceIdentity:
                     # walk (the bulk API always uses the kernel).
                     ech = cl.ech
                     monkeypatch.setattr(
-                        ech, "_locate",
+                        ech, "locate",
                         lambda oid, version=None: ech._locate_reference(
                             oid, ech.history.current if version is None
                             else ech.history.get(version)))

@@ -1,8 +1,11 @@
 """The instrumentation profiler: frame accounting, sim attribution,
-export formats, determinism, and the null-profiler overhead guard."""
+export formats, determinism, and what is framed (``FRAMES`` /
+``attach``)."""
 
 import hashlib
+import importlib
 import json
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -10,15 +13,15 @@ import pytest
 from repro.cli import main
 from repro.obs import OBS
 from repro.obs.profile import (
+    FRAMES,
     ProfileError,
     Profiler,
     collapsed_stacks,
-    flatten,
     load_profile,
     profile_document,
-    profiled,
     render_profile,
 )
+from repro.simulation.engine import Simulator
 
 
 class FakeClock:
@@ -102,14 +105,19 @@ class TestFrameAccounting:
         assert prof.depth == 0
         assert prof.flat()["b"]["calls"] == 1
 
-    def test_frame_context_manager_pops_on_error(self):
+    def test_frame_context_manager_pops_on_error(self, ech10):
+        # A framed entry point that raises: its frame closes and the
+        # exception reaches the caller.
         prof = Profiler()
-        with pytest.raises(ValueError):
-            with prof.frame("risky"):
-                raise ValueError("boom")
-        assert prof.depth == 0
+        OBS.profiler = prof
+        try:
+            with pytest.raises(KeyError, match="unknown version"):
+                ech10.locate(42, version=99)
+            assert prof.depth == 0
+        finally:
+            OBS.profiler = None
         prof.stop()
-        assert prof.flat()["risky"]["calls"] == 1
+        assert prof.flat()["kernel.locate"]["calls"] == 1
 
 
 class TestSimAttribution:
@@ -175,7 +183,7 @@ class TestExport:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
         loaded = load_profile(str(path))
-        assert flatten(loaded)["cmd:x"]["wall_s"] == 4.0
+        assert loaded["flat"]["cmd:x"]["wall_s"] == 4.0
 
     def test_load_profile_rejects_non_profiles(self, tmp_path):
         path = tmp_path / "not.json"
@@ -189,27 +197,6 @@ class TestExport:
         text = render_profile(self._document(), top=5)
         assert "100.0% attributed" in text
         assert "kernel.locate" in text
-
-
-class TestProfiledDecorator:
-    def test_frames_only_when_profiler_active(self):
-        calls = []
-
-        @profiled("decorated.fn")
-        def fn(x):
-            calls.append(x)
-            return x * 2
-
-        assert fn(3) == 6          # no profiler: plain call
-        prof = Profiler()
-        OBS.profiler = prof
-        try:
-            assert fn(4) == 8
-        finally:
-            OBS.profiler = None
-        prof.stop()
-        assert prof.flat()["decorated.fn"]["calls"] == 1
-        assert calls == [3, 4]
 
 
 class TestDeterminism:
@@ -251,35 +238,136 @@ class TestDeterminism:
         assert any(k.startswith("policy:") for k in flat)
 
 
-class TestNullProfilerOverhead:
-    """Mirror of the null-sink guard: a disabled profiler must add only
-    an attribute load + None check to the hot paths."""
+def _entry_points():
+    """``(owner, attribute)`` of every FRAMES entry point, plus the
+    engine's ``schedule_at`` / ``run_until``."""
+    paths = [path for paths in FRAMES.values() for path in paths]
+    paths += ["repro.simulation.engine:Simulator.schedule_at",
+              "repro.simulation.engine:Simulator.run_until"]
+    out = []
+    for path in paths:
+        module, _, dotted = path.partition(":")
+        owner_name, _, attr = dotted.rpartition(".")
+        owner = importlib.import_module(module)
+        out.append((getattr(owner, owner_name) if owner_name else owner,
+                    attr))
+    return out
 
+
+#: Taken at collection, before any test attaches a profiler.
+ORIGINALS = {(owner, attr): vars(owner)[attr]
+             for owner, attr in _entry_points()}
+
+
+class TestAttach:
+    """Profiling off means the product's own functions, unwrapped; the
+    wrappers live only while a profiler is attached."""
+
+    def assert_originals(self):
+        for (owner, attr), original in ORIGINALS.items():
+            assert vars(owner)[attr] is original, f"{owner}.{attr}"
+
+    def test_nothing_wrapped_without_a_profiler(self):
+        assert OBS.profiler is None
+        self.assert_originals()
+        for original in ORIGINALS.values():
+            assert not hasattr(original, "__wrapped__")
+
+    def test_detach_and_reset_put_every_original_back(self):
+        OBS.profiler = Profiler()
+        try:
+            for (owner, attr), original in ORIGINALS.items():
+                assert vars(owner)[attr].__wrapped__ is original
+        finally:
+            OBS.profiler = None
+        self.assert_originals()
+        OBS.profiler = Profiler()
+        OBS.reset()
+        assert OBS.profiler is None
+        self.assert_originals()
+
+    def test_attaching_b_over_a_leaves_only_b(self, ech10):
+        a, b = Profiler(), Profiler()
+        OBS.profiler = a
+        try:
+            OBS.profiler = b
+            for (owner, attr), original in ORIGINALS.items():
+                assert vars(owner)[attr].__wrapped__ is original
+            ech10.locate(42)
+        finally:
+            OBS.profiler = None
+        self.assert_originals()
+        assert "kernel.locate" not in a.flat()
+        assert b.flat()["kernel.locate"]["calls"] == 1
+
+    def test_event_fired_after_detach_runs_once_unframed(self):
+        prof = Profiler()
+        fired = []
+        sim = Simulator()
+        OBS.profiler = prof
+        try:
+            sim.schedule(1.0, fired.append, "x")
+        finally:
+            OBS.profiler = None
+        sim.run()
+        assert fired == ["x"]
+        prof.stop()
+        assert prof.flat() == {}
+
+    @pytest.mark.parametrize("path", [
+        "repro.core.elastic:ElasticConsistentHash.no_such_method",
+        "repro.core.elastic:NoSuchClass.locate",
+        "repro.no_such_module:locate",
+    ])
+    def test_bad_frames_path_raises_at_attach(self, monkeypatch, path):
+        monkeypatch.setitem(FRAMES, "planted", (path,))
+        with pytest.raises((AttributeError, ImportError)):
+            OBS.profiler = Profiler()
+        assert OBS.profiler is None
+        self.assert_originals()
+
+
+class TestFramesGolden:
+    """The frame tree (names, calls, sim seconds; wall time excepted)
+    of two CI smokes, as profiled before ``FRAMES`` replaced the inline
+    guards and decorators."""
+
+    GOLDEN = Path(__file__).with_name("profile_frames.json")
+
+    @staticmethod
+    def frames(node):
+        out = {"name": node["name"], "calls": node["calls"],
+               "sim_s": node["sim_s"]}
+        if node.get("children"):
+            out["children"] = [TestFramesGolden.frames(c)
+                               for c in node["children"]]
+        return out
+
+    @pytest.mark.parametrize("command", [
+        "chaos --seed 7 --scale 0.1",
+        "three-phase --mode selective --scale 0.05",
+    ])
+    def test_frame_tree_matches_golden(self, command, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        OBS.reset()
+        assert main(command.split() + ["--profile-out", str(path)]) == 0
+        capsys.readouterr()
+        got = self.frames(json.loads(path.read_text())["root"])
+        assert got == json.loads(self.GOLDEN.read_text())[command]
+
+
+class TestNullProfilerOverhead:
     def _per_call(self, fn, n):
         t0 = perf_counter()
         for _ in range(n):
             fn()
         return (perf_counter() - t0) / n
 
-    def test_guard_cost_when_off(self, ech10):
-        assert OBS.profiler is None
-        # The exact guard idiom used at every call site.
-        def guarded():
-            prof = OBS.profiler
-            if prof is not None:      # pragma: no cover
-                prof.push("x")
-                prof.pop()
-        cost = self._per_call(guarded, 50_000)
-        # Loose absolute bound, same spirit as the no-sink emit guard
-        # (2 us, ~20x headroom over an attribute load on slow CI).
-        assert cost < 2e-6, f"null-profiler guard {cost * 1e9:.0f} ns"
-
     def test_locate_unaffected_when_off(self, ech10):
         assert OBS.profiler is None
         base = self._per_call(lambda: ech10.locate(42), 2_000)
-        # No assertion against `base` itself (machine-dependent); the
-        # point is the guard branch above plus this smoke check that
-        # locate still runs with no profiler attached.
+        # No assertion against `base` itself (machine-dependent): a
+        # smoke check that locate runs with no profiler attached.
         assert base > 0
         assert ech10.locate(42) == ech10.locate(42)
 

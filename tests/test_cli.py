@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -480,6 +482,46 @@ class TestProfileCommand:
         path.write_text('{"kind": "something.else"}')
         assert main(["profile", str(path)]) == 2
         assert "not a repro profile" in capsys.readouterr().err
+
+    @staticmethod
+    def _profile(path, **fields):
+        doc = {"kind": "repro.profile", "version": 1, "command": "x",
+               "total_wall_s": 1.0, "total_sim_s": 0.0,
+               "unattributed_s": 0.0,
+               "root": {"name": "run", "calls": 1, "wall_s": 1.0,
+                        "self_s": 0.0, "sim_s": 0.0},
+               "flat": {"x": {"calls": 1, "wall_s": 1.0, "self_s": 1.0,
+                              "sim_s": 0.0}}}
+        doc.update(fields)
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    MALFORMED = [
+        {"flat": {"x": {}}},
+        {"flat": {"x": 1}},
+        {"flat": {"x": {"calls": True, "wall_s": 1.0, "self_s": 1.0,
+                        "sim_s": 0.0}}},
+        {"flat": {"x": {"calls": 1, "wall_s": float("nan"),
+                        "self_s": 1.0, "sim_s": 0.0}}},
+        {"total_wall_s": "abc"},
+        {"total_sim_s": float("inf")},
+        {"unattributed_s": None},
+    ]
+
+    @pytest.mark.parametrize("fields", MALFORMED)
+    def test_malformed_profile_is_clean_error(self, tmp_path, capsys,
+                                              fields):
+        bad = self._profile(tmp_path / "bad.json", **fields)
+        assert main(["profile", bad]) == 2
+        assert capsys.readouterr().err.startswith("repro: ")
+
+    @pytest.mark.parametrize("fields", MALFORMED)
+    def test_compare_refuses_malformed_profile(self, tmp_path, capsys,
+                                               fields):
+        good = self._profile(tmp_path / "good.json")
+        bad = self._profile(tmp_path / "bad.json", **fields)
+        assert main(["compare", good, bad]) == 2
+        assert capsys.readouterr().err.startswith("repro: ")
 
 
 class TestTimelineCommand:
