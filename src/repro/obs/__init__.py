@@ -61,6 +61,7 @@ from repro.obs.profile import (
 from repro.obs.runtime import OBS, Runtime, get_runtime
 from repro.obs.spans import Span, SpanTracker
 from repro.obs.trace import (
+    FIELDS,
     JSONLSink,
     NullSink,
     RingBufferSink,
@@ -68,6 +69,7 @@ from repro.obs.trace import (
     TraceBus,
     TraceEvent,
     TraceParseError,
+    check_event,
     iter_jsonl,
     read_jsonl,
 )
@@ -79,6 +81,8 @@ __all__ = [
     "TraceBus",
     "TraceEvent",
     "TraceParseError",
+    "FIELDS",
+    "check_event",
     "Sink",
     "NullSink",
     "RingBufferSink",
@@ -103,7 +107,7 @@ __all__ = [
     "collapsed_stacks",
     "load_profile",
     "render_profile",
-    "summarize_trace",
+    "TraceSummary",
     "render_trace_stats",
     "check_trace",
     "render_check",
@@ -130,7 +134,7 @@ def __getattr__(name: str):
     # repro.metrics, which sit above this package in the import graph
     # (instrumented modules import repro.obs.runtime at import time) —
     # resolve those helpers lazily to keep the layering acyclic.
-    if name in ("summarize_trace", "render_trace_stats"):
+    if name in ("TraceSummary", "render_trace_stats"):
         from repro.obs import stats
         return getattr(stats, name)
     if name in ("check_trace", "render_check", "render_run_report",

@@ -32,10 +32,9 @@ import json
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.report import (EmptyTraceError, SpanRecord, _fmt_gb, _num,
-                              collect_spans)
-from repro.obs.stats import (check_window, event_in_window, is_number,
-                             percentile)
+from repro.obs.report import EmptyTraceError, _fmt_gb
+from repro.obs.stats import (SpanRecord, TraceSummary, check_window,
+                             is_number, percentile)
 from repro.obs.trace import TraceEvent, iter_jsonl
 
 __all__ = [
@@ -150,10 +149,10 @@ def _set_max(series: List[Optional[float]], i: int, v: float) -> None:
     series[i] = v if cur is None else max(cur, v)
 
 
-def _build_series(events: Sequence[TraceEvent], bins: _Bins
-                  ) -> Dict[str, object]:
+def _build_series(summary: TraceSummary, bins: _Bins) -> Dict[str, object]:
     """One pass over the windowed events, in stream order (the trace is
-    emitted in nondecreasing simulation time)."""
+    emitted in nondecreasing simulation time); per-server bytes in are
+    the summary's credits."""
     byte_series: Dict[str, List[float]] = {
         "client_throughput_bytes": [],
         "migration_bytes": [],
@@ -171,9 +170,9 @@ def _build_series(events: Sequence[TraceEvent], bins: _Bins
     live = 0
     live_at_bin: Dict[int, int] = {}
 
-    for ev in events:
+    for ev in summary.events:
         kind = ev.get("kind")
-        t = _num(ev.get("t"))
+        t = ev.get("t")
         if t is None:
             continue
         i = bins.index(t)
@@ -185,33 +184,25 @@ def _build_series(events: Sequence[TraceEvent], bins: _Bins
             live_at_bin[i] = live
             if kind == "flow.finish" and ev.get("name") == "client":
                 _add(byte_series["client_throughput_bytes"], i,
-                     _num(ev.get("nbytes")) or 0.0)
+                     ev.get("nbytes") or 0.0)
         elif kind == "migration.move":
-            nbytes = _num(ev.get("nbytes")) or 0.0
-            _add(byte_series["migration_bytes"], i, nbytes)
-            targets = ev.get("to") or ()
-            if isinstance(targets, (list, tuple)) and targets:
-                per = nbytes / len(targets)
-                for rank in targets:
-                    _add(server_in.setdefault(str(rank), []), i, per)
+            _add(byte_series["migration_bytes"], i, ev.get("nbytes") or 0.0)
         elif kind == "reintegration.step":
             _add(byte_series["reintegration_bytes"], i,
-                 _num(ev.get("nbytes")) or 0.0)
+                 ev.get("nbytes") or 0.0)
         elif kind == "recovery.rereplicate":
-            nbytes = _num(ev.get("nbytes")) or 0.0
-            _add(byte_series["recovery_bytes"], i, nbytes)
-            _add(server_in.setdefault(str(ev.get("rank")), []), i, nbytes)
-        elif kind == "migration.addition":
-            _add(server_in.setdefault(str(ev.get("rank")), []), i,
-                 _num(ev.get("nbytes")) or 0.0)
+            _add(byte_series["recovery_bytes"], i, ev.get("nbytes") or 0.0)
         elif kind == "read.degraded":
             _add(count_series["degraded_reads"], i, 1.0)
         elif kind == "read.unavailable":
             _add(count_series["unavailable_reads"], i, 1.0)
         elif kind == "bandwidth.solve":
-            util = _num(ev.get("max_util"))
+            util = ev.get("max_util")
             if util is not None:
                 _set_max(max_util, i, util)
+    for t, rank, nbytes in summary.inflows:
+        if t is not None:
+            _add(server_in.setdefault(str(rank), []), bins.index(t), nbytes)
 
     # live-flow series: carry the last-seen count forward through
     # bins with no flow transitions.
@@ -263,7 +254,7 @@ def _flow_latency(events: Sequence[TraceEvent]) -> Dict[str, Dict]:
     for ev in events:
         kind = ev.get("kind")
         if kind == "flow.start":
-            t = _num(ev.get("t"))
+            t = ev.get("t")
             if t is not None:
                 starts[ev.get("span_id")] = (str(ev.get("name", "?")), t)
         elif kind in ("flow.finish", "flow.interrupt", "flow.cancel"):
@@ -271,12 +262,12 @@ def _flow_latency(events: Sequence[TraceEvent]) -> Dict[str, Dict]:
             if rec is None:
                 continue   # end without a windowed start (truncated head)
             name, t0 = rec
-            t1 = _num(ev.get("t"))
+            t1 = ev.get("t")
             if t1 is None:
                 continue
             sojourn = max(0.0, t1 - t0)
             b = bucket(name)
-            nbytes = _num(ev.get("nbytes")) or 0.0
+            nbytes = ev.get("nbytes") or 0.0
             if kind == "flow.finish":
                 b["completed"].append(sojourn)
                 b["bytes_completed"][0] += nbytes
@@ -380,7 +371,7 @@ def _serving_latency(events: Sequence[TraceEvent]) -> Optional[Dict]:
 
     for ev in events:
         kind = ev.get("kind")
-        if not isinstance(kind, str) or not kind.startswith("serve."):
+        if kind is None or not kind.startswith("serve."):
             continue
         seen = True
         pop = str(ev.get("pop", "?"))
@@ -389,7 +380,7 @@ def _serving_latency(events: Sequence[TraceEvent]) -> Optional[Dict]:
         elif kind == "serve.reject":
             bucket(pop)["rejected"] += 1
         elif kind == "serve.complete":
-            lat = _num(ev.get("latency"))
+            lat = ev.get("latency")
             if lat is not None:
                 bucket(pop)["lat"].append(lat)
     if not seen:
@@ -464,9 +455,9 @@ def _critical_paths(spans: Sequence[SpanRecord]) -> List[Dict]:
 
 def _span_order(span_id: object) -> Tuple[int, float, str]:
     """Total order over span ids of any JSON type (numbers first)."""
-    if is_number(span_id):
-        return (0, float(span_id), "")   # type: ignore[arg-type]
-    return (1, 0.0, str(span_id))
+    if isinstance(span_id, int):
+        return (0, span_id, "")
+    return (1, 0, str(span_id))
 
 
 # ----------------------------------------------------------------------
@@ -491,20 +482,15 @@ def build_analytics(events: Sequence[TraceEvent],
         raise AnalyticsError(
             f"--bin must be a positive number of simulated seconds, "
             f"got {bin_seconds!r}")
-    total = len(events)
-    windowed = [e for e in events if event_in_window(e, since, until)]
-
-    times = [t for t in (_num(e.get("t")) for e in windowed)
-             if t is not None]
-    t_min = min(times) if times else None
-    t_max = max(times) if times else None
+    summary = TraceSummary(events, since, until)
+    t_min, t_max = summary.extent()
 
     origin = since if since is not None else 0.0
     bins = _Bins(origin, float(bin_seconds))
-    series = _build_series(windowed, bins)
-    latency = _flow_latency(windowed)
-    paths = _critical_paths(collect_spans(windowed))
-    serving = _serving_latency(windowed)
+    series = _build_series(summary, bins)
+    latency = _flow_latency(summary.events)
+    paths = _critical_paths(summary.spans)
+    serving = _serving_latency(summary.events)
 
     doc = {
         "kind": ANALYTICS_KIND,
@@ -517,8 +503,8 @@ def build_analytics(events: Sequence[TraceEvent],
             "origin": float(origin),
         },
         "events": {
-            "total": total,
-            "in_window": len(windowed),
+            "total": len(events),
+            "in_window": len(summary.events),
             "t_min": None if t_min is None else _round(t_min),
             "t_max": None if t_max is None else _round(t_max),
         },

@@ -34,8 +34,9 @@ import json
 import os
 from typing import Dict, List, Mapping, Optional
 
-from repro.obs.report import _md_table, collect_spans
-from repro.obs.stats import is_number, percentile
+from repro.obs.report import _md_table
+from repro.obs.stats import TraceSummary, is_number, percentile
+from repro.obs.trace import read_jsonl
 
 __all__ = [
     "CompareError",
@@ -207,17 +208,9 @@ def _load_json(path: str) -> object:
 
 def _span_distributions(trace_path: str) -> Dict[str, float]:
     """Per-span-name closed count + sim-duration stats from one trace."""
-    from repro.obs.trace import read_jsonl
-
-    spans = collect_spans(read_jsonl(trace_path))
+    durations = TraceSummary(read_jsonl(trace_path)).span_durations()
     out: Dict[str, float] = {}
-    durs: Dict[str, List[float]] = {}
-    for s in spans:
-        if s.open or s.duration is None:
-            continue
-        durs.setdefault(s.name, []).append(s.duration)
-    for name, ds in durs.items():
-        ds.sort()
+    for name, ds in durations.items():
         out[f"{name}.count"] = float(len(ds))
         out[f"{name}.total_s"] = sum(ds)
         out[f"{name}.max_s"] = ds[-1]

@@ -20,16 +20,13 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.obs.invariants import Checker, InvariantSuite, Violation
-from repro.obs.stats import (check_window, event_in_window, is_number,
-                             percentile)
+from repro.obs.stats import TraceSummary, check_window, percentile
 from repro.obs.trace import TraceEvent, iter_jsonl
 
 __all__ = [
     "EmptyTraceError",
     "check_trace",
     "render_check",
-    "SpanRecord",
-    "collect_spans",
     "render_run_report",
 ]
 
@@ -47,16 +44,6 @@ class EmptyTraceError(ValueError):
             f"{path}: empty trace (0 events) — nothing to analyse; "
             f"was the run executed with --trace-out?")
         self.path = path
-
-#: Point events worth a timeline row, with a one-line detail renderer.
-_MILESTONE_KINDS = (
-    "power.resize",
-    "version.advance",
-    "server.fail",
-    "migration.full",
-    "migration.addition",
-    "recovery.rereplicate",
-)
 
 
 # ----------------------------------------------------------------------
@@ -101,62 +88,8 @@ def render_check(path: str,
     return "\n".join(lines), 1
 
 
-# ----------------------------------------------------------------------
-# spans
-# ----------------------------------------------------------------------
-class SpanRecord:
-    """One reconstructed span: its begin event joined with its end."""
-
-    __slots__ = ("name", "span_id", "parent_id", "t_begin", "t_end",
-                 "duration")
-
-    def __init__(self, name: str, span_id: object,
-                 parent_id: object, t_begin: Optional[float]) -> None:
-        self.name = name
-        self.span_id = span_id
-        self.parent_id = parent_id
-        self.t_begin = t_begin
-        self.t_end: Optional[float] = None
-        self.duration: Optional[float] = None
-
-    @property
-    def open(self) -> bool:
-        return self.t_end is None
-
-
-def collect_spans(events: Sequence[TraceEvent]) -> List[SpanRecord]:
-    """Pair ``span.begin``/``span.end`` events by ``span_id``, in begin
-    order.  Ends without a begin are ignored (truncated trace head);
-    begins without an end stay marked open."""
-    by_id: Dict[object, SpanRecord] = {}
-    order: List[SpanRecord] = []
-    for ev in events:
-        kind = ev.get("kind")
-        if kind == "span.begin":
-            rec = SpanRecord(str(ev.get("name", "?")), ev.get("span_id"),
-                             ev.get("parent_id"), _num(ev.get("t")))
-            by_id[rec.span_id] = rec
-            order.append(rec)
-        elif kind == "span.end":
-            rec = by_id.get(ev.get("span_id"))
-            if rec is not None and rec.open:
-                rec.t_end = _num(ev.get("t"))
-                d = ev.get("duration")
-                rec.duration = (float(d) if isinstance(d, (int, float))
-                                else None)
-    return order
-
-
-def _num(v: object) -> Optional[float]:
-    return float(v) if is_number(v) else None  # type: ignore[arg-type]
-
-
-def _fmt_t(v: Optional[float]) -> str:
-    return "-" if v is None else f"{v:.1f}"
-
-
-def _fmt_gb(v: object) -> str:
-    return "-" if not is_number(v) else f"{float(v) / 1e9:.3f}"  # type: ignore[arg-type]
+def _fmt_gb(v: float) -> str:
+    return f"{v / 1e9:.3f}"
 
 
 def _md_table(headers: Sequence[str],
@@ -192,45 +125,33 @@ def render_run_report(path: str, max_timeline_rows: int = 40,
     suite.finish()
     if not all_events:
         raise EmptyTraceError(path)
-    windowed = since is not None or until is not None
-    events = ([e for e in all_events if event_in_window(e, since, until)]
-              if windowed else all_events)
-
-    times = [t for t in (_num(e.get("t")) for e in events) if t is not None]
-    t0, t1 = (min(times), max(times)) if times else (None, None)
-    kinds: Dict[str, int] = {}
-    for e in events:
-        k = str(e.get("kind", "?"))
-        kinds[k] = kinds.get(k, 0) + 1
+    summary = TraceSummary(all_events, since, until)
+    t0, t1 = summary.extent()
 
     out: List[str] = [f"# Run report — {path}", ""]
     extent = ("" if t0 is None
               else f" over t = [{t0:g}, {t1:g}] s of simulated time")
-    window = ("" if not windowed else
+    window = ("" if since is None and until is None else
               f" (window [{'-' if since is None else f'{since:g}'}, "
               f"{'-' if until is None else f'{until:g}'}) of "
               f"{len(all_events)} total; invariants checked over the "
               f"full stream)")
-    out.append(f"{len(events)} trace events across {len(kinds)} event "
-               f"kinds{extent}{window}.")
+    out.append(f"{len(summary.events)} trace events across "
+               f"{len(summary.kinds)} event kinds{extent}{window}.")
     out.append("")
 
     # ---------------- lifecycle timeline -----------------------------
     out += ["## Lifecycle timeline", ""]
-    milestones = [(e, i) for i, e in enumerate(events)
-                  if e.get("kind") in _MILESTONE_KINDS]
-    spans = collect_spans(events)
-    top_spans = [s for s in spans if s.parent_id is None
-                 and s.name != "flow"]
-    rows: List[Tuple[float, str, str]] = []
-    for e, _i in milestones:
-        rows.append((_num(e.get("t")) or 0.0, str(e.get("kind")),
-                     _milestone_detail(e)))
-    for s in top_spans:
-        detail = ("open (never ended)" if s.open
-                  else f"duration {s.duration:g} s")
-        rows.append((s.t_begin or 0.0, f"span {s.name}",
-                     f"id {s.span_id}: {detail}"))
+    rows: List[Tuple[float, str, str]] = [
+        (e.get("t") or 0.0, str(e.get("kind")), _milestone_detail(e))
+        for e in summary.milestones]
+    for s in summary.spans:
+        if s.parent_id is None and s.name != "flow":
+            detail = ("open (never ended)" if s.open
+                      else "ended, no duration" if s.duration is None
+                      else f"duration {s.duration:g} s")
+            rows.append((s.t_begin or 0.0, f"span {s.name}",
+                         f"id {s.span_id}: {detail}"))
     rows.sort(key=lambda r: r[0])
     if rows:
         shown = rows[:max_timeline_rows]
@@ -246,24 +167,20 @@ def render_run_report(path: str, max_timeline_rows: int = 40,
 
     # ---------------- span durations ----------------------------------
     out += ["## Span durations", ""]
-    if spans:
-        stats: Dict[str, List[float]] = {}
+    if summary.spans:
+        durations = summary.span_durations()
         open_count: Dict[str, int] = {}
-        for s in spans:
+        for s in summary.spans:
             if s.open:
                 open_count[s.name] = open_count.get(s.name, 0) + 1
-            elif s.duration is not None:
-                stats.setdefault(s.name, []).append(s.duration)
-        names = sorted(set(stats) | set(open_count))
         srows = []
-        for name in names:
-            ds = sorted(stats.get(name, []))
+        for name in sorted(set(durations) | set(open_count)):
+            ds = durations.get(name, [])
             if ds:
-                mean = sum(ds) / len(ds)
                 srows.append([name, len(ds), open_count.get(name, 0),
-                              f"{min(ds):g}", f"{percentile(ds, 0.5):g}",
-                              f"{mean:g}",
-                              f"{max(ds):g}", f"{sum(ds):g}"])
+                              f"{ds[0]:g}", f"{percentile(ds, 0.5):g}",
+                              f"{sum(ds) / len(ds):g}",
+                              f"{ds[-1]:g}", f"{sum(ds):g}"])
             else:
                 srows.append([name, 0, open_count.get(name, 0),
                               "-", "-", "-", "-", "-"])
@@ -276,39 +193,16 @@ def render_run_report(path: str, max_timeline_rows: int = 40,
 
     # ---------------- byte breakdown ----------------------------------
     out += ["## Migration & recovery bytes per server", ""]
-    migration_in: Dict[object, float] = {}
-    recovery_in: Dict[object, float] = {}
-    addition_in: Dict[object, float] = {}
-    for e in events:
-        kind = e.get("kind")
-        if kind == "migration.move":
-            targets = e.get("to") or ()
-            nbytes = _num(e.get("nbytes")) or 0.0
-            if targets:
-                per = nbytes / len(targets)   # type: ignore[arg-type]
-                for rank in targets:          # type: ignore[union-attr]
-                    migration_in[rank] = migration_in.get(rank, 0.0) + per
-        elif kind == "recovery.rereplicate":
-            rank = e.get("rank")
-            recovery_in[rank] = (recovery_in.get(rank, 0.0)
-                                 + (_num(e.get("nbytes")) or 0.0))
-        elif kind == "migration.addition":
-            rank = e.get("rank")
-            addition_in[rank] = (addition_in.get(rank, 0.0)
-                                 + (_num(e.get("nbytes")) or 0.0))
-    ranks = sorted(set(migration_in) | set(recovery_in) | set(addition_in),
-                   key=lambda r: ((0, r, "") if isinstance(r, (int, float))
+    columns = [summary.bytes_in[c]
+               for c in ("migration", "recovery", "addition")]
+    ranks = sorted(set().union(*columns),
+                   key=lambda r: ((0, r, "") if isinstance(r, int)
                                   else (1, 0, str(r))))
     if ranks:
-        brows = [[rank,
-                  _fmt_gb(migration_in.get(rank, 0.0)),
-                  _fmt_gb(recovery_in.get(rank, 0.0)),
-                  _fmt_gb(addition_in.get(rank, 0.0))]
+        brows = [[rank, *(_fmt_gb(col.get(rank, 0.0)) for col in columns)]
                  for rank in ranks]
         brows.append(["**total**",
-                      _fmt_gb(sum(migration_in.values())),
-                      _fmt_gb(sum(recovery_in.values())),
-                      _fmt_gb(sum(addition_in.values()))])
+                      *(_fmt_gb(sum(col.values())) for col in columns)])
         out += _md_table(["rank", "selective migration in (GB)",
                           "recovery in (GB)", "addition migration (GB)"],
                          brows)
@@ -355,15 +249,15 @@ def _milestone_detail(e: TraceEvent) -> str:
     if kind == "server.fail":
         return (f"rank {e.get('rank')} crashed, lost "
                 f"{e.get('lost_objects')} objects "
-                f"({_fmt_gb(_num(e.get('lost_bytes')) or 0.0)} GB)")
+                f"({_fmt_gb(e.get('lost_bytes') or 0.0)} GB)")
     if kind == "migration.full":
         return (f"full re-integration moved "
-                f"{_fmt_gb(_num(e.get('nbytes')) or 0.0)} GB "
+                f"{_fmt_gb(e.get('nbytes') or 0.0)} GB "
                 f"at v{e.get('version')}")
     if kind == "migration.addition":
         return (f"rank {e.get('rank')} re-added, pulled "
-                f"{_fmt_gb(_num(e.get('nbytes')) or 0.0)} GB")
+                f"{_fmt_gb(e.get('nbytes') or 0.0)} GB")
     if kind == "recovery.rereplicate":
         return (f"rank {e.get('rank')}: re-replicated "
-                f"{_fmt_gb(_num(e.get('nbytes')) or 0.0)} GB")
+                f"{_fmt_gb(e.get('nbytes') or 0.0)} GB")
     return ""

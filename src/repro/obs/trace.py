@@ -32,12 +32,15 @@ pass ``t=None`` and inherit the bus clock.
 from __future__ import annotations
 
 import json
+import sys
 from collections import deque
 from typing import IO, Dict, FrozenSet, Iterable, List, Optional, Union
 
 __all__ = [
     "TraceEvent",
     "TraceParseError",
+    "FIELDS",
+    "check_event",
     "Sink",
     "NullSink",
     "RingBufferSink",
@@ -140,8 +143,9 @@ class JSONLSink(Sink):
 
 class TraceParseError(ValueError):
     """A JSONL trace line that is not a JSON object (corrupt or
-    truncated).  Carries the 1-based line number so CLI surfaces can
-    point at the offending line without a traceback."""
+    truncated) or whose event fails :func:`check_event`.  Carries the
+    1-based line number so CLI surfaces can point at the offending line
+    without a traceback."""
 
     def __init__(self, source: str, line_no: int, reason: str) -> None:
         self.source = source
@@ -150,10 +154,69 @@ class TraceParseError(ValueError):
         super().__init__(f"{source}: line {line_no}: {reason}")
 
 
+#: The event fields the offline readers read, and their types:
+#: kind -> field -> type; ``"*"`` applies to every kind.  A field may be
+#: absent or null; when present it must have its declared type.  Only
+#: parsed traces are checked (:func:`iter_jsonl`) — never the emit path.
+FIELDS: Dict[str, Dict[str, str]] = {
+    "*": {"kind": "str", "t": "number", "nbytes": "number",
+          "total_bytes": "number", "duration": "number"},
+    "span.begin": {"span_id": "id", "parent_id": "id"},
+    "span.end": {"span_id": "id"},
+    "flow.start": {"span_id": "id"},
+    "flow.finish": {"span_id": "id"},
+    "flow.cancel": {"span_id": "id"},
+    "flow.interrupt": {"span_id": "id"},
+    "migration.move": {"to": "ids"},
+    "migration.addition": {"rank": "id"},
+    "recovery.rereplicate": {"rank": "id"},
+    "server.fail": {"rank": "id", "lost_bytes": "number"},
+    "power.resize": {"powered_on": "ids", "powered_off": "ids"},
+    "bandwidth.solve": {"max_util": "number"},
+    "serve.complete": {"latency": "number"},
+}
+
+
+def _is_number(v: object) -> bool:
+    # Finite and representable as a float; bool is not a number here.
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
+
+
+def _is_id(v: object) -> bool:
+    return type(v) in (int, str)
+
+
+_TYPES = {
+    "str": ("a string", lambda v: type(v) is str),
+    "number": ("a finite number", _is_number),
+    "id": ("an int or string id", _is_id),
+    "ids": ("a list of ids",
+            lambda v: type(v) is list and all(map(_is_id, v))),
+}
+_CHECKS = {kind: tuple((field, *_TYPES[type_])
+                       for field, type_ in {**FIELDS["*"], **fields}.items())
+           for kind, fields in FIELDS.items()}
+
+
+def check_event(event: TraceEvent) -> None:
+    """Raise :class:`ValueError` naming the first field of *event*
+    whose value does not have its :data:`FIELDS` type."""
+    kind = event.get("kind")
+    checks = _CHECKS["*"]
+    if type(kind) is str:
+        checks = _CHECKS.get(kind, checks)
+    for field, expected, ok in checks:
+        v = event.get(field)
+        if v is not None and not ok(v):
+            raise ValueError(f"field {field!r} of {kind!r} must be "
+                             f"{expected}, got {v!r}")
+
+
 def iter_jsonl(path_or_file: Union[str, "IO[str]"]):
     """Yield ``(line_no, event)`` pairs from a JSONL trace (1-based
     line numbers, blank lines skipped).  Raises
-    :class:`TraceParseError` on a corrupt or truncated line."""
+    :class:`TraceParseError` on a corrupt or truncated line, or on an
+    event failing :func:`check_event`."""
     if hasattr(path_or_file, "read"):
         lines: Iterable[str] = path_or_file  # type: ignore[assignment]
         source = getattr(path_or_file, "name", "<stream>")
@@ -176,6 +239,10 @@ def _parse_lines(lines: Iterable[str], source: str):
             raise TraceParseError(
                 source, line_no,
                 f"expected a JSON object, got {type(event).__name__}")
+        try:
+            check_event(event)
+        except ValueError as exc:
+            raise TraceParseError(source, line_no, str(exc)) from None
         yield line_no, event
 
 

@@ -9,12 +9,15 @@ from repro.cli import main
 from repro.obs.report import (
     EmptyTraceError,
     check_trace,
-    collect_spans,
     render_check,
     render_run_report,
 )
-from repro.obs.stats import percentile
+from repro.obs.stats import TraceSummary, percentile
 from repro.obs.trace import TraceParseError
+
+
+def collect_spans(events):
+    return TraceSummary(events).spans
 
 
 def write_jsonl(path, events):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.obs.stats import check_window, is_number, render_trace_stats
+from repro.obs.trace import TraceParseError
 
 
 def write_trace(path, events):
@@ -43,7 +44,8 @@ class TestIsNumber:
 
 class TestBoolTimestampRegression:
     """A corrupt event with ``"t": true`` must not slip through the
-    window filter as ``t == 1`` (bool is an int in Python)."""
+    window filter as ``t == 1`` (bool is an int in Python): the parse
+    rejects it, naming the line and the field."""
 
     def test_bool_t_excluded_from_window(self, tmp_path):
         trace = write_trace(tmp_path / "run.jsonl", [
@@ -51,13 +53,14 @@ class TestBoolTimestampRegression:
             {"kind": "tick", "t": True},       # corrupt
             {"kind": "tick", "t": 2.0},
         ])
-        out = render_trace_stats(str(trace), since=0.0, until=10.0)
-        assert "2 events" in out
+        with pytest.raises(TraceParseError, match="line 2: field 't'"):
+            render_trace_stats(str(trace), since=0.0, until=10.0)
 
     def test_bool_bytes_not_summed(self, tmp_path):
         trace = write_trace(tmp_path / "run.jsonl", [
             {"kind": "flow", "t": 1.0, "nbytes": True},  # corrupt
             {"kind": "flow", "t": 2.0, "nbytes": 5e9},
         ])
-        out = render_trace_stats(str(trace))
-        assert "5.000" in out      # 5 GB from the real event only
+        with pytest.raises(TraceParseError,
+                           match="line 1: field 'nbytes'"):
+            render_trace_stats(str(trace))

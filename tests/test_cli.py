@@ -361,6 +361,52 @@ class TestCorruptTraceHandling:
         assert "line 1" in err and "object" in err
 
 
+class TestMalformedTraceRejected:
+    """A trace field the readers read that lacks its declared type
+    fails every offline reader the same way: exit 2, one line naming
+    the line number and the field — never a crash, a silent skip, or
+    two readers disagreeing about the same event."""
+
+    CASES = {
+        "bool-duration": (
+            ['{"kind":"span.begin","t":1.0,"name":"x","span_id":1}',
+             '{"kind":"span.end","t":2.0,"name":"x","span_id":1,'
+             '"duration":true}'],
+            "line 2: field 'duration'"),
+        "int-to": (
+            ['{"kind":"migration.move","t":1.0,"nbytes":100,"to":5}'],
+            "line 1: field 'to'"),
+        "str-to": (
+            ['{"kind":"migration.move","t":1.0,"nbytes":100,"to":"ab"}'],
+            "line 1: field 'to'"),
+        "infinite-t": (
+            ['{"kind":"flow.start","t":1.0}',
+             '{"kind":"flow.start","t":Infinity}'],
+            "line 2: field 't'"),
+        "nan-t": (
+            ['{"kind":"flow.start","t":NaN}',
+             '{"kind":"flow.start","t":1.0}'],
+            "line 1: field 't'"),
+    }
+
+    @pytest.mark.parametrize("command",
+                             ["stats", "report", "timeline", "check",
+                              "compare"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_2_naming_line_and_field(self, tmp_path, capsys, case,
+                                          command):
+        lines, expected = self.CASES[case]
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        argv = [command, str(path)]
+        if command == "compare":
+            argv.append(str(path))
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert expected in err
+        assert "Traceback" not in err
+
+
 class TestSweepCommand:
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
@@ -623,8 +669,8 @@ class TestReportWindow:
 
 
     def test_boolean_timestamp_is_not_one_second(self, tmp_path, capsys):
-        # `"t": true` is malformed, not t = 1 s: the three offline
-        # readers share one number predicate and agree on the window.
+        # `"t": true` is malformed, not t = 1 s: every offline reader
+        # rejects the trace at parse, naming the line and the field.
         path = tmp_path / "trace.jsonl"
         path.write_text(
             '{"kind": "resize.begin", "t": true, "from_active": 10, '
@@ -632,8 +678,9 @@ class TestReportWindow:
             '{"kind": "resize.end", "t": 5.0, "from_active": 10, '
             '"to_active": 6}\n')
         for command in ("report", "stats", "timeline"):
-            assert main([command, str(path)]) == 0
-            assert "t = [5, 5] s" in capsys.readouterr().out, command
+            assert main([command, str(path)]) == 2
+            err = capsys.readouterr().err
+            assert "line 1: field 't'" in err, command
 
 
 class TestCompareCommand:
