@@ -5,7 +5,8 @@ members:
 
 * ``OBS.bus`` — the :class:`~repro.obs.trace.TraceBus`.  Emitting with
   no sink attached is a single branch; call sites that build expensive
-  field dicts guard on ``OBS.bus.active``.
+  field dicts guard on ``OBS.bus.active``, per-event ones on
+  ``OBS.bus.takes(kind)``, which counts the event it skips.
 * ``OBS.spans`` — the :class:`~repro.obs.spans.SpanTracker` that pairs
   ``span.begin``/``span.end`` events around the major lifecycles
   (flows, resize cycles, re-integration passes, recovery).

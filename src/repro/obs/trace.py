@@ -21,7 +21,8 @@ Three sinks cover the use cases:
 With **no** sink attached, :meth:`TraceBus.emit` returns after a single
 truthiness check — the always-on instrumentation in the hot paths costs
 one branch.  Producers that would build expensive field dicts should
-guard on :attr:`TraceBus.active` first.
+guard on :attr:`TraceBus.active` first; per-event producers guard on
+:meth:`TraceBus.takes`, which also counts an event no sink takes.
 
 Timestamps are *simulation* time, never wall-clock, so two identically
 seeded runs emit identical traces.  Drivers that own a clock publish it
@@ -311,6 +312,16 @@ class TraceBus:
         return _Capture(self, RingBufferSink(capacity))
 
     # ------------------------------------------------------------------
+    def takes(self, kind: str) -> bool:
+        """True when some sink takes *kind*; otherwise the event is
+        counted as :meth:`emit` would count it, and a hot producer
+        skips the call: ``if bus.takes(kind): bus.emit(kind, ...)``."""
+        if self._takers.get(kind, self._every):
+            return True
+        if self.sinks:
+            self.ordinal += 1
+        return False
+
     def emit(self, kind: str, t: Optional[float] = None,
              **fields: object) -> None:
         """Publish one event to the sinks that take its kind; if none

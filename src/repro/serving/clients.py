@@ -48,7 +48,8 @@ _BLOCK_DRAWS = 4096
 
 def _unit(h: int) -> float:
     """A 64-bit hash as a uniform in (0, 1) — the +0.5 offset keeps it
-    off both endpoints so it is safe inside ``log``."""
+    off both endpoints so it is safe inside ``log``.  The per-request
+    ``unit`` methods below inline it."""
     return (h + 0.5) / 2.0 ** 64
 
 
@@ -74,10 +75,10 @@ class DrawStream:
             ns = np.arange(b * self._width, (b + 1) * self._width)[None, :]
             block = self._blocks[suffix, b] = bulk_hash_concat(
                 *self._lead, ns, suffix)
-        return int(block[row, i])
+        return block.item(row, i)
 
     def unit(self, suffix: str, n: int, row: int = 0) -> float:
-        return _unit(self.hash(suffix, n, row))
+        return (self.hash(suffix, n, row) + 0.5) / 2.0 ** 64
 
 
 class Draw:
@@ -93,7 +94,8 @@ class Draw:
         return self._stream.hash(suffix, self._n, self._row)
 
     def unit(self, suffix: str) -> float:
-        return self._stream.unit(suffix, self._n, self._row)
+        return (self._stream.hash(suffix, self._n, self._row)
+                + 0.5) / 2.0 ** 64
 
 
 #: ``factory(pop, rid, key)`` builds the request, taking whatever

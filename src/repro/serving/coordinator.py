@@ -25,7 +25,7 @@ Requests arriving *during* a tick never drain in that same tick: the
 budget computed in step 1 covers at most the backlog that existed
 before they arrived, and FIFO order spends it on older requests first.
 
-Event family (all gated on ``bus.active``):
+Event family (gated on ``bus.takes`` per request, else ``bus.active``):
 
 ``serve.enqueue``   rid, server, nbytes, pop, depth
 ``serve.reject``    rid, server, depth, pop
@@ -87,6 +87,15 @@ class Request:
         self.remaining = float(self.nbytes)
 
 
+class _Counters(dict):
+    """The ``serve.*`` counters by name, each registered on its first
+    increment: a snapshot lists only counters that have counted."""
+
+    def __missing__(self, name: str):
+        counter = self[name] = OBS.metrics.counter(name)
+        return counter
+
+
 class AdmissionCoordinator:
     """Bounded per-server request queues + flow-controller policy."""
 
@@ -110,6 +119,7 @@ class AdmissionCoordinator:
         self.failovers = 0
         self.max_depth = 0
         self.served_bytes = 0.0
+        self._counters = _Counters()
 
     # ------------------------------------------------------------------
     def enqueue(self, req: Request) -> bool:
@@ -118,27 +128,31 @@ class AdmissionCoordinator:
         On rejection the request's ``on_reject`` callback (if any)
         fires synchronously — closed-loop clients use it to schedule a
         deterministic retry."""
-        q = self.queues.setdefault(req.server, deque())
+        server = req.server
+        q = self.queues.get(server)
+        if q is None:
+            q = self.queues[server] = deque()
         depth = len(q)
         bus = OBS.bus
-        if not self.controller.admit(req.server, depth):
+        if not self.controller.admit(server, depth):
             self.rejected[req.pop] = self.rejected.get(req.pop, 0) + 1
-            OBS.metrics.inc("serve.rejected")
-            if bus.active:
-                bus.emit("serve.reject", rid=req.rid, server=req.server,
+            self._counters["serve.rejected"].inc()
+            if bus.takes("serve.reject"):
+                bus.emit("serve.reject", rid=req.rid, server=server,
                          depth=depth, pop=req.pop)
             if req.on_reject is not None:
                 req.on_reject(req)
             return False
         q.append(req)
-        self._ensure_flow(req.server)
+        if server not in self._flows:
+            self._ensure_flow(server)
         depth += 1
         if depth > self.max_depth:
             self.max_depth = depth
         self.enqueued[req.pop] = self.enqueued.get(req.pop, 0) + 1
-        OBS.metrics.inc("serve.enqueued")
-        if bus.active:
-            bus.emit("serve.enqueue", rid=req.rid, server=req.server,
+        self._counters["serve.enqueued"].inc()
+        if bus.takes("serve.enqueue"):
+            bus.emit("serve.enqueue", rid=req.rid, server=server,
                      nbytes=req.nbytes, pop=req.pop, depth=depth)
         return True
 
@@ -193,9 +207,9 @@ class AdmissionCoordinator:
         self.latencies.setdefault(req.pop, []).append(latency)
         self.completed[req.pop] = self.completed.get(req.pop, 0) + 1
         self.served_bytes += req.nbytes
-        OBS.metrics.inc("serve.completed")
+        self._counters["serve.completed"].inc()
         bus = OBS.bus
-        if bus.active:
+        if bus.takes("serve.complete"):
             bus.emit("serve.complete", rid=req.rid, server=rank,
                      pop=req.pop, latency=latency, delay=delay)
         if req.on_complete is not None:

@@ -122,9 +122,10 @@ class Simulator:
               *args: Any, until: Optional[float] = None) -> Event:
         """Periodic callback every *interval* seconds, first firing one
         interval from now, stopping after *until* (inclusive).  Returns
-        the first event; cancelling a fired chain requires cancelling
-        the event returned to *fn* — for simplicity, periodic chains
-        stop via *until* or by the callback raising ``StopIteration``.
+        the first event: cancelling it stops the chain only before the
+        first firing, since each firing schedules a new event that no
+        caller holds.  A running chain stops via *until* or by *fn*
+        raising ``StopIteration``.
         """
         if interval <= 0:
             raise ValueError("interval must be positive")
@@ -161,44 +162,66 @@ class Simulator:
         """Time of the next live event, or None."""
         while self._heap and self._heap[0][2].cancelled:
             heapq.heappop(self._heap)
+            OBS.metrics.inc("engine.cancelled")
         return self._heap[0][0] if self._heap else None
+
+    def _drain(self, limit: float, once: bool = False) -> bool:
+        """Fire the live events due by *limit* (only the first with
+        *once*) in ``(time, seq)`` order; returns whether any fired.
+        The ``engine.*`` counts are added once, even if a handler raises."""
+        heap = self._heap
+        pop = heapq.heappop
+        bus = OBS.bus
+        fired = cancelled = 0
+        try:
+            while heap:
+                entry = pop(heap)
+                ev = entry[2]
+                if ev.cancelled:
+                    cancelled += 1
+                    continue
+                t = entry[0]
+                if t > limit:
+                    heapq.heappush(heap, entry)
+                    break
+                self._live -= 1
+                ev._sim = None      # a late cancel() must not decrement again
+                self.now = t
+                fired += 1
+                if bus.sinks:
+                    bus.clock = t
+                    if bus.takes("engine.event"):
+                        bus.emit("engine.event", t=t, seq=entry[1],
+                                 fn=event_label(ev.fn))
+                ev.fn(*ev.args)
+                if once:
+                    break
+        finally:
+            if fired:
+                self._events_counter.inc(fired)
+            if cancelled:
+                OBS.metrics.inc("engine.cancelled", cancelled)
+        return fired > 0
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is
         empty."""
-        while self._heap:
-            ev = heapq.heappop(self._heap)[2]
-            if ev.cancelled:
-                OBS.metrics.inc("engine.cancelled")
-                continue
-            self._live -= 1
-            ev._sim = None      # a late cancel() must not decrement again
-            self.now = ev.time
-            self._events_counter.inc()
-            bus = OBS.bus
-            if bus.active:
-                bus.clock = ev.time
-                bus.emit("engine.event", t=ev.time, seq=ev.seq,
-                         fn=event_label(ev.fn))
-            ev.fn(*ev.args)
-            return True
-        return False
+        return self._drain(math.inf, once=True)
 
     def run(self) -> None:
-        """Drain the event queue."""
+        """Drain the event queue a :meth:`step` at a time: no harness
+        calls it, and ``benchmarks/e2e`` times the loop through ``step``."""
         while self.step():
             pass
 
     def run_until(self, t: float) -> None:
-        """Execute events up to and including time *t*, then set the
-        clock to *t*."""
+        """Execute events up to and including time *t* (finite), then
+        set the clock to *t*."""
+        if not math.isfinite(t):
+            raise ValueError(f"cannot run until non-finite time {t!r}")
         if t < self.now:
             raise ValueError(f"cannot run backwards to {t}")
-        while True:
-            nxt = self.peek_time()
-            if nxt is None or nxt > t:
-                break
-            self.step()
+        self._drain(t)
         self.now = t
         bus = OBS.bus
         if bus.active:

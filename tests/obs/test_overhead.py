@@ -43,6 +43,16 @@ class TestEmitCost:
         assert bus.ordinal == 50_000
         assert cost < 2e-6, f"untaken emit cost {cost * 1e9:.0f} ns"
 
+    def test_takes_of_a_kind_nobody_takes_is_a_branch(self):
+        # The guard hot producers use instead of the emit call: one
+        # table lookup and the ordinal bump, no kwargs (same loose 2 us
+        # as the no-sink emit).
+        bus = TraceBus()
+        bus.attach(CheckerSink())
+        cost = _per_call(lambda: bus.takes("engine.event"), 50_000)
+        assert bus.ordinal == 50_000
+        assert cost < 2e-6, f"untaken takes cost {cost * 1e9:.0f} ns"
+
     def test_null_sink_swallows_cheaply(self):
         bus = TraceBus()
         bus.attach(NullSink())

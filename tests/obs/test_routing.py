@@ -521,6 +521,55 @@ class TestBusAccounting:
         bus.emit("engine.event", t=0.0)
         assert bus.ordinal == 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(_streams())
+    def test_takes_guard_keeps_the_accounting(self, stream):
+        """A producer that asks ``takes`` before emitting leaves the
+        ordinal, ``events_seen`` and every violation index as they are
+        when it emits unguarded."""
+        events, _indices, classes = stream
+        events = [e for e in events if isinstance(e.get("kind"), str)]
+
+        def play(guarded):
+            bus = TraceBus()
+            sink = bus.attach(CheckerSink(InvariantSuite(
+                [cls() for cls in classes])))
+            for event in copy.deepcopy(events):
+                kind = event["kind"]
+                if guarded and not bus.takes(kind):
+                    continue
+                fields = {k: v for k, v in event.items()
+                          if k not in ("kind", "t")}
+                bus.emit(kind, t=event.get("t"), **fields)
+            bus.detach(sink)
+            sink.finish()
+            return bus.ordinal, verdict(sink.suite)
+
+        assert play(guarded=True) == play(guarded=False)
+        assert play(guarded=True)[0] == len(events)
+
+    def test_takes_counts_only_what_it_skips(self):
+        bus = TraceBus()
+        assert not bus.takes("engine.event") and bus.ordinal == 0
+        bus.attach(CheckerSink())
+        assert bus.takes("version.advance") and bus.ordinal == 0
+        assert not bus.takes("engine.event") and bus.ordinal == 1
+        assert not bus.takes("nobody.reads") and bus.ordinal == 2
+
+    @pytest.mark.parametrize("every", [
+        RingBufferSink, NullSink, Recording, lambda: JSONLSink(io.StringIO()),
+        lambda: type("Duck", (), {"write": lambda self, e: None})(),
+    ], ids=["ring", "null", "recording", "jsonl", "duck"])
+    def test_takes_is_true_with_an_every_kind_sink(self, every):
+        bus = TraceBus()
+        bus.attach(CheckerSink())
+        bus.attach(every())
+        for kind in ALL_KINDS + ["engine.event", "serve.enqueue",
+                                 "serve.reject", "serve.complete",
+                                 "nobody.reads"]:
+            assert bus.takes(kind)
+        assert bus.ordinal == 0
+
     def test_duck_typed_sink_takes_every_kind(self):
         class Duck:
             def __init__(self):

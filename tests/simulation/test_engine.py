@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import OBS
 from repro.simulation.engine import Simulator
 
 
@@ -150,6 +151,22 @@ class TestFiniteTimes:
         with pytest.raises(ValueError):
             sim.schedule_at(t, lambda: None)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf")])
+    def test_run_until_non_finite_rejected(self, t):
+        # NaN used to fire every pending event and leave now = nan;
+        # inf drained the queue and left now = inf, after which every
+        # schedule raised.
+        sim = Simulator()
+        fired = []
+        sim.schedule_at(1.0, fired.append, 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            sim.run_until(t)
+        assert fired == [] and sim.now == 0.0 and sim.pending == 1
+        sim.run_until(2.0)
+        sim.schedule(1.0, fired.append, 3)
+        sim.run()
+        assert fired == [1, 3] and sim.now == 3.0
+
     def test_rejected_event_leaves_no_residue(self):
         sim = Simulator()
         with pytest.raises(ValueError):
@@ -158,6 +175,61 @@ class TestFiniteTimes:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.now == 1.0
+
+
+class TestCounters:
+    """``engine.events`` / ``engine.cancelled`` are summed per drain
+    and added once; they must still be exact whichever entry point
+    ran and however the drain ended."""
+
+    def counters(self):
+        return {k: v for k, v in OBS.metrics.snapshot().items()
+                if k in ("engine.events", "engine.cancelled")}
+
+    def test_a_raising_handler_leaves_them_exact(self):
+        OBS.reset()
+        try:
+            sim = Simulator()
+            sim.schedule_at(1.0, lambda: None).cancel()
+            sim.schedule_at(2.0, lambda: None)
+            sim.schedule_at(3.0, lambda: 1 / 0)
+            sim.schedule_at(4.0, lambda: None)
+            with pytest.raises(ZeroDivisionError):
+                sim.run_until(5.0)
+            assert sim.now == 3.0 and sim.pending == 1
+            assert self.counters() == {"engine.events": 2,
+                                       "engine.cancelled": 1}
+            sim.run()
+            assert self.counters() == {"engine.events": 3,
+                                       "engine.cancelled": 1}
+        finally:
+            OBS.reset()
+
+    def test_peek_time_counts_what_it_discards(self):
+        OBS.reset()
+        try:
+            sim = Simulator()
+            sim.schedule_at(1.0, lambda: None).cancel()
+            sim.schedule_at(2.0, lambda: None)
+            assert sim.peek_time() == 2.0
+            assert self.counters() == {"engine.events": 0,
+                                       "engine.cancelled": 1}
+        finally:
+            OBS.reset()
+
+    def test_no_cancel_registers_no_cancelled_counter(self):
+        OBS.reset()
+        try:
+            sim = Simulator()
+            sim.schedule_at(3.0, lambda: None)
+            sim.schedule_at(4.0, lambda: None)
+            sim.run_until(2.0)
+            assert self.counters() == {"engine.events": 0}
+            assert sim.step() is True
+            sim.run()
+            assert self.counters() == {"engine.events": 2}
+        finally:
+            OBS.reset()
 
 
 class TestTieBreakAtScale:
