@@ -273,16 +273,17 @@ def _kv_in_sync(nodes=15, replicas=3, keys=900):
 
 
 def bench_kv_anti_entropy_in_sync(benchmark):
-    """One anti-entropy pass over 900 keys that are all in sync:
-    nothing to copy or drop (the common case of a pass — 78 % of key
-    visits on kv_churn, 96 % on chaos_n30)."""
+    """One anti-entropy pass over 900 keys that are all settled: the
+    pass visits none of them (78 % of the keys a kv_churn pass used to
+    visit, 96 % on chaos_n30)."""
     store = _kv_in_sync()
     copied = benchmark(store.anti_entropy)
     assert copied == 0
 
 
 def bench_kv_audit_in_sync(benchmark):
-    """One ledger-vs-replica audit of 900 acked keys, all in sync."""
+    """One ledger-vs-replica audit of 900 acked keys, all settled: a
+    sum over the settled set, no key visited."""
     store = _kv_in_sync()
     report = benchmark(store.audit)
     assert (report["keys"], report["lost_acked"],
@@ -290,8 +291,9 @@ def bench_kv_audit_in_sync(benchmark):
 
 
 def bench_kv_view_commit_one_member(benchmark):
-    """Commit a view that retires one of 15 members: ~R/N of the 900
-    keys lose an owner and are re-replicated, the rest are in sync
+    """Commit a view that retires one of 15 members: every key's owners
+    in one array pass, and the ~R/N of the 900 keys that lose an owner
+    are the only ones the commit's pass visits and re-replicates
     (re-admitting the member between rounds is untimed)."""
     store = _kv_in_sync()
     members = list(store.members)

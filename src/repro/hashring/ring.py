@@ -59,6 +59,10 @@ class HashRing:
     """
 
     def __init__(self, weights: Mapping[ServerId, int]) -> None:
+        for sid, w in weights.items():
+            if not isinstance(w, Integral):
+                raise ValueError(
+                    f"weights[{sid!r}] must be an integer, got {w!r}")
         self._weights: Dict[ServerId, int] = {
             sid: int(w) for sid, w in weights.items()}
         if any(w < 1 for w in self._weights.values()):

@@ -49,8 +49,12 @@ byte-identical across replays.
 Replicas are stored **key-major**: one ``key -> {node: copy}`` mapping
 holds every copy there is, so the whole-keyspace passes (anti-entropy,
 :meth:`~ReplicatedKVStore.audit`) read a key's ~R copies instead of
-asking every node, and settle a key that is already in sync — exactly
-R copies, one per owner, vectors all equal — without repair work.
+asking every node.  A membership change costs what it changes: each
+committed view reads every known key's owners out of its slot table in
+one array pass, and a key is *settled* — exactly R copies, all on its
+owners, all at the acked vector, all live or all tombstones — until an
+op, a crash, a wipe or a changed owner tuple touches it.  Both passes
+visit only the keys that are not settled.
 
 The command surface is :class:`~repro.kvstore.store.KVStore`'s — both
 apply the one command table of :mod:`repro.kvstore.commands` (strings +
@@ -61,7 +65,7 @@ unchanged on top of either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
+from numbers import Integral
 from typing import (
     Any,
     Callable,
@@ -74,6 +78,9 @@ from typing import (
     Tuple,
 )
 
+import numpy as np
+
+from repro.core.kernel import SlotPlacementTable
 from repro.hashring.ring import HashRing
 from repro.kvstore import commands
 from repro.kvstore.commands import Value
@@ -208,7 +215,7 @@ class ReplicatedKVStore:
         single copy on its ring successor, and a view change moves only
         the remapped keys (the commit's anti-entropy pass carries them).
     vnodes_per_node:
-        Ring weight per member.
+        Ring weight per member (an integer >= 1).
     link_blocked:
         Optional ``f(ranks) -> bool``: is a transfer spanning *ranks*
         crossing a dead link right now?  Wire to
@@ -248,6 +255,10 @@ class ReplicatedKVStore:
             raise ValueError("at least one node required")
         if len(set(node_ids)) != len(node_ids):
             raise ValueError("duplicate node ids")
+        for name, value in (("replicas", replicas),
+                            ("vnodes_per_node", vnodes_per_node)):
+            if not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         if replicas > len(node_ids):
@@ -270,6 +281,12 @@ class ReplicatedKVStore:
         #: ``key -> ring position``: a pure function of the key and the
         #: hash method, so nothing ever invalidates it.
         self._positions: Dict[str, int] = {}
+        #: ``key -> owner tuple`` under the committed view, for every
+        #: key in ``_positions``.
+        self._owners: Dict[str, Tuple[NodeId, ...]] = {}
+        #: The settled keys (see :meth:`_settle`) -> "holds a live
+        #: value".
+        self._settled: Dict[str, bool] = {}
         self._down: set = set()
         self._epoch = 0
         self._staged: Optional[Tuple[int, Tuple[NodeId, ...]]] = None
@@ -297,14 +314,20 @@ class ReplicatedKVStore:
                 sorted([*self._nodes, node_id], key=str))}
 
     def _build_ring(self, members: Sequence[NodeId]) -> None:
-        """A fresh ring over *members* and, with it, an empty
-        ``key -> owners`` table.  Placement is a pure function of
-        (key, committed view), so the table lives exactly as long as
-        the ring it was read from — that is its only invalidation."""
+        """A fresh ring over *members*, its original-CH slot table, and
+        every known key's owners read from that table in one array
+        pass.  Placement is a pure function of (key, committed view),
+        so the owner table lives exactly as long as the ring it was
+        read from — that is its only invalidation."""
         for nid in members:
             self._admit(nid)
         self._ring = HashRing(dict.fromkeys(members, self._vnodes))
-        self._owners: Dict[str, Tuple[NodeId, ...]] = {}
+        self._table = SlotPlacementTable(self._ring, self.replicas, None)
+        positions = np.fromiter(self._positions.values(), dtype=np.uint64,
+                                count=len(self._positions))
+        rows = self._table.gather(
+            self._ring.bulk_successor_slots(positions)).servers.tolist()
+        self._owners = dict(zip(self._positions, map(tuple, rows)))
 
     @property
     def epoch(self) -> int:
@@ -353,7 +376,13 @@ class ReplicatedKVStore:
         self._staged = None
         self._epoch = epoch
         self._members = members
+        old_owners = self._owners
         self._build_ring(members)
+        # A settled key whose owners moved is not settled any more; the
+        # pass below visits it (and every other unsettled key).
+        for key in [key for key in self._settled
+                    if self._owners.get(key) != old_owners.get(key)]:
+            del self._settled[key]
         self.view = View(epoch=epoch, members=members)
         self.stats["views_committed"] += 1
         if OBS.bus.active:
@@ -378,10 +407,14 @@ class ReplicatedKVStore:
             raise KeyError(f"unknown node: {node_id!r}")
         emptied = []
         for key, copies in self._copies.items():
-            if copies.pop(node_id, None) is not None and not copies:
-                emptied.append(key)
+            if copies.pop(node_id, None) is not None:
+                if copies:
+                    self._settle(key)
+                else:
+                    emptied.append(key)
         for key in emptied:
             del self._copies[key]
+            self._settled.pop(key, None)
         self._down.add(node_id)
         if OBS.bus.active:
             OBS.bus.emit("kv.node.crash", node=str(node_id))
@@ -412,16 +445,14 @@ class ReplicatedKVStore:
     # placement
     # ------------------------------------------------------------------
     def _owners_of(self, key: str) -> Tuple[NodeId, ...]:
-        """The owner table's entry for *key*: hashed once per store,
-        walked once per view."""
+        """The owner table's entry for *key*: hashed once per store; a
+        key first seen mid-view takes one slot lookup, every later view
+        reads it in :meth:`_build_ring`'s array pass."""
         owners = self._owners.get(key)
         if owners is None:
-            position = self._positions.get(key)
-            if position is None:
-                position = self._positions[key] = \
-                    self._ring.key_position(key)
-            owners = self._owners[key] = tuple(islice(
-                self._ring.walk_servers(position), self.replicas))
+            position = self._positions[key] = self._ring.key_position(key)
+            owners = self._owners[key] = self._table.lookup(
+                self._ring.successor_slot(position)).servers
         return owners
 
     def replica_set(self, key: str) -> List[NodeId]:
@@ -436,6 +467,31 @@ class ReplicatedKVStore:
     @property
     def quorum(self) -> int:
         return self.replicas // 2 + 1
+
+    # ------------------------------------------------------------------
+    # the settled set
+    # ------------------------------------------------------------------
+    def _settle(self, key: str) -> None:
+        """Re-check *key* after its copies, its ack or its owners
+        changed.  It is settled when it holds exactly R copies, one per
+        owner, each at the acked vector, and the R states are all live
+        or all tombstones: both passes then have nothing to do for it
+        (a mixed key takes the full comparison — equal vectors can
+        disagree on the state after degraded writes)."""
+        self._settled.pop(key, None)
+        copies = self._copies.get(key)
+        acked_vv = self._acked.get(key)
+        if (copies is None or acked_vv is None
+                or len(copies) != self.replicas):
+            return
+        tombstones = 0
+        for nid in self._owners_of(key):
+            versioned = copies.get(nid)
+            if versioned is None or versioned.vv != acked_vv:
+                return
+            tombstones += versioned.state is None
+        if not tombstones or tombstones == self.replicas:
+            self._settled[key] = not tombstones
 
     # ------------------------------------------------------------------
     # sessions
@@ -568,6 +624,7 @@ class ReplicatedKVStore:
                              vv=dict(sorted(new_vv.items())),
                              acks=sorted(map(str, acked)),
                              need=need, epoch=self._epoch)
+        self._settle(key)
         return current.state, new_vv
 
     def _read(self, key: str, client: Optional[str] = None
@@ -606,10 +663,14 @@ class ReplicatedKVStore:
         # Read repair: bring stale reachable replicas up to the reply
         # we are about to serve (keeps under-replication windows short
         # and deterministic).
+        repaired = 0
         for nid, versioned in replies:
             if versioned.vv != best.vv:
                 self._copies[key][nid] = best.copy()
-                self.stats["repair_copies"] += 1
+                repaired += 1
+        if repaired:
+            self.stats["repair_copies"] += repaired
+            self._settle(key)
         self.stats["reads"] += 1
         if degraded:
             self.stats["reads_degraded"] += 1
@@ -626,28 +687,17 @@ class ReplicatedKVStore:
     # anti-entropy
     # ------------------------------------------------------------------
     def _anti_entropy_pass(self, reason: str = "manual") -> int:
-        """Re-replicate every key toward its committed-view replica
-        set: each reachable owner receives the newest known copy
-        (tombstones included, so deletes propagate), and reachable
-        non-owners drop theirs.  Returns the number of copies written.
-        Mutants override this to skip repair."""
+        """Re-replicate every key that is not settled toward its
+        committed-view replica set: each reachable owner receives the
+        newest known copy (tombstones included, so deletes propagate),
+        and reachable non-owners drop theirs.  Returns the number of
+        copies written.  Mutants override this to skip repair."""
         copied = 0
         dropped = 0
         rank = self._nodes.__getitem__
-        for key in sorted(self._copies):
+        for key in sorted(self._copies.keys() - self._settled.keys()):
             copies = self._copies[key]
             owners = self._owners_of(key)
-            if len(copies) == self.replicas and owners[0] in copies:
-                # In sync — one copy per owner (R copies, every owner
-                # among them: no stray to drop, none missing), vectors
-                # all equal (none stale): nothing to copy or drop.
-                vv = copies[owners[0]].vv
-                for nid in owners:
-                    have = copies.get(nid)
-                    if have is None or have.vv != vv:
-                        break
-                else:
-                    continue
             holders = sorted(copies, key=rank)
             best = self._newest(copies[nid] for nid in holders)
             coordinator = owners[0]
@@ -668,6 +718,7 @@ class ReplicatedKVStore:
                        for o in owners):
                     del copies[nid]
                     dropped += 1
+            self._settle(key)
         self.stats["repair_copies"] += copied
         if OBS.bus.active:
             OBS.bus.emit("kv.repair", epoch=self._epoch, reason=reason,
@@ -692,29 +743,13 @@ class ReplicatedKVStore:
         """
         lost = 0
         under = 0
-        live_keys = 0
+        # A settled key is not lost and has R holders: only the live
+        # ones are counted, and only the unsettled rest is compared.
+        live_keys = sum(self._settled.values())
         rank = self._nodes.__getitem__
-        for key in sorted(self._acked):
+        for key in sorted(self._acked.keys() - self._settled.keys()):
             acked_vv = self._acked[key]
             copies = self._copies.get(key, {})
-            owners = self._owners_of(key)
-            if len(copies) == self.replicas:
-                # In sync with the ledger — one copy per owner, each
-                # at exactly the acked vector: not lost, R holders.
-                # (Equal vectors can still disagree on the state after
-                # degraded writes; then "newest" is a tie-break, below.)
-                tombstones = 0
-                for nid in owners:
-                    versioned = copies.get(nid)
-                    if versioned is None or versioned.vv != acked_vv:
-                        break
-                    tombstones += versioned.state is None
-                else:
-                    if not tombstones:
-                        live_keys += 1
-                        continue
-                    if tombstones == self.replicas:
-                        continue       # deleted: nothing to replicate
             newest = self._newest(copies[nid]
                                   for nid in sorted(copies, key=rank))
             if newest is None or not vv_dominates(newest.vv, acked_vv):
@@ -724,7 +759,7 @@ class ReplicatedKVStore:
                 continue               # deleted: nothing to replicate
             live_keys += 1
             holders = 0
-            for nid in owners:
+            for nid in self._owners_of(key):
                 versioned = copies.get(nid)
                 if versioned is not None and (
                         versioned.vv == acked_vv
@@ -827,5 +862,6 @@ class ReplicatedKVStore:
         """Admin wipe: every node, every version, the ledger."""
         self._copies.clear()
         self._acked.clear()
+        self._settled.clear()
         for sess in self._sessions.values():
             sess.floor.clear()

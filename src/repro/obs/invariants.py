@@ -488,19 +488,32 @@ class DirtyAckChecker(Checker):
 # ----------------------------------------------------------------------
 # replicated-KV checkers (kv.* events from repro.kvstore.replicated)
 # ----------------------------------------------------------------------
+#: The vector :func:`_vv_of` accepted last.  The suite hands one event
+#: to up to three KV checkers in a row; the vector is checked once.
+_checked_vv: Optional[Dict[str, int]] = None
+
+
 def _vv_of(event: TraceEvent) -> Optional[Dict[str, int]]:
     """The event's version vector, or None when absent/malformed."""
+    global _checked_vv
     vv = event.get("vv")
-    if isinstance(vv, dict) and all(
-            isinstance(k, str) and isinstance(v, int)
-            for k, v in vv.items()):
+    if vv is _checked_vv:
         return vv
-    return None
+    if not isinstance(vv, dict):
+        return None
+    for node, count in vv.items():
+        if not isinstance(node, str) or not isinstance(count, int):
+            return None
+    _checked_vv = vv
+    return vv
 
 
 def _vv_dominates(a: Dict[str, int], b: Dict[str, int]) -> bool:
     """a >= b componentwise: *a* reflects every write *b* does."""
-    return all(a.get(node, 0) >= count for node, count in b.items())
+    for node, count in b.items():
+        if a.get(node, 0) < count:
+            return False
+    return True
 
 
 def _vv_merge(a: Dict[str, int], b: Dict[str, int]) -> Dict[str, int]:

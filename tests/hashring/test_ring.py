@@ -39,6 +39,12 @@ class TestMembership:
         with pytest.raises(ValueError):
             HashRing({1: -3})
 
+    def test_fractional_weight_is_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match=r"weights\[2\] must be an "
+                                             r"integer, got 1\.5"):
+            HashRing({1: 10, 2: 1.5})
+        assert HashRing({1: np.int64(3)}).weight_of(1) == 3
+
     def test_num_vnodes(self, ring):
         assert ring.num_vnodes == 250
 

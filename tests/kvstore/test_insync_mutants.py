@@ -1,20 +1,25 @@
-"""Seeded mutants of the in-sync early-outs.
+"""Seeded mutants of the settled set.
 
-``_anti_entropy_pass`` and ``audit`` skip a key that is already in
-sync: exactly R copies, every owner among them, all vectors equal
-(for ``audit``: equal to the acked vector).  Each mutant below is the
-product's own method with **one** of those conditions taken out of its
-source text (so a mutant can never drift from the product, and an edit
-that removes the condition fails the build of the mutant instead of
-neutering it).  Each must be told apart from the every-key ×
-every-node oracle by a regression small enough to read.
+``_anti_entropy_pass`` and ``audit`` skip a *settled* key: exactly R
+copies, every owner among them, all at the acked vector (``_settle``
+decides, after every op, crash, pass or commit that touches the key).
+Each mutant below is the product's own method with **one** of those
+conditions — or one of the re-checks that keep the settled set
+true — taken out of its source text (so a mutant can never drift from
+the product, and an edit that removes the condition fails the build of
+the mutant instead of neutering it).  Each must be told apart from the
+every-key × every-node oracle by a regression small enough to read.
 
-The generated machine of ``test_replicated_stateful.py`` (run with a
-mutant in ``ReplicatedKVStore``'s place) is not how they are pinned:
+The generated machines of ``test_replicated_stateful.py`` (run with a
+mutant in ``ReplicatedKVStore``'s place) are not how they are pinned:
 every kill is a chain of five to twelve ops on *one* key's owners,
-which it reaches only by luck of the seed — ``NoVectorCheck`` within 400 examples under
+which they reach only by luck of the seed — ``NoVectorCheck`` within 400 examples under
 one seed and not within 1 000 under another, ``AuditAgainstEachOther``
 after ~3 000 examples of 50 steps, neither count mutant in 4 000 x 60.
+(Under their committed settings the piled-up machine kills every
+mutant but the two count mutants and ``CrashKeepsEmptiedKey``, which
+only R = 1 can tell apart: at R >= 2 a crash empties only a key that
+held one copy, and such a key was not settled.)
 """
 
 import inspect
@@ -44,37 +49,57 @@ def mutant(name, method, old, new):
 
 #: A straggler left behind by a link-loss window is never repaired.
 NoVectorCheck = mutant(
-    "NoVectorCheck", "_anti_entropy_pass",
-    "if have is None or have.vv != vv:", "if have is None:")
+    "NoVectorCheck", "_settle",
+    "if versioned is None or versioned.vv != acked_vv:",
+    "if versioned is None:")
 
 #: A stray copy outside the owner set is never looked at: a departed
-#: owner's copy is never dropped ...
+#: owner's copy is never dropped ...  (With every owner holding a copy
+#: there are at least R, so this and ``NoCountCheckAudit`` behave
+#: alike: since the pass and the audit share one in-sync test, they
+#: are one condition spelled two ways.)
 NoCountCheckRepair = mutant(
-    "NoCountCheckRepair", "_anti_entropy_pass",
-    "if len(copies) == self.replicas and owners[0] in copies:",
-    "if owners[0] in copies:")
+    "NoCountCheckRepair", "_settle",
+    "len(copies) != self.replicas", "len(copies) < self.replicas")
 
-#: ... and ``audit`` ignores a non-owner's newer tombstone.
+#: ... and a key with a non-owner's newer tombstone counts as settled,
+#: so ``audit`` ignores the tombstone.
 NoCountCheckAudit = mutant(
-    "NoCountCheckAudit", "audit",
-    "if len(copies) == self.replicas:", "if copies:")
+    "NoCountCheckAudit", "_settle",
+    " or len(copies) != self.replicas", "")
 
 #: Three equally stale owners agree with each other, not the ledger.
 AuditAgainstEachOther = mutant(
-    "AuditAgainstEachOther", "audit",
+    "AuditAgainstEachOther", "_settle",
     "versioned.vv != acked_vv:",
     "versioned.vv != next(iter(copies.values())).vv:")
 
+#: A write that misses an owner leaves its key settled.
+OpSkipsRecheck = mutant(
+    "OpSkipsRecheck", "_mutate", "self._settle(key)", "pass")
+
+#: A key whose owners moved stays settled through the commit.
+CommitKeepsMovedKey = mutant(
+    "CommitKeepsMovedKey", "commit_view", "del self._settled[key]", "pass")
+
+#: A key whose last copy a crash took stays settled.
+CrashKeepsEmptiedKey = mutant(
+    "CrashKeepsEmptiedKey", "crash_node", "self._settled.pop(key, None)",
+    "pass")
+
 MUTANTS = [NoVectorCheck, NoCountCheckRepair, NoCountCheckAudit,
-           AuditAgainstEachOther]
+           AuditAgainstEachOther, OpSkipsRecheck, CommitKeepsMovedKey,
+           CrashKeepsEmptiedKey]
 
 
 def outcome(cls, scenario):
-    """Everything observable about *scenario* run on a fresh *cls*:
-    its return value, node contents, stats and events."""
+    """Everything observable about *scenario* run on a fresh *cls*
+    (R = 3 unless the scenario says ``replicas``): its return value,
+    node contents, stats and events."""
     blocked = set()
     with OBS.bus.capture() as sink:
-        store = cls([1, 2, 3, 4], replicas=3, vnodes_per_node=8,
+        store = cls([1, 2, 3, 4], replicas=getattr(scenario, "replicas", 3),
+                    vnodes_per_node=8,
                     link_blocked=lambda pair: frozenset(pair) in blocked,
                     on_no_quorum="degrade")
         result = scenario(store, blocked)
@@ -149,21 +174,62 @@ def planted_stray_tombstone_then_audit(store, blocked):
     coordinator up hands it the newest copy there is, nothing but a
     pass makes a stray, and owners only move forward from there — so
     for ``audit`` the count test is what makes the early-out exact by
-    inspection instead of by that argument."""
+    inspection instead of by that argument.  Planting bypasses the ops,
+    so the scenario re-checks the key as every op touching it does."""
     store.set("k", "v1")
     (outsider,) = set(store.node_ids) - set(store.replica_set("k"))
     newest = store._copies["k"][store.coordinator_for("k")].copy()
     newest.vv[str(outsider)] = 1
     newest.state = None                # a delete the owners never saw
     store._copies["k"][outsider] = newest
+    store._settle("k")
     return store.audit("after")        # every-node scan: keys=0
+
+
+def straggler_behind_a_settled_key(store, blocked):
+    """A pass settles the key; the next write misses an owner behind a
+    dead link.  The write must re-check its key, or the next pass
+    never looks at the straggler."""
+    a, _b, c = store.replica_set("k")
+    store.set("k", "v1")
+    store.anti_entropy()
+    blocked.add(frozenset((a, c)))
+    store.set("k", "v2")
+    blocked.clear()
+    return store.anti_entropy(), store.audit("after")
+
+
+def owner_moves_on_commit(store, blocked):
+    """A settled key loses an owner to a view change: the commit's
+    pass must hand the newcomer a copy and drop the leaver's."""
+    owners = store.replica_set("k")
+    store.set("k", "v1")
+    (outsider,) = set(store.members) - set(owners)
+    store.change_view([*owners[:2], outsider])
+    return store.audit("after")
+
+
+def single_copy_crash(store, blocked):
+    """R = 1: crashing the owner takes the only copy, and the acked
+    write is lost."""
+    store.set("k", "v1")
+    store.crash_node(store.coordinator_for("k"))
+    return store.audit("after")
+
+
+single_copy_crash.replicas = 1
 
 
 REGRESSIONS = [
     (straggler_then_pass, {NoVectorCheck}),
-    (equally_stale_owners, {AuditAgainstEachOther}),
-    (departed_owner_outlives_its_handoff, {NoCountCheckRepair}),
-    (planted_stray_tombstone_then_audit, {NoCountCheckAudit}),
+    (equally_stale_owners, {NoVectorCheck, AuditAgainstEachOther}),
+    (departed_owner_outlives_its_handoff,
+     {NoCountCheckRepair, NoCountCheckAudit, CommitKeepsMovedKey}),
+    (planted_stray_tombstone_then_audit,
+     {NoCountCheckRepair, NoCountCheckAudit}),
+    (straggler_behind_a_settled_key, {NoVectorCheck, OpSkipsRecheck}),
+    (owner_moves_on_commit, {CommitKeepsMovedKey}),
+    (single_copy_crash, {CrashKeepsEmptiedKey}),
 ]
 
 
@@ -183,8 +249,8 @@ def test_every_mutant_is_exposed_by_some_regression():
 
 
 def test_scenarios_reach_the_states_they_claim():
-    """On the oracle: the straggler is repaired, the lost ack counted,
-    the stray dropped, the tombstone seen."""
+    """On the oracle: the stragglers are repaired, the lost acks
+    counted, the strays dropped, the tombstone seen."""
     def manual_pass(events):
         (event,) = [e for e in events if e["kind"] == "kv.repair"
                     and e["reason"] == "manual"]
@@ -202,3 +268,13 @@ def test_scenarios_reach_the_states_they_claim():
     assert sum("k" in table for table in tables.values()) == 3
     assert outcome(ReferenceKVStore,
                    planted_stray_tombstone_then_audit)[0]["keys"] == 0
+    (copied, audit), *_ = outcome(ReferenceKVStore,
+                                  straggler_behind_a_settled_key)
+    assert copied == 1 and audit["under_replicated"] == 0
+    _r, tables, _s, events = outcome(ReferenceKVStore, owner_moves_on_commit)
+    (commit,) = [e for e in events if e["kind"] == "kv.repair"
+                 and e["reason"] == "view-commit" and e["epoch"] == 2]
+    assert (commit["copied"], commit["dropped"]) == (1, 1)
+    assert sum("k" in table for table in tables.values()) == 3
+    assert outcome(ReferenceKVStore,
+                   single_copy_crash)[0]["lost_acked"] == 1

@@ -5,7 +5,9 @@ Placement is a pure function of (key, committed view), so the store
 tabulates ``key -> owners`` once per view and every pass (reads,
 writes, ``audit``, anti-entropy) reads the table; a key's ring
 position is a pure function of the key alone, so it is hashed once per
-store and a new view costs a ring walk per key, no hash.  The generated
+store.  A new view reads every known key's owners out of its slot
+table in one array pass; a key first seen mid-view takes one scalar
+slot lookup; nothing walks the ring.  The generated
 equivalence test lives in ``test_replicated_stateful.py``; the checker
 mutants (which override ``_choose_reply`` / ``_anti_entropy_pass`` and
 friends) keep tripping their checkers in ``test_checker_mutations.py``.
@@ -32,15 +34,19 @@ def placement(store):
 
 
 class _Counts:
-    """Keys hashed (``HashRing.key_position``) and ring positions
-    walked (``HashRing.walk_servers``) since the last ``clear``."""
+    """Keys hashed (``HashRing.key_position``), ring positions walked
+    (``HashRing.walk_servers``), scalar slot lookups
+    (``HashRing.successor_slot``) and bulk ones
+    (``HashRing.bulk_successor_slots``) since the last ``clear``."""
 
     def __init__(self):
         self.hashes = []
         self.walks = []
+        self.slots = []
+        self.bulk = []
 
     def clear(self):
-        del self.hashes[:], self.walks[:]
+        del self.hashes[:], self.walks[:], self.slots[:], self.bulk[:]
 
 
 @pytest.fixture
@@ -48,6 +54,8 @@ def ring_walks(monkeypatch):
     counts = _Counts()
     real_position = HashRing.key_position
     real_walk = HashRing.walk_servers
+    real_slot = HashRing.successor_slot
+    real_bulk = HashRing.bulk_successor_slots
 
     def key_position(self, key):
         counts.hashes.append(key)
@@ -57,8 +65,19 @@ def ring_walks(monkeypatch):
         counts.walks.append(position)
         return real_walk(self, position)
 
+    def successor_slot(self, position):
+        counts.slots.append(position)
+        return real_slot(self, position)
+
+    def bulk_successor_slots(self, positions):
+        counts.bulk.append(positions.size)
+        return real_bulk(self, positions)
+
     monkeypatch.setattr(HashRing, "key_position", key_position)
     monkeypatch.setattr(HashRing, "walk_servers", walk_servers)
+    monkeypatch.setattr(HashRing, "successor_slot", successor_slot)
+    monkeypatch.setattr(HashRing, "bulk_successor_slots",
+                        bulk_successor_slots)
     return counts
 
 
@@ -107,6 +126,7 @@ class TestOneWalkPerKeyPerView:
         report = store.audit()
         assert report["keys"] == len(KEYS)
         assert ring_walks.walks == [] and ring_walks.hashes == []
+        assert ring_walks.slots == [] and ring_walks.bulk == []
 
     @pytest.mark.parametrize("passes", [1, 5])
     def test_k_keys_v_views_cost_at_most_k_times_v_walks(
@@ -122,10 +142,15 @@ class TestOneWalkPerKeyPerView:
                     store.get(key, client="alice")
                 store.audit()
                 store.anti_entropy()
-        # every walk is the first touch of that key in that view ...
-        assert len(ring_walks.walks) == len(KEYS) * (len(views) + 1)
-        # ... and starts from a position hashed once, when the store
-        # first saw the key
+        # nothing walks the ring: a key's first touch is one slot
+        # lookup ...
+        assert ring_walks.walks == []
+        assert len(ring_walks.slots) == len(KEYS)
+        # ... every later view reads all of them in one array pass (the
+        # first view knew no key yet) ...
+        assert ring_walks.bulk == [0] + [len(KEYS)] * len(views)
+        # ... from a position hashed once, when the store first saw
+        # the key
         assert sorted(ring_walks.hashes) == KEYS
 
 

@@ -11,8 +11,12 @@ audits, key listings and admin wipes.  Every op must return (or raise)
 the same thing on both, and after every step placement, every node's
 contents, the durability ledger, the audit report, the counters and
 the emitted events must be identical — and the mapping well formed.
-``test_insync_mutants.py`` pins what this machine is too shallow to
-find by itself: the stores with one early-out condition removed.
+The piled-up variant audits only as a rule, so writes, crashes, view
+commits, link toggles and wipes accumulate between passes the way they
+do in a churn run, and checks that the settled set is exactly the keys
+the definition names.  ``test_insync_mutants.py`` pins what these
+machines are too shallow to find by themselves: the stores with one
+early-out condition or one settled-set re-check removed.
 """
 
 from hypothesis import settings
@@ -214,6 +218,47 @@ class TableVsReferenceDegradeMachine(TableVsReferenceMachine):
     ON_NO_QUORUM = "degrade"
 
 
+def settled_by_definition(store, owners_of):
+    """``key -> holds a live value`` for every key with exactly R
+    copies, on exactly its owners, all at the acked vector, all live
+    or all tombstones."""
+    out = {}
+    for key, copies in store._copies.items():
+        acked = store._acked.get(key)
+        owners = owners_of(key)
+        if acked is None or set(copies) != set(owners):
+            continue
+        if all(copies[nid].vv == acked for nid in owners):
+            tombstones = {copies[nid].state is None for nid in owners}
+            if len(tombstones) == 1:
+                out[key] = not tombstones.pop()
+    return out
+
+
+class PiledUpChangesMachine(TableVsReferenceMachine):
+    """No audit between steps: audits are a rule like anti-entropy, so
+    changes pile up between the passes that read the settled set."""
+
+    ON_NO_QUORUM = "degrade"
+
+    @rule()
+    def audit(self):
+        self.both(lambda s: s.audit("rule"))
+
+    @invariant()
+    def stores_are_indistinguishable(self):
+        real, ref = self.stores
+        assert contents(real) == contents(ref)
+        assert real._acked == ref._acked
+        assert real.stats == ref.stats
+        assert self.events[0] == self.events[1]
+
+    @invariant()
+    def settled_set_is_exact(self):
+        real, ref = self.stores
+        assert real._settled == settled_by_definition(real, ref.replica_set)
+
+
 SETTINGS = settings(max_examples=60, stateful_step_count=40, deadline=None,
                     derandomize=True)
 
@@ -221,3 +266,5 @@ TestTableVsReference = TableVsReferenceMachine.TestCase
 TestTableVsReference.settings = SETTINGS
 TestTableVsReferenceDegrade = TableVsReferenceDegradeMachine.TestCase
 TestTableVsReferenceDegrade.settings = SETTINGS
+TestPiledUpChanges = PiledUpChangesMachine.TestCase
+TestPiledUpChanges.settings = settings(SETTINGS, stateful_step_count=80)
