@@ -222,6 +222,28 @@ def bench_dirty_table_insert(benchmark):
     benchmark(insert)
 
 
+def bench_cluster_write_tick(benchmark):
+    """One tick's batch of 1 000 fresh writes on an n = 1000 cluster
+    shrunk to 600 servers, so every write is offloaded and dirty-
+    tracked: one placement gather, then the per-object bookkeeping
+    (header stamps, dirty insert, catalog, replicas).  The oids are
+    hashed into the oid->slot memo untimed, as the three-phase client
+    does before a phase."""
+    from repro.cluster.cluster import ElasticCluster
+    cluster = ElasticCluster(n=1000, replicas=2)
+    cluster.resize(600)
+    firsts = itertools.count(1, 1000)
+
+    def next_tick():
+        first = next(firsts)
+        oids = range(first, first + 1000)
+        cluster.prehash(oids)
+        return (oids,), {}
+
+    benchmark.pedantic(cluster.write_many, setup=next_tick, rounds=30)
+    assert len(cluster.ech.dirty) == len(cluster.catalog) >= 30_000
+
+
 # ----------------------------------------------------------------------
 # serving's deterministic draws (what a serve_resize rep takes ~124 k of)
 # ----------------------------------------------------------------------

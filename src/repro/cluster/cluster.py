@@ -19,6 +19,7 @@ re-adding a server migrates everything the new layout maps onto it
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import (Container, Dict, FrozenSet, Iterable, List, Mapping,
@@ -81,6 +82,35 @@ def _rows(bulk: BulkPlacement, oids: Sequence[int]
     return [tuple(row) for row in bulk.rows()]
 
 
+def _check_size(size: int) -> None:
+    """A write's size is a byte count: finite and not negative."""
+    if not 0 <= size < math.inf:
+        raise ValueError(f"size must be non-negative and finite "
+                         f"(got {size})")
+
+
+class _Landing:
+    """Lands a batch's writes one object at a time: catalog header,
+    replicas on the targets, then stale replicas dropped.  ``count`` is
+    how many landed whole (a full server raises partway through one)."""
+
+    __slots__ = ("count", "_cluster", "_size")
+
+    def __init__(self, cluster: "_ClusterBase", size: int) -> None:
+        self.count = 0
+        self._cluster, self._size = cluster, size
+
+    def __call__(self, oid: int, row: list, version: int,
+                 dirty: bool) -> None:
+        cluster, size = self._cluster, self._size
+        cluster.catalog.create_or_touch(oid, size, version, dirty)
+        cluster._store(oid, size, row)
+        for rank in cluster._holders.get(oid, ()):
+            if rank not in row:
+                cluster.servers[rank].drop_replica(oid)
+        self.count += 1
+
+
 class _ClusterBase:
     """Shared plumbing: server map, catalog, distribution accounting."""
 
@@ -134,15 +164,6 @@ class _ClusterBase:
     def _store(self, oid: int, size: int, ranks: Sequence[int]) -> None:
         for rank in ranks:
             self.servers[rank].store_replica(oid, size)
-
-    def _drop_surplus(self, oid: int, keep: Sequence[int]) -> int:
-        """Drop replicas from every server not in *keep*; returns bytes
-        reclaimed."""
-        freed = 0
-        for rank in self._holders.get(oid, ()):
-            if rank not in keep:
-                freed += self.servers[rank].drop_replica(oid)
-        return freed
 
     # ------------------------------------------------------------------
     # data movement: plan, then apply (DESIGN.md)
@@ -564,22 +585,30 @@ class ElasticCluster(_ClusterBase):
     # ------------------------------------------------------------------
     def write(self, oid: int, size: int = DEFAULT_OBJECT_SIZE
               ) -> PlacementResult:
-        """Write/overwrite an object in the current version.
+        """:meth:`write_many` of one object; returns its placement."""
+        self.write_many((oid,), size)
+        return self.ech.locate(oid)
+
+    def write_many(self, oids: Sequence[int],
+                   size: int = DEFAULT_OBJECT_SIZE) -> List[list]:
+        """Write/overwrite *oids*, *size* bytes each, in the current
+        version, in order.
 
         Replicas land on the Algorithm-1 placement; when the cluster is
-        not at full power the write is dirty-tracked for later
+        not at full power the writes are dirty-tracked for later
         re-integration.  Stale replicas from an earlier placement of
-        the same object are dropped.
+        the same object are dropped.  One placement gather serves the
+        batch; a raise partway (a full server) leaves what a loop of
+        single writes leaves.  Returns the server rows.
         """
-        placement = self.ech.record_write(oid)
-        dirty = not self.ech.is_full_power
-        self.catalog.create_or_touch(oid, size, self.ech.current_version,
-                                     dirty)
-        self._store(oid, size, placement.servers)
-        self._drop_surplus(oid, placement.servers)
-        OBS.metrics.inc("cluster.writes")
-        OBS.metrics.inc("cluster.bytes_written", size)
-        return placement
+        _check_size(size)
+        land = _Landing(self, size)
+        try:
+            return self.ech.record_writes(oids, land)
+        finally:
+            if land.count:
+                OBS.metrics.inc("cluster.writes", land.count)
+                OBS.metrics.inc("cluster.bytes_written", size * land.count)
 
     def read(self, oid: int) -> Tuple[Tuple[int, ...], bool]:
         """Locate the newest replicas of *oid*.
@@ -849,11 +878,23 @@ class OriginalCHCluster(_ClusterBase):
 
     def write(self, oid: int, size: int = DEFAULT_OBJECT_SIZE
               ) -> PlacementResult:
-        placement = self.placement(oid)
-        self.catalog.create_or_touch(oid, size, version=1, dirty=False)
-        self._store(oid, size, placement.servers)
-        self._drop_surplus(oid, placement.servers)
-        return placement
+        """:meth:`write_many` of one object; returns its placement."""
+        self.write_many((oid,), size)
+        return self.placement(oid)
+
+    def write_many(self, oids: Sequence[int],
+                   size: int = DEFAULT_OBJECT_SIZE) -> List[list]:
+        """Write/overwrite a batch of objects on the member set's
+        placement, placed in one gather; returns the server rows."""
+        _check_size(size)
+        if not oids:
+            return []
+        members = self._members
+        rows = self._kernel.rows(members, members.__contains__, oids)
+        land = _Landing(self, size)
+        for oid, row in zip(oids, rows):
+            land(oid, row, 1, False)
+        return rows
 
     def read(self, oid: int) -> Tuple[Tuple[int, ...], bool]:
         obj = self.catalog.get(oid)

@@ -18,7 +18,6 @@ constant, not a harness parameter.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import TYPE_CHECKING, Dict, Hashable, Optional, Sequence
 
@@ -159,6 +158,9 @@ class ThreePhaseLoad:
                  client_cap: float = CLIENT_CAP,
                  object_size: int = OBJECT_SIZE,
                  probe_objects: int = PROBE_OBJECTS) -> None:
+        if not 0 < object_size < math.inf:
+            raise ValueError(f"object_size must be positive and finite "
+                             f"(got {object_size})")
         self.runtime = runtime
         self.phases = phases
         self.client_cap = client_cap
@@ -173,7 +175,6 @@ class ThreePhaseLoad:
         #: Objects written so far (oids ``1..written``).
         self.written = 0
         self._carry = 0.0          # fractional-object accumulator
-        self._oids = itertools.count(1)
 
     def _coefficients(self) -> Dict[int, float]:
         rt = self.runtime
@@ -200,16 +201,22 @@ class ThreePhaseLoad:
             self.flow.coefficients = self._coefficients()
 
     def materialise_writes(self) -> None:
-        """Turn the last tick's written bytes into whole objects."""
+        """Turn the last tick's written bytes into whole objects: the
+        next consecutive oids, written as one batch."""
         if self.flow is None:
             return
         rt = self.runtime
         self._carry += (self.flow.last_rate * rt.io.dt
                         * self.phases[self.index].write_ratio)
+        count = 0
         while self._carry >= self.object_size:
-            rt.cluster.write(next(self._oids), self.object_size)
-            self.written += 1
             self._carry -= self.object_size
+            count += 1
+        if count:
+            first = self.written + 1
+            rt.cluster.write_many(range(first, first + count),
+                                  self.object_size)
+            self.written += count
 
     @property
     def phase_done(self) -> bool:

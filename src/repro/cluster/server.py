@@ -25,6 +25,11 @@ class PowerState(enum.Enum):
     OFF = "off"
 
 
+#: Bound once: an enum member lookup costs more than the identity test
+#: every replica write makes against it.
+_ON = PowerState.ON
+
+
 class CapacityExceeded(RuntimeError):
     """A replica write would overflow the server's capacity."""
 
@@ -78,7 +83,7 @@ class StorageServer:
     # ------------------------------------------------------------------
     @property
     def is_on(self) -> bool:
-        return self.state is PowerState.ON
+        return self.state is _ON
 
     def power_off(self) -> None:
         """Lowest power state; replicas stay on disk."""
@@ -96,7 +101,7 @@ class StorageServer:
         Only legal while powered on — the placement layer never selects
         an off server, so hitting this guard is a placement bug.
         """
-        if not self.is_on:
+        if self.state is not _ON:
             raise RuntimeError(f"write to powered-off server {self.rank}")
         old = self._replicas.get(oid)
         new_used = self._used - (old or 0) + size

@@ -31,7 +31,7 @@ nothing, and a view change there moves only the remapped lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from repro.kvstore.store import KVStore
 from repro.obs.runtime import OBS
@@ -99,24 +99,38 @@ class DirtyTable:
         Returns whether a new entry was actually appended.  Versions
         must be non-decreasing across inserts — the logging component
         tags writes with the *current* version, which only grows — and
-        that monotonicity is what keeps every per-OID list sorted.
+        that monotonicity is what keeps every per-OID list sorted.  A
+        batch of writes calls it per object, between the object's
+        header stamp and its replicas, so a raise partway leaves what a
+        loop of single writes leaves.
         """
         if version < self._last_version:
             # An out-of-order version would silently break fetch order.
             raise ValueError(
                 f"dirty insert version went backwards: {version} < "
                 f"{self._last_version}")
-        if self.contains(oid, version):
+        versions = self._index.get(oid)
+        if versions is not None and version in versions:
             return False
         self._kv.rpush(self._key(oid),
                        DirtyEntry(version=version, oid=oid))
         self._count += 1
-        self._index.setdefault(oid, set()).add(version)
-        self._last_version = max(self._last_version, version)
+        if versions is None:
+            self._index[oid] = {version}
+        else:
+            versions.add(version)
+        self._last_version = version    # not behind it: checked above
         self._insert_counter.inc()
         if OBS.bus.active:
             OBS.bus.emit("dirty.insert", oid=oid, version=version)
         return True
+
+    def insert_many(self, oids: Iterable[int], version: int) -> List[bool]:
+        """:meth:`insert` every oid of *oids* in *version*, in order;
+        returns, per oid, whether a new entry was appended.  A raise
+        leaves the earlier oids logged."""
+        insert = self.insert
+        return [insert(oid, version) for oid in oids]
 
     def contains(self, oid: int, version: int) -> bool:
         return version in self._index.get(oid, ())

@@ -21,7 +21,8 @@ on, where objects belong.  Actual bytes live in
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -326,19 +327,47 @@ class ElasticConsistentHash:
         return tbl.gather(slots)
 
     def record_write(self, oid: int) -> PlacementResult:
-        """Place *oid* for a write in the current version and perform
-        the dirty-tracking side effects (§III-E-2): tag the object
-        header with the version, and log a dirty entry unless the
-        cluster is at full power."""
-        placement = self.locate(oid)
-        version = self.current_version
-        self.last_written[oid] = version
-        self.location_version[oid] = version
-        if not self.is_full_power:
-            self.dirty.insert(oid, version)
-            OBS.metrics.inc("core.offloaded_writes")
-        OBS.metrics.inc("core.writes")
-        return placement
+        """:meth:`record_writes` of one oid; returns its placement."""
+        self.record_writes((oid,))
+        return self.locate(oid)
+
+    def record_writes(
+        self,
+        oids: Sequence[int],
+        land: Optional[Callable[[int, list, int, bool], None]] = None,
+    ) -> List[list]:
+        """Place a batch of writes in the current version — one gather
+        of slot-table rows, no :class:`PlacementResult` — then, per oid
+        in order, tag its header with the version, log a dirty entry
+        unless at full power (§III-E-2), and hand ``(oid, servers,
+        version, dirty)`` to *land*.  A raise leaves what a loop of
+        single writes leaves (``LookupError`` raises before anything
+        changes).  Returns the server rows."""
+        if not oids:
+            return []
+        table = self.history.current
+        version = table.version
+        rows = self._kernel.rows(version, table.is_active, oids)
+        dirty = not table.is_full_power
+        insert = self.dirty.insert if dirty else None
+        last_written, location_version = (self.last_written,
+                                          self.location_version)
+        recorded = 0
+        try:
+            for oid, row in zip(oids, rows):
+                last_written[oid] = version
+                location_version[oid] = version
+                if insert is not None:
+                    insert(oid, version)
+                recorded += 1
+                if land is not None:
+                    land(oid, row, version, dirty)
+        finally:
+            if recorded:
+                if insert is not None:
+                    OBS.metrics.inc("core.offloaded_writes", recorded)
+                OBS.metrics.inc("core.writes", recorded)
+        return rows
 
     def locate_current_replicas(self, oid: int) -> PlacementResult:
         """Where the *newest* replicas of *oid* physically are: the

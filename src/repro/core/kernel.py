@@ -24,8 +24,10 @@ Two access paths read the table:
   block of minted ids) fill it with ``prehash`` in one array pass, so
   even a first ``locate`` skips the scalar hash and bisect;
 * vectorised ``gather(slots)`` — one fancy-index produces a compact
-  :class:`BulkPlacement` (server-index matrix plus degraded / offloaded
-  bitmasks) for a whole key array.
+  :class:`BulkPlacement` (server-id matrix plus degraded / offloaded
+  bitmasks) for a whole key array; ``rows(slots)`` is the same gather
+  as plain server lists, for a batch of writes that needs only where
+  its replicas go.
 
 The reference walks (``place_*_from_slot``) live only in
 :mod:`repro.core.placement`: they are the oracle the tests hold every
@@ -40,7 +42,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (Callable, Dict, Hashable, List, Mapping, NamedTuple,
-                    Optional, Tuple, Union)
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -290,12 +292,10 @@ class SlotPlacementTable:
         if r < 1:
             raise ValueError("replica count must be >= 1")
         self._r = r
-        self._server_list = ring._server_list
-        ids = np.asarray(self._server_list)
+        ids = np.asarray(ring._server_list)
         if ids.ndim != 1 or ids.dtype.kind not in "iu":
-            ids = np.empty(len(self._server_list), dtype=object)
-            ids[:] = self._server_list
-        self._server_ids = ids
+            ids = np.empty(len(ring._server_list), dtype=object)
+            ids[:] = ring._server_list
         algorithm1 = is_primary is not None
         cls = _slot_classes(ring, is_active, is_primary, chain)
         #: Why no slot of this membership is placeable (``None``: every
@@ -307,11 +307,14 @@ class SlotPlacementTable:
             self._error = (
                 "no active server" if algorithm1 and not cls.n_active
                 else f"only {cls.n_active} of {r} replicas placeable")
-            self._servers = np.empty((0, r), dtype=np.intp)
+            self._servers = np.empty((0, r), dtype=ids.dtype)
             self._flags = np.empty(0, dtype=np.uint8)
         else:
-            self._servers, self._flags = _place_all_slots(
+            # Rows hold server ids, not server indices: every read of
+            # the table is then one gather.
+            index, self._flags = _place_all_slots(
                 ring._owners, r, cls, algorithm1)
+            self._servers = ids[index]
         #: Per-slot PlacementResult, built on the first scalar ask.
         self._results: List[Optional[PlacementResult]] = \
             [None] * ring._positions.size
@@ -328,28 +331,39 @@ class SlotPlacementTable:
             if self._error is not None:
                 raise LookupError(self._error)
             flags = self._flags[slot]
-            slist = self._server_list
             res = self._results[slot] = PlacementResult(
-                tuple([slist[i] for i in self._servers[slot].tolist()]),
+                tuple(self._servers[slot].tolist()),
                 degraded=bool(flags & _DEGRADED),
                 skipped_inactive=bool(flags & _SKIPPED))
         return res
 
+    def rows(self, slots: List[int]) -> List[list]:
+        """Server rows of *slots* as plain lists, in one gather and
+        with no :class:`PlacementResult` built — what a batch of writes
+        lands on.  Raises ``LookupError`` where :meth:`lookup` would."""
+        if self._error is not None:
+            raise LookupError(self._error)
+        if len(slots) == 1:
+            # A single write: one row view costs less than take's
+            # list-to-array conversion.
+            return [self._servers[slots[0]].tolist()]
+        return self._servers.take(slots, axis=0).tolist()
+
     def gather(self, slots: np.ndarray) -> BulkPlacement:
         """Vectorised placement of a slot array."""
-        ids = self._server_ids
         if self._error is not None:
+            dtype = self._servers.dtype
             return BulkPlacement(
                 servers=np.full((slots.size, self._r),
-                                -1 if ids.dtype.kind in "iu" else None,
-                                dtype=ids.dtype),
+                                -1 if dtype.kind in "iu" else None,
+                                dtype=dtype),
                 degraded=np.zeros(slots.size, dtype=bool),
                 skipped_inactive=np.zeros(slots.size, dtype=bool),
                 ok=np.zeros(slots.size, dtype=bool),
                 reasons=dict.fromkeys(range(slots.size), self._error))
         flags = self._flags[slots]
         return BulkPlacement(
-            servers=ids[self._servers[slots]],
+            servers=self._servers[slots],
             degraded=(flags & _DEGRADED) != 0,
             skipped_inactive=(flags & _SKIPPED) != 0,
             ok=np.ones(slots.size, dtype=bool))
@@ -441,6 +455,19 @@ class PlacementKernel:
                 self._slot_cache.clear()
             self._slot_cache[oid] = slot
         return slot
+
+    def rows(self, key: Hashable, is_active: Optional[Predicate],
+             oids: Sequence[Hashable]) -> List[list]:
+        """Server rows of *oids* under membership *key*: each oid's
+        memoised slot, then one gather of the key's table.  Raises the
+        table's ``LookupError`` naming the first oid (fewer than r
+        servers to place on fails every oid alike)."""
+        slot_of = self.slot_of
+        try:
+            return self.table(key, is_active).rows(
+                [slot_of(oid) for oid in oids])
+        except LookupError as exc:
+            raise LookupError(f"{exc} (oid {oids[0]!r})") from None
 
     def prehash(self, oids: Union[range, np.ndarray]) -> None:
         """Fill the oid→slot memo for *oids* (a ``range`` or an integer

@@ -59,19 +59,15 @@ def run_layout_versions(
     with 2 servers off.
     """
     cluster = ElasticCluster(n, replicas, B=B)
-    oid = 0
 
     # Version 1: full power.
-    for _ in range(objects_v1):
-        cluster.write(oid, object_size)
-        oid += 1
+    cluster.write_many(range(objects_v1), object_size)
     dist_v1 = cluster.replicas_per_rank()
 
     # Version 2: shrink, write the figure's 50k objects.
     cluster.resize(n - off_count)
-    for _ in range(objects_v2):
-        cluster.write(oid, object_size)
-        oid += 1
+    cluster.write_many(range(objects_v1, objects_v1 + objects_v2),
+                       object_size)
     dist_v2 = cluster.replicas_per_rank()
 
     # Version 3: back to full power; the selective backlog *is* the

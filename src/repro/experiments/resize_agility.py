@@ -91,8 +91,7 @@ def run_resize_agility(
     baseline = OriginalCHCluster(n, replicas,
                                  vnodes_per_server=vnodes_per_server,
                                  disk_bandwidth=disk_bw)
-    for oid in range(objects):
-        baseline.write(oid, object_size)
+    baseline.write_many(range(objects), object_size)
 
     original = StepSeries()
     original.append(0.0, n)
@@ -161,8 +160,7 @@ def run_resize_agility(
 
     # ---------------- elastic consistent hashing ---------------------
     elastic_cluster = ElasticCluster(n, replicas, disk_bandwidth=disk_bw)
-    for oid in range(objects):
-        elastic_cluster.write(oid, object_size)
+    elastic_cluster.write_many(range(objects), object_size)
 
     elastic = StepSeries()
     elastic.append(0.0, n)

@@ -68,6 +68,9 @@ def replay_policy(
     *preload_objects* populates the cluster before the window starts
     (the migration-relevant resident data).
     """
+    if not 0 < object_size < math.inf:
+        raise ValueError(f"object_size must be positive and finite "
+                         f"(got {object_size})")
     if name == "original-ch":
         return _replay_original(trace, config, object_size,
                                 preload_objects)
@@ -78,12 +81,17 @@ def replay_policy(
 
 
 def _write_stream(cluster, trace, t, dt, object_size, state) -> None:
-    """Materialise one sample's writes as objects."""
+    """Materialise one sample's writes as objects: the next
+    consecutive oids, written as one batch."""
     state["carry"] += trace.write_load[t] * dt
+    count = 0
     while state["carry"] >= object_size:
-        cluster.write(state["oid"], object_size)
-        state["oid"] += 1
         state["carry"] -= object_size
+        count += 1
+    if count:
+        first = state["oid"]
+        cluster.write_many(range(first, first + count), object_size)
+        state["oid"] += count
 
 
 def _extra_servers(drained_bytes: float, dt: float,
@@ -97,8 +105,7 @@ def _replay_elastic(name: str, trace: LoadTrace, config: PolicyConfig,
                     object_size: int, preload: int) -> ReplayResult:
     cluster = ElasticCluster(n=config.n_max, replicas=config.replicas,
                              p=config.p)
-    for oid in range(preload):
-        cluster.write(oid, object_size)
+    cluster.write_many(range(preload), object_size)
 
     ideal = ideal_servers(trace.load, config.per_server_bw, config.n_max)
     dt = trace.dt
@@ -156,8 +163,7 @@ def _replay_original(trace: LoadTrace, config: PolicyConfig,
     cluster = OriginalCHCluster(n=config.n_max, replicas=config.replicas,
                                 vnodes_per_server=max(
                                     64, 4_096 // config.n_max))
-    for oid in range(preload):
-        cluster.write(oid, object_size)
+    cluster.write_many(range(preload), object_size)
 
     ideal = ideal_servers(trace.load, config.per_server_bw, config.n_max)
     dt = trace.dt

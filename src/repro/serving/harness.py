@@ -172,9 +172,8 @@ def run_serve(
             cluster.prehash(range(oid, oid + PREHASH_BLOCK))
         return oid
 
-    for _ in range(PREPOPULATE):
-        cluster.write(mint(), REQUEST_BYTES)
-        state["written"] += 1
+    cluster.write_many([mint() for _ in range(PREPOPULATE)], REQUEST_BYTES)
+    state["written"] += PREPOPULATE
 
     # -- request fabrication (placement + disk cost + materialisation) --
     def pick_replica(oid: int, draw: int) -> int:
@@ -182,7 +181,8 @@ def run_serve(
         return servers[draw % len(servers)]
 
     def materialise(req: Request, _t: float) -> None:
-        cluster.write(req.oid, REQUEST_BYTES)
+        # A batch of one: nothing reads the placement `write` returns.
+        cluster.write_many((req.oid,), REQUEST_BYTES)
         state["written"] += 1
 
     def factory(pop: str, rid: int, key: Draw) -> Request:

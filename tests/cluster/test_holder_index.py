@@ -2,8 +2,8 @@
 
 Maintained by ``StorageServer.store_replica`` / ``drop_replica`` (the
 only two places a replica map changes) and shared with the owning
-cluster, which answers ``stored_locations`` / ``_drop_surplus`` from it
-in O(r) instead of asking every server.
+cluster, which answers ``stored_locations`` and drops a write's surplus
+from it in O(r) instead of asking every server.
 """
 
 import hashlib

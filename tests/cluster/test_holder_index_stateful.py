@@ -1,7 +1,7 @@
 """Generated equivalence test for the cluster's holder index.
 
-``stored_locations`` / ``_drop_surplus`` answer from an ``oid ->
-holders`` index the servers maintain in ``store_replica`` /
+``stored_locations`` and the write path's surplus drop answer from an
+``oid -> holders`` index the servers maintain in ``store_replica`` /
 ``drop_replica``.  Hypothesis drives arbitrary lifecycles of both
 cluster flavours — including crashes that outlive their recovery,
 replica maps corrupted by reaching through ``cluster.servers[rank]``,

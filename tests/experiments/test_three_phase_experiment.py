@@ -100,6 +100,13 @@ class TestOptions:
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             run_three_phase("none", **{name: bad})
 
+    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf")])
+    def test_bad_object_size_rejected(self, bad):
+        # -1 used to loop forever turning bytes into objects, 0 divided
+        # by zero and nan failed converting to an int.
+        with pytest.raises(ValueError, match="object_size must be"):
+            run_three_phase("selective", scale=SCALE, object_size=bad)
+
     def test_full_design_lowers_write_peak(self):
         """Ablation: with the real equal-work + primary layout the
         write phase bottlenecks on the primaries (§III-C trade-off)."""

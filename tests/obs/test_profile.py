@@ -330,7 +330,9 @@ class TestAttach:
 class TestFramesGolden:
     """The frame tree (names, calls, sim seconds; wall time excepted)
     of two CI smokes, as profiled before ``FRAMES`` replaced the inline
-    guards and decorators."""
+    guards and decorators — less the ``kernel.locate`` frames of the
+    writes, which place with one slot-table gather per batch since
+    ``write_many``."""
 
     GOLDEN = Path(__file__).with_name("profile_frames.json")
 

@@ -30,6 +30,13 @@ class TestReplayMechanics:
         with pytest.raises(ValueError):
             replay_policy("greencht", trace, config)
 
+    @pytest.mark.parametrize("bad", [0, -1, float("nan"), float("inf")])
+    def test_bad_object_size_rejected(self, trace, config, bad):
+        # 0 and -1 used to loop forever turning bytes into objects.
+        for name in ("original-ch", "primary-selective"):
+            with pytest.raises(ValueError, match="object_size must be"):
+                replay_policy(name, trace, config, object_size=bad)
+
     def test_series_length_matches_trace(self, trace, config):
         rep = replay_policy("primary-selective", trace, config,
                             object_size=OBJ, preload_objects=50)
