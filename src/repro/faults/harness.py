@@ -137,225 +137,225 @@ def run_chaos(
     phases = three_phase_workload(scale=scale, phase2_rate=PHASE2_RATE)
     sim = Simulator()
     injector = FaultInjector(plan)
-    # The dirty table rides the replicated KV across ALL ranks (not
-    # just the always-on primaries): a crashed rank takes its metadata
-    # shard down with it, and the quorum + anti-entropy machinery — not
-    # single-copy luck — is what keeps the table intact.  Degrade mode
-    # keeps the metadata path available through partitions; the kv.*
-    # checkers watch what that costs.
-    dirty_store = ReplicatedKVStore(
-        list(range(1, n + 1)), replicas=min(3, n),
-        link_blocked=injector.link_blocked, on_no_quorum="degrade")
-    cluster = ElasticCluster(n, replicas, disk_bandwidth=DISK_BW,
-                             layout_mode="uniform",
-                             placement_mode="original",
-                             dirty_table=DirtyTable(dirty_store))
-    policy = RetryPolicy(seed=seed if seed is not None else 0)
-    # Capacities follow the membership and the injector's slow-disk
-    # windows; the runtime's token covers both.
-    rt = ClusterRuntime(cluster, dt, sim=sim, injector=injector)
-    io = rt.io
-    load = ThreePhaseLoad(rt, phases)
+    with checked_run(check) as checked:
+        # The dirty table rides the replicated KV across ALL ranks (not
+        # just the always-on primaries): a crashed rank takes its metadata
+        # shard down with it, and the quorum + anti-entropy machinery — not
+        # single-copy luck — is what keeps the table intact.  Degrade mode
+        # keeps the metadata path available through partitions; the kv.*
+        # checkers watch what that costs.
+        dirty_store = ReplicatedKVStore(
+            list(range(1, n + 1)), replicas=min(3, n),
+            link_blocked=injector.link_blocked, on_no_quorum="degrade")
+        cluster = ElasticCluster(n, replicas, disk_bandwidth=DISK_BW,
+                                 layout_mode="uniform",
+                                 placement_mode="original",
+                                 dirty_table=DirtyTable(dirty_store))
+        policy = RetryPolicy(seed=seed if seed is not None else 0)
+        # Capacities follow the membership and the injector's slow-disk
+        # windows; the runtime's token covers both.
+        rt = ClusterRuntime(cluster, dt, sim=sim, injector=injector)
+        io = rt.io
+        load = ThreePhaseLoad(rt, phases)
 
-    def transfer_coefficients(planned: PlannedTransfer,
-                              _job: TransferJob) -> Dict[int, float]:
-        return rt.even_coefficients(sorted(planned.ranks))
+        def transfer_coefficients(planned: PlannedTransfer,
+                                  _job: TransferJob) -> Dict[int, float]:
+            return rt.even_coefficients(sorted(planned.ranks))
 
-    manager = TransferManager(cluster, io.flows, policy,
-                              coefficients_for=transfer_coefficients,
-                              link_blocked=injector.link_blocked)
+        manager = TransferManager(cluster, io.flows, policy,
+                                  coefficients_for=transfer_coefficients,
+                                  link_blocked=injector.link_blocked)
 
-    state = {
-        "desired": n,
-        "crashed": set(),
-        "reint_round": 0,
-        "degraded_reads": 0,
-        "unavailable_reads": 0,
-    }
-    audits: List[Dict[str, object]] = []
-
-    def sample_read(now: float) -> None:
-        """One deterministic read per tick through the degraded-read
-        fallback path — exercises the replica-chain walk whenever a
-        crash window leaves primaries dark."""
-        if load.written == 0:
-            return
-        oid = (int(round(now / dt)) % load.written) + 1
-        try:
-            _, degraded = cluster.read_with_fallback(oid)
-        except LookupError:
-            state["unavailable_reads"] += 1
-            OBS.bus.emit("read.unavailable", t=now, oid=oid)
-            return
-        if degraded:
-            state["degraded_reads"] += 1
-            OBS.bus.emit("read.degraded", t=now, oid=oid)
-
-    # ------------------------------------------------------------------
-    # transfers
-    # ------------------------------------------------------------------
-    def submit_recovery(work: CrashRecoveryWork, now: float) -> None:
-        key = f"recovery:r{work.rank}v{work.version}"
-
-        def plan_fn() -> Optional[PlannedTransfer]:
-            return PlannedTransfer.of(
-                cluster.crash_recovery_outlook(work),
-                lambda: cluster.commit_crash_recovery(work, strict=False))
-
-        manager.submit(TransferJob(key=key, kind="recovery",
-                                   plan_fn=plan_fn), now=now)
-
-    def maybe_submit_reintegration(now: float) -> bool:
-        if any(job.kind == "reintegration"
-               and job.status in ("pending", "active")
-               for job in manager.jobs):
-            return False
-        if state["reint_round"] >= _MAX_REINTEGRATION_ROUNDS:
-            return False
-        outlook = cluster.plan_selective_reintegration()
-        if outlook.actionable == 0:
-            return False
-        if outlook.total_bytes == 0 and not cluster.ech.is_full_power:
-            # Nothing to move, and below full power Algorithm 2 may not
-            # clear entries (lines 11-13): a round would be pure churn.
-            # The entries wait for the repair/repower round.
-            return False
-        state["reint_round"] += 1
-        key = f"reintegration:{state['reint_round']}"
-
-        def plan_fn() -> Optional[PlannedTransfer]:
-            p = cluster.plan_selective_reintegration()
-            if p.actionable == 0:
-                return None
-            return PlannedTransfer.of(
-                p, lambda: cluster.commit_selective_reintegration(p))
-
-        manager.submit(TransferJob(key=key, kind="reintegration",
-                                   plan_fn=plan_fn,
-                                   rate_cap=REINTEGRATION_RATE), now=now)
-        return True
-
-    def on_transfer_start(job: TransferJob, now: float) -> None:
-        if job.kind in ("recovery", "reintegration"):
-            injector.fire_trigger(job.kind, now)
-
-    manager.on_start = on_transfer_start
-
-    # ------------------------------------------------------------------
-    # fault handling
-    # ------------------------------------------------------------------
-    def attempt_repair(rank: int) -> None:
-        if cluster.inflight_ranks.get(rank, 0):
-            # A transfer still pins the rank (repair_server would
-            # refuse): drain first, try again next tick.
-            sim.schedule(dt, attempt_repair, rank)
-            return
-        cluster.repair_server(rank)
-        dirty_store.repair_node(rank)   # re-replicates its kv shard
-        state["crashed"].discard(rank)
-        target = min(state["desired"], n - len(state["crashed"]))
-        if target != cluster.num_active:
-            cluster.resize(target)
-        load.refresh()
-        maybe_submit_reintegration(sim.now)
-
-    def handle_fault(action: FaultAction) -> None:
-        now = sim.now
-        if action.kind == "crash":
-            rank = action.rank
-            if rank in state["crashed"]:
-                return
-            manager.on_crash(rank)
-            dirty_store.crash_node(rank)   # its kv shard dies with it
-            work = cluster.crash_server(rank)
-            state["crashed"].add(rank)
-            load.refresh()
-            if work.lost:
-                submit_recovery(work, now)
-            else:
-                cluster.commit_crash_recovery(work, strict=False)
-        elif action.kind == "repair":
-            attempt_repair(action.rank)
-        elif action.kind == "link_loss.start":
-            manager.on_link_loss((action.rank, action.peer))
-        # slow_disk.* and link_loss.end are ambient: capacities() and
-        # the launch-time link check pick them up.
-
-    injector.arm(sim, handle_fault)
-
-    # ------------------------------------------------------------------
-    # audits
-    # ------------------------------------------------------------------
-    def emit_audit(now: float, label: str = "periodic") -> None:
-        audit = cluster.replication_audit()
-        rec: Dict[str, object] = {
-            "t": now, "label": label, **audit,
-            "dirty": len(cluster.ech.dirty),
-            "active_transfers": len(manager.active),
-            "quarantined": len(manager.quarantined),
+        state = {
+            "desired": n,
+            "crashed": set(),
+            "reint_round": 0,
+            "degraded_reads": 0,
+            "unavailable_reads": 0,
         }
-        audits.append(rec)
-        if OBS.bus.active:
-            OBS.bus.clock = now
-            OBS.bus.emit("chaos.audit", t=now, label=label,
-                         objects=audit["objects"], lost=audit["lost"],
-                         under_replicated=audit["under_replicated"],
-                         dirty=rec["dirty"],
-                         quarantined=rec["quarantined"])
-        # The metadata substrate gets the same scrutiny as the data
-        # plane: its audit feeds the kv-* checkers (emits kv.audit).
-        rec["kv"] = dirty_store.audit(label)
+        audits: List[Dict[str, object]] = []
 
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-    now = 0.0
-    next_audit = audit_every
-    with checked_run("chaos.run", check, seed=seed, n=n,
-                     faults=len(plan)) as checked:
-        load.start()
-        while now < MAX_DURATION:
-            now += dt
-            sim.run_until(now)          # fault actions interleave here
-            manager.poll(now)
-            io.step(now)
-            load.materialise_writes()
-            sample_read(now)
-            if now >= next_audit:
-                emit_audit(now)
-                next_audit += audit_every
-            if not load.phase_done:
-                continue
-            idx = load.finish_phase(now)
-            if idx == 0:
-                state["desired"] = n - off_count
-                cluster.resize(min(state["desired"],
-                                   n - len(state["crashed"])))
-            elif idx == 1:
-                state["desired"] = n
-                cluster.resize(n - len(state["crashed"]))
-                maybe_submit_reintegration(now)
-            if not load.advance():
-                break
-            injector.fire_trigger(phases[load.index].name, now)
+        def sample_read(now: float) -> None:
+            """One deterministic read per tick through the degraded-read
+            fallback path — exercises the replica-chain walk whenever a
+            crash window leaves primaries dark."""
+            if load.written == 0:
+                return
+            oid = (int(round(now / dt)) % load.written) + 1
+            try:
+                _, degraded = cluster.read_with_fallback(oid)
+            except LookupError:
+                state["unavailable_reads"] += 1
+                OBS.bus.emit("read.unavailable", t=now, oid=oid)
+                return
+            if degraded:
+                state["degraded_reads"] += 1
+                OBS.bus.emit("read.degraded", t=now, oid=oid)
 
-        # Drain: faults may still be scheduled (a delayed repair), and
-        # preempted transfers retry until done or quarantined.
-        while (now < MAX_DURATION
-               and (len(io.flows) > 0 or not manager.idle
-                    or sim.pending > 0)):
-            now += dt
-            sim.run_until(now)
-            manager.poll(now)
-            io.step(now)
-            if now >= next_audit:
-                emit_audit(now)
-                next_audit += audit_every
-            if manager.idle and len(io.flows) == 0:
-                maybe_submit_reintegration(now)
+        # ------------------------------------------------------------------
+        # transfers
+        # ------------------------------------------------------------------
+        def submit_recovery(work: CrashRecoveryWork, now: float) -> None:
+            key = f"recovery:r{work.rank}v{work.version}"
 
-        dirty_store.anti_entropy()     # settle any repair debt left
-        emit_audit(now, label="final")
+            def plan_fn() -> Optional[PlannedTransfer]:
+                return PlannedTransfer.of(
+                    cluster.crash_recovery_outlook(work),
+                    lambda: cluster.commit_crash_recovery(work, strict=False))
+
+            manager.submit(TransferJob(key=key, kind="recovery",
+                                       plan_fn=plan_fn), now=now)
+
+        def maybe_submit_reintegration(now: float) -> bool:
+            if any(job.kind == "reintegration"
+                   and job.status in ("pending", "active")
+                   for job in manager.jobs):
+                return False
+            if state["reint_round"] >= _MAX_REINTEGRATION_ROUNDS:
+                return False
+            outlook = cluster.plan_selective_reintegration()
+            if outlook.actionable == 0:
+                return False
+            if outlook.total_bytes == 0 and not cluster.ech.is_full_power:
+                # Nothing to move, and below full power Algorithm 2 may not
+                # clear entries (lines 11-13): a round would be pure churn.
+                # The entries wait for the repair/repower round.
+                return False
+            state["reint_round"] += 1
+            key = f"reintegration:{state['reint_round']}"
+
+            def plan_fn() -> Optional[PlannedTransfer]:
+                p = cluster.plan_selective_reintegration()
+                if p.actionable == 0:
+                    return None
+                return PlannedTransfer.of(
+                    p, lambda: cluster.commit_selective_reintegration(p))
+
+            manager.submit(TransferJob(key=key, kind="reintegration",
+                                       plan_fn=plan_fn,
+                                       rate_cap=REINTEGRATION_RATE), now=now)
+            return True
+
+        def on_transfer_start(job: TransferJob, now: float) -> None:
+            if job.kind in ("recovery", "reintegration"):
+                injector.fire_trigger(job.kind, now)
+
+        manager.on_start = on_transfer_start
+
+        # ------------------------------------------------------------------
+        # fault handling
+        # ------------------------------------------------------------------
+        def attempt_repair(rank: int) -> None:
+            if cluster.inflight_ranks.get(rank, 0):
+                # A transfer still pins the rank (repair_server would
+                # refuse): drain first, try again next tick.
+                sim.schedule(dt, attempt_repair, rank)
+                return
+            cluster.repair_server(rank)
+            dirty_store.repair_node(rank)   # re-replicates its kv shard
+            state["crashed"].discard(rank)
+            target = min(state["desired"], n - len(state["crashed"]))
+            if target != cluster.num_active:
+                cluster.resize(target)
+            load.refresh()
+            maybe_submit_reintegration(sim.now)
+
+        def handle_fault(action: FaultAction) -> None:
+            now = sim.now
+            if action.kind == "crash":
+                rank = action.rank
+                if rank in state["crashed"]:
+                    return
+                manager.on_crash(rank)
+                dirty_store.crash_node(rank)   # its kv shard dies with it
+                work = cluster.crash_server(rank)
+                state["crashed"].add(rank)
+                load.refresh()
+                if work.lost:
+                    submit_recovery(work, now)
+                else:
+                    cluster.commit_crash_recovery(work, strict=False)
+            elif action.kind == "repair":
+                attempt_repair(action.rank)
+            elif action.kind == "link_loss.start":
+                manager.on_link_loss((action.rank, action.peer))
+            # slow_disk.* and link_loss.end are ambient: capacities() and
+            # the launch-time link check pick them up.
+
+        injector.arm(sim, handle_fault)
+
+        # ------------------------------------------------------------------
+        # audits
+        # ------------------------------------------------------------------
+        def emit_audit(now: float, label: str = "periodic") -> None:
+            audit = cluster.replication_audit()
+            rec: Dict[str, object] = {
+                "t": now, "label": label, **audit,
+                "dirty": len(cluster.ech.dirty),
+                "active_transfers": len(manager.active),
+                "quarantined": len(manager.quarantined),
+            }
+            audits.append(rec)
+            if OBS.bus.active:
+                OBS.bus.clock = now
+                OBS.bus.emit("chaos.audit", t=now, label=label,
+                             objects=audit["objects"], lost=audit["lost"],
+                             under_replicated=audit["under_replicated"],
+                             dirty=rec["dirty"],
+                             quarantined=rec["quarantined"])
+            # The metadata substrate gets the same scrutiny as the data
+            # plane: its audit feeds the kv-* checkers (emits kv.audit).
+            rec["kv"] = dirty_store.audit(label)
+
+        # ------------------------------------------------------------------
+        # main loop
+        # ------------------------------------------------------------------
+        now = 0.0
+        next_audit = audit_every
+        with OBS.spans.span("chaos.run", seed=seed, n=n, faults=len(plan)):
+            load.start()
+            while now < MAX_DURATION:
+                now += dt
+                sim.run_until(now)          # fault actions interleave here
+                manager.poll(now)
+                io.step(now)
+                load.materialise_writes()
+                sample_read(now)
+                if now >= next_audit:
+                    emit_audit(now)
+                    next_audit += audit_every
+                if not load.phase_done:
+                    continue
+                idx = load.finish_phase(now)
+                if idx == 0:
+                    state["desired"] = n - off_count
+                    cluster.resize(min(state["desired"],
+                                       n - len(state["crashed"])))
+                elif idx == 1:
+                    state["desired"] = n
+                    cluster.resize(n - len(state["crashed"]))
+                    maybe_submit_reintegration(now)
+                if not load.advance():
+                    break
+                injector.fire_trigger(phases[load.index].name, now)
+
+            # Drain: faults may still be scheduled (a delayed repair), and
+            # preempted transfers retry until done or quarantined.
+            while (now < MAX_DURATION
+                   and (len(io.flows) > 0 or not manager.idle
+                        or sim.pending > 0)):
+                now += dt
+                sim.run_until(now)
+                manager.poll(now)
+                io.step(now)
+                if now >= next_audit:
+                    emit_audit(now)
+                    next_audit += audit_every
+                if manager.idle and len(io.flows) == 0:
+                    maybe_submit_reintegration(now)
+
+            dirty_store.anti_entropy()     # settle any repair debt left
+            emit_audit(now, label="final")
 
     # A quarantined re-integration round can be *superseded*: a later
     # round settles the same dirty entries (each plan re-snapshots the

@@ -245,157 +245,158 @@ def run_kv_churn(
     sim = Simulator()
     injector = FaultInjector(plan)
     policy = RetryPolicy(seed=seed if seed is not None else 0)
-    store = ReplicatedKVStore(list(range(1, nodes + 1)), replicas=replicas,
-                              link_blocked=injector.link_blocked,
-                              on_no_quorum="raise")
-    rng = np.random.default_rng(seed)
-    client_ids = [f"c{i}" for i in range(1, clients + 1)]
-    # Typed keyspace (strings / counters / lists) so the op mix never
-    # trips WrongTypeError.
-    per_kind = max(keys // 3, 1)
-    str_keys = [f"s{i:03d}" for i in range(per_kind)]
-    ctr_keys = [f"n{i:03d}" for i in range(per_kind)]
-    list_keys = [f"q{i:03d}" for i in range(per_kind)]
+    with checked_run(check) as checked:
+        store = ReplicatedKVStore(list(range(1, nodes + 1)), replicas=replicas,
+                                  link_blocked=injector.link_blocked,
+                                  on_no_quorum="raise")
+        rng = np.random.default_rng(seed)
+        client_ids = [f"c{i}" for i in range(1, clients + 1)]
+        # Typed keyspace (strings / counters / lists) so the op mix never
+        # trips WrongTypeError.
+        per_kind = max(keys // 3, 1)
+        str_keys = [f"s{i:03d}" for i in range(per_kind)]
+        ctr_keys = [f"n{i:03d}" for i in range(per_kind)]
+        list_keys = [f"q{i:03d}" for i in range(per_kind)]
 
-    counters = {"ops": 0, "retried": 0, "quarantined": 0,
-                "unavailable": 0}
-    audits: List[Dict[str, object]] = []
+        counters = {"ops": 0, "retried": 0, "quarantined": 0,
+                    "unavailable": 0}
+        audits: List[Dict[str, object]] = []
 
-    # ------------------------------------------------------------------
-    # fault handling: crash wipes a node, repair re-admits it
-    # ------------------------------------------------------------------
-    def handle_fault(action: FaultAction) -> None:
-        if action.kind == "crash":
-            store.crash_node(action.rank)
-        elif action.kind == "repair":
-            store.repair_node(action.rank)
-        # link_loss.* is ambient: the store consults
-        # injector.link_blocked on every replica transfer.
+        # ------------------------------------------------------------------
+        # fault handling: crash wipes a node, repair re-admits it
+        # ------------------------------------------------------------------
+        def handle_fault(action: FaultAction) -> None:
+            if action.kind == "crash":
+                store.crash_node(action.rank)
+            elif action.kind == "repair":
+                store.repair_node(action.rank)
+            # link_loss.* is ambient: the store consults
+            # injector.link_blocked on every replica transfer.
 
-    injector.arm(sim, handle_fault)
+        injector.arm(sim, handle_fault)
 
-    # ------------------------------------------------------------------
-    # client ops with retry-until-acked-or-quarantined
-    # ------------------------------------------------------------------
-    def write_once(client: str, op: str, key: str, value: object,
-                   attempt: int) -> None:
-        try:
-            if op == "set":
-                store.set(key, value, client=client)
-            elif op == "incr":
-                store.incr(key, client=client)
-            elif op == "rpush":
-                store.rpush(key, value, client=client)
-            elif op == "lpop":
-                store.lpop(key, client=client)
-            else:  # delete
-                store.delete(key, client=client)
-        except NoQuorumError:
-            if policy.exhausted(attempt):
-                counters["quarantined"] += 1
-                return
-            counters["retried"] += 1
-            delay = policy.delay(attempt, f"{client}:{key}")
-            sim.schedule_at(sim.now + delay, write_once,
-                            client, op, key, value, attempt + 1)
+        # ------------------------------------------------------------------
+        # client ops with retry-until-acked-or-quarantined
+        # ------------------------------------------------------------------
+        def write_once(client: str, op: str, key: str, value: object,
+                       attempt: int) -> None:
+            try:
+                if op == "set":
+                    store.set(key, value, client=client)
+                elif op == "incr":
+                    store.incr(key, client=client)
+                elif op == "rpush":
+                    store.rpush(key, value, client=client)
+                elif op == "lpop":
+                    store.lpop(key, client=client)
+                else:  # delete
+                    store.delete(key, client=client)
+            except NoQuorumError:
+                if policy.exhausted(attempt):
+                    counters["quarantined"] += 1
+                    return
+                counters["retried"] += 1
+                delay = policy.delay(attempt, f"{client}:{key}")
+                sim.schedule_at(sim.now + delay, write_once,
+                                client, op, key, value, attempt + 1)
 
-    def read_once(client: str, key: str, kind: str) -> None:
-        try:
-            if kind == "list":
-                store.lrange(key, 0, -1, client=client)
-            else:
-                store.get(key, client=client)
-        except (NoQuorumError, StaleSessionError):
-            counters["unavailable"] += 1
-
-    def client_tick(tick: int) -> None:
-        for client in client_ids:
-            counters["ops"] += 1
-            roll = float(rng.random())
-            if roll < 0.40:                       # read
-                if rng.random() < 0.5:
-                    read_once(client, str_keys[int(
-                        rng.integers(len(str_keys)))], "string")
+        def read_once(client: str, key: str, kind: str) -> None:
+            try:
+                if kind == "list":
+                    store.lrange(key, 0, -1, client=client)
                 else:
-                    read_once(client, list_keys[int(
-                        rng.integers(len(list_keys)))], "list")
-            elif roll < 0.65:                     # string write
-                key = str_keys[int(rng.integers(len(str_keys)))]
-                write_once(client, "set", key, f"{client}@{tick}", 1)
-            elif roll < 0.80:                     # counter bump
-                key = ctr_keys[int(rng.integers(len(ctr_keys)))]
-                write_once(client, "incr", key, None, 1)
-            elif roll < 0.92:                     # list append
-                key = list_keys[int(rng.integers(len(list_keys)))]
-                write_once(client, "rpush", key, tick, 1)
-            elif roll < 0.97:                     # list drain
-                key = list_keys[int(rng.integers(len(list_keys)))]
-                write_once(client, "lpop", key, None, 1)
-            else:                                 # delete
-                key = str_keys[int(rng.integers(len(str_keys)))]
-                write_once(client, "delete", key, None, 1)
+                    store.get(key, client=client)
+            except (NoQuorumError, StaleSessionError):
+                counters["unavailable"] += 1
 
-    # ------------------------------------------------------------------
-    # membership churn: alternately retire and re-admit the top node
-    # ------------------------------------------------------------------
-    churn_state = {"out": False, "staged": False}
-    churn_node = nodes
+        def client_tick(tick: int) -> None:
+            for client in client_ids:
+                counters["ops"] += 1
+                roll = float(rng.random())
+                if roll < 0.40:                       # read
+                    if rng.random() < 0.5:
+                        read_once(client, str_keys[int(
+                            rng.integers(len(str_keys)))], "string")
+                    else:
+                        read_once(client, list_keys[int(
+                            rng.integers(len(list_keys)))], "list")
+                elif roll < 0.65:                     # string write
+                    key = str_keys[int(rng.integers(len(str_keys)))]
+                    write_once(client, "set", key, f"{client}@{tick}", 1)
+                elif roll < 0.80:                     # counter bump
+                    key = ctr_keys[int(rng.integers(len(ctr_keys)))]
+                    write_once(client, "incr", key, None, 1)
+                elif roll < 0.92:                     # list append
+                    key = list_keys[int(rng.integers(len(list_keys)))]
+                    write_once(client, "rpush", key, tick, 1)
+                elif roll < 0.97:                     # list drain
+                    key = list_keys[int(rng.integers(len(list_keys)))]
+                    write_once(client, "lpop", key, None, 1)
+                else:                                 # delete
+                    key = str_keys[int(rng.integers(len(str_keys)))]
+                    write_once(client, "delete", key, None, 1)
 
-    def churn_step() -> None:
-        """Propose the next view; the commit lands next tick (the
-        explicit two-step — ops in between still run on the old
-        view)."""
-        if churn_state["staged"]:
-            return
-        members = list(store.members)
-        if churn_state["out"]:
-            members.append(churn_node)
-        else:
-            if len(members) - 1 < replicas:
-                return                 # too small to shrink — grow only
-            members.remove(churn_node)
-        store.propose_view(sorted(members))
-        churn_state["staged"] = True
-        churn_state["out"] = not churn_state["out"]
+        # ------------------------------------------------------------------
+        # membership churn: alternately retire and re-admit the top node
+        # ------------------------------------------------------------------
+        churn_state = {"out": False, "staged": False}
+        churn_node = nodes
 
-    def commit_staged() -> None:
-        if churn_state["staged"]:
-            store.commit_view()
-            churn_state["staged"] = False
+        def churn_step() -> None:
+            """Propose the next view; the commit lands next tick (the
+            explicit two-step — ops in between still run on the old
+            view)."""
+            if churn_state["staged"]:
+                return
+            members = list(store.members)
+            if churn_state["out"]:
+                members.append(churn_node)
+            else:
+                if len(members) - 1 < replicas:
+                    return                 # too small to shrink — grow only
+                members.remove(churn_node)
+            store.propose_view(sorted(members))
+            churn_state["staged"] = True
+            churn_state["out"] = not churn_state["out"]
 
-    # ------------------------------------------------------------------
-    # main loop
-    # ------------------------------------------------------------------
-    now = 0.0
-    next_audit = audit_every
-    next_churn = churn_every
-    tick = 0
-    with checked_run("kvchurn.run", check, seed=seed, nodes=nodes,
-                     replicas=replicas, faults=len(plan)) as checked:
-        while now < duration:
-            now += dt
-            tick += 1
-            sim.run_until(now)       # faults + write retries fire here
-            if OBS.bus.active:
-                OBS.bus.clock = now
+        def commit_staged() -> None:
+            if churn_state["staged"]:
+                store.commit_view()
+                churn_state["staged"] = False
+
+        # ------------------------------------------------------------------
+        # main loop
+        # ------------------------------------------------------------------
+        now = 0.0
+        next_audit = audit_every
+        next_churn = churn_every
+        tick = 0
+        with OBS.spans.span("kvchurn.run", seed=seed, nodes=nodes,
+                            replicas=replicas, faults=len(plan)):
+            while now < duration:
+                now += dt
+                tick += 1
+                sim.run_until(now)       # faults + write retries fire here
+                if OBS.bus.active:
+                    OBS.bus.clock = now
+                commit_staged()
+                client_tick(tick)
+                if now >= next_churn:
+                    churn_step()
+                    next_churn += churn_every
+                if now >= next_audit:
+                    audits.append({"t": now, **store.audit()})
+                    next_audit += audit_every
+
+            # Drain: delayed repairs and write retries may still be queued.
+            while sim.pending > 0:
+                now += dt
+                sim.run_until(now)
+                if OBS.bus.active:
+                    OBS.bus.clock = now
             commit_staged()
-            client_tick(tick)
-            if now >= next_churn:
-                churn_step()
-                next_churn += churn_every
-            if now >= next_audit:
-                audits.append({"t": now, **store.audit()})
-                next_audit += audit_every
-
-        # Drain: delayed repairs and write retries may still be queued.
-        while sim.pending > 0:
-            now += dt
-            sim.run_until(now)
-            if OBS.bus.active:
-                OBS.bus.clock = now
-        commit_staged()
-        store.anti_entropy()
-        audits.append({"t": now, **store.audit("final")})
+            store.anti_entropy()
+            audits.append({"t": now, **store.audit("final")})
 
     return KVChurnResult(
         seed=plan.seed,

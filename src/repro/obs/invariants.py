@@ -20,6 +20,9 @@ Every checker is stateless across suites (construct fresh per run) and
 tolerant of partial traces: an invariant is only evaluated once the
 events required to ground it have been seen, so a trace that never
 mentions server power states trivially passes the power checkers.
+Checkers trust the field types :data:`~repro.obs.trace.FIELDS`
+declares: a trace file is checked against them as it is parsed, and
+the emitters' live events are pinned to them by the tests.
 
 The stock suite (:func:`default_checkers`):
 
@@ -158,10 +161,9 @@ class Checker:
 
     # ------------------------------------------------------------------
     def fail(self, event: TraceEvent, index: int, message: str) -> None:
-        t = event.get("t")
         self.violations.append(Violation(
             checker=self.name, message=message, index=index,
-            t=t if isinstance(t, (int, float)) else None, event=event))
+            t=event.get("t"), event=event))  # type: ignore[arg-type]
 
     @property
     def ok(self) -> bool:
@@ -184,7 +186,7 @@ class VersionMonotonicChecker(Checker):
 
     def observe(self, event: TraceEvent, index: int) -> None:
         version = event.get("version")
-        if not isinstance(version, int):
+        if version is None:
             self.fail(event, index,
                       f"version.advance without integer version: "
                       f"{version!r}")
@@ -244,7 +246,7 @@ class DirtyDisciplineChecker(Checker):
         kind = event.get("kind")
         if kind == "version.advance":
             fp = event.get("full_power")
-            if isinstance(fp, bool):
+            if fp is not None:
                 self._full_power = fp
         elif kind == "dirty.insert":
             if self._full_power is True:
@@ -272,9 +274,7 @@ class BandwidthCapChecker(Checker):
 
     def observe(self, event: TraceEvent, index: int) -> None:
         util = event.get("max_util")
-        if not isinstance(util, (int, float)):
-            return              # pre-span-era trace: field absent
-        if util > 1.0 + self.TOLERANCE:
+        if util is not None and util > 1.0 + self.TOLERANCE:
             self.fail(event, index,
                       f"server {event.get('max_util_rank')} allocated "
                       f"{util:.6f}x its disk capacity in one tick")
@@ -295,9 +295,7 @@ class ServeQueueBoundedChecker(Checker):
     def observe(self, event: TraceEvent, index: int) -> None:
         depth = event.get("depth")
         bound = event.get("bound")
-        if not isinstance(depth, int) or not isinstance(bound, int):
-            return
-        if depth > bound:
+        if depth is not None and bound is not None and depth > bound:
             self.fail(event, index,
                       f"server {event.get('server')} queue depth {depth} "
                       f"exceeds declared bound {bound}")
@@ -377,7 +375,7 @@ class MachineHourChecker(Checker):
             self._state_seen_since_sample = True
         elif kind == "power.sample":
             active = event.get("active")
-            if not isinstance(active, int):
+            if active is None:
                 return
             if (self._last_sample is not None
                     and self._state_seen_since_sample):
@@ -410,8 +408,8 @@ class NoLostObjectChecker(Checker):
                       f"object {event.get('oid')} lost its last replica "
                       f"(crash of rank {event.get('rank')})")
         elif kind == "chaos.audit":
-            lost = event.get("lost")
-            if isinstance(lost, int) and lost > 0:
+            lost = event.get("lost") or 0
+            if lost > 0:
                 self.fail(event, index,
                           f"audit found {lost} object(s) with zero "
                           f"replicas")
@@ -439,12 +437,12 @@ class ReplicationRestoredChecker(Checker):
         if self._last is None:
             return
         index, event = self._last
-        under = event.get("under_replicated")
-        lost = event.get("lost")
+        under = event.get("under_replicated") or 0
+        lost = event.get("lost") or 0
         problems = []
-        if isinstance(lost, int) and lost > 0:
+        if lost > 0:
             problems.append(f"{lost} lost")
-        if isinstance(under, int) and under > 0:
+        if under > 0:
             problems.append(f"{under} under-replicated")
         if problems:
             self.fail(event, index,
@@ -488,26 +486,6 @@ class DirtyAckChecker(Checker):
 # ----------------------------------------------------------------------
 # replicated-KV checkers (kv.* events from repro.kvstore.replicated)
 # ----------------------------------------------------------------------
-#: The vector :func:`_vv_of` accepted last.  The suite hands one event
-#: to up to three KV checkers in a row; the vector is checked once.
-_checked_vv: Optional[Dict[str, int]] = None
-
-
-def _vv_of(event: TraceEvent) -> Optional[Dict[str, int]]:
-    """The event's version vector, or None when absent/malformed."""
-    global _checked_vv
-    vv = event.get("vv")
-    if vv is _checked_vv:
-        return vv
-    if not isinstance(vv, dict):
-        return None
-    for node, count in vv.items():
-        if not isinstance(node, str) or not isinstance(count, int):
-            return None
-    _checked_vv = vv
-    return vv
-
-
 def _vv_dominates(a: Dict[str, int], b: Dict[str, int]) -> bool:
     """a >= b componentwise: *a* reflects every write *b* does."""
     for node, count in b.items():
@@ -541,16 +519,15 @@ class ViewEpochMonotonicChecker(Checker):
 
     def observe(self, event: TraceEvent, index: int) -> None:
         kind = event.get("kind")
+        epoch = event.get("epoch")
         if kind == "kv.view.propose":
-            epoch = event.get("epoch")
-            if isinstance(epoch, int):
+            if epoch is not None:
                 self._proposed = epoch
         elif kind == "kv.view.commit":
-            epoch = event.get("epoch")
-            if not isinstance(epoch, int):
+            if epoch is None:
                 self.fail(event, index,
                           f"kv.view.commit without integer epoch: "
-                          f"{event.get('epoch')!r}")
+                          f"{epoch!r}")
                 return
             if self._proposed is None:
                 self.fail(event, index,
@@ -586,16 +563,13 @@ class KVNoAckedWriteLostChecker(Checker):
 
     def observe(self, event: TraceEvent, index: int) -> None:
         kind = event.get("kind")
+        key, vv = event.get("key"), event.get("vv")
         if kind == "kv.write.ack":
-            key, vv = event.get("key"), _vv_of(event)
-            if isinstance(key, str) and vv is not None:
+            if key is not None and vv is not None:
                 cur = self._acked.get(key)
                 self._acked[key] = _vv_merge(cur, vv) if cur else vv
         elif kind == "kv.read":
-            if event.get("degraded"):
-                return
-            key, vv = event.get("key"), _vv_of(event)
-            if not isinstance(key, str) or vv is None:
+            if event.get("degraded") or key is None or vv is None:
                 return
             newest = self._acked.get(key)
             if newest is not None and not _vv_dominates(vv, newest):
@@ -603,8 +577,8 @@ class KVNoAckedWriteLostChecker(Checker):
                           f"quorum read of {key!r} returned {vv} older "
                           f"than the newest acked write {newest}")
         elif kind == "kv.audit":
-            lost = event.get("lost_acked")
-            if isinstance(lost, int) and lost > 0:
+            lost = event.get("lost_acked") or 0
+            if lost > 0:
                 self.fail(event, index,
                           f"audit {event.get('label')!r} found {lost} "
                           f"acked write(s) on no surviving replica")
@@ -628,10 +602,8 @@ class KVReadYourWritesChecker(Checker):
     def observe(self, event: TraceEvent, index: int) -> None:
         kind = event.get("kind")
         client, key = event.get("client"), event.get("key")
-        if not isinstance(client, str) or not isinstance(key, str):
-            return
-        vv = _vv_of(event)
-        if vv is None:
+        vv = event.get("vv")
+        if client is None or key is None or vv is None:
             return
         if kind == "kv.write.ack":
             slot = (client, key)
@@ -661,10 +633,8 @@ class KVMonotonicReadsChecker(Checker):
 
     def observe(self, event: TraceEvent, index: int) -> None:
         client, key = event.get("client"), event.get("key")
-        if not isinstance(client, str) or not isinstance(key, str):
-            return
-        vv = _vv_of(event)
-        if vv is None:
+        vv = event.get("vv")
+        if client is None or key is None or vv is None:
             return
         slot = (client, key)
         prev = self._seen.get(slot)
@@ -699,8 +669,8 @@ class KVReplicationRestoredChecker(Checker):
         if self._last is None:
             return
         index, event = self._last
-        under = event.get("under_replicated")
-        if isinstance(under, int) and under > 0:
+        under = event.get("under_replicated") or 0
+        if under > 0:
             self.fail(event, index,
                       f"final kv.audit ({event.get('label')!r}) still "
                       f"shows {under} under-replicated key(s): the "
@@ -777,7 +747,7 @@ class InvariantSuite:
         kind = event.get("kind")
         if kind == SWEEP_BOUNDARY_KIND:
             self._restart()
-        elif isinstance(kind, str):     # a corrupt trace's need not hash
+        else:
             for observe in self._routes.get(kind, ()):
                 observe(event, index)
 
@@ -863,32 +833,27 @@ class CheckedRun:
 
 
 @contextmanager
-def checked_run(span_name: str, check: bool,
-                **span_attrs: object) -> Iterator[CheckedRun]:
-    """A harness's main loop under the stock suite and a run span.
+def checked_run(check: bool) -> Iterator[CheckedRun]:
+    """A harness run under one live suite.
 
-    Attaches a :class:`CheckerSink` (when *check*), opens the
-    *span_name* span, and on the way out ends the span ``completed``
-    or ``failed``, detaches the sink and — after a completed run —
-    fills the yielded :class:`CheckedRun` from the suite's
-    end-of-stream verdict.
+    With *check*, the scope is watched by the :class:`CheckerSink`
+    already on the bus (``--check``'s) or, when there is none, by the
+    stock suite attached for the scope — never by a second one.  Enter
+    it before the run builds anything that emits, so the suite sees
+    the whole run.  After a completed scope the yielded
+    :class:`CheckedRun` holds the suite's end-of-stream verdict.
     """
     outcome = CheckedRun()
-    sink: Optional[CheckerSink] = None
-    if check:
-        sink = CheckerSink()
-        OBS.bus.attach(sink)
-    span = OBS.spans.begin(span_name, **span_attrs)
+    sink = next((s for s in OBS.bus.sinks if type(s) is CheckerSink), None)
+    owned = check and sink is None
+    if owned:
+        sink = OBS.bus.attach(CheckerSink())
     try:
         yield outcome
-        span.end(status="completed")
-    except BaseException:
-        span.end(status="failed")
-        raise
     finally:
-        if sink is not None:
+        if owned:
             OBS.bus.detach(sink)
-    if sink is not None:
+    if check:
         outcome.violations = [v.describe() for v in sink.finish()]
         outcome.checkers = len(sink.suite.checkers)
         outcome.events_seen = sink.suite.events_seen

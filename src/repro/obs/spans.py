@@ -34,7 +34,9 @@ Usage::
     ...                      # any number of events / child spans
     span.end(status="drained")
 
-or, for well-nested intervals, ``with OBS.spans.span("name"): ...``.
+or, for well-nested intervals, ``with OBS.spans.span("name"): ...``,
+which ends the span ``completed``, or ``failed`` when the body raises
+(the harnesses' ``chaos.run`` / ``serve.run`` / ``kvchurn.run``).
 
 Handles are always allocated (the counter is cheap and none of the
 instrumented lifecycles is per-object hot); the *events* are emitted
@@ -86,8 +88,8 @@ class Span:
     def __enter__(self) -> "Span":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.end()
+    def __exit__(self, exc_type, *exc) -> None:
+        self.end(status="completed" if exc_type is None else "failed")
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"
@@ -133,7 +135,8 @@ class SpanTracker:
 
     def span(self, name: str, parent: Optional[Span] = None,
              **fields: object) -> Span:
-        """``with OBS.spans.span("x"): ...`` — begin now, end on exit."""
+        """``with OBS.spans.span("x"): ...`` — begin now, end on exit
+        ``completed`` (``failed`` if the body raises)."""
         return self.begin(name, parent=parent, **fields)
 
     def reset(self) -> None:

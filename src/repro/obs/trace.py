@@ -155,10 +155,11 @@ class TraceParseError(ValueError):
         super().__init__(f"{source}: line {line_no}: {reason}")
 
 
-#: The event fields the offline readers read, and their types:
-#: kind -> field -> type; ``"*"`` applies to every kind.  A field may be
-#: absent or null; when present it must have its declared type.  Only
-#: parsed traces are checked (:func:`iter_jsonl`) — never the emit path.
+#: The event fields the offline readers and the invariant checkers
+#: read, and their types: kind -> field -> type; ``"*"`` applies to
+#: every kind.  A field may be absent or null; when present it must have
+#: its declared type.  Only parsed traces are checked (:func:`iter_jsonl`)
+#: — never the emit path.
 FIELDS: Dict[str, Dict[str, str]] = {
     "*": {"kind": "str", "t": "number", "nbytes": "number",
           "total_bytes": "number", "duration": "number"},
@@ -168,13 +169,27 @@ FIELDS: Dict[str, Dict[str, str]] = {
     "flow.finish": {"span_id": "id"},
     "flow.cancel": {"span_id": "id"},
     "flow.interrupt": {"span_id": "id"},
-    "migration.move": {"to": "ids"},
+    "version.advance": {"version": "int", "full_power": "bool"},
+    "dirty.insert": {"oid": "id"},
+    "dirty.remove": {"oid": "id"},
+    "migration.move": {"oid": "id", "to": "ids"},
     "migration.addition": {"rank": "id"},
     "recovery.rereplicate": {"rank": "id"},
+    "server.state": {"rank": "id"},
     "server.fail": {"rank": "id", "lost_bytes": "number"},
     "power.resize": {"powered_on": "ids", "powered_off": "ids"},
+    "power.sample": {"active": "int"},
     "bandwidth.solve": {"max_util": "number"},
+    "serve.queue": {"depth": "int", "bound": "int"},
     "serve.complete": {"latency": "number"},
+    "transfer.ack": {"oids": "ids"},
+    "chaos.audit": {"lost": "int", "under_replicated": "int"},
+    "kv.view.propose": {"epoch": "int"},
+    "kv.view.commit": {"epoch": "int"},
+    "kv.write.ack": {"key": "str", "client": "str", "vv": "vv"},
+    "kv.read": {"key": "str", "client": "str", "vv": "vv",
+                "degraded": "bool"},
+    "kv.audit": {"lost_acked": "int", "under_replicated": "int"},
 }
 
 
@@ -189,10 +204,16 @@ def _is_id(v: object) -> bool:
 
 _TYPES = {
     "str": ("a string", lambda v: type(v) is str),
+    "int": ("an integer", lambda v: type(v) is int),
+    "bool": ("a boolean", lambda v: type(v) is bool),
     "number": ("a finite number", _is_number),
     "id": ("an int or string id", _is_id),
     "ids": ("a list of ids",
             lambda v: type(v) is list and all(map(_is_id, v))),
+    "vv": ("a version vector (string -> integer)",
+           lambda v: type(v) is dict and all(
+               type(node) is str and type(count) is int
+               for node, count in v.items())),
 }
 _CHECKS = {kind: tuple((field, *_TYPES[type_])
                        for field, type_ in {**FIELDS["*"], **fields}.items())

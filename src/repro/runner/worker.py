@@ -94,10 +94,8 @@ def _jsonify(value):
 def _run_chaos_task(spec: TaskSpec, attempt: int) -> Tuple[Dict, bool]:
     plan = FaultPlan.from_json(spec.plan) if spec.plan else None
     seed = spec.seed if spec.seed is not None else 7
-    # check=False: the worker's own CheckerSink already watches the
-    # bus, so the harness does not need a second suite.
-    result = run_chaos(seed=seed, plan=plan, check=False,
-                       **dict(spec.config))
+    # The harness adopts the worker's CheckerSink as its suite.
+    result = run_chaos(seed=seed, plan=plan, **dict(spec.config))
     summary = {
         "duration": result.duration,
         "phase_ends": result.phase_ends,

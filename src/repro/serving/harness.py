@@ -29,6 +29,7 @@ from repro.faults.plan import require_periods
 from repro.hashring.hashing import hash64
 from repro.obs.analytics import percentile
 from repro.obs.invariants import checked_run, render_invariants
+from repro.obs.runtime import OBS
 from repro.simulation.engine import Simulator
 
 from repro.serving.clients import (
@@ -229,8 +230,8 @@ def run_serve(
 
     # -- run ------------------------------------------------------------
     migration_unfinished = 0.0
-    with checked_run("serve.run", check, seed=seed, n=n,
-                     controller=ctrl.name) as checked:
+    with checked_run(check) as checked, OBS.spans.span(
+            "serve.run", seed=seed, n=n, controller=ctrl.name):
         closed.start()
         open_pop.start()
         ticks = round(duration / DT)

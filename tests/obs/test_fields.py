@@ -2,6 +2,7 @@
 the emitters write, reject what the readers cannot read, and say so in
 docs/OBSERVABILITY.md."""
 
+import ast
 import io
 import math
 import re
@@ -37,6 +38,12 @@ class TestCheckEvent:
         {"kind": "power.resize", "powered_on": [], "powered_off": [9]},
         {"kind": "no.such.kind", "t": 2, "to": "anything"},
         {"kind": "flow.start", "total_bytes": 10 ** 300},
+        {"kind": "version.advance", "version": 3, "full_power": False},
+        {"kind": "kv.read", "key": "k", "client": None, "vv": {},
+         "degraded": True},
+        {"kind": "kv.write.ack", "key": "k", "client": "c",
+         "vv": {"n1": 2, "n3": 0}},
+        {"kind": "chaos.audit", "lost": 0, "under_replicated": None},
     ])
     def test_accepts(self, event):
         check_event(event)
@@ -58,10 +65,32 @@ class TestCheckEvent:
         ({"kind": "serve.complete", "latency": math.inf}, "latency"),
         ({"kind": 5}, "kind"),
         ({"kind": ["a"]}, "kind"),
+        # Fields a checker compares, counts or iterates: an ill-typed
+        # one used to pass vacuously or report a bogus violation.
+        ({"kind": "chaos.audit", "lost": "3"}, "lost"),
+        ({"kind": "chaos.audit", "lost": True}, "lost"),
+        ({"kind": "serve.queue", "depth": 9.0, "bound": 8}, "depth"),
+        ({"kind": "kv.read", "key": "k", "client": "c", "vv": [["a", 1]]},
+         "vv"),
+        ({"kind": "power.sample", "active": 9.0}, "active"),
+        ({"kind": "version.advance", "version": True}, "version"),
+        ({"kind": "transfer.ack", "oids": "12"}, "oids"),
+        ({"kind": "kv.write.ack", "vv": {"a": 1.0}}, "vv"),
+        ({"kind": "kv.read", "degraded": 1}, "degraded"),
+        ({"kind": "kv.view.commit", "epoch": "2"}, "epoch"),
+        ({"kind": "dirty.insert", "oid": [1]}, "oid"),
+        ({"kind": "server.state", "rank": [3], "state": "off"}, "rank"),
     ])
     def test_rejects_naming_the_field(self, event, field):
         with pytest.raises(ValueError, match=f"field '{field}'"):
             check_event(event)
+
+    def test_repro_check_names_the_ill_typed_field(self, tmp_path, capsys):
+        trace = tmp_path / "audit.jsonl"
+        trace.write_text('{"kind":"chaos.audit","t":1.0,"lost":"3"}\n')
+        assert main(["check", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert "line 1" in err and "field 'lost'" in err
 
     def test_parse_error_carries_the_line(self):
         stream = io.StringIO('{"kind":"tick","t":1}\n\n'
@@ -88,6 +117,20 @@ class TestFieldsDeclared:
             if kind != "*":
                 for field in fields:
                     assert f"**`{field}`**" in rows[kind], (kind, field)
+
+
+class TestCheckersTrustFields:
+    def test_invariants_makes_no_isinstance_call(self):
+        """Field types are ``FIELDS``' to check, at parse; a checker
+        that re-guards one gives a verdict of its own for each kind of
+        malformed value."""
+        path = ROOT / "src" / "repro" / "obs" / "invariants.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name)
+                 and node.func.id == "isinstance"]
+        assert calls == []
 
 
 #: The CI commands, each at its smoke size.

@@ -2,6 +2,7 @@
 seeded-fault detection path through ``repro check``."""
 
 import json
+import re
 
 import pytest
 
@@ -26,7 +27,8 @@ from repro.obs.invariants import (
     render_invariants,
 )
 from repro.obs.runtime import OBS
-from repro.obs.trace import TraceBus
+from repro.obs.report import check_trace
+from repro.obs.trace import TraceBus, TraceParseError
 
 
 def run_checker(checker, events):
@@ -152,10 +154,14 @@ class TestServeQueueBounded:
         assert run_checker(checker, evs) == []
         assert checker.ok
 
-    def test_malformed_sample_skipped(self):
-        evs = [{"kind": "serve.queue", "t": 0.0, "server": 1,
-                "depth": "deep", "bound": 4}]
-        assert run_checker(ServeQueueBoundedChecker(), evs) == []
+    def test_malformed_sample_rejected_at_parse(self, tmp_path):
+        # The checker trusts FIELDS: an ill-typed depth never reaches it.
+        path = tmp_path / "queue.jsonl"
+        path.write_text(json.dumps({"kind": "serve.queue", "t": 0.0,
+                                    "server": 1, "depth": "deep",
+                                    "bound": 4}) + "\n")
+        with pytest.raises(TraceParseError, match="field 'depth'"):
+            check_trace(str(path))
 
     def test_in_default_suite_and_reconstructible(self):
         # The sweep boundary logic re-instantiates checkers by type —
@@ -417,15 +423,17 @@ class TestSweepBoundary:
 
 
 class TestCheckedRun:
-    """The harnesses' shared attach → span → detach → verdict block."""
+    """The harnesses' shared suite → span → verdict block."""
 
-    def events(self, body, check=True):
+    def events(self, body, check=True, setup=lambda: None):
         OBS.reset()
         try:
             with OBS.bus.capture() as sink:
                 try:
-                    with checked_run("x.run", check, seed=3) as checked:
-                        body()
+                    with checked_run(check) as checked:
+                        setup()
+                        with OBS.spans.span("x.run", seed=3):
+                            body()
                 except RuntimeError:
                     pass
                 return checked, sink.events(), list(OBS.bus.sinks)
@@ -468,3 +476,89 @@ class TestCheckedRun:
                 checked.events_seen) == ([], 0, 0)
         assert render_invariants(checked)[-1] \
             == "checkers not attached (check=False)."
+
+    def test_the_suite_sees_what_the_run_emits_before_its_span(self):
+        # A store's constructor commits the first view before the run
+        # span opens; the suite must judge that commit too.
+        def setup():
+            OBS.bus.emit("kv.view.commit", epoch=1)
+
+        checked, events, _ = self.events(lambda: None, setup=setup)
+        assert [e["kind"] for e in events] == [
+            "kv.view.commit", "span.begin", "span.end"]
+        assert checked.events_seen == 3
+        assert len(checked.violations) == 1
+        assert "view-epoch-monotonic" in checked.violations[0]
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_a_suite_already_on_the_bus_is_the_run_suite(self, check):
+        OBS.reset()
+        try:
+            outer = OBS.bus.attach(CheckerSink())
+            OBS.bus.emit("version.advance", version=2)
+            with checked_run(check) as checked:
+                assert OBS.bus.sinks == [outer]
+                with OBS.spans.span("x.run"):
+                    OBS.bus.emit("version.advance", version=2)
+            assert OBS.bus.sinks == [outer]
+            violations = outer.finish()
+            assert len(violations) == 1 and violations[0].index == 3
+            if check:
+                assert checked.violations == [violations[0].describe()]
+                assert checked.events_seen == outer.suite.events_seen == 4
+            else:
+                assert (checked.checkers, checked.events_seen) == (0, 0)
+        finally:
+            OBS.reset()
+
+
+#: A small run of each harness that attaches a live suite itself.
+HARNESS_RUNS = {
+    "chaos": ["chaos", "--seed", "7", "--scale", "0.03", "--n", "10",
+              "--off-count", "4"],
+    "kvchurn": ["kvchurn", "--seed", "7", "--duration", "60"],
+    "serve": ["serve", "--seed", "7", "--duration", "6", "--resize-at",
+              "2", "--resize-back-at", "4"],
+}
+REPORT_COUNT = re.compile(r"all \d+ checkers hold over (\d+) events\.")
+CHECK_COUNT = re.compile(r"repro --check: all invariants hold \((\d+) "
+                         r"events\)")
+
+
+class TestOneSuitePerRun:
+    """A harness run has one live suite, and it sees the whole run."""
+
+    @pytest.mark.parametrize("name", sorted(HARNESS_RUNS))
+    def test_harness_suite_counts_every_trace_line(self, name, tmp_path,
+                                                   capsys):
+        trace = tmp_path / "run.jsonl"
+        main(HARNESS_RUNS[name] + ["--trace-out", str(trace)])
+        out = capsys.readouterr().out
+        lines = sum(1 for _ in open(trace, encoding="utf-8"))
+        assert REPORT_COUNT.findall(out) == [str(lines)]
+
+    @pytest.mark.parametrize("name", sorted(HARNESS_RUNS))
+    def test_check_flag_shares_the_harness_suite(self, name, tmp_path,
+                                                 capsys, monkeypatch):
+        attached = []
+        on_bus = []
+        real_attached, real_write = CheckerSink.attached, CheckerSink.write
+
+        def spy_attached(self, bus):
+            attached.append(self)
+            real_attached(self, bus)
+
+        def spy_write(self, event):
+            on_bus.append(sum(type(s) is CheckerSink for s in OBS.bus.sinks))
+            real_write(self, event)
+
+        monkeypatch.setattr(CheckerSink, "attached", spy_attached)
+        monkeypatch.setattr(CheckerSink, "write", spy_write)
+        trace = tmp_path / "run.jsonl"
+        main(HARNESS_RUNS[name] + ["--trace-out", str(trace), "--check"])
+        captured = capsys.readouterr()
+        assert len(attached) == 1
+        assert on_bus and set(on_bus) == {1}
+        lines = sum(1 for _ in open(trace, encoding="utf-8"))
+        assert REPORT_COUNT.findall(captured.out) == [str(lines)]
+        assert CHECK_COUNT.findall(captured.err) == [str(lines)]

@@ -41,6 +41,7 @@ from repro.obs.trace import (
     RingBufferSink,
     Sink,
     TraceBus,
+    check_event,
 )
 from tests.obs._reference_suite import (
     BroadcastSuite,
@@ -252,7 +253,6 @@ _KINDS = st.one_of(
     st.sampled_from(ALL_KINDS),          # weight the kinds somebody reads
     st.sampled_from(["engine.event", "serve.enqueue", "span.begin",
                      "nobody.reads", SWEEP_BOUNDARY_KIND]),
-    st.sampled_from([None, 3, 2.5, True, ["flow.start"], {"kind": "x"}]),
 )
 _SMALL = st.one_of(st.integers(-1, 4), st.none(), st.booleans(),
                    st.sampled_from(["on", "off", "k", "c", 1.5]))
@@ -274,9 +274,18 @@ _FIELDS = st.fixed_dictionaries({}, optional={
 
 @st.composite
 def _events(draw):
+    """An event a checker can be handed: one ``check_event`` passes.
+    Checkers trust the declared field types, so each field the
+    declaration of the drawn kind refuses is dropped."""
     event = draw(_FIELDS)
     if draw(st.integers(0, 19)):        # 1 in 20 has no kind at all
         event["kind"] = draw(_KINDS)
+    for field in sorted(event, key=lambda f: f != "kind"):
+        try:
+            check_event({"kind": event.get("kind"), field: event[field]})
+        except ValueError:
+            del event[field]
+    check_event(event)
     return event
 
 
@@ -635,5 +644,28 @@ class TestCIScripts:
         assert run_script("trace_parity.py", str(trace),
                           str(live)).returncode == 1
         live.write_text("no verdict here\n")
+        assert run_script("trace_parity.py", str(trace),
+                          str(live)).returncode == 1
+
+    def test_trace_parity_judges_every_verdict(self, tmp_path, capfd):
+        """A harness run with ``--check`` prints two verdicts (the
+        report's and the command line's); both must equal the line
+        count."""
+        trace = tmp_path / "run.jsonl"
+        code = main(["kvchurn", "--seed", "7", "--duration", "60",
+                     "--trace-out", str(trace), "--check"])
+        live = tmp_path / "live.txt"
+        text = "".join(capfd.readouterr())
+        live.write_text(text)
+        assert code == 0
+        verdicts = re.findall(r"(?:hold over |hold \()(\d+) events", text)
+        assert len(verdicts) == 2
+        done = run_script("trace_parity.py", str(trace), str(live))
+        assert done.returncode == 0, done.stdout + done.stderr
+        # The report missing the run's first events (a suite attached
+        # late) must fail, though the --check line still agrees.
+        short = int(verdicts[0]) - 3
+        live.write_text(text.replace(f"hold over {verdicts[0]} events",
+                                     f"hold over {short} events"))
         assert run_script("trace_parity.py", str(trace),
                           str(live)).returncode == 1
