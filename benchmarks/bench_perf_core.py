@@ -226,7 +226,7 @@ def bench_cluster_write_tick(benchmark):
     """One tick's batch of 1 000 fresh writes on an n = 1000 cluster
     shrunk to 600 servers, so every write is offloaded and dirty-
     tracked: one placement gather, then the per-object bookkeeping
-    (header stamps, dirty insert, catalog, replicas).  The oids are
+    (header stamps, dirty insert, object table).  The oids are
     hashed into the oid->slot memo untimed, as the three-phase client
     does before a phase."""
     from repro.cluster.cluster import ElasticCluster
@@ -241,7 +241,7 @@ def bench_cluster_write_tick(benchmark):
         return (oids,), {}
 
     benchmark.pedantic(cluster.write_many, setup=next_tick, rounds=30)
-    assert len(cluster.ech.dirty) == len(cluster.catalog) >= 30_000
+    assert len(cluster.ech.dirty) == len(cluster.objects) >= 30_000
 
 
 # ----------------------------------------------------------------------

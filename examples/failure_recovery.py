@@ -2,7 +2,7 @@
 """Failure vs planned power-down: what each costs.
 
 The elastic design's core economy: powering a server *down* keeps its
-data on disk (free), while a *crash* loses the replica map and forces
+data on disk (free), while a *crash* loses its replicas and forces
 re-replication.  This example runs both on identical clusters and
 compares the IO each incurs, then walks a crash through repair and
 selective re-integration back to a healthy full-power layout.
@@ -26,7 +26,7 @@ def build():
 def main() -> None:
     # ---- planned power-down -------------------------------------------
     planned = build()
-    held = planned.servers[10].used_bytes
+    held = planned.bytes_per_rank()[10]
     planned.resize(9)
     print("planned power-down of rank 10:")
     print(f"    data it held : {held / 1e9:.2f} GB — stays on disk")
@@ -37,7 +37,7 @@ def main() -> None:
 
     # ---- crash ---------------------------------------------------------
     crashed = build()
-    held = crashed.servers[10].used_bytes
+    held = crashed.bytes_per_rank()[10]
     moved = crashed.fail_server(10)
     print("crash of rank 10:")
     print(f"    data it held : {held / 1e9:.2f} GB — lost")

@@ -13,11 +13,12 @@ over storage servers.  Two cluster flavours are provided:
   write offloading with dirty tracking, and full or selective
   re-integration on power-up.
 
-Servers model capacity and hold actual replica maps so layout figures
-(Fig 5) and migration volumes are measured, not estimated.
+Servers model power and capacity; one object table records every
+replica, so layout figures (Fig 5) and migration volumes are measured,
+not estimated.
 """
 
-from repro.cluster.objects import DataObject, ObjectCatalog
+from repro.cluster.objects import ObjectTable
 from repro.cluster.server import (
     CapacityExceeded,
     PowerState,
@@ -31,8 +32,6 @@ from repro.cluster.fsck import (
     FsckIssue,
     FsckReport,
     check_cluster,
-    check_holder_index,
-    scan_holders,
 )
 from repro.cluster.migration import (
     full_reintegration_plan,
@@ -41,8 +40,7 @@ from repro.cluster.migration import (
 from repro.core.reintegration import MigrationPlan
 
 __all__ = [
-    "DataObject",
-    "ObjectCatalog",
+    "ObjectTable",
     "PowerState",
     "StorageServer",
     "CapacityExceeded",
@@ -56,8 +54,6 @@ __all__ = [
     "FsckIssue",
     "FsckReport",
     "check_cluster",
-    "check_holder_index",
-    "scan_holders",
     "MigrationPlan",
     "full_reintegration_plan",
     "addition_migration_plan",

@@ -1,8 +1,9 @@
 """Cluster models: the elastic system and the original-CH baseline.
 
-Both clusters store real (simulated) replica maps on their servers, so
-every migration/recovery volume the benches report is *measured* from
-the maps, not estimated from expectations.
+Both clusters record every replica in one
+:class:`~repro.cluster.objects.ObjectTable`, so every migration/recovery
+volume the benches report is *measured* from it, not estimated from
+expectations.
 
 :class:`ElasticCluster` composes the paper's full design —
 :class:`~repro.core.elastic.ElasticConsistentHash` placement, write
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import MappingProxyType
-from typing import (Container, Dict, FrozenSet, Iterable, List, Mapping,
-                    Optional, Sequence, Tuple, Union)
+from typing import (Container, Dict, FrozenSet, Iterable, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.core.reintegration import (
     ReintegrationPlan,
     ReintegrationReport,
 )
-from repro.cluster.objects import DEFAULT_OBJECT_SIZE, ObjectCatalog
+from repro.cluster.objects import DEFAULT_OBJECT_SIZE, ObjectTable
 from repro.cluster.server import StorageServer
 from repro.hashring.ring import HashRing
 from repro.obs.runtime import OBS
@@ -53,7 +53,7 @@ class CrashRecoveryWork:
 
     :meth:`ElasticCluster.crash_server` returns one of these instead
     of repairing in place: the crash's *observable* effects (version
-    advance, dirty tracking, lost replica maps) are immediate, but the
+    advance, dirty tracking, lost replicas) are immediate, but the
     re-replication bytes only land when
     :meth:`ElasticCluster.commit_crash_recovery` runs — after a
     transfer layer has actually moved them, or immediately for the
@@ -65,7 +65,7 @@ class CrashRecoveryWork:
     #: carry).
     version: int
     #: ``oid -> size`` of every replica lost with the server, in the
-    #: server's replica-map order (deterministic).
+    #: rank's landing order (deterministic).
     lost: Dict[int, int] = field(default_factory=dict)
     #: The open ``recovery.fail`` span; closed by the commit.
     span: Optional[object] = None
@@ -90,29 +90,24 @@ def _check_size(size: int) -> None:
 
 
 class _Landing:
-    """Lands a batch's writes one object at a time: catalog header,
-    replicas on the targets, then stale replicas dropped.  ``count`` is
-    how many landed whole (a full server raises partway through one)."""
+    """Lands a batch's writes one object at a time
+    (:meth:`ObjectTable.write`).  ``count`` is how many landed whole (a
+    full server raises partway through one)."""
 
-    __slots__ = ("count", "_cluster", "_size")
+    __slots__ = ("count", "_write", "_size")
 
-    def __init__(self, cluster: "_ClusterBase", size: int) -> None:
+    def __init__(self, objects: ObjectTable, size: int) -> None:
         self.count = 0
-        self._cluster, self._size = cluster, size
+        self._write, self._size = objects.write, size
 
-    def __call__(self, oid: int, row: list, version: int,
-                 dirty: bool) -> None:
-        cluster, size = self._cluster, self._size
-        cluster.catalog.create_or_touch(oid, size, version, dirty)
-        cluster._store(oid, size, row)
-        for rank in cluster._holders.get(oid, ()):
-            if rank not in row:
-                cluster.servers[rank].drop_replica(oid)
+    def __call__(self, oid: int, row: list) -> None:
+        self._write(oid, self._size, row)
         self.count += 1
 
 
 class _ClusterBase:
-    """Shared plumbing: server map, catalog, distribution accounting."""
+    """Shared plumbing: server map, object table, distribution
+    accounting."""
 
     def __init__(self, n: int, replicas: int,
                  capacities: Optional[Sequence[Optional[int]]] = None,
@@ -120,23 +115,17 @@ class _ClusterBase:
         if n < replicas:
             raise ValueError("cluster smaller than replication factor")
         self.replicas = replicas
-        #: ``oid -> ascending ranks physically holding a replica``.
-        #: Shared with every server, which maintains it from
-        #: ``store_replica``/``drop_replica``; derived state only —
-        #: :func:`repro.cluster.fsck.check_holder_index` re-derives it
-        #: from the replica maps.
-        self._holders: Dict[int, Tuple[int, ...]] = {}
         self.servers: Dict[int, StorageServer] = {
             rank: StorageServer(
                 rank,
                 capacity_bytes=(capacities[rank - 1]
                                 if capacities is not None else None),
                 disk_bandwidth=disk_bandwidth,
-                holder_index=self._holders,
             )
             for rank in range(1, n + 1)
         }
-        self.catalog = ObjectCatalog()
+        #: Every object and where its replicas live, stored once.
+        self.objects = ObjectTable(self.servers)
 
     @property
     def n(self) -> int:
@@ -145,25 +134,17 @@ class _ClusterBase:
     def stored_locations(self, oid: int) -> Tuple[int, ...]:
         """Ranks physically holding a replica of *oid* (any power
         state), ascending."""
-        return self._holders.get(oid, ())
-
-    def holder_index(self) -> Mapping[int, Tuple[int, ...]]:
-        """Read-only view of the whole ``oid -> holders`` index."""
-        return MappingProxyType(self._holders)
+        return self.objects.holders(oid)
 
     def bytes_per_rank(self) -> Dict[int, int]:
         """Physical bytes per rank — Figure 5's y-axis."""
-        return {rank: srv.used_bytes for rank, srv in self.servers.items()}
+        return self.objects.bytes_per_rank()
 
     def replicas_per_rank(self) -> Dict[int, int]:
-        return {rank: srv.num_replicas for rank, srv in self.servers.items()}
+        return self.objects.replicas_per_rank()
 
     def total_stored_bytes(self) -> int:
-        return sum(srv.used_bytes for srv in self.servers.values())
-
-    def _store(self, oid: int, size: int, ranks: Sequence[int]) -> None:
-        for rank in ranks:
-            self.servers[rank].store_replica(oid, size)
+        return sum(self.objects.bytes_per_rank().values())
 
     # ------------------------------------------------------------------
     # data movement: plan, then apply (DESIGN.md)
@@ -172,12 +153,14 @@ class _ClusterBase:
         """Current placement of *oids*, in bulk, as server tuples."""
         return _rows(self.placement_bulk(oids), oids) if oids else []
 
-    def catalog_placements(self) -> Tuple[list, List[Tuple[int, ...]]]:
-        """Every catalog object's current placement: ``(objects,
-        target-server rows)`` aligned by index — what the whole-catalog
-        rules run on instead of a scalar lookup per object."""
-        objs = list(self.catalog)
-        return objs, self._placement_rows([o.oid for o in objs])
+    def object_placements(self) -> Tuple[List[Tuple[int, int]],
+                                         List[Tuple[int, ...]]]:
+        """Every object's current placement: ``((oid, header size)
+        pairs, target-server rows)`` aligned by index — what the
+        whole-table rules run on instead of a scalar lookup per
+        object."""
+        objs = list(self.objects.items())
+        return objs, self._placement_rows([oid for oid, _ in objs])
 
     def _task(self, oid: int, size: int, target: Sequence[int],
               recopy: Container[int] = ()) -> MigrationTask:
@@ -185,7 +168,7 @@ class _ClusterBase:
         *target* placement.  Copies go to targets that hold nothing
         (or sit in *recopy*: held, but not trusted); holders outside
         the target are surplus."""
-        stored = self._holders.get(oid, ())
+        stored = self.objects.holders(oid)
         return MigrationTask(
             oid, size, from_servers=stored, to_servers=tuple(target),
             moved_to=tuple(r for r in target
@@ -196,9 +179,9 @@ class _ClusterBase:
         """The one applier: land *task*'s copies, then drop its surplus
         (receives first — never dips below r).  Returns the bytes
         copied."""
-        self._store(task.oid, task.size, task.moved_to)
+        self.objects.store(task.oid, task.size, task.moved_to)
         for rank in task.dropped_from:
-            self.servers[rank].drop_replica(task.oid)
+            self.objects.drop(task.oid, rank)
         return task.nbytes
 
     def verify_replication(self, require_active: bool = False) -> List[int]:
@@ -206,11 +189,11 @@ class _ClusterBase:
         only powered-on holders) — the availability check behind the
         §II-C argument.  Empty list == healthy."""
         bad: List[int] = []
-        for obj in self.catalog:
-            holders = [rank for rank in self.stored_locations(obj.oid)
+        for oid in self.objects:
+            holders = [rank for rank in self.objects.holders(oid)
                        if not require_active or self.servers[rank].is_on]
             if len(holders) < self.replicas:
-                bad.append(obj.oid)
+                bad.append(oid)
         return bad
 
 
@@ -293,8 +276,8 @@ class ElasticCluster(_ClusterBase):
         self.wasted_bytes: Dict[str, float] = {}
 
     def _object_size(self, oid: int) -> int:
-        obj = self.catalog.get(oid)
-        return obj.size if obj is not None else DEFAULT_OBJECT_SIZE
+        return (self.objects.size(oid) if oid in self.objects
+                else DEFAULT_OBJECT_SIZE)
 
     # ------------------------------------------------------------------
     # power / membership
@@ -387,18 +370,17 @@ class ElasticCluster(_ClusterBase):
         immediately (:meth:`fail_server`) or after a simulated,
         interruptible recovery transfer has moved the bytes.
         """
-        srv = self.servers[rank]
-        lost = {oid: srv.replica_size(oid) for oid in srv.replicas()}
+        lost = dict(self.objects.replicas_on(rank))
         OBS.metrics.inc("cluster.failures")
         recovery_span = OBS.spans.begin("recovery.fail", rank=rank)
         if OBS.bus.active:
             OBS.bus.emit("server.fail", rank=rank,
                          lost_objects=len(lost),
                          lost_bytes=sum(lost.values()))
-        # Crash: the replica map is gone.
-        for oid in list(lost):
-            srv.drop_replica(oid)
-        srv.power_off()
+        # Crash: the replicas are gone.
+        for oid in lost:
+            self.objects.drop(oid, rank)
+        self.servers[rank].power_off()
         self.ech.mark_failed(rank)
         self.unverified_ranks.discard(rank)
         curr = self.ech.current_version
@@ -406,19 +388,17 @@ class ElasticCluster(_ClusterBase):
         # full-power layout *now*, whether or not the recovery bytes
         # have landed — the dirty entry is created with the crash, and
         # only an acknowledged transfer may clear it later.
-        for oid in lost:
-            obj = self.catalog.get(oid)
-            if obj is not None and not self.ech.is_full_power:
-                obj.dirty = True
+        if not self.ech.is_full_power:
+            for oid in lost:
                 self.ech.dirty.insert(oid, curr)
-        return CrashRecoveryWork(rank=rank, version=curr, lost=dict(lost),
+        return CrashRecoveryWork(rank=rank, version=curr, lost=lost,
                                  span=recovery_span)
 
     def crash_recovery_outlook(self, work: CrashRecoveryWork
                                ) -> MigrationPlan:
         """The §IV crash re-replication rule, mutating nothing: what
         :meth:`commit_crash_recovery` would do *right now*.  One task
-        per lost replica, in the crashed server's replica-map order:
+        per lost replica, in the crashed rank's landing order:
         copy from a surviving holder to the placement under the
         version current now, drop what that placement does not keep.
         An object with no surviving replica gets a task with no
@@ -432,7 +412,7 @@ class ElasticCluster(_ClusterBase):
             # keep as many copies alive as there are servers.
             targets = [self.active_ranks()] * len(oids)
         return MigrationPlan([
-            self._task(oid, size, target if oid in self._holders else ())
+            self._task(oid, size, target if self.objects.holders(oid) else ())
             for (oid, size), target in zip(work.lost.items(), targets)])
 
     def commit_crash_recovery(self, work: CrashRecoveryWork,
@@ -536,20 +516,19 @@ class ElasticCluster(_ClusterBase):
         self.wasted_bytes[kind] = self.wasted_bytes.get(kind, 0.0) + nbytes
 
     def replication_audit(self) -> Dict[str, int]:
-        """Physical replication health of the whole catalog: counts of
+        """Physical replication health of every object: counts of
         objects with zero replicas (*lost*) and with fewer than r
         (*under-replicated*, recovery or re-integration still owed).
         The chaos harness emits this as the periodic ``chaos.audit``
         event the no-lost-object / replication-restored invariants
         consume."""
         lost = under = 0
-        for obj in self.catalog:
-            holders = len(self.stored_locations(obj.oid))
+        for holders in self.objects.holder_counts():
             if holders == 0:
                 lost += 1
             elif holders < self.replicas:
                 under += 1
-        return {"objects": len(self.catalog), "lost": lost,
+        return {"objects": len(self.objects), "lost": lost,
                 "under_replicated": under}
 
     def read_with_fallback(self, oid: int) -> Tuple[int, bool]:
@@ -561,20 +540,19 @@ class ElasticCluster(_ClusterBase):
         could not serve.  Raises ``LookupError`` when no powered-on
         server holds a replica (the object is unavailable until
         repair)."""
-        obj = self.catalog.get(oid)
-        if obj is None:
+        if oid not in self.objects:
             raise KeyError(f"unknown object: {oid}")
         try:
             placement = self.ech.locate_current_replicas(oid).servers
         except LookupError:
             placement = ()
+        stored = self.objects.holders(oid)
         for i, rank in enumerate(placement):
-            srv = self.servers[rank]
-            if srv.is_on and srv.has_replica(oid):
+            if self.servers[rank].is_on and rank in stored:
                 if i > 0:
                     OBS.metrics.inc("reads.degraded")
                 return rank, i > 0
-        for rank in self.stored_locations(oid):
+        for rank in stored:
             if self.servers[rank].is_on:
                 OBS.metrics.inc("reads.degraded")
                 return rank, True
@@ -602,7 +580,7 @@ class ElasticCluster(_ClusterBase):
         single writes leaves.  Returns the server rows.
         """
         _check_size(size)
-        land = _Landing(self, size)
+        land = _Landing(self.objects, size)
         try:
             return self.ech.record_writes(oids, land)
         finally:
@@ -619,8 +597,7 @@ class ElasticCluster(_ClusterBase):
         on server — with the primary design this is always True while
         the primaries are up.
         """
-        obj = self.catalog.get(oid)
-        if obj is None:
+        if oid not in self.objects:
             raise KeyError(f"unknown object: {oid}")
         try:
             servers = self.ech.locate_current_replicas(oid).servers
@@ -637,7 +614,7 @@ class ElasticCluster(_ClusterBase):
     # ------------------------------------------------------------------
     def apply_migration(self, task: MigrationTask) -> None:
         """Execute one selective (Algorithm 2) move against the
-        replica maps and publish it."""
+        object table and publish it."""
         self._apply(task)
         OBS.metrics.inc("migration.objects")
         OBS.metrics.inc("migration.bytes", task.nbytes)
@@ -652,24 +629,17 @@ class ElasticCluster(_ClusterBase):
         self, budget_bytes: Optional[int] = None,
     ) -> ReintegrationReport:
         """One Algorithm-2 pass (optionally byte-budgeted, the rate-
-        limit hook).  Clears catalog dirty bits for objects whose last
-        dirty entry was consumed."""
+        limit hook)."""
         report = self._engine.step(budget_bytes=budget_bytes)
         self._settle_selective(report, report.caught_up)
         return report
 
     def _settle_selective(self, report: ReintegrationReport,
                           reconciled: bool) -> None:
-        """What follows a selective pass, immediate or deferred: clear
-        the catalog dirty bit of objects whose last entry was consumed
-        and, once the table is *reconciled* against the current version,
-        trust the re-powered ranks and close a drained ``resize.cycle``."""
+        """What follows a selective pass, immediate or deferred: once the
+        dirty table is *reconciled* against the current version, trust
+        the re-powered ranks and close a drained ``resize.cycle``."""
         self.migrated_bytes["selective"] += report.bytes_migrated
-        for entry in report.removed:
-            if not self.ech.dirty.contains_oid(entry.oid):
-                obj = self.catalog.get(entry.oid)
-                if obj is not None:
-                    obj.dirty = False
         if reconciled:
             # Re-powered servers hold exactly what the layout expects
             # of them, no blanket re-copy needed.
@@ -696,7 +666,7 @@ class ElasticCluster(_ClusterBase):
         """Commit a previously planned pass once its transfer has
         completed and been acknowledged.  Migrations are re-planned
         per entry at commit time (the membership may have moved on);
-        the same catalog/cycle bookkeeping as
+        the same cycle bookkeeping as
         :meth:`run_selective_reintegration` applies."""
         report = self._engine.commit_entries(plan.entries)
         # Reconciled when nothing is left a commit could act on.
@@ -719,10 +689,10 @@ class ElasticCluster(_ClusterBase):
         replica a server genuinely lacks, and drops surplus copies.
         """
         unverified = self.unverified_ranks
-        objs, targets = self.catalog_placements()
+        objs, targets = self.object_placements()
         return MigrationPlan([
-            self._task(obj.oid, obj.size, target, recopy=unverified)
-            for obj, target in zip(objs, targets)
+            self._task(oid, size, target, recopy=unverified)
+            for (oid, size), target in zip(objs, targets)
             if any(r in unverified for r in target)])
 
     def run_full_reintegration(self) -> int:
@@ -742,22 +712,18 @@ class ElasticCluster(_ClusterBase):
                                     version=curr)
         for task in self.plan_full_reintegration().tasks:
             moved += self._apply(task)
-            obj = self.catalog[task.oid]
-            obj.version = curr
-            self.ech.location_version[obj.oid] = curr
+            self.ech.location_version[task.oid] = curr
             if not full_power:
                 # An object relocated below full power deviates from
                 # the full-power layout — §III-E-2's definition of
                 # dirty.  Recording it keeps a later *selective* pass
                 # able to finish the job (full and selective modes
                 # compose).
-                obj.dirty = True
-                self.ech.dirty.insert(obj.oid, curr)
+                self.ech.dirty.insert(task.oid, curr)
         if full_power:
-            for obj in self.catalog:
-                obj.dirty = False
-                self.ech.last_written[obj.oid] = max(
-                    self.ech.last_written.get(obj.oid, 0), curr)
+            for oid in self.objects:
+                self.ech.last_written[oid] = max(
+                    self.ech.last_written.get(oid, 0), curr)
             self.ech.dirty.clear()
         self.unverified_ranks.clear()
         self.migrated_bytes["full"] += moved
@@ -786,17 +752,16 @@ class ElasticCluster(_ClusterBase):
         apply_relayout(self.ech, new_p)
         moved = 0
         curr = self.ech.current_version
-        objs, targets = self.catalog_placements()
-        for obj, target in zip(objs, targets):
-            moved += self._apply(self._task(obj.oid, obj.size, target))
-            obj.version = curr
-            self.ech.location_version[obj.oid] = curr
+        objs, targets = self.object_placements()
+        for (oid, size), target in zip(objs, targets):
+            moved += self._apply(self._task(oid, size, target))
+            self.ech.location_version[oid] = curr
         self.migrated_bytes["full"] += moved
         return moved
 
     def describe(self) -> str:
         return (f"ElasticCluster({self.ech.describe()}, "
-                f"objects={len(self.catalog)}, "
+                f"objects={len(self.objects)}, "
                 f"stored={self.total_stored_bytes()}B)")
 
 
@@ -891,17 +856,17 @@ class OriginalCHCluster(_ClusterBase):
             return []
         members = self._members
         rows = self._kernel.rows(members, members.__contains__, oids)
-        land = _Landing(self, size)
+        write = self.objects.write
         for oid, row in zip(oids, rows):
-            land(oid, row, 1, False)
+            write(oid, size, row)
         return rows
 
     def read(self, oid: int) -> Tuple[Tuple[int, ...], bool]:
-        obj = self.catalog.get(oid)
-        if obj is None:
+        if oid not in self.objects:
             raise KeyError(f"unknown object: {oid}")
         servers = self.placement(oid).servers
-        available = any(self.servers[s].has_replica(oid) for s in servers)
+        stored = self.objects.holders(oid)
+        available = any(s in stored for s in servers)
         return servers, available
 
     # ------------------------------------------------------------------
@@ -928,22 +893,22 @@ class OriginalCHCluster(_ClusterBase):
                          ) -> List[MigrationTask]:
         """Every replica *rank* holds goes to its placement under
         *members*, which no longer include the server."""
-        srv = self.servers[rank]
-        victims = list(srv.replicas())
-        targets = _rows(self._placement_under(members, victims), victims)
-        return [self._task(oid, srv.replica_size(oid), target)
-                for oid, target in zip(victims, targets)]
+        victims = self.objects.replicas_on(rank)
+        oids = [oid for oid, _ in victims]
+        targets = _rows(self._placement_under(members, oids), oids)
+        return [self._task(oid, size, target)
+                for (oid, size), target in zip(victims, targets)]
 
     def _addition_tasks(self, members: FrozenSet[int]
                         ) -> List[MigrationTask]:
         """Every object settles on its placement under *members*, which
         include the new servers — assumed empty, so all the data
         mapping onto them moves."""
-        objs = list(self.catalog)
-        oids = [o.oid for o in objs]
+        objs = list(self.objects.items())
+        oids = [oid for oid, _ in objs]
         targets = _rows(self._placement_under(members, oids), oids)
-        return [self._task(obj.oid, obj.size, target)
-                for obj, target in zip(objs, targets)]
+        return [self._task(oid, size, target)
+                for (oid, size), target in zip(objs, targets)]
 
     def plan_departure(self, rank: int) -> MigrationPlan:
         """What :meth:`remove_server` would re-replicate (mutates

@@ -6,35 +6,28 @@ the equivalent for the simulated cluster, used by operators (the
 examples), by the test suite's stateful machine, and as a debugging
 aid when extending the system.
 
-:func:`check_cluster` performs five audits and returns a structured
+:func:`check_cluster` performs three audits — the paper's guarantees —
+over the cluster's object table and returns a structured
 :class:`FsckReport`:
 
-1. **replication** — every catalogued object has r replicas stored
-   (anywhere), and at least one on a powered-on server;
+1. **replication** — every object has r replicas stored (anywhere),
+   and at least one on a powered-on server;
 2. **placement agreement** — each object's stored locations match the
    placement under its header's location version (the invariant the
    re-integration machinery maintains);
-3. **dirty-table coherence** — every dirty entry references a
-   catalogued object and a version that exists; a full-power cluster
-   that claims quiescence has an empty table;
-4. **orphan replicas** — no server holds a replica of an object the
-   catalog does not know;
-5. **holder index** — the cluster's derived ``oid -> holders`` index
-   (what ``stored_locations`` answers from) equals a brute-force scan
-   of every server's replica map (:func:`scan_holders`, the one place
-   the scan survives, as the oracle — audits 1, 2 and 4 read it too,
-   so a stale index cannot hide a lost replica from the checker).
+3. **dirty-table coherence** — every dirty entry references a known
+   object and a version that exists; a full-power cluster that claims
+   quiescence has an empty table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Set
 
-from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
+from repro.cluster.cluster import ElasticCluster
 
-__all__ = ["FsckIssue", "FsckReport", "check_cluster", "scan_holders",
-           "check_holder_index"]
+__all__ = ["FsckIssue", "FsckReport", "check_cluster"]
 
 
 @dataclass(frozen=True)
@@ -42,7 +35,7 @@ class FsckIssue:
     """One inconsistency."""
 
     kind: str       # "replication" | "availability" | "placement" |
-                    # "dirty" | "orphan" | "index"
+                    # "dirty"
     oid: int
     detail: str
 
@@ -75,36 +68,6 @@ class FsckReport:
                 f"{self.objects_checked} objects ({kinds})")
 
 
-def scan_holders(cluster: Union[ElasticCluster, OriginalCHCluster]
-                 ) -> Dict[int, Tuple[int, ...]]:
-    """``oid -> ascending ranks holding a replica``, rebuilt by brute
-    force from every server's replica map — the oracle the cluster's
-    holder index is checked against."""
-    found: Dict[int, List[int]] = {}
-    for rank in sorted(cluster.servers):
-        for oid in cluster.servers[rank].replicas():
-            found.setdefault(oid, []).append(rank)
-    return {oid: tuple(ranks) for oid, ranks in found.items()}
-
-
-def check_holder_index(
-    cluster: Union[ElasticCluster, OriginalCHCluster],
-    scanned: Optional[Dict[int, Tuple[int, ...]]] = None,
-) -> List[FsckIssue]:
-    """One ``index`` issue per oid whose indexed holders differ from
-    the brute-force scan (missing, extra, or mis-ordered).  *scanned*
-    reuses a :func:`scan_holders` result the caller already has."""
-    actual = scanned if scanned is not None else scan_holders(cluster)
-    indexed = cluster.holder_index()
-    return [
-        FsckIssue("index", oid,
-                  f"indexed holders {indexed.get(oid)} != "
-                  f"scanned {actual.get(oid)}")
-        for oid in sorted(actual.keys() | indexed.keys())
-        if indexed.get(oid) != actual.get(oid)
-    ]
-
-
 def check_cluster(cluster: ElasticCluster,
                   expect_quiescent: bool = False) -> FsckReport:
     """Audit *cluster*.
@@ -116,10 +79,7 @@ def check_cluster(cluster: ElasticCluster,
     """
     report = FsckReport()
     ech = cluster.ech
-    known = set()
-    # Ground truth for audits 1, 2, 4 and 5: the checker reads the
-    # replica maps themselves, never the index it is about to audit.
-    scanned = scan_holders(cluster)
+    objects = cluster.objects
 
     # Pre-resolve every object's placement under its location version
     # in bulk (one locate_bulk per distinct version) — audit 2 below
@@ -129,45 +89,44 @@ def check_cluster(cluster: ElasticCluster,
     # did.
     expected: Dict[int, Optional[Set[int]]] = {}
     by_version: Dict[int, List[int]] = {}
-    for obj in cluster.catalog:
-        loc_ver = ech.location_version.get(obj.oid)
+    for oid in objects:
+        loc_ver = ech.location_version.get(oid)
         if loc_ver is not None:
-            by_version.setdefault(loc_ver, []).append(obj.oid)
+            by_version.setdefault(loc_ver, []).append(oid)
     for ver, oids in by_version.items():
         bulk = ech.locate_bulk(oids, ver)
         for i, oid in enumerate(oids):
             expected[oid] = (set(bulk.servers[i].tolist())
                              if bulk.ok[i] else None)
 
-    for obj in cluster.catalog:
-        known.add(obj.oid)
+    for oid in objects:
         report.objects_checked += 1
-        stored = scanned.get(obj.oid, ())
+        stored = objects.holders(oid)
         report.replicas_checked += len(stored)
 
         # 1. replication + availability
         if len(stored) < cluster.replicas:
             report.issues.append(FsckIssue(
-                "replication", obj.oid,
+                "replication", oid,
                 f"{len(stored)} of {cluster.replicas} replicas stored"))
         if not any(cluster.servers[r].is_on for r in stored):
             report.issues.append(FsckIssue(
-                "availability", obj.oid,
+                "availability", oid,
                 f"no replica on a powered-on server (stored={stored})"))
 
         # 2. placement agreement under the location version
-        loc_ver = ech.location_version.get(obj.oid)
+        loc_ver = ech.location_version.get(oid)
         if loc_ver is not None:
-            expect = expected[obj.oid]
+            expect = expected[oid]
             if expect is not None and set(stored) != expect:
                 report.issues.append(FsckIssue(
-                    "placement", obj.oid,
+                    "placement", oid,
                     f"stored={sorted(stored)} != "
                     f"placement@v{loc_ver}={sorted(expect)}"))
 
     # 3. dirty-table coherence
     for entry in ech.dirty.entries():
-        if entry.oid not in known:
+        if entry.oid not in objects:
             report.issues.append(FsckIssue(
                 "dirty", entry.oid,
                 f"dirty entry for unknown object (v{entry.version})"))
@@ -185,17 +144,5 @@ def check_cluster(cluster: ElasticCluster,
                 "dirty", -1,
                 f"quiescence expected but {len(ech.dirty)} dirty "
                 "entries remain"))
-
-    # 4. orphan replicas
-    for oid, ranks in scanned.items():
-        if oid not in known:
-            for rank in ranks:
-                report.issues.append(FsckIssue(
-                    "orphan", oid,
-                    f"rank {rank} holds a replica of an uncatalogued "
-                    "object"))
-
-    # 5. holder index vs. the replica maps
-    report.issues.extend(check_holder_index(cluster, scanned))
 
     return report

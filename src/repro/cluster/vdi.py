@@ -9,7 +9,7 @@ KVM-QEMU guest; Filebench then generated byte-level IO against it.
 :class:`VirtualDisk` implements that mapping: byte-range reads and
 writes are translated into object writes/reads against an
 :class:`~repro.cluster.cluster.ElasticCluster` (or any object with the
-same ``write``/``read``/``catalog`` surface).  Objects are allocated
+same ``write``/``read``/``objects`` surface).  Objects are allocated
 lazily — an untouched chunk costs nothing, like a sparse qcow image.
 """
 

@@ -334,22 +334,21 @@ class ElasticConsistentHash:
     def record_writes(
         self,
         oids: Sequence[int],
-        land: Optional[Callable[[int, list, int, bool], None]] = None,
+        land: Optional[Callable[[int, list], None]] = None,
     ) -> List[list]:
         """Place a batch of writes in the current version — one gather
         of slot-table rows, no :class:`PlacementResult` — then, per oid
         in order, tag its header with the version, log a dirty entry
-        unless at full power (§III-E-2), and hand ``(oid, servers,
-        version, dirty)`` to *land*.  A raise leaves what a loop of
-        single writes leaves (``LookupError`` raises before anything
-        changes).  Returns the server rows."""
+        unless at full power (§III-E-2), and hand ``(oid, servers)`` to
+        *land*.  A raise leaves what a loop of single writes leaves
+        (``LookupError`` raises before anything changes).  Returns the
+        server rows."""
         if not oids:
             return []
         table = self.history.current
         version = table.version
         rows = self._kernel.rows(version, table.is_active, oids)
-        dirty = not table.is_full_power
-        insert = self.dirty.insert if dirty else None
+        insert = None if table.is_full_power else self.dirty.insert
         last_written, location_version = (self.last_written,
                                           self.location_version)
         recorded = 0
@@ -361,7 +360,7 @@ class ElasticConsistentHash:
                     insert(oid, version)
                 recorded += 1
                 if land is not None:
-                    land(oid, row, version, dirty)
+                    land(oid, row)
         finally:
             if recorded:
                 if insert is not None:

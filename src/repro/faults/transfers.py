@@ -11,7 +11,7 @@ The crash-consistency discipline (see ``docs/ROBUSTNESS.md``):
   depends on; the endpoints are pinned via
   ``ElasticCluster.acquire_ranks`` so a repair cannot race an
   in-flight transfer.
-* **Commit on ack only**: cluster state (replica maps, location
+* **Commit on ack only**: cluster state (the object table, location
   versions, dirty entries) mutates exclusively in the plan's
   ``commit`` callback, which runs after the flow drains and the
   ``transfer.ack`` event is emitted.  An interrupted flow therefore

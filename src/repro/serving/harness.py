@@ -139,7 +139,7 @@ def run_serve(
     single arrival rate, which is how the population scales without
     per-user state.  ``write_ratio`` of requests are writes, charged
     ``replicas * REQUEST_BYTES`` of disk work on their primary and
-    materialised into the catalog on completion (so the shrunken
+    materialised into the object table on completion (so the shrunken
     cluster accumulates a real dirty backlog for the resize-back to
     reintegrate).  *duration* and *slo_p99* are simulated seconds and
     must be finite and ``> 0``.  Disks and the re-integration rate

@@ -93,7 +93,8 @@ def max_min_fair(flows: Sequence[FlowSpec],
     ``tests/simulation/test_columnar.py``.
 
     *columns*: the caller's :class:`~repro.simulation.columnar.ColumnCache`
-    of compiled coefficient segments, kept across scalar solves.
+    of compiled coefficient segments, kept across solves; only the
+    columnar backend reads it.
     """
     if len(flows) * len(capacities) >= _AUTO_CUTOVER_CELLS:
         from repro.simulation.columnar import max_min_fair_columnar

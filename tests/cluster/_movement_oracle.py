@@ -4,12 +4,12 @@ The product states each rule once (a planner) and executes it through
 one applier, so "what the planner says equals what the mutator does" is
 true by construction and proves nothing.  This module re-derives every
 rule the slow way — a scalar ``locate`` per object against a
-``holder_index()`` snapshot, an independently built ring for the
+:func:`holders_of` snapshot, an independently built ring for the
 original-CH rules — and :func:`check_rule` holds the product to it:
 
 * planning mutates nothing (:func:`snapshot` equal before and after);
 * the plan's moves are the oracle's, object for object, in order;
-* applying changes the holder index by exactly those moves;
+* applying changes the holders by exactly those moves;
 * bytes returned == ``plan.total_bytes`` == the oracle's count.
 
 A *move* is ``(oid, bytes per copy, ranks receiving a copy, ranks
@@ -21,11 +21,18 @@ from repro.core.placement import place_original
 from repro.hashring.ring import HashRing
 
 
+def holders_of(cluster):
+    """``oid -> ascending holders`` of every object that has one."""
+    return {oid: cluster.stored_locations(oid) for oid in cluster.objects
+            if cluster.stored_locations(oid)}
+
+
 def snapshot(cluster):
     """Everything a planner must leave alone."""
-    snap = {"holders": dict(cluster.holder_index()),
-            "headers": [(o.oid, o.size, o.version, o.dirty)
-                        for o in cluster.catalog],
+    snap = {"holders": holders_of(cluster),
+            "landing": {r: cluster.objects.replicas_on(r)
+                        for r in cluster.servers},
+            "headers": list(cluster.objects.items()),
             "power": {r: s.is_on for r, s in cluster.servers.items()}}
     if isinstance(cluster, ElasticCluster):
         ech = cluster.ech
@@ -56,13 +63,13 @@ def _needed(moves):
 def expected_full(cluster):
     """§V-B "primary+full": every object mapped onto a just-re-powered
     rank is re-copied there, whether or not the payload is in place."""
-    holders = cluster.holder_index()
+    holders = holders_of(cluster)
     unverified = cluster.unverified_ranks
     moves = []
-    for obj in cluster.catalog:
-        target = cluster.ech.locate(obj.oid).servers
+    for oid, size in cluster.objects.items():
+        target = cluster.ech.locate(oid).servers
         if unverified.intersection(target):
-            moves.append(_move(obj.oid, obj.size, holders.get(obj.oid, ()),
+            moves.append(_move(oid, size, holders.get(oid, ()),
                                target, recopy=unverified))
     return _needed(moves)
 
@@ -70,7 +77,7 @@ def expected_full(cluster):
 def expected_crash(cluster, work):
     """§IV: each lost replica is re-made at the current placement from
     a survivor; returns ``(moves, oids with no survivor)``."""
-    holders = cluster.holder_index()
+    holders = holders_of(cluster)
     moves, gone = [], []
     for oid, size in work.lost.items():
         if not holders.get(oid):
@@ -101,8 +108,8 @@ def expected_selective(cluster):
         location_version[entry.oid] = ech.current_version
         old = ech.locate(entry.oid, came_from).servers
         new = ech.locate(entry.oid).servers
-        obj = cluster.catalog.get(entry.oid)
-        size = obj.size if obj is not None else 4 * 1024 * 1024
+        size = (cluster.objects.size(entry.oid)
+                if entry.oid in cluster.objects else 4 * 1024 * 1024)
         moves.append((entry.oid, size, frozenset(new) - frozenset(old),
                       frozenset(old) - frozenset(new)))
     return _needed(moves)
@@ -118,23 +125,22 @@ def expected_addition(cluster, ranks):
     """§II-C: the joining servers are assumed empty, every object
     settles on its placement over the enlarged ring."""
     ring = _ring_of(cluster, [*cluster.members, *ranks])
-    holders = cluster.holder_index()
+    holders = holders_of(cluster)
     return _needed(
-        _move(obj.oid, obj.size, holders.get(obj.oid, ()),
-              place_original(ring, obj.oid, cluster.replicas).servers)
-        for obj in cluster.catalog)
+        _move(oid, size, holders.get(oid, ()),
+              place_original(ring, oid, cluster.replicas).servers)
+        for oid, size in cluster.objects.items())
 
 
 def expected_departure(cluster, rank):
     """§II-C: everything the leaving server holds is re-replicated to
     its placement over the ring without it."""
     ring = _ring_of(cluster, [r for r in cluster.members if r != rank])
-    holders = cluster.holder_index()
-    srv = cluster.servers[rank]
+    holders = holders_of(cluster)
     return _needed(
-        _move(oid, srv.replica_size(oid), holders[oid],
+        _move(oid, size, holders[oid],
               place_original(ring, oid, cluster.replicas).servers)
-        for oid in srv.replicas())
+        for oid, size in cluster.objects.replicas_on(rank))
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +164,7 @@ def plan_purely(cluster, planner, *args):
 
 
 def holders_after(before, moves):
-    """The holder index *moves* must leave behind."""
+    """The holders *moves* must leave behind."""
     after = dict(before)
     for oid, _size, copies, drops in moves:
         left = (set(after.get(oid, ())) | copies) - drops
@@ -171,14 +177,14 @@ def holders_after(before, moves):
 
 def check_rule(cluster, plan, expected, apply, tolerate=()):
     """*plan* is the oracle's *expected* moves; *apply* (returning the
-    bytes it moved) changes the holder index by exactly them — unless
-    it raises one of *tolerate* half-way."""
+    bytes it moved) changes the holders by exactly them — unless it
+    raises one of *tolerate* half-way."""
     assert moves_of(plan.tasks) == expected
     assert plan.total_bytes == bytes_of(expected)
-    before = dict(cluster.holder_index())
+    before = holders_of(cluster)
     try:
         moved = apply()
     except tolerate:
         return
     assert moved == plan.total_bytes
-    assert dict(cluster.holder_index()) == holders_after(before, expected)
+    assert holders_of(cluster) == holders_after(before, expected)

@@ -12,7 +12,7 @@ class TestWritePath:
         placement = elastic10.write(1, MB4)
         assert len(placement.servers) == 2
         for rank in placement.servers:
-            assert elastic10.servers[rank].has_replica(1)
+            assert rank in elastic10.stored_locations(1)
 
     def test_stored_locations(self, elastic10):
         placement = elastic10.write(1, MB4)
@@ -20,13 +20,13 @@ class TestWritePath:
 
     def test_full_power_write_is_clean(self, elastic10):
         elastic10.write(1, MB4)
-        assert not elastic10.catalog[1].dirty
+        assert not elastic10.ech.is_dirty(1)
         assert elastic10.ech.dirty.is_empty()
 
     def test_reduced_power_write_is_dirty(self, elastic10):
         elastic10.resize(6)
         elastic10.write(1, MB4)
-        assert elastic10.catalog[1].dirty
+        assert elastic10.ech.is_dirty(1)
         assert elastic10.ech.dirty.contains_oid(1)
 
     def test_rewrite_drops_stale_replicas(self, elastic10):
@@ -77,10 +77,10 @@ class TestResize:
             assert srv.is_on == (rank <= 6)
 
     def test_data_preserved_across_power_off(self, loaded_elastic10):
-        bytes_on_10 = loaded_elastic10.servers[10].used_bytes
+        bytes_on_10 = loaded_elastic10.bytes_per_rank()[10]
         assert bytes_on_10 > 0
         loaded_elastic10.resize(6)
-        assert loaded_elastic10.servers[10].used_bytes == bytes_on_10
+        assert loaded_elastic10.bytes_per_rank()[10] == bytes_on_10
 
     def test_floor_at_primaries(self, elastic10):
         elastic10.resize(0)
@@ -113,15 +113,14 @@ class TestSelectiveReintegration:
     def test_layout_restored(self, elastic10):
         self._cycle(elastic10)
         elastic10.run_selective_reintegration()
-        for obj in elastic10.catalog:
-            stored = set(elastic10.stored_locations(obj.oid))
-            target = set(elastic10.ech.locate(obj.oid).servers)
+        for oid in elastic10.objects:
+            stored = set(elastic10.stored_locations(oid))
+            target = set(elastic10.ech.locate(oid).servers)
             assert stored == target
 
     def test_dirty_bits_cleared_at_full_power(self, elastic10):
         self._cycle(elastic10)
         elastic10.run_selective_reintegration()
-        assert elastic10.catalog.dirty_oids() == []
         assert elastic10.ech.dirty.is_empty()
         assert elastic10.unverified_ranks == set()
 
@@ -170,12 +169,11 @@ class TestFullReintegration:
     def test_full_restores_layout(self, elastic10):
         self._cycle(elastic10)
         elastic10.run_full_reintegration()
-        for obj in elastic10.catalog:
-            stored = set(elastic10.stored_locations(obj.oid))
-            target = set(elastic10.ech.locate(obj.oid).servers)
+        for oid in elastic10.objects:
+            stored = set(elastic10.stored_locations(oid))
+            target = set(elastic10.ech.locate(oid).servers)
             assert stored == target
         assert elastic10.ech.dirty.is_empty()
-        assert elastic10.catalog.dirty_oids() == []
 
     def test_full_bytes_prediction(self, elastic10):
         self._cycle(elastic10)
@@ -221,9 +219,9 @@ class TestFullSelectiveComposition:
         report = cl.run_selective_reintegration()
         assert report.caught_up
         assert cl.ech.dirty.is_empty()
-        for obj in cl.catalog:
-            assert (set(cl.stored_locations(obj.oid))
-                    == set(cl.ech.locate(obj.oid).servers))
+        for oid in cl.objects:
+            assert (set(cl.stored_locations(oid))
+                    == set(cl.ech.locate(oid).servers))
 
     def test_full_at_full_power_needs_no_followup(self):
         cl = ElasticCluster(n=10, replicas=2)
@@ -233,6 +231,6 @@ class TestFullSelectiveComposition:
         cl.resize(10)
         cl.run_full_reintegration()
         assert cl.ech.dirty.is_empty()
-        for obj in cl.catalog:
-            assert (set(cl.stored_locations(obj.oid))
-                    == set(cl.ech.locate(obj.oid).servers))
+        for oid in cl.objects:
+            assert (set(cl.stored_locations(oid))
+                    == set(cl.ech.locate(oid).servers))

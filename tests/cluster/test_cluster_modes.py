@@ -28,9 +28,9 @@ class TestLifecycleUnderAllModes:
         report = cluster.run_selective_reintegration()
         assert report.caught_up
         assert cluster.ech.dirty.is_empty()
-        for obj in cluster.catalog:
-            assert (set(cluster.stored_locations(obj.oid))
-                    == set(cluster.ech.locate(obj.oid).servers))
+        for oid in cluster.objects:
+            assert (set(cluster.stored_locations(oid))
+                    == set(cluster.ech.locate(oid).servers))
 
     def test_reads_available_while_shrunk(self, cluster):
         for oid in range(200):

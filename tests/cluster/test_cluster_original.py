@@ -12,7 +12,7 @@ class TestWriteRead:
         placement = original10.write(1, MB4)
         assert len(set(placement.servers)) == 2
         for rank in placement.servers:
-            assert original10.servers[rank].has_replica(1)
+            assert rank in original10.stored_locations(1)
 
     def test_read(self, loaded_original10):
         servers, available = loaded_original10.read(7)
@@ -31,12 +31,12 @@ class TestWriteRead:
 
 class TestRemoval:
     def test_removal_rereplicates_before_leaving(self, loaded_original10):
-        held = loaded_original10.servers[10].num_replicas
+        held = loaded_original10.replicas_per_rank()[10]
         assert held > 0
         moved = loaded_original10.remove_server(10)
         assert moved > 0
         assert 10 not in loaded_original10.members
-        assert loaded_original10.servers[10].num_replicas == 0
+        assert loaded_original10.replicas_per_rank()[10] == 0
         assert loaded_original10.verify_replication() == []
 
     def test_removed_server_powered_off(self, loaded_original10):
@@ -66,7 +66,7 @@ class TestAddition:
         loaded_original10.remove_server(10)
         moved = loaded_original10.add_server(10)
         assert moved > 0
-        assert loaded_original10.servers[10].num_replicas > 0
+        assert loaded_original10.replicas_per_rank()[10] > 0
         assert loaded_original10.verify_replication() == []
 
     def test_add_existing_rejected(self, original10):
@@ -91,9 +91,9 @@ class TestAddition:
         """Remove + re-add: every object's placement is satisfied."""
         loaded_original10.remove_server(10)
         loaded_original10.add_server(10)
-        for obj in loaded_original10.catalog:
-            stored = set(loaded_original10.stored_locations(obj.oid))
-            target = set(loaded_original10.placement(obj.oid).servers)
+        for oid in loaded_original10.objects:
+            stored = set(loaded_original10.stored_locations(oid))
+            target = set(loaded_original10.placement(oid).servers)
             assert stored == target
 
 

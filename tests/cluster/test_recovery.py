@@ -9,7 +9,7 @@ MB4 = 4 * 1024 * 1024
 
 class TestPlan:
     def test_plan_covers_every_held_object(self, loaded_original10):
-        held = set(loaded_original10.servers[10].replicas())
+        held = {oid for oid, _ in loaded_original10.objects.replicas_on(10)}
         plan = plan_departure_recovery(loaded_original10, 10)
         planned = {t.oid for t in plan.tasks}
         # Every object that loses a replica and needs a new home is in
@@ -38,7 +38,7 @@ class TestPlan:
         plan = plan_departure_recovery(loaded_original10, 10)
         for t in plan.tasks:
             for src in t.from_servers:
-                assert loaded_original10.servers[src].has_replica(t.oid)
+                assert src in loaded_original10.stored_locations(t.oid)
 
     def test_unknown_server_rejected(self, loaded_original10):
         with pytest.raises(KeyError):

@@ -1,8 +1,15 @@
-"""StorageServer: power, replica map, capacity."""
+"""StorageServer: power and capacity; what a rank holds, as the object
+table keeps it."""
 
 import pytest
 
-from repro.cluster import CapacityExceeded, PowerState, StorageServer
+from repro.cluster import (CapacityExceeded, ObjectTable, PowerState,
+                           StorageServer)
+
+
+def table_of(srv):
+    """An object table over the one server *srv*."""
+    return ObjectTable({srv.rank: srv})
 
 
 class TestPower:
@@ -19,74 +26,78 @@ class TestPower:
     def test_data_survives_power_off(self):
         """The elastic design's key property (§II-C)."""
         srv = StorageServer(1)
-        srv.store_replica(42, 100)
+        table = table_of(srv)
+        table.store(42, 100, [1])
         srv.power_off()
-        assert srv.has_replica(42)
-        assert srv.used_bytes == 100
+        assert table.holders(42) == (1,)
+        assert table.bytes_per_rank() == {1: 100}
 
     def test_write_to_off_server_rejected(self):
         srv = StorageServer(1)
+        table = table_of(srv)
         srv.power_off()
-        with pytest.raises(RuntimeError):
-            srv.store_replica(1, 10)
+        with pytest.raises(RuntimeError, match="powered-off server 1"):
+            table.store(1, 10, [1])
 
 
 class TestReplicaMap:
     def test_store_and_query(self):
-        srv = StorageServer(1)
-        srv.store_replica(1, 100)
-        assert srv.has_replica(1)
-        assert srv.replica_size(1) == 100
-        assert srv.num_replicas == 1
-        assert list(srv.replicas()) == [1]
+        table = table_of(StorageServer(1))
+        table.store(1, 100, [1])
+        assert table.holders(1) == (1,)
+        assert table.replicas_on(1) == [(1, 100)]
+        assert table.replicas_per_rank() == {1: 1}
 
     def test_overwrite_replaces_size(self):
-        srv = StorageServer(1)
-        srv.store_replica(1, 100)
-        srv.store_replica(1, 300)
-        assert srv.used_bytes == 300
-        assert srv.num_replicas == 1
+        table = table_of(StorageServer(1))
+        table.store(1, 100, [1])
+        table.store(1, 300, [1])
+        assert table.bytes_per_rank() == {1: 300}
+        assert table.replicas_per_rank() == {1: 1}
 
     def test_drop(self):
-        srv = StorageServer(1)
-        srv.store_replica(1, 100)
-        assert srv.drop_replica(1) == 100
-        assert srv.used_bytes == 0
-        assert not srv.has_replica(1)
+        table = table_of(StorageServer(1))
+        table.store(1, 100, [1])
+        assert table.drop(1, 1) == 100
+        assert table.bytes_per_rank() == {1: 0}
+        assert table.holders(1) == ()
 
     def test_drop_missing_is_zero(self):
-        assert StorageServer(1).drop_replica(9) == 0
+        assert table_of(StorageServer(1)).drop(9, 1) == 0
 
     def test_drop_allowed_while_off(self):
         srv = StorageServer(1)
-        srv.store_replica(1, 100)
+        table = table_of(srv)
+        table.store(1, 100, [1])
         srv.power_off()
-        assert srv.drop_replica(1) == 100
+        assert table.drop(1, 1) == 100
 
 
 class TestCapacity:
     def test_enforced(self):
-        srv = StorageServer(1, capacity_bytes=150)
-        srv.store_replica(1, 100)
+        table = table_of(StorageServer(1, capacity_bytes=150))
+        table.store(1, 100, [1])
         with pytest.raises(CapacityExceeded):
-            srv.store_replica(2, 100)
+            table.store(2, 100, [1])
 
     def test_overwrite_counts_delta(self):
-        srv = StorageServer(1, capacity_bytes=150)
-        srv.store_replica(1, 100)
-        srv.store_replica(1, 140)  # replaces, fits
+        table = table_of(StorageServer(1, capacity_bytes=150))
+        table.store(1, 100, [1])
+        table.store(1, 140, [1])  # replaces, fits
 
     def test_unbounded_by_default(self):
         srv = StorageServer(1)
-        srv.store_replica(1, 10**15)
-        assert srv.free_bytes is None
-        assert srv.utilisation() is None
+        table_of(srv).store(1, 10**15, [1])
+        assert srv.capacity_bytes is None
 
     def test_free_and_utilisation(self):
-        srv = StorageServer(1, capacity_bytes=200)
-        srv.store_replica(1, 50)
-        assert srv.free_bytes == 150
-        assert srv.utilisation() == pytest.approx(0.25)
+        # What is left is what the capacity minus the used bytes allows.
+        table = table_of(StorageServer(1, capacity_bytes=200))
+        table.store(1, 50, [1])
+        with pytest.raises(CapacityExceeded, match="201 > 200"):
+            table.store(2, 151, [1])
+        table.store(2, 150, [1])
+        assert table.bytes_per_rank() == {1: 200}
 
 
 class TestValidation:

@@ -77,19 +77,19 @@ class TestIO:
     def test_write_stores_objects_in_cluster(self, disk):
         touched = disk.write(0, CHUNK)
         oid = touched[0].oid
-        assert oid in disk.cluster.catalog
+        assert oid in disk.cluster.objects
         assert len(disk.cluster.stored_locations(oid)) == 2
 
     def test_partial_write_rewrites_whole_chunk(self, disk):
         touched = disk.write(100, 10)
         assert len(touched) == 1
-        assert disk.cluster.catalog[touched[0].oid].size == CHUNK
+        assert disk.cluster.objects.size(touched[0].oid) == CHUNK
 
     def test_read_hole_is_available_without_io(self, disk):
-        before = len(disk.cluster.catalog)
+        before = len(disk.cluster.objects)
         results = disk.read(0, CHUNK)
         assert all(avail for _r, avail in results)
-        assert len(disk.cluster.catalog) == before
+        assert len(disk.cluster.objects) == before
 
     def test_read_after_write(self, disk):
         disk.write(5 * CHUNK, CHUNK)

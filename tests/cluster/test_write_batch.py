@@ -6,7 +6,8 @@ bodies it replaced.
 place a batch with one gather of slot-table rows and do its bookkeeping
 in one loop.  The oracle is the per-object ``write`` / ``record_write``
 / ``insert`` bodies as they were before the batch, kept below verbatim
-(modulo ``self``): a batch on the oracle side is a loop of single
+(modulo ``self``), landing on the bookkeeping the object table replaced
+(``_reference_table``): a batch on the oracle side is a loop of single
 writes that stops at the first raise.
 
 Hypothesis generates one history — batches of fresh, rewritten and
@@ -16,10 +17,11 @@ servers small enough to fill partway through a batch; memberships with
 fewer than r servers up; dirty inserts at a version behind the table —
 and plays it once through the product and once through the oracle,
 each from a fresh observability state.  After every step the two must
-agree on the catalog, every server's replica map and used bytes, the
-holder index, the dirty table, the object-header versions, the metrics
-snapshot, the events on a ring-buffer bus, the return value and the
-exception (type and message).
+agree on every object's header size and holders, every rank's replicas
+in landing order, used bytes and replica counts, power states, the
+dirty table, the object-header versions, the metrics snapshot, the
+events on a ring-buffer bus, the return value and the exception (type
+and message).
 """
 
 import math
@@ -34,6 +36,8 @@ from repro.kvstore.replicated import ReplicatedKVStore
 from repro.kvstore.store import KVStore
 from repro.obs.runtime import OBS
 from repro.obs.trace import RingBufferSink
+
+from . import _reference_table
 
 N = 6
 OIDS = st.integers(min_value=0, max_value=24)
@@ -77,30 +81,16 @@ def oracle_record_write(ech, oid):
     return placement
 
 
-def oracle_drop_surplus(cl, oid, keep):
-    freed = 0
-    for rank in cl._holders.get(oid, ()):
-        if rank not in keep:
-            freed += cl.servers[rank].drop_replica(oid)
-    return freed
-
-
 def oracle_write(cl, oid, size):
     """``ElasticCluster.write`` / ``OriginalCHCluster.write`` before
-    the batch."""
+    the batch; ``cl.objects.write`` is the reference's catalog header,
+    replica stores and surplus drop."""
     if isinstance(cl, OriginalCHCluster):
         placement = cl.placement(oid)
-        cl.catalog.create_or_touch(oid, size, version=1, dirty=False)
-        for rank in placement.servers:
-            cl.servers[rank].store_replica(oid, size)
-        oracle_drop_surplus(cl, oid, placement.servers)
+        cl.objects.write(oid, size, placement.servers)
         return placement
     placement = oracle_record_write(cl.ech, oid)
-    dirty = not cl.ech.is_full_power
-    cl.catalog.create_or_touch(oid, size, cl.ech.current_version, dirty)
-    for rank in placement.servers:
-        cl.servers[rank].store_replica(oid, size)
-    oracle_drop_surplus(cl, oid, placement.servers)
+    cl.objects.write(oid, size, placement.servers)
     OBS.metrics.inc("cluster.writes")
     OBS.metrics.inc("cluster.bytes_written", size)
     return placement
@@ -172,16 +162,9 @@ def apply(cl, op, batch):
 
 def observe(cl, sink):
     """Everything a write may touch."""
-    state = {
-        "catalog": sorted((o.oid, o.size, o.version, o.dirty)
-                          for o in cl.catalog),
-        "total_bytes": cl.catalog.total_bytes,
-        "servers": {rank: (sorted((oid, srv.replica_size(oid))
-                                  for oid in srv.replicas()),
-                           srv.used_bytes, srv.is_on)
-                    for rank, srv in cl.servers.items()},
-        "holders": dict(cl.holder_index()),
-    }
+    state = _reference_table.observe(cl)
+    state["total_bytes"] = sum(size for _, size in cl.objects.items())
+    state["power"] = {rank: srv.is_on for rank, srv in cl.servers.items()}
     ech = getattr(cl, "ech", None)
     if ech is not None:
         state["last_written"] = dict(ech.last_written)
@@ -196,16 +179,24 @@ def observe(cl, sink):
     return state
 
 
-def build(setup):
+def build(setup, batch):
+    """The product cluster, or with *batch* False one on the
+    reference bookkeeping."""
     flavour, replicas, capacity, backend = setup
+
+    def make(cls, *args, **kwargs):
+        if batch:
+            return cls(*args, **kwargs)
+        return _reference_table.reference_cluster(cls, *args, **kwargs)
+
     capacities = None if capacity is None else [capacity] * N
     if flavour == "original":
-        return OriginalCHCluster(N, replicas, vnodes_per_server=24,
-                                 capacities=capacities)
+        return make(OriginalCHCluster, N, replicas, vnodes_per_server=24,
+                    capacities=capacities)
     kv = (KVStore() if backend == "kv"
           else ReplicatedKVStore([1, 2, 3], replicas=2))
-    return ElasticCluster(N, replicas, B=240, capacities=capacities,
-                          dirty_table=DirtyTable(kv))
+    return make(ElasticCluster, N, replicas, B=240, capacities=capacities,
+                dirty_table=DirtyTable(kv))
 
 
 def play(setup, ops, batch):
@@ -213,7 +204,7 @@ def play(setup, ops, batch):
     OBS.reset()
     sink = OBS.bus.attach(RingBufferSink(capacity=100_000))
     try:
-        cl = build(setup)
+        cl = build(setup, batch)
         steps = [observe(cl, sink)]
         for op in ops:
             try:
@@ -296,17 +287,17 @@ class TestPinnedHistories:
                             ("write_many", list(range(12)), 8)])
         op, out, state = steps[-1]
         assert out[:2] == ("raised", CapacityExceeded.__name__)
-        assert 0 < len(state["catalog"]) < 12
-        assert state["metrics"]["core.writes"] == len(state["catalog"])
+        assert 0 < len(state["headers"]) < 12
+        assert state["metrics"]["core.writes"] == len(state["headers"])
         assert (state["metrics"]["cluster.writes"]
-                == len(state["catalog"]) - 1)
+                == len(state["headers"]) - 1)
 
     def test_fewer_than_r_servers_up_changes_nothing(self):
         steps = self.agree(("elastic", 3, None, "kv"),
                            [("resize", 2), ("write_many", [1, 2], 1)])
         _, out, state = steps[-1]
         assert out[1] == "LookupError" and "(oid 1)" in out[2]
-        assert state["catalog"] == [] and state["last_written"] == {}
+        assert state["headers"] == [] and state["last_written"] == {}
 
     def test_version_behind_the_table_raises_at_the_first_oid(self):
         steps = self.agree(("elastic", 2, None, "replicated"),
@@ -315,7 +306,7 @@ class TestPinnedHistories:
         _, out, state = steps[-1]
         assert out[1] == "ValueError"
         assert state["last_written"] == {5: 2}
-        assert state["catalog"] == []
+        assert state["headers"] == []
 
     def test_repeated_oid_in_one_batch(self):
         steps = self.agree(("elastic", 2, None, "kv"),
@@ -353,10 +344,10 @@ class TestSizeChecked:
             cl.write(1, size)
         with pytest.raises(ValueError, match="size"):
             cl.write_many([1, 2], size)
-        assert len(cl.catalog) == 0
+        assert len(cl.objects) == 0
         assert cl.total_stored_bytes() == 0
 
     def test_zero_size_is_a_write(self):
         cl = ElasticCluster(n=10)
         cl.write(1, 0)
-        assert 1 in cl.catalog and cl.total_stored_bytes() == 0
+        assert 1 in cl.objects and cl.total_stored_bytes() == 0

@@ -89,9 +89,9 @@ class TestClusterIntegration:
             cl.write(oid, MB4)
         moved = cl.set_primary_count(5)
         assert moved > 0
-        for obj in cl.catalog:
-            assert (set(cl.stored_locations(obj.oid))
-                    == set(cl.ech.locate(obj.oid).servers))
+        for oid in cl.objects:
+            assert (set(cl.stored_locations(oid))
+                    == set(cl.ech.locate(oid).servers))
         assert cl.verify_replication() == []
 
     def test_write_capacity_grows_with_p(self):
@@ -124,9 +124,9 @@ class TestClusterIntegration:
         cl.set_primary_count(5)
         cl.set_primary_count(2)
         assert cl.ech.p == 2
-        for obj in cl.catalog:
-            assert (set(cl.stored_locations(obj.oid))
-                    == set(cl.ech.locate(obj.oid).servers))
+        for oid in cl.objects:
+            assert (set(cl.stored_locations(oid))
+                    == set(cl.ech.locate(oid).servers))
 
     def test_elasticity_traded_for_writes(self):
         """After growing p, the cluster cannot shrink as far — the

@@ -46,11 +46,10 @@ class TestElasticLifecycle:
         rep2 = cl.run_selective_reintegration()
         assert rep2.caught_up
         assert cl.ech.dirty.is_empty()
-        assert cl.catalog.dirty_oids() == []
         # Every object sits exactly at its current placement.
-        for obj in cl.catalog:
-            assert (set(cl.stored_locations(obj.oid))
-                    == set(cl.ech.locate(obj.oid).servers))
+        for oid in cl.objects:
+            assert (set(cl.stored_locations(oid))
+                    == set(cl.ech.locate(oid).servers))
         assert cl.verify_replication() == []
 
     def test_reads_always_available_during_lifecycle(self):
@@ -164,6 +163,6 @@ class TestOriginalBaselineLifecycle:
         cl.add_server(6)
         cl.add_server(8)
         assert cl.verify_replication() == []
-        for obj in cl.catalog:
-            assert (set(cl.stored_locations(obj.oid))
-                    == set(cl.placement(obj.oid).servers))
+        for oid in cl.objects:
+            assert (set(cl.stored_locations(oid))
+                    == set(cl.placement(oid).servers))

@@ -25,11 +25,10 @@ SURFACE = {
     ],
     "repro.cluster": [
         "ElasticCluster", "OriginalCHCluster", "StorageServer",
-        "DataObject", "ObjectCatalog", "PowerState", "CapacityExceeded",
+        "ObjectTable", "PowerState", "CapacityExceeded",
         "plan_departure_recovery", "MigrationPlan", "full_reintegration_plan",
         "addition_migration_plan", "VirtualDisk", "VdiRange",
-        "check_cluster", "FsckReport", "FsckIssue", "scan_holders",
-        "check_holder_index",
+        "check_cluster", "FsckReport", "FsckIssue",
         "MachineHourMeter", "PowerModel",
     ],
     "repro.cluster.runtime": [
