@@ -233,15 +233,20 @@ def bench_cluster_write_tick(benchmark):
     cluster = ElasticCluster(n=1000, replicas=2)
     cluster.resize(600)
     firsts = itertools.count(1, 1000)
+    ticks = 0
 
     def next_tick():
+        nonlocal ticks
+        ticks += 1
         first = next(firsts)
         oids = range(first, first + 1000)
         cluster.prehash(oids)
         return (oids,), {}
 
     benchmark.pedantic(cluster.write_many, setup=next_tick, rounds=30)
-    assert len(cluster.ech.dirty) == len(cluster.objects) >= 30_000
+    # One round when timing is disabled, 30 under --benchmark-only.
+    assert ticks >= 1
+    assert len(cluster.ech.dirty) == len(cluster.objects) == 1000 * ticks
 
 
 # ----------------------------------------------------------------------

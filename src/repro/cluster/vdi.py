@@ -74,18 +74,11 @@ class VirtualDisk:
     def allocated_chunks(self) -> int:
         return len(self._allocated)
 
-    @property
-    def allocated_bytes(self) -> int:
-        return len(self._allocated) * self.object_size
-
     def oid_for_chunk(self, index: int) -> int:
         """Deterministic OID for chunk *index* (allocated or not)."""
         if not 0 <= index < self.num_chunks:
             raise IndexError(f"chunk {index} out of range")
         return (self._vdi_id << 32) | index
-
-    def is_allocated(self, index: int) -> bool:
-        return index in self._allocated
 
     # ------------------------------------------------------------------
     def ranges(self, offset: int, length: int) -> Iterator[VdiRange]:

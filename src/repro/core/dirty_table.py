@@ -31,7 +31,7 @@ nothing, and a view change there moves only the remapped lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Set
 
 from repro.kvstore.store import KVStore
 from repro.obs.runtime import OBS
@@ -125,13 +125,6 @@ class DirtyTable:
             OBS.bus.emit("dirty.insert", oid=oid, version=version)
         return True
 
-    def insert_many(self, oids: Iterable[int], version: int) -> List[bool]:
-        """:meth:`insert` every oid of *oids* in *version*, in order;
-        returns, per oid, whether a new entry was appended.  A raise
-        leaves the earlier oids logged."""
-        insert = self.insert
-        return [insert(oid, version) for oid in oids]
-
     def contains(self, oid: int, version: int) -> bool:
         return version in self._index.get(oid, ())
 
@@ -219,12 +212,3 @@ class DirtyTable:
             self._kv.delete(key)
         self._index.clear()
         self._count = 0
-
-    # ------------------------------------------------------------------
-    def versions_present(self) -> List[int]:
-        """Distinct versions with at least one entry, ascending —
-        a Figure-6-style summary used by tests and examples."""
-        return sorted(set().union(*self._index.values()))
-
-    def entries_for_version(self, version: int) -> List[DirtyEntry]:
-        return [e for e in self.entries() if e.version == version]

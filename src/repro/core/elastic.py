@@ -22,7 +22,7 @@ on, where objects belong.  Actual bytes live in
 from __future__ import annotations
 
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Tuple, Union)
+                    Union)
 
 import numpy as np
 
@@ -253,15 +253,6 @@ class ElasticConsistentHash:
         except KeyError:
             raise ValueError(f"rank {rank} is not failed") from None
 
-    def power_off(self, count: int = 1) -> MembershipTable:
-        """Turn off *count* servers from the top of the chain."""
-        return self.set_active(self.num_active - count)
-
-    def power_on(self, count: int = 1) -> MembershipTable:
-        """Turn on *count* servers from the bottom of the inactive
-        chain."""
-        return self.set_active(self.num_active + count)
-
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
@@ -382,27 +373,9 @@ class ElasticConsistentHash:
         been re-integrated into a full-power layout."""
         return self.dirty.contains_oid(oid)
 
-    def mark_clean(self, oid: int) -> None:
-        """Clear the dirty bit (all entries) for *oid* — called by the
-        re-integration engine once the object reaches its full-power
-        placement."""
-        self.dirty.remove_oid(oid)
-
     # ------------------------------------------------------------------
     # analysis helpers
     # ------------------------------------------------------------------
-    def placement_map(self, oids: Iterable[int],
-                      version: Optional[int] = None
-                      ) -> Dict[int, Tuple[int, ...]]:
-        """Bulk ``{oid: servers}`` under one version."""
-        oid_list = list(oids)
-        bulk = self.locate_bulk(oid_list, version)
-        if not bulk.all_ok:
-            bad = int(np.flatnonzero(~bulk.ok)[0])
-            self.locate(oid_list[bad], version)   # raises with the oid
-        rows = bulk.rows()
-        return {oid: tuple(row) for oid, row in zip(oid_list, rows)}
-
     def blocks_per_rank(self, oids: Iterable[int],
                         version: Optional[int] = None) -> Dict[int, int]:
         """Replica count per rank for a set of objects — the y-axis of

@@ -148,10 +148,6 @@ class EqualWorkLayout:
         return range(1, self.p + 1)
 
     @property
-    def secondary_ranks(self) -> range:
-        return range(self.p + 1, self.n + 1)
-
-    @property
     def min_active(self) -> int:
         """The smallest power state: primaries only.  This is the floor
         visible in Figures 8/9 ("not able to size down further until

@@ -169,16 +169,6 @@ class ReintegrationReport:
     bytes_migrated: int = 0
     caught_up: bool = False
 
-    def merge(self, other: "ReintegrationReport") -> None:
-        self.tasks.extend(other.tasks)
-        self.removed.extend(other.removed)
-        self.entries_processed += other.entries_processed
-        self.entries_migrated += other.entries_migrated
-        self.entries_removed += other.entries_removed
-        self.entries_stale += other.entries_stale
-        self.bytes_migrated += other.bytes_migrated
-        self.caught_up = other.caught_up
-
 
 @dataclass
 class ReintegrationPlan(MigrationPlan):

@@ -58,10 +58,6 @@ class MembershipTable:
 
     # ------------------------------------------------------------------
     @property
-    def num_servers(self) -> int:
-        return len(self.ranks)
-
-    @property
     def num_active(self) -> int:
         return len(self.active)
 
@@ -76,9 +72,6 @@ class MembershipTable:
 
     def active_ranks(self) -> List[int]:
         return sorted(self.active)
-
-    def inactive_ranks(self) -> List[int]:
-        return sorted(set(self.ranks) - self.active)
 
     # ------------------------------------------------------------------
     def with_active(self, active: Sequence[int], version: int) -> "MembershipTable":

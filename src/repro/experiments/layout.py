@@ -16,7 +16,6 @@ from typing import Dict
 
 from repro.cluster.cluster import ElasticCluster
 from repro.metrics.distribution import (
-    distribution_stats,
     equal_work_reference,
     shape_correlation,
 )
@@ -39,9 +38,6 @@ class LayoutVersionsResult:
     #: Pearson correlation of the v1 distribution with the ideal
     #: equal-work shape.
     v1_shape_correlation: float
-
-    def stats(self, label: str) -> Dict[str, float]:
-        return distribution_stats(self.distributions[label])
 
 
 def run_layout_versions(

@@ -56,15 +56,6 @@ class TraceExperiment:
     def table2_row(self) -> Dict[str, float]:
         return self.analysis.relative_machine_hours()
 
-    def table1_row(self) -> Dict[str, object]:
-        st = self.trace.stats()
-        return {
-            "trace": self.spec.name,
-            "machines": self.spec.machines,
-            "length_days": round(self.spec.length_days, 2),
-            "bytes_processed_TB": round(st["total_bytes"] / 1e12, 1),
-        }
-
 
 def run_trace_analysis(
     which: str = "CC-a",

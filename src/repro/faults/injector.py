@@ -183,20 +183,11 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # ambient state
     # ------------------------------------------------------------------
-    def disk_factor(self, rank: int) -> float:
-        """Current bandwidth multiplier for *rank* (1.0 = healthy)."""
-        stack = self._slow.get(rank)
-        return min(stack) if stack else 1.0
-
     def capacity_factors(self) -> Dict[int, float]:
         """Degradation factors for every currently-degraded rank —
         feed straight into
         :func:`~repro.simulation.bandwidth.apply_capacity_factors`."""
         return {rank: min(stack) for rank, stack in self._slow.items()}
-
-    def blocked_pairs(self) -> FrozenSet[FrozenSet[int]]:
-        """Rank pairs whose link is currently down."""
-        return frozenset(self._lost_links)
 
     def link_blocked(self, ranks: Iterable[int]) -> bool:
         """Would a transfer spanning *ranks* cross a dead link?"""

@@ -236,7 +236,6 @@ class TransferManager:
             coefficients=coefficients,
             total_bytes=float(planned.nbytes),
             rate_cap=job.rate_cap,
-            ranks=frozenset(planned.ranks),
             on_complete=lambda _flow, j=job: self._on_complete(j),
             on_interrupt=lambda _flow, j=job: self._on_interrupt(j, _flow),
         )

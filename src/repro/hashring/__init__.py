@@ -10,15 +10,9 @@ and power state — the hooks :mod:`repro.core.placement` needs.
 
 from repro.hashring.hashing import hash64, vnode_positions
 from repro.hashring.ring import HashRing
-from repro.hashring.weights import (
-    uniform_weights,
-    validate_weights,
-)
 
 __all__ = [
     "hash64",
     "vnode_positions",
     "HashRing",
-    "uniform_weights",
-    "validate_weights",
 ]

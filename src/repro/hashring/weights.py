@@ -4,36 +4,15 @@ The number of virtual nodes a server owns is its *weight*: the expected
 fraction of single-copy keys it stores is (approximately) its weight
 divided by the total.  The original consistent hashing uses uniform
 weights; the equal-work layout in :mod:`repro.core.layout` uses rank-
-dependent weights.  This module holds the shared plumbing and the
-fairness diagnostics used to pick the vnode budget ``B``.
+dependent weights.  This module holds the fairness diagnostics used to
+pick the vnode budget ``B``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Sequence
+from typing import Dict, Hashable
 
-import numpy as np
-
-__all__ = ["uniform_weights", "validate_weights", "expected_shares",
-           "share_error"]
-
-
-def uniform_weights(server_ids: Sequence[Hashable],
-                    vnodes_per_server: int = 100) -> Dict[Hashable, int]:
-    """Equal vnode counts for every server — the original consistent
-    hashing configuration (§II-A)."""
-    if vnodes_per_server < 1:
-        raise ValueError("vnodes_per_server must be >= 1")
-    return {sid: vnodes_per_server for sid in server_ids}
-
-
-def validate_weights(weights: Dict[Hashable, int]) -> None:
-    """Raise ``ValueError`` on non-positive or non-integral weights."""
-    for sid, w in weights.items():
-        if not isinstance(w, (int, np.integer)):
-            raise ValueError(f"weight of {sid!r} is not an integer: {w!r}")
-        if w < 1:
-            raise ValueError(f"weight of {sid!r} must be >= 1, got {w}")
+__all__ = ["expected_shares", "share_error"]
 
 
 def expected_shares(weights: Dict[Hashable, int]) -> Dict[Hashable, float]:

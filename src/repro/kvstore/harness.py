@@ -1,22 +1,13 @@
-"""Black-box scenario harness for the replicated KV store.
+"""The churn run for the replicated KV store.
 
-Two layers, both deterministic:
-
-* **scenario suites** — CSE138-style black-box checks
-  (:func:`scenario_kvs`, :func:`scenario_view_change`,
-  :func:`scenario_sharding`, collected in :data:`SCENARIOS`): each
-  drives a fresh :class:`~repro.kvstore.replicated.ReplicatedKVStore`
-  through one behavioural contract (basic kv semantics, two-step view
-  changes, minimal-remap resharding) purely through the public API and
-  returns a summary dict;
-* **the churn run** — :func:`run_kv_churn`: a seeded client
-  population hammers the store through live membership churn
-  (``propose_view``/``commit_view`` every ``churn_every`` seconds)
-  while a :class:`~repro.faults.injector.FaultInjector` crashes nodes
-  and drops links per a :class:`~repro.faults.plan.FaultPlan`, failed
-  writes retry under a :class:`~repro.faults.retry.RetryPolicy` until
-  acked or quarantined, and the online consistency checkers
-  (:mod:`repro.obs.invariants`) watch the ``kv.*`` event stream live.
+:func:`run_kv_churn`: a seeded client population hammers the store
+through live membership churn (``propose_view``/``commit_view`` every
+``churn_every`` seconds) while a
+:class:`~repro.faults.injector.FaultInjector` crashes nodes and drops
+links per a :class:`~repro.faults.plan.FaultPlan`, failed writes retry
+under a :class:`~repro.faults.retry.RetryPolicy` until acked or
+quarantined, and the online consistency checkers
+(:mod:`repro.obs.invariants`) watch the ``kv.*`` event stream live.
 
 All randomness flows from the seed through one
 ``numpy.random.Generator`` plus the plan generator, so a same-seed run
@@ -54,104 +45,7 @@ __all__ = [
     "KVChurnResult",
     "run_kv_churn",
     "render_kv_churn_report",
-    "scenario_kvs",
-    "scenario_view_change",
-    "scenario_sharding",
-    "SCENARIOS",
-    "run_scenarios",
 ]
-
-
-# ----------------------------------------------------------------------
-# scenario suites (black-box, public API only)
-# ----------------------------------------------------------------------
-def scenario_kvs(seed: int = 0) -> Dict[str, object]:
-    """Basic kv semantics through the quorum path: strings, counters,
-    Redis lists, deletes, and one client's read-your-writes."""
-    kv = ReplicatedKVStore([1, 2, 3, 4, 5], replicas=3)
-    kv.set("greeting", "hello", client="alice")
-    assert kv.get("greeting", client="alice") == "hello"
-    kv.set("greeting", "world", client="alice")
-    assert kv.get("greeting", client="alice") == "world"
-    assert kv.incr("hits", client="alice") == 1
-    assert kv.incr("hits", 9, client="alice") == 10
-    kv.rpush("queue", "a", "b", client="bob")
-    kv.lpush("queue", "z", client="bob")
-    assert kv.lrange("queue", 0, -1, client="bob") == ["z", "a", "b"]
-    assert kv.lpop("queue", client="bob") == "z"
-    assert kv.rpop("queue", client="bob") == "b"
-    assert kv.llen("queue", client="bob") == 1
-    assert kv.delete("greeting", client="alice") is True
-    assert kv.get("greeting", client="alice") is None
-    assert kv.exists("greeting") is False
-    assert kv.keys() == ["hits", "queue"]
-    audit = kv.audit("scenario-kvs")
-    assert audit["lost_acked"] == 0 and audit["under_replicated"] == 0
-    return {"name": "kvs", "ok": True, "keys": kv.dbsize(),
-            "writes_acked": kv.stats["writes_acked"]}
-
-
-def scenario_view_change(seed: int = 0) -> Dict[str, object]:
-    """Two-step view changes: grow, then shrink, the membership; data
-    written under the old view stays readable under the new one, and
-    every committed epoch strictly increases."""
-    kv = ReplicatedKVStore([1, 2, 3], replicas=2)
-    epochs = [kv.epoch]
-    for i in range(8):
-        kv.set(f"pre:{i}", i, client="writer")
-    staged = kv.propose_view([1, 2, 3, 4])
-    assert staged == kv.epoch + 1          # staged, not yet visible
-    assert kv.members == (1, 2, 3)
-    epochs.append(kv.commit_view())
-    assert kv.members == (1, 2, 3, 4)
-    for i in range(8):
-        assert kv.get(f"pre:{i}", client="writer") == i
-    epochs.append(kv.change_view([1, 2, 4]))
-    for i in range(8):
-        assert kv.get(f"pre:{i}", client="writer") == i
-    assert epochs == sorted(set(epochs))   # strictly increasing
-    audit = kv.audit("scenario-view-change")
-    assert audit["lost_acked"] == 0 and audit["under_replicated"] == 0
-    return {"name": "view-change", "ok": True, "epochs": epochs}
-
-
-def scenario_sharding(seed: int = 0) -> Dict[str, object]:
-    """The consistent-hash contract applied to replica sets: adding
-    one node to an 8-node view must remap only a minority of keys'
-    replica sets (the ring moves ~1/n of the ownership), and every key
-    stays readable across the change."""
-    members = list(range(1, 9))
-    kv = ReplicatedKVStore(members, replicas=3)
-    keyset = [f"obj:{i:04d}" for i in range(200)]
-    for i, key in enumerate(keyset):
-        kv.set(key, i, client="loader")
-    before = {key: tuple(kv.replica_set(key)) for key in keyset}
-    kv.change_view(members + [9])
-    moved = sum(1 for key in keyset
-                if tuple(kv.replica_set(key)) != before[key])
-    # 1 new node among 9 owns ~1/9 of the ring; with R=3 a key moves
-    # whenever any of its 3 successors changed, so expect ~3/9 — far
-    # below the ~100% a mod-N scheme would reshuffle.
-    assert moved < len(keyset) * 0.6, f"remapped {moved}/{len(keyset)}"
-    for i, key in enumerate(keyset):
-        assert kv.get(key, client="loader") == i
-    audit = kv.audit("scenario-sharding")
-    assert audit["lost_acked"] == 0 and audit["under_replicated"] == 0
-    return {"name": "sharding", "ok": True, "moved": moved,
-            "keys": len(keyset)}
-
-
-#: name -> scenario callable, each ``f(seed) -> summary dict``.
-SCENARIOS = {
-    "kvs": scenario_kvs,
-    "view-change": scenario_view_change,
-    "sharding": scenario_sharding,
-}
-
-
-def run_scenarios(seed: int = 0) -> List[Dict[str, object]]:
-    """Run every scenario suite; raises on the first contract breach."""
-    return [fn(seed) for _name, fn in sorted(SCENARIOS.items())]
 
 
 # ----------------------------------------------------------------------

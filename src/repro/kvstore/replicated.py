@@ -429,9 +429,6 @@ class ReplicatedKVStore:
             OBS.bus.emit("kv.node.repair", node=str(node_id))
         self._anti_entropy_pass(reason="node-repair")
 
-    def node_is_down(self, node_id: NodeId) -> bool:
-        return node_id in self._down
-
     def _reachable(self, node_id: NodeId,
                    coordinator: NodeId) -> bool:
         if node_id in self._down:
@@ -460,9 +457,6 @@ class ReplicatedKVStore:
         R distinct members clockwise from the key's hash (the caller
         gets its own list)."""
         return list(self._owners_of(key))
-
-    def coordinator_for(self, key: str) -> NodeId:
-        return self.replica_set(key)[0]
 
     @property
     def quorum(self) -> int:

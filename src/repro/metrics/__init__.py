@@ -2,12 +2,7 @@
 ASCII reporting for the benchmark harness."""
 
 from repro.metrics.timeline import StepSeries
-from repro.metrics.distribution import (
-    distribution_stats,
-    gini,
-    normalized_shape,
-    shape_correlation,
-)
+from repro.metrics.distribution import shape_correlation
 from repro.metrics.proportionality import (
     holder_groups,
     proportionality_curve,
@@ -17,9 +12,6 @@ from repro.metrics.report import render_table, render_series
 
 __all__ = [
     "StepSeries",
-    "distribution_stats",
-    "gini",
-    "normalized_shape",
     "shape_correlation",
     "holder_groups",
     "proportionality_curve",

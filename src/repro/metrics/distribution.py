@@ -1,56 +1,17 @@
 """Data-distribution statistics for layout validation (Figure 5).
 
 These quantify how well a measured per-rank block distribution matches
-the equal-work target: the normalised shape, its correlation with the
-ideal curve, and inequality measures used by the vnode-budget ablation.
+the equal-work target: the ideal curve and a measured shape's
+correlation with it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping
 
 import numpy as np
 
-__all__ = ["normalized_shape", "gini", "distribution_stats",
-           "shape_correlation", "equal_work_reference",
-           "replica_counts_from_matrix"]
-
-
-def replica_counts_from_matrix(servers: np.ndarray,
-                               ranks: Sequence[int]) -> Dict[int, int]:
-    """Per-rank replica counts from a bulk placement's ``(N, r)``
-    server matrix (``BulkPlacement.servers``) — one ``bincount``
-    instead of N·r dict increments.  Unplaceable rows (``-1``) are
-    ignored."""
-    flat = np.asarray(servers).ravel()
-    flat = flat[flat >= 0]
-    per_rank = np.bincount(flat, minlength=(max(ranks) + 1) if ranks else 0)
-    return {int(r): int(per_rank[r]) for r in ranks}
-
-
-def normalized_shape(counts: Mapping[int, float]) -> Dict[int, float]:
-    """Counts per rank scaled to sum to 1, keyed by rank."""
-    total = float(sum(counts.values()))
-    if total <= 0:
-        raise ValueError("empty distribution")
-    return {rank: c / total for rank, c in sorted(counts.items())}
-
-
-def gini(values: Sequence[float]) -> float:
-    """Gini coefficient of a non-negative distribution (0 = perfectly
-    even, →1 = concentrated).  The equal-work layout is *intentionally*
-    uneven, so this is reported, not asserted small."""
-    arr = np.sort(np.asarray(values, dtype=float))
-    if arr.size == 0:
-        raise ValueError("empty distribution")
-    if np.any(arr < 0):
-        raise ValueError("negative values")
-    total = arr.sum()
-    if total == 0:
-        return 0.0
-    n = arr.size
-    index = np.arange(1, n + 1)
-    return float((2 * (index * arr).sum() - (n + 1) * total) / (n * total))
+__all__ = ["shape_correlation", "equal_work_reference"]
 
 
 def equal_work_reference(n: int, p: int,
@@ -87,21 +48,3 @@ def shape_correlation(observed: Mapping[int, float],
     if np.allclose(a, a[0]) or np.allclose(b, b[0]):
         raise ValueError("degenerate (constant) distribution")
     return float(np.corrcoef(a, b)[0, 1])
-
-
-def distribution_stats(counts: Mapping[int, float]) -> Dict[str, float]:
-    """Summary bundle: total, max/mean ratio, Gini, monotonicity
-    violations (count of adjacent rank pairs where a lower rank stores
-    *less* — the equal-work curve must be non-increasing)."""
-    ranks = sorted(counts)
-    vals = np.array([counts[r] for r in ranks], dtype=float)
-    if vals.size == 0:
-        raise ValueError("empty distribution")
-    mean = vals.mean()
-    violations = int(np.sum(np.diff(vals) > 0))
-    return {
-        "total": float(vals.sum()),
-        "max_over_mean": float(vals.max() / mean) if mean > 0 else 0.0,
-        "gini": gini(vals),
-        "monotonicity_violations": violations,
-    }

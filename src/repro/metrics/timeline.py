@@ -2,13 +2,13 @@
 
 Active-server counts (Figures 2, 8, 9) and throughput samples
 (Figures 3, 7) are step-wise constant signals; :class:`StepSeries`
-stores them as parallel arrays and provides the integral / resample
+stores them as parallel arrays and provides the integral and sampling
 operations the machine-hour accounting and the plots need.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 import numpy as np
 
@@ -18,65 +18,24 @@ __all__ = ["StepSeries"]
 class StepSeries:
     """``value[i]`` holds from ``time[i]`` until ``time[i+1]``.
 
-    Times must be strictly increasing.  The series is immutable once
-    built via :meth:`from_points`; the incremental builder
-    (:meth:`append`) coalesces repeated values by default — but the
-    sample *time* is never lost: :attr:`end_time` always reports the
-    last appended time, even when its value was coalesced into the
-    previous breakpoint.
+    Times must be strictly increasing.  :meth:`append` coalesces a
+    repeated value into the previous breakpoint.
     """
 
     def __init__(self) -> None:
         self._times: List[float] = []
         self._values: List[float] = []
-        self._end: float = float("-inf")
 
-    @classmethod
-    def from_points(cls, times: Sequence[float],
-                    values: Sequence[float],
-                    coalesce: bool = True) -> "StepSeries":
-        if len(times) != len(values):
-            raise ValueError("times and values must have equal length")
-        s = cls()
-        for t, v in zip(times, values):
-            s.append(t, v, coalesce=coalesce)
-        return s
-
-    def append(self, t: float, value: float, coalesce: bool = True) -> None:
-        """Add a sample.  With *coalesce* (default), a value equal to the
-        previous one keeps the existing breakpoint — but *t* still
-        advances :attr:`end_time`, so the known extent of the series is
-        never silently shortened.  Pass ``coalesce=False`` to keep every
-        breakpoint (e.g. raw sample logs)."""
+    def append(self, t: float, value: float) -> None:
+        """Add a sample.  A value equal to the previous one keeps the
+        existing breakpoint: step functions only change on change."""
         if self._times and t <= self._times[-1]:
             raise ValueError(
                 f"times must be strictly increasing: {t} <= {self._times[-1]}")
-        self._end = max(self._end, float(t))
-        if coalesce and self._values and self._values[-1] == value:
-            return  # coalesce: step functions only change on change
+        if self._values and self._values[-1] == value:
+            return
         self._times.append(float(t))
         self._values.append(float(value))
-
-    @property
-    def end_time(self) -> float:
-        """Time of the last appended sample — the series extent, which
-        survives coalescing (a run ending in a long constant stretch
-        still reports when its final sample landed)."""
-        if not self._times:
-            raise ValueError("empty series")
-        return self._end
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.asarray(self._times)
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.asarray(self._values)
 
     def value_at(self, t: float) -> float:
         """The step value in effect at time *t* (before the first
@@ -110,21 +69,11 @@ class StepSeries:
             total += vs[0] * (min(t1, ts[0]) - t0)
         return total
 
-    def mean(self, t0: float, t1: float) -> float:
-        if t1 <= t0:
-            raise ValueError("t1 must be > t0")
-        return self.integral(t0, t1) / (t1 - t0)
-
     def sample(self, grid: Iterable[float]) -> np.ndarray:
         """Values at each grid point (for aligned comparison of two
         series)."""
         return np.array([self.value_at(t) for t in grid])
 
-    def max(self) -> float:
-        return float(np.max(self.values))
-
-    def min(self) -> float:
-        return float(np.min(self.values))
-
     def points(self) -> List[Tuple[float, float]]:
+        """The breakpoints as ``(time, value)`` pairs."""
         return list(zip(self._times, self._values))

@@ -58,7 +58,7 @@ from repro.obs.profile import (
     load_profile,
     profile_document,
 )
-from repro.obs.runtime import OBS, Runtime, get_runtime
+from repro.obs.runtime import OBS, Runtime
 from repro.obs.spans import Span, SpanTracker
 from repro.obs.trace import (
     FIELDS,
@@ -77,7 +77,6 @@ from repro.obs.trace import (
 __all__ = [
     "OBS",
     "Runtime",
-    "get_runtime",
     "TraceBus",
     "TraceEvent",
     "TraceParseError",

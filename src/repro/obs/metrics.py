@@ -63,9 +63,6 @@ class Gauge:
     def inc(self, n: Number = 1) -> None:
         self.value += n
 
-    def dec(self, n: Number = 1) -> None:
-        self.value -= n
-
 
 class MetricsRegistry:
     """Process-local instrument store.

@@ -32,7 +32,7 @@ from repro.obs.profile import attach
 from repro.obs.spans import SpanTracker
 from repro.obs.trace import TraceBus
 
-__all__ = ["Runtime", "OBS", "get_runtime"]
+__all__ = ["Runtime", "OBS"]
 
 
 class Runtime:
@@ -73,7 +73,3 @@ class Runtime:
 
 #: The singleton every instrumented module binds at import time.
 OBS = Runtime()
-
-
-def get_runtime() -> Runtime:
-    return OBS

@@ -16,7 +16,7 @@ of servers needed" for the three cases:
   re-integration of dirty data only.
 """
 
-from repro.policy.ideal import ideal_servers, IdealPolicy
+from repro.policy.ideal import ideal_servers
 from repro.policy.resizer import (
     PolicyConfig,
     PolicyResult,
@@ -37,7 +37,6 @@ from repro.policy.analysis import TraceAnalysis, analyze_trace
 
 __all__ = [
     "ideal_servers",
-    "IdealPolicy",
     "PolicyConfig",
     "PolicyResult",
     "OriginalCHPolicy",

@@ -17,7 +17,6 @@ from repro.policy.ideal import ideal_servers
 from repro.policy.resizer import (
     PolicyConfig,
     PolicyResult,
-    default_dataset_bytes,
     simulate_policy,
 )
 from repro.workloads.trace import LoadTrace
@@ -99,7 +98,8 @@ def config_for_trace(trace: LoadTrace, n_max: int,
     analysis is: the cluster is provisioned for the trace's *peak*
     (``per_server_bw = peak_load / n_max``, so the ideal series spans
     the full 1..n_max range of Figures 8/9), and the migration-relevant
-    dataset is a hot working set of a couple of hours of mean load."""
+    dataset is a hot working set of *working_set_hours* (0.75) of mean
+    load — the one dataset size the model has; DESIGN.md gives why."""
     stats = trace.stats()
     # Provision for the sustained peak (99th percentile), not the single
     # tallest sample: the ideal series then spans the figures' full
@@ -114,28 +114,9 @@ def config_for_trace(trace: LoadTrace, n_max: int,
     return PolicyConfig(n_max=n_max, **overrides)
 
 
-def analyze_trace(trace: LoadTrace,
-                  config: Optional[PolicyConfig] = None,
-                  n_max: Optional[int] = None,
-                  **config_overrides) -> TraceAnalysis:
-    """Run the full §V-B analysis on one trace.
-
-    Parameters
-    ----------
-    trace:
-        The offered-load trace.
-    config:
-        Complete model configuration; when omitted, one is built with
-        *n_max* (required), a hot-working-set dataset size derived from
-        the trace, and any keyword overrides.
-    """
-    if config is None:
-        if n_max is None:
-            raise ValueError("provide either config or n_max")
-        config_overrides.setdefault(
-            "dataset_bytes", default_dataset_bytes(trace))
-        config = PolicyConfig(n_max=n_max, **config_overrides)
-
+def analyze_trace(trace: LoadTrace, config: PolicyConfig) -> TraceAnalysis:
+    """Run the full §V-B analysis on one trace under *config* (build
+    it with :func:`config_for_trace`)."""
     ideal = ideal_servers(trace.load, config.per_server_bw, config.n_max)
     results = {name: simulate_policy(name, trace, config)
                for name in POLICY_ORDER}

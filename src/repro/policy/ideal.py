@@ -8,13 +8,9 @@ the lower bound every real policy is compared against in Table II.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.workloads.trace import LoadTrace
-
-__all__ = ["ideal_servers", "IdealPolicy"]
+__all__ = ["ideal_servers"]
 
 
 def ideal_servers(load: np.ndarray, per_server_bw: float,
@@ -31,21 +27,3 @@ def ideal_servers(load: np.ndarray, per_server_bw: float,
         raise ValueError("need 1 <= n_min <= n_max")
     need = np.ceil(load / per_server_bw).astype(int)
     return np.clip(need, n_min, n_max)
-
-
-@dataclass(frozen=True)
-class IdealPolicy:
-    """The oracle resizer: follow :func:`ideal_servers` exactly."""
-
-    per_server_bw: float
-    n_max: int
-    n_min: int = 1
-
-    name: str = "ideal"
-
-    def servers(self, trace: LoadTrace) -> np.ndarray:
-        return ideal_servers(trace.load, self.per_server_bw,
-                             self.n_max, self.n_min)
-
-    def machine_hours(self, trace: LoadTrace) -> float:
-        return float(self.servers(trace).sum() * trace.dt / 3600.0)

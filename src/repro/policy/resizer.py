@@ -64,6 +64,11 @@ class PolicyConfig:
     ----------
     n_max:
         Cluster size (the trace's machine count).
+    dataset_bytes:
+        Unique resident data D; the clean-up/migration volumes scale
+        with it.  Required: :func:`~repro.policy.analysis.config_for_trace`
+        sets it to a hot working set of the trace's mean load, not the
+        whole disk population.
     per_server_bw:
         *Effective* foreground throughput one active server contributes
         to the traced workload (bytes/s).  This is a workload-level
@@ -75,11 +80,6 @@ class PolicyConfig:
         speed, regardless of how slow the workload-effective rate is.
     replicas:
         Replication factor r.
-    dataset_bytes:
-        Unique resident data D; the clean-up/migration volumes scale
-        with it.  Defaults (via :func:`default_dataset_bytes`) to a few
-        hours of the trace's mean load — a hot working set, not the
-        whole disk population.
     recovery_fraction:
         Share of the active cluster's disk bandwidth the baseline may
         spend on departure re-replication.
@@ -92,10 +92,10 @@ class PolicyConfig:
     """
 
     n_max: int
+    dataset_bytes: float
     per_server_bw: float = 40e6
     disk_bw: float = 80e6
     replicas: int = 2
-    dataset_bytes: float = 1e12
     recovery_fraction: float = 0.5
     migration_fraction: float = 0.5
     selective_rate_limit: float = 100e6
@@ -114,11 +114,6 @@ class PolicyConfig:
     @property
     def p(self) -> int:
         return primary_count(self.n_max, self.replicas)
-
-
-def default_dataset_bytes(trace: LoadTrace, hours: float = 6.0) -> float:
-    """A hot-working-set default: *hours* of the trace's mean load."""
-    return trace.stats()["mean_load"] * hours * 3600.0
 
 
 @dataclass

@@ -117,10 +117,6 @@ class CompiledProblem:
     #: Resource keys by column index (for diagnostics).
     resources: Tuple[Resource, ...]
 
-    @property
-    def nnz(self) -> int:
-        return int(self.flow_idx.size)
-
 
 def _compile_segment(mapping: Mapping, col: Mapping[Resource, int]) -> Segment:
     """Validate one mapping and index its known resources."""

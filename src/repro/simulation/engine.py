@@ -118,52 +118,11 @@ class Simulator:
         self._sched_counter.inc()
         return ev
 
-    def every(self, interval: float, fn: Callable[..., Any],
-              *args: Any, until: Optional[float] = None) -> Event:
-        """Periodic callback every *interval* seconds, first firing one
-        interval from now, stopping after *until* (inclusive).  Returns
-        the first event: cancelling it stops the chain only before the
-        first firing, since each firing schedules a new event that no
-        caller holds.  A running chain stops via *until* or by *fn*
-        raising ``StopIteration``.
-        """
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-
-        def tick() -> None:
-            try:
-                fn(*args)
-            except StopIteration:
-                return
-            nxt = self.now + interval
-            if until is None or nxt <= until:
-                self.schedule_at(nxt, tick)
-
-        return self.schedule(interval, tick)
-
     # ------------------------------------------------------------------
     @property
     def pending(self) -> int:
         """Live-event count, maintained incrementally (O(1))."""
         return self._live
-
-    def clear(self) -> int:
-        """Cancel every pending event (teardown / preemption of a whole
-        schedule, e.g. abandoning an armed fault plan).  Returns how
-        many live events were cancelled."""
-        cancelled = 0
-        for _t, _seq, ev in self._heap:
-            if not ev.cancelled:
-                ev.cancel()
-                cancelled += 1
-        return cancelled
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or None."""
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-            OBS.metrics.inc("engine.cancelled")
-        return self._heap[0][0] if self._heap else None
 
     def _drain(self, limit: float, once: bool = False) -> bool:
         """Fire the live events due by *limit* (only the first with

@@ -13,11 +13,10 @@ unchanged flow still holds the very mapping object of the last solve.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Dict,
-    FrozenSet,
     Hashable,
     List,
     Mapping,
@@ -53,13 +52,6 @@ class FluidFlow:
         ``inf`` = elastic.
     on_complete:
         Callback fired when a finite flow drains.
-    ranks:
-        Server ranks this transfer *depends on* (sources and
-        destinations).  A fault that takes one of them out — crash,
-        link loss — preempts the flow via
-        :meth:`FlowSet.interrupt_involving`.  Empty = uninterruptible
-        (client streams survive membership changes; their
-        coefficients are just re-pointed).
     on_interrupt:
         Callback fired when the flow is preempted (after the flow has
         been removed from its set); the transfer layer re-enqueues the
@@ -71,7 +63,6 @@ class FluidFlow:
     total_bytes: Optional[float] = None
     rate_cap: float = math.inf
     on_complete: Optional[Callable[["FluidFlow"], None]] = None
-    ranks: FrozenSet[Hashable] = field(default_factory=frozenset)
     on_interrupt: Optional[Callable[["FluidFlow"], None]] = None
 
     #: Bytes moved so far (at the flow's logical rate).
@@ -115,9 +106,8 @@ class FlowSet:
     the backing list) so :meth:`remove` and :meth:`interrupt` are O(1)
     tombstone writes instead of ``list.remove`` O(F) scans — a
     mass-interrupt fault storm used to be O(F²).  Tombstones preserve
-    insertion order exactly (``interrupt_involving`` and iteration
-    stay deterministic); the backing list compacts once more than
-    half of it is dead.
+    insertion order exactly (iteration stays deterministic); the
+    backing list compacts once more than half of it is dead.
 
     :attr:`generation` increments on every membership change (add /
     remove / interrupt / completion) — the allocation cache keys on it
@@ -218,21 +208,6 @@ class FlowSet:
             flow.span.end(status="interrupted", reason=reason)
         if flow.on_interrupt is not None:
             flow.on_interrupt(flow)
-        return wasted
-
-    def involving(self, rank: Hashable) -> List[FluidFlow]:
-        """Live flows that depend on *rank* (declared via
-        :attr:`FluidFlow.ranks`), in insertion order."""
-        return [f for f in self._flows
-                if f is not None and rank in f.ranks]
-
-    def interrupt_involving(self, rank: Hashable,
-                            reason: str = "fault") -> float:
-        """Preempt every transfer that depends on *rank*; returns the
-        total wasted bytes."""
-        wasted = 0.0
-        for flow in self.involving(rank):
-            wasted += self.interrupt(flow, reason=reason)
         return wasted
 
     def __len__(self) -> int:

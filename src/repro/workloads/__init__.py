@@ -2,15 +2,12 @@
 
 * :mod:`repro.workloads.three_phase` — the Filebench-like 3-phase
   workload (sequential write / rate-limited mixed / read-mostly);
-* :mod:`repro.workloads.filebench` — Filebench-style personality
-  definitions that compile to phases;
 * :mod:`repro.workloads.synthetic` — load-profile primitives (diurnal
   cycles, bursts) for building trace-like series;
 * :mod:`repro.workloads.cloudera` — synthetic stand-ins for the
   proprietary Cloudera customer traces CC-a and CC-b, matched to the
   published Table I envelopes;
-* :mod:`repro.workloads.trace` — the load-trace container with
-  CSV/JSONL persistence and resampling.
+* :mod:`repro.workloads.trace` — the load-trace container.
 """
 
 from repro.workloads.trace import LoadTrace, TraceSpec
@@ -19,10 +16,6 @@ from repro.workloads.synthetic import (
     diurnal_profile,
     burst_profile,
     synthesize_load,
-)
-from repro.workloads.filebench import (
-    FilebenchPersonality,
-    paper_three_phase,
 )
 from repro.workloads.cloudera import (
     CC_A,
@@ -37,8 +30,6 @@ __all__ = [
     "TraceSpec",
     "Phase",
     "three_phase_workload",
-    "FilebenchPersonality",
-    "paper_three_phase",
     "diurnal_profile",
     "burst_profile",
     "synthesize_load",

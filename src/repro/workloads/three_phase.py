@@ -70,16 +70,6 @@ class Phase:
     def write_bytes(self) -> float:
         return self.total_bytes * self.write_ratio
 
-    @property
-    def read_bytes(self) -> float:
-        return self.total_bytes - self.write_bytes
-
-    def min_duration(self) -> Optional[float]:
-        """Duration implied by the rate cap, if any."""
-        if self.rate_cap is None:
-            return None
-        return self.total_bytes / self.rate_cap
-
 
 def three_phase_workload(scale: float = 1.0,
                          phase2_rate: float = 20 * MB) -> List[Phase]:

@@ -9,12 +9,8 @@ published envelope lives in :class:`TraceSpec`.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict
 
 import numpy as np
 
@@ -83,11 +79,6 @@ class LoadTrace:
         return self.load.size * self.dt
 
     @property
-    def times(self) -> np.ndarray:
-        """Sample start times in seconds."""
-        return np.arange(self.load.size) * self.dt
-
-    @property
     def total_bytes(self) -> float:
         return float(self.load.sum() * self.dt)
 
@@ -123,20 +114,6 @@ class LoadTrace:
         return LoadTrace(self.load[i0:i1].copy(), self.dt,
                          self.write_fraction, f"{self.name}[window]")
 
-    def resample(self, new_dt: float) -> "LoadTrace":
-        """Average-preserving resample to a coarser interval."""
-        if new_dt < self.dt:
-            raise ValueError("can only coarsen")
-        factor = int(round(new_dt / self.dt))
-        if abs(factor * self.dt - new_dt) > 1e-9:
-            raise ValueError("new_dt must be a multiple of dt")
-        n = (self.load.size // factor) * factor
-        if n == 0:
-            raise ValueError("trace too short for that interval")
-        coarse = self.load[:n].reshape(-1, factor).mean(axis=1)
-        return LoadTrace(coarse, new_dt, self.write_fraction,
-                         f"{self.name}@{new_dt:g}s")
-
     def scaled_to_total(self, bytes_processed: float) -> "LoadTrace":
         """Rescale so the integral matches a target volume (used to pin
         synthetic traces to Table I's bytes-processed column)."""
@@ -145,44 +122,3 @@ class LoadTrace:
             raise ValueError("cannot scale an all-zero trace")
         return LoadTrace(self.load * (bytes_processed / cur), self.dt,
                          self.write_fraction, self.name)
-
-    # ------------------------------------------------------------------
-    # persistence
-    # ------------------------------------------------------------------
-    def to_csv(self, path: Union[str, Path]) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["time_s", "load_bytes_per_s"])
-            for t, v in zip(self.times, self.load):
-                w.writerow([f"{t:.6g}", f"{v:.6g}"])
-
-    @classmethod
-    def from_csv(cls, path: Union[str, Path], write_fraction: float = 0.5,
-                 name: Optional[str] = None) -> "LoadTrace":
-        times = []
-        loads = []
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                times.append(float(row["time_s"]))
-                loads.append(float(row["load_bytes_per_s"]))
-        if len(times) < 2:
-            raise ValueError("trace file needs at least two samples")
-        dt = times[1] - times[0]
-        return cls(np.array(loads), dt, write_fraction,
-                   name or Path(path).stem)
-
-    def to_jsonl(self, path: Union[str, Path]) -> None:
-        with open(path, "w") as fh:
-            header = {"name": self.name, "dt": self.dt,
-                      "write_fraction": self.write_fraction}
-            fh.write(json.dumps(header) + "\n")
-            for v in self.load:
-                fh.write(json.dumps(float(v)) + "\n")
-
-    @classmethod
-    def from_jsonl(cls, path: Union[str, Path]) -> "LoadTrace":
-        with open(path) as fh:
-            header = json.loads(fh.readline())
-            load = np.array([json.loads(line) for line in fh], dtype=float)
-        return cls(load, header["dt"], header["write_fraction"],
-                   header["name"])

@@ -1,10 +1,9 @@
 """Generated differential: the batch write path against the per-object
 bodies it replaced.
 
-``ElasticCluster.write_many`` / ``OriginalCHCluster.write_many``,
-``ElasticConsistentHash.record_writes`` and ``DirtyTable.insert_many``
-place a batch with one gather of slot-table rows and do its bookkeeping
-in one loop.  The oracle is the per-object ``write`` / ``record_write``
+``ElasticCluster.write_many`` / ``OriginalCHCluster.write_many`` and
+``ElasticConsistentHash.record_writes`` place a batch with one gather
+of slot-table rows and do its bookkeeping in one loop.  The oracle is the per-object ``write`` / ``record_write``
 / ``insert`` bodies as they were before the batch, kept below verbatim
 (modulo ``self``), landing on the bookkeeping the object table replaced
 (``_reference_table``): a batch on the oracle side is a loop of single
@@ -134,12 +133,6 @@ def apply(cl, op, batch):
         if batch:
             return ech.record_write(oid)
         return oracle_record_write(ech, oid)
-    if kind == "insert_many":
-        oids, behind = args
-        version = max(ech.current_version - behind, 1)
-        if batch:
-            return ech.dirty.insert_many(oids, version)
-        return _loop(lambda o: oracle_insert(ech.dirty, o, version), oids)
     if kind == "insert":
         oid, ahead = args
         version = ech.current_version + ahead
@@ -230,8 +223,6 @@ ELASTIC_OPS = st.one_of(
     *COMMON,
     st.tuples(st.just("record_writes"), BATCHES),
     st.tuples(st.just("record_write"), OIDS),
-    st.tuples(st.just("insert_many"), BATCHES,
-              st.integers(min_value=0, max_value=1)),
     st.tuples(st.just("insert"), OIDS, st.integers(min_value=0,
                                                    max_value=2)),
     st.tuples(st.just("resize"), st.integers(min_value=1, max_value=N)),

@@ -134,19 +134,6 @@ class TestRemoval:
         assert table.head() is None
 
 
-class TestVersionQueries:
-    def test_versions_present(self, table):
-        table.insert(1, 3)
-        table.insert(2, 5)
-        assert table.versions_present() == [3, 5]
-
-    def test_entries_for_version(self, table):
-        table.insert(1, 3)
-        table.insert(2, 3)
-        table.insert(3, 5)
-        assert [e.oid for e in table.entries_for_version(3)] == [1, 2]
-
-
 class TestSharding:
     def test_entries_spread_over_shards(self):
         """§III-E-2: spread over the servers, yet all of one object's
@@ -275,8 +262,6 @@ class TestBackendDifferential:
                 assert table.entries() == want, label
                 assert table.head() == (want[0] if want else None), label
                 assert len(table) == len(want), label
-                assert table.versions_present() == sorted(
-                    {v for v, _o in model}), label
                 for oid in range(8):
                     # The scan the oid-keyed index replaced, as oracle.
                     assert table.contains_oid(oid) == any(

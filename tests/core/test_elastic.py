@@ -66,13 +66,6 @@ class TestResizing:
         ech10.set_active(10)
         assert ech10.current_version == 1
 
-    def test_power_off_on(self, ech10):
-        ech10.power_off(3)
-        assert ech10.num_active == 7
-        ech10.power_on(2)
-        assert ech10.num_active == 9
-        assert ech10.current_version == 3
-
     def test_is_active_per_version(self, ech10):
         ech10.set_active(5)
         assert ech10.is_active(8, version=1)
@@ -145,19 +138,8 @@ class TestRecordWrite:
         assert ech10.last_written[42] == 3
         assert len(ech10.dirty.entries()) == 2
 
-    def test_mark_clean(self, ech10):
-        ech10.set_active(5)
-        ech10.record_write(42)
-        ech10.mark_clean(42)
-        assert not ech10.is_dirty(42)
-
 
 class TestAnalysisHelpers:
-    def test_placement_map(self, ech10):
-        pm = ech10.placement_map(range(10))
-        assert set(pm) == set(range(10))
-        assert all(len(v) == 2 for v in pm.values())
-
     def test_blocks_per_rank_totals(self, ech10):
         counts = ech10.blocks_per_rank(range(500))
         assert sum(counts.values()) == 1000  # 500 objects x 2 replicas

@@ -71,7 +71,6 @@ class TestEqualWorkLayout:
         assert lay.p == 2
         assert lay.min_active == 2
         assert list(lay.primary_ranks) == [1, 2]
-        assert list(lay.secondary_ranks) == list(range(3, 11))
 
     def test_roles(self):
         lay = EqualWorkLayout.create(10)
@@ -85,7 +84,7 @@ class TestEqualWorkLayout:
 
     def test_weights_non_increasing_beyond_primaries(self):
         lay = EqualWorkLayout.create(30, B=100_000)
-        ws = [lay.weight_of(r) for r in lay.secondary_ranks]
+        ws = [lay.weight_of(r) for r in range(lay.p + 1, lay.n + 1)]
         assert ws == sorted(ws, reverse=True)
 
     def test_uniform_variant(self):

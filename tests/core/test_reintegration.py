@@ -141,15 +141,3 @@ class TestPendingBytes:
         for oid in range(10):
             ech.record_write(oid)
         assert ReintegrationEngine(ech).total_pending_bytes() == 0
-
-
-class TestReportMerge:
-    def test_merge_accumulates(self):
-        ech = shrink_write_grow()
-        engine = ReintegrationEngine(ech, object_size=lambda oid: 1000)
-        acc = engine.step(budget_bytes=5_000)
-        assert not acc.caught_up
-        rest = engine.step()
-        acc.merge(rest)
-        assert acc.entries_processed == 100
-        assert acc.caught_up

@@ -21,7 +21,6 @@ class TestMembershipTable:
         t = table(active=[1, 2, 3])
         assert not t.is_full_power
         assert t.active_ranks() == [1, 2, 3]
-        assert t.inactive_ranks() == [4, 5]
 
     def test_is_active(self):
         t = table(active=[1, 2])

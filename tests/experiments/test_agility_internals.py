@@ -30,5 +30,6 @@ class TestKnobs:
 
     def test_ideal_series_bounds(self):
         res = run_resize_agility(objects=100)
-        assert res.ideal.max() == 10
-        assert res.ideal.min() == 2
+        values = [v for _, v in res.ideal.points()]
+        assert max(values) == 10
+        assert min(values) == 2

@@ -18,15 +18,15 @@ def ccb():
 
 class TestTable1:
     def test_cc_a_row(self, cca):
-        row = cca.table1_row()
-        assert row["machines"] == 100
-        assert row["length_days"] == pytest.approx(30.0)
-        assert row["bytes_processed_TB"] == pytest.approx(69.0, abs=0.5)
+        assert cca.spec.machines == 100
+        assert cca.spec.length_days == pytest.approx(30.0)
+        assert cca.trace.stats()["total_bytes"] / 1e12 == pytest.approx(
+            69.0, abs=0.5)
 
     def test_cc_b_row(self, ccb):
-        row = ccb.table1_row()
-        assert row["machines"] == 300
-        assert row["bytes_processed_TB"] == pytest.approx(473.0, abs=2)
+        assert ccb.spec.machines == 300
+        assert ccb.trace.stats()["total_bytes"] / 1e12 == pytest.approx(
+            473.0, abs=2)
 
 
 class TestTable2:

@@ -73,12 +73,10 @@ class TestAmbientState:
         sim = Simulator()
         injector = FaultInjector(plan)
         injector.arm(sim, lambda a: None)
-        assert injector.disk_factor(2) == 1.0
+        assert injector.capacity_factors() == {}
         sim.run_until(1.5)
-        assert injector.disk_factor(2) == 0.4
         assert injector.capacity_factors() == {2: 0.4}
         sim.run_until(5.0)
-        assert injector.disk_factor(2) == 1.0
         assert injector.capacity_factors() == {}
 
     def test_overlapping_degradations_compose_worst_case(self):
@@ -92,9 +90,9 @@ class TestAmbientState:
         injector = FaultInjector(plan)
         injector.arm(sim, lambda a: None)
         sim.run_until(3.0)
-        assert injector.disk_factor(2) == 0.2
+        assert injector.capacity_factors() == {2: 0.2}
         sim.run_until(5.0)
-        assert injector.disk_factor(2) == 0.5
+        assert injector.capacity_factors() == {2: 0.5}
 
     def test_link_blocked_during_window_only(self):
         plan = FaultPlan([FaultEvent(kind="link_loss", time=1.0, rank=3,

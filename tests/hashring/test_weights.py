@@ -6,32 +6,7 @@ from repro.hashring.ring import HashRing
 from repro.hashring.weights import (
     expected_shares,
     share_error,
-    uniform_weights,
-    validate_weights,
 )
-
-
-class TestUniformWeights:
-    def test_all_equal(self):
-        w = uniform_weights(["a", "b", "c"], 10)
-        assert set(w.values()) == {10}
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            uniform_weights(["a"], 0)
-
-
-class TestValidateWeights:
-    def test_accepts_positive_ints(self):
-        validate_weights({"a": 1, "b": 500})
-
-    def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            validate_weights({"a": 0})
-
-    def test_rejects_float(self):
-        with pytest.raises(ValueError):
-            validate_weights({"a": 1.5})
 
 
 class TestExpectedShares:

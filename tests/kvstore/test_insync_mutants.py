@@ -178,7 +178,7 @@ def planted_stray_tombstone_then_audit(store, blocked):
     so the scenario re-checks the key as every op touching it does."""
     store.set("k", "v1")
     (outsider,) = set(store.node_ids) - set(store.replica_set("k"))
-    newest = store._copies["k"][store.coordinator_for("k")].copy()
+    newest = store._copies["k"][store.replica_set("k")[0]].copy()
     newest.vv[str(outsider)] = 1
     newest.state = None                # a delete the owners never saw
     store._copies["k"][outsider] = newest
@@ -213,7 +213,7 @@ def single_copy_crash(store, blocked):
     """R = 1: crashing the owner takes the only copy, and the acked
     write is lost."""
     store.set("k", "v1")
-    store.crash_node(store.coordinator_for("k"))
+    store.crash_node(store.replica_set("k")[0])
     return store.audit("after")
 
 

@@ -158,7 +158,7 @@ class TableVsReferenceMachine(RuleBasedStateMachine):
     @rule()
     def repair_every_node(self):
         for node in self.stores[0].node_ids:
-            if self.stores[0].node_is_down(node):
+            if node in self.stores[0]._down:
                 self.both(lambda s: s.repair_node(node))
 
     @rule(a=nodes, b=nodes)

@@ -1,6 +1,5 @@
-"""StepSeries: integrals, sampling, resampling."""
+"""StepSeries: integrals and sampling."""
 
-import numpy as np
 import pytest
 
 from repro.metrics.timeline import StepSeries
@@ -16,14 +15,6 @@ def series():
 
 
 class TestBuild:
-    def test_from_points(self):
-        s = StepSeries.from_points([0.0, 1.0], [2.0, 3.0])
-        assert len(s) == 2
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            StepSeries.from_points([0.0], [1.0, 2.0])
-
     def test_time_must_increase(self, series):
         with pytest.raises(ValueError):
             series.append(8.0, 1.0)
@@ -35,43 +26,7 @@ class TestBuild:
         s.append(0.0, 5.0)
         s.append(1.0, 5.0)
         s.append(2.0, 6.0)
-        assert len(s) == 2
-
-    def test_final_repeated_sample_time_not_lost(self):
-        # Regression: a series ending in a repeated value used to
-        # forget its final sample time entirely — the extent of the
-        # run was silently shortened to the last value *change*.
-        s = StepSeries()
-        s.append(0.0, 5.0)
-        s.append(10.0, 3.0)
-        s.append(20.0, 3.0)   # coalesced, but the time must survive
-        assert len(s) == 2
-        assert s.end_time == 20.0
-
-    def test_end_time_tracks_last_breakpoint_too(self):
-        s = StepSeries()
-        s.append(0.0, 1.0)
-        s.append(4.0, 2.0)
-        assert s.end_time == 4.0
-
-    def test_end_time_empty_rejected(self):
-        with pytest.raises(ValueError):
-            StepSeries().end_time
-
-    def test_coalesce_false_keeps_every_breakpoint(self):
-        s = StepSeries()
-        s.append(0.0, 5.0, coalesce=False)
-        s.append(1.0, 5.0, coalesce=False)
-        s.append(2.0, 5.0, coalesce=False)
-        assert len(s) == 3
-        assert s.end_time == 2.0
-
-    def test_from_points_coalesce_flag(self):
-        times, values = [0.0, 1.0, 2.0], [7.0, 7.0, 7.0]
-        assert len(StepSeries.from_points(times, values)) == 1
-        s = StepSeries.from_points(times, values, coalesce=False)
-        assert len(s) == 3
-        assert StepSeries.from_points(times, values).end_time == 2.0
+        assert s.points() == [(0.0, 5.0), (2.0, 6.0)]
 
 
 class TestValueAt:
@@ -107,21 +62,15 @@ class TestIntegral:
         with pytest.raises(ValueError):
             series.integral(5.0, 1.0)
 
-    def test_mean(self, series):
-        assert series.mean(0.0, 10.0) == pytest.approx(7.6)
-
 
 class TestSample:
     def test_grid_sampling(self, series):
         grid = [0.0, 5.0, 9.0]
         assert list(series.sample(grid)) == [10.0, 4.0, 7.0]
 
-    def test_min_max(self, series):
-        assert series.max() == 10.0
-        assert series.min() == 4.0
-
     def test_points_roundtrip(self, series):
         pts = series.points()
-        rebuilt = StepSeries.from_points([p[0] for p in pts],
-                                         [p[1] for p in pts])
+        rebuilt = StepSeries()
+        for t, v in pts:
+            rebuilt.append(t, v)
         assert rebuilt.points() == pts

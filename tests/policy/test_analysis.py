@@ -16,6 +16,14 @@ def trace():
     return LoadTrace(load, dt=60.0, name="synthetic")
 
 
+@pytest.fixture
+def config(trace):
+    """Six hours of mean load: the dataset size these tests were
+    written against."""
+    return PolicyConfig(n_max=20,
+                        dataset_bytes=trace.stats()["mean_load"] * 6 * 3600)
+
+
 class TestConfigForTrace:
     def test_per_server_bw_from_p99(self, trace):
         cfg = config_for_trace(trace, n_max=20)
@@ -33,31 +41,27 @@ class TestConfigForTrace:
 
 
 class TestAnalyzeTrace:
-    def test_runs_all_policies(self, trace):
-        an = analyze_trace(trace, n_max=20)
+    def test_runs_all_policies(self, trace, config):
+        an = analyze_trace(trace, config)
         assert set(an.results) == {"original-ch", "primary-full",
                                    "primary-selective"}
 
-    def test_requires_config_or_n_max(self, trace):
-        with pytest.raises(ValueError):
-            analyze_trace(trace)
-
-    def test_series_aligned(self, trace):
-        an = analyze_trace(trace, n_max=20)
+    def test_series_aligned(self, trace, config):
+        an = analyze_trace(trace, config)
         series = an.series()
         assert set(series) == {"ideal", "original-ch", "primary-full",
                                "primary-selective"}
         lengths = {len(v) for v in series.values()}
         assert lengths == {len(trace)}
 
-    def test_relative_machine_hours_ordering(self, trace):
-        an = analyze_trace(trace, n_max=20)
+    def test_relative_machine_hours_ordering(self, trace, config):
+        an = analyze_trace(trace, config)
         rel = an.relative_machine_hours()
         assert rel["primary-selective"] <= rel["primary-full"] + 1e-9
         assert all(v >= 1.0 - 1e-9 for v in rel.values())
 
-    def test_savings_vs_original(self, trace):
-        an = analyze_trace(trace, n_max=20)
+    def test_savings_vs_original(self, trace, config):
+        an = analyze_trace(trace, config)
         savings = an.savings_vs_original()
         assert set(savings) == {"primary-full", "primary-selective"}
         assert savings["primary-selective"] >= savings["primary-full"] - 1e-9
@@ -71,28 +75,28 @@ class TestAnalyzeTrace:
 
 
 class TestEnergySummary:
-    def test_all_policies_plus_always_on(self, trace):
-        an = analyze_trace(trace, n_max=20)
+    def test_all_policies_plus_always_on(self, trace, config):
+        an = analyze_trace(trace, config)
         summary = an.energy_summary()
         assert set(summary) == {"original-ch", "primary-full",
                                 "primary-selective", "always-on"}
 
-    def test_always_on_saves_nothing(self, trace):
-        an = analyze_trace(trace, n_max=20)
+    def test_always_on_saves_nothing(self, trace, config):
+        an = analyze_trace(trace, config)
         summary = an.energy_summary()
         assert summary["always-on"]["savings_vs_always_on"] == 0.0
 
-    def test_selective_saves_at_least_full(self, trace):
-        an = analyze_trace(trace, n_max=20)
+    def test_selective_saves_at_least_full(self, trace, config):
+        an = analyze_trace(trace, config)
         s = an.energy_summary()
         assert (s["primary-selective"]["savings_vs_always_on"]
                 >= s["primary-full"]["savings_vs_always_on"] - 1e-9)
         for name, row in s.items():
             assert 0.0 <= row["savings_vs_always_on"] < 1.0, name
 
-    def test_residual_draw_reduces_savings(self, trace):
+    def test_residual_draw_reduces_savings(self, trace, config):
         from repro.cluster.power import PowerModel
-        an = analyze_trace(trace, n_max=20)
+        an = analyze_trace(trace, config)
         off0 = an.energy_summary(PowerModel(watts_off=0.0))
         off20 = an.energy_summary(PowerModel(watts_off=20.0))
         assert (off20["primary-selective"]["savings_vs_always_on"]

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.policy.ideal import IdealPolicy, ideal_servers
-from repro.workloads.trace import LoadTrace
+from repro.policy.ideal import ideal_servers
 
 
 class TestIdealServers:
@@ -26,16 +25,3 @@ class TestIdealServers:
             ideal_servers(np.array([1.0]), 0.0, 5)
         with pytest.raises(ValueError):
             ideal_servers(np.array([1.0]), 1.0, 5, n_min=6)
-
-
-class TestIdealPolicy:
-    def test_machine_hours(self):
-        trace = LoadTrace(np.full(60, 100.0), dt=60.0)
-        policy = IdealPolicy(per_server_bw=50.0, n_max=10)
-        # 2 servers for 1 hour.
-        assert policy.machine_hours(trace) == pytest.approx(2.0)
-
-    def test_servers_series(self):
-        trace = LoadTrace(np.array([10.0, 200.0]), dt=60.0)
-        policy = IdealPolicy(per_server_bw=50.0, n_max=10)
-        assert list(policy.servers(trace)) == [1, 4]

@@ -41,11 +41,11 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PolicyConfig(n_max=1, replicas=2)
+            PolicyConfig(n_max=1, replicas=2, dataset_bytes=1e12)
         with pytest.raises(ValueError):
-            PolicyConfig(n_max=10, per_server_bw=0)
+            PolicyConfig(n_max=10, per_server_bw=0, dataset_bytes=1e12)
         with pytest.raises(ValueError):
-            PolicyConfig(n_max=10, migration_fraction=0)
+            PolicyConfig(n_max=10, migration_fraction=0, dataset_bytes=1e12)
 
 
 class TestEqualWorkShares:

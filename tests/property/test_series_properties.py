@@ -22,12 +22,19 @@ def step_series(draw):
     return times, [float(v) for v in values], t
 
 
+def build(times, values):
+    s = StepSeries()
+    for t, v in zip(times, values):
+        s.append(t, v)
+    return s
+
+
 class TestStepSeriesProperties:
     @given(data=step_series())
     @settings(max_examples=200, deadline=None)
     def test_integral_additivity(self, data):
         times, values, end = data
-        s = StepSeries.from_points(times, values)
+        s = build(times, values)
         mid = (times[0] + end) / 2.0
         whole = s.integral(times[0], end)
         split = s.integral(times[0], mid) + s.integral(mid, end)
@@ -37,7 +44,7 @@ class TestStepSeriesProperties:
     @settings(max_examples=200, deadline=None)
     def test_integral_bounded_by_extremes(self, data):
         times, values, end = data
-        s = StepSeries.from_points(times, values)
+        s = build(times, values)
         span = end - times[0]
         if span <= 0:
             return
@@ -50,14 +57,9 @@ class TestStepSeriesProperties:
     def test_meter_agrees_with_series_integral(self, data):
         times, values, end = data
         meter = MachineHourMeter(times[0], int(values[0]))
-        s = StepSeries()
-        s.append(times[0], int(values[0]))
+        s = build(times, [int(v) for v in values])
         for t, v in zip(times[1:], values[1:]):
             meter.record(t, int(v))
-            try:
-                s.append(t, int(v))
-            except ValueError:
-                pass  # coalesced equal value: fine for StepSeries
         hours = meter.finish(end)
         assert abs(hours * 3600.0 - s.integral(times[0], end)) < 1e-3
 
@@ -66,5 +68,5 @@ class TestStepSeriesProperties:
     @settings(max_examples=200, deadline=None)
     def test_value_at_returns_a_step_value(self, data, probe):
         times, values, _end = data
-        s = StepSeries.from_points(times, values)
+        s = build(times, values)
         assert s.value_at(probe) in values

@@ -279,7 +279,7 @@ class TestCompile:
     def test_unknown_resources_dropped(self):
         flows = [FlowSpec({"a": 1.0, "ghost": 2.0}, 5.0)]
         problem = compile_problem(flows, {"a": 10.0, "b": 20.0})
-        assert problem.nnz == 1
+        assert problem.flow_idx.size == 1
         assert problem.n_flows == 1
         assert problem.n_resources == 2
         assert problem.resources == ("a", "b")

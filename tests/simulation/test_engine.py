@@ -69,14 +69,6 @@ class TestCancellation:
         ev.cancel()
         assert sim.pending == 1
 
-    def test_peek_skips_cancelled(self):
-        sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        ev.cancel()
-        assert sim.peek_time() == 2.0
-
-
 class TestRunUntil:
     def test_stops_at_boundary(self):
         sim = Simulator()
@@ -102,32 +94,6 @@ class TestRunUntil:
 
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
-
-
-class TestPeriodic:
-    def test_every_fires_repeatedly(self):
-        sim = Simulator()
-        log = []
-        sim.every(1.0, lambda: log.append(sim.now), until=3.5)
-        sim.run()
-        assert log == [1.0, 2.0, 3.0]
-
-    def test_stop_iteration_halts_chain(self):
-        sim = Simulator()
-        log = []
-
-        def cb():
-            log.append(sim.now)
-            if sim.now >= 2.0:
-                raise StopIteration
-
-        sim.every(1.0, cb)
-        sim.run()
-        assert log == [1.0, 2.0]
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            Simulator().every(0, lambda: None)
 
 
 class TestFiniteTimes:
@@ -201,18 +167,6 @@ class TestCounters:
                                        "engine.cancelled": 1}
             sim.run()
             assert self.counters() == {"engine.events": 3,
-                                       "engine.cancelled": 1}
-        finally:
-            OBS.reset()
-
-    def test_peek_time_counts_what_it_discards(self):
-        OBS.reset()
-        try:
-            sim = Simulator()
-            sim.schedule_at(1.0, lambda: None).cancel()
-            sim.schedule_at(2.0, lambda: None)
-            assert sim.peek_time() == 2.0
-            assert self.counters() == {"engine.events": 0,
                                        "engine.cancelled": 1}
         finally:
             OBS.reset()

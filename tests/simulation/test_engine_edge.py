@@ -63,7 +63,8 @@ class TestPendingCounter:
             elif op < 0.95:
                 sim.step()
             else:
-                sim.clear()
+                for ev in events:
+                    ev.cancel()
             assert sim.pending == self.naive_pending(sim)
         sim.run()
         assert sim.pending == 0
@@ -83,15 +84,6 @@ class TestPendingCounter:
         assert sim.pending == 0
         ev.cancel()
         assert sim.pending == 0
-
-    def test_clear_then_schedule(self):
-        sim = Simulator()
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda: None)
-        assert sim.clear() == 5
-        assert sim.pending == 0
-        sim.schedule(1.0, lambda: None)
-        assert sim.pending == 1
 
 
 class TestClockDiscipline:
@@ -131,7 +123,6 @@ class TestHeapEntries:
         log = []
         for i in range(200):
             sim.schedule_at(2.0 if i % 2 else 1.0, log.append, i)
-        assert sim.peek_time() == 1.0
         sim.run()
         assert log == list(range(0, 200, 2)) + list(range(1, 200, 2))
 

@@ -41,8 +41,7 @@ SURFACE = {
         "IOModel",
     ],
     "repro.workloads": [
-        "three_phase_workload", "Phase", "FilebenchPersonality",
-        "paper_three_phase", "generate_cc_a", "generate_cc_b",
+        "three_phase_workload", "Phase", "generate_cc_a", "generate_cc_b",
         "generate_trace", "LoadTrace", "TraceSpec", "synthesize_load",
         "diurnal_profile", "burst_profile", "CC_A", "CC_B",
     ],
@@ -53,7 +52,7 @@ SURFACE = {
         "OracleController", "ReactiveController",
         "PredictiveController", "evaluate_provisioning",
         "replay_policy", "ReplayResult", "analyze_trace",
-        "TraceAnalysis", "ideal_servers", "IdealPolicy",
+        "TraceAnalysis", "ideal_servers",
     ],
     "repro.experiments": [
         "run_resize_agility", "ResizeAgilityResult",
@@ -62,8 +61,7 @@ SURFACE = {
         "run_trace_analysis", "TraceExperiment",
     ],
     "repro.metrics": [
-        "StepSeries", "distribution_stats", "gini",
-        "normalized_shape", "shape_correlation", "holder_groups",
+        "StepSeries", "shape_correlation", "holder_groups",
         "read_capacity", "proportionality_curve", "render_table",
         "render_series",
     ],

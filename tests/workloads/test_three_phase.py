@@ -28,9 +28,9 @@ class TestPaperParameters:
         p2 = three_phase_workload()[1]
         assert p2.total_bytes == pytest.approx(12.6 * GB)
         assert p2.write_bytes == pytest.approx(8.4 * GB)
-        assert p2.read_bytes == pytest.approx(4.2 * GB)
+        assert p2.total_bytes - p2.write_bytes == pytest.approx(4.2 * GB)
         assert p2.rate_cap == 20 * MB
-        assert p2.min_duration() == pytest.approx(630.0)
+        assert p2.total_bytes / p2.rate_cap == pytest.approx(630.0)
 
     def test_phase3_write_ratio_20pct(self):
         p3 = three_phase_workload()[2]
@@ -69,5 +69,3 @@ class TestPhaseValidation:
         with pytest.raises(ValueError, match=field):
             Phase("p", write_ratio=0.5, **kwargs)
 
-    def test_uncapped_duration_is_none(self):
-        assert Phase("p", 100, 1.0).min_duration() is None

@@ -1,4 +1,4 @@
-"""LoadTrace container: stats, windows, persistence."""
+"""LoadTrace container: stats and windows."""
 
 import numpy as np
 import pytest
@@ -44,9 +44,6 @@ class TestStats:
     def test_write_load(self, trace):
         assert trace.write_load[0] == pytest.approx(4.0)
 
-    def test_times(self, trace):
-        assert list(trace.times[:3]) == [0.0, 60.0, 120.0]
-
     def test_resizing_frequency(self, trace):
         # ideal at bw=10: [1,2,3,4,5,0] -> diffs [1,1,1,1,5] mean 1.8
         assert trace.resizing_frequency(10.0) == pytest.approx(1.8)
@@ -62,40 +59,9 @@ class TestTransforms:
         with pytest.raises(ValueError):
             trace.window(0.0, 10_000.0)
 
-    def test_resample_preserves_mean(self, trace):
-        coarse = trace.resample(120.0)
-        assert len(coarse) == 3
-        assert coarse.load[0] == pytest.approx(15.0)
-        assert coarse.total_bytes == pytest.approx(trace.total_bytes)
-
-    def test_resample_cannot_refine(self, trace):
-        with pytest.raises(ValueError):
-            trace.resample(30.0)
-
-    def test_resample_non_multiple_rejected(self, trace):
-        with pytest.raises(ValueError):
-            trace.resample(90.0)
-
     def test_scaled_to_total(self, trace):
         scaled = trace.scaled_to_total(1e6)
         assert scaled.total_bytes == pytest.approx(1e6)
-
-
-class TestPersistence:
-    def test_csv_roundtrip(self, trace, tmp_path):
-        path = tmp_path / "t.csv"
-        trace.to_csv(path)
-        back = LoadTrace.from_csv(path, write_fraction=0.4)
-        assert np.allclose(back.load, trace.load)
-        assert back.dt == trace.dt
-
-    def test_jsonl_roundtrip(self, trace, tmp_path):
-        path = tmp_path / "t.jsonl"
-        trace.to_jsonl(path)
-        back = LoadTrace.from_jsonl(path)
-        assert np.allclose(back.load, trace.load)
-        assert back.write_fraction == trace.write_fraction
-        assert back.name == trace.name
 
 
 class TestTraceSpec:
