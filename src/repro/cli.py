@@ -246,8 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_obs_flags(p)
 
     p = sub.add_parser("sweep",
-                       help="fan independent seeded runs across a "
-                            "process pool; the aggregate report is "
+                       help="run independent seeded tasks, one process "
+                            "per attempt; the aggregate report is "
                             "byte-identical for any --workers count; "
                             "exit 1 on any unhealthy run")
     p.add_argument("--kind", default="chaos",
@@ -256,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", default="0,1,2,3", metavar="S1,S2,...",
                    help="comma-separated seed list; one task per seed")
     p.add_argument("--workers", type=int, default=None, metavar="N",
-                   help="process-pool size (default: cpu count)")
+                   help="task processes run at once, >= 1 "
+                        "(default: cpu count)")
     p.add_argument("--out", metavar="DIR", default="sweep-out",
                    help="output directory: per-task run dirs plus "
                         "sweep.json / merged.jsonl / run_info.json")
@@ -264,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fault plan applied to every chaos task "
                         "(instead of generating one per seed)")
     p.add_argument("--timeout", type=float, default=None, metavar="T",
-                   help="per-task wall-clock budget in seconds; an "
-                        "overrunning task is retried like a crash")
+                   help="per-attempt wall-clock budget in seconds "
+                        "(finite, > 0); an overrunning attempt is "
+                        "killed and retried like a crash")
     p.add_argument("--n", type=int, default=10,
                    help="chaos: cluster size")
     p.add_argument("--replicas", type=int, default=2,
@@ -592,7 +594,8 @@ def _cmd_sweep(args):
                       plan=plan_json)
              for seed in seeds]
     runner = SweepRunner(
-        workers=args.workers or os.cpu_count() or 1,
+        workers=(args.workers if args.workers is not None
+                 else os.cpu_count() or 1),
         task_timeout=args.timeout,
         since=args.since, until=args.until,
         profile=args.profile_out is not None)

@@ -70,9 +70,14 @@ def percentile(sorted_vals: Sequence[float], q: float) -> float:
 def check_window(since: Optional[float], until: Optional[float]) -> None:
     """Validate a half-open ``[since, until)`` simulation-time window.
 
-    Raises :class:`ValueError` when the window is inverted — silently
-    matching nothing has masked more than one typo'd command line.
+    Raises :class:`ValueError` when a bound is NaN (it compares false
+    with every time, so it read as no bound at all) or the window is
+    inverted — silently matching nothing has masked more than one
+    typo'd command line.
     """
+    for flag, bound in (("--since", since), ("--until", until)):
+        if bound is not None and math.isnan(bound):
+            raise ValueError(f"{flag} must be a number (got nan)")
     if since is not None and until is not None and since > until:
         raise ValueError(
             f"empty time window: --since {since:g} is after "

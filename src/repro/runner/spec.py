@@ -3,7 +3,7 @@
 A :class:`TaskSpec` names one independent seeded run — an experiment
 kind, a seed, a config dict, and (for chaos tasks) an optional fault
 plan serialised as JSON.  Specs cross the process boundary by pickle
-(executor submission) and by JSON (the aggregate report), so every
+(process launch) and by JSON (the aggregate report), so every
 field is restricted to plain JSON-representable values.
 
 The ``task_id`` doubles as the per-run directory name and as the merge
@@ -70,7 +70,7 @@ class TaskSpec:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, object]:
-        """JSON/pickle-friendly form (the executor submission payload)."""
+        """JSON/pickle-friendly form (what a task process is launched with)."""
         return {
             "task_id": self.task_id,
             "kind": self.kind,

@@ -1,12 +1,13 @@
-"""The process-pool sweep runner with deterministic aggregation.
+"""The sweep runner: one process per task attempt, deterministic
+aggregation.
 
 A *sweep* is a set of independent seeded runs — exactly the shape of
 the paper's §V evaluation grids (multi-seed robustness checks, the
 chaos property matrix, the four-policy trace analyses).  The runner
-fans the tasks across a ``concurrent.futures.ProcessPoolExecutor`` and
-merges results **by task id, never by completion order**, so the
-aggregate report is byte-identical for ``--workers 1`` and
-``--workers N``:
+starts one ``multiprocessing.Process`` per task attempt, at most
+``workers`` at a time, and merges results **by task id, never by
+completion order**, so the aggregate report is byte-identical for
+``--workers 1`` and ``--workers N``:
 
 * every task captures its own JSONL trace, metrics snapshot and
   outcome into ``<out>/<task_id>/`` (see :mod:`repro.runner.worker`);
@@ -24,25 +25,27 @@ aggregate report is byte-identical for ``--workers 1`` and
   bands and latency-percentile bands across seeds, readable with
   ``repro timeline analytics_rollup.json``.
 
-Failure handling reuses :class:`~repro.faults.retry.RetryPolicy`: a
-task that raises, times out, or takes its worker process down with it
-is re-enqueued with deterministic backoff until the policy's launch
-budget is spent, after which it is surfaced as a *failed* task in the
-report — never silently dropped.
+An attempt that raises, exits without leaving its outcome, or outlives
+``task_timeout`` (it is killed) is charged to its own task alone: no
+other process shares its fate.  The task goes to the back of the queue
+at once — it is a pure function of its spec, so waiting cannot help —
+until it has had :data:`MAX_ATTEMPTS` launches, after which it is
+surfaced as a *failed* task in the report, never silently dropped.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import multiprocessing
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, wait
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.faults.retry import RetryPolicy
+from repro.faults.plan import require_periods
 from repro.obs.analytics import (AnalyticsError, dump_analytics,
                                  load_analytics, merge_analytics)
 from repro.obs.invariants import SWEEP_BOUNDARY_KIND
@@ -62,6 +65,7 @@ __all__ = [
     "RUN_INFO_FILENAME",
     "PROFILE_ROLLUP_FILENAME",
     "ANALYTICS_ROLLUP_FILENAME",
+    "MAX_ATTEMPTS",
 ]
 
 AGGREGATE_FILENAME = "sweep.json"
@@ -70,9 +74,15 @@ RUN_INFO_FILENAME = "run_info.json"
 PROFILE_ROLLUP_FILENAME = "profile_rollup.json"
 ANALYTICS_ROLLUP_FILENAME = "analytics_rollup.json"
 
-#: Cap on the idle sleep while every task is backing off (wall
-#: seconds) — bounds the worst case should the clock readings jitter.
-_MAX_IDLE_SLEEP = 1.0
+#: Launches per task before it is reported failed.
+MAX_ATTEMPTS = 3
+
+
+def _counts(tasks: Sequence["TaskResult"]) -> Dict[str, int]:
+    out = {"tasks": len(tasks), "ok": 0, "unhealthy": 0, "failed": 0}
+    for t in tasks:
+        out[t.status] += 1
+    return out
 
 
 @dataclass
@@ -122,11 +132,7 @@ class SweepResult:
 
     @property
     def counts(self) -> Dict[str, int]:
-        out = {"tasks": len(self.tasks), "ok": 0, "unhealthy": 0,
-               "failed": 0}
-        for t in self.tasks:
-            out[t.status] += 1
-        return out
+        return _counts(self.tasks)
 
     def task(self, task_id: str) -> TaskResult:
         for t in self.tasks:
@@ -135,22 +141,71 @@ class SweepResult:
         raise KeyError(f"no task {task_id!r} in this sweep")
 
 
+def _attempt_main(writer: Connection, spec_dict: Dict[str, object],
+                  out_dir: str, attempt: int, profile: bool) -> None:
+    """One task attempt's process body: the outcome goes to
+    ``outcome.json``, an exception up the pipe as ``Type: message``."""
+    try:
+        worker_mod.run_task(spec_dict, out_dir, attempt, profile)
+    except Exception as exc:
+        writer.send(f"{type(exc).__name__}: {exc}")
+
+
+@dataclass
+class _Attempt:
+    """One launch of one task, in a process of its own."""
+
+    spec: TaskSpec
+    number: int
+    process: multiprocessing.Process
+    #: ``time.monotonic()`` past which the process is killed.
+    deadline: float
+    #: Where the child reports an exception; None once read.
+    reader: Optional[Connection]
+    error: Optional[str] = None
+
+    def read_report(self) -> None:
+        """Take the child's message, or the end of the pipe if it sent
+        none.  Read as soon as it is ready, a long message cannot block
+        the child."""
+        try:
+            self.error = self.reader.recv()
+        except EOFError:
+            pass
+        self.reader.close()
+        self.reader = None
+
+    def finish(self, out: Path) -> Optional[Dict[str, object]]:
+        """Reap the process and return this attempt's outcome, or None
+        with :attr:`error` set (an error set before, a kill's, stands)."""
+        self.process.join()
+        if self.reader is not None:
+            self.read_report()
+        code = self.process.exitcode
+        self.process.close()
+        path = out / self.spec.task_id / worker_mod.OUTCOME_FILENAME
+        if self.error is None and code == 0 and path.exists():
+            outcome = json.loads(path.read_text())
+            if outcome["attempts"] == self.number:
+                return outcome
+        self.error = (self.error or
+                      f"worker process died mid-task (exit code {code})")
+        return None
+
+
 class SweepRunner:
-    """Fan independent tasks across a process pool, deterministically.
+    """Run independent tasks in child processes, deterministically.
 
     Parameters
     ----------
     workers:
-        Pool size.  ``workers=1`` still runs tasks in a child process,
-        so the execution environment — and therefore every byte of the
-        output — is identical to a parallel run.
-    retry:
-        Backoff/quarantine policy for crashed or timed-out tasks; the
-        default allows three launches per task.
+        Most task processes alive at once (>= 1).  ``workers=1`` still
+        runs each attempt in a child process, so the execution
+        environment — and therefore every byte of the output — is
+        identical to a parallel run.
     task_timeout:
-        Per-launch wall-clock budget in seconds.  A task exceeding it
-        is treated like a crashed attempt (the pool is recycled to
-        reclaim the stuck worker).
+        Per-launch wall-clock budget in seconds (finite, > 0).  An
+        attempt exceeding it is killed and charged one attempt.
     since / until:
         Optional half-open ``[since, until)`` simulation-time window
         for the per-task ``events_in_window`` counts of the aggregate
@@ -165,19 +220,16 @@ class SweepRunner:
     """
 
     def __init__(self, workers: int = 1,
-                 retry: Optional[RetryPolicy] = None,
                  task_timeout: Optional[float] = None,
                  since: Optional[float] = None,
                  until: Optional[float] = None,
                  profile: bool = False) -> None:
         if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError("task_timeout must be positive")
+            raise ValueError(f"workers must be >= 1 (got {workers})")
+        if task_timeout is not None:
+            require_periods(task_timeout=task_timeout)
         check_window(since, until)
         self.workers = int(workers)
-        self.retry = retry if retry is not None else RetryPolicy(
-            base_delay=0.1, max_delay=2.0, max_attempts=3)
         self.task_timeout = task_timeout
         self.since = since
         self.until = until
@@ -190,17 +242,18 @@ class SweepRunner:
         if not specs:
             raise ValueError("sweep needs at least one task")
         ids = [s.task_id for s in specs]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        if dupes:
             raise ValueError(f"duplicate task ids: {', '.join(dupes)}")
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         t0 = time.monotonic()
-        results, retries = self._execute(specs, out)
+        results = self._execute(specs, out)
         wall = time.monotonic() - t0
 
         ordered = [results[tid] for tid in sorted(results)]
+        retries = sum(t.attempts - 1 for t in ordered)
         aggregate_path = self._write_aggregate(ordered, out)
         merged_path = self._write_merged_trace(ordered, out)
         rollup_path = (self._write_profile_rollup(ordered, out)
@@ -214,7 +267,7 @@ class SweepRunner:
             profile_rollup_path=rollup_path,
             analytics_rollup_path=analytics_path)
         # Run facts that legitimately differ between runs (wall clock,
-        # pool size) stay out of the deterministic aggregate.
+        # worker count) stay out of the deterministic aggregate.
         (out / RUN_INFO_FILENAME).write_text(json.dumps(
             {"workers": self.workers,
              "wall_seconds": round(wall, 3),
@@ -223,182 +276,58 @@ class SweepRunner:
         return result
 
     # ------------------------------------------------------------------
-    # scheduling
+    # scheduling — one process per task attempt
     # ------------------------------------------------------------------
-    def _new_executor(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    @staticmethod
-    def _kill_executor(executor: ProcessPoolExecutor) -> None:
-        """Tear a pool down even if a worker is stuck mid-task."""
-        processes = getattr(executor, "_processes", None) or {}
-        for proc in list(processes.values()):
-            proc.terminate()
-        # The workers are dead or dying, so the join is prompt; skipping
-        # it leaves the pool's management thread to trip over closed
-        # pipes at interpreter exit.
-        executor.shutdown(wait=True, cancel_futures=True)
+    def _launch(self, spec: TaskSpec, number: int, out: Path) -> _Attempt:
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        process = multiprocessing.Process(
+            target=_attempt_main,
+            args=(writer, spec.to_dict(), str(out), number, self.profile))
+        process.start()
+        writer.close()            # the child holds the only writing end
+        return _Attempt(spec, number, process, time.monotonic()
+                        + (self.task_timeout or math.inf), reader)
 
     def _execute(self, specs: Sequence[TaskSpec], out: Path
-                 ) -> Tuple[Dict[str, TaskResult], int]:
-        #: (spec, attempt, earliest wall time to launch)
-        pending: List[Tuple[TaskSpec, int, float]] = [
-            (spec, 1, 0.0) for spec in specs]
-        running: Dict[Future, Tuple[TaskSpec, int, float]] = {}
+                 ) -> Dict[str, TaskResult]:
+        queue = deque((spec, 1) for spec in specs)
+        running: List[_Attempt] = []
         results: Dict[str, TaskResult] = {}
-        retries = 0
-        executor = self._new_executor()
-
-        def fail_attempt(spec: TaskSpec, attempt: int, error: str) -> None:
-            nonlocal retries
-            if self.retry.exhausted(attempt):
-                results[spec.task_id] = TaskResult(
-                    spec=spec, status="failed", attempts=attempt,
-                    error=error)
-            else:
-                retries += 1
-                delay = self.retry.delay(attempt, key=spec.task_id)
-                pending.append(
-                    (spec, attempt + 1, time.monotonic() + delay))
-
-        def settle_broken(spec: TaskSpec, attempt: int) -> None:
-            # A dead worker poisons the pool: EVERY in-flight future
-            # raises, and the culprit is indistinguishable from
-            # collateral.  A task whose function actually completed
-            # left its outcome.json behind, though — recover that
-            # instead of charging it for a crash it didn't cause.
-            outcome = self._recover_outcome(out, spec, attempt)
-            if outcome is not None:
-                status = "ok" if outcome.get("healthy") else "unhealthy"
-                results[spec.task_id] = TaskResult(
-                    spec=spec, status=status, attempts=attempt,
-                    outcome=outcome)
-            else:
-                fail_attempt(spec, attempt,
-                             "worker process died mid-task")
-
         try:
-            while pending or running:
+            while queue or running:
+                while queue and len(running) < self.workers:
+                    running.append(self._launch(*queue.popleft(), out))
+                due = min(run.deadline for run in running) - time.monotonic()
+                ready = wait(
+                    [run.process.sentinel for run in running]
+                    + [run.reader for run in running if run.reader],
+                    timeout=None if due == math.inf else max(0.0, due))
                 now = time.monotonic()
-                # Launch due work, keeping at most `workers` in flight
-                # so the per-task timeout clock starts at true launch.
-                due = [p for p in pending if p[2] <= now]
-                due.sort(key=lambda p: (p[2], p[0].task_id))
-                for item in due:
-                    if len(running) >= self.workers:
-                        break
-                    pending.remove(item)
-                    spec, attempt, _ = item
-                    deadline = (now + self.task_timeout
-                                if self.task_timeout else float("inf"))
-                    future = executor.submit(
-                        worker_mod.run_task, spec.to_dict(), str(out),
-                        attempt, self.profile)
-                    running[future] = (spec, attempt, deadline)
-
-                if not running:
-                    # Everything is backing off; sleep to the earliest.
-                    wake = min(p[2] for p in pending)
-                    time.sleep(max(0.0, min(wake - now,
-                                            _MAX_IDLE_SLEEP)))
-                    continue
-
-                done, _ = wait(
-                    list(running),
-                    timeout=self._completion_wait_timeout(
-                        pending, running, time.monotonic()),
-                    return_when=FIRST_COMPLETED)
-                pool_broken = False
-                for future in done:
-                    spec, attempt, _ = running.pop(future)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool:
-                        settle_broken(spec, attempt)
-                        pool_broken = True
-                    except Exception as exc:   # task raised in-worker
-                        fail_attempt(
-                            spec, attempt,
-                            f"{type(exc).__name__}: {exc}")
+                for run in list(running):
+                    if run.reader in ready:
+                        run.read_report()
+                    if run.process.sentinel in ready:
+                        outcome = run.finish(out)
+                    elif run.deadline <= now:
+                        run.process.kill()
+                        run.error = (f"task exceeded timeout of "
+                                     f"{self.task_timeout:g}s")
+                        outcome = run.finish(out)
                     else:
-                        status = ("ok" if outcome.get("healthy")
-                                  else "unhealthy")
-                        results[spec.task_id] = TaskResult(
-                            spec=spec, status=status, attempts=attempt,
-                            outcome=outcome)
-                if pool_broken:
-                    # Anything still in flight died with the pool; give
-                    # each the same recover-or-charge treatment and
-                    # start a fresh pool.
-                    for future, (spec, attempt, _) in list(running.items()):
-                        running.pop(future)
-                        settle_broken(spec, attempt)
-                    self._kill_executor(executor)
-                    executor = self._new_executor()
-                    continue
-
-                # Per-task timeouts: a stuck worker cannot be cancelled
-                # through the executor API, so recycle the pool.
-                if self.task_timeout is not None:
-                    now = time.monotonic()
-                    if any(dl <= now for _, _, dl in running.values()):
-                        for future, (spec, attempt, dl) in \
-                                list(running.items()):
-                            running.pop(future)
-                            if dl <= now:
-                                fail_attempt(
-                                    spec, attempt,
-                                    f"task exceeded timeout of "
-                                    f"{self.task_timeout:g}s")
-                            else:
-                                pending.append((spec, attempt, 0.0))
-                        self._kill_executor(executor)
-                        executor = self._new_executor()
+                        continue
+                    running.remove(run)
+                    if outcome is None and run.number < MAX_ATTEMPTS:
+                        queue.append((run.spec, run.number + 1))
+                    else:
+                        results[run.spec.task_id] = TaskResult(
+                            run.spec,
+                            outcome["status"] if outcome else "failed",
+                            run.number, outcome, run.error)
         finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-        return results, retries
-
-    @staticmethod
-    def _completion_wait_timeout(pending, running, now) -> Optional[float]:
-        """How long the completion wait may block, or ``None`` for
-        "until a future completes".
-
-        The wait used to poll on a fixed 50 ms interval — a busy-spin
-        whenever the pool was saturated with long tasks.  Blocking
-        indefinitely is usually right (only a completion can free a
-        slot), except for two wall-clock commitments that must be able
-        to fire without one:
-
-        * a backed-off retry whose wake time is still in the future —
-          a *due* retry needs a free slot anyway, so it never bounds
-          the wait (waking early for it would be the busy-spin again);
-        * a running task's per-launch deadline (``task_timeout``).
-
-        The bound is the earliest of those, floored at zero.
-        """
-        bounds = [wake for (_spec, _attempt, wake) in pending
-                  if wake > now]
-        bounds.extend(deadline for (_spec, _attempt, deadline)
-                      in running.values()
-                      if deadline != float("inf"))
-        if not bounds:
-            return None
-        return max(0.0, min(bounds) - now)
-
-    @staticmethod
-    def _recover_outcome(out: Path, spec: TaskSpec, attempt: int
-                         ) -> Optional[Dict[str, object]]:
-        """The outcome a lost future would have returned, if the task
-        function finished before its pool died (outcome.json is the
-        worker's last write)."""
-        path = out / spec.task_id / worker_mod.OUTCOME_FILENAME
-        try:
-            outcome = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-        if outcome.get("attempts") != attempt:
-            return None             # stale file from an earlier attempt
-        return outcome
+            for run in running:
+                run.process.kill()
+                run.finish(out)
+        return results
 
     # ------------------------------------------------------------------
     # aggregation — task-id order, simulation-derived values only
@@ -417,25 +346,16 @@ class SweepRunner:
             }
         entry = dict(result.outcome)
         if self.since is not None or self.until is not None:
-            entry["events_in_window"] = self._count_in_window(
-                out / result.spec.task_id / worker_mod.TRACE_FILENAME)
+            # The predicate of repro stats / report / timeline.
+            trace = out / result.spec.task_id / worker_mod.TRACE_FILENAME
+            entry["events_in_window"] = sum(
+                1 for event in read_jsonl(str(trace))
+                if event_in_window(event, self.since, self.until))
         return entry
-
-    def _count_in_window(self, trace_path: Path) -> int:
-        """Events in the half-open window ``[since, until)`` — the
-        same :func:`~repro.obs.stats.event_in_window` predicate as
-        ``repro stats`` / ``report`` / ``timeline``."""
-        if not trace_path.exists():
-            return 0
-        return sum(1 for event in read_jsonl(str(trace_path))
-                   if event_in_window(event, self.since, self.until))
 
     def _write_aggregate(self, ordered: List[TaskResult], out: Path
                          ) -> Path:
-        counts = {"tasks": len(ordered), "ok": 0, "unhealthy": 0,
-                  "failed": 0}
-        for t in ordered:
-            counts[t.status] += 1
+        counts = _counts(ordered)
         aggregate = {
             "kind": "repro.sweep",
             "window": {"since": self.since, "until": self.until},
@@ -465,10 +385,9 @@ class SweepRunner:
                             "task": result.spec.task_id}
                 fh.write(json.dumps(boundary, sort_keys=True,
                                     separators=(",", ":")) + "\n")
-                trace = (out / result.spec.task_id
-                         / worker_mod.TRACE_FILENAME)
-                if trace.exists():
-                    fh.write(trace.read_text(encoding="utf-8"))
+                fh.write((out / result.spec.task_id
+                          / worker_mod.TRACE_FILENAME)
+                         .read_text(encoding="utf-8"))
         return path
 
     @staticmethod

@@ -1,22 +1,23 @@
-"""Worker-side task execution: what runs inside each pool process.
+"""Worker-side task execution: what runs inside each task process.
 
-:func:`run_task` is the single entry point the
-:class:`~repro.runner.sweep.SweepRunner` submits to its
-``ProcessPoolExecutor``.  It is a **pure function of the spec** (plus
-the attempt ordinal): it resets the process-wide observability runtime,
-routes the run's trace into the task's own directory, executes the
-experiment with a live :class:`~repro.obs.invariants.CheckerSink`
-attached, snapshots the metrics registry, and returns a structured,
-JSON-clean outcome dict.  Nothing in the outcome depends on wall-clock
-time or on which worker ran it, which is what lets the parent merge
-results by task id into a byte-identical aggregate.
+:func:`run_task` is what every process the
+:class:`~repro.runner.sweep.SweepRunner` starts runs, once per task
+attempt.  It is a **pure function of the spec** (plus the attempt
+ordinal): it resets the process-wide observability runtime, routes the
+run's trace into the task's own directory, executes the experiment
+with a live :class:`~repro.obs.invariants.CheckerSink` attached,
+snapshots the metrics registry, and writes a structured, JSON-clean
+outcome dict to ``outcome.json`` last — the parent reads it from
+there.  Nothing in the outcome depends on wall-clock time or on which
+process ran it, which is what lets the parent merge results by task id
+into a byte-identical aggregate.
 
 Per-run directory layout (under the sweep's ``--out DIR``)::
 
     <task_id>/trace.jsonl     the run's full JSONL trace
     <task_id>/metrics.json    metrics-registry snapshot
     <task_id>/analytics.json  per-task repro.analytics document
-    <task_id>/outcome.json    the same outcome dict returned to the parent
+    <task_id>/outcome.json    the outcome dict, written last
 
 Experiment kinds are looked up in :data:`EXPERIMENTS`; registering a
 new kind is one entry mapping ``kind -> fn(spec, attempt) ->
@@ -203,7 +204,7 @@ def run_task(spec_dict: Dict[str, object], out_dir: str,
     """Execute one task in the current process and return its outcome.
 
     Takes the spec as a plain dict (cheapest thing to pickle across
-    the pool boundary); *attempt* is the 1-based launch ordinal so
+    the process boundary); *attempt* is the 1-based launch ordinal so
     retried tasks can be distinguished — and so the test-only selftest
     kind can fail deterministically on early attempts.  With *profile*
     a per-task ``profile.json`` lands next to the trace; like
@@ -220,9 +221,9 @@ def run_task(spec_dict: Dict[str, object], out_dir: str,
     task_dir = Path(out_dir) / spec.task_id
     task_dir.mkdir(parents=True, exist_ok=True)
 
-    # Fresh observability world per task: pool workers are reused, so
-    # whatever the previous task left behind must not leak into this
-    # run's trace or metrics.
+    # Fresh observability world per task: whatever the process brought
+    # with it (a forked child inherits the parent's) must not leak into
+    # this run's trace or metrics.
     OBS.reset()
     sink = JSONLSink(str(task_dir / TRACE_FILENAME))
     checker = CheckerSink()

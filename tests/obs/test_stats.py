@@ -18,6 +18,16 @@ class TestCheckWindow:
         with pytest.raises(ValueError, match="empty time window"):
             check_window(5.0, 2.0)
 
+    @pytest.mark.parametrize("since,until,flag",
+                             [(float("nan"), None, "--since"),
+                              (None, float("nan"), "--until"),
+                              (float("nan"), 2.0, "--since"),
+                              (1.0, float("nan"), "--until")])
+    def test_nan_bound_rejected(self, since, until, flag):
+        with pytest.raises(ValueError,
+                           match=f"{flag} must be a number"):
+            check_window(since, until)
+
     @pytest.mark.parametrize("since,until",
                              [(None, None), (1.0, None), (None, 1.0),
                               (1.0, 1.0), (1.0, 2.0)])

@@ -1,5 +1,5 @@
 """SweepRunner: deterministic aggregation across worker counts, retry
-and worker-death accounting, timeouts, and input validation.
+and process-death accounting, timeouts, and input validation.
 
 The determinism tests are the tentpole's acceptance criterion: the
 aggregate ``sweep.json`` and the merged trace must be **byte-identical**
@@ -12,9 +12,9 @@ import json
 
 import pytest
 
-from repro.faults import RetryPolicy
 from repro.obs.report import render_check
 from repro.runner import SweepRunner, TaskSpec
+from repro.runner.sweep import MAX_ATTEMPTS
 from repro.runner.worker import OUTCOME_FILENAME, TRACE_FILENAME
 
 CHAOS_CONFIG = {"n": 4, "off_count": 1, "scale": 0.02}
@@ -130,10 +130,7 @@ class TestRetries:
         specs = [TaskSpec(task_id="flaky", kind="selftest", seed=1,
                           config={"fail_attempts": 1, "mode": "raise"}),
                  TaskSpec(task_id="steady", kind="selftest", seed=2)]
-        result = SweepRunner(
-            workers=2,
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=3)).run(specs, tmp_path)
+        result = SweepRunner(workers=2).run(specs, tmp_path)
         assert result.ok and result.retries == 1
         assert result.task("flaky").attempts == 2
         assert result.task("steady").attempts == 1
@@ -141,67 +138,101 @@ class TestRetries:
     def test_exhausted_retries_surface_as_failed_task(self, tmp_path):
         specs = [TaskSpec(task_id="doomed", kind="selftest", seed=1,
                           config={"fail_attempts": 99, "mode": "raise"})]
-        result = SweepRunner(
-            workers=1,
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=2)).run(specs, tmp_path)
+        result = SweepRunner(workers=1).run(specs, tmp_path)
         doomed = result.task("doomed")
         assert not result.ok
-        assert doomed.status == "failed" and doomed.attempts == 2
-        assert "planned failure" in doomed.error
+        assert doomed.status == "failed"
+        assert doomed.attempts == MAX_ATTEMPTS == 3
+        assert doomed.error == ("RuntimeError: selftest: planned failure "
+                                "on attempt 3")
         # Never silently dropped: the aggregate lists the failure too.
         agg = json.loads(result.aggregate_path.read_text())
         assert agg["counts"]["failed"] == 1
         assert agg["tasks"][0]["status"] == "failed"
 
     def test_killed_worker_fails_task_and_spares_sibling(self, tmp_path):
-        """A worker dying mid-task (os._exit) breaks the whole pool;
-        the killer is charged attempts until the retry budget runs
-        out, the sibling's finished work is recovered from its
-        outcome.json, and both are accounted for.  The killer delays
-        before dying so the sibling's function has completed by the
-        time the pool collapses."""
+        """A task that kills its own process (os._exit) on attempt 1
+        beside a slower healthy sibling: only the killer is charged,
+        and the deterministic surface is the same bytes at one and two
+        workers.  With a shared pool the crash took the sibling's
+        worker down too, and at two workers the sibling was charged a
+        second attempt it did not cause."""
         specs = [TaskSpec(task_id="killer", kind="selftest", seed=1,
-                          config={"fail_attempts": 99, "mode": "exit",
-                                  "delay": 0.5}),
-                 TaskSpec(task_id="bystander", kind="selftest", seed=2)]
-        result = SweepRunner(
-            workers=2,
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=2)).run(specs, tmp_path)
-        killer = result.task("killer")
-        assert killer.status == "failed" and killer.attempts == 2
-        assert "died" in killer.error
-        assert result.task("bystander").status == "ok"
-        assert result.counts["failed"] == 1 and result.counts["ok"] == 1
+                          config={"fail_attempts": 1, "mode": "exit"}),
+                 TaskSpec(task_id="sibling", kind="selftest", seed=2,
+                          config={"delay": 0.5})]
+        runs = [SweepRunner(workers=w).run(specs, tmp_path / f"w{w}")
+                for w in (1, 2)]
+        for result in runs:
+            assert result.ok and result.retries == 1
+            assert result.task("killer").attempts == 2
+            assert result.task("sibling").attempts == 1
+        w1, w2 = runs
+        assert w1.aggregate_path.read_bytes() \
+            == w2.aggregate_path.read_bytes()
+        assert w1.merged_trace_path.read_bytes() \
+            == w2.merged_trace_path.read_bytes()
 
     def test_single_worker_kill_accounting_is_deterministic(self,
                                                             tmp_path):
-        """With one worker there is no collateral: every pool break is
-        the killer's own, so attempts and retries are exact."""
         specs = [TaskSpec(task_id="killer", kind="selftest", seed=1,
                           config={"fail_attempts": 99, "mode": "exit"}),
                  TaskSpec(task_id="after", kind="selftest", seed=2)]
-        result = SweepRunner(
-            workers=1,
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=2)).run(specs, tmp_path)
+        result = SweepRunner(workers=1).run(specs, tmp_path)
         killer = result.task("killer")
-        assert killer.status == "failed" and killer.attempts == 2
-        assert result.retries == 1
+        assert killer.status == "failed"
+        assert killer.attempts == MAX_ATTEMPTS
+        assert killer.error == "worker process died mid-task (exit code 17)"
+        assert result.retries == MAX_ATTEMPTS - 1
         assert result.task("after").status == "ok"
         assert result.task("after").attempts == 1
 
     def test_timeout_treated_like_a_crash(self, tmp_path):
         specs = [TaskSpec(task_id="slow", kind="selftest", seed=1,
                           config={"fail_attempts": 99, "mode": "hang"})]
-        result = SweepRunner(
-            workers=1, task_timeout=0.5,
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=2)).run(specs, tmp_path)
+        result = SweepRunner(workers=1, task_timeout=0.3).run(
+            specs, tmp_path)
         slow = result.task("slow")
-        assert slow.status == "failed" and slow.attempts == 2
-        assert "timeout" in slow.error
+        assert slow.status == "failed" and slow.attempts == MAX_ATTEMPTS
+        assert slow.error == "task exceeded timeout of 0.3s"
+
+    def test_timeout_charges_only_the_overdue_task(self, tmp_path,
+                                                   monkeypatch):
+        """The hung attempt is killed and charged; the sibling, started
+        once "first" frees its slot and still running at the kill, is
+        neither killed nor relaunched (a shared pool was recycled on a
+        timeout and every running sibling started over)."""
+        launches = []
+        launch = SweepRunner._launch
+
+        def record(runner, spec, number, out):
+            launches.append((spec.task_id, number))
+            return launch(runner, spec, number, out)
+
+        monkeypatch.setattr(SweepRunner, "_launch", record)
+        specs = [TaskSpec(task_id="first", kind="selftest", seed=1,
+                          config={"delay": 0.8}),
+                 TaskSpec(task_id="hung", kind="selftest", seed=2,
+                          config={"fail_attempts": 1, "mode": "hang"}),
+                 TaskSpec(task_id="sibling", kind="selftest", seed=3,
+                          config={"delay": 1.9})]
+        result = SweepRunner(workers=2, task_timeout=2.5).run(
+            specs, tmp_path)
+        assert result.ok and result.retries == 1
+        assert launches == [("first", 1), ("hung", 1), ("sibling", 1),
+                            ("hung", 2)]
+        assert [t.attempts for t in result.tasks] == [1, 2, 1]
+
+    def test_long_error_message_reaches_the_parent(self, tmp_path):
+        """An exception message larger than a pipe buffer is read while
+        the child is still writing it, so neither side blocks."""
+        kind = "k" * 200_000
+        result = SweepRunner(workers=1).run(
+            [TaskSpec(task_id="loud", kind=kind)], tmp_path)
+        task = result.task("loud")
+        assert task.status == "failed" and task.attempts == MAX_ATTEMPTS
+        assert task.error.startswith("ValueError: unknown experiment kind")
+        assert kind in task.error
 
 
 class TestOutcomes:
@@ -230,10 +261,7 @@ class TestOutcomes:
         specs = [TaskSpec(task_id="doomed", kind="selftest", seed=1,
                           config={"fail_attempts": 99, "mode": "raise"}),
                  TaskSpec(task_id="fine", kind="selftest", seed=2)]
-        result = SweepRunner(
-            workers=1,
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=2)).run(specs, tmp_path)
+        result = SweepRunner(workers=1).run(specs, tmp_path)
         boundaries = [json.loads(line)
                       for line in result.merged_trace_path.read_text()
                       .splitlines() if '"sweep.task"' in line]
@@ -260,12 +288,19 @@ class TestValidation:
             SweepRunner().run(specs, tmp_path)
 
     def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
             SweepRunner(workers=0)
 
     def test_bad_timeout_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="task_timeout must be > 0"):
             SweepRunner(task_timeout=0.0)
+
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan"), float("inf")])
+    def test_non_finite_or_negative_timeout_rejected(self, timeout):
+        # nan used to pass `<= 0`, never fire, and spin the parent.
+        with pytest.raises(ValueError, match="task_timeout must be > 0 "
+                                             "and finite"):
+            SweepRunner(task_timeout=timeout)
 
     def test_inverted_window_rejected(self):
         with pytest.raises(ValueError, match="empty time window"):
@@ -273,10 +308,7 @@ class TestValidation:
 
     def test_unknown_kind_is_failed_task_not_crash(self, tmp_path):
         specs = [TaskSpec(task_id="mystery", kind="nope")]
-        result = SweepRunner(
-            workers=1,
-            retry=RetryPolicy(base_delay=0.01, max_delay=0.05,
-                              max_attempts=1)).run(specs, tmp_path)
+        result = SweepRunner(workers=1).run(specs, tmp_path)
         task = result.task("mystery")
         assert task.status == "failed"
         assert "unknown experiment kind" in task.error
@@ -324,63 +356,3 @@ class TestProfiledSweep:
     def test_unprofiled_sweep_has_no_rollup(self, two_sweeps):
         r1, _ = two_sweeps
         assert r1.profile_rollup_path is None
-
-
-class TestCompletionWaitTimeout:
-    """The launch loop's wait bound: block indefinitely when only a
-    completion can change the world, wake exactly for future retry
-    backoffs and per-launch deadlines, and never busy-spin on retries
-    that are already due (they need a completion to free a slot
-    anyway)."""
-
-    wait = staticmethod(SweepRunner._completion_wait_timeout)
-
-    def test_unbounded_when_nothing_is_scheduled(self):
-        running = {object(): ("spec", 1, float("inf"))}
-        assert self.wait([], running, now=100.0) is None
-
-    def test_due_pending_does_not_bound_the_wait(self):
-        # A retry whose wake time already passed cannot launch until a
-        # slot frees; bounding the wait on it would be a busy-spin.
-        pending = [("spec", 2, 99.0)]
-        running = {object(): ("spec", 1, float("inf"))}
-        assert self.wait(pending, running, now=100.0) is None
-
-    def test_future_wake_bounds_the_wait(self):
-        pending = [("a", 2, 103.5), ("b", 2, 101.25)]
-        running = {object(): ("spec", 1, float("inf"))}
-        assert self.wait(pending, running, now=100.0) == 1.25
-
-    def test_finite_deadline_bounds_the_wait(self):
-        running = {object(): ("spec", 1, 102.0),
-                   object(): ("spec", 1, float("inf"))}
-        assert self.wait([], running, now=100.0) == 2.0
-
-    def test_earliest_of_wakes_and_deadlines_wins(self):
-        pending = [("a", 2, 105.0)]
-        running = {object(): ("spec", 1, 101.5)}
-        assert self.wait(pending, running, now=100.0) == 1.5
-
-    def test_elapsed_deadline_clamps_to_zero(self):
-        running = {object(): ("spec", 1, 99.0)}
-        assert self.wait([], running, now=100.0) == 0.0
-
-
-class TestSaturatedPoolBackoff:
-    def test_backoff_retry_interleaves_with_saturated_pool(self, tmp_path):
-        """workers=1: while the slow sibling owns the only slot, the
-        flaky task's backed-off retry must still launch and succeed
-        once the slot frees — the bounded wait may not stall it."""
-        specs = [
-            TaskSpec(task_id="slow", kind="selftest", seed=1,
-                     config={"delay": 0.3}),
-            TaskSpec(task_id="flaky", kind="selftest", seed=2,
-                     config={"fail_attempts": 2, "mode": "raise"}),
-        ]
-        result = SweepRunner(
-            workers=1,
-            retry=RetryPolicy(base_delay=0.02, max_delay=0.05,
-                              max_attempts=4)).run(specs, tmp_path)
-        assert result.ok
-        assert result.task("flaky").attempts == 3
-        assert result.task("slow").attempts == 1

@@ -27,6 +27,12 @@ def files_under(directory: Path) -> Tuple[str, ...]:
                  if p.is_file() and "__pycache__" not in p.parts)
 
 
+def python_under(directory: Path) -> Tuple[str, ...]:
+    """The ``.py`` files of :func:`files_under` — what ``grep -r
+    --include='*.py'`` reads."""
+    return tuple(f for f in files_under(directory) if f.endswith(".py"))
+
+
 def on_tree(predicate: Callable[[ast.Module], List[str]]
             ) -> Callable[[str], List[str]]:
     """An ``ast`` predicate as a check over source text."""
@@ -240,6 +246,52 @@ def one_replica_store_site(tree: ast.Module) -> List[str]:
             ] or ["no objects.store call in _apply"]
 
 
+# ----------------------------------------------------------------------
+# one process per task attempt: no pool whose members share a fate
+# ----------------------------------------------------------------------
+POOL_NAMES = {"ProcessPoolExecutor", "BrokenProcessPool"}
+
+
+def runs_no_shared_pool(tree: ast.Module) -> List[str]:
+    """No import of ``concurrent.futures`` (or anything under it), under
+    any alias, and no mention of the process pool or its breakage."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules = [node.module] + [f"{node.module}.{a.name}"
+                                       for a in node.names]
+        else:
+            modules = []
+        if any(m == "concurrent.futures"
+               or m.startswith("concurrent.futures.") for m in modules):
+            found.append(f"line {node.lineno}: imports concurrent.futures")
+        name = (node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias) else None)
+        if name in POOL_NAMES:
+            found.append(f"line {getattr(node, 'lineno', '?')}: {name}")
+    return found
+
+
+# ----------------------------------------------------------------------
+# text rules: comments and strings count, as they do for grep
+# ----------------------------------------------------------------------
+#: The profiler measures; the sweep runner's ``time.monotonic`` is
+#: attempt deadlines and ``run_info.json``'s total.  A third file is a
+#: second way for the product to time itself.
+WALL_CLOCK = text_matches(r"perf_counter|time\.monotonic|time\.time")
+WALL_CLOCK_SITES = ("src/repro/obs/profile.py", "src/repro/runner/sweep.py")
+
+#: A timed twin of a hot path behind a switch.
+HOT_SWITCH = text_matches(r"OBS\.hot|\.hot\b")
+
+#: ``obs.stats.percentile`` (nearest rank) is what report, timeline and
+#: compare print; an upper median beside it makes two p50s.
+UPPER_MEDIAN = text_matches(r"// 2\]")
+
+
 @dataclass(frozen=True)
 class Rule:
     key: str
@@ -248,6 +300,9 @@ class Rule:
     modules: Tuple[str, ...]
     check: Callable[[str], List[str]]
     planted: Tuple[str, ...]
+    #: The files of *modules* allowed to match; each must still match,
+    #: so the list cannot go stale.
+    sites: Tuple[str, ...] = ()
 
 
 RULES = [
@@ -310,15 +365,46 @@ RULES = [
           "class FluidFlow:\n    ranks: frozenset = frozenset()\n",
           "class PolicyConfig:\n    pass\n\n\n"
           "def default_dataset_bytes(trace):\n    return 1e12\n")),
+    Rule("one-process-per-task",
+         "one process per task attempt, no shared pool",
+         python_under(SRC),
+         on_tree(runs_no_shared_pool),
+         ("import concurrent.futures\n",
+          "from concurrent.futures import ProcessPoolExecutor\n",
+          "from concurrent import futures as cf\n",
+          "try:\n    pass\nexcept BrokenProcessPool:\n    pass\n")),
+    Rule("wall-clock", "one module reads the wall clock",
+         python_under(SRC.parent),
+         WALL_CLOCK,
+         ("import time\nt0 = time.perf_counter()\n",
+          "from time import perf_counter\n",
+          "import time\ndeadline = time.monotonic() + 5\n",
+          "import time\nstamp = time.time()\n",
+          "# time.time() would do here\n"),
+         sites=WALL_CLOCK_SITES),
+    Rule("one-hot-body", "every hot path has one body",
+         python_under(SRC.parent),
+         HOT_SWITCH,
+         ("if OBS.hot:\n    t0 = clock()\n",
+          "timed = runtime.hot\n",
+          "# the OBS.hot twin lives below\n")),
+    Rule("one-percentile", "one percentile",
+         files_under(SRC / "obs"),
+         UPPER_MEDIAN,
+         ("p50 = ordered[len(ordered) // 2]\n",
+          "# an upper median: xs[n // 2]\n")),
 ]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=lambda r: r.key)
 def test_rule_holds(rule):
-    assert rule.modules
+    assert rule.modules and set(rule.sites) <= set(rule.modules)
     for module in rule.modules:
-        source = (ROOT / module).read_text(encoding="utf-8")
-        assert rule.check(source) == [], (rule.name, module)
+        found = rule.check((ROOT / module).read_text(encoding="utf-8"))
+        if module in rule.sites:
+            assert found, (rule.name, module, "no longer matches")
+        else:
+            assert found == [], (rule.name, module)
 
 
 @pytest.mark.parametrize("rule, planted", [

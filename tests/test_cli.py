@@ -172,6 +172,12 @@ class TestBadInputIsAMessage:
         (["agility", "--objects", "0"], "objects must be >= 1 (got 0)"),
         (["agility", "--objects", "-5"], "objects must be >= 1 (got -5)"),
         (["layout", "--objects", "0"], "objects must be >= 1 (got 0)"),
+        # Was silently the CPU count.
+        (["sweep", "--workers", "0"], "workers must be >= 1 (got 0)"),
+        # Passed `<= 0`, never fired, and spun the parent on the wait.
+        (["sweep", "--timeout", "nan"],
+         "task_timeout must be > 0 and finite (got nan)"),
+        (["sweep", "--since", "nan"], "--since must be a number (got nan)"),
     ])
     def test_one_line_and_nonzero_exit(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -471,6 +477,22 @@ class TestStatsWindowGuard:
         trace.write_text('{"kind": "tick", "t": 1.0}\n')
         with pytest.raises(SystemExit, match="empty time window"):
             main(["stats", str(trace), "--since", "5", "--until", "2"])
+
+    @pytest.mark.parametrize("flag", ["--since", "--until"])
+    @pytest.mark.parametrize("reader", ["stats", "report", "timeline"])
+    def test_nan_bound_is_clean_error(self, reader, flag, tmp_path,
+                                      capsys):
+        # A NaN bound compares false with every time: stats and report
+        # rendered the whole trace as unwindowed, timeline died with
+        # "cannot convert float NaN to integer".
+        trace = tmp_path / "run.jsonl"
+        trace.write_text('{"kind": "tick", "t": 1.0}\n')
+        with pytest.raises(SystemExit) as exc:
+            main([reader, str(trace), flag, "nan"])
+        assert exc.value.code == f"repro {reader}: {flag} must be a " \
+                                 f"number (got nan)"
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
 
 
 class TestProfileCommand:
