@@ -6,7 +6,7 @@ construction happens per re-weighting, and the slot-table kernel's
 scalar/bulk locate paths are what every whole-cluster sweep leans on.
 The committed ``benchmarks/reports/perf_core_baseline.json`` records
 the medians these benches produced when the kernel landed; CI's
-bench-smoke job uploads the fresh timings next to it.
+perf-history job gates fresh timings against it with ``repro compare``.
 """
 
 import itertools

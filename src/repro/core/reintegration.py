@@ -300,9 +300,10 @@ class ReintegrationEngine:
         while self._cursor < len(self._snapshot):
             if budget_bytes is not None and report.bytes_migrated >= budget_bytes:
                 break
-            entry = self._snapshot[self._cursor]
+            # The cursor moves past an entry once it is processed: when
+            # ``on_migrate`` raises, the next step retries that entry.
+            self._process_entry(self._snapshot[self._cursor], report)
             self._cursor += 1
-            self._process_entry(entry, report)
         else:
             # Scanned every entry without exhausting a budget.
             report.caught_up = True

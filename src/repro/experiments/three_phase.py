@@ -119,7 +119,7 @@ def run_three_phase(
     placement, so all four curves share the same peak throughput and
     differ only in re-integration behaviour.  Set it False to run the
     full equal-work + primary design instead (its lower write peak is
-    the §III-C trade-off, exercised by the ablation bench).
+    the §III-C trade-off; only the tests run it).
     """
     if mode not in ("none", "original", "full", "selective"):
         raise ValueError(f"unknown mode: {mode!r}")

@@ -11,10 +11,10 @@ quarantined, and the online consistency checkers
 
 All randomness flows from the seed through one
 ``numpy.random.Generator`` plus the plan generator, so a same-seed run
-emits a byte-identical trace — the property the CI ``kv-churn-smoke``
-job asserts with ``sha256sum``.  ``python -m repro kvchurn`` renders
-the result via :func:`render_kv_churn_report` and exits 1 unless
-:attr:`KVChurnResult.ok`.
+emits a byte-identical trace — the property ``tests/test_goldens.py``
+pins against ``.github/golden/kv-churn.sha256``.  ``python -m repro
+kvchurn`` renders the result via :func:`render_kv_churn_report` and
+exits 1 unless :attr:`KVChurnResult.ok`.
 """
 
 from __future__ import annotations

@@ -279,8 +279,10 @@ def _bench_timings(doc: object) -> Optional[Dict[str, float]]:
 
     * ``perf_core_baseline.json``: ``{"benches": {name: {median_s}}}``
     * ``perf_core_timings.json``: ``{"data": {path::name: {median_s}}}``
-    * ``emit_report`` JSON: ``{"name", "report", "data": {...}}`` —
-      numeric leaves whose path ends in ``_s`` count as timings.
+    * ``emit_report`` JSON: ``{"name", "report", "data": {...}}``.
+
+    In each table an entry counts when it is a number, or a mapping
+    with a numeric ``median_s`` (else ``mean_s``); nothing else is read.
 
     Bench names are normalised to their last ``::`` segment so a
     timings file gates against a baseline written by hand.

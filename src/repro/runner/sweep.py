@@ -46,10 +46,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence
 
 from repro.faults.plan import require_periods
-from repro.obs.analytics import (AnalyticsError, dump_analytics,
-                                 load_analytics, merge_analytics)
+from repro.obs.analytics import (dump_analytics, load_analytics,
+                                 merge_analytics)
 from repro.obs.invariants import SWEEP_BOUNDARY_KIND
-from repro.obs.profile import PROFILE_VERSION, ProfileError, load_profile
+from repro.obs.profile import PROFILE_VERSION, load_profile
 from repro.obs.stats import check_window, event_in_window
 from repro.obs.trace import read_jsonl
 from repro.runner import worker as worker_mod
@@ -404,11 +404,10 @@ class SweepRunner:
         per_task: Dict[str, Dict[str, object]] = {}
         total_wall = total_sim = 0.0
         for result in ordered:
-            try:
-                doc = load_profile(str(out / result.spec.task_id
-                                       / worker_mod.PROFILE_FILENAME))
-            except ProfileError:
-                continue              # failed task: no profile to fold in
+            if result.outcome is None:
+                continue      # failed: any profile there is a stale one
+            doc = load_profile(str(out / result.spec.task_id
+                                   / worker_mod.PROFILE_FILENAME))
             wall = float(doc["total_wall_s"])
             sim = float(doc["total_sim_s"])
             total_wall += wall
@@ -448,19 +447,16 @@ class SweepRunner:
         """Merge the per-task ``analytics.json`` documents (written by
         the worker from each task's own trace) into one
         ``repro.analytics.rollup``, keyed and ordered **by task id**
-        so the bytes never depend on the worker count.  Tasks without
-        a document (failed, or zero-event traces) are skipped; with no
-        documents at all, no rollup is written."""
-        docs = {}
-        for result in ordered:
-            p = (out / result.spec.task_id
-                 / worker_mod.ANALYTICS_FILENAME)
-            if not p.exists():
-                continue
-            try:
-                docs[result.spec.task_id] = load_analytics(str(p))
-            except AnalyticsError:
-                continue          # half-written file from a dead worker
+        so the bytes never depend on the worker count.  Only documents
+        this sweep's final attempts wrote are read: failed tasks and
+        zero-event traces (no document) are skipped, whatever an earlier
+        sweep into the same directory left there.  With no documents at
+        all, no rollup is written."""
+        docs = {
+            result.spec.task_id: load_analytics(str(
+                out / result.spec.task_id / worker_mod.ANALYTICS_FILENAME))
+            for result in ordered
+            if result.outcome is not None and result.outcome["events"]}
         if not docs:
             return None
         rollup = merge_analytics(docs)

@@ -14,7 +14,7 @@ against the controller's declared bound, and an SLO verdict.
 Everything is a pure function of ``(seed, parameters)``: placement,
 jitter, interarrival gaps and retry backoff all come from FNV-1a hash
 streams, so a same-seed run replays byte-identically — the property
-the CI ``serving-smoke`` job pins with a trace checksum.
+``tests/test_goldens.py`` pins against ``.github/golden/serve.sha256``.
 """
 
 from __future__ import annotations

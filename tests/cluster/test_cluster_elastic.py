@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cluster.cluster import ElasticCluster
+from repro.cluster.server import CapacityExceeded
 
 MB4 = 4 * 1024 * 1024
 
@@ -146,6 +147,27 @@ class TestSelectiveReintegration:
         self._cycle(elastic10)
         reports = elastic10.run_selective_reintegration()
         assert elastic10.verify_replication() == []
+
+    def test_failed_migration_is_retried_not_skipped(self):
+        """A migration that raises leaves its entry for the next pass:
+        the retry hits the same full server instead of reporting the
+        table caught up with the entry still dirty."""
+        capacities = [None] * 8
+        capacities[4] = 6000
+        cluster = ElasticCluster(n=8, replicas=2, B=2000,
+                                 capacities=capacities)
+        cluster.set_primary_count(4)
+        cluster.write_many([0], 0)
+        cluster.resize(1)
+        cluster.write(0, 4096)
+        cluster.resize(5)
+        cluster.write(1, 4096)
+        for _ in range(2):
+            with pytest.raises(CapacityExceeded, match="server 5"):
+                cluster.run_selective_reintegration()
+        assert [e.oid for e in cluster.ech.dirty.entries()] == [0, 1]
+        assert [(t.oid, t.moved_to) for t in
+                cluster.plan_selective_reintegration().tasks] == [(0, (5,))]
 
 
 class TestFullReintegration:

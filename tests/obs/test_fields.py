@@ -133,7 +133,7 @@ class TestCheckersTrustFields:
         assert calls == []
 
 
-#: The CI commands, each at its smoke size.
+#: The commands ``tests/test_goldens.py`` pins, each at its smoke size.
 COMMANDS = {
     "chaos": ["chaos", "--seed", "7", "--scale", "0.1"],
     "serve": ["serve", "--seed", "7"],
@@ -152,7 +152,7 @@ COMMANDS = {
 
 
 class TestEmittersConform:
-    """Every event the CI commands write parses: ``iter_jsonl`` runs
+    """Every event the pinned commands write parses: ``iter_jsonl`` runs
     ``check_event`` on each line."""
 
     @pytest.mark.parametrize("name", sorted(COMMANDS))

@@ -329,7 +329,7 @@ class TestAttach:
 
 class TestFramesGolden:
     """The frame tree (names, calls, sim seconds; wall time excepted)
-    of two CI smokes, as profiled before ``FRAMES`` replaced the inline
+    of two smoke commands, as profiled before ``FRAMES`` replaced the inline
     guards and decorators — less the ``kernel.locate`` frames of the
     writes, which place with one slot-table gather per batch since
     ``write_many``."""

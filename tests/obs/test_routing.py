@@ -13,10 +13,7 @@ skipped events, and no event dict is built for a kind nobody takes.
 import copy
 import io
 import json
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -351,7 +348,7 @@ class TestDifferential:
     def test_repro_check_text_on_real_traces(self, argv, tmp_path, capsys,
                                              monkeypatch):
         """Live verdict == offline verdict == the oracle's, on a trace
-        of each CI smoke command (``--check`` and ``--trace-out``
+        of each checked harness (``--check`` and ``--trace-out``
         together: one ordinal, so counts equal line counts)."""
         path = tmp_path / "run.jsonl"
         code = main(argv + ["--trace-out", str(path), "--check"])
@@ -593,79 +590,3 @@ class TestBusAccounting:
         bus.emit("nobody.reads", t=0.0)
         bus.detach(duck)
         assert duck.got == ["nobody.reads"]
-
-
-# ----------------------------------------------------------------------
-# the CI steps' scripts
-# ----------------------------------------------------------------------
-SCRIPTS = REPO / ".github" / "scripts"
-
-
-def run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    return subprocess.run([sys.executable, str(SCRIPTS / name), *args],
-                          capture_output=True, text=True, env=env)
-
-
-class TestCIScripts:
-    def test_kinds_lint_passes_on_src(self):
-        done = run_script("check_checker_kinds.py", str(REPO / "src"))
-        assert done.returncode == 0, done.stderr
-
-    def test_kinds_lint_refuses_missing_computed_and_empty(self, tmp_path):
-        (tmp_path / "mod.py").write_text(
-            "from repro.obs.invariants import Checker\n"
-            "import repro.obs.invariants as inv\n"
-            "K = 'a.b'\n"
-            "class Good(Checker):\n    kinds = ('a.b',)\n"
-            "class Missing(inv.Checker):\n    name = 'm'\n"
-            "class Computed(Checker):\n    kinds = (K,)\n"
-            "class Empty(Checker):\n    kinds = ()\n"
-            "class Listy(Checker):\n    kinds = ['a.b']\n"
-            "class Child(Good):\n    name = 'inherits'\n")
-        done = run_script("check_checker_kinds.py", str(tmp_path))
-        assert done.returncode == 1
-        flagged = [ln.split(": ")[1].split()[0]
-                   for ln in done.stderr.splitlines()]
-        assert flagged == ["Missing", "Computed", "Empty", "Listy", "Child"]
-
-    def test_trace_parity(self, tmp_path, capfd):
-        trace = tmp_path / "run.jsonl"
-        code = main(["three-phase", "--mode", "selective", "--scale", "0.05",
-                     "--trace-out", str(trace), "--check"])
-        live = tmp_path / "live.txt"
-        live.write_text("".join(capfd.readouterr()))
-        assert code == 0
-        done = run_script("trace_parity.py", str(trace), str(live))
-        assert done.returncode == 0, done.stdout + done.stderr
-        # One event fewer in the file: the counts no longer agree.
-        lines = trace.read_text().splitlines(keepends=True)
-        trace.write_text("".join(lines[:-1]))
-        assert run_script("trace_parity.py", str(trace),
-                          str(live)).returncode == 1
-        live.write_text("no verdict here\n")
-        assert run_script("trace_parity.py", str(trace),
-                          str(live)).returncode == 1
-
-    def test_trace_parity_judges_every_verdict(self, tmp_path, capfd):
-        """A harness run with ``--check`` prints two verdicts (the
-        report's and the command line's); both must equal the line
-        count."""
-        trace = tmp_path / "run.jsonl"
-        code = main(["kvchurn", "--seed", "7", "--duration", "60",
-                     "--trace-out", str(trace), "--check"])
-        live = tmp_path / "live.txt"
-        text = "".join(capfd.readouterr())
-        live.write_text(text)
-        assert code == 0
-        verdicts = re.findall(r"(?:hold over |hold \()(\d+) events", text)
-        assert len(verdicts) == 2
-        done = run_script("trace_parity.py", str(trace), str(live))
-        assert done.returncode == 0, done.stdout + done.stderr
-        # The report missing the run's first events (a suite attached
-        # late) must fail, though the --check line still agrees.
-        short = int(verdicts[0]) - 3
-        live.write_text(text.replace(f"hold over {verdicts[0]} events",
-                                     f"hold over {short} events"))
-        assert run_script("trace_parity.py", str(trace),
-                          str(live)).returncode == 1

@@ -12,10 +12,12 @@ import json
 
 import pytest
 
-from repro.obs.report import render_check
+from repro.obs.analytics import load_analytics
+from repro.obs.report import check_trace, render_check
 from repro.runner import SweepRunner, TaskSpec
-from repro.runner.sweep import MAX_ATTEMPTS
-from repro.runner.worker import OUTCOME_FILENAME, TRACE_FILENAME
+from repro.runner.sweep import MAX_ATTEMPTS, TaskResult
+from repro.runner.worker import (ANALYTICS_FILENAME, OUTCOME_FILENAME,
+                                 TRACE_FILENAME)
 
 CHAOS_CONFIG = {"n": 4, "off_count": 1, "scale": 0.02}
 
@@ -77,12 +79,18 @@ class TestDeterminism:
         assert ids == sorted(ids) and len(ids) == 4
 
     def test_outcome_json_matches_returned_outcome(self, two_sweeps):
+        """What ``outcome.json`` says of a task agrees with the task's
+        own trace: its event count is the trace's line count and its
+        violation count is what ``repro check`` finds there."""
         r1, _ = two_sweeps
-        task = r1.tasks[0]
-        on_disk = json.loads(
-            (r1.out_dir / task.spec.task_id / OUTCOME_FILENAME)
-            .read_text())
-        assert on_disk == task.outcome
+        for task in r1.tasks:
+            task_dir = r1.out_dir / task.spec.task_id
+            on_disk = json.loads((task_dir / OUTCOME_FILENAME).read_text())
+            trace = task_dir / TRACE_FILENAME
+            lines = len(trace.read_text().splitlines())
+            assert on_disk["events"] == lines > 0, task.spec.task_id
+            assert on_disk["violation_count"] == len(
+                check_trace(str(trace)).violations), task.spec.task_id
 
     def test_analytics_rollup_byte_identical_across_worker_counts(
             self, two_sweeps):
@@ -93,7 +101,6 @@ class TestDeterminism:
             == sha256(r4.analytics_rollup_path)
 
     def test_per_task_analytics_byte_identical(self, two_sweeps):
-        from repro.runner.worker import ANALYTICS_FILENAME
         r1, r4 = two_sweeps
         for task in r1.tasks:
             a1 = r1.out_dir / task.spec.task_id / ANALYTICS_FILENAME
@@ -101,7 +108,7 @@ class TestDeterminism:
             assert sha256(a1) == sha256(a4), task.spec.task_id
 
     def test_analytics_rollup_merges_every_task(self, two_sweeps):
-        from repro.obs.analytics import ROLLUP_KIND, load_analytics
+        from repro.obs.analytics import ROLLUP_KIND
         r1, _ = two_sweeps
         doc = load_analytics(str(r1.analytics_rollup_path))
         assert doc["kind"] == ROLLUP_KIND
@@ -111,7 +118,6 @@ class TestDeterminism:
     def test_per_task_analytics_source_is_relative(self, two_sweeps):
         """The document must not bake in the absolute out dir — task
         directories are movable artifacts."""
-        from repro.runner.worker import ANALYTICS_FILENAME
         r1, _ = two_sweeps
         task_dir = r1.out_dir / r1.tasks[0].spec.task_id
         doc = json.loads((task_dir / ANALYTICS_FILENAME).read_text())
@@ -266,6 +272,39 @@ class TestOutcomes:
                       for line in result.merged_trace_path.read_text()
                       .splitlines() if '"sweep.task"' in line]
         assert [b["task"] for b in boundaries] == ["fine"]
+
+    def test_rollups_fold_only_this_sweeps_documents(self, tmp_path):
+        """A second sweep into the same directory in which ``a`` fails
+        every attempt: ``a``'s analytics and profile from the first
+        sweep are still on disk, and neither rollup may list them."""
+        def sweep(config_a):
+            return SweepRunner(workers=1, profile=True).run(
+                [TaskSpec(task_id="a", kind="selftest", seed=1,
+                          config=config_a),
+                 TaskSpec(task_id="b", kind="selftest", seed=2)],
+                tmp_path)
+
+        first = sweep({})
+        assert load_analytics(str(first.analytics_rollup_path))[
+            "tasks"] == ["a", "b"]
+        second = sweep({"fail_attempts": 99, "mode": "raise"})
+        assert second.task("a").status == "failed"
+        assert (tmp_path / "a" / ANALYTICS_FILENAME).exists()
+        assert load_analytics(str(second.analytics_rollup_path))[
+            "tasks"] == ["b"]
+        profile = json.loads(second.profile_rollup_path.read_text())
+        assert sorted(profile["per_task"]) == ["b"]
+
+    def test_zero_event_task_leaves_no_stale_analytics(self, tmp_path):
+        """A task whose final attempt emitted nothing wrote no
+        document, so one left by an earlier sweep stays out."""
+        first = SweepRunner(workers=1).run(
+            [TaskSpec(task_id="a", kind="selftest", seed=1)], tmp_path)
+        assert (tmp_path / "a" / ANALYTICS_FILENAME).exists()
+        silent = TaskResult(first.task("a").spec, "ok", 1,
+                            dict(first.task("a").outcome, events=0), None)
+        assert SweepRunner._write_analytics_rollup(
+            [silent], tmp_path) is None
 
     def test_events_in_window_counted_when_window_set(self, tmp_path):
         result = SweepRunner(workers=1, since=0.0, until=1e9).run(

@@ -1,8 +1,8 @@
 """run_serve: determinism, flow-control outcomes, SLO verdicts.
 
 The configs here are deliberately small (tens of seconds, tens of
-clients) so the whole file runs in a few seconds; the CI
-``serving-smoke`` job exercises the full default scale.
+clients) so the whole file runs in a few seconds;
+``tests/test_goldens.py`` exercises the full default scale.
 """
 
 import hashlib

@@ -1,22 +1,27 @@
 """The architecture rules, as tests over the product source.
 
-Each row of :data:`RULES` is one rule: the files it reads, a predicate
-returning the violations it finds in one file's source text (most parse
-it and walk the ``ast``; a rule that must see comments too reads the
-text), and planted violations — source that breaks the rule — that the
-predicate must catch, so no rule can pass vacuously.
+Each row of :data:`RULES` is one rule: the files it reads, a check
+returning the violations it finds in one file (most parse the source and
+walk the ``ast``; a rule that must see comments too reads the text), and
+planted violations — source that breaks the rule — that the check must
+catch, so no rule can pass vacuously.
 """
 
 import ast
+import functools
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, FrozenSet, List, Tuple
+from typing import Callable, Dict, FrozenSet, List, Tuple, Union
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
+
+#: ``check(path, source)`` -> the violations found; *path* is relative
+#: to the repository root.
+Check = Callable[[str, str], List[str]]
 
 
 def files_under(directory: Path) -> Tuple[str, ...]:
@@ -33,18 +38,42 @@ def python_under(directory: Path) -> Tuple[str, ...]:
     return tuple(f for f in files_under(directory) if f.endswith(".py"))
 
 
-def on_tree(predicate: Callable[[ast.Module], List[str]]
-            ) -> Callable[[str], List[str]]:
+def on_tree(predicate: Callable[[ast.Module], List[str]]) -> Check:
     """An ``ast`` predicate as a check over source text."""
-    return lambda source: predicate(ast.parse(source))
+    return lambda path, source: predicate(ast.parse(source))
 
 
-def text_matches(pattern: str) -> Callable[[str], List[str]]:
+def text_matches(pattern: str) -> Check:
     """Every line matching *pattern*, comments and strings included."""
     regex = re.compile(pattern)
-    return lambda source: [f"line {n}: {line.strip()}"
-                           for n, line in enumerate(source.splitlines(), 1)
-                           if regex.search(line)]
+    return lambda path, source: [
+        f"line {n}: {line.strip()}"
+        for n, line in enumerate(source.splitlines(), 1)
+        if regex.search(line)]
+
+
+def within(directories: Tuple[str, ...], check: Check) -> Check:
+    """*check*, applied only to files below one of *directories*."""
+    return lambda path, source: (
+        check(path, source) if path.startswith(directories) else [])
+
+
+def confined(check: Check, *sites: str) -> Check:
+    """*check* may find something only in *sites*, and must find it in
+    each of them, so the list of sites cannot go stale.  A row built
+    with it names the same files as its ``sites``."""
+    def run(path: str, source: str) -> List[str]:
+        found = check(path, source)
+        if path not in sites:
+            return found
+        return [] if found else [f"{path}: the allowed use is gone"]
+    return run
+
+
+def every(*checks: Check) -> Check:
+    """The violations of all *checks*."""
+    return lambda path, source: [found for check in checks
+                                 for found in check(path, source)]
 
 
 # ----------------------------------------------------------------------
@@ -118,11 +147,11 @@ ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv",
                      "unsetenv"}
 
 
-def reads_no_environment(source: str) -> List[str]:
+def reads_no_environment(path: str, source: str) -> List[str]:
     """No ``os.environ`` / ``os.getenv`` anywhere in the text, and no
     alias of them: an import of one of them from ``os``, or an
     attribute of that name on any module."""
-    found = ENVIRONMENT_TEXT(source)
+    found = ENVIRONMENT_TEXT(path, source)
     for node in ast.walk(ast.parse(source)):
         if (isinstance(node, ast.ImportFrom) and node.module == "os"
                 and any(a.name in ENVIRONMENT_NAMES for a in node.names)):
@@ -292,16 +321,163 @@ HOT_SWITCH = text_matches(r"OBS\.hot|\.hot\b")
 UPPER_MEDIAN = text_matches(r"// 2\]")
 
 
+# ----------------------------------------------------------------------
+# one assembly of cluster + fluid IO: harnesses get their IOModel
+# (capacities, capacity token) from repro.cluster.runtime.ClusterRuntime;
+# a second hand-wired one is a second capacity-token rule to keep right
+# ----------------------------------------------------------------------
+RUNTIME = "src/repro/cluster/runtime.py"
+IO_MODEL = text_matches(r"IOModel\(")
+
+# ----------------------------------------------------------------------
+# one module knows what is profiled: obs/profile.py's FRAMES table names
+# every timed entry point; a guard or decoration elsewhere is a second
+# list of what is timed, and a profiling branch in the product
+# ----------------------------------------------------------------------
+PROFILING = text_matches(
+    r"OBS\.profiler|@profiled|\.advance_sim\(|prof\.(push|pop)\(")
+
+# ----------------------------------------------------------------------
+# one Redis command table, two stores: repro.kvstore.commands says what
+# the commands mean, KVStore and ReplicatedKVStore apply it.  A third
+# store, a second ring under the metadata, or LIST semantics (the
+# LRANGE clamp, a head pop) re-typed beside commands.py is the copy that
+# was deleted coming back
+# ----------------------------------------------------------------------
+KVSTORE = tuple(sorted(str(p.relative_to(ROOT))
+                       for p in (SRC / "kvstore").glob("*.py")))
+COMMANDS = "src/repro/kvstore/commands.py"
+REPLICATED = "src/repro/kvstore/replicated.py"
+STORE = "src/repro/kvstore/store.py"
+SHARDED = "src/repro/kvstore/sharded.py"
+ONE_COMMAND_TABLE = every(
+    lambda path, source: [f"{path}: a third store"] if path == SHARDED
+    else [],
+    confined(text_matches(r"HashRing\("), REPLICATED),
+    confined(text_matches(r"stop = min\(stop|\.pop\(0\)|\.popleft\(\)"),
+             COMMANDS))
+
+# ----------------------------------------------------------------------
+# a ring is a value: HashRing builds its arrays from its weights, once;
+# membership is a placement-time filter and a new weighting is a new
+# ring.  A mutator, a dirty flag or a generation counter is a cache
+# invalidation rule coming back
+# ----------------------------------------------------------------------
+RING = "src/repro/hashring/ring.py"
+RING_IS_A_VALUE = every(
+    within(("src/repro/hashring/", "src/repro/core/"), text_matches(
+        r"def (add_server|remove_server|set_weight)|_rebuild_if_dirty"
+        r"|\.generation\b")),
+    text_matches(r"HashRing\(\)"))
+
+# ----------------------------------------------------------------------
+# hash in bulk what is known in bulk: a ring's vnodes are one array
+# pass, one whole-ring vnode_positions call, never one per server
+# ----------------------------------------------------------------------
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def vnodes_in_one_pass(path: str, source: str) -> List[str]:
+    """The text names ``vnode_positions(`` exactly once (comments
+    included), and no loop or comprehension calls it."""
+    found = []
+    count = source.count("vnode_positions(")
+    if count != 1:
+        found.append(f"{count} vnode_positions( in the text, not 1")
+    for loop in ast.walk(ast.parse(source)):
+        if not isinstance(loop, LOOPS):
+            continue
+        for node in ast.walk(loop):
+            if (isinstance(node, ast.Call) and "vnode_positions" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None))):
+                found.append(f"line {node.lineno}: vnode_positions in "
+                             "a loop")
+    return found
+
+
+# ----------------------------------------------------------------------
+# coefficients are values: a FluidFlow stores a frozen copy of its
+# coefficients, so both allocation caches prove freshness by identity.
+# An ordered-items compare is the by-value proof coming back, and item
+# assignment is the in-place mutation it existed for
+# ----------------------------------------------------------------------
+COEFFICIENTS_ARE_VALUES = every(
+    within(("src/repro/simulation/",), text_matches(
+        r"coefficients\.items\(\)\) *[!=]=|def items\(|_columns\.items\(")),
+    text_matches(r"\.coefficients\[[^\]]*\] *=[^=]"))
+
+# ----------------------------------------------------------------------
+# every Checker declares the event kinds it reads: the suite routes an
+# event only to the checkers that declared its kind, so ``kinds`` must
+# be a non-empty tuple of string literals
+# ----------------------------------------------------------------------
+def checker_classes(classes: List[ast.ClassDef], known: FrozenSet[str]
+                    ) -> FrozenSet[str]:
+    """*known* plus every class of *classes* deriving from one of them,
+    directly or through another, by name or as a module attribute."""
+    while True:
+        found = {cls.name for cls in classes if any(
+            getattr(base, "id", getattr(base, "attr", None)) in known
+            for base in cls.bases)}
+        if found <= known:
+            return known
+        known = known | found
+
+
+def classes_in(source: str) -> List[ast.ClassDef]:
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)]
+
+
+@functools.lru_cache(maxsize=None)
+def src_checkers() -> FrozenSet[str]:
+    """Every ``Checker`` subclass in the product, which a class in
+    another module may derive from."""
+    return checker_classes(
+        [cls for path in python_under(SRC)
+         for cls in classes_in((ROOT / path).read_text("utf-8"))],
+        frozenset({"Checker"}))
+
+
+def checkers_declare_kinds(path: str, source: str) -> List[str]:
+    """Each ``Checker`` subclass sets ``kinds`` in its own body to a
+    non-empty tuple of string literals."""
+    classes = classes_in(source)
+    checkers = checker_classes(classes, src_checkers()) - {"Checker"}
+    found = []
+    for cls in classes:
+        if cls.name not in checkers:
+            continue
+        kinds = [node.value for node in cls.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 and "kinds" in [getattr(t, "id", None) for t in getattr(
+                     node, "targets", [getattr(node, "target", None)])]]
+        if not (kinds and isinstance(kinds[0], ast.Tuple) and kinds[0].elts
+                and all(isinstance(e, ast.Constant) and isinstance(
+                    e.value, str) for e in kinds[0].elts)):
+            found.append(f"line {cls.lineno}: {cls.name} declares no "
+                         "non-empty tuple of string literals as kinds")
+    return found
+
+
+#: Where a planted source given without a path is checked: a new
+#: module under ``src/repro``.
+PLANTED_PATH = "src/repro/planted.py"
+
+
 @dataclass(frozen=True)
 class Rule:
     key: str
     name: str
     #: Files the rule reads, relative to the repository root.
     modules: Tuple[str, ...]
-    check: Callable[[str], List[str]]
-    planted: Tuple[str, ...]
-    #: The files of *modules* allowed to match; each must still match,
-    #: so the list cannot go stale.
+    check: Check
+    #: Violations: source checked at :data:`PLANTED_PATH`, or a
+    #: ``(path, source)`` pair for a rule that depends on where.
+    planted: Tuple[Union[str, Tuple[str, str]], ...]
+    #: The files its ``confined`` check allows, which must exist.
     sites: Tuple[str, ...] = ()
 
 
@@ -375,7 +551,7 @@ RULES = [
           "try:\n    pass\nexcept BrokenProcessPool:\n    pass\n")),
     Rule("wall-clock", "one module reads the wall clock",
          python_under(SRC.parent),
-         WALL_CLOCK,
+         confined(WALL_CLOCK, *WALL_CLOCK_SITES),
          ("import time\nt0 = time.perf_counter()\n",
           "from time import perf_counter\n",
           "import time\ndeadline = time.monotonic() + 5\n",
@@ -393,6 +569,86 @@ RULES = [
          UPPER_MEDIAN,
          ("p50 = ordered[len(ordered) // 2]\n",
           "# an upper median: xs[n // 2]\n")),
+    Rule("one-cluster-assembly", "one assembly of cluster + fluid IO",
+         tuple(f for f in files_under(SRC)
+               if not f.startswith("src/repro/simulation/")),
+         confined(IO_MODEL, RUNTIME),
+         ("io = IOModel(capacities, dt)\n",
+          "# build an IOModel( here when the runtime is too slow\n",
+          (RUNTIME, "io = None\n")),
+         sites=(RUNTIME,)),
+    Rule("profiled-in-one-module", "one module knows what is profiled",
+         tuple(f for f in python_under(SRC)
+               if not f.startswith("src/repro/obs/")),
+         PROFILING,
+         ("if OBS.profiler is not None:\n    pass\n",
+          "@profiled('kernel.locate')\ndef locate(oid):\n    pass\n",
+          "clock.advance_sim(dt)\n",
+          "prof.push('solve')\n",
+          "prof.pop('solve')\n")),
+    Rule("one-command-table", "one Redis command table, two stores",
+         KVSTORE,
+         ONE_COMMAND_TABLE,
+         ((SHARDED, "class ShardedKVStore:\n    pass\n"),
+          (STORE, "ring = HashRing(dict.fromkeys(nodes, 64))\n"),
+          (COMMANDS, "stop = min(stop, n - 1)\nring = HashRing(w)\n"),
+          (REPLICATED, "ring = None\n"),
+          (STORE, "stop = min(stop, len(items) - 1)\n"),
+          (REPLICATED, "ring = HashRing(w)\nhead = items.pop(0)\n"),
+          (STORE, "head = items.popleft()\n"),
+          (COMMANDS, "def lrange(items, start, stop):\n    return []\n")),
+         sites=(COMMANDS, REPLICATED)),
+    Rule("ring-is-a-value", "a ring is a value",
+         (files_under(SRC.parent) + files_under(ROOT / "benchmarks")
+          + files_under(ROOT / "examples")),
+         RING_IS_A_VALUE,
+         ((RING, "    def add_server(self, rank, weight):\n"),
+          (RING, "    def remove_server(self, rank):\n"),
+          ("src/repro/core/kernel.py",
+           "    def set_weight(self, rank, weight):\n"),
+          ("src/repro/core/kernel.py", "        ring._rebuild_if_dirty()\n"),
+          ("src/repro/core/elastic.py",
+           "if self.ring.generation != seen:\n    pass\n"),
+          "ring = HashRing()\n",
+          ("examples/quickstart.py", "ring = HashRing()\n"))),
+    Rule("hash-in-bulk", "hash in bulk what is known in bulk",
+         (RING,),
+         vnodes_in_one_pass,
+         ("positions = [hash64(s, i) for s in servers for i in range(4)]\n",
+          "a = vnode_positions(ids, counts)\n"
+          "b = vnode_positions(ids, counts)\n",
+          "for s, c in zip(ids, counts):\n"
+          "    p = vnode_positions([s], [c])\n",
+          "while todo:\n    p = hashing.vnode_positions([todo.pop()], [1])\n",
+          "p = [vnode_positions([s], [c]) for s, c in zip(ids, counts)]\n",
+          "p = {vnode_positions([s], [c]) for s, c in zip(ids, counts)}\n",
+          "p = {s: vnode_positions([s], [c]) for s, c in zip(ids, counts)}\n",
+          "p = list(vnode_positions([s], [c]) for s, c in zip(ids, counts))\n"
+          )),
+    Rule("coefficients-are-values", "coefficients are values",
+         files_under(SRC.parent),
+         COEFFICIENTS_ARE_VALUES,
+         (("src/repro/simulation/flows.py",
+           "if tuple(flow.coefficients.items()) == key:\n    pass\n"),
+          ("src/repro/simulation/flows.py",
+           "if tuple(flow.coefficients.items()) != key:\n    pass\n"),
+          ("src/repro/simulation/flows.py",
+           "class Frozen:\n    def items(self):\n        return []\n"),
+          ("src/repro/simulation/columnar.py",
+           "for rank, c in self._columns.items():\n    pass\n"),
+          "flow.coefficients[rank] = 0.5\n")),
+    Rule("checker-kinds", "every Checker declares the event kinds it reads",
+         python_under(SRC),
+         checkers_declare_kinds,
+         ("import repro.obs.invariants as inv\n"
+          "class Missing(inv.Checker):\n    name = 'm'\n",
+          "K = 'a.b'\nclass Computed(Checker):\n    kinds = (K,)\n",
+          "class Empty(Checker):\n    kinds = ()\n",
+          "class Listy(Checker):\n    kinds = ['a.b']\n",
+          "class Good(Checker):\n    kinds = ('a.b',)\n"
+          "class Child(Good):\n    name = 'inherits'\n",
+          "class Wider(VersionMonotonicChecker):\n    name = 'wider'\n",
+          "class Annotated(Checker):\n    kinds: tuple = tuple(['a.b'])\n")),
 ]
 
 
@@ -400,15 +656,34 @@ RULES = [
 def test_rule_holds(rule):
     assert rule.modules and set(rule.sites) <= set(rule.modules)
     for module in rule.modules:
-        found = rule.check((ROOT / module).read_text(encoding="utf-8"))
-        if module in rule.sites:
-            assert found, (rule.name, module, "no longer matches")
-        else:
-            assert found == [], (rule.name, module)
+        source = (ROOT / module).read_text(encoding="utf-8")
+        assert rule.check(module, source) == [], (rule.name, module)
 
 
 @pytest.mark.parametrize("rule, planted", [
     pytest.param(rule, planted, id=f"{rule.key}-{i}")
     for rule in RULES for i, planted in enumerate(rule.planted)])
 def test_rule_catches_planted_violation(rule, planted):
-    assert rule.check(planted), (rule.name, planted)
+    path, source = ((PLANTED_PATH, planted) if isinstance(planted, str)
+                    else planted)
+    assert rule.check(path, source), (rule.name, planted)
+
+
+def test_checker_kinds_flags_exactly_the_bad_classes():
+    """In one module a checker that declares its kinds passes and each
+    of five that do not (missing, computed, empty, a list, inherited
+    only) is named; and the row sees the product's own checkers."""
+    source = ("from repro.obs.invariants import Checker\n"
+              "import repro.obs.invariants as inv\n"
+              "K = 'a.b'\n"
+              "class Good(Checker):\n    kinds = ('a.b',)\n"
+              "class Missing(inv.Checker):\n    name = 'm'\n"
+              "class Computed(Checker):\n    kinds = (K,)\n"
+              "class Empty(Checker):\n    kinds = ()\n"
+              "class Listy(Checker):\n    kinds = ['a.b']\n"
+              "class Child(Good):\n    name = 'inherits'\n")
+    flagged = [v.split(": ")[1].split()[0]
+               for v in checkers_declare_kinds(PLANTED_PATH, source)]
+    assert flagged == ["Missing", "Computed", "Empty", "Listy", "Child"]
+    assert {"VersionMonotonicChecker", "KVReadYourWritesChecker"} \
+        <= src_checkers()
