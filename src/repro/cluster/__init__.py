@@ -26,16 +26,11 @@ from repro.cluster.server import (
 )
 from repro.cluster.power import MachineHourMeter, PowerModel
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
-from repro.cluster.recovery import plan_departure_recovery
 from repro.cluster.vdi import VirtualDisk, VdiRange
 from repro.cluster.fsck import (
     FsckIssue,
     FsckReport,
     check_cluster,
-)
-from repro.cluster.migration import (
-    full_reintegration_plan,
-    addition_migration_plan,
 )
 from repro.core.reintegration import MigrationPlan
 
@@ -48,13 +43,10 @@ __all__ = [
     "PowerModel",
     "ElasticCluster",
     "OriginalCHCluster",
-    "plan_departure_recovery",
     "VirtualDisk",
     "VdiRange",
     "FsckIssue",
     "FsckReport",
     "check_cluster",
     "MigrationPlan",
-    "full_reintegration_plan",
-    "addition_migration_plan",
 ]

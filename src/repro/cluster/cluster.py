@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.elastic import ElasticConsistentHash
 from repro.core.kernel import (BulkPlacement, PlacementKernel,
                                SlotPlacementTable)
-from repro.core.placement import ChainMode, PlacementResult, place_original
+from repro.core.placement import PlacementResult
 from repro.hashring.hashing import bulk_hash
 from repro.core.reintegration import (
     MigrationPlan,
@@ -202,7 +202,7 @@ class ElasticCluster(_ClusterBase):
 
     Parameters
     ----------
-    n, replicas, B, p, chain:
+    n, replicas, B, p, layout_mode, placement_mode, dirty_table:
         Forwarded to :class:`~repro.core.elastic.ElasticConsistentHash`.
     capacities:
         Optional per-rank capacity bytes (index 0 -> rank 1), e.g. from
@@ -230,7 +230,6 @@ class ElasticCluster(_ClusterBase):
         replicas: int = 2,
         B: int = 10_000,
         p: Optional[int] = None,
-        chain: ChainMode = "walk",
         layout_mode: str = "equal-work",
         placement_mode: str = "primary",
         capacities: Optional[Sequence[Optional[int]]] = None,
@@ -239,7 +238,6 @@ class ElasticCluster(_ClusterBase):
     ) -> None:
         super().__init__(n, replicas, capacities, disk_bandwidth)
         self.ech = ElasticConsistentHash(n=n, replicas=replicas, B=B, p=p,
-                                         chain=chain,
                                          layout_mode=layout_mode,
                                          placement_mode=placement_mode,
                                          dirty_table=dirty_table)
@@ -784,9 +782,8 @@ class OriginalCHCluster(_ClusterBase):
 
     def __init__(self, n: int, replicas: int = 2,
                  vnodes_per_server: int = 1_000,
-                 capacities: Optional[Sequence[Optional[int]]] = None,
                  disk_bandwidth: float = 100e6) -> None:
-        super().__init__(n, replicas, capacities, disk_bandwidth)
+        super().__init__(n, replicas, None, disk_bandwidth)
         self.vnodes_per_server = vnodes_per_server
         self.ring = HashRing(dict.fromkeys(self.servers, vnodes_per_server))
         self._members: FrozenSet[int] = frozenset(self.servers)
@@ -912,13 +909,28 @@ class OriginalCHCluster(_ClusterBase):
 
     def plan_departure(self, rank: int) -> MigrationPlan:
         """What :meth:`remove_server` would re-replicate (mutates
-        nothing)."""
-        return MigrationPlan(self._departure_tasks(rank, self._without(rank)))
+        nothing), announced as a ``recovery.plan`` event.
+
+        §II-C: "before the re-replication finishes, the consistent
+        hashing based distributed storage is not able to tolerate
+        another server's departure" — callers model that delay as
+        ``plan.total_bytes / available_bandwidth``."""
+        plan = MigrationPlan(self._departure_tasks(rank, self._without(rank)))
+        if OBS.bus.active:
+            OBS.bus.emit("recovery.plan", departing=rank,
+                         objects=plan.num_objects, nbytes=plan.total_bytes)
+        return plan
 
     def plan_addition(self, ranks: Sequence[int]) -> MigrationPlan:
         """What re-adding *ranks* (assumed empty) in one step would
-        migrate (mutates nothing)."""
-        return MigrationPlan(self._addition_tasks(self._with(ranks)))
+        migrate (mutates nothing), announced as a ``migration.plan``
+        event — §II-C: "it migrates all the data that are supposed to
+        place on the added servers"."""
+        plan = MigrationPlan(self._addition_tasks(self._with(ranks)))
+        if OBS.bus.active:
+            OBS.bus.emit("migration.plan", planner="addition",
+                         objects=plan.num_objects, nbytes=plan.total_bytes)
+        return plan
 
     def remove_server(self, rank: int) -> int:
         """Power a server down, baseline-style: every replica it holds

@@ -77,6 +77,11 @@ def machine_hours_of_series(times: Sequence[float],
     return meter.finish(end_time if end_time is not None else times[-1])
 
 
+#: Residual draw of a powered-off server in watts: the paper's servers
+#: shut down fully.
+WATTS_OFF = 0.0
+
+
 @dataclass(frozen=True)
 class PowerModel:
     """Convert machine time into energy.
@@ -84,19 +89,16 @@ class PowerModel:
     Attributes
     ----------
     watts_active:
-        Draw of a powered-on server under load.
-    watts_off:
-        Residual draw of a powered-off server (0 for full shutdown,
-        small for suspend-to-RAM).
+        Draw of a powered-on server under load.  A powered-off one
+        draws :data:`WATTS_OFF`.
     """
 
     watts_active: float = 200.0
-    watts_off: float = 0.0
 
     def energy_kwh(self, active_machine_hours: float,
                    off_machine_hours: float = 0.0) -> float:
         return (active_machine_hours * self.watts_active
-                + off_machine_hours * self.watts_off) / 1000.0
+                + off_machine_hours * WATTS_OFF) / 1000.0
 
     def savings_vs_always_on(self, active_machine_hours: float,
                              n_servers: int, duration_hours: float) -> float:

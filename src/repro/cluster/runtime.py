@@ -46,9 +46,8 @@ DISK_BW = 64e6
 CLIENT_CAP = 320e6
 OBJECT_SIZE = 4 * 1024 * 1024
 REINTEGRATION_RATE = 50e6
-#: Filebench's ``rate`` for phase 2.  A float, always passed on:
-#: ``flow.start`` serialises the cap, so the workload's own integer
-#: default would change the trace bytes.
+#: Filebench's ``rate`` for phase 2.  A float: ``flow.start``
+#: serialises the cap, so an integer would change the trace bytes.
 PHASE2_RATE = 20e6
 #: Tick length and the cutoff for a run that will not drain, both in
 #: simulated seconds.
@@ -156,8 +155,7 @@ class ThreePhaseLoad:
 
     def __init__(self, runtime: ClusterRuntime, phases: Sequence["Phase"],
                  client_cap: float = CLIENT_CAP,
-                 object_size: int = OBJECT_SIZE,
-                 probe_objects: int = PROBE_OBJECTS) -> None:
+                 object_size: int = OBJECT_SIZE) -> None:
         if not 0 < object_size < math.inf:
             raise ValueError(f"object_size must be positive and finite "
                              f"(got {object_size})")
@@ -165,7 +163,6 @@ class ThreePhaseLoad:
         self.phases = phases
         self.client_cap = client_cap
         self.object_size = object_size
-        self.probe_objects = probe_objects
         #: Index of the phase in flight (or about to start).
         self.index = 0
         #: The live client flow; None between phases.
@@ -178,7 +175,7 @@ class ThreePhaseLoad:
 
     def _coefficients(self) -> Dict[int, float]:
         rt = self.runtime
-        return client_coefficients(rt.fractions(self.probe_objects),
+        return client_coefficients(rt.fractions(PROBE_OBJECTS),
                                    rt.cluster.replicas,
                                    self.phases[self.index].write_ratio)
 

@@ -1,8 +1,8 @@
 """A simulated storage server.
 
 Models exactly what the evaluation depends on: a power state, a
-capacity limit (§III-D), and disk/network bandwidth capacities consumed
-by the fair-share IO model in :mod:`repro.simulation`.  What a server
+capacity limit (§III-D), and the disk bandwidth consumed by the
+fair-share IO model in :mod:`repro.simulation`.  What a server
 holds is not kept here: the cluster's
 :class:`~repro.cluster.objects.ObjectTable` records every replica once,
 and checks each landing against the server's power state and capacity.
@@ -43,8 +43,6 @@ class StorageServer:
     disk_bandwidth:
         Sustained disk throughput in bytes/second (shared between
         foreground IO, recovery and migration by the simulator).
-    network_bandwidth:
-        NIC throughput in bytes/second.
     """
 
     def __init__(
@@ -52,14 +50,12 @@ class StorageServer:
         rank: int,
         capacity_bytes: Optional[int] = None,
         disk_bandwidth: float = 100e6,   # ~HDD-class, matches testbed scale
-        network_bandwidth: float = 1.25e9,  # 10 GbE
     ) -> None:
         if rank < 1:
             raise ValueError("rank must be >= 1")
         self.rank = rank
         self.capacity_bytes = capacity_bytes
         self.disk_bandwidth = float(disk_bandwidth)
-        self.network_bandwidth = float(network_bandwidth)
         self.state = PowerState.ON
 
     @property

@@ -67,8 +67,6 @@ class ElasticConsistentHash:
         placement that skips inactive servers).  Versioning, offload
         tracking and re-integration work identically in both — they
         only need ``locate`` to be a pure function of (oid, version).
-    initially_active:
-        Active ranks of version 1; defaults to full power.
     dirty_table:
         Backing table override (tests inject pre-populated ones).
 
@@ -94,7 +92,6 @@ class ElasticConsistentHash:
         chain: ChainMode = "walk",
         layout_mode: str = "equal-work",
         placement_mode: str = "primary",
-        initially_active: Optional[Sequence[int]] = None,
         dirty_table: Optional[DirtyTable] = None,
     ) -> None:
         if layout_mode == "equal-work":
@@ -111,13 +108,7 @@ class ElasticConsistentHash:
         self.chain: ChainMode = chain
         self._use_layout(layout)
 
-        self.history = VersionHistory(
-            ranks=list(self.layout.ranks),
-            initially_active=initially_active,
-        )
-        if any(not self.history.current.is_active(r)
-               for r in self.layout.primary_ranks):
-            raise ValueError("primary servers must be active in version 1")
+        self.history = VersionHistory(ranks=list(self.layout.ranks))
 
         self.dirty = DirtyTable() if dirty_table is None else dirty_table
 

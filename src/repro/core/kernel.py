@@ -369,13 +369,18 @@ class SlotPlacementTable:
             ok=np.ones(slots.size, dtype=bool))
 
 
+#: Slot tables a kernel keeps (least recently used goes first).
+MAX_TABLES = 16
+
+
 class PlacementKernel:
     """Slot tables for every membership of one ring and one role
     assignment, plus an oid→slot cache for the scalar hot path.
 
     Tables are keyed by the caller's membership key (a version number
     for the elastic facade, the member set for the original-CH
-    baseline) and kept in a small LRU — trace replays can touch
+    baseline) and kept in an LRU of :data:`MAX_TABLES` — trace replays can
+    touch
     hundreds of versions but only the recent few stay hot.  The ring
     never changes, so neither does a table or a cached slot: a new
     weighting or role assignment is a new ring and a new kernel.
@@ -388,7 +393,6 @@ class PlacementKernel:
         placement_mode: str = "primary",
         chain: ChainMode = "walk",
         is_primary: Optional[Predicate] = None,
-        max_tables: int = 16,
     ) -> None:
         if placement_mode not in ("primary", "original"):
             raise ValueError(f"unknown placement_mode: {placement_mode!r}")
@@ -399,7 +403,7 @@ class PlacementKernel:
         self._mode = placement_mode
         self._chain: ChainMode = chain
         self._is_primary = is_primary
-        self._max_tables = max_tables
+        self._max_tables = MAX_TABLES
         self._tables: "OrderedDict[Hashable, SlotPlacementTable]" = \
             OrderedDict()
         self._slot_cache: Dict[Hashable, int] = {}

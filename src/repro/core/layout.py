@@ -21,10 +21,11 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
+from repro.hashring.weights import expected_shares
+
 __all__ = [
     "primary_count",
     "equal_work_weights",
-    "expected_block_fractions",
     "EqualWorkLayout",
     "CapacityPlan",
 ]
@@ -82,14 +83,6 @@ def equal_work_weights(n: int, B: int = 10_000,
             w = B // rank       # Equation 2: v_secondary_i = B / i
         weights[rank] = max(1, w)
     return weights
-
-
-def expected_block_fractions(weights: Dict[int, int]) -> Dict[int, float]:
-    """Expected fraction of *single-copy* keys per rank implied by the
-    weights (weight over total).  Placement-level effects (primary
-    pinning, offloading) are layered on top by the placement tests."""
-    total = float(sum(weights.values()))
-    return {rank: w / total for rank, w in weights.items()}
 
 
 @dataclass(frozen=True)
@@ -158,7 +151,10 @@ class EqualWorkLayout:
         return {r: self.weights[r - 1] for r in self.ranks}
 
     def expected_fractions(self) -> Dict[int, float]:
-        return expected_block_fractions(self.weight_map())
+        """Expected fraction of *single-copy* keys per rank implied by
+        the weights.  Placement-level effects (primary pinning,
+        offloading) are layered on top by the placement tests."""
+        return expected_shares(self.weight_map())
 
 
 @dataclass(frozen=True)

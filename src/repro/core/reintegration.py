@@ -40,6 +40,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.core.dirty_table import DirtyEntry
 from repro.core.elastic import ElasticConsistentHash
 from repro.obs.runtime import OBS
+from repro.obs.spans import Span
 
 __all__ = ["MigrationTask", "MigrationPlan", "ReintegrationReport",
            "ReintegrationPlan", "ReintegrationEngine"]
@@ -297,23 +298,23 @@ class ReintegrationEngine:
                                         parent=self.span_parent,
                                         version=curr_ver)
 
-        while self._cursor < len(self._snapshot):
-            if budget_bytes is not None and report.bytes_migrated >= budget_bytes:
-                break
-            # The cursor moves past an entry once it is processed: when
-            # ``on_migrate`` raises, the next step retries that entry.
-            self._process_entry(self._snapshot[self._cursor], report)
-            self._cursor += 1
-        else:
-            # Scanned every entry without exhausting a budget.
-            report.caught_up = True
-
-        self._record(report)
-        if pass_span is not None:
-            pass_span.end(entries=report.entries_processed,
-                          migrated=report.entries_migrated,
-                          nbytes=report.bytes_migrated,
-                          caught_up=report.caught_up)
+        try:
+            while self._cursor < len(self._snapshot):
+                if (budget_bytes is not None
+                        and report.bytes_migrated >= budget_bytes):
+                    break
+                # The cursor moves past an entry once it is processed:
+                # when ``on_migrate`` raises, the next step retries it.
+                self._process_entry(self._snapshot[self._cursor], report)
+                self._cursor += 1
+            else:
+                # Scanned every entry without exhausting a budget.
+                report.caught_up = True
+        except BaseException:
+            self._close(pass_span, report, status="failed",
+                        caught_up=report.caught_up)
+            raise
+        self._close(pass_span, report, caught_up=report.caught_up)
         return report
 
     def _process_entry(self, entry: DirtyEntry,
@@ -395,15 +396,25 @@ class ReintegrationEngine:
             commit_span = OBS.spans.begin("reintegration.commit",
                                           parent=self.span_parent,
                                           version=self.ech.current_version)
-        for entry in live:
-            self._process_entry(entry, report)
+        try:
+            for entry in live:
+                self._process_entry(entry, report)
+        except BaseException:
+            self._close(commit_span, report, status="failed")
+            raise
         report.caught_up = True
-        self._record(report)
-        if commit_span is not None:
-            commit_span.end(entries=report.entries_processed,
-                            migrated=report.entries_migrated,
-                            nbytes=report.bytes_migrated)
+        self._close(commit_span, report)
         return report
+
+    def _close(self, span: Optional[Span], report: ReintegrationReport,
+               **fields: object) -> None:
+        """Publish *report* — whole or, when a migration raised,
+        partial — and end *span* (if one was opened) with its counts."""
+        self._record(report)
+        if span is not None:
+            span.end(entries=report.entries_processed,
+                     migrated=report.entries_migrated,
+                     nbytes=report.bytes_migrated, **fields)
 
     def _record(self, report: ReintegrationReport) -> None:
         """Publish one step's outcome to the observability layer."""

@@ -93,15 +93,14 @@ class VersionHistory:
     have passed").
     """
 
-    def __init__(self, ranks: Sequence[int],
-                 initially_active: Sequence[int] | None = None) -> None:
+    def __init__(self, ranks: Sequence[int]) -> None:
+        """Version 1 has every rank of *ranks* active (full power)."""
         ranks_t = tuple(sorted(ranks))
         if not ranks_t:
             raise ValueError("cluster must have at least one server")
-        active = frozenset(initially_active if initially_active is not None
-                           else ranks_t)
         self._tables: List[MembershipTable] = [
-            MembershipTable(version=1, ranks=ranks_t, active=active)
+            MembershipTable(version=1, ranks=ranks_t,
+                            active=frozenset(ranks_t))
         ]
 
     # ------------------------------------------------------------------

@@ -15,12 +15,17 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.cluster.cluster import ElasticCluster
+from repro.cluster.runtime import OBJECT_SIZE, REPLICAS
 from repro.metrics.distribution import (
     equal_work_reference,
     shape_correlation,
 )
 
 __all__ = ["LayoutVersionsResult", "run_layout_versions"]
+
+#: The figure's cluster and how many of its servers version 2 turns off.
+N = 10
+OFF_COUNT = 2
 
 
 @dataclass
@@ -41,46 +46,41 @@ class LayoutVersionsResult:
 
 
 def run_layout_versions(
-    n: int = 10,
-    replicas: int = 2,
     objects_v1: int = 40_000,
     objects_v2: int = 50_000,
-    off_count: int = 2,
-    object_size: int = 4 * 1024 * 1024,
-    B: int = 10_000,
 ) -> LayoutVersionsResult:
     """Run the Figure 5 scenario and measure the distributions.
 
     Defaults follow the figure: 50,000 objects written in version 2
-    with 2 servers off.
+    with :data:`OFF_COUNT` (2) of the :data:`N` (10) servers off.
     """
-    cluster = ElasticCluster(n, replicas, B=B)
+    cluster = ElasticCluster(N, REPLICAS)
 
     # Version 1: full power.
-    cluster.write_many(range(objects_v1), object_size)
+    cluster.write_many(range(objects_v1), OBJECT_SIZE)
     dist_v1 = cluster.replicas_per_rank()
 
     # Version 2: shrink, write the figure's 50k objects.
-    cluster.resize(n - off_count)
+    cluster.resize(N - OFF_COUNT)
     cluster.write_many(range(objects_v1, objects_v1 + objects_v2),
-                       object_size)
+                       OBJECT_SIZE)
     dist_v2 = cluster.replicas_per_rank()
 
     # Version 3: back to full power; the selective backlog *is* the
     # shaded re-integration area.
-    cluster.resize(n)
+    cluster.resize(N)
     backlog_bytes = cluster.selective_backlog_bytes()
     report = cluster.run_selective_reintegration()
     dist_v3 = cluster.replicas_per_rank()
 
-    ref = equal_work_reference(n, cluster.ech.p)
+    ref = equal_work_reference(N, cluster.ech.p)
     corr = shape_correlation(
         {r: float(c) for r, c in dist_v1.items()}, ref)
 
     return LayoutVersionsResult(
-        n=n,
+        n=N,
         p=cluster.ech.p,
-        replicas=replicas,
+        replicas=REPLICAS,
         distributions={
             "version1 (full power)": dist_v1,
             "version2 (shrunk)": dist_v2,

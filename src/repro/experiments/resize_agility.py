@@ -16,11 +16,21 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
-from repro.cluster.recovery import plan_departure_recovery
+from repro.cluster.runtime import DISK_BW, OBJECT_SIZE, REPLICAS
 from repro.metrics.timeline import StepSeries
 from repro.simulation.engine import Simulator
 
 __all__ = ["ResizeAgilityResult", "run_resize_agility"]
+
+# The §II-C request pattern on the 10-node testbed: 2 servers every
+# 30 s over a 300 s run, the baseline's re-replication allowed half of
+# the active disk bandwidth, its ring 200 vnodes per server.
+N = 10
+BATCH = 2
+STEP_INTERVAL = 30.0
+DURATION = 300.0
+RECOVERY_FRACTION = 0.5
+VNODES_PER_SERVER = 200
 
 
 @dataclass
@@ -47,73 +57,62 @@ class ResizeAgilityResult:
         return self.elastic.integral(0, half) - self.ideal.integral(0, half)
 
 
-def run_resize_agility(
-    n: int = 10,
-    replicas: int = 2,
-    objects: int = 2_000,
-    object_size: int = 4 * 1024 * 1024,
-    step_interval: float = 30.0,
-    batch: int = 2,
-    disk_bw: float = 64e6,
-    recovery_fraction: float = 0.5,
-    duration: float = 300.0,
-    vnodes_per_server: int = 200,
-) -> ResizeAgilityResult:
+def run_resize_agility(objects: int = 2_000) -> ResizeAgilityResult:
     """Run the Figure 2 experiment.
 
-    Parameters mirror §II-C: remove *batch* servers every
-    *step_interval* seconds until only the minimum remain, then add
-    them back at the same cadence from the midpoint.  *objects* ×
-    *object_size* is the resident dataset whose re-replication gates
-    the baseline's shrink: with no data the baseline has nothing to
-    re-replicate and the figure is vacuous, so *objects* must be >= 1.
+    As in §II-C: remove :data:`BATCH` servers every :data:`STEP_INTERVAL`
+    seconds until only the minimum remain, then add them back at the
+    same cadence from the midpoint.  *objects* × ``OBJECT_SIZE`` is the
+    resident dataset whose re-replication gates the baseline's shrink:
+    with no data the baseline has nothing to re-replicate and the
+    figure is vacuous, so *objects* must be >= 1.
     """
     if objects < 1:
         raise ValueError(f"objects must be >= 1 (got {objects}): an empty "
                          f"dataset gates no departure")
     # ---------------- ideal (requested) pattern ----------------------
     ideal = StepSeries()
-    ideal.append(0.0, n)
-    k = n
-    t = step_interval
-    floor = replicas  # the request bottoms out where replication allows
-    while k > floor and t < duration / 2:
-        k = max(floor, k - batch)
+    ideal.append(0.0, N)
+    k = N
+    t = STEP_INTERVAL
+    floor = REPLICAS  # the request bottoms out where replication allows
+    while k > floor and t < DURATION / 2:
+        k = max(floor, k - BATCH)
         ideal.append(t, k)
-        t += step_interval
-    t = duration / 2 + step_interval
-    while k < n:
-        k = min(n, k + batch)
+        t += STEP_INTERVAL
+    t = DURATION / 2 + STEP_INTERVAL
+    while k < N:
+        k = min(N, k + BATCH)
         ideal.append(t, k)
-        t += step_interval
+        t += STEP_INTERVAL
 
     # ---------------- original consistent hashing --------------------
-    baseline = OriginalCHCluster(n, replicas,
-                                 vnodes_per_server=vnodes_per_server,
-                                 disk_bandwidth=disk_bw)
-    baseline.write_many(range(objects), object_size)
+    baseline = OriginalCHCluster(N, REPLICAS,
+                                 vnodes_per_server=VNODES_PER_SERVER,
+                                 disk_bandwidth=DISK_BW)
+    baseline.write_many(range(objects), OBJECT_SIZE)
 
     original = StepSeries()
-    original.append(0.0, n)
+    original.append(0.0, N)
     recovery_bytes: List[int] = []
 
     sim = Simulator()
-    state = {"pending_remove": 0, "busy": False, "members": n,
+    state = {"pending_remove": 0, "busy": False, "members": N,
              "removal_event": None}
 
     def request_remove() -> None:
-        state["pending_remove"] += batch
+        state["pending_remove"] += BATCH
         maybe_start_removal()
 
     def maybe_start_removal() -> None:
         if state["busy"] or state["pending_remove"] <= 0:
             return
-        if state["members"] - 1 < replicas:
+        if state["members"] - 1 < REPLICAS:
             state["pending_remove"] = 0
             return
         victim = max(baseline.members)
-        plan = plan_departure_recovery(baseline, victim)
-        delay = plan.serialized_seconds(disk_bw, recovery_fraction)
+        plan = baseline.plan_departure(victim)
+        delay = plan.serialized_seconds(DISK_BW, RECOVERY_FRACTION)
         state["busy"] = True
 
         def finish() -> None:
@@ -140,7 +139,7 @@ def run_resize_agility(
             state["busy"] = False
         added = 0
         rank = 1
-        while added < batch and state["members"] < n:
+        while added < BATCH and state["members"] < N:
             while rank in baseline.members:
                 rank += 1
             baseline.add_server(rank)
@@ -148,40 +147,40 @@ def run_resize_agility(
             added += 1
         original.append(sim.now, state["members"])
 
-    t = step_interval
-    while t < duration / 2:
+    t = STEP_INTERVAL
+    while t < DURATION / 2:
         sim.schedule_at(t, request_remove)
-        t += step_interval
-    t = duration / 2 + step_interval
-    while t <= duration:
+        t += STEP_INTERVAL
+    t = DURATION / 2 + STEP_INTERVAL
+    while t <= DURATION:
         sim.schedule_at(t, request_add)
-        t += step_interval
-    sim.run_until(duration)
+        t += STEP_INTERVAL
+    sim.run_until(DURATION)
 
     # ---------------- elastic consistent hashing ---------------------
-    elastic_cluster = ElasticCluster(n, replicas, disk_bandwidth=disk_bw)
-    elastic_cluster.write_many(range(objects), object_size)
+    elastic_cluster = ElasticCluster(N, REPLICAS, disk_bandwidth=DISK_BW)
+    elastic_cluster.write_many(range(objects), OBJECT_SIZE)
 
     elastic = StepSeries()
-    elastic.append(0.0, n)
-    k = n
-    t = step_interval
-    while k > elastic_cluster.min_active and t < duration / 2:
-        k = max(elastic_cluster.min_active, k - batch)
+    elastic.append(0.0, N)
+    k = N
+    t = STEP_INTERVAL
+    while k > elastic_cluster.min_active and t < DURATION / 2:
+        k = max(elastic_cluster.min_active, k - BATCH)
         elastic_cluster.resize(k)   # instant: no clean-up work
         elastic.append(t, elastic_cluster.num_active)
-        t += step_interval
-    t = duration / 2 + step_interval
-    while k < n:
-        k = min(n, k + batch)
+        t += STEP_INTERVAL
+    t = DURATION / 2 + STEP_INTERVAL
+    while k < N:
+        k = min(N, k + BATCH)
         elastic_cluster.resize(k)
         elastic.append(t, elastic_cluster.num_active)
-        t += step_interval
+        t += STEP_INTERVAL
 
     return ResizeAgilityResult(
         ideal=ideal,
         original_ch=original,
         elastic=elastic,
-        duration=duration,
+        duration=DURATION,
         recovery_bytes=recovery_bytes,
     )

@@ -33,11 +33,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Literal, Tuple
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
-from repro.cluster.migration import addition_migration_plan
-from repro.cluster.recovery import plan_departure_recovery
 from repro.cluster.runtime import (CLIENT_CAP, DISK_BW, DT, MAX_DURATION,
-                                   OBJECT_SIZE, PHASE2_RATE, PROBE_OBJECTS,
-                                   REINTEGRATION_RATE, REPLICAS,
+                                   OBJECT_SIZE, REINTEGRATION_RATE, REPLICAS,
                                    ClusterRuntime, ThreePhaseLoad)
 from repro.simulation.flows import FluidFlow
 from repro.workloads.three_phase import PHASE_NAMES, three_phase_workload
@@ -63,7 +60,7 @@ class ThreePhaseResult:
     @property
     def unfinished(self) -> Tuple[str, ...]:
         """Phases that had not completed when the run stopped at
-        ``max_duration``, in order (empty: the run finished)."""
+        ``MAX_DURATION``, in order (empty: the run finished)."""
         return tuple(p for p in PHASE_NAMES if p not in self.phase_ends)
 
     @property
@@ -97,52 +94,43 @@ def run_three_phase(
     client_cap: float = CLIENT_CAP,
     object_size: int = OBJECT_SIZE,
     selective_rate_limit: float = REINTEGRATION_RATE,
-    phase2_rate: float = PHASE2_RATE,
-    max_duration: float = MAX_DURATION,
-    probe_objects: int = PROBE_OBJECTS,
-    isolate_reintegration: bool = True,
 ) -> ThreePhaseResult:
     """Run one 3-phase experiment and return its timeline.
 
     *scale* shrinks the workload byte totals (tests use 0.02-0.05;
     the benches use the paper's full sizes).  A run whose phases have
-    not drained after *max_duration* simulated seconds stops there:
+    not drained after ``MAX_DURATION`` simulated seconds stops there:
     check :attr:`ThreePhaseResult.finished` before reading a phase end.
-    The testbed values nobody varies (2 replicas, 1 s ticks) and the
-    defaults of the ones the benches do are declared in
-    :mod:`repro.cluster.runtime`.
+    The testbed values nobody varies (2 replicas, 1 s ticks, the
+    phase-2 rate) and the defaults of the ones the benches do are
+    declared in :mod:`repro.cluster.runtime`.
 
-    *isolate_reintegration* reproduces the §V-A setup exactly: "Note
-    that primary server and data layout are not considered here
-    because they do not have an effect on the performance" — the
-    elastic modes then run uniform weights and plain successor
-    placement, so all four curves share the same peak throughput and
-    differ only in re-integration behaviour.  Set it False to run the
-    full equal-work + primary design instead (its lower write peak is
-    the §III-C trade-off; only the tests run it).
+    The elastic modes reproduce the §V-A setup exactly: "Note that
+    primary server and data layout are not considered here because
+    they do not have an effect on the performance" — they run uniform
+    weights and plain successor placement, so all four curves share
+    the same peak throughput and differ only in re-integration
+    behaviour.
     """
     if mode not in ("none", "original", "full", "selective"):
         raise ValueError(f"unknown mode: {mode!r}")
-    phases = three_phase_workload(scale=scale, phase2_rate=phase2_rate)
+    phases = three_phase_workload(scale=scale)
 
     elastic_mode = mode != "original"
     if not elastic_mode:
         cluster: object = OriginalCHCluster(n, REPLICAS,
                                             vnodes_per_server=1_000,
                                             disk_bandwidth=disk_bw)
-    elif isolate_reintegration:
+    else:
         cluster = ElasticCluster(n, REPLICAS, disk_bandwidth=disk_bw,
                                  layout_mode="uniform",
                                  placement_mode="original")
-    else:
-        cluster = ElasticCluster(n, REPLICAS, disk_bandwidth=disk_bw)
 
     # No Simulator: nothing here is event-driven, and ``run_until``
     # would add an ``engine.clock`` event per tick to the trace.
     rt = ClusterRuntime(cluster, DT)
     io = rt.io
-    load = ThreePhaseLoad(rt, phases, client_cap, object_size,
-                          probe_objects)
+    load = ThreePhaseLoad(rt, phases, client_cap, object_size)
 
     # Original-CH departures run one at a time, each gated on its
     # re-replication flow (Figure 2's lag).
@@ -173,7 +161,7 @@ def run_three_phase(
         if removal["flow"] is not None or not removal["queue"]:
             return
         victim = removal["queue"][0]
-        plan = plan_departure_recovery(cluster, victim)
+        plan = cluster.plan_departure(victim)
 
         def finish(_flow: FluidFlow) -> None:
             cluster.remove_server(victim)
@@ -214,8 +202,7 @@ def run_three_phase(
         moved = 0
         per_dest: Dict[int, float] = {}
         if off:
-            per_dest = addition_migration_plan(
-                cluster, off).bytes_per_destination()
+            per_dest = cluster.plan_addition(off).bytes_per_destination()
             for rank in off:
                 moved += cluster.add_server(rank)
         rt.add_reintegration_flow(
@@ -224,7 +211,7 @@ def run_three_phase(
     # Main loop ---------------------------------------------------------
     now = 0.0
     load.start()
-    while now < max_duration:
+    while now < MAX_DURATION:
         now += DT
         io.step(now)
         load.materialise_writes()
@@ -240,7 +227,7 @@ def run_three_phase(
             # Drain background flows (a rate-limited migration can
             # outlive phase 3) so migration durations are measured
             # to completion, then stop.
-            while len(io.flows) > 0 and now < max_duration:
+            while len(io.flows) > 0 and now < MAX_DURATION:
                 now += DT
                 io.step(now)
             break

@@ -31,6 +31,9 @@ __all__ = ["TraceExperiment", "run_trace_analysis", "FIGURE_N_MAX"]
 #: servers, Fig 9 at ~180) — the deployments behind the traces, smaller
 #: than Table I's raw machine counts.
 FIGURE_N_MAX = {"CC-a": 50, "CC-b": 180}
+#: The figures' plot window, in trace minutes.
+WINDOW_START_MINUTES = 600.0
+WINDOW_MINUTES = 250.0
 
 
 @dataclass
@@ -60,9 +63,6 @@ class TraceExperiment:
 def run_trace_analysis(
     which: str = "CC-a",
     seed: Optional[int] = None,
-    window_start_minutes: float = 600.0,
-    window_minutes: float = 250.0,
-    **config_overrides,
 ) -> TraceExperiment:
     """Build + analyse one trace.
 
@@ -73,9 +73,10 @@ def run_trace_analysis(
     seed:
         Trace-generator seed override (defaults are fixed, so the
         benches are reproducible).
-    window_start_minutes / window_minutes:
-        The sub-range plotted as the figure (the traces are far longer
-        than the 250-minute windows shown in the paper).
+
+    The figure plots the :data:`WINDOW_MINUTES` from minute
+    :data:`WINDOW_START_MINUTES` (the traces are far longer than the
+    250-minute windows shown in the paper).
     """
     if which == "CC-a":
         spec, generate = CC_A, generate_cc_a
@@ -86,12 +87,11 @@ def run_trace_analysis(
     kwargs = {"seed": seed} if seed is not None else {}
     trace = generate(**kwargs)
 
-    config = config_for_trace(trace, FIGURE_N_MAX[which],
-                              **config_overrides)
+    config = config_for_trace(trace, FIGURE_N_MAX[which])
     analysis = analyze_trace(trace, config=config)
 
-    i0 = int(window_start_minutes * 60.0 / trace.dt)
-    count = max(1, int(window_minutes * 60.0 / trace.dt))
+    i0 = int(WINDOW_START_MINUTES * 60.0 / trace.dt)
+    count = max(1, int(WINDOW_MINUTES * 60.0 / trace.dt))
     i0 = min(i0, max(0, len(trace) - count))
     window = slice(i0, min(len(trace), i0 + count))
 

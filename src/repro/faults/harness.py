@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.cluster.cluster import CrashRecoveryWork, ElasticCluster
-from repro.cluster.runtime import (DISK_BW, DT, MAX_DURATION, PHASE2_RATE,
+from repro.cluster.runtime import (DISK_BW, DT, MAX_DURATION,
                                    REINTEGRATION_RATE, ClusterRuntime,
                                    ThreePhaseLoad)
 from repro.core.dirty_table import DirtyTable
@@ -107,7 +107,6 @@ def run_chaos(
     scale: float = 0.25,
     off_count: int = 4,
     plan: Optional[FaultPlan] = None,
-    dt: float = DT,
     audit_every: float = 10.0,
     check: bool = True,
 ) -> ChaosResult:
@@ -118,8 +117,8 @@ def run_chaos(
     <repro.faults.plan.FaultPlan.three_phase_default>`.  All
     randomness lives in the plan generation; the run itself is a pure
     function of (plan, parameters), which is what the byte-identical
-    trace guarantee rests on.  *dt* and *audit_every* are periods in
-    simulated seconds and must be finite and ``> 0``.  Disks, client
+    trace guarantee rests on.  *audit_every* is a period in simulated
+    seconds and must be finite and ``> 0``.  The tick, disks, client
     cap, object size and the re-integration rate limit are the §V-A
     testbed's (:mod:`repro.cluster.runtime`).
     """
@@ -129,12 +128,12 @@ def run_chaos(
         raise ValueError(
             f"phase-2 active count {n - off_count} cannot hold "
             f"{replicas} replicas; lower off_count or replicas")
-    require_periods(dt=dt, audit_every=audit_every)
+    require_periods(audit_every=audit_every)
     if plan is None:
         plan = FaultPlan.three_phase_default(seed, n=n, off_count=off_count)
     plan.check_ranks(n)
 
-    phases = three_phase_workload(scale=scale, phase2_rate=PHASE2_RATE)
+    phases = three_phase_workload(scale=scale)
     sim = Simulator()
     injector = FaultInjector(plan)
     with checked_run(check) as checked:
@@ -154,7 +153,7 @@ def run_chaos(
         policy = RetryPolicy(seed=seed if seed is not None else 0)
         # Capacities follow the membership and the injector's slow-disk
         # windows; the runtime's token covers both.
-        rt = ClusterRuntime(cluster, dt, sim=sim, injector=injector)
+        rt = ClusterRuntime(cluster, DT, sim=sim, injector=injector)
         io = rt.io
         load = ThreePhaseLoad(rt, phases)
 
@@ -181,7 +180,7 @@ def run_chaos(
             crash window leaves primaries dark."""
             if load.written == 0:
                 return
-            oid = (int(round(now / dt)) % load.written) + 1
+            oid = (int(round(now / DT)) % load.written) + 1
             try:
                 _, degraded = cluster.read_with_fallback(oid)
             except LookupError:
@@ -249,7 +248,7 @@ def run_chaos(
             if cluster.inflight_ranks.get(rank, 0):
                 # A transfer still pins the rank (repair_server would
                 # refuse): drain first, try again next tick.
-                sim.schedule(dt, attempt_repair, rank)
+                sim.schedule(DT, attempt_repair, rank)
                 return
             cluster.repair_server(rank)
             dirty_store.repair_node(rank)   # re-replicates its kv shard
@@ -315,7 +314,7 @@ def run_chaos(
         with OBS.spans.span("chaos.run", seed=seed, n=n, faults=len(plan)):
             load.start()
             while now < MAX_DURATION:
-                now += dt
+                now += DT
                 sim.run_until(now)          # fault actions interleave here
                 manager.poll(now)
                 io.step(now)
@@ -344,7 +343,7 @@ def run_chaos(
             while (now < MAX_DURATION
                    and (len(io.flows) > 0 or not manager.idle
                         or sim.pending > 0)):
-                now += dt
+                now += DT
                 sim.run_until(now)
                 manager.poll(now)
                 io.step(now)

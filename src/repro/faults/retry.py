@@ -1,8 +1,9 @@
 """Retry policy: capped exponential backoff with deterministic jitter.
 
 Preempted transfers (crash, link loss) re-enqueue under this policy;
-after ``max_attempts`` launches the work is *quarantined* — surfaced
-in the chaos report as degraded objects rather than retried forever.
+after :data:`MAX_ATTEMPTS` launches the work is *quarantined* —
+surfaced in the chaos report as degraded objects rather than retried
+forever.
 
 Jitter desynchronises retries (the classic thundering-herd fix) but
 must not destroy replayability, so instead of a PRNG it is derived
@@ -11,93 +12,62 @@ n-th retry always backs off by the same amount.
 
 Examples
 --------
->>> p = RetryPolicy(base_delay=0.5, factor=2.0, max_delay=4.0,
-...                 max_attempts=4, jitter=0.0)
->>> [p.delay(a, "job") for a in (1, 2, 3, 4, 5)]
-[0.5, 1.0, 2.0, 4.0, 4.0]
->>> p.exhausted(3), p.exhausted(4)
+>>> p = RetryPolicy(seed=7)
+>>> p.delay(2, "a") == p.delay(2, "a")   # replayable
+True
+>>> p.delay(2, "a") != p.delay(2, "b")   # desynchronised
+True
+>>> 0.75 <= p.delay(2, "a") <= 1.0       # 1 s, at most a quarter shaved
+True
+>>> p.exhausted(4), p.exhausted(5)
 (False, True)
->>> jittered = RetryPolicy(jitter=0.5, seed=7)
->>> jittered.delay(2, "a") == jittered.delay(2, "a")   # replayable
-True
->>> jittered.delay(2, "a") != jittered.delay(2, "b")   # desynchronised
-True
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.hashring.hashing import hash64
 
 __all__ = ["RetryPolicy"]
 
+#: Seconds before the first retry, the multiplier per further attempt
+#: and the backoff ceiling in seconds.
+BASE_DELAY = 0.5
+FACTOR = 2.0
+MAX_DELAY = 8.0
+#: Launch budget per transfer; one more preemption quarantines it.
+MAX_ATTEMPTS = 5
+#: Fraction of the backoff shaved off deterministically: the delay
+#: lands in ``[0.75*d, d]``.
+JITTER = 0.25
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
     """Backoff schedule for preempted transfers.
 
-    Attributes
-    ----------
-    base_delay:
-        Seconds before the first retry.
-    factor:
-        Multiplier per further attempt (>= 1).
-    max_delay:
-        Backoff ceiling in seconds.
-    max_attempts:
-        Launch budget per transfer; one more preemption quarantines it.
-    jitter:
-        Fraction of the backoff shaved off deterministically
-        (0 = none; 0.25 means the delay lands in ``[0.75*d, d]``).
-    seed:
-        Namespaces the jitter hash so two chaos runs with different
-        seeds desynchronise differently.
+    *seed* namespaces the jitter hash so two chaos runs with different
+    seeds desynchronise differently.
     """
 
-    base_delay: float = 0.5
-    factor: float = 2.0
-    max_delay: float = 8.0
-    max_attempts: int = 5
-    jitter: float = 0.25
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        # NaN compares false against everything, so the range checks
-        # below would silently wave a NaN through — demand finiteness
-        # explicitly for every float field.
-        if self.base_delay <= 0 or not math.isfinite(self.base_delay):
-            raise ValueError("base_delay must be positive and finite")
-        if self.factor < 1.0 or not math.isfinite(self.factor):
-            raise ValueError("factor must be >= 1 and finite")
-        if self.max_delay < self.base_delay \
-                or not math.isfinite(self.max_delay):
-            raise ValueError("max_delay must be >= base_delay and finite")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
 
     # ------------------------------------------------------------------
     def delay(self, attempt: int, key: str = "") -> float:
         """Seconds to wait before retry number *attempt* (1-based: the
         delay after the first failed launch is ``delay(1)``).
 
-        With ``d = min(base_delay * factor**(attempt-1), max_delay)``,
-        the result always lands in ``[(1-jitter)*d, d]`` — and hence
-        in ``(0, max_delay]`` — for every valid policy (pinned by the
-        retry tests at the ``jitter=0`` and ``factor=1`` boundaries).
+        With ``d = min(BASE_DELAY * FACTOR**(attempt-1), MAX_DELAY)``,
+        the result always lands in ``[(1-JITTER)*d, d]`` — and hence
+        in ``(0, MAX_DELAY]``.
         """
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        raw = min(self.base_delay * self.factor ** (attempt - 1),
-                  self.max_delay)
-        if self.jitter == 0.0:
-            return raw
+        raw = min(BASE_DELAY * FACTOR ** (attempt - 1), MAX_DELAY)
         u = hash64(f"{self.seed}:{key}:{attempt}") / 2.0 ** 64
-        return raw * (1.0 - self.jitter * u)
+        return raw * (1.0 - JITTER * u)
 
     def exhausted(self, attempts: int) -> bool:
         """Has the launch budget been spent?"""
-        return attempts >= self.max_attempts
+        return attempts >= MAX_ATTEMPTS

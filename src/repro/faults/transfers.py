@@ -18,7 +18,7 @@ The crash-consistency discipline (see ``docs/ROBUSTNESS.md``):
   needs no rollback: its partial bytes are recorded as wasted work,
   the dirty entries it would have cleared are still in the table, and
   the job re-enqueues under the :class:`~repro.faults.retry.RetryPolicy`.
-* **Quarantine**: a job preempted past ``max_attempts`` stops
+* **Quarantine**: a job preempted past ``MAX_ATTEMPTS`` stops
   retrying; its objects are surfaced as *degraded* in the chaos
   report instead of silently spinning.
 """
@@ -124,14 +124,12 @@ class TransferManager:
             Callable[[PlannedTransfer, TransferJob],
                      Mapping[int, float]]] = None,
         link_blocked: Optional[Callable[[Iterable[int]], bool]] = None,
-        parent_span=None,
     ) -> None:
         self.cluster = cluster
         self.flows = flows
         self.policy = policy
         self._coefficients_for = coefficients_for
         self._link_blocked = link_blocked
-        self._parent_span = parent_span
         #: Fired after a launch's ``transfer.start`` — the chaos
         #: harness hangs fault triggers here: ``hook(job, now)``.
         self.on_start: Optional[Callable[[TransferJob, float], None]] = None
@@ -243,7 +241,7 @@ class TransferManager:
         job.status = "active"
         job.flow = flow
         self.active.append(job)
-        self.flows.add(flow, parent=self._parent_span)
+        self.flows.add(flow)
         if self.on_start is not None:
             self.on_start(job, now)
         return 1

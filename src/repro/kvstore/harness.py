@@ -47,6 +47,9 @@ __all__ = [
     "render_kv_churn_report",
 ]
 
+#: Client tick in simulated seconds: each client issues one op a tick.
+DT = 1.0
+
 
 # ----------------------------------------------------------------------
 # the churn run
@@ -94,7 +97,6 @@ def run_kv_churn(
     clients: int = 4,
     keys: int = 24,
     duration: float = 120.0,
-    dt: float = 1.0,
     churn_every: float = 30.0,
     plan: Optional[FaultPlan] = None,
     audit_every: float = 10.0,
@@ -115,7 +117,7 @@ def run_kv_churn(
     quorum until one heals, and a write that exhausts its retries
     meanwhile is quarantined — the run ends ``DEGRADED`` (``--seed 6
     --nodes 15 --clients 32 --keys 900 --duration 600`` does).  Pass
-    a *plan* with disjoint windows to rule that out.  *duration*, *dt*,
+    a *plan* with disjoint windows to rule that out.  *duration*,
     *churn_every* and *audit_every* are simulated seconds and must be
     finite and ``> 0``.  All randomness lives in the plan
     and one ``default_rng(seed)`` stream; the run is otherwise a pure
@@ -128,11 +130,11 @@ def run_kv_churn(
         raise ValueError("clients must be >= 1")
     if keys < 3:
         raise ValueError("keys must be >= 3 (strings, counters, lists)")
-    require_periods(duration=duration, dt=dt, churn_every=churn_every,
+    require_periods(duration=duration, churn_every=churn_every,
                     audit_every=audit_every)
     if plan is None:
         plan = FaultPlan.generate(seed, n=nodes,
-                                  duration=max(0.6 * duration, 3 * dt),
+                                  duration=max(0.6 * duration, 3 * DT),
                                   crashes=1, slow_disks=0, link_losses=1)
     plan.check_ranks(nodes)
 
@@ -268,7 +270,7 @@ def run_kv_churn(
         with OBS.spans.span("kvchurn.run", seed=seed, nodes=nodes,
                             replicas=replicas, faults=len(plan)):
             while now < duration:
-                now += dt
+                now += DT
                 tick += 1
                 sim.run_until(now)       # faults + write retries fire here
                 if OBS.bus.active:
@@ -284,7 +286,7 @@ def run_kv_churn(
 
             # Drain: delayed repairs and write retries may still be queued.
             while sim.pending > 0:
-                now += dt
+                now += DT
                 sim.run_until(now)
                 if OBS.bus.active:
                     OBS.bus.clock = now

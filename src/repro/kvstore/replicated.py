@@ -202,6 +202,10 @@ class _Versioned:
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
+#: Ring weight of every member.
+VNODES_PER_NODE = 64
+
+
 class ReplicatedKVStore:
     """R-way replicated KV over epoch-numbered views.
 
@@ -214,8 +218,6 @@ class ReplicatedKVStore:
         **is** the hash-sharded store of §III-E-2: every key lives as a
         single copy on its ring successor, and a view change moves only
         the remapped keys (the commit's anti-entropy pass carries them).
-    vnodes_per_node:
-        Ring weight per member (an integer >= 1).
     link_blocked:
         Optional ``f(ranks) -> bool``: is a transfer spanning *ranks*
         crossing a dead link right now?  Wire to
@@ -247,7 +249,6 @@ class ReplicatedKVStore:
         self,
         node_ids: Sequence[NodeId],
         replicas: int = 3,
-        vnodes_per_node: int = 64,
         link_blocked: Optional[Callable[[Iterable[NodeId]], bool]] = None,
         on_no_quorum: str = "raise",
     ) -> None:
@@ -255,10 +256,8 @@ class ReplicatedKVStore:
             raise ValueError("at least one node required")
         if len(set(node_ids)) != len(node_ids):
             raise ValueError("duplicate node ids")
-        for name, value in (("replicas", replicas),
-                            ("vnodes_per_node", vnodes_per_node)):
-            if not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(replicas, Integral):
+            raise ValueError(f"replicas must be an integer, got {replicas!r}")
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
         if replicas > len(node_ids):
@@ -268,7 +267,6 @@ class ReplicatedKVStore:
         if on_no_quorum not in ("raise", "degrade"):
             raise ValueError("on_no_quorum must be 'raise' or 'degrade'")
         self.replicas = replicas
-        self._vnodes = vnodes_per_node
         self._link_blocked = link_blocked
         self._on_no_quorum = on_no_quorum
         #: Every node ever seen -> its rank in ``str`` order (and kept
@@ -321,7 +319,7 @@ class ReplicatedKVStore:
         read from — that is its only invalidation."""
         for nid in members:
             self._admit(nid)
-        self._ring = HashRing(dict.fromkeys(members, self._vnodes))
+        self._ring = HashRing(dict.fromkeys(members, VNODES_PER_NODE))
         self._table = SlotPlacementTable(self._ring, self.replicas, None)
         positions = np.fromiter(self._positions.values(), dtype=np.uint64,
                                 count=len(self._positions))

@@ -92,8 +92,7 @@ class TraceAnalysis:
 
 
 def config_for_trace(trace: LoadTrace, n_max: int,
-                     working_set_hours: float = 0.75,
-                     **overrides) -> PolicyConfig:
+                     working_set_hours: float = 0.75) -> PolicyConfig:
     """A :class:`PolicyConfig` calibrated the way the paper's own
     analysis is: the cluster is provisioned for the trace's *peak*
     (``per_server_bw = peak_load / n_max``, so the ideal series spans
@@ -107,11 +106,11 @@ def config_for_trace(trace: LoadTrace, n_max: int,
     # paper's ideal curves do.
     import numpy as np
     p99 = float(np.percentile(trace.load, 99))
-    overrides.setdefault("per_server_bw", max(p99, 1.0) / n_max)
-    overrides.setdefault(
-        "dataset_bytes",
-        max(1.0, stats["mean_load"] * working_set_hours * 3600.0))
-    return PolicyConfig(n_max=n_max, **overrides)
+    return PolicyConfig(
+        n_max=n_max,
+        per_server_bw=max(p99, 1.0) / n_max,
+        dataset_bytes=max(1.0, stats["mean_load"] * working_set_hours
+                          * 3600.0))
 
 
 def analyze_trace(trace: LoadTrace, config: PolicyConfig) -> TraceAnalysis:

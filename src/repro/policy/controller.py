@@ -98,28 +98,28 @@ class ReactiveController:
         return out
 
 
+#: Holt smoothing weights of the level and of the trend.
+ALPHA = 0.5
+BETA = 0.3
+
+
 @dataclass(frozen=True)
 class PredictiveController:
     """Holt linear-trend forecaster.
 
-    Maintains level+trend estimates of the load and requests capacity
+    Maintains level+trend estimates of the load (smoothed by
+    :data:`ALPHA` and :data:`BETA`) and requests capacity
     for the forecast ``horizon_samples`` ahead (resizing takes time to
     pay off, so provision for where the load is *going*), with the
     same headroom multiplier.  Forecasts are floored at the observed
     load so a falling forecast never undercuts what is already there.
     """
 
-    alpha: float = 0.5      # level smoothing
-    beta: float = 0.3       # trend smoothing
     horizon_samples: int = 3
     headroom: float = 1.1
     name: str = "predictive"
 
     def __post_init__(self) -> None:
-        for field_name in ("alpha", "beta"):
-            v = getattr(self, field_name)
-            if not 0 < v <= 1:
-                raise ValueError(f"{field_name} must be in (0, 1]")
         if self.horizon_samples < 0:
             raise ValueError("horizon_samples must be >= 0")
         if self.headroom < 1.0:
@@ -134,9 +134,9 @@ class PredictiveController:
         for t in range(load.size):
             observed = load[t - 1] if t > 0 else load[0]
             prev_level = level
-            level = self.alpha * observed + (1 - self.alpha) * (level + trend)
-            trend = (self.beta * (level - prev_level)
-                     + (1 - self.beta) * trend)
+            level = ALPHA * observed + (1 - ALPHA) * (level + trend)
+            trend = (BETA * (level - prev_level)
+                     + (1 - BETA) * trend)
             forecast = max(observed,
                            level + self.horizon_samples * trend)
             want = max(1, math.ceil(

@@ -14,16 +14,16 @@ __all__ = ["ideal_servers"]
 
 
 def ideal_servers(load: np.ndarray, per_server_bw: float,
-                  n_max: int, n_min: int = 1) -> np.ndarray:
+                  n_max: int) -> np.ndarray:
     """Servers needed to carry *load* at *per_server_bw* each, clamped
-    to ``[n_min, n_max]``.
+    to ``[1, n_max]``.
 
     A server is charged for any fraction of its bandwidth
     (``ceil``) — you cannot power on half a machine.
     """
     if per_server_bw <= 0:
         raise ValueError("per_server_bw must be positive")
-    if not 1 <= n_min <= n_max:
-        raise ValueError("need 1 <= n_min <= n_max")
+    if n_max < 1:
+        raise ValueError("need n_max >= 1")
     need = np.ceil(load / per_server_bw).astype(int)
-    return np.clip(need, n_min, n_max)
+    return np.clip(need, 1, n_max)

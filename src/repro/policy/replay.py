@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
-from repro.cluster.recovery import plan_departure_recovery
 from repro.policy.ideal import ideal_servers
-from repro.policy.resizer import PolicyConfig
+from repro.policy.resizer import (DISK_BW, MIGRATION_FRACTION, RECOVERY_FRACTION,
+                                   REPLICAS, SELECTIVE_RATE_LIMIT, PolicyConfig)
 from repro.workloads.trace import LoadTrace
 
 __all__ = ["ReplayResult", "replay_policy"]
@@ -60,7 +60,6 @@ def replay_policy(
     config: PolicyConfig,
     object_size: int = 4 * 1024 * 1024,
     preload_objects: int = 500,
-    seed: int = 7,
 ) -> ReplayResult:
     """Replay *trace* against a real cluster under policy *name*.
 
@@ -97,13 +96,13 @@ def _write_stream(cluster, trace, t, dt, object_size, state) -> None:
 def _extra_servers(drained_bytes: float, dt: float,
                    config: PolicyConfig) -> int:
     """Servers whose disks the measured migration traffic occupied."""
-    return math.ceil(drained_bytes / dt / config.disk_bw) \
+    return math.ceil(drained_bytes / dt / DISK_BW) \
         if drained_bytes > 0 else 0
 
 
 def _replay_elastic(name: str, trace: LoadTrace, config: PolicyConfig,
                     object_size: int, preload: int) -> ReplayResult:
-    cluster = ElasticCluster(n=config.n_max, replicas=config.replicas,
+    cluster = ElasticCluster(n=config.n_max, replicas=REPLICAS,
                              p=config.p)
     cluster.write_many(range(preload), object_size)
 
@@ -120,15 +119,15 @@ def _replay_elastic(name: str, trace: LoadTrace, config: PolicyConfig,
     for t in range(len(trace)):
         drained = 0.0
         if name == "primary-selective":
-            budget = int(config.selective_rate_limit * dt)
+            budget = int(SELECTIVE_RATE_LIMIT * dt)
             report = cluster.run_selective_reintegration(
                 budget_bytes=budget)
             drained = report.bytes_migrated
             migrated += drained
         else:
             if debt > 0:
-                cap = (config.migration_fraction * cluster.num_active
-                       * config.disk_bw * dt)
+                cap = (MIGRATION_FRACTION * cluster.num_active
+                       * DISK_BW * dt)
                 drained = min(debt, cap)
                 debt -= drained
 
@@ -143,8 +142,8 @@ def _replay_elastic(name: str, trace: LoadTrace, config: PolicyConfig,
                 debt += moved   # logical move now, bandwidth paid over time
         elif target < cluster.num_active:
             blocked = (name == "primary-full"
-                       and debt > config.migration_fraction
-                       * cluster.num_active * config.disk_bw * dt)
+                       and debt > MIGRATION_FRACTION
+                       * cluster.num_active * DISK_BW * dt)
             if not blocked:
                 cluster.resize(target)
 
@@ -160,7 +159,7 @@ def _replay_elastic(name: str, trace: LoadTrace, config: PolicyConfig,
 
 def _replay_original(trace: LoadTrace, config: PolicyConfig,
                      object_size: int, preload: int) -> ReplayResult:
-    cluster = OriginalCHCluster(n=config.n_max, replicas=config.replicas,
+    cluster = OriginalCHCluster(n=config.n_max, replicas=REPLICAS,
                                 vnodes_per_server=max(
                                     64, 4_096 // config.n_max))
     cluster.write_many(range(preload), object_size)
@@ -177,13 +176,13 @@ def _replay_original(trace: LoadTrace, config: PolicyConfig,
     for t in range(len(trace)):
         drained = 0.0
         if debt > 0:
-            cap = (config.migration_fraction * cluster.num_active
-                   * config.disk_bw * dt)
+            cap = (MIGRATION_FRACTION * cluster.num_active
+                   * DISK_BW * dt)
             drained = min(debt, cap)
             debt -= drained
 
         target = int(min(config.n_max,
-                         max(config.replicas, int(ideal[t])
+                         max(REPLICAS, int(ideal[t])
                              + _extra_servers(drained, dt, config))))
 
         if target > cluster.num_active:
@@ -195,16 +194,16 @@ def _replay_original(trace: LoadTrace, config: PolicyConfig,
                 migrated += moved
                 debt += moved
         elif target < cluster.num_active and debt <= (
-                config.migration_fraction * cluster.num_active
-                * config.disk_bw * dt):
+                MIGRATION_FRACTION * cluster.num_active
+                * DISK_BW * dt):
             # Sequential departures, each gated on its measured
             # clean-up volume.
             removal_credit += dt
-            while cluster.num_active > max(target, config.replicas):
+            while cluster.num_active > max(target, REPLICAS):
                 victim = max(cluster.members)
-                plan = plan_departure_recovery(cluster, victim)
-                rate = (config.recovery_fraction * cluster.num_active
-                        * config.disk_bw)
+                plan = cluster.plan_departure(victim)
+                rate = (RECOVERY_FRACTION * cluster.num_active
+                        * DISK_BW)
                 needed = plan.total_bytes / rate
                 if removal_credit < needed:
                     break

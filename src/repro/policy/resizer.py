@@ -55,6 +55,23 @@ __all__ = [
     "simulate_policy",
 ]
 
+#: *Physical* per-server disk bandwidth (bytes/s): clean-up
+#: re-replication and re-integration move raw bytes at disk speed,
+#: however slow the workload-effective rate is.
+DISK_BW = 80e6
+#: Replication factor r.
+REPLICAS = 2
+#: Share of the active cluster's disk bandwidth the baseline spends on
+#: departure re-replication, and the share uncontrolled
+#: re-integration grabs (original CH and primary+full; §II-C: "the
+#: rate of migration operation is not controlled").
+RECOVERY_FRACTION = 0.5
+MIGRATION_FRACTION = 0.5
+#: Byte-rate cap for selective re-integration (the token bucket).
+SELECTIVE_RATE_LIMIT = 100e6
+#: GreenCHT's power tiers: the always-on one plus three equal slices.
+NUM_TIERS = 4
+
 
 @dataclass(frozen=True)
 class PolicyConfig:
@@ -74,46 +91,27 @@ class PolicyConfig:
         to the traced workload (bytes/s).  This is a workload-level
         number (MapReduce jobs do far less than disk speed per node);
         it calibrates the ideal series to the figures' y-range.
-    disk_bw:
-        *Physical* per-server disk bandwidth (bytes/s).  Clean-up
-        re-replication and re-integration move raw bytes at disk
-        speed, regardless of how slow the workload-effective rate is.
-    replicas:
-        Replication factor r.
-    recovery_fraction:
-        Share of the active cluster's disk bandwidth the baseline may
-        spend on departure re-replication.
-    migration_fraction:
-        Share of disk bandwidth uncontrolled re-integration grabs
-        (original CH and primary+full; §II-C: "the rate of migration
-        operation is not controlled").
-    selective_rate_limit:
-        Byte-rate cap for selective re-integration (the token bucket).
+
+    The physical disks, replication and background-IO shares are the
+    module constants :data:`DISK_BW`, :data:`REPLICAS`,
+    :data:`RECOVERY_FRACTION`, :data:`MIGRATION_FRACTION` and
+    :data:`SELECTIVE_RATE_LIMIT`.
     """
 
     n_max: int
     dataset_bytes: float
     per_server_bw: float = 40e6
-    disk_bw: float = 80e6
-    replicas: int = 2
-    recovery_fraction: float = 0.5
-    migration_fraction: float = 0.5
-    selective_rate_limit: float = 100e6
 
     def __post_init__(self) -> None:
-        if self.n_max < self.replicas:
+        if self.n_max < REPLICAS:
             raise ValueError("cluster smaller than replication factor")
-        for name in ("per_server_bw", "disk_bw", "dataset_bytes",
-                     "selective_rate_limit"):
+        for name in ("per_server_bw", "dataset_bytes"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("recovery_fraction", "migration_fraction"):
-            if not 0 < getattr(self, name) <= 1:
-                raise ValueError(f"{name} must be in (0, 1]")
 
     @property
     def p(self) -> int:
-        return primary_count(self.n_max, self.replicas)
+        return primary_count(self.n_max, REPLICAS)
 
 
 @dataclass
@@ -172,7 +170,7 @@ class _PolicyBase:
     def drain_capacity(self, k: int) -> float:
         """Max migration drain rate with k servers active (raw bytes at
         disk speed)."""
-        return self.cfg.migration_fraction * k * self.cfg.disk_bw
+        return MIGRATION_FRACTION * k * DISK_BW
 
     def shrink(self, k: int, target: int, dt: float,
                state: Dict[str, float]) -> int:
@@ -242,7 +240,7 @@ class _PolicyBase:
             target = int(min(cfg.n_max,
                              max(self.floor,
                                  int(requested[t])
-                                 + math.ceil(drain / cfg.disk_bw))))
+                                 + math.ceil(drain / DISK_BW))))
             target = self.quantise_target(target)
 
             if target > k:
@@ -275,13 +273,13 @@ class OriginalCHPolicy(_PolicyBase):
 
     @property
     def floor(self) -> int:
-        return self.cfg.replicas
+        return REPLICAS
 
     def growth_debt(self, k_old: int, k_new: int,
                     state: Dict[str, float]) -> float:
         # Added servers rejoin empty; the ring maps (k_new-k_old)/k_new
         # of all stored replicas onto them.
-        stored = self.cfg.dataset_bytes * self.cfg.replicas
+        stored = self.cfg.dataset_bytes * REPLICAS
         return stored * (k_new - k_old) / k_new
 
     def shrink(self, k: int, target: int, dt: float,
@@ -294,8 +292,8 @@ class OriginalCHPolicy(_PolicyBase):
         # bandwidth before the next removal.
         state["removal_credit"] += dt
         while k > max(target, self.floor):
-            per_server = cfg.dataset_bytes * cfg.replicas / k
-            rate = cfg.recovery_fraction * k * cfg.disk_bw
+            per_server = cfg.dataset_bytes * REPLICAS / k
+            rate = RECOVERY_FRACTION * k * DISK_BW
             needed = per_server / rate
             if state["removal_credit"] < needed:
                 break
@@ -317,7 +315,7 @@ class _ElasticPolicyBase(_PolicyBase):
 
     def _shares(self) -> np.ndarray:
         return _equal_work_shares(self.cfg.n_max, self.cfg.p,
-                                  self.cfg.replicas)
+                                  REPLICAS)
 
 
 class PrimaryFullPolicy(_ElasticPolicyBase):
@@ -330,7 +328,7 @@ class PrimaryFullPolicy(_ElasticPolicyBase):
         # Over-migration: everything the layout maps onto the re-added
         # ranks, valid or stale alike.
         shares = self._shares()
-        stored = self.cfg.dataset_bytes * self.cfg.replicas
+        stored = self.cfg.dataset_bytes * REPLICAS
         return stored * float(shares[k_old:k_new].sum())
 
     def shrink(self, k: int, target: int, dt: float,
@@ -350,7 +348,7 @@ class PrimarySelectivePolicy(_ElasticPolicyBase):
 
     def drain_capacity(self, k: int) -> float:
         # The token bucket caps re-integration traffic.
-        return min(self.cfg.selective_rate_limit,
+        return min(SELECTIVE_RATE_LIMIT,
                    super().drain_capacity(k))
 
     def track_dirty(self, k: int, write_load: float, dt: float,
@@ -359,7 +357,7 @@ class PrimarySelectivePolicy(_ElasticPolicyBase):
             return
         shares = self._shares()
         offload_share = float(shares[k:].sum())
-        state["dirty"] += write_load * self.cfg.replicas * offload_share * dt
+        state["dirty"] += write_load * REPLICAS * offload_share * dt
 
     def growth_debt(self, k_old: int, k_new: int,
                     state: Dict[str, float]) -> float:
@@ -391,7 +389,7 @@ class GreenCHTPolicy(_ElasticPolicyBase):
     every resize rounds *up* to the next whole tier.
 
     Model: tier boundaries at ``p`` (the always-on tier, mirroring the
-    replica-holding top tier) followed by ``num_tiers - 1`` equal
+    replica-holding top tier) followed by ``NUM_TIERS - 1`` equal
     slices of the rest.  Like the paper's "full" configuration it does
     not track dirty data, so tier power-ups re-integrate everything
     mapped onto the tier.
@@ -399,14 +397,12 @@ class GreenCHTPolicy(_ElasticPolicyBase):
 
     name = "greencht"
 
-    def __init__(self, config: PolicyConfig, num_tiers: int = 4) -> None:
+    def __init__(self, config: PolicyConfig) -> None:
         super().__init__(config)
-        if num_tiers < 2:
-            raise ValueError("need at least 2 tiers")
         boundaries = [config.p]
         rest = config.n_max - config.p
-        for i in range(1, num_tiers):
-            boundaries.append(config.p + round(rest * i / (num_tiers - 1)))
+        for i in range(1, NUM_TIERS):
+            boundaries.append(config.p + round(rest * i / (NUM_TIERS - 1)))
         #: Legal active counts, ascending (tier prefix sums).
         self.boundaries = sorted(set(boundaries))
 
@@ -424,7 +420,7 @@ class GreenCHTPolicy(_ElasticPolicyBase):
     def growth_debt(self, k_old: int, k_new: int,
                     state: Dict[str, float]) -> float:
         shares = self._shares()
-        stored = self.cfg.dataset_bytes * self.cfg.replicas
+        stored = self.cfg.dataset_bytes * REPLICAS
         return stored * float(shares[k_old:k_new].sum())
 
     def quantise_target(self, target: int) -> int:

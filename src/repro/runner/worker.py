@@ -120,9 +120,8 @@ def _run_chaos_task(spec: TaskSpec, attempt: int) -> Tuple[Dict, bool]:
 
 
 def _run_trace_task(spec: TaskSpec, attempt: int) -> Tuple[Dict, bool]:
-    config = dict(spec.config)
-    which = config.pop("which", "CC-a")
-    exp = run_trace_analysis(which, seed=spec.seed, **config)
+    which = spec.config.get("which", "CC-a")
+    exp = run_trace_analysis(which, seed=spec.seed)
     rel = exp.table2_row()
     summary = {
         "which": which,
@@ -142,7 +141,7 @@ def _run_three_phase_task(spec: TaskSpec, attempt: int) -> Tuple[Dict, bool]:
     mode = config.pop("mode", "selective")
     result = run_three_phase(mode, **config)
     if not result.finished:
-        # A legitimate outcome (the workload outlasts max_duration),
+        # A legitimate outcome (the workload outlasts MAX_DURATION),
         # not a crash: unhealthy once, never retried.
         return {"mode": mode, "phase_ends": result.phase_ends,
                 "unfinished": list(result.unfinished),
@@ -220,6 +219,11 @@ def run_task(spec_dict: Dict[str, object], out_dir: str,
             f"(known: {', '.join(sorted(EXPERIMENTS))})")
     task_dir = Path(out_dir) / spec.task_id
     task_dir.mkdir(parents=True, exist_ok=True)
+    # What this attempt does not write must not survive from an earlier
+    # run into the same directory (a failed re-run kept an "ok").
+    for name in (OUTCOME_FILENAME, METRICS_FILENAME, ANALYTICS_FILENAME,
+                 PROFILE_FILENAME):
+        (task_dir / name).unlink(missing_ok=True)
 
     # Fresh observability world per task: whatever the process brought
     # with it (a forked child inherits the parent's) must not leak into

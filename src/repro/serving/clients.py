@@ -103,30 +103,33 @@ class Draw:
 RequestFactory = Callable[[str, int, Draw], Request]
 
 
+#: A closed-loop client's mean think time and mean backoff after a
+#: rejection, in simulated seconds (each jittered to ``[0.5, 1.5)`` of
+#: the mean).
+THINK_TIME = 1.0
+RETRY_DELAY = 0.5
+
+
 class ClosedLoopPopulation:
     """N think-time clients, one outstanding request each.
 
     A rejected request is retried (as a fresh request — new ordinal,
-    new key) after a deterministically jittered backoff; a completed
-    request triggers the next issue one jittered think time after the
-    completion the *client saw*, i.e. including any backpressure
-    delay.
+    new key) after a deterministically jittered backoff of about
+    :data:`RETRY_DELAY`; a completed request triggers the next issue
+    one jittered :data:`THINK_TIME` after the completion the *client
+    saw*, i.e. including any backpressure delay.
     """
 
     def __init__(self, sim: Simulator, coordinator: AdmissionCoordinator,
-                 factory: RequestFactory, *, clients: int,
-                 think_time: float, seed: int,
-                 retry_delay: float = 0.5, name: str = "closed") -> None:
+                 factory: RequestFactory, *, clients: int, seed: int,
+                 name: str = "closed") -> None:
         if clients < 1:
             raise ValueError("clients must be >= 1")
-        require_periods(think_time=think_time, retry_delay=retry_delay)
         self.sim = sim
         self.coordinator = coordinator
         self.factory = factory
         self.clients = clients
-        self.think_time = think_time
         self.seed = seed
-        self.retry_delay = retry_delay
         self.name = name
         self.retries = 0
         self._issues = [0] * clients
@@ -138,7 +141,7 @@ class ClosedLoopPopulation:
         """Stagger first issues over one think time so thousands of
         clients do not arrive as a single same-instant spike."""
         for c in range(self.clients):
-            first = self.think_time * _unit(hash64(
+            first = THINK_TIME * _unit(hash64(
                 f"{self.seed}:{self.name}:first:{c}"))
             self.sim.schedule_at(self.sim.now + first, self._issue, c)
 
@@ -158,7 +161,7 @@ class ClosedLoopPopulation:
 
         def rejected(r: Request, _c: int = c, _key: Draw = key) -> None:
             self.retries += 1
-            backoff = self.retry_delay * (0.5 + _key.unit(":retry"))
+            backoff = RETRY_DELAY * (0.5 + _key.unit(":retry"))
             self.sim.schedule_at(self.sim.now + backoff, self._issue, _c)
 
         req.on_complete = done
@@ -167,7 +170,7 @@ class ClosedLoopPopulation:
 
     def _think(self, c: int) -> None:
         n = self._issues[c]
-        think = self.think_time * (0.5 + self._thinks.unit("", n, c))
+        think = THINK_TIME * (0.5 + self._thinks.unit("", n, c))
         self.sim.schedule_at(self.sim.now + think, self._issue, c)
 
 

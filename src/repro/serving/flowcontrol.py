@@ -18,12 +18,11 @@ is what the ``serve-queue-bounded`` invariant checker flushes out.
 
 Controllers are pure policy: no simulator, no IO model, no state that
 survives a call.  That keeps a same-seed run a pure function of the
-controller's parameters.
+controller's name.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Hashable, Protocol, runtime_checkable
 
 __all__ = [
@@ -61,23 +60,32 @@ class FlowController(Protocol):
         ...
 
 
-@dataclass(frozen=True)
+#: The per-server queue depth every policy declares (and the fixed
+#: and adaptive ones enforce).
+QUEUE_BOUND = 64
+#: The adaptive policy's shape: depth it keeps invisible below,
+#: seconds of delay per target's worth of excess depth, the multiplier
+#: while background work runs, and the delay cap in seconds.
+TARGET = 8
+GAIN = 0.1
+BACKGROUND_FACTOR = 2.0
+MAX_DELAY = 1.0
+
+
 class UnthrottledController:
     """No admission control, no backpressure — the baseline.
 
-    It still *declares* a bound (``declared_bound``) so the invariant
-    checker has something to measure it against; under a load the
-    cluster cannot absorb, queues blow straight through it and the
-    checker goes red.  That asymmetry — same declared contract,
-    no enforcement — is the whole point of keeping this policy around.
+    It still *declares* :data:`QUEUE_BOUND` so the invariant checker
+    has something to measure it against; under a load the cluster
+    cannot absorb, queues blow straight through it and the checker
+    goes red.  That asymmetry — same declared contract, no
+    enforcement — is the whole point of keeping this policy around.
     """
 
-    declared_bound: int = 64
-
-    name: str = "unthrottled"
+    name = "unthrottled"
 
     def queue_bound(self) -> int:
-        return self.declared_bound
+        return QUEUE_BOUND
 
     def admit(self, server: Hashable, depth: int) -> bool:
         return True
@@ -87,85 +95,59 @@ class UnthrottledController:
         return 0.0
 
 
-@dataclass(frozen=True)
 class FixedConcurrencyController:
-    """Classic fixed concurrency limit: admit while ``depth < limit``,
-    reject otherwise, never delay completions.
+    """Classic fixed concurrency limit: admit while
+    ``depth < QUEUE_BOUND``, reject otherwise, never delay completions.
 
     Enforces its bound exactly, but bluntly — during a resize it sheds
     closed-loop and open-loop traffic alike instead of slowing the
     clients that would happily back off.
     """
 
-    limit: int = 64
-
-    name: str = "fixed"
-
-    def __post_init__(self) -> None:
-        if self.limit < 1:
-            raise ValueError("limit must be >= 1")
+    name = "fixed"
 
     def queue_bound(self) -> int:
-        return self.limit
+        return QUEUE_BOUND
 
     def admit(self, server: Hashable, depth: int) -> bool:
-        return depth < self.limit
+        return depth < QUEUE_BOUND
 
     def completion_delay(self, server: Hashable, depth: int,
                          background_active: bool) -> float:
         return 0.0
 
 
-@dataclass(frozen=True)
 class AdaptiveQueueController:
     """Queue-length-driven backpressure with an admission backstop.
 
-    Below ``target`` depth the controller is invisible.  Above it,
-    completions are held back by ``gain * (depth - target) / target``
-    seconds — scaled up by ``background_factor`` while migration or
-    recovery is eating disk bandwidth, and capped at ``max_delay`` so
-    backpressure never costs more latency than the overload it
+    Below :data:`TARGET` depth the controller is invisible.  Above it,
+    completions are held back by ``GAIN * (depth - TARGET) / TARGET``
+    seconds — scaled up by :data:`BACKGROUND_FACTOR` while migration or
+    recovery is eating disk bandwidth, and capped at :data:`MAX_DELAY`
+    so backpressure never costs more latency than the overload it
     prevents — so closed-loop clients naturally stretch their issue
-    interval instead of piling on.  The hard ``bound`` only catches
-    what backpressure cannot reach (open-loop arrivals), so under
-    mixed load it sheds less closed-loop work than a fixed
+    interval instead of piling on.  The hard :data:`QUEUE_BOUND` only
+    catches what backpressure cannot reach (open-loop arrivals), so
+    under mixed load it sheds less closed-loop work than a fixed
     concurrency limit at the same bound.
     """
 
-    bound: int = 64
-    target: int = 8
-    gain: float = 0.1
-    background_factor: float = 2.0
-    max_delay: float = 1.0
-
-    name: str = "adaptive"
-
-    def __post_init__(self) -> None:
-        if self.bound < 1:
-            raise ValueError("bound must be >= 1")
-        if not 1 <= self.target <= self.bound:
-            raise ValueError("target must be in [1, bound]")
-        if self.gain < 0:
-            raise ValueError("gain must be >= 0")
-        if self.background_factor < 1:
-            raise ValueError("background_factor must be >= 1")
-        if self.max_delay <= 0:
-            raise ValueError("max_delay must be > 0")
+    name = "adaptive"
 
     def queue_bound(self) -> int:
-        return self.bound
+        return QUEUE_BOUND
 
     def admit(self, server: Hashable, depth: int) -> bool:
-        return depth < self.bound
+        return depth < QUEUE_BOUND
 
     def completion_delay(self, server: Hashable, depth: int,
                          background_active: bool) -> float:
-        if depth <= self.target:
+        if depth <= TARGET:
             return 0.0
-        delay = self.gain * (depth - self.target) / self.target
+        delay = GAIN * (depth - TARGET) / TARGET
         if background_active:
-            delay *= self.background_factor
-        return min(delay, self.max_delay)
+            delay *= BACKGROUND_FACTOR
+        return min(delay, MAX_DELAY)
 
 
 _CONTROLLERS: Dict[str, type] = {
@@ -175,11 +157,11 @@ _CONTROLLERS: Dict[str, type] = {
 }
 
 
-def make_controller(kind: str, **kwargs: object) -> FlowController:
+def make_controller(kind: str) -> FlowController:
     """Build a controller by policy name (the CLI/bench entry point).
 
-    >>> make_controller("fixed", limit=8).queue_bound()
-    8
+    >>> make_controller("fixed").queue_bound()
+    64
     >>> make_controller("bogus")
     Traceback (most recent call last):
         ...
@@ -190,4 +172,4 @@ def make_controller(kind: str, **kwargs: object) -> FlowController:
         raise ValueError(
             f"unknown flow controller {kind!r} "
             f"(choose from: {', '.join(sorted(_CONTROLLERS))})")
-    return cls(**kwargs)
+    return cls()

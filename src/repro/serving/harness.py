@@ -122,7 +122,6 @@ def run_serve(
     replicas: int = 2,
     off_count: int = 4,
     clients: int = 200,
-    think_time: float = 1.0,
     users: int = 4_000_000,
     per_user_rate: float = 5e-5,
     write_ratio: float = 0.3,
@@ -154,7 +153,7 @@ def run_serve(
     if not 0.0 <= write_ratio <= 1.0:
         raise ValueError("write_ratio must be in [0, 1]")
     require_periods(duration=duration, slo_p99=slo_p99,
-                    think_time=think_time, per_user_rate=per_user_rate)
+                    per_user_rate=per_user_rate)
 
     ctrl: FlowController = make_controller(controller)
     cluster = ElasticCluster(n, replicas, disk_bandwidth=DISK_BW)
@@ -203,8 +202,7 @@ def run_serve(
                        on_complete=on_complete)
 
     closed = ClosedLoopPopulation(
-        sim, coord, factory, clients=clients, think_time=think_time,
-        seed=seed, name="closed")
+        sim, coord, factory, clients=clients, seed=seed, name="closed")
     open_pop = OpenLoopPopulation(
         sim, coord, factory, users=users, per_user_rate=per_user_rate,
         seed=seed, until=duration, name="open")

@@ -77,8 +77,8 @@ class Simulator:
     5.0
     """
 
-    def __init__(self, start_time: float = 0.0) -> None:
-        self.now = float(start_time)
+    def __init__(self) -> None:
+        self.now = 0.0
         #: ``(time, seq, event)`` entries: seq is unique, so the heap
         #: orders by the documented key in C and never compares events.
         self._heap: List[Tuple[float, int, Event]] = []

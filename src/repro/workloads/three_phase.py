@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.cluster.runtime import PHASE2_RATE
+
 __all__ = ["Phase", "PHASE_NAMES", "three_phase_workload"]
 
 MB = 10 ** 6
@@ -71,22 +73,19 @@ class Phase:
         return self.total_bytes * self.write_ratio
 
 
-def three_phase_workload(scale: float = 1.0,
-                         phase2_rate: float = 20 * MB) -> List[Phase]:
+def three_phase_workload(scale: float = 1.0) -> List[Phase]:
     """The §V-A workload.  *scale* shrinks the byte totals uniformly
-    (the unit tests run at scale=0.05 to stay fast); *phase2_rate* is
-    Filebench's ``rate`` attribute for the middle phase.  Both must be
-    finite and positive: a ``nan`` or ``inf`` workload never drains."""
-    for name, value in (("scale", scale), ("phase2_rate", phase2_rate)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite "
-                             f"(got {value})")
+    (the unit tests run at scale=0.05 to stay fast); it must be finite
+    and positive: a ``nan`` or ``inf`` workload never drains."""
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite "
+                         f"(got {scale})")
     return [
         # 7 files x 2 GB, pure sequential write.
         Phase("phase1", total_bytes=14 * GB * scale, write_ratio=1.0),
         # 4.2 GB read + 8.4 GB written at 20 MB/s.
         Phase("phase2", total_bytes=12.6 * GB * scale,
-              write_ratio=8.4 / 12.6, rate_cap=phase2_rate),
+              write_ratio=8.4 / 12.6, rate_cap=PHASE2_RATE),
         # "similar to the first phase, except that the write ratio was
         # 20%".
         Phase("phase3", total_bytes=14 * GB * scale, write_ratio=0.2),

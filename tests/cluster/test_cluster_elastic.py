@@ -4,6 +4,7 @@ import pytest
 
 from repro.cluster.cluster import ElasticCluster
 from repro.cluster.server import CapacityExceeded
+from repro.obs.runtime import OBS
 
 MB4 = 4 * 1024 * 1024
 
@@ -168,6 +169,39 @@ class TestSelectiveReintegration:
         assert [e.oid for e in cluster.ech.dirty.entries()] == [0, 1]
         assert [(t.oid, t.moved_to) for t in
                 cluster.plan_selective_reintegration().tasks] == [(0, (5,))]
+
+    def test_failed_pass_closes_its_span_and_is_counted(self):
+        """The same failing sequence, traced: each pass that raised
+        ends its ``reintegration.pass`` span ``failed`` and publishes
+        the entries it did scan.  Only the resize cycle stays open —
+        its debt is still pending."""
+        OBS.reset()
+        capacities = [None] * 8
+        capacities[4] = 6000
+        with OBS.bus.capture() as sink:
+            cluster = ElasticCluster(n=8, replicas=2, B=2000,
+                                     capacities=capacities)
+            cluster.set_primary_count(4)
+            cluster.write_many([0], 0)
+            cluster.resize(1)
+            cluster.write(0, 4096)
+            cluster.resize(5)
+            cluster.write(1, 4096)
+            for _ in range(2):
+                with pytest.raises(CapacityExceeded, match="server 5"):
+                    cluster.run_selective_reintegration()
+            events = sink.events()
+        begun = {e["span_id"]: e["name"] for e in events
+                 if e["kind"] == "span.begin"}
+        ended = {e["span_id"]: e for e in events if e["kind"] == "span.end"}
+        assert sorted(begun[i] for i in set(begun) - set(ended)) == [
+            "resize.cycle"]
+        passes = [ended[i] for i, name in begun.items()
+                  if name == "reintegration.pass"]
+        assert [(e["status"], e["entries"]) for e in passes] == [
+            ("failed", 1), ("failed", 1)]
+        assert OBS.metrics.snapshot()["reintegration.entries"] == 2
+        OBS.reset()
 
 
 class TestFullReintegration:

@@ -1,4 +1,4 @@
-"""ElasticCluster under the non-default placement/layout modes."""
+"""ElasticCluster under each placement/layout mode pair."""
 
 import pytest
 
@@ -8,10 +8,10 @@ MB4 = 4 * 1024 * 1024
 
 
 @pytest.fixture(params=[
-    {"chain": "rehash"},
+    {"placement_mode": "original"},
     {"layout_mode": "uniform"},
     {"layout_mode": "uniform", "placement_mode": "original"},
-    {"chain": "rehash", "layout_mode": "uniform"},
+    {},
 ])
 def cluster(request):
     return ElasticCluster(n=10, replicas=2, **request.param)

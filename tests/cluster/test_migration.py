@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
-from repro.cluster.migration import (
-    addition_migration_plan,
-    full_reintegration_plan,
-)
+from repro.cluster.cluster import ElasticCluster
 
 MB4 = 4 * 1024 * 1024
 
@@ -22,12 +18,12 @@ class TestFullReintegrationPlan:
             for oid in range(200, 250):
                 cl.write(oid, MB4)
             cl.resize(10)
-        plan = full_reintegration_plan(a)
+        plan = a.plan_full_reintegration()
         moved = b.run_full_reintegration()
         assert plan.total_bytes == moved
 
     def test_empty_when_layout_clean(self, loaded_elastic10):
-        plan = full_reintegration_plan(loaded_elastic10)
+        plan = loaded_elastic10.plan_full_reintegration()
         assert plan.total_bytes == 0
         assert plan.num_objects == 0
 
@@ -38,7 +34,7 @@ class TestFullReintegrationPlan:
         for oid in range(100, 150):
             elastic10.write(oid, MB4)
         elastic10.resize(10)
-        plan = full_reintegration_plan(elastic10)
+        plan = elastic10.plan_full_reintegration()
         per_dest = plan.bytes_per_destination()
         assert sum(per_dest.values()) == plan.total_bytes
         # The re-powered ranks are destinations.
@@ -48,7 +44,7 @@ class TestFullReintegrationPlan:
 class TestAdditionPlan:
     def test_single_server_plan_matches_actual(self, loaded_original10):
         loaded_original10.remove_server(10)
-        plan = addition_migration_plan(loaded_original10, [10])
+        plan = loaded_original10.plan_addition([10])
         assert plan.total_bytes == loaded_original10.add_server(10)
 
     def test_batched_plan_bounds_sequential_additions(self,
@@ -58,7 +54,7 @@ class TestAdditionPlan:
         twice."""
         loaded_original10.remove_server(10)
         loaded_original10.remove_server(9)
-        plan = addition_migration_plan(loaded_original10, [9, 10])
+        plan = loaded_original10.plan_addition([9, 10])
         actual = loaded_original10.add_server(9) + \
             loaded_original10.add_server(10)
         assert plan.total_bytes <= actual
@@ -66,9 +62,9 @@ class TestAdditionPlan:
     def test_plan_is_pure(self, loaded_original10):
         loaded_original10.remove_server(10)
         before = loaded_original10.replicas_per_rank()
-        addition_migration_plan(loaded_original10, [10])
+        loaded_original10.plan_addition([10])
         assert loaded_original10.replicas_per_rank() == before
 
     def test_member_rank_rejected(self, loaded_original10):
         with pytest.raises(KeyError):
-            addition_migration_plan(loaded_original10, [5])
+            loaded_original10.plan_addition([5])

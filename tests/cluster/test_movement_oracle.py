@@ -7,7 +7,6 @@ import pytest
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
 from repro.cluster.fsck import check_cluster
-from repro.cluster.migration import addition_migration_plan
 from repro.cluster.runtime import ClusterRuntime
 
 from . import _movement_oracle as oracle
@@ -129,7 +128,7 @@ class TestOneMeaningOfNbytes:
 
 
 class TestFailedPlanLeavesTheRingAlone:
-    """``addition_migration_plan(cluster, [10, 5])`` used to add rank 10
+    """``cluster.plan_addition([10, 5])`` used to add rank 10
     to the ring, raise on member 5 *before* its try/finally, and leave
     10 a ring member: powered off, empty, and a placement target.  The
     ring no longer changes at all; a failed plan must leave the member
@@ -146,7 +145,7 @@ class TestFailedPlanLeavesTheRingAlone:
         ring, token = cl.ring, cl.membership_token
         before = oracle.snapshot(cl)
         with pytest.raises(error):
-            addition_migration_plan(cl, ranks)
+            cl.plan_addition(ranks)
         assert cl.members == tuple(range(1, 10))
         assert cl.ring is ring and cl.membership_token == token
         assert oracle.snapshot(cl) == before

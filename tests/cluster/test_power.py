@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cluster import power
 from repro.cluster.power import (
     MachineHourMeter,
     PowerModel,
@@ -52,12 +53,13 @@ class TestSeriesHelper:
 
 
 class TestPowerModel:
-    def test_energy(self):
-        pm = PowerModel(watts_active=200.0, watts_off=10.0)
+    def test_energy(self, monkeypatch):
+        monkeypatch.setattr(power, "WATTS_OFF", 10.0)
+        pm = PowerModel(watts_active=200.0)
         assert pm.energy_kwh(10.0, 5.0) == pytest.approx(2.05)
 
     def test_savings_fraction(self):
-        pm = PowerModel(watts_active=200.0, watts_off=0.0)
+        pm = PowerModel(watts_active=200.0)
         # Half the machine hours of always-on -> 50% saved.
         assert pm.savings_vs_always_on(
             active_machine_hours=50.0, n_servers=10,

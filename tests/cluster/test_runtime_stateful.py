@@ -96,7 +96,7 @@ class Side:
         if not token:
             self.rt.io.capacity_token = None    # dict-compare path
         self.load = ThreePhaseLoad(self.rt, PHASES, client_cap=400.0,
-                                   object_size=OBJ, probe_objects=300)
+                                   object_size=OBJ)
         self.now = 0.0
         self.next_oid = 1_000   # clear of the client's 1, 2, 3, ...
 

@@ -184,8 +184,10 @@ def build(setup, batch):
 
     capacities = None if capacity is None else [capacity] * N
     if flavour == "original":
-        return make(OriginalCHCluster, N, replicas, vnodes_per_server=24,
-                    capacities=capacities)
+        cl = make(OriginalCHCluster, N, replicas, vnodes_per_server=24)
+        for server in cl.servers.values():
+            server.capacity_bytes = capacity
+        return cl
     kv = (KVStore() if backend == "kv"
           else ReplicatedKVStore([1, 2, 3], replicas=2))
     return make(ElasticCluster, N, replicas, B=240, capacities=capacities,

@@ -33,10 +33,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ElasticConsistentHash(n=10, placement_mode="bogus")
 
-    def test_primaries_must_start_active(self):
-        with pytest.raises(ValueError):
-            ElasticConsistentHash(n=10, initially_active=[3, 4, 5])
-
     def test_describe_mentions_shape(self, ech10):
         text = ech10.describe()
         assert "n=10" in text and "p=2" in text

@@ -7,12 +7,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.cluster import runtime
 from repro.core.elastic import ElasticConsistentHash
 from repro.core.kernel import PlacementKernel, SlotPlacementTable
 from repro.core.placement import (
     place_original_from_slot,
     place_primary_from_slot,
 )
+from repro.experiments import three_phase
 from repro.experiments.three_phase import run_three_phase
 from repro.hashring.ring import HashRing
 from repro.obs.runtime import OBS
@@ -297,14 +299,14 @@ class TestTraceIdentity:
     def _trace(self):
         OBS.reset()
         with OBS.bus.capture(capacity=100_000) as sink:
-            run_three_phase(
-                mode="selective", scale=0.01, n=10, probe_objects=200,
-                max_duration=400.0)
+            run_three_phase(mode="selective", scale=0.01, n=10)
             events = sink.events()
         OBS.reset()
         return json.dumps(events, sort_keys=True, default=str)
 
-    def test_three_phase_trace_identical(self):
+    def test_three_phase_trace_identical(self, monkeypatch):
+        monkeypatch.setattr(runtime, "PROBE_OBJECTS", 200)
+        monkeypatch.setattr(three_phase, "MAX_DURATION", 400.0)
         assert self._trace() == self._trace()
 
     def test_cluster_scenario_identical_with_and_without_kernel(

@@ -8,9 +8,9 @@ from repro.core.layout import (
     CapacityPlan,
     EqualWorkLayout,
     equal_work_weights,
-    expected_block_fractions,
     primary_count,
 )
+from repro.hashring.weights import expected_shares
 
 
 class TestPrimaryCount:
@@ -61,7 +61,7 @@ class TestEqualWorkWeights:
             equal_work_weights(10, B=1000, p=11)
 
     def test_fractions_sum_to_one(self):
-        fracs = expected_block_fractions(equal_work_weights(10, B=10_000))
+        fracs = expected_shares(equal_work_weights(10, B=10_000))
         assert sum(fracs.values()) == pytest.approx(1.0)
 
 

@@ -61,10 +61,6 @@ class TestVersionHistory:
         assert h.current_version == 1
         assert h.current.is_full_power
 
-    def test_initially_active_subset(self):
-        h = VersionHistory(range(1, 6), initially_active=[1, 2])
-        assert h.current.num_active == 2
-
     def test_advance_increments_version(self):
         h = VersionHistory(range(1, 6))
         t = h.advance([1, 2, 3])

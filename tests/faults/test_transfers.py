@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import repro.faults.retry as retry
 from repro.faults.retry import RetryPolicy
 from repro.faults.transfers import PlannedTransfer, TransferJob, TransferManager
 from repro.obs import OBS
@@ -35,11 +36,13 @@ class FakeCluster:
 
 
 @pytest.fixture
-def rig():
+def rig(monkeypatch):
     cluster = FakeCluster()
     flows = FlowSet()
-    policy = RetryPolicy(base_delay=1.0, factor=2.0, max_delay=8.0,
-                         max_attempts=3, jitter=0.0)
+    for name, value in (("BASE_DELAY", 1.0), ("MAX_ATTEMPTS", 3),
+                        ("JITTER", 0.0)):
+        monkeypatch.setattr(retry, name, value)
+    policy = RetryPolicy()
     manager = TransferManager(cluster, flows, policy)
     sink = OBS.bus.attach(RingBufferSink())
     yield cluster, flows, manager, sink

@@ -36,6 +36,14 @@ from ._reference_store import ReferenceKVStore
 from .test_replicated_stateful import contents
 
 
+
+@pytest.fixture(autouse=True)
+def small_rings(monkeypatch):
+    """Eight vnodes a member: the machines and regressions here were
+    written (and shrunk) on rings this small."""
+    monkeypatch.setattr(replicated, "VNODES_PER_NODE", 8)
+
+
 def mutant(name, method, old, new):
     """``ReplicatedKVStore`` with *old* -> *new* in *method*'s source."""
     source = textwrap.dedent(
@@ -99,7 +107,6 @@ def outcome(cls, scenario):
     blocked = set()
     with OBS.bus.capture() as sink:
         store = cls([1, 2, 3, 4], replicas=getattr(scenario, "replicas", 3),
-                    vnodes_per_node=8,
                     link_blocked=lambda pair: frozenset(pair) in blocked,
                     on_no_quorum="degrade")
         result = scenario(store, blocked)

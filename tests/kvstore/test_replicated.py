@@ -60,11 +60,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="replicas must be an integer"):
             ReplicatedKVStore([1, 2, 3], replicas=2.5)
 
-    def test_rejects_fractional_vnodes_per_node(self):
-        with pytest.raises(ValueError,
-                           match="vnodes_per_node must be an integer"):
-            ReplicatedKVStore([1, 2, 3], vnodes_per_node=1.5)
-
     def test_rejects_bad_no_quorum_mode(self):
         with pytest.raises(ValueError):
             ReplicatedKVStore([1, 2, 3], on_no_quorum="panic")

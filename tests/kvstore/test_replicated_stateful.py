@@ -19,10 +19,12 @@ machines are too shallow to find by themselves: the stores with one
 early-out condition or one settled-set re-check removed.
 """
 
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
+from repro.kvstore import replicated
 from repro.kvstore.replicated import (
     NoQuorumError,
     ReplicatedKVStore,
@@ -47,6 +49,13 @@ nodes = st.sampled_from(NODES)
 # What an op may legitimately raise in the states this machine reaches.
 EXPECTED = (NoQuorumError, StaleSessionError, WrongTypeError,
             ValueError, RuntimeError, KeyError)
+
+
+@pytest.fixture(autouse=True)
+def small_rings(monkeypatch):
+    """Eight vnodes a member: the machines and regressions here were
+    written (and shrunk) on rings this small."""
+    monkeypatch.setattr(replicated, "VNODES_PER_NODE", 8)
 
 
 def contents(store):
@@ -75,7 +84,7 @@ class TableVsReferenceMachine(RuleBasedStateMachine):
                             self.events):
             with OBS.bus.capture() as sink:
                 self.stores.append(cls(
-                    NODES[:4], replicas=REPLICAS, vnodes_per_node=8,
+                    NODES[:4], replicas=REPLICAS,
                     link_blocked=link_blocked,
                     on_no_quorum=self.ON_NO_QUORUM))
                 log.extend(sink.events())

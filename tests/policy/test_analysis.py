@@ -35,10 +35,6 @@ class TestConfigForTrace:
         assert cfg.dataset_bytes == pytest.approx(
             trace.stats()["mean_load"] * 7200.0)
 
-    def test_overrides_win(self, trace):
-        cfg = config_for_trace(trace, n_max=20, per_server_bw=123.0)
-        assert cfg.per_server_bw == 123.0
-
 
 class TestAnalyzeTrace:
     def test_runs_all_policies(self, trace, config):
@@ -94,10 +90,12 @@ class TestEnergySummary:
         for name, row in s.items():
             assert 0.0 <= row["savings_vs_always_on"] < 1.0, name
 
-    def test_residual_draw_reduces_savings(self, trace, config):
-        from repro.cluster.power import PowerModel
+    def test_residual_draw_reduces_savings(self, trace, config,
+                                           monkeypatch):
+        from repro.cluster import power
         an = analyze_trace(trace, config)
-        off0 = an.energy_summary(PowerModel(watts_off=0.0))
-        off20 = an.energy_summary(PowerModel(watts_off=20.0))
+        off0 = an.energy_summary()
+        monkeypatch.setattr(power, "WATTS_OFF", 20.0)
+        off20 = an.energy_summary()
         assert (off20["primary-selective"]["savings_vs_always_on"]
                 < off0["primary-selective"]["savings_vs_always_on"])

@@ -15,7 +15,7 @@ from repro.workloads.trace import LoadTrace
 
 @pytest.fixture
 def config():
-    return PolicyConfig(n_max=20, per_server_bw=10e6, disk_bw=80e6,
+    return PolicyConfig(n_max=20, per_server_bw=10e6,
                         dataset_bytes=100e9)
 
 
@@ -104,8 +104,6 @@ class TestPredictive:
                     >= trace.load[t - 1] - 1e-6)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PredictiveController(alpha=0.0)
         with pytest.raises(ValueError):
             PredictiveController(horizon_samples=-1)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.policy import resizer
 from repro.policy.resizer import (
     GreenCHTPolicy,
     PolicyConfig,
@@ -13,7 +14,7 @@ from repro.workloads.trace import LoadTrace
 
 @pytest.fixture
 def config():
-    return PolicyConfig(n_max=20, per_server_bw=10e6, disk_bw=80e6,
+    return PolicyConfig(n_max=20, per_server_bw=10e6,
                         dataset_bytes=100e9)
 
 
@@ -28,8 +29,9 @@ class TestTiers:
         assert g.boundaries[0] == config.p
         assert g.boundaries[-1] == config.n_max
 
-    def test_boundaries_ascending_unique(self, config):
-        g = GreenCHTPolicy(config, num_tiers=5)
+    def test_boundaries_ascending_unique(self, config, monkeypatch):
+        monkeypatch.setattr(resizer, "NUM_TIERS", 5)
+        g = GreenCHTPolicy(config)
         assert g.boundaries == sorted(set(g.boundaries))
 
     def test_quantise_rounds_up(self, config):
@@ -38,10 +40,6 @@ class TestTiers:
             q = g._quantise(k)
             assert q >= k or q == g.boundaries[-1]
             assert q in g.boundaries
-
-    def test_too_few_tiers_rejected(self, config):
-        with pytest.raises(ValueError):
-            GreenCHTPolicy(config, num_tiers=1)
 
 
 class TestSimulation:

@@ -16,12 +16,8 @@ class TestIdealServers:
         servers = ideal_servers(np.array([1e9]), 10.0, n_max=5)
         assert servers[0] == 5
 
-    def test_n_min_respected(self):
-        servers = ideal_servers(np.array([0.0]), 10.0, n_max=5, n_min=2)
-        assert servers[0] == 2
-
     def test_validation(self):
         with pytest.raises(ValueError):
             ideal_servers(np.array([1.0]), 0.0, 5)
         with pytest.raises(ValueError):
-            ideal_servers(np.array([1.0]), 1.0, 5, n_min=6)
+            ideal_servers(np.array([1.0]), 1.0, 0)

@@ -10,7 +10,7 @@ from repro.workloads.trace import LoadTrace
 
 @pytest.fixture
 def config():
-    return PolicyConfig(n_max=10, per_server_bw=1e6, disk_bw=80e6,
+    return PolicyConfig(n_max=10, per_server_bw=1e6,
                         dataset_bytes=100e6)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.policy.resizer import (
+    REPLICAS,
     OriginalCHPolicy,
     PolicyConfig,
     PrimaryFullPolicy,
@@ -21,7 +22,7 @@ def make_trace(pattern, dt=60.0, write_fraction=0.5):
 
 @pytest.fixture
 def config():
-    return PolicyConfig(n_max=20, per_server_bw=10e6, disk_bw=80e6,
+    return PolicyConfig(n_max=20, per_server_bw=10e6,
                         dataset_bytes=200e9)
 
 
@@ -41,11 +42,11 @@ class TestConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PolicyConfig(n_max=1, replicas=2, dataset_bytes=1e12)
+            PolicyConfig(n_max=1, dataset_bytes=1e12)
         with pytest.raises(ValueError):
             PolicyConfig(n_max=10, per_server_bw=0, dataset_bytes=1e12)
         with pytest.raises(ValueError):
-            PolicyConfig(n_max=10, migration_fraction=0, dataset_bytes=1e12)
+            PolicyConfig(n_max=10, dataset_bytes=0)
 
 
 class TestEqualWorkShares:
@@ -66,7 +67,7 @@ class TestFloors:
     def test_original_floor_is_replicas(self, config):
         res = simulate_policy("original-ch",
                               make_trace([0.0] * 200), config)
-        assert res.servers.min() == config.replicas
+        assert res.servers.min() == REPLICAS
 
     def test_elastic_floor_is_primaries(self, config):
         for name in ("primary-full", "primary-selective"):

@@ -16,7 +16,8 @@ from repro.obs.analytics import load_analytics
 from repro.obs.report import check_trace, render_check
 from repro.runner import SweepRunner, TaskSpec
 from repro.runner.sweep import MAX_ATTEMPTS, TaskResult
-from repro.runner.worker import (ANALYTICS_FILENAME, OUTCOME_FILENAME,
+from repro.runner.worker import (ANALYTICS_FILENAME, METRICS_FILENAME,
+                                 OUTCOME_FILENAME, PROFILE_FILENAME,
                                  TRACE_FILENAME)
 
 CHAOS_CONFIG = {"n": 4, "off_count": 1, "scale": 0.02}
@@ -289,11 +290,28 @@ class TestOutcomes:
             "tasks"] == ["a", "b"]
         second = sweep({"fail_attempts": 99, "mode": "raise"})
         assert second.task("a").status == "failed"
-        assert (tmp_path / "a" / ANALYTICS_FILENAME).exists()
         assert load_analytics(str(second.analytics_rollup_path))[
             "tasks"] == ["b"]
         profile = json.loads(second.profile_rollup_path.read_text())
         assert sorted(profile["per_task"]) == ["b"]
+
+    def test_failed_rerun_leaves_no_stale_documents(self, tmp_path):
+        """A task that passed in one sweep and fails every attempt of
+        the next into the same directory keeps none of the first
+        sweep's documents: no ``outcome.json`` saying ``ok``."""
+        def sweep(config_a):
+            return SweepRunner(workers=1, profile=True).run(
+                [TaskSpec(task_id="a", kind="selftest", seed=1,
+                          config=config_a)], tmp_path)
+
+        names = (OUTCOME_FILENAME, METRICS_FILENAME, ANALYTICS_FILENAME,
+                 PROFILE_FILENAME)
+        assert sweep({}).task("a").status == "ok"
+        assert all((tmp_path / "a" / name).exists() for name in names)
+        assert sweep({"fail_attempts": 99, "mode": "raise"}).task(
+            "a").status == "failed"
+        assert [name for name in names
+                if (tmp_path / "a" / name).exists()] == []
 
     def test_zero_event_task_leaves_no_stale_analytics(self, tmp_path):
         """A task whose final attempt emitted nothing wrote no

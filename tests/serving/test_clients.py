@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.hashring.hashing as hashing_mod
+import repro.serving.clients as clients_mod
 from repro.hashring.hashing import hash64
 from repro.serving import run_serve
 from repro.serving.clients import (
@@ -133,11 +134,18 @@ def make_factory(sim, issued):
 class TestClosedLoop:
     SEED = 5
 
-    def build(self, clients=3, think_time=2.0, retry_delay=0.5):
+    @pytest.fixture(autouse=True)
+    def slow_thinkers(self, monkeypatch):
+        """Think twice as long as the product does, so a think is told
+        apart from the first-issue stagger."""
+        monkeypatch.setattr(clients_mod, "THINK_TIME", 2.0)
+        return monkeypatch
+
+    def build(self, clients=3):
         sim, door, issued = Simulator(), Door(), []
         pop = ClosedLoopPopulation(
             sim, door, make_factory(sim, issued), clients=clients,
-            think_time=think_time, retry_delay=retry_delay, seed=self.SEED)
+            seed=self.SEED)
         return sim, door, issued, pop
 
     def test_start_staggers_first_issues_over_one_think_time(self):
@@ -164,7 +172,9 @@ class TestClosedLoop:
         assert key.hash(":oid") == hash64("5:closed:0:1:oid")
         assert key.unit(":rw") == unit("5:closed:0:1:rw")
 
-    def test_factory_on_complete_still_runs_before_the_think(self):
+    def test_factory_on_complete_still_runs_before_the_think(
+            self, slow_thinkers):
+        slow_thinkers.setattr(clients_mod, "THINK_TIME", 1.0)
         sim, door, seen = Simulator(), Door(), []
 
         def factory(pop, rid, key):
@@ -173,14 +183,16 @@ class TestClosedLoop:
                            on_complete=lambda r, t: seen.append((r.rid, t)))
 
         pop = ClosedLoopPopulation(sim, door, factory, clients=1,
-                                   think_time=1.0, seed=self.SEED)
+                                   seed=self.SEED)
         pop.start()
         sim.run_until(1.0)
         door.admitted[0].on_complete(door.admitted[0], 1.0)
         assert seen == [(0, 1.0)]
 
-    def test_reject_retries_as_a_fresh_request_after_jittered_backoff(self):
-        sim, door, issued, pop = self.build(clients=2, retry_delay=0.4)
+    def test_reject_retries_as_a_fresh_request_after_jittered_backoff(
+            self, slow_thinkers):
+        slow_thinkers.setattr(clients_mod, "RETRY_DELAY", 0.4)
+        sim, door, issued, pop = self.build(clients=2)
         door.rejecting = True
         pop.start()
         sim.run_until(2.0)                    # both first issues bounced
@@ -197,22 +209,6 @@ class TestClosedLoop:
         door.rejecting = False
         sim.run_until(3.0)
         assert len(door.admitted) == 2        # the retries got in
-
-    @pytest.mark.parametrize("kwargs, name", [
-        ({"think_time": 0.0}, "think_time"),
-        ({"think_time": float("inf")}, "think_time"),
-        ({"think_time": float("nan")}, "think_time"),
-        ({"retry_delay": -1.0}, "retry_delay"),
-        ({"retry_delay": float("inf")}, "retry_delay"),
-        ({"retry_delay": float("nan")}, "retry_delay"),
-    ])
-    def test_bad_periods_rejected(self, kwargs, name):
-        cfg = dict(clients=1, think_time=1.0, seed=1)
-        cfg.update(kwargs)
-        with pytest.raises(ValueError,
-                           match=f"{name} must be > 0 and finite"):
-            ClosedLoopPopulation(Simulator(), Door(), None, **cfg)
-
 
 class TestOpenLoop:
     def run(self, until, horizon, users=10, per_user_rate=0.5, seed=9):

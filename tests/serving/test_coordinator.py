@@ -3,6 +3,7 @@ backpressure delays, failover, and event emission."""
 
 import pytest
 
+import repro.serving.flowcontrol as flowcontrol
 from repro.obs.runtime import OBS
 from repro.obs.trace import RingBufferSink
 from repro.serving.coordinator import AdmissionCoordinator, Request
@@ -13,6 +14,12 @@ from repro.serving.flowcontrol import (
 )
 from repro.simulation.engine import Simulator
 from repro.simulation.iomodel import IOModel
+
+
+@pytest.fixture
+def bound_one(monkeypatch):
+    """Every policy's queue bound is 1."""
+    monkeypatch.setattr(flowcontrol, "QUEUE_BOUND", 1)
 
 
 def make_stack(controller=None, caps=None, dt=1.0):
@@ -42,8 +49,8 @@ class TestAdmission:
         assert coord.enqueued == {"closed": 1}
         assert len(io.flows.by_name("serve:1")) == 1
 
-    def test_reject_fires_on_reject_and_counts(self):
-        _, _, coord = make_stack(FixedConcurrencyController(limit=1))
+    def test_reject_fires_on_reject_and_counts(self, bound_one):
+        _, _, coord = make_stack(FixedConcurrencyController())
         bounced = []
         assert coord.enqueue(req(1))
         assert not coord.enqueue(req(2, on_reject=bounced.append))
@@ -103,9 +110,11 @@ class TestDrain:
 
 
 class TestBackpressure:
-    def test_delay_added_to_latency_and_schedule(self):
-        ctrl = AdaptiveQueueController(bound=64, target=1, gain=1.0,
-                                       max_delay=10.0)
+    def test_delay_added_to_latency_and_schedule(self, monkeypatch):
+        for name, value in (("TARGET", 1), ("GAIN", 1.0),
+                            ("MAX_DELAY", 10.0)):
+            monkeypatch.setattr(flowcontrol, name, value)
+        ctrl = AdaptiveQueueController()
         sim, io, coord = make_stack(ctrl, caps={1: 100.0})
         coord.background_active = True
         done = []
@@ -134,8 +143,8 @@ class TestFailover:
         # net accounting: admitted once, not twice
         assert coord.enqueued == {"closed": 1}
 
-    def test_failover_respects_admission(self):
-        ctrl = FixedConcurrencyController(limit=1)
+    def test_failover_respects_admission(self, bound_one):
+        ctrl = FixedConcurrencyController()
         sim, io, coord = make_stack(ctrl)
         bounced = []
         coord.enqueue(req(1, server=2))
@@ -155,8 +164,8 @@ class TestFailover:
 
 
 class TestEvents:
-    def test_serve_event_family_emitted(self):
-        sim, io, coord = make_stack(FixedConcurrencyController(limit=1))
+    def test_serve_event_family_emitted(self, bound_one):
+        sim, io, coord = make_stack(FixedConcurrencyController())
         sink = RingBufferSink()
         OBS.bus.attach(sink)
         try:

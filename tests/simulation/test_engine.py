@@ -25,14 +25,16 @@ class TestScheduling:
         assert log == ["first", "second"]
 
     def test_schedule_at_absolute(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run_until(10.0)
         fired = []
         sim.schedule_at(12.0, fired.append, True)
         sim.run()
         assert fired and sim.now == 12.0
 
     def test_past_scheduling_rejected(self):
-        sim = Simulator(start_time=10.0)
+        sim = Simulator()
+        sim.run_until(10.0)
         with pytest.raises(ValueError):
             sim.schedule(-1.0, lambda: None)
         with pytest.raises(ValueError):
@@ -88,7 +90,8 @@ class TestRunUntil:
         assert log == [3]
 
     def test_backwards_rejected(self):
-        sim = Simulator(start_time=5.0)
+        sim = Simulator()
+        sim.run_until(5.0)
         with pytest.raises(ValueError):
             sim.run_until(1.0)
 

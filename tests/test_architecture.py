@@ -8,7 +8,10 @@ catch, so no rule can pass vacuously.
 """
 
 import ast
+import dataclasses
 import functools
+import importlib
+import inspect
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -80,8 +83,7 @@ def every(*checks: Check) -> Check:
 # a server is power, capacity and bandwidth; the object table knows
 # what it holds
 # ----------------------------------------------------------------------
-SERVER_ATTRIBUTES = {"rank", "capacity_bytes", "disk_bandwidth",
-                     "network_bandwidth", "state"}
+SERVER_ATTRIBUTES = {"rank", "capacity_bytes", "disk_bandwidth", "state"}
 
 
 def server_keeps_no_per_object_state(tree: ast.Module) -> List[str]:
@@ -301,6 +303,102 @@ def runs_no_shared_pool(tree: ast.Module) -> List[str]:
                 else node.name if isinstance(node, ast.alias) else None)
         if name in POOL_NAMES:
             found.append(f"line {getattr(node, 'lineno', '?')}: {name}")
+    return found
+
+
+# ----------------------------------------------------------------------
+# constants for the knobs nobody turns
+# ----------------------------------------------------------------------
+#: ``"module:Callable"`` -> parameters or dataclass fields that became
+#: module constants because no CLI flag, bench, example or ledger
+#: workload set them; ``"**"`` is a keyword pass-through.  A class's
+#: entry covers its ``__init__`` and its annotated fields.
+REMOVED_KNOBS: Dict[str, FrozenSet[str]] = {
+    "repro.experiments.resize_agility:run_resize_agility": frozenset({
+        "n", "replicas", "object_size", "step_interval", "batch",
+        "disk_bw", "recovery_fraction", "duration", "vnodes_per_server"}),
+    "repro.experiments.layout:run_layout_versions": frozenset({
+        "n", "replicas", "off_count", "object_size", "B"}),
+    "repro.experiments.three_phase:run_three_phase": frozenset({
+        "phase2_rate", "max_duration", "probe_objects",
+        "isolate_reintegration"}),
+    "repro.experiments.traces:run_trace_analysis": frozenset({
+        "window_start_minutes", "window_minutes", "**"}),
+    "repro.workloads.three_phase:three_phase_workload": frozenset({
+        "phase2_rate"}),
+    "repro.cluster.runtime:ThreePhaseLoad": frozenset({"probe_objects"}),
+    "repro.faults.harness:run_chaos": frozenset({"dt"}),
+    "repro.kvstore.harness:run_kv_churn": frozenset({"dt"}),
+    "repro.serving.harness:run_serve": frozenset({"think_time"}),
+    "repro.serving.clients:ClosedLoopPopulation": frozenset({
+        "think_time", "retry_delay"}),
+    "repro.faults.retry:RetryPolicy": frozenset({
+        "base_delay", "factor", "max_delay", "max_attempts", "jitter"}),
+    "repro.serving.flowcontrol:UnthrottledController": frozenset({
+        "declared_bound"}),
+    "repro.serving.flowcontrol:FixedConcurrencyController": frozenset({
+        "limit"}),
+    "repro.serving.flowcontrol:AdaptiveQueueController": frozenset({
+        "bound", "target", "gain", "background_factor", "max_delay"}),
+    "repro.serving.flowcontrol:make_controller": frozenset({"**"}),
+    "repro.policy.controller:PredictiveController": frozenset({
+        "alpha", "beta"}),
+    "repro.policy.resizer:PolicyConfig": frozenset({
+        "disk_bw", "replicas", "recovery_fraction", "migration_fraction",
+        "selective_rate_limit"}),
+    "repro.policy.analysis:config_for_trace": frozenset({"**"}),
+    "repro.policy.resizer:GreenCHTPolicy": frozenset({"num_tiers"}),
+    "repro.policy.ideal:ideal_servers": frozenset({"n_min"}),
+    "repro.policy.replay:replay_policy": frozenset({"seed"}),
+    "repro.cluster.cluster:ElasticCluster": frozenset({"chain"}),
+    "repro.cluster.cluster:OriginalCHCluster": frozenset({"capacities"}),
+    "repro.core.elastic:ElasticConsistentHash": frozenset({
+        "initially_active"}),
+    "repro.core.versioning:VersionHistory": frozenset({
+        "initially_active"}),
+    "repro.core.kernel:PlacementKernel": frozenset({"max_tables"}),
+    "repro.kvstore.replicated:ReplicatedKVStore": frozenset({
+        "vnodes_per_node"}),
+    "repro.simulation.engine:Simulator": frozenset({"start_time"}),
+    "repro.faults.transfers:TransferManager": frozenset({"parent_span"}),
+    "repro.cluster.power:PowerModel": frozenset({"watts_off"}),
+    "repro.cluster.server:StorageServer": frozenset({"network_bandwidth"}),
+}
+
+#: Callable name -> the knobs it may not have again.
+_KNOBS_BY_NAME: Dict[str, FrozenSet[str]] = {
+    key.split(":")[1]: knobs for key, knobs in REMOVED_KNOBS.items()}
+
+
+def _parameters(fn: ast.FunctionDef) -> List[str]:
+    args = fn.args
+    names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+    return names + (["**"] if args.kwarg else [])
+
+
+def has_no_removed_knob(tree: ast.Module) -> List[str]:
+    """No function or class named in :data:`REMOVED_KNOBS` takes one of
+    its removed knobs back: as a parameter (of the function or of the
+    class's ``__init__``), as an annotated class field, or as a
+    ``**kwargs`` pass-through."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            owners = [(node.name, _parameters(node), node.lineno)]
+        elif isinstance(node, ast.ClassDef):
+            owners = [(node.name, _parameters(item), item.lineno)
+                      for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and item.name == "__init__"]
+            owners.append((node.name, [
+                item.target.id for item in node.body
+                if isinstance(item, ast.AnnAssign)
+                and isinstance(item.target, ast.Name)], node.lineno))
+        else:
+            continue
+        for name, params, line in owners:
+            for knob in sorted(set(params) & _KNOBS_BY_NAME.get(name, set())):
+                found.append(f"line {line}: {name}({knob})")
     return found
 
 
@@ -541,6 +639,17 @@ RULES = [
           "class FluidFlow:\n    ranks: frozenset = frozenset()\n",
           "class PolicyConfig:\n    pass\n\n\n"
           "def default_dataset_bytes(trace):\n    return 1e12\n")),
+    Rule("no-unturned-knob", "a knob nobody turns is a constant",
+         python_under(SRC),
+         on_tree(has_no_removed_knob),
+         ("def run_chaos(seed=7, n=10, dt=1.0):\n    return seed\n",
+          "@dataclass(frozen=True)\nclass RetryPolicy:\n"
+          "    seed: int = 0\n    jitter: float = 0.25\n",
+          "def make_controller(kind, **kwargs):\n"
+          "    return CONTROLLERS[kind](**kwargs)\n",
+          "class Simulator:\n"
+          "    def __init__(self, start_time=0.0):\n"
+          "        self.now = start_time\n")),
     Rule("one-process-per-task",
          "one process per task attempt, no shared pool",
          python_under(SRC),
@@ -687,3 +796,19 @@ def test_checker_kinds_flags_exactly_the_bad_classes():
     assert flagged == ["Missing", "Computed", "Empty", "Listy", "Child"]
     assert {"VersionMonotonicChecker", "KVReadYourWritesChecker"} \
         <= src_checkers()
+
+
+@pytest.mark.parametrize("key", sorted(REMOVED_KNOBS))
+def test_removed_knobs_are_gone_from_the_live_signatures(key):
+    """Each entry of the ``no-unturned-knob`` row names a real callable
+    (so the row cannot pass on a misspelt name) whose signature and
+    dataclass fields no longer have the knobs."""
+    module, qualname = key.split(":")
+    obj = getattr(importlib.import_module(module), qualname)
+    params = inspect.signature(obj).parameters.values()
+    names = {p.name for p in params}
+    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params):
+        names.add("**")
+    if dataclasses.is_dataclass(obj):
+        names |= {f.name for f in dataclasses.fields(obj)}
+    assert names & REMOVED_KNOBS[key] == set(), key

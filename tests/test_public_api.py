@@ -26,8 +26,7 @@ SURFACE = {
     "repro.cluster": [
         "ElasticCluster", "OriginalCHCluster", "StorageServer",
         "ObjectTable", "PowerState", "CapacityExceeded",
-        "plan_departure_recovery", "MigrationPlan", "full_reintegration_plan",
-        "addition_migration_plan", "VirtualDisk", "VdiRange",
+        "MigrationPlan", "VirtualDisk", "VdiRange",
         "check_cluster", "FsckReport", "FsckIssue",
         "MachineHourMeter", "PowerModel",
     ],
