@@ -26,8 +26,8 @@ from repro.workloads.cloudera import generate_cc_a
 
 CONTROLLERS = (
     OracleController(),
-    ReactiveController(headroom=1.2, hold_samples=5),
-    PredictiveController(headroom=1.1, horizon_samples=3),
+    ReactiveController(),
+    PredictiveController(),
 )
 
 

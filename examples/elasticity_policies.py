@@ -53,9 +53,8 @@ def main() -> None:
 
     # ---- controllers on top of primary+selective -------------------------
     rows = []
-    for ctrl in (OracleController(),
-                 ReactiveController(headroom=1.2, hold_samples=5),
-                 PredictiveController(headroom=1.1, horizon_samples=3)):
+    for ctrl in (OracleController(), ReactiveController(),
+                 PredictiveController()):
         req = ctrl.requested(trace, cfg)
         res = simulate_policy("primary-selective", trace, cfg,
                               requested=req)

@@ -89,22 +89,6 @@ def _check_size(size: int) -> None:
                          f"(got {size})")
 
 
-class _Landing:
-    """Lands a batch's writes one object at a time
-    (:meth:`ObjectTable.write`).  ``count`` is how many landed whole (a
-    full server raises partway through one)."""
-
-    __slots__ = ("count", "_write", "_size")
-
-    def __init__(self, objects: ObjectTable, size: int) -> None:
-        self.count = 0
-        self._write, self._size = objects.write, size
-
-    def __call__(self, oid: int, row: list) -> None:
-        self._write(oid, self._size, row)
-        self.count += 1
-
-
 class _ClusterBase:
     """Shared plumbing: server map, object table, distribution
     accounting."""
@@ -578,13 +562,20 @@ class ElasticCluster(_ClusterBase):
         single writes leaves.  Returns the server rows.
         """
         _check_size(size)
-        land = _Landing(self.objects, size)
+        write = self.objects.write
+        landed = 0
+
+        def land(oid: int, row: list) -> None:
+            nonlocal landed
+            write(oid, size, row)
+            landed += 1
+
         try:
             return self.ech.record_writes(oids, land)
         finally:
-            if land.count:
-                OBS.metrics.inc("cluster.writes", land.count)
-                OBS.metrics.inc("cluster.bytes_written", size * land.count)
+            if landed:
+                OBS.metrics.inc("cluster.writes", landed)
+                OBS.metrics.inc("cluster.bytes_written", size * landed)
 
     def read(self, oid: int) -> Tuple[Tuple[int, ...], bool]:
         """Locate the newest replicas of *oid*.

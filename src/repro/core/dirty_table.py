@@ -164,13 +164,13 @@ class DirtyTable:
         return iter(self.entries())
 
     def head(self) -> Optional[DirtyEntry]:
-        """The globally-first entry, or None when empty."""
-        best: Optional[DirtyEntry] = None
-        for key in self._oid_keys():
-            e = self._kv.lindex(key, 0)
-            if e is not None and (best is None or e < best):
-                best = e
-        return best
+        """The globally-first entry, or None when empty: answered from
+        the in-memory index, with no backend call."""
+        if not self._index:
+            return None
+        version, oid = min((min(versions), oid)
+                           for oid, versions in self._index.items())
+        return DirtyEntry(version=version, oid=oid)
 
     # ------------------------------------------------------------------
     def remove(self, entry: DirtyEntry) -> bool:

@@ -22,12 +22,13 @@ on, where objects belong.  Actual bytes live in
 from __future__ import annotations
 
 from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
-                    Union)
+                    Tuple, Union)
 
 import numpy as np
 
 from repro.core.dirty_table import DirtyTable
-from repro.core.kernel import BulkPlacement, PlacementKernel
+from repro.core.kernel import (BulkPlacement, PlacementKernel,
+                               SlotPlacementTable)
 from repro.core.layout import EqualWorkLayout
 from repro.core.placement import (
     ChainMode,
@@ -148,6 +149,10 @@ class ElasticConsistentHash:
             chain=self.chain,
             is_primary=self.is_primary,
         )
+        #: The membership :meth:`locate` last placed under and its slot
+        #: table: a run of locates under one version asks the kernel once.
+        self._located: Tuple[Optional[MembershipTable],
+                             Optional[SlotPlacementTable]] = (None, None)
 
     # ------------------------------------------------------------------
     # roles and power state
@@ -254,10 +259,12 @@ class ElasticConsistentHash:
         the same servers — Algorithm 2's ``locate_ser``."""
         table = (self.history.current if version is None
                  else self.history.get(version))
-        tbl = self._kernel.table(table.version, table.is_active)
-        slot = self._kernel.slot_of(oid)
+        located, tbl = self._located
+        if located is not table:
+            tbl = self._kernel.table(table.version, table.is_active)
+            self._located = (table, tbl)
         try:
-            return tbl.lookup(slot)
+            return tbl.lookup(self._kernel.slot_of(oid))
         except LookupError as exc:
             raise LookupError(f"{exc} (oid {oid!r})") from None
 

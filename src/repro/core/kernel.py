@@ -463,13 +463,15 @@ class PlacementKernel:
     def rows(self, key: Hashable, is_active: Optional[Predicate],
              oids: Sequence[Hashable]) -> List[list]:
         """Server rows of *oids* under membership *key*: each oid's
-        memoised slot, then one gather of the key's table.  Raises the
-        table's ``LookupError`` naming the first oid (fewer than r
-        servers to place on fails every oid alike)."""
-        slot_of = self.slot_of
+        memoised slot (read in C while every oid has one), then one
+        gather of the key's table.  Raises the table's ``LookupError``
+        naming the first oid (fewer than r servers to place on fails
+        every oid alike)."""
+        slots = list(map(self._slot_cache.get, oids))
+        if None in slots:
+            slots = [self.slot_of(oid) for oid in oids]
         try:
-            return self.table(key, is_active).rows(
-                [slot_of(oid) for oid in oids])
+            return self.table(key, is_active).rows(slots)
         except LookupError as exc:
             raise LookupError(f"{exc} (oid {oids[0]!r})") from None
 

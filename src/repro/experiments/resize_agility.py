@@ -134,7 +134,7 @@ def run_resize_agility(objects: int = 2_000) -> ResizeAgilityResult:
         # superseded.
         state["pending_remove"] = 0
         if state["removal_event"] is not None:
-            state["removal_event"].cancel()
+            sim.cancel(state["removal_event"])
             state["removal_event"] = None
             state["busy"] = False
         added = 0

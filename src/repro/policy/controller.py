@@ -54,53 +54,57 @@ class OracleController:
         return np.clip(need, 1, config.n_max)
 
 
+#: The reactive controller's servers per server the observed load
+#: needs, and the samples in a row its target must stay below the
+#: request before it shrinks.
+REACTIVE_HEADROOM = 1.2
+HOLD_SAMPLES = 5
+
+
 @dataclass(frozen=True)
 class ReactiveController:
     """Hysteresis follower.
 
     Each sample it sees the *previous* sample's load (you cannot react
-    to load you have not observed), requests ``headroom`` times the
-    servers that load needs, and only shrinks after the implied target
-    has been below the current request for ``hold_samples`` in a row —
-    the AutoScale-style guard against flapping on transient dips.
+    to load you have not observed), requests :data:`REACTIVE_HEADROOM`
+    times the servers that load needs, and only shrinks after the
+    implied target has been below the current request for
+    :data:`HOLD_SAMPLES` in a row — the AutoScale-style guard against
+    flapping on transient dips.
     """
 
-    headroom: float = 1.2
-    hold_samples: int = 5
     name: str = "reactive"
-
-    def __post_init__(self) -> None:
-        if self.headroom < 1.0:
-            raise ValueError("headroom must be >= 1")
-        if self.hold_samples < 1:
-            raise ValueError("hold_samples must be >= 1")
 
     def requested(self, trace: LoadTrace,
                   config: PolicyConfig) -> np.ndarray:
         load = trace.load
         out = np.empty(load.size, dtype=int)
         current = max(1, math.ceil(
-            load[0] * self.headroom / config.per_server_bw))
+            load[0] * REACTIVE_HEADROOM / config.per_server_bw))
         below = 0
         for t in range(load.size):
             observed = load[t - 1] if t > 0 else load[0]
             want = max(1, math.ceil(
-                observed * self.headroom / config.per_server_bw))
+                observed * REACTIVE_HEADROOM / config.per_server_bw))
             if want >= current:
                 current = want          # grow immediately
                 below = 0
             else:
                 below += 1
-                if below >= self.hold_samples:
+                if below >= HOLD_SAMPLES:
                     current = want      # shrink after the hold-down
                     below = 0
             out[t] = min(config.n_max, current)
         return out
 
 
-#: Holt smoothing weights of the level and of the trend.
+#: Holt smoothing weights of the level and of the trend, the samples
+#: ahead the predictive controller provisions for, and its servers per
+#: server the forecast load needs.
 ALPHA = 0.5
 BETA = 0.3
+HORIZON_SAMPLES = 3
+PREDICTIVE_HEADROOM = 1.1
 
 
 @dataclass(frozen=True)
@@ -108,22 +112,15 @@ class PredictiveController:
     """Holt linear-trend forecaster.
 
     Maintains level+trend estimates of the load (smoothed by
-    :data:`ALPHA` and :data:`BETA`) and requests capacity
-    for the forecast ``horizon_samples`` ahead (resizing takes time to
-    pay off, so provision for where the load is *going*), with the
-    same headroom multiplier.  Forecasts are floored at the observed
-    load so a falling forecast never undercuts what is already there.
+    :data:`ALPHA` and :data:`BETA`) and requests capacity for the
+    forecast :data:`HORIZON_SAMPLES` ahead (resizing takes time to pay
+    off, so provision for where the load is *going*), with a headroom
+    multiplier of :data:`PREDICTIVE_HEADROOM`.  Forecasts are floored at
+    the observed load so a falling forecast never undercuts what is
+    already there.
     """
 
-    horizon_samples: int = 3
-    headroom: float = 1.1
     name: str = "predictive"
-
-    def __post_init__(self) -> None:
-        if self.horizon_samples < 0:
-            raise ValueError("horizon_samples must be >= 0")
-        if self.headroom < 1.0:
-            raise ValueError("headroom must be >= 1")
 
     def requested(self, trace: LoadTrace,
                   config: PolicyConfig) -> np.ndarray:
@@ -137,10 +134,9 @@ class PredictiveController:
             level = ALPHA * observed + (1 - ALPHA) * (level + trend)
             trend = (BETA * (level - prev_level)
                      + (1 - BETA) * trend)
-            forecast = max(observed,
-                           level + self.horizon_samples * trend)
+            forecast = max(observed, level + HORIZON_SAMPLES * trend)
             want = max(1, math.ceil(
-                forecast * self.headroom / config.per_server_bw))
+                forecast * PREDICTIVE_HEADROOM / config.per_server_bw))
             out[t] = min(config.n_max, want)
         return out
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -58,24 +58,34 @@ class DrawStream:
     ``hash64(f"{prefix}{row}:{n}{suffix}")`` — read by ordinal *n*.
 
     A suffix's values are computed a block of consecutive ordinals (for
-    every row) at a time, on first use, and kept as ``uint64`` arrays:
-    lists of Python ints cost 9 MB more on a ``run_serve``.
+    every row) at a time, on first use and in order from ordinal 0, and
+    kept as ``uint64`` arrays: lists of Python ints cost 9 MB more on a
+    ``run_serve``.
     """
 
     def __init__(self, prefix: str, rows: Optional[int] = None) -> None:
         self._lead = (prefix,) if rows is None else (
             prefix, np.arange(rows)[:, None], ":")
         self._width = max(1, _BLOCK_DRAWS // (rows or 1))
-        self._blocks: Dict[Tuple[str, int], np.ndarray] = {}
+        #: suffix -> its blocks; block k holds ordinals ``k * width``
+        #: up to ``(k + 1) * width``.
+        self._blocks: Dict[str, List[np.ndarray]] = {}
 
     def hash(self, suffix: str, n: int, row: int = 0) -> int:
-        b, i = divmod(n, self._width)
-        block = self._blocks.get((suffix, b))
-        if block is None:
-            ns = np.arange(b * self._width, (b + 1) * self._width)[None, :]
-            block = self._blocks[suffix, b] = bulk_hash_concat(
-                *self._lead, ns, suffix)
-        return block.item(row, i)
+        width = self._width
+        try:
+            return self._blocks[suffix][n // width].item(row, n % width)
+        except (KeyError, IndexError):
+            return self._fill(suffix, n // width).item(row, n % width)
+
+    def _fill(self, suffix: str, b: int) -> np.ndarray:
+        """*suffix*'s blocks through block *b*; returns block *b*."""
+        blocks = self._blocks.setdefault(suffix, [])
+        width = self._width
+        for k in range(len(blocks), b + 1):
+            ns = np.arange(k * width, (k + 1) * width)[None, :]
+            blocks.append(bulk_hash_concat(*self._lead, ns, suffix))
+        return blocks[b]
 
     def unit(self, suffix: str, n: int, row: int = 0) -> float:
         return (self.hash(suffix, n, row) + 0.5) / 2.0 ** 64

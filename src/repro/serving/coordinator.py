@@ -136,7 +136,7 @@ class AdmissionCoordinator:
         bus = OBS.bus
         if not self.controller.admit(server, depth):
             self.rejected[req.pop] = self.rejected.get(req.pop, 0) + 1
-            self._counters["serve.rejected"].inc()
+            self._counters["serve.rejected"].value += 1
             if bus.takes("serve.reject"):
                 bus.emit("serve.reject", rid=req.rid, server=server,
                          depth=depth, pop=req.pop)
@@ -150,7 +150,7 @@ class AdmissionCoordinator:
         if depth > self.max_depth:
             self.max_depth = depth
         self.enqueued[req.pop] = self.enqueued.get(req.pop, 0) + 1
-        self._counters["serve.enqueued"].inc()
+        self._counters["serve.enqueued"].value += 1
         if bus.takes("serve.enqueue"):
             bus.emit("serve.enqueue", rid=req.rid, server=server,
                      nbytes=req.nbytes, pop=req.pop, depth=depth)
@@ -207,7 +207,7 @@ class AdmissionCoordinator:
         self.latencies.setdefault(req.pop, []).append(latency)
         self.completed[req.pop] = self.completed.get(req.pop, 0) + 1
         self.served_bytes += req.nbytes
-        self._counters["serve.completed"].inc()
+        self._counters["serve.completed"].value += 1
         bus = OBS.bus
         if bus.takes("serve.complete"):
             bus.emit("serve.complete", rid=req.rid, server=rank,

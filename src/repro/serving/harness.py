@@ -197,9 +197,10 @@ def run_serve(
             server = pick_replica(oid, key.hash(":replica"))
             nbytes = float(REQUEST_BYTES)
             on_complete = None
-        return Request(rid=rid, pop=pop, oid=oid, is_write=is_write,
-                       server=server, nbytes=nbytes, t_enqueue=sim.now,
-                       on_complete=on_complete)
+        # Positional: matching eight keywords costs as much again as
+        # building the request.
+        return Request(rid, pop, oid, is_write, server, nbytes, sim.now,
+                       on_complete)
 
     closed = ClosedLoopPopulation(
         sim, coord, factory, clients=clients, seed=seed, name="closed")

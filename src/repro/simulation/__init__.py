@@ -22,14 +22,13 @@ provably unchanged, reuse of the previous solve's rates
 or a trace byte, and nothing outside the problem itself selects it.
 """
 
-from repro.simulation.engine import Event, Simulator
+from repro.simulation.engine import Simulator
 from repro.simulation.bandwidth import max_min_fair
 from repro.simulation.columnar import max_min_fair_columnar
 from repro.simulation.flows import FluidFlow, FlowSet
 from repro.simulation.iomodel import IOModel
 
 __all__ = [
-    "Event",
     "Simulator",
     "max_min_fair",
     "max_min_fair_columnar",

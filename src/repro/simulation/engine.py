@@ -1,7 +1,7 @@
 """A minimal deterministic discrete-event simulation core.
 
 Nothing storage-specific lives here: just a clock, a priority queue of
-events, cancellation, and a periodic-callback helper.
+events and cancellation.
 
 Determinism contract: events execute in the total order
 ``(time, seq)`` where ``seq`` is a monotonically increasing sequence
@@ -12,6 +12,12 @@ arrivals and completions replay bit-for-bit regardless of heap
 internals.  Scheduling times must be finite: a NaN compares false
 against everything, which would silently corrupt the heap's ordering,
 so non-finite times are rejected at :meth:`Simulator.schedule_at`.
+
+A scheduled event is its heap entry: the list ``[time, seq, fn,
+args]``, which is also the handle :meth:`Simulator.cancel` takes.  The
+heap orders entries by ``(time, seq)`` in C and, ``seq`` being unique,
+never compares further; ``fn`` is ``None`` once the event has fired
+or been cancelled.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List
 
 from repro.obs.runtime import OBS
 
-__all__ = ["Event", "Simulator", "event_label"]
+__all__ = ["Simulator", "event_label"]
 
 
 def event_label(fn: Callable[..., Any]) -> str:
@@ -32,33 +38,6 @@ def event_label(fn: Callable[..., Any]) -> str:
     its ``repr`` when it has none (e.g. a ``functools.partial``)."""
     label = getattr(fn, "__qualname__", None)
     return repr(fn) if label is None else label
-
-
-class Event:
-    """A scheduled callback.  Returned by :meth:`Simulator.schedule`
-    so callers can :meth:`cancel` it."""
-
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
-
-    def __init__(self, time: float, seq: int,
-                 fn: Callable[..., Any], args: tuple,
-                 sim: "Optional[Simulator]" = None) -> None:
-        self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (O(1); the heap entry is
-        skipped lazily when popped).  Idempotent — a double cancel
-        must not decrement the owning simulator's live count twice."""
-        if self.cancelled:
-            return
-        self.cancelled = True
-        if self._sim is not None:
-            self._sim._live -= 1
 
 
 class Simulator:
@@ -79,9 +58,8 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now = 0.0
-        #: ``(time, seq, event)`` entries: seq is unique, so the heap
-        #: orders by the documented key in C and never compares events.
-        self._heap: List[Tuple[float, int, Event]] = []
+        #: ``[time, seq, fn, args]`` entries (see the module docstring).
+        self._heap: List[list] = []
         self._seq = itertools.count()
         #: Live (scheduled, not yet fired or cancelled) event count —
         #: kept exact on schedule/cancel/pop so :attr:`pending` is O(1)
@@ -93,30 +71,39 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any],
-                 *args: Any) -> Event:
+                 *args: Any) -> list:
         """Run ``fn(*args)`` *delay* seconds from now."""
         if delay < 0:
             raise ValueError("cannot schedule into the past")
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, t: float, fn: Callable[..., Any],
-                    *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute time *t* (>= now, finite).
+                    *args: Any) -> list:
+        """Run ``fn(*args)`` at absolute time *t* (>= now, finite);
+        returns the event's heap entry, the handle :meth:`cancel` takes.
 
         Same-instant events fire in scheduling order — the documented
         ``(time, seq)`` total order of the module docstring."""
-        if not math.isfinite(t):
-            # NaN would pass the `< now` guard (NaN comparisons are
-            # all false) and then violate the heap's strict weak
-            # ordering — corrupting event order nondeterministically.
-            raise ValueError(f"cannot schedule at non-finite time {t!r}")
-        if t < self.now:
+        if not self.now <= t < math.inf:
+            # NaN fails every comparison, so it lands here too rather
+            # than in the heap, whose strict weak ordering it would
+            # break — corrupting event order nondeterministically.
+            if not math.isfinite(t):
+                raise ValueError(f"cannot schedule at non-finite time {t!r}")
             raise ValueError(f"cannot schedule at {t} < now={self.now}")
-        ev = Event(t, next(self._seq), fn, args, sim=self)
-        heapq.heappush(self._heap, (t, ev.seq, ev))
+        entry = [t, next(self._seq), fn, args]
+        heapq.heappush(self._heap, entry)
         self._live += 1
-        self._sched_counter.inc()
-        return ev
+        self._sched_counter.value += 1
+        return entry
+
+    def cancel(self, entry: list) -> None:
+        """Keep a scheduled event from firing (O(1): its heap entry is
+        skipped when popped).  Idempotent, and a no-op once the event
+        has fired, so :attr:`pending` never counts an event twice."""
+        if entry[2] is not None:
+            entry[2] = None
+            self._live -= 1
 
     # ------------------------------------------------------------------
     @property
@@ -135,24 +122,23 @@ class Simulator:
         try:
             while heap:
                 entry = pop(heap)
-                ev = entry[2]
-                if ev.cancelled:
+                t, seq, fn, args = entry
+                if fn is None:
                     cancelled += 1
                     continue
-                t = entry[0]
                 if t > limit:
                     heapq.heappush(heap, entry)
                     break
+                entry[2] = None     # fired: a late cancel does nothing
                 self._live -= 1
-                ev._sim = None      # a late cancel() must not decrement again
                 self.now = t
                 fired += 1
                 if bus.sinks:
                     bus.clock = t
                     if bus.takes("engine.event"):
-                        bus.emit("engine.event", t=t, seq=entry[1],
-                                 fn=event_label(ev.fn))
-                ev.fn(*ev.args)
+                        bus.emit("engine.event", t=t, seq=seq,
+                                 fn=event_label(fn))
+                fn(*args)
                 if once:
                     break
         finally:

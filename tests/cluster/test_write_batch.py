@@ -318,6 +318,31 @@ class TestPinnedHistories:
         assert "cluster.writes" not in steps[-1][2]["metrics"]
         assert "core.writes" not in steps[-1][2]["metrics"]
 
+    @pytest.mark.parametrize("setup, before, outcome", [
+        (("elastic", 2, None, "kv"), [], "ok"),
+        (("elastic", 2, None, "kv"), [("resize", 4)], "ok"),
+        (("elastic", 3, None, "replicated"), [("resize", 3)], "ok"),
+        (("elastic", 2, 2, "kv"), [], CapacityExceeded.__name__),
+        (("elastic", 3, None, "kv"), [("resize", 2)], "LookupError"),
+        (("original", 2, None, "kv"), [], "ok"),
+    ], ids=["full-power", "shrunk", "replicated-store", "full-server",
+            "too-few-up", "baseline"])
+    def test_one_object_batch(self, setup, before, outcome):
+        """A batch of one object — what a served write sends — leaves
+        what one single write leaves, and counts one write or none."""
+        steps = self.agree(setup, before + [("write_many", [1], 3)])
+        _, out, state = steps[-1]
+        assert out[0] == "ok" if outcome == "ok" else out[1] == outcome
+        # A full server raises after the object's header is written.
+        assert [h[0] for h in state["headers"]] == (
+            [] if outcome == "LookupError" else [1])
+        if outcome == "ok" and setup[0] == "elastic":
+            assert state["metrics"]["cluster.writes"] == 1
+            assert state["metrics"]["cluster.bytes_written"] == 3
+        else:
+            assert "cluster.writes" not in state["metrics"]
+            assert "cluster.bytes_written" not in state["metrics"]
+
     def test_baseline_batch(self):
         steps = self.agree(("original", 2, None, "kv"),
                            [("write_many", [1, 2, 1], 3), ("remove", 2),

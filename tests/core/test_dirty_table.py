@@ -271,6 +271,56 @@ class TestBackendDifferential:
                             (v, oid) in model), (label, oid, v)
 
 
+class _NoBackend:
+    """Stands in for a table's store: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the backend was asked for {name!r}")
+
+
+class TestHeadFromIndex:
+    """``head()`` is answered from the in-memory index: the first
+    entry in (version, oid) order, with no call on the store."""
+
+    @pytest.mark.parametrize("label", list(BACKENDS))
+    def test_head_makes_no_backend_call(self, label):
+        table = DirtyTable(BACKENDS[label]())
+        for oid, version in [(9, 1), (4, 1), (7, 2), (4, 2), (1, 3)]:
+            table.insert(oid, version)
+        want = table.entries()[0]
+        kv, table._kv = table._kv, _NoBackend()
+        try:
+            assert table.head() == want == DirtyEntry(version=1, oid=4)
+        finally:
+            table._kv = kv
+
+    @pytest.mark.parametrize("ops", [
+        [("insert", 5, 1), ("insert", 3, 1), ("insert", 8, 2)],
+        [("insert", 2, 1), ("insert", 2, 2), ("remove", 2, 1)],
+        [("insert", 6, 1), ("insert", 1, 2), ("remove_oid", 6)],
+        [("insert", 4, 1), ("insert", 4, 3), ("insert", 0, 3),
+         ("remove", 4, 1)],
+        [("insert", 3, 2), ("insert", 1, 2), ("clear",),
+         ("insert", 7, 4)],
+    ], ids=["version-then-oid", "older-version-removed",
+            "oid-removed", "ties-by-oid", "after-clear"])
+    def test_head_is_the_first_entry_after_every_op(self, ops):
+        table = DirtyTable()
+        assert table.head() is None
+        for op, *args in ops:
+            if op == "insert":
+                table.insert(*args)
+            elif op == "remove":
+                oid, version = args
+                assert table.remove(DirtyEntry(version=version, oid=oid))
+            elif op == "remove_oid":
+                assert table.remove_oid(*args)
+            else:
+                table.clear()
+            entries = table.entries()
+            assert table.head() == (entries[0] if entries else None), op
+
+
 class TestContainsOidCost:
     def test_contains_oid_does_not_scan_the_index(self):
         """Regression: ``contains_oid`` was ``any(...)`` over every

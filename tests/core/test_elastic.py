@@ -92,6 +92,62 @@ class TestLocate:
             assert sum(1 for s in res.servers if ech10.is_primary(s)) == 1
 
 
+    @pytest.mark.parametrize("walk", [
+        [None, None, None],
+        [1, 2, 3, 4],
+        [4, 3, 2, 1],
+        [1, None, 2, None, 1],
+        [None, 1, None, 1],
+        [3, 3, None, 3],
+    ])
+    def test_locate_answers_the_version_asked_whatever_came_before(
+            self, walk):
+        """``locate`` keeps the membership it last placed under; a run
+        of calls under any sequence of versions still answers each
+        one's placement (the per-object ring walk as oracle)."""
+        ech = ElasticConsistentHash(n=10, replicas=2, B=200)
+        for k in (6, 4, 8):                 # versions 2, 3 and 4
+            ech.set_active(k)
+        for version in walk:
+            table = (ech.history.current if version is None
+                     else ech.history.get(version))
+            for oid in range(0, 300, 7):
+                assert ech.locate(oid, version) == \
+                    ech._locate_reference(oid, table), (version, oid)
+
+    @pytest.mark.parametrize("change", ["resize", "crash", "repair"])
+    def test_a_new_version_is_seen_by_the_next_locate(self, change):
+        ech = ElasticConsistentHash(n=10, replicas=2, B=200)
+        ech.set_active(7)
+        if change == "repair":
+            ech.mark_failed(5)
+        before = [ech.locate(oid) for oid in range(100)]
+        if change == "resize":
+            ech.set_active(4)
+        elif change == "crash":
+            ech.mark_failed(3)
+        else:
+            ech.mark_repaired(5)
+            ech.set_active(9)
+        table = ech.history.current
+        after = [ech.locate(oid) for oid in range(100)]
+        assert after == [ech._locate_reference(oid, table)
+                         for oid in range(100)]
+        assert after != before
+
+    def test_locate_outlives_the_kernels_table_cache(self):
+        """More versions than the kernel keeps tables for: every
+        version still locates to its own placement."""
+        ech = ElasticConsistentHash(n=10, replicas=2, B=200)
+        for step in range(2 * 16):
+            ech.set_active(3 + step % 7)
+            ech.locate(step)
+        for version in range(1, ech.current_version + 1):
+            table = ech.history.get(version)
+            for oid in (0, 11, 57, 123):
+                assert ech.locate(oid, version) == \
+                    ech._locate_reference(oid, table), (version, oid)
+
     @pytest.mark.parametrize("numpy_first", [True, False])
     def test_numpy_integer_oid_is_the_same_object(self, numpy_first):
         """Regression: ``locate(np.int64(o))`` hashed ``repr(o)``, placed

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.policy.controller as controller_mod
 from repro.policy.controller import (
     OracleController,
     PredictiveController,
@@ -17,6 +18,15 @@ from repro.workloads.trace import LoadTrace
 def config():
     return PolicyConfig(n_max=20, per_server_bw=10e6,
                         dataset_bytes=100e9)
+
+
+@pytest.fixture
+def exact(monkeypatch):
+    """Both controllers request exactly what their load estimate needs
+    (headroom 1); the predictive one forecasts 5 samples ahead."""
+    monkeypatch.setattr(controller_mod, "REACTIVE_HEADROOM", 1.0)
+    monkeypatch.setattr(controller_mod, "PREDICTIVE_HEADROOM", 1.0)
+    monkeypatch.setattr(controller_mod, "HORIZON_SAMPLES", 5)
 
 
 def make_trace(pattern):
@@ -41,73 +51,62 @@ class TestOracle:
 
 
 class TestReactive:
-    def test_grows_immediately_after_observation(self, config):
+    def test_grows_immediately_after_observation(self, config, exact):
         trace = make_trace(STEP)
-        req = ReactiveController(headroom=1.0).requested(trace, config)
+        req = ReactiveController().requested(trace, config)
         # Load steps up at t=30; the controller sees it at t=31.
         assert req[30] < 10
         assert req[31] >= 15
 
-    def test_shrinks_only_after_hold_down(self, config):
+    def test_shrinks_only_after_hold_down(self, config, exact, monkeypatch):
         trace = make_trace(STEP)
-        ctrl = ReactiveController(headroom=1.0, hold_samples=5)
-        req = ctrl.requested(trace, config)
-        # Load drops at t=60; the shrink happens hold_samples later.
+        monkeypatch.setattr(controller_mod, "HOLD_SAMPLES", 5)
+        req = ReactiveController().requested(trace, config)
+        # Load drops at t=60; the shrink happens HOLD_SAMPLES later.
         assert req[62] >= 15
         assert req[60 + 6] < 15
 
-    def test_headroom_overprovisions(self, config):
+    def test_headroom_overprovisions(self, config, monkeypatch):
         trace = make_trace(STEP)
-        lo = ReactiveController(headroom=1.0).requested(trace, config)
-        hi = ReactiveController(headroom=1.5).requested(trace, config)
+        monkeypatch.setattr(controller_mod, "REACTIVE_HEADROOM", 1.0)
+        lo = ReactiveController().requested(trace, config)
+        monkeypatch.setattr(controller_mod, "REACTIVE_HEADROOM", 1.5)
+        hi = ReactiveController().requested(trace, config)
         assert hi.sum() > lo.sum()
 
-    def test_one_sample_lag_causes_violation_on_step(self, config):
+    def test_one_sample_lag_causes_violation_on_step(self, config, exact):
         trace = make_trace(STEP)
-        req = ReactiveController(headroom=1.0).requested(trace, config)
+        req = ReactiveController().requested(trace, config)
         q = evaluate_provisioning(trace, req, config.per_server_bw)
         assert q["violation_fraction"] > 0.0
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ReactiveController(headroom=0.5)
-        with pytest.raises(ValueError):
-            ReactiveController(hold_samples=0)
-
 
 class TestPredictive:
-    def test_anticipates_a_ramp(self, config):
+    def test_anticipates_a_ramp(self, config, exact):
         trace = make_trace(RAMP)
-        reactive = ReactiveController(headroom=1.0).requested(trace, config)
-        predictive = PredictiveController(
-            headroom=1.0, horizon_samples=5).requested(trace, config)
+        reactive = ReactiveController().requested(trace, config)
+        predictive = PredictiveController().requested(trace, config)
         # Mid-ramp, the forecaster runs ahead of the follower.
         mid = slice(15, 55)
         assert predictive[mid].mean() > reactive[mid].mean()
 
-    def test_fewer_violations_than_reactive_on_ramp(self, config):
+    def test_fewer_violations_than_reactive_on_ramp(self, config, exact):
         trace = make_trace(RAMP)
-        r = ReactiveController(headroom=1.0).requested(trace, config)
-        p = PredictiveController(headroom=1.0,
-                                 horizon_samples=5).requested(trace, config)
+        r = ReactiveController().requested(trace, config)
+        p = PredictiveController().requested(trace, config)
         qr = evaluate_provisioning(trace, r, config.per_server_bw)
         qp = evaluate_provisioning(trace, p, config.per_server_bw)
         assert (qp["violation_fraction"] <= qr["violation_fraction"])
 
-    def test_forecast_never_undercuts_observed(self, config):
+    def test_forecast_never_undercuts_observed(self, config, monkeypatch):
         trace = make_trace(STEP)
-        req = PredictiveController(headroom=1.0).requested(trace, config)
+        monkeypatch.setattr(controller_mod, "PREDICTIVE_HEADROOM", 1.0)
+        req = PredictiveController().requested(trace, config)
         # One sample after observation, capacity covers the previous
         # load at minimum.
         for t in range(1, len(trace)):
             assert (req[t] * config.per_server_bw
                     >= trace.load[t - 1] - 1e-6)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PredictiveController(horizon_samples=-1)
-        with pytest.raises(ValueError):
-            PredictiveController(headroom=0.9)
 
 
 class TestIntegrationWithPolicies:

@@ -90,18 +90,59 @@ class TestStreamAgainstScalarHash:
         stream = DrawStream("7:open:")
         value = stream.hash(":rw", 5)
         assert type(value) is int and type(stream.unit(":rw", 5)) is float
-        (block,) = stream._blocks.values()
+        ((block,),) = stream._blocks.values()
         assert block.dtype == "uint64" and block.shape == (1, _BLOCK_DRAWS)
         stream.hash(":rw", 6)                     # same block, no new fill
         stream.hash(":rw", _BLOCK_DRAWS)          # next block
         stream.hash(":oid", 5)                    # lazily per suffix
-        assert sorted(stream._blocks) == [(":oid", 0), (":rw", 0), (":rw", 1)]
+        assert {suffix: len(blocks) for suffix, blocks
+                in stream._blocks.items()} == {":oid": 1, ":rw": 2}
+        assert stream._blocks[":rw"][0] is block
+
+    def test_blocks_fill_in_order_from_ordinal_zero(self):
+        stream = DrawStream("7:open:")
+        assert stream.hash(":retry", 2 * _BLOCK_DRAWS + 1) == hash64(
+            f"7:open:{2 * _BLOCK_DRAWS + 1}:retry")
+        assert len(stream._blocks[":retry"]) == 3
+
+    @pytest.mark.parametrize("order", ["forward", "backward", "strided"])
+    @pytest.mark.parametrize("rows", [None, 1, 3, 2 * _BLOCK_DRAWS])
+    def test_any_read_order_reads_the_scalar_values(self, rows, order):
+        """Reads on both sides of three block boundaries, in any order,
+        give the scalar hash; the suffix's blocks end up filled from
+        ordinal 0 through the last block read, each exactly once."""
+        stream = DrawStream("5:mix:", rows)
+        width = max(1, _BLOCK_DRAWS // (rows or 1))
+        last = 0 if rows is None else rows - 1
+        reads = [(row, n) for n in (0, 1, width - 1, width, width + 1,
+                                    2 * width, 3 * width - 1)
+                 for row in sorted({0, last})]
+        if order == "backward":
+            reads.reverse()
+        elif order == "strided":
+            reads = reads[1::2] + reads[::2]
+        fills = []
+        fill = stream._fill
+
+        def counted(suffix, b):
+            fills.append(b)
+            return fill(suffix, b)
+
+        stream._fill = counted
+        for row, n in reads:
+            key = f"5:mix:{n}" if rows is None else f"5:mix:{row}:{n}"
+            assert stream.hash(":rw", n, row) == hash64(key + ":rw")
+        assert len(stream._blocks[":rw"]) == 3
+        # A miss fills every block up to the one read: the backward
+        # walk's first read fills all three at once.
+        assert fills == ([2] if order == "backward" else [0, 1, 2])
 
     def test_more_rows_than_a_block_holds(self):
         stream = DrawStream("3:big:", 2 * _BLOCK_DRAWS)
         row = 2 * _BLOCK_DRAWS - 1
         assert stream.hash(":rw", 2, row) == hash64(f"3:big:{row}:2:rw")
-        assert next(iter(stream._blocks.values())).shape[1] == 1
+        assert [block.shape for block in stream._blocks[":rw"]] == [
+            (2 * _BLOCK_DRAWS, 1)] * 3
 
 
 # ----------------------------------------------------------------------

@@ -8,10 +8,12 @@ This is the loop they replaced — ``run_until`` as ``peek_time()`` then
 event — kept only so the differential tests can show the two fire the
 same events in the same order with the same counters and trace.
 
-One change from the old bodies: ``peek_time`` counts the cancelled
+Two changes from the old bodies: ``peek_time`` counts the cancelled
 events it discards in ``engine.cancelled``, as ``step`` always did
 (before, ``run()`` counted a cancelled event and ``run_until()`` did
-not).
+not); and both read the heap's ``[time, seq, fn, args]`` entries, a
+``None`` callback marking a cancelled or fired event, where they read
+the ``Event`` objects the heap used to hold.
 """
 
 import heapq
@@ -23,7 +25,7 @@ from repro.simulation.engine import Simulator, event_label
 
 def peek_time(sim: Simulator) -> Optional[float]:
     heap = sim._heap
-    while heap and heap[0][2].cancelled:
+    while heap and heap[0][2] is None:
         heapq.heappop(heap)
         OBS.metrics.inc("engine.cancelled")
     return heap[0][0] if heap else None
@@ -31,20 +33,20 @@ def peek_time(sim: Simulator) -> Optional[float]:
 
 def step(sim: Simulator) -> bool:
     while sim._heap:
-        ev = heapq.heappop(sim._heap)[2]
-        if ev.cancelled:
+        entry = heapq.heappop(sim._heap)
+        t, seq, fn, args = entry
+        if fn is None:
             OBS.metrics.inc("engine.cancelled")
             continue
         sim._live -= 1
-        ev._sim = None
-        sim.now = ev.time
+        entry[2] = None
+        sim.now = t
         sim._events_counter.inc()
         bus = OBS.bus
         if bus.active:
-            bus.clock = ev.time
-            bus.emit("engine.event", t=ev.time, seq=ev.seq,
-                     fn=event_label(ev.fn))
-        ev.fn(*ev.args)
+            bus.clock = t
+            bus.emit("engine.event", t=t, seq=seq, fn=event_label(fn))
+        fn(*args)
         return True
     return False
 

@@ -76,7 +76,7 @@ def play(script, loop):
             elif act[0] == "at_limit" and len(handles) < CAP:
                 schedule(max(limit[0], sim.now))
             elif act[0] == "cancel":
-                handles[act[1] % len(handles)].cancel()
+                sim.cancel(handles[act[1] % len(handles)])
             elif act[0] == "raise":
                 raise Boom(i)
 
@@ -84,7 +84,7 @@ def play(script, loop):
         schedule(t)
     for k in cancels:
         if handles:
-            handles[k % len(handles)].cancel()
+            sim.cancel(handles[k % len(handles)])
     results = []
     for op in ops:
         try:
@@ -164,7 +164,7 @@ def test_cancelled_count_is_the_same_for_every_entry_point(loop):
         OBS.reset()
         try:
             sim = Simulator()
-            sim.schedule_at(1.0, lambda: None).cancel()
+            sim.cancel(sim.schedule_at(1.0, lambda: None))
             sim.schedule_at(1.5, lambda: None)
             drive(sim)
             assert OBS.metrics.snapshot()["engine.cancelled"] == 1

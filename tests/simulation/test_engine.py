@@ -59,7 +59,7 @@ class TestCancellation:
         sim = Simulator()
         fired = []
         ev = sim.schedule(1.0, fired.append, True)
-        ev.cancel()
+        sim.cancel(ev)
         sim.run()
         assert fired == []
 
@@ -68,7 +68,7 @@ class TestCancellation:
         ev = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.pending == 2
-        ev.cancel()
+        sim.cancel(ev)
         assert sim.pending == 1
 
 class TestRunUntil:
@@ -159,7 +159,7 @@ class TestCounters:
         OBS.reset()
         try:
             sim = Simulator()
-            sim.schedule_at(1.0, lambda: None).cancel()
+            sim.cancel(sim.schedule_at(1.0, lambda: None))
             sim.schedule_at(2.0, lambda: None)
             sim.schedule_at(3.0, lambda: 1 / 0)
             sim.schedule_at(4.0, lambda: None)

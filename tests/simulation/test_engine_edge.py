@@ -5,7 +5,7 @@ import functools
 import pytest
 
 from repro.obs import OBS, Profiler
-from repro.simulation.engine import Event, Simulator
+from repro.simulation.engine import Simulator
 
 
 class TestReentrancy:
@@ -26,7 +26,7 @@ class TestReentrancy:
         sim = Simulator()
         fired = []
         later = sim.schedule(2.0, fired.append, "later")
-        sim.schedule(1.0, later.cancel)
+        sim.schedule(1.0, sim.cancel, later)
         sim.run()
         assert fired == []
 
@@ -46,7 +46,8 @@ class TestPendingCounter:
 
     @staticmethod
     def naive_pending(sim):
-        return sum(1 for _t, _seq, ev in sim._heap if not ev.cancelled)
+        return sum(1 for _t, _seq, fn, _args in sim._heap
+                   if fn is not None)
 
     def test_counter_matches_scan_under_random_ops(self):
         import random
@@ -59,12 +60,12 @@ class TestPendingCounter:
                 events.append(sim.schedule(rng.uniform(0.0, 10.0),
                                            lambda: None))
             elif op < 0.70:
-                rng.choice(events).cancel()
+                sim.cancel(rng.choice(events))
             elif op < 0.95:
                 sim.step()
             else:
                 for ev in events:
-                    ev.cancel()
+                    sim.cancel(ev)
             assert sim.pending == self.naive_pending(sim)
         sim.run()
         assert sim.pending == 0
@@ -73,8 +74,8 @@ class TestPendingCounter:
         sim = Simulator()
         ev = sim.schedule(1.0, lambda: None)
         assert sim.pending == 1
-        ev.cancel()
-        ev.cancel()
+        sim.cancel(ev)
+        sim.cancel(ev)
         assert sim.pending == 0
 
     def test_cancel_after_fire_is_noop(self):
@@ -82,7 +83,7 @@ class TestPendingCounter:
         ev = sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.pending == 0
-        ev.cancel()
+        sim.cancel(ev)
         assert sim.pending == 0
 
 
@@ -109,14 +110,16 @@ class TestClockDiscipline:
 
 
 class TestHeapEntries:
-    """The heap holds ``(time, seq, event)``: ordered in C by the
-    documented key, events themselves never compared."""
+    """An event is its heap entry ``[time, seq, fn, args]``: ordered in
+    C by the documented key, callbacks never compared."""
 
     def test_events_define_no_ordering(self):
-        assert "__lt__" not in vars(Event)
-        a, b = Event(1.0, 0, print, ()), Event(1.0, 1, print, ())
+        sim = Simulator()
+        a, b = sim.schedule_at(1.0, print), sim.schedule_at(1.0, print)
+        assert a == [1.0, 0, print, ()] and b == [1.0, 1, print, ()]
+        assert a < b and not b < a         # decided by seq
         with pytest.raises(TypeError):
-            a < b
+            a[2] < b[2]                     # callbacks are not orderable
 
     def test_same_instant_events_pop_without_comparing_events(self):
         sim = Simulator()
@@ -125,6 +128,92 @@ class TestHeapEntries:
             sim.schedule_at(2.0 if i % 2 else 1.0, log.append, i)
         sim.run()
         assert log == list(range(0, 200, 2)) + list(range(1, 200, 2))
+
+
+#: ``(time, label)`` of the events :class:`TestCancelHandle` schedules,
+#: in scheduling order, and the order they fire in: by time, ties in
+#: scheduling order.
+_PLAN = [(2.0, "a"), (1.0, "b"), (2.0, "c"), (0.5, "d"), (1.0, "e"),
+         (3.0, "f"), (0.5, "g"), (3.0, "h")]
+_FIRE_ORDER = ["d", "g", "b", "e", "a", "c", "f", "h"]
+
+
+class TestCancelHandle:
+    """``Simulator.cancel`` takes the entry ``schedule_at`` returned:
+    O(1), idempotent, a no-op once the event fired, ``pending`` exact,
+    and a cancelled entry counted in ``engine.cancelled`` when the
+    drain discards it."""
+
+    @pytest.fixture
+    def counters(self):
+        OBS.reset()
+        names = ("engine.scheduled", "engine.events", "engine.cancelled")
+        yield lambda: {k: v for k, v in OBS.metrics.snapshot().items()
+                       if k in names}
+        OBS.reset()
+
+    @staticmethod
+    def plan(sim, log):
+        return [sim.schedule_at(t, log.append, label) for t, label in _PLAN]
+
+    @pytest.mark.parametrize("victim", range(len(_PLAN)))
+    def test_cancelling_one_leaves_the_rest_in_order(self, victim,
+                                                      counters):
+        sim, log = Simulator(), []
+        entries = self.plan(sim, log)
+        sim.cancel(entries[victim])
+        assert entries[victim][2] is None
+        assert sim.pending == len(_PLAN) - 1
+        sim.run()
+        assert log == [x for x in _FIRE_ORDER if x != _PLAN[victim][1]]
+        assert sim.pending == 0
+        assert counters() == {"engine.scheduled": len(_PLAN),
+                              "engine.events": len(_PLAN) - 1,
+                              "engine.cancelled": 1}
+
+    @pytest.mark.parametrize("times", [1, 2, 3])
+    def test_repeated_cancel_counts_once(self, times, counters):
+        sim, log = Simulator(), []
+        entries = self.plan(sim, log)
+        for _ in range(times):
+            sim.cancel(entries[0])
+        assert sim.pending == len(_PLAN) - 1
+        sim.run()
+        assert "a" not in log and len(log) == len(_PLAN) - 1
+        assert counters()["engine.cancelled"] == 1
+
+    @pytest.mark.parametrize("advance", ["step", "run_until", "run"])
+    def test_cancel_after_firing_changes_nothing(self, advance, counters):
+        sim, log = Simulator(), []
+        entries = self.plan(sim, log)
+        if advance == "step":
+            assert sim.step() is True
+        elif advance == "run_until":
+            sim.run_until(0.5)
+        else:
+            sim.run()
+        assert log[0] == "d"                # entries[3] fired
+        before = (sim.pending, counters(), list(sim._heap))
+        sim.cancel(entries[3])
+        assert (sim.pending, counters(), list(sim._heap)) == before
+        sim.run()
+        assert log == _FIRE_ORDER
+        assert "engine.cancelled" not in counters()
+
+    @pytest.mark.parametrize("limit", [0.0, 0.5, 1.5])
+    def test_a_cancelled_front_entry_is_discarded_whatever_the_limit(
+            self, limit, counters):
+        sim, log = Simulator(), []
+        entries = self.plan(sim, log)
+        sim.cancel(entries[3])              # "d", the front of the heap
+        sim.run_until(limit)
+        assert sim.now == limit
+        when = {label: t for t, label in _PLAN}
+        assert log == [label for label in _FIRE_ORDER
+                       if label != "d" and when[label] <= limit]
+        assert all(entry is not entries[3] for entry in sim._heap)
+        assert counters()["engine.cancelled"] == 1
+        assert sim.pending == len(_PLAN) - 1 - len(log)
 
 
 class _Callback:

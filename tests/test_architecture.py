@@ -341,8 +341,10 @@ REMOVED_KNOBS: Dict[str, FrozenSet[str]] = {
     "repro.serving.flowcontrol:AdaptiveQueueController": frozenset({
         "bound", "target", "gain", "background_factor", "max_delay"}),
     "repro.serving.flowcontrol:make_controller": frozenset({"**"}),
+    "repro.policy.controller:ReactiveController": frozenset({
+        "headroom", "hold_samples"}),
     "repro.policy.controller:PredictiveController": frozenset({
-        "alpha", "beta"}),
+        "alpha", "beta", "headroom", "horizon_samples"}),
     "repro.policy.resizer:PolicyConfig": frozenset({
         "disk_bw", "replicas", "recovery_fraction", "migration_fraction",
         "selective_rate_limit"}),
@@ -399,6 +401,59 @@ def has_no_removed_knob(tree: ast.Module) -> List[str]:
         for name, params, line in owners:
             for knob in sorted(set(params) & _KNOBS_BY_NAME.get(name, set())):
                 found.append(f"line {line}: {name}({knob})")
+    return found
+
+
+# ----------------------------------------------------------------------
+# a scheduled event is its heap entry: Simulator.cancel takes the entry
+# schedule / schedule_at returned, and there is no Event object to call
+# .cancel() on
+# ----------------------------------------------------------------------
+SIMULATION = "src/repro/simulation/"
+SCHEDULERS = {"schedule", "schedule_at"}
+
+
+def _schedules(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in SCHEDULERS)
+
+
+def _names_event(node: ast.AST) -> bool:
+    """An ``Event`` class, an import of ``Event``, or ``"Event"`` in an
+    ``__all__``."""
+    if isinstance(node, ast.ClassDef):
+        return node.name == "Event"
+    if isinstance(node, ast.ImportFrom):
+        return any(alias.name == "Event" for alias in node.names)
+    return (isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            and any(isinstance(c, ast.Constant) and c.value == "Event"
+                    for c in ast.walk(node.value)))
+
+
+def one_heap_entry(path: str, source: str) -> List[str]:
+    """No ``Event`` defined in or exported from ``repro.simulation``;
+    nowhere a ``.cancel()`` on what ``schedule`` / ``schedule_at``
+    returned — on the call itself, or on a name, attribute or item the
+    module assigned such a call to."""
+    tree = ast.parse(source)
+    handles = {ast.unparse(target)
+               for node in ast.walk(tree)
+               if isinstance(node, ast.Assign) and _schedules(node.value)
+               for target in node.targets}
+    found = []
+    for node in ast.walk(tree):
+        if path.startswith(SIMULATION) and _names_event(node):
+            found.append(f"line {node.lineno}: Event in repro.simulation")
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "cancel"
+                and (_schedules(node.func.value)
+                     or ast.unparse(node.func.value) in handles)):
+            found.append(f"line {node.lineno}: .cancel() on a "
+                         "scheduled event")
     return found
 
 
@@ -650,6 +705,24 @@ RULES = [
           "class Simulator:\n"
           "    def __init__(self, start_time=0.0):\n"
           "        self.now = start_time\n")),
+    Rule("one-heap-entry", "a scheduled event is its heap entry",
+         python_under(SRC),
+         one_heap_entry,
+         (("src/repro/simulation/engine.py",
+           "class Event:\n    __slots__ = ('time', 'seq')\n"),
+          ("src/repro/simulation/__init__.py",
+           "from repro.simulation.engine import Event, Simulator\n"),
+          ("src/repro/simulation/__init__.py",
+           "__all__ = ['Event', 'Simulator']\n"),
+          "sim.schedule(1.0, tick).cancel()\n",
+          "ev = sim.schedule_at(2.0, tick)\nev.cancel()\n",
+          "state['removal'] = sim.schedule(1.0, done)\n"
+          "state['removal'].cancel()\n",
+          "class Timer:\n"
+          "    def arm(self):\n"
+          "        self.pending = self.sim.schedule_at(5.0, self.fire)\n"
+          "    def disarm(self):\n"
+          "        self.pending.cancel()\n")),
     Rule("one-process-per-task",
          "one process per task attempt, no shared pool",
          python_under(SRC),

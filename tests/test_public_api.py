@@ -36,7 +36,7 @@ SURFACE = {
         "DT", "MAX_DURATION", "PROBE_OBJECTS",
     ],
     "repro.simulation": [
-        "Simulator", "Event", "max_min_fair", "FluidFlow", "FlowSet",
+        "Simulator", "max_min_fair", "FluidFlow", "FlowSet",
         "IOModel",
     ],
     "repro.workloads": [
