@@ -318,10 +318,13 @@ def bench_kv_audit_in_sync(benchmark):
 
 
 def bench_kv_view_commit_one_member(benchmark):
-    """Commit a view that retires one of 15 members: every key's owners
-    in one array pass, and the ~R/N of the 900 keys that lose an owner
-    are the only ones the commit's pass visits and re-replicates
-    (re-admitting the member between rounds is untimed)."""
+    """Commit a view that retires one of 15 members: the ~R/N of the
+    900 keys that lose an owner are the only ones the commit's pass
+    visits and re-replicates (re-admitting the member between rounds
+    is untimed).  Every round commits the same member tuple, so past
+    the first it times the cached commit: the view's ring, slot table
+    and owners come back from the store's view cache, with no key to
+    read, the way ``kv_churn``'s n -> n-1 -> n churn commits."""
     store = _kv_in_sync()
     members = list(store.members)
 
@@ -336,3 +339,29 @@ def bench_kv_view_commit_one_member(benchmark):
     store.commit_view()
     moved = store.stats["repair_copies"] - before
     assert 0.5 * 900 * 3 / 15 < moved < 2 * 900 * 3 / 15
+
+
+def _kv_session_ops(store, op):
+    """*op* of one client session over the 900 keys, in turn."""
+    keys = itertools.cycle([f"k{i:03d}" for i in range(900)])
+    return lambda: op(next(keys), client="c1")
+
+
+def bench_kv_quorum_write(benchmark):
+    """One quorum SET by a client session on the ``kv_churn`` shape
+    (15 nodes, R = 3, 900 acked keys): gather the three replicas, pick
+    the newest, bump the coordinator's entry, store three copies, ack,
+    observe the session floor and re-settle the key."""
+    store = _kv_in_sync()
+    benchmark(_kv_session_ops(store, lambda k, client: store.set(
+        k, "v", client=client)))
+    assert store.stats["writes_failed"] == 0
+
+
+def bench_kv_quorum_read(benchmark):
+    """One quorum GET by a client session on the same store: gather,
+    pick the newest of three equal replies, check the ledger and the
+    session floor (no repair: every replica is current)."""
+    store = _kv_in_sync()
+    benchmark(_kv_session_ops(store, store.get))
+    assert store.stats["reads_failed"] == store.stats["repair_copies"] == 0

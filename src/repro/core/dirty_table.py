@@ -31,6 +31,7 @@ nothing, and a view change there moves only the remapped lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Set
 
 from repro.kvstore.store import KVStore
@@ -53,6 +54,10 @@ class DirtyEntry:
 
     def __repr__(self) -> str:  # matches Figure 6's (OID, Version) rows
         return f"DirtyEntry(oid={self.oid}, version={self.version})"
+
+
+#: :class:`DirtyEntry`'s order as a sort key.
+_FETCH_ORDER = attrgetter("version", "oid")
 
 
 class DirtyTable:
@@ -155,7 +160,7 @@ class DirtyTable:
         out: List[DirtyEntry] = []
         for key in self._oid_keys():
             out.extend(self._kv.lrange(key, 0, -1))
-        out.sort()
+        out.sort(key=_FETCH_ORDER)     # DirtyEntry.__lt__ is far slower
         OBS.metrics.inc("dirty.fetches")
         OBS.metrics.inc("dirty.fetched_entries", len(out))
         return out

@@ -51,10 +51,12 @@ holds every copy there is, so the whole-keyspace passes (anti-entropy,
 :meth:`~ReplicatedKVStore.audit`) read a key's ~R copies instead of
 asking every node.  A membership change costs what it changes: each
 committed view reads every known key's owners out of its slot table in
-one array pass, and a key is *settled* — exactly R copies, all on its
-owners, all at the acked vector, all live or all tombstones — until an
-op, a crash, a wipe or a changed owner tuple touches it.  Both passes
-visit only the keys that are not settled.
+one array pass; views are cached per member tuple, so a member set
+committed before gets its ring, slot table and owners back and reads
+only the keys first seen since.  A key is *settled* — exactly R
+copies, all on its owners, all at the acked vector, all live or all
+tombstones — until an op, a crash, a wipe or a changed owner tuple
+touches it.  Both passes visit only the keys that are not settled.
 
 The command surface is :class:`~repro.kvstore.store.KVStore`'s — both
 apply the one command table of :mod:`repro.kvstore.commands` (strings +
@@ -65,6 +67,7 @@ unchanged on top of either.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from numbers import Integral
 from typing import (
     Any,
@@ -126,7 +129,7 @@ class StaleSessionError(RuntimeError):
 def vv_dominates(a: VersionVector, b: VersionVector) -> bool:
     """True when *a* >= *b* componentwise (a reflects every write b
     does)."""
-    return all(a.get(node, 0) >= count for node, count in b.items())
+    return a == b or all(a.get(node, 0) >= count for node, count in b.items())
 
 
 def vv_merge(a: VersionVector, b: VersionVector) -> VersionVector:
@@ -199,11 +202,17 @@ class _Versioned:
         return _Versioned(vv=dict(self.vv), state=_own(self.state))
 
 
+#: The reply of a replica that never saw the key (shared: read only).
+_NO_COPY = _Versioned(vv={}, state=None)
+
+
 # ----------------------------------------------------------------------
 # the store
 # ----------------------------------------------------------------------
 #: Ring weight of every member.
 VNODES_PER_NODE = 64
+#: Member tuples whose ring, slot table and owner table are kept.
+MAX_VIEWS = 8
 
 
 class ReplicatedKVStore:
@@ -267,12 +276,15 @@ class ReplicatedKVStore:
         if on_no_quorum not in ("raise", "degrade"):
             raise ValueError("on_no_quorum must be 'raise' or 'degrade'")
         self.replicas = replicas
+        self.quorum = replicas // 2 + 1
         self._link_blocked = link_blocked
         self._on_no_quorum = on_no_quorum
         #: Every node ever seen -> its rank in ``str`` order (and kept
         #: in that order); data survives leaving a view (the elastic
         #: principle: powering down is not a crash).
         self._nodes: Dict[NodeId, int] = {}
+        #: ``node -> str(node)``, the name vectors and events use.
+        self._names: Dict[NodeId, str] = {}
         #: The only replica storage: ``key -> {node: copy}``.  A key
         #: with no copy left has no entry.
         self._copies: Dict[str, Dict[NodeId, _Versioned]] = {}
@@ -282,6 +294,9 @@ class ReplicatedKVStore:
         #: ``key -> owner tuple`` under the committed view, for every
         #: key in ``_positions``.
         self._owners: Dict[str, Tuple[NodeId, ...]] = {}
+        #: ``member tuple -> (ring, slot table, owner table)`` of the
+        #: views committed lately, most recent last.
+        self._views: Dict[Tuple[NodeId, ...], tuple] = {}
         #: The settled keys (see :meth:`_settle`) -> "holds a live
         #: value".
         self._settled: Dict[str, bool] = {}
@@ -308,24 +323,36 @@ class ReplicatedKVStore:
     # ------------------------------------------------------------------
     def _admit(self, node_id: NodeId) -> None:
         if node_id not in self._nodes:
+            self._names[node_id] = str(node_id)
             self._nodes = {nid: rank for rank, nid in enumerate(
                 sorted([*self._nodes, node_id], key=str))}
 
-    def _build_ring(self, members: Sequence[NodeId]) -> None:
-        """A fresh ring over *members*, its original-CH slot table, and
+    def _build_ring(self, members: Tuple[NodeId, ...]) -> None:
+        """The ring over *members*, its original-CH slot table, and
         every known key's owners read from that table in one array
-        pass.  Placement is a pure function of (key, committed view),
-        so the owner table lives exactly as long as the ring it was
-        read from — that is its only invalidation."""
+        pass.  Placement is a pure function of (key, member tuple), so
+        a member tuple committed before gets its ring, table and owner
+        table back, and only keys first seen since it was last
+        committed are read (keys only ever join ``_positions``, and
+        join the committed view's owner table with it)."""
         for nid in members:
             self._admit(nid)
-        self._ring = HashRing(dict.fromkeys(members, VNODES_PER_NODE))
-        self._table = SlotPlacementTable(self._ring, self.replicas, None)
-        positions = np.fromiter(self._positions.values(), dtype=np.uint64,
-                                count=len(self._positions))
-        rows = self._table.gather(
-            self._ring.bulk_successor_slots(positions)).servers.tolist()
-        self._owners = dict(zip(self._positions, map(tuple, rows)))
+        view = self._views.pop(members, None)
+        if view is None:
+            ring = HashRing(dict.fromkeys(members, VNODES_PER_NODE))
+            view = (ring, SlotPlacementTable(ring, self.replicas, None), {})
+            if len(self._views) >= MAX_VIEWS:
+                del self._views[next(iter(self._views))]
+        self._views[members] = view
+        self._ring, self._table, owners = view
+        fresh = list(islice(self._positions, len(owners), None))
+        if fresh:
+            positions = np.fromiter(map(self._positions.__getitem__, fresh),
+                                    dtype=np.uint64, count=len(fresh))
+            rows = self._table.gather(
+                self._ring.bulk_successor_slots(positions)).servers.tolist()
+            owners.update(zip(fresh, map(tuple, rows)))
+        self._owners = owners
 
     @property
     def epoch(self) -> int:
@@ -456,10 +483,6 @@ class ReplicatedKVStore:
         gets its own list)."""
         return list(self._owners_of(key))
 
-    @property
-    def quorum(self) -> int:
-        return self.replicas // 2 + 1
-
     # ------------------------------------------------------------------
     # the settled set
     # ------------------------------------------------------------------
@@ -504,18 +527,19 @@ class ReplicatedKVStore:
         """Poll the replica set: ``(replies, reachable, coordinator)``.
         A reachable replica that has never seen the key replies with an
         empty vector (it can still acknowledge a write)."""
-        targets = self._owners_of(key)
+        targets = self._owners.get(key) or self._owners_of(key)
         coordinator = targets[0]
         copies = self._copies.get(key, {})
+        down = self._down
+        blocked = self._link_blocked
         replies: List[Tuple[NodeId, _Versioned]] = []
         reachable: List[NodeId] = []
         for nid in targets:
-            if not self._reachable(nid, coordinator):
+            if nid in down or (blocked is not None and nid != coordinator
+                               and blocked((coordinator, nid))):
                 continue
             reachable.append(nid)
-            versioned = copies.get(nid)
-            replies.append((nid, versioned if versioned is not None
-                            else _Versioned(vv={}, state=None)))
+            replies.append((nid, copies.get(nid, _NO_COPY)))
         return replies, reachable, coordinator
 
     @staticmethod
@@ -533,9 +557,15 @@ class ReplicatedKVStore:
 
     def _choose_reply(self, replies: List[Tuple[NodeId, _Versioned]]
                       ) -> _Versioned:
-        """The dominant reply (newest vector; deterministic tie-break).
-        Mutants override this to serve stale data."""
-        return self._newest(versioned for _nid, versioned in replies)
+        """The dominant reply (newest vector; deterministic tie-break),
+        as :meth:`_newest` picks it.  Mutants override this to serve
+        stale data."""
+        best = replies[0][1]
+        for _nid, versioned in replies:
+            if (versioned.vv != best.vv
+                    and _vv_sortkey(versioned.vv) > _vv_sortkey(best.vv)):
+                best = versioned
+        return best
 
     def _replicate(self, key: str, versioned: _Versioned,
                    targets: Sequence[NodeId]) -> List[NodeId]:
@@ -571,27 +601,27 @@ class ReplicatedKVStore:
         bumped vector.  Returns ``(pre-transform state, new vector)``.
         """
         replies, reachable, coordinator = self._gather(key)
-        session = self.session(client) if client is not None else None
+        session = self._sessions.get(client)
+        if session is None and client is not None:
+            session = self.session(client)
         need = self.quorum
-        if len(reachable) < need and self._on_no_quorum == "raise":
+        # Even degrade mode needs one replica to land the write on.
+        if not reachable or (len(reachable) < need
+                             and self._on_no_quorum == "raise"):
             self.stats["writes_failed"] += 1
             if OBS.bus.active:
                 OBS.bus.emit("kv.write.fail", key=key,
                              client=client, got=len(reachable),
                              need=need, epoch=self._epoch)
             raise NoQuorumError(key, len(reachable), need)
-        if not reachable:
-            # Even degrade mode needs one replica to land the write on.
-            self.stats["writes_failed"] += 1
-            if OBS.bus.active:
-                OBS.bus.emit("kv.write.fail", key=key,
-                             client=client, got=0, need=need,
-                             epoch=self._epoch)
-            raise NoQuorumError(key, 0, need)
         current = self._choose_reply(replies)
-        new_vv = dict(current.vv)
-        cnode = str(coordinator)
-        new_vv[cnode] = new_vv.get(cnode, 0) + 1
+        # Vectors are made key-sorted, so events carry them as they are.
+        cnode = self._names[coordinator]
+        if cnode in current.vv:
+            new_vv = dict(current.vv)
+            new_vv[cnode] += 1
+        else:
+            new_vv = dict(sorted([*current.vv.items(), (cnode, 1)]))
         new_state = transform(current.state)
         acked = self._replicate(
             key, _Versioned(vv=new_vv, state=new_state), reachable)
@@ -599,23 +629,20 @@ class ReplicatedKVStore:
         if quorum_met:
             self._record_ack(key, new_vv)
             self.stats["writes_acked"] += 1
-            if session is not None:
-                session.observe(key, new_vv)
-            if OBS.bus.active:
-                OBS.bus.emit("kv.write.ack", key=key, client=client,
-                             vv=dict(sorted(new_vv.items())),
-                             acks=sorted(map(str, acked)),
-                             epoch=self._epoch)
         else:
             # Sub-quorum, degrade mode: applied but not durable-acked.
             self.stats["writes_degraded"] += 1
-            if session is not None:
-                session.observe(key, new_vv)
-            if OBS.bus.active:
+        if session is not None:
+            session.observe(key, new_vv)
+        if OBS.bus.active:
+            acks = sorted([self._names[nid] for nid in acked])
+            if quorum_met:
+                OBS.bus.emit("kv.write.ack", key=key, client=client,
+                             vv=new_vv, acks=acks, epoch=self._epoch)
+            else:
                 OBS.bus.emit("kv.write.degraded", key=key, client=client,
-                             vv=dict(sorted(new_vv.items())),
-                             acks=sorted(map(str, acked)),
-                             need=need, epoch=self._epoch)
+                             vv=new_vv, acks=acks, need=need,
+                             epoch=self._epoch)
         self._settle(key)
         return current.state, new_vv
 
@@ -624,32 +651,34 @@ class ReplicatedKVStore:
         """Quorum read: ``(state, vector, degraded)``.  Serves from a
         single replica only as a flagged degraded read, and never
         returns data older than the client session's floor."""
-        replies, reachable, _coordinator = self._gather(key)
-        session = self.session(client) if client is not None else None
+        replies, _reachable, _coordinator = self._gather(key)
+        session = self._sessions.get(client)
+        if session is None and client is not None:
+            session = self.session(client)
+        need = self.quorum
         if not replies:
             self.stats["reads_failed"] += 1
             if OBS.bus.active:
                 OBS.bus.emit("kv.read.fail", key=key, client=client,
-                             got=0, need=self.quorum,
-                             epoch=self._epoch)
-            raise NoQuorumError(key, 0, self.quorum)
+                             got=0, need=need, epoch=self._epoch)
+            raise NoQuorumError(key, 0, need)
         best = self._choose_reply(replies)
+        vv = best.vv
         # A read is degraded when it falls short of a quorum, or when
         # the newest reachable copy is provably behind the durability
         # ledger (possible when crashes race a view change: the owners
         # holding the newest copy are all dark).  Either way the reply
         # is served honestly flagged, never passed off as consistent.
         acked = self._acked.get(key)
-        degraded = (len(replies) < self.quorum
-                    or (acked is not None
-                        and not vv_dominates(best.vv, acked)))
+        degraded = (len(replies) < need
+                    or (acked is not None and not vv_dominates(vv, acked)))
         try:
-            self._enforce_floor(key, best.vv, session)
+            self._enforce_floor(key, vv, session)
         except StaleSessionError:
             self.stats["reads_failed"] += 1
             if OBS.bus.active:
                 OBS.bus.emit("kv.read.fail", key=key, client=client,
-                             got=len(replies), need=self.quorum,
+                             got=len(replies), need=need,
                              reason="stale", epoch=self._epoch)
             raise
         # Read repair: bring stale reachable replicas up to the reply
@@ -657,7 +686,7 @@ class ReplicatedKVStore:
         # and deterministic).
         repaired = 0
         for nid, versioned in replies:
-            if versioned.vv != best.vv:
+            if versioned.vv != vv:
                 self._copies[key][nid] = best.copy()
                 repaired += 1
         if repaired:
@@ -667,13 +696,12 @@ class ReplicatedKVStore:
         if degraded:
             self.stats["reads_degraded"] += 1
         if session is not None:
-            session.observe(key, best.vv)
+            session.observe(key, vv)
         if OBS.bus.active:
-            OBS.bus.emit("kv.read", key=key, client=client,
-                         vv=dict(sorted(best.vv.items())),
+            OBS.bus.emit("kv.read", key=key, client=client, vv=vv,
                          replies=len(replies), degraded=degraded,
                          epoch=self._epoch)
-        return best.state, best.vv, degraded
+        return best.state, vv, degraded
 
     # ------------------------------------------------------------------
     # anti-entropy

@@ -22,7 +22,9 @@ With **no** sink attached, :meth:`TraceBus.emit` returns after a single
 truthiness check — the always-on instrumentation in the hot paths costs
 one branch.  Producers that would build expensive field dicts should
 guard on :attr:`TraceBus.active` first; per-event producers guard on
-:meth:`TraceBus.takes`, which also counts an event no sink takes.
+:meth:`TraceBus.takes`, which also counts an event no sink takes (the
+hottest ones read its subscription table, :attr:`TraceBus.takers`,
+and count the skipped event themselves).
 
 Timestamps are *simulation* time, never wall-clock, so two identically
 seeded runs emit identical traces.  Drivers that own a clock publish it
@@ -288,7 +290,7 @@ class TraceBus:
     'client'
     """
 
-    __slots__ = ("sinks", "clock", "ordinal", "_every", "_takers")
+    __slots__ = ("sinks", "clock", "ordinal", "active", "every", "takers")
 
     def __init__(self) -> None:
         self.sinks: List[Sink] = []
@@ -301,12 +303,6 @@ class TraceBus:
         self._subscribe()
 
     # ------------------------------------------------------------------
-    @property
-    def active(self) -> bool:
-        """True when at least one sink is attached.  Producers guard
-        expensive field construction on this."""
-        return bool(self.sinks)
-
     def attach(self, sink: Sink) -> Sink:
         self.sinks.append(sink)
         self._subscribe()
@@ -323,8 +319,13 @@ class TraceBus:
     def _subscribe(self) -> None:
         """Recompute who takes each declared kind, and who any other."""
         subs = [(s, getattr(s, "kinds", None)) for s in self.sinks]
-        self._every = tuple(s for s, kinds in subs if kinds is None)
-        self._takers = {
+        #: True when at least one sink is attached.  Producers guard
+        #: expensive field construction on this.
+        self.active = bool(self.sinks)
+        #: The sinks that take a kind no sink declared, and the takers
+        #: of each declared kind: ``takers.get(kind, every)``.
+        self.every = tuple(s for s, kinds in subs if kinds is None)
+        self.takers = {
             kind: tuple(s for s, ks in subs if ks is None or kind in ks)
             for _s, kinds in subs for kind in kinds or ()}
 
@@ -337,9 +338,9 @@ class TraceBus:
         """True when some sink takes *kind*; otherwise the event is
         counted as :meth:`emit` would count it, and a hot producer
         skips the call: ``if bus.takes(kind): bus.emit(kind, ...)``."""
-        if self._takers.get(kind, self._every):
+        if self.takers.get(kind, self.every):
             return True
-        if self.sinks:
+        if self.active:
             self.ordinal += 1
         return False
 
@@ -347,10 +348,10 @@ class TraceBus:
              **fields: object) -> None:
         """Publish one event to the sinks that take its kind; if none
         does it is only counted, before the event dict is built."""
-        if not self.sinks:
+        if not self.active:
             return
         self.ordinal += 1
-        takers = self._takers.get(kind, self._every)
+        takers = self.takers.get(kind, self.every)
         if not takers:
             return
         event: TraceEvent = {"kind": kind,

@@ -25,7 +25,8 @@ Requests arriving *during* a tick never drain in that same tick: the
 budget computed in step 1 covers at most the backlog that existed
 before they arrived, and FIFO order spends it on older requests first.
 
-Event family (gated on ``bus.takes`` per request, else ``bus.active``):
+Event family (gated per request on the bus's subscription table, as
+``bus.takes`` reads it, else on ``bus.active``):
 
 ``serve.enqueue``   rid, server, nbytes, pop, depth
 ``serve.reject``    rid, server, depth, pop
@@ -137,9 +138,11 @@ class AdmissionCoordinator:
         if not self.controller.admit(server, depth):
             self.rejected[req.pop] = self.rejected.get(req.pop, 0) + 1
             self._counters["serve.rejected"].value += 1
-            if bus.takes("serve.reject"):
+            if bus.takers.get("serve.reject", bus.every):
                 bus.emit("serve.reject", rid=req.rid, server=server,
                          depth=depth, pop=req.pop)
+            elif bus.active:
+                bus.ordinal += 1
             if req.on_reject is not None:
                 req.on_reject(req)
             return False
@@ -151,9 +154,11 @@ class AdmissionCoordinator:
             self.max_depth = depth
         self.enqueued[req.pop] = self.enqueued.get(req.pop, 0) + 1
         self._counters["serve.enqueued"].value += 1
-        if bus.takes("serve.enqueue"):
+        if bus.takers.get("serve.enqueue", bus.every):
             bus.emit("serve.enqueue", rid=req.rid, server=server,
                      nbytes=req.nbytes, pop=req.pop, depth=depth)
+        elif bus.active:
+            bus.ordinal += 1
         return True
 
     def _ensure_flow(self, rank: int) -> FluidFlow:
@@ -209,9 +214,11 @@ class AdmissionCoordinator:
         self.served_bytes += req.nbytes
         self._counters["serve.completed"].value += 1
         bus = OBS.bus
-        if bus.takes("serve.complete"):
+        if bus.takers.get("serve.complete", bus.every):
             bus.emit("serve.complete", rid=req.rid, server=rank,
                      pop=req.pop, latency=latency, delay=delay)
+        elif bus.active:
+            bus.ordinal += 1
         if req.on_complete is not None:
             # Always via the simulator, even at zero delay: completions
             # then interleave with arrivals in the documented

@@ -133,11 +133,13 @@ class Simulator:
                 self._live -= 1
                 self.now = t
                 fired += 1
-                if bus.sinks:
+                if bus.active:
                     bus.clock = t
-                    if bus.takes("engine.event"):
+                    if bus.takers.get("engine.event", bus.every):
                         bus.emit("engine.event", t=t, seq=seq,
                                  fn=event_label(fn))
+                    else:
+                        bus.ordinal += 1    # counted as takes() would
                 fn(*args)
                 if once:
                     break

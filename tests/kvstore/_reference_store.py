@@ -1,6 +1,7 @@
 """Test-only oracle: :class:`ReplicatedKVStore` with the whole-keyspace
 passes as they were written before the per-view replica-set table and
-the key-major replica storage.
+the key-major replica storage, and the quorum op path as it was before
+it became one pass over the replicas.
 
 ``replica_set`` re-hashes the key and re-walks the ring on every call,
 ``audit`` / ``_anti_entropy_pass`` ask **every** admitted node about
@@ -11,20 +12,53 @@ verbatim; only the spelling of "node *nid*'s table" changed with the
 storage — :class:`_Table` reads it out of the ``key -> {node: copy}``
 mapping one node at a time.  The oracle never takes the product's
 in-sync early-out and never reads its owner tuple or position memo.
+The op path is the earlier one, verbatim: ``_gather`` asks
+``_reachable`` about every replica and gives each one that never saw
+the key its own empty copy; ``_read`` / ``_mutate`` look their session
+up through ``session()``, take the quorum and a node's name afresh per
+op and re-sort every vector they emit; ``vv_dominates`` compares
+even equal vectors key by key (``_enforce_floor`` calls this file's);
+and every commit builds a fresh ring, slot table and owner table,
+whatever member set it was given before.  ``_replicate`` and
+``Session.observe`` did not change, so the oracle inherits them.
 Nothing here is reachable from ``src/``; the differential tests drive
 this class and the real store side by side and require identical
 placement, node contents, audit reports, stats and events.
 """
 
-from typing import Dict, List, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+import numpy as np
+
+from repro.core.kernel import SlotPlacementTable
+from repro.hashring.ring import HashRing
+from repro.kvstore import replicated
+from repro.kvstore.commands import Value
 from repro.kvstore.replicated import (
+    NodeId,
+    NoQuorumError,
     ReplicatedKVStore,
+    Session,
+    StaleSessionError,
+    VersionVector,
     _Versioned,
     _vv_sortkey,
-    vv_dominates,
 )
 from repro.obs.runtime import OBS
+
+
+def vv_dominates(a: VersionVector, b: VersionVector) -> bool:
+    """True when *a* >= *b* componentwise (a reflects every write b
+    does)."""
+    return all(a.get(node, 0) >= count for node, count in b.items())
 
 
 class _Table:
@@ -61,6 +95,149 @@ class ReferenceKVStore(ReplicatedKVStore):
 
     def _data(self, nid):
         return _Table(self, nid)
+
+    # -- views: a fresh ring per commit ---------------------------------
+    def _build_ring(self, members: Sequence[NodeId]) -> None:
+        """A fresh ring over *members*, its original-CH slot table, and
+        every known key's owners read from that table in one array
+        pass.  Placement is a pure function of (key, committed view),
+        so the owner table lives exactly as long as the ring it was
+        read from — that is its only invalidation."""
+        for nid in members:
+            self._admit(nid)
+        self._ring = HashRing(dict.fromkeys(members,
+                                            replicated.VNODES_PER_NODE))
+        self._table = SlotPlacementTable(self._ring, self.replicas, None)
+        positions = np.fromiter(self._positions.values(), dtype=np.uint64,
+                                count=len(self._positions))
+        rows = self._table.gather(
+            self._ring.bulk_successor_slots(positions)).servers.tolist()
+        self._owners = dict(zip(self._positions, map(tuple, rows)))
+
+    # -- the quorum op path --------------------------------------------
+    def _gather(self, key: str) -> Tuple[List[Tuple[NodeId, _Versioned]],
+                                         List[NodeId], NodeId]:
+        targets = self._owners_of(key)
+        coordinator = targets[0]
+        copies = self._copies.get(key, {})
+        replies: List[Tuple[NodeId, _Versioned]] = []
+        reachable: List[NodeId] = []
+        for nid in targets:
+            if not self._reachable(nid, coordinator):
+                continue
+            reachable.append(nid)
+            versioned = copies.get(nid)
+            replies.append((nid, versioned if versioned is not None
+                            else _Versioned(vv={}, state=None)))
+        return replies, reachable, coordinator
+
+    def _enforce_floor(self, key: str, vv: VersionVector,
+                       session: Optional[Session]) -> None:
+        if session is None:
+            return
+        floor = session.floor.get(key)
+        if floor and not vv_dominates(vv, floor):
+            raise StaleSessionError(
+                f"key {key!r}: reachable replicas are behind client "
+                f"{session.client!r}'s causal floor")
+
+    def _mutate(self, key: str, transform: Callable[[Value], Value],
+                client: Optional[str] = None) -> Tuple[Any, VersionVector]:
+        replies, reachable, coordinator = self._gather(key)
+        session = self.session(client) if client is not None else None
+        need = self.quorum
+        if len(reachable) < need and self._on_no_quorum == "raise":
+            self.stats["writes_failed"] += 1
+            if OBS.bus.active:
+                OBS.bus.emit("kv.write.fail", key=key,
+                             client=client, got=len(reachable),
+                             need=need, epoch=self._epoch)
+            raise NoQuorumError(key, len(reachable), need)
+        if not reachable:
+            # Even degrade mode needs one replica to land the write on.
+            self.stats["writes_failed"] += 1
+            if OBS.bus.active:
+                OBS.bus.emit("kv.write.fail", key=key,
+                             client=client, got=0, need=need,
+                             epoch=self._epoch)
+            raise NoQuorumError(key, 0, need)
+        current = self._choose_reply(replies)
+        new_vv = dict(current.vv)
+        cnode = str(coordinator)
+        new_vv[cnode] = new_vv.get(cnode, 0) + 1
+        new_state = transform(current.state)
+        acked = self._replicate(
+            key, _Versioned(vv=new_vv, state=new_state), reachable)
+        quorum_met = len(acked) >= need
+        if quorum_met:
+            self._record_ack(key, new_vv)
+            self.stats["writes_acked"] += 1
+            if session is not None:
+                session.observe(key, new_vv)
+            if OBS.bus.active:
+                OBS.bus.emit("kv.write.ack", key=key, client=client,
+                             vv=dict(sorted(new_vv.items())),
+                             acks=sorted(map(str, acked)),
+                             epoch=self._epoch)
+        else:
+            # Sub-quorum, degrade mode: applied but not durable-acked.
+            self.stats["writes_degraded"] += 1
+            if session is not None:
+                session.observe(key, new_vv)
+            if OBS.bus.active:
+                OBS.bus.emit("kv.write.degraded", key=key, client=client,
+                             vv=dict(sorted(new_vv.items())),
+                             acks=sorted(map(str, acked)),
+                             need=need, epoch=self._epoch)
+        self._settle(key)
+        return current.state, new_vv
+
+    def _read(self, key: str, client: Optional[str] = None
+              ) -> Tuple[Value, VersionVector, bool]:
+        replies, reachable, _coordinator = self._gather(key)
+        session = self.session(client) if client is not None else None
+        if not replies:
+            self.stats["reads_failed"] += 1
+            if OBS.bus.active:
+                OBS.bus.emit("kv.read.fail", key=key, client=client,
+                             got=0, need=self.quorum,
+                             epoch=self._epoch)
+            raise NoQuorumError(key, 0, self.quorum)
+        best = self._choose_reply(replies)
+        acked = self._acked.get(key)
+        degraded = (len(replies) < self.quorum
+                    or (acked is not None
+                        and not vv_dominates(best.vv, acked)))
+        try:
+            self._enforce_floor(key, best.vv, session)
+        except StaleSessionError:
+            self.stats["reads_failed"] += 1
+            if OBS.bus.active:
+                OBS.bus.emit("kv.read.fail", key=key, client=client,
+                             got=len(replies), need=self.quorum,
+                             reason="stale", epoch=self._epoch)
+            raise
+        repaired = 0
+        for nid, versioned in replies:
+            if versioned.vv != best.vv:
+                self._copies[key][nid] = best.copy()
+                repaired += 1
+        if repaired:
+            self.stats["repair_copies"] += repaired
+            self._settle(key)
+        self.stats["reads"] += 1
+        if degraded:
+            self.stats["reads_degraded"] += 1
+        if session is not None:
+            session.observe(key, best.vv)
+        if OBS.bus.active:
+            OBS.bus.emit("kv.read", key=key, client=client,
+                         vv=dict(sorted(best.vv.items())),
+                         replies=len(replies), degraded=degraded,
+                         epoch=self._epoch)
+        return best.state, best.vv, degraded
+
+    # -- the whole-keyspace passes -------------------------------------
 
     def keys(self):
         return self._all_keys()

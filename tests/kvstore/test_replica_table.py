@@ -20,6 +20,7 @@ import pytest
 
 from repro.hashring.ring import HashRing
 from repro.kvstore.harness import run_kv_churn
+from repro.kvstore import replicated
 from repro.kvstore.replicated import ReplicatedKVStore
 from repro.obs.runtime import OBS
 from repro.obs.trace import JSONLSink
@@ -115,6 +116,62 @@ class TestMemoDiscipline:
         assert store.replica_set("k") is not store.replica_set("k")
 
 
+def rebuilds():
+    return OBS.metrics.snapshot().get("ring.rebuilds", 0)
+
+
+def fresh_owners(members, keys):
+    """The owner table a store built on *members* alone reads."""
+    store = ReplicatedKVStore(members, replicas=3)
+    for key in keys:
+        store.replica_set(key)
+    return store._owners
+
+
+class TestViewsSeenBefore:
+    """A member tuple committed before gets its ring, slot table and
+    owner table back; only keys first seen since are read."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_registry(self):
+        OBS.reset()
+        yield
+        OBS.reset()
+
+    def test_n_to_n_minus_1_to_n_builds_two_rings(self, ring_walks):
+        full, less = (1, 2, 3, 4, 5), (1, 2, 3, 4)
+        expected = {m: fresh_owners(m, KEYS) for m in (full, less)}
+        OBS.reset()
+        store = ReplicatedKVStore(full, replicas=3)
+        for key in KEYS[:20]:
+            store.set(key, "v")
+        store.change_view(less)
+        for key in KEYS[20:]:          # first written under the other view
+            store.set(key, "v")
+        ring_walks.clear()
+        store.change_view(full)
+        assert rebuilds() == 2
+        # One array pass over the 20 keys the first visit never saw,
+        # and no key looked up one at a time.
+        assert ring_walks.bulk == [20] and ring_walks.slots == []
+        assert store._owners == expected[full]
+        store.change_view(less)
+        assert rebuilds() == 2
+        assert ring_walks.bulk == [20] and ring_walks.slots == []
+        assert store._owners == expected[less]
+
+    def test_least_recently_committed_view_is_dropped(self, monkeypatch):
+        monkeypatch.setattr(replicated, "MAX_VIEWS", 2)
+        a, b, c = [1, 2, 3, 4], [1, 2, 3, 5], [1, 2, 4, 5]
+        store = ReplicatedKVStore(a, replicas=3)
+        for view, built in ((b, 2), (a, 2), (c, 3), (a, 3), (b, 4)):
+            store.change_view(view)
+            store.set(f"k{built}", built)
+            assert rebuilds() == built, view
+        assert list(store._views) == [tuple(a), tuple(b)]
+        assert store._owners == fresh_owners(b, store._positions)
+
+
 class TestOneWalkPerKeyPerView:
     def test_second_audit_in_a_view_walks_nothing(self, ring_walks):
         store = ReplicatedKVStore([1, 2, 3, 4, 5], replicas=3)
@@ -145,9 +202,10 @@ class TestOneWalkPerKeyPerView:
         # lookup ...
         assert ring_walks.walks == []
         assert len(ring_walks.slots) == len(KEYS)
-        # ... every later view reads all of them in one array pass (the
-        # first view knew no key yet) ...
-        assert ring_walks.bulk == [0] + [len(KEYS)] * len(views)
+        # ... every new view reads all of them in one array pass; the
+        # first view knew no key yet and the return to its members
+        # finds every key in its owner table, so neither reads one ...
+        assert ring_walks.bulk == [len(KEYS), len(KEYS)]
         # ... from a position hashed once, when the store first saw
         # the key
         assert sorted(ring_walks.hashes) == KEYS

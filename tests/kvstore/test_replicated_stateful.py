@@ -1,11 +1,13 @@
 """Generated differential test for the replicated store's per-view
-replica-set table, its single newest-copy scan, and the key-major
-replica storage with its in-sync early-outs.
+replica-set table and its cache of views by member tuple, its single
+newest-copy scan, its one-pass quorum ops, and the key-major replica
+storage with its in-sync early-outs.
 
 Hypothesis drives :class:`ReplicatedKVStore` and the test-only
 :class:`ReferenceKVStore` (the unmemoised, every-key × every-node
 bodies they replaced) side by side through arbitrary interleavings of
-quorum ops, sessions, two-step view changes, crashes (of members and
+quorum ops, sessions, two-step view changes (back to member sets
+committed before, too), crashes (of members and
 of nodes that left the view), repairs, partitions, anti-entropy,
 audits, key listings and admin wipes.  Every op must return (or raise)
 the same thing on both, and after every step placement, every node's
@@ -79,6 +81,8 @@ class TableVsReferenceMachine(RuleBasedStateMachine):
             return frozenset(pair) in self.blocked
 
         self.events = ([], [])
+        #: Every member tuple committed so far, first commit first.
+        self.seen_views = [tuple(NODES[:4])]
         self.stores = []
         for cls, log in zip((ReplicatedKVStore, ReferenceKVStore),
                             self.events):
@@ -140,6 +144,21 @@ class TableVsReferenceMachine(RuleBasedStateMachine):
     @rule()
     def commit_view(self):
         self.both(lambda s: s.commit_view())
+        self.note_view()
+
+    @rule(pick=st.integers(0, 63))
+    def recommit_seen_view(self, pick):
+        """Back to a member set committed before: the real store takes
+        its ring, slot table and owners from its cache and reads only
+        the keys first seen since; the reference builds them afresh."""
+        members = self.seen_views[pick % len(self.seen_views)]
+        self.both(lambda s: s.change_view(members))
+        self.note_view()
+
+    def note_view(self):
+        members = self.stores[0].members
+        if members not in self.seen_views:
+            self.seen_views.append(members)
 
     # -- faults --------------------------------------------------------
     @rule(node=nodes)
@@ -204,6 +223,8 @@ class TableVsReferenceMachine(RuleBasedStateMachine):
         real, ref = self.stores
         for key in KEYS:
             assert real.replica_set(key) == ref.replica_set(key), key
+        for key, owners in real._owners.items():
+            assert list(owners) == ref.replica_set(key), key
         assert contents(real) == contents(ref)
         assert real._acked == ref._acked
         self.both(lambda s: s.audit("step"))

@@ -63,8 +63,8 @@ class TestEmitCost:
         assert cost < 1e-5, f"null-sink emit cost {cost * 1e9:.0f} ns"
 
     def test_guarded_call_sites_skip_field_construction(self):
-        # The pattern used at every producer: OBS.bus.active is a cheap
-        # property, so the guard itself must be sub-microsecond.
+        # The pattern used at every producer: OBS.bus.active is a plain
+        # field, so the guard itself must be sub-microsecond.
         bus = TraceBus()
         cost = _per_call(lambda: bus.active, 50_000)
         assert cost < 2e-6

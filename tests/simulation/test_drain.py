@@ -171,3 +171,31 @@ def test_cancelled_count_is_the_same_for_every_entry_point(loop):
             assert OBS.metrics.snapshot()["engine.events"] == 1
         finally:
             OBS.reset()
+
+
+@pytest.mark.parametrize("loop", [DRAIN, _reference_loop],
+                         ids=["drain", "reference"])
+def test_a_sink_attached_mid_drain_is_seen_at_the_next_event(loop):
+    """The drain reads the bus's subscription table per event: a ring
+    buffer attached by one handler gets the next ``engine.event`` and
+    one detached by a later handler gets none after it, while the
+    checker-only stretches before and after are only counted."""
+    OBS.reset()
+    try:
+        checker = OBS.bus.attach(CheckerSink())
+        ring_sink = RingBufferSink()
+        sim = Simulator()
+        for t in range(5):
+            sim.schedule_at(float(t), lambda: None)
+        sim.schedule_at(1.0, OBS.bus.attach, ring_sink)
+        sim.schedule_at(3.0, OBS.bus.detach, ring_sink)
+        loop.run_until(sim, 5.0)
+        # (an event is published before its handler runs: the attach's
+        # own event is not seen, the detach's is)
+        assert [e["t"] for e in ring_sink.events("engine.event")] == [
+            2.0, 3.0, 3.0]
+        assert OBS.bus.ordinal == 7 + 1          # + engine.clock
+        checker.finish()
+        assert checker.suite.events_seen == OBS.bus.ordinal
+    finally:
+        OBS.reset()
