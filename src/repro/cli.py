@@ -13,11 +13,10 @@
     python -m repro stats run.jsonl --kind migration. --top 5
     python -m repro check run.jsonl
     python -m repro report run.jsonl --since 60 --until 120
-    python -m repro timeline run.jsonl --bin 10 \\
-        --json analytics.json --html dashboard.html
+    python -m repro timeline run.jsonl --bin 10 --json analytics.json
     python -m repro chaos --seed 7 --profile-out prof.json
     python -m repro profile prof.json --top 10 --collapsed prof.folded
-    python -m repro compare run-a/ run-b/ --threshold 10
+    python -m repro compare baseline.json timings.json --threshold 200
 
 Each subcommand renders the same report the corresponding benchmark
 emits; heavy runs expose their scale/size knobs so a laptop shell can
@@ -81,7 +80,6 @@ from repro.metrics.report import (
 )
 from repro.obs import JSONLSink, OBS
 from repro.obs.analytics import (
-    ANALYTICS_KIND,
     AnalyticsError,
     analytics_from_trace,
     dump_analytics,
@@ -89,7 +87,6 @@ from repro.obs.analytics import (
     render_timeline,
 )
 from repro.obs.compare import CompareError, compare_runs, render_compare
-from repro.obs.dashboard import write_dashboard
 from repro.obs.invariants import CheckerSink
 from repro.obs.profile import (
     ProfileError,
@@ -332,8 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "percentiles and critical paths from a "
                             "JSONL trace (or re-render a saved "
                             "analytics.json); optionally emit the "
-                            "analytics JSON document and a "
-                            "self-contained HTML dashboard")
+                            "analytics JSON document")
     p.add_argument("input", metavar="TRACE.jsonl|analytics.json",
                    help="a JSONL trace written by --trace-out, or a "
                         "previously saved repro.analytics JSON "
@@ -353,10 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the versioned repro.analytics JSON "
                         "document to PATH (canonical bytes: "
                         "same-seed runs produce identical files)")
-    p.add_argument("--html", metavar="PATH", default=None,
-                   dest="html_out",
-                   help="write the dependency-free HTML dashboard "
-                        "(inline SVG, no scripts) to PATH")
     p.add_argument("--check-only", action="store_true",
                    help="validate the input and print a one-line "
                         "summary instead of the full report; exit 0 "
@@ -377,27 +369,19 @@ def build_parser() -> argparse.ArgumentParser:
                         "print them instead of the report")
 
     p = sub.add_parser("compare",
-                       help="diff two run directories or artifacts "
-                            "(metrics, span distributions, profile "
-                            "hotspots, bench JSON); exit 1 on any "
-                            "wall-clock regression beyond threshold")
-    p.add_argument("run_a", metavar="RUN_A",
-                   help="baseline: run directory or artifact file")
-    p.add_argument("run_b", metavar="RUN_B",
-                   help="candidate: run directory or artifact file")
+                       help="gate the bench timings of one bench "
+                            "JSON file against another; exit 1 on any "
+                            "bench slower beyond the threshold")
+    p.add_argument("run_a", metavar="BASELINE.json",
+                   help="baseline bench JSON (e.g. a committed "
+                        "*_baseline.json)")
+    p.add_argument("run_b", metavar="TIMINGS.json",
+                   help="candidate bench JSON (e.g. a fresh --json "
+                        "bench dump)")
     p.add_argument("--threshold", type=float, default=25.0,
                    metavar="PCT",
-                   help="relative wall-clock regression threshold in "
-                        "percent (default 25)")
-    p.add_argument("--min-seconds", type=float, default=1e-4,
-                   metavar="S",
-                   help="ignore profile hotspots where both sides "
-                        "are below S seconds (default 1e-4); bench "
-                        "medians always gate")
-    p.add_argument("--strict", action="store_true",
-                   help="treat sim-derived drift (metrics, span "
-                        "durations) as a regression too — the "
-                        "same-seed gate")
+                   help="relative regression threshold in percent, "
+                        "finite and >= 0 (default 25)")
 
     return parser
 
@@ -642,26 +626,15 @@ def _cmd_timeline(args) -> str:
                                    until=args.until)
         built = True
 
-    extras: List[str] = []
-    if args.json_out is not None:
-        dump_analytics(doc, args.json_out)
-        extras.append(f"analytics written to {args.json_out}")
-    if args.html_out is not None:
-        if doc.get("kind") != ANALYTICS_KIND:
-            raise SystemExit(
-                "repro timeline: --html needs a single-run analytics "
-                "document (rollups have no dashboard yet)")
-        write_dashboard(doc, args.html_out)
-        extras.append(f"dashboard written to {args.html_out}")
-
     if args.check_only:
         verb = "built" if built else "validated"
         report = (f"{args.input}: {verb} {doc['kind']} v"
                   f"{doc['version']} — {doc['bins']} bin(s), OK")
     else:
         report = render_timeline(doc)
-    if extras:
-        report += "\n" + "\n".join(f"- {line}" for line in extras)
+    if args.json_out is not None:
+        dump_analytics(doc, args.json_out)
+        report += f"\n- analytics written to {args.json_out}"
     return report
 
 
@@ -680,13 +653,11 @@ def _cmd_profile(args):
 
 
 def _cmd_compare(args):
-    # Returns (markdown, exit_code): 0 OK, 1 regression(s).
-    if args.threshold < 0:
-        raise SystemExit("repro compare: --threshold must be >= 0")
+    # Returns (markdown, exit_code): 0 OK, 1 regression(s).  A
+    # threshold that is not finite and >= 0 is compare_runs' ValueError:
+    # one line, exit 1.
     result = compare_runs(args.run_a, args.run_b,
-                          threshold=args.threshold / 100.0,
-                          min_seconds=args.min_seconds,
-                          strict=args.strict)
+                          threshold=args.threshold / 100.0)
     return render_compare(result), result.exit_code
 
 

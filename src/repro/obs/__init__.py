@@ -18,14 +18,11 @@ The observability layer under every experiment and benchmark:
   profiler behind ``--profile-out`` / ``repro profile`` (hierarchical
   wall-clock + sim-time attribution, flamegraph collapsed stacks); the
   one module in ``src/`` that reads the wall clock to measure;
-* :mod:`~repro.obs.compare` — the ``repro compare`` run-vs-run diff
-  (metrics, span distributions, profile hotspots, bench JSON) with
-  regression thresholds;
+* :mod:`~repro.obs.compare` — the ``repro compare`` bench-timing gate
+  (two bench JSON files, one relative regression threshold);
 * :mod:`~repro.obs.analytics` — the ``repro timeline`` windowed
   time-series / latency-percentile / critical-path builder
   (``repro.analytics`` documents and cross-sweep rollups);
-* :mod:`~repro.obs.dashboard` — the dependency-free, byte-deterministic
-  HTML dashboard rendered from one analytics document;
 * :data:`~repro.obs.runtime.OBS` — the process-wide runtime binding
   them.
 
@@ -123,8 +120,6 @@ __all__ = [
     "dump_analytics",
     "render_timeline",
     "percentile",
-    "render_dashboard",
-    "write_dashboard",
 ]
 
 
@@ -151,7 +146,4 @@ def __getattr__(name: str):
                 "dump_analytics", "render_timeline", "percentile"):
         from repro.obs import analytics
         return getattr(analytics, name)
-    if name in ("render_dashboard", "write_dashboard"):
-        from repro.obs import dashboard
-        return getattr(dashboard, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

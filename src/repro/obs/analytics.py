@@ -16,9 +16,7 @@ the bytes go, and which span chain made the lifecycle slow:
 * :func:`merge_analytics` folds per-task documents (merged **by task
   id**, never arrival order — the ``sweep.json`` rule) into a rollup
   with per-bin min/median/max bands across seeds.
-* :func:`render_timeline` renders either document as text;
-  :mod:`repro.obs.dashboard` renders the single-run document as a
-  self-contained HTML page.
+* :func:`render_timeline` renders either document as text.
 
 Everything here is derived from simulation time only, so same-seed
 runs produce byte-identical documents (`sha256`-tested).  Windows are
@@ -735,7 +733,7 @@ def _series_summary_rows(series: Dict[str, object], bins: int,
 
 def render_timeline(doc: Dict) -> str:
     """Text report for an analytics or rollup document — the
-    ``repro timeline`` stdout when no ``--html`` is requested."""
+    ``repro timeline`` stdout."""
     from repro.metrics.report import render_table
 
     validate_analytics(doc)

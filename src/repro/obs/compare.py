@@ -1,42 +1,31 @@
-"""Run-vs-run comparison: the ``repro compare`` command.
+"""Bench-vs-bench comparison: the ``repro compare`` gate.
 
-Diffs two run directories (or two standalone JSON artifacts) and
-renders a markdown verdict.  A *run directory* is whatever a sweep
-task or a ``--trace-out``/``--profile-out`` invocation left behind —
-any subset of:
+Compares two bench JSON files and renders a markdown verdict.  A file
+holds its timings in one of three shapes (:func:`_bench_timings`): the
+committed baselines' ``{"benches": …}``, the pytest-benchmark timings
+dump's ``{"data": {path::name: …}}``, or an ``emit_report`` document
+such as ``engine_scale.json``.
 
-* ``metrics.json`` — metrics-registry snapshot (sim-derived);
-* ``trace.jsonl`` — the JSONL trace (span-duration distributions);
-* ``profile.json`` — a ``repro.profile`` document (wall-clock
-  hotspots);
-* ``analytics.json`` / ``analytics_rollup.json`` — ``repro.analytics``
-  documents (latency percentiles and series summaries, sim-derived);
-* ``bench*.json`` / ``perf_*.json`` — bench reports
-  (``_bench_utils.emit_report`` / ``perf_core_timings``-shaped).
+Every timing is wall-clock and noisy by nature, so a bench regresses
+only when B is slower than A by more than a relative *threshold*;
+faster by more than it is an improvement, anything in between drift,
+and a bench on one side only is added or removed.  Comparing the
+simulation's own numbers between runs is not this module's job: those
+are byte-reproducible, and the sha256 goldens pin them.
 
-Classification follows the determinism contract: **sim-derived**
-quantities (metrics, span durations) are byte-reproducible, so any
-difference is reported as *drift* — interesting, but a regression only
-under ``--strict`` (same-seed runs should not drift at all).
-**Wall-clock** quantities (profile self-seconds, bench timings) are
-noisy by nature, so they regress only beyond a relative *threshold*;
-profile frames additionally must clear an absolute *min-seconds*
-floor (single-frame nanosecond jitter never fails a gate — bench
-medians are already statistically settled, so the floor does not
-apply to them).
-
-Exit codes: 0 = OK, 1 = regression(s) beyond threshold.
+Exit codes: 0 = OK, 1 = regression(s) beyond threshold.  An unusable
+file (missing, not JSON, no timings, a timing that is not a finite
+number >= 0) raises :class:`CompareError`.
 """
 
 from __future__ import annotations
 
 import json
-import os
+import math
 from typing import Dict, List, Mapping, Optional
 
 from repro.obs.report import _md_table
-from repro.obs.stats import TraceSummary, is_number, percentile
-from repro.obs.trace import read_jsonl
+from repro.obs.stats import is_number
 
 __all__ = [
     "CompareError",
@@ -45,43 +34,28 @@ __all__ = [
     "compare_runs",
     "render_compare",
     "DEFAULT_THRESHOLD",
-    "DEFAULT_MIN_SECONDS",
 ]
 
-#: Default relative regression threshold for wall-clock quantities
-#: (0.25 = fail when B is more than 25% slower than A).
+#: Default relative regression threshold (0.25 = fail when B is more
+#: than 25% slower than A).
 DEFAULT_THRESHOLD = 0.25
-
-#: Absolute floor for profile frames: hotspots where both sides sit
-#: below this many seconds are ignored by the gate (pure jitter).
-DEFAULT_MIN_SECONDS = 1e-4
-
-#: Artifact filenames probed inside a run directory.
-METRICS_FILE = "metrics.json"
-TRACE_FILE = "trace.jsonl"
-PROFILE_FILE = "profile.json"
-ANALYTICS_FILE = "analytics.json"
-ANALYTICS_ROLLUP_FILE = "analytics_rollup.json"
 
 
 class CompareError(ValueError):
-    """Unusable comparison input (missing paths, no artifacts, or
-    artifacts of unrecognised shape)."""
+    """Unusable comparison input (a missing file, invalid JSON, no
+    bench timings, or a timing that is not a finite number >= 0)."""
 
 
 class Delta:
-    """One compared quantity."""
+    """One compared bench timing."""
 
-    __slots__ = ("section", "name", "a", "b", "unit", "kind")
+    __slots__ = ("name", "a", "b", "kind")
 
-    def __init__(self, section: str, name: str,
-                 a: Optional[float], b: Optional[float],
-                 unit: str, kind: str) -> None:
-        self.section = section
+    def __init__(self, name: str, a: Optional[float], b: Optional[float],
+                 kind: str) -> None:
         self.name = name
         self.a = a
         self.b = b
-        self.unit = unit
         #: "regression" | "improvement" | "drift" | "added" | "removed"
         self.kind = kind
 
@@ -92,37 +66,20 @@ class Delta:
             return None
         return (self.b - self.a) / abs(self.a)
 
-    def to_dict(self) -> Dict[str, object]:
-        return {"section": self.section, "name": self.name,
-                "a": self.a, "b": self.b, "unit": self.unit,
-                "kind": self.kind, "rel": self.rel}
-
 
 class ComparisonResult:
     """Everything ``repro compare`` found, pre-verdict."""
 
     def __init__(self, label_a: str, label_b: str,
-                 threshold: float, min_seconds: float,
-                 strict: bool) -> None:
+                 threshold: float) -> None:
         self.label_a = label_a
         self.label_b = label_b
         self.threshold = threshold
-        self.min_seconds = min_seconds
-        self.strict = strict
         self.deltas: List[Delta] = []
-        self.sections: List[str] = []
-        self.skipped: List[str] = []
-
-    # ------------------------------------------------------------------
-    def add(self, delta: Delta) -> None:
-        self.deltas.append(delta)
 
     @property
     def regressions(self) -> List[Delta]:
-        out = [d for d in self.deltas if d.kind == "regression"]
-        if self.strict:
-            out += [d for d in self.deltas if d.kind == "drift"]
-        return out
+        return [d for d in self.deltas if d.kind == "regression"]
 
     @property
     def ok(self) -> bool:
@@ -139,50 +96,20 @@ class ComparisonResult:
         return out
 
 
-# ----------------------------------------------------------------------
-# numeric flattening
-# ----------------------------------------------------------------------
-def _flatten_numeric(obj: object, prefix: str = "",
-                     out: Optional[Dict[str, float]] = None
-                     ) -> Dict[str, float]:
-    """Dotted-path → value for every numeric leaf of a JSON object."""
-    if out is None:
-        out = {}
-    if is_number(obj):
-        out[prefix or "value"] = float(obj)   # type: ignore[arg-type]
-    elif isinstance(obj, dict):
-        for k in sorted(obj):
-            key = f"{prefix}.{k}" if prefix else str(k)
-            _flatten_numeric(obj[k], key, out)
-    elif isinstance(obj, (list, tuple)):
-        for i, v in enumerate(obj):
-            _flatten_numeric(v, f"{prefix}[{i}]", out)
-    return out
-
-
-def _diff_maps(result: ComparisonResult, section: str, unit: str,
-               a: Mapping[str, float], b: Mapping[str, float],
-               wall: bool, floor: float = 0.0) -> None:
-    """Compare two flat name→value maps; *wall* selects the
-    threshold-gated classification, otherwise differences are drift.
-    *floor* drops wall pairs where both sides are below it (jitter);
-    bench medians are already statistically settled, so only the
-    profile section passes one."""
+def _diff_maps(result: ComparisonResult, a: Mapping[str, float],
+               b: Mapping[str, float]) -> None:
+    """Classify every bench of two name→seconds maps against the
+    result's threshold; equal timings add nothing."""
     for name in sorted(set(a) | set(b)):
         va, vb = a.get(name), b.get(name)
         if va is None:
-            result.add(Delta(section, name, None, vb, unit, "added"))
+            result.deltas.append(Delta(name, None, vb, "added"))
             continue
         if vb is None:
-            result.add(Delta(section, name, va, None, unit, "removed"))
+            result.deltas.append(Delta(name, va, None, "removed"))
             continue
         if va == vb:
             continue
-        if not wall:
-            result.add(Delta(section, name, va, vb, unit, "drift"))
-            continue
-        if max(va, vb) < floor:
-            continue       # below the jitter floor: not even drift
         rel = (vb - va) / abs(va) if va != 0 else float("inf")
         if rel > result.threshold:
             kind = "regression"
@@ -190,91 +117,10 @@ def _diff_maps(result: ComparisonResult, section: str, unit: str,
             kind = "improvement"
         else:
             kind = "drift"
-        result.add(Delta(section, name, va, vb, unit, kind))
+        result.deltas.append(Delta(name, va, vb, kind))
 
 
-# ----------------------------------------------------------------------
-# artifact loaders
-# ----------------------------------------------------------------------
-def _load_json(path: str) -> object:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except ValueError as exc:
-        raise CompareError(f"{path}: invalid JSON ({exc})") from exc
-    except OSError as exc:
-        raise CompareError(f"{path}: {exc}") from exc
-
-
-def _span_distributions(trace_path: str) -> Dict[str, float]:
-    """Per-span-name closed count + sim-duration stats from one trace."""
-    durations = TraceSummary(read_jsonl(trace_path)).span_durations()
-    out: Dict[str, float] = {}
-    for name, ds in durations.items():
-        out[f"{name}.count"] = float(len(ds))
-        out[f"{name}.total_s"] = sum(ds)
-        out[f"{name}.max_s"] = ds[-1]
-        out[f"{name}.p50_s"] = percentile(ds, 0.5)
-    return out
-
-
-def _profile_hotspots(path: str) -> Dict[str, float]:
-    """Component → self-seconds from one profile document."""
-    from repro.obs.profile import load_profile
-
-    return {name: float(agg["self_s"])
-            for name, agg in load_profile(path)["flat"].items()}
-
-
-def _analytics_summary(path: str) -> Dict[str, float]:
-    """Sim-derived headline numbers from an analytics document (single
-    run or sweep rollup): latency percentiles/counts per flow class and
-    total/peak per series — never the raw per-bin arrays, which would
-    drown the verdict table in thousands of rows."""
-    from repro.obs.analytics import (ANALYTICS_KIND, AnalyticsError,
-                                     SERIES_KEYS, load_analytics)
-
-    try:
-        doc = load_analytics(path)
-    except AnalyticsError as exc:
-        raise CompareError(str(exc)) from exc
-    out: Dict[str, float] = {"bins": float(doc.get("bins", 0))}
-    if doc["kind"] == ANALYTICS_KIND:
-        for name, entry in doc["latency"].items():
-            for key in ("completed", "interrupted", "cancelled", "open",
-                        "p50", "p99", "p999", "mean", "max",
-                        "bytes_completed", "bytes_wasted"):
-                v = entry.get(key)
-                if is_number(v):
-                    out[f"latency.{name}.{key}"] = float(v)
-        for key in SERIES_KEYS:
-            vals = [v for v in (doc["series"].get(key) or [])
-                    if is_number(v)]
-            if vals:
-                out[f"series.{key}.total"] = float(sum(vals))
-                out[f"series.{key}.peak"] = float(max(vals))
-    else:                                  # rollup
-        out["tasks"] = float(len(doc.get("tasks") or []))
-        for name, band in doc["latency_bands"].items():
-            for key in ("completed", "interrupted", "cancelled", "open"):
-                v = band.get(key)
-                if is_number(v):
-                    out[f"latency.{name}.{key}"] = float(v)
-            for q in ("p50", "p99", "p999"):
-                sub = band.get(q)
-                if isinstance(sub, dict):
-                    for edge in ("lo", "p50", "hi"):
-                        v = sub.get(edge)
-                        if is_number(v):
-                            out[f"latency.{name}.{q}.{edge}"] = float(v)
-        for key, band in doc["series_bands"].items():
-            his = [v for v in (band.get("hi") or []) if is_number(v)]
-            if his:
-                out[f"series.{key}.peak_hi"] = float(max(his))
-    return out
-
-
-def _bench_timings(doc: object) -> Optional[Dict[str, float]]:
+def _bench_timings(doc: object, path: str) -> Optional[Dict[str, float]]:
     """Timing map from any of the bench JSON shapes in the repo:
 
     * ``perf_core_baseline.json``: ``{"benches": {name: {median_s}}}``
@@ -283,6 +129,9 @@ def _bench_timings(doc: object) -> Optional[Dict[str, float]]:
 
     In each table an entry counts when it is a number, or a mapping
     with a numeric ``median_s`` (else ``mean_s``); nothing else is read.
+    ``None`` when *doc* has no such table.  A timing that is not finite
+    or is negative raises :class:`CompareError` naming *path* and the
+    bench: NaN compares false with every threshold, so it would pass.
 
     Bench names are normalised to their last ``::`` segment so a
     timings file gates against a baseline written by hand.
@@ -300,154 +149,56 @@ def _bench_timings(doc: object) -> Optional[Dict[str, float]]:
     for raw_name in sorted(table):
         entry = table[raw_name]
         name = str(raw_name).split("::")[-1]
-        if is_number(entry):
-            out[name] = float(entry)
+        if isinstance(entry, dict):
+            # One timing per bench — median preferred (what the
+            # committed baselines record), mean as fallback — so A and
+            # B line up even when one side records more statistics.
+            entry = next((entry[key] for key in ("median_s", "mean_s")
+                          if is_number(entry.get(key))), None)
+        if not is_number(entry):
             continue
-        if not isinstance(entry, dict):
-            continue
-        # One timing per bench — median preferred (what the committed
-        # baselines record), mean as fallback — so A and B line up
-        # even when one side records more statistics than the other.
-        for key in ("median_s", "mean_s"):
-            if is_number(entry.get(key)):
-                out[name] = float(entry[key])
-                break
+        if not (math.isfinite(entry) and entry >= 0):
+            raise CompareError(f"{path}: bench {raw_name!r} has timing "
+                               f"{entry!r}, not a finite number >= 0")
+        out[name] = float(entry)
     return out or None
 
 
-# ----------------------------------------------------------------------
-# the comparison
-# ----------------------------------------------------------------------
-def _run_artifacts(path: str) -> Dict[str, str]:
-    """Map artifact kind → file path for one comparison side."""
-    if os.path.isdir(path):
-        found: Dict[str, str] = {}
-        for kind, fname in (("metrics", METRICS_FILE),
-                            ("trace", TRACE_FILE),
-                            ("profile", PROFILE_FILE),
-                            ("analytics", ANALYTICS_FILE),
-                            ("analytics", ANALYTICS_ROLLUP_FILE)):
-            full = os.path.join(path, fname)
-            if os.path.isfile(full):
-                found.setdefault(kind, full)
-        for entry in sorted(os.listdir(path)):
-            if not entry.endswith(".json") \
-                    or entry in (METRICS_FILE, PROFILE_FILE,
-                                 ANALYTICS_FILE, ANALYTICS_ROLLUP_FILE):
-                continue
-            if _bench_timings(_load_json_quiet(os.path.join(path, entry))) \
-                    is not None:
-                found.setdefault("bench", os.path.join(path, entry))
-        if not found:
-            raise CompareError(
-                f"{path}: no comparable artifacts (looked for "
-                f"{METRICS_FILE}, {TRACE_FILE}, {PROFILE_FILE}, "
-                f"bench *.json)")
-        return found
-    if not os.path.isfile(path):
-        raise CompareError(f"{path}: no such file or directory")
-    if path.endswith(".jsonl"):
-        return {"trace": path}
-    doc = _load_json(path)
-    if isinstance(doc, dict) and doc.get("kind") == "repro.profile":
-        return {"profile": path}
-    if isinstance(doc, dict) and doc.get("kind") in (
-            "repro.analytics", "repro.analytics.rollup"):
-        return {"analytics": path}
-    if _bench_timings(doc) is not None:
-        return {"bench": path}
-    if isinstance(doc, dict):
-        return {"metrics": path}
-    raise CompareError(f"{path}: unrecognised artifact shape")
-
-
-def _load_json_quiet(path: str) -> object:
+def _load_timings(path: str) -> Dict[str, float]:
     try:
-        return _load_json(path)
-    except CompareError:
-        return None
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise CompareError(f"{path}: invalid JSON ({exc})") from exc
+    except OSError as exc:
+        raise CompareError(f"{path}: {exc}") from exc
+    timings = _bench_timings(doc, path)
+    if timings is None:
+        raise CompareError(f"{path}: no bench timings (expected a "
+                           f"'benches' or 'data' table of seconds)")
+    return timings
 
 
 def compare_runs(path_a: str, path_b: str,
-                 threshold: float = DEFAULT_THRESHOLD,
-                 min_seconds: float = DEFAULT_MIN_SECONDS,
-                 strict: bool = False) -> ComparisonResult:
-    """Compare two runs; see the module docstring for semantics."""
-    if threshold < 0:
-        raise ValueError("threshold must be >= 0")
-    arts_a = _run_artifacts(path_a)
-    arts_b = _run_artifacts(path_b)
-    result = ComparisonResult(path_a, path_b, threshold, min_seconds,
-                              strict)
-
-    common = [k for k in ("metrics", "trace", "analytics", "profile",
-                          "bench")
-              if k in arts_a and k in arts_b]
-    for kind in sorted(set(arts_a) ^ set(arts_b)):
-        side = "A" if kind in arts_a else "B"
-        result.skipped.append(
-            f"{kind}: only present in {side} — skipped")
-    if not common:
-        raise CompareError(
-            f"no artifact kind present on both sides "
-            f"(A has {sorted(arts_a)}, B has {sorted(arts_b)})")
-
-    if "metrics" in common:
-        result.sections.append("metrics")
-        a = _flatten_numeric(_load_json(arts_a["metrics"]))
-        b = _flatten_numeric(_load_json(arts_b["metrics"]))
-        _diff_maps(result, "metrics", "", a, b, wall=False)
-    if "trace" in common:
-        result.sections.append("spans")
-        _diff_maps(result, "spans", "s",
-                   _span_distributions(arts_a["trace"]),
-                   _span_distributions(arts_b["trace"]), wall=False)
-    if "analytics" in common:
-        result.sections.append("analytics")
-        _diff_maps(result, "analytics", "",
-                   _analytics_summary(arts_a["analytics"]),
-                   _analytics_summary(arts_b["analytics"]), wall=False)
-    if "profile" in common:
-        result.sections.append("profile")
-        _diff_maps(result, "profile", "s",
-                   _profile_hotspots(arts_a["profile"]),
-                   _profile_hotspots(arts_b["profile"]), wall=True,
-                   floor=min_seconds)
-    if "bench" in common:
-        result.sections.append("bench")
-        a_t = _bench_timings(_load_json(arts_a["bench"])) or {}
-        b_t = _bench_timings(_load_json(arts_b["bench"])) or {}
-        _diff_maps(result, "bench", "s", a_t, b_t, wall=True)
+                 threshold: float = DEFAULT_THRESHOLD) -> ComparisonResult:
+    """Compare two bench files; see the module docstring for semantics."""
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError("threshold must be a finite number >= 0")
+    result = ComparisonResult(path_a, path_b, threshold)
+    _diff_maps(result, _load_timings(path_a), _load_timings(path_b))
     return result
 
 
-# ----------------------------------------------------------------------
-# rendering
-# ----------------------------------------------------------------------
-def _fmt(v: Optional[float], unit: str) -> str:
-    if v is None:
-        return "-"
-    if unit == "s":
-        return f"{v:.6f}"
-    return f"{v:g}"
+def _fmt(v: Optional[float]) -> str:
+    return "-" if v is None else f"{v:.6f}"
 
 
 def _fmt_rel(rel: Optional[float]) -> str:
-    if rel is None:
-        return "-"
-    return f"{rel * 100.0:+.1f}%"
+    return "-" if rel is None else f"{rel * 100.0:+.1f}%"
 
 
-#: Section-table row cap; the per-kind counts stay exact.
-MAX_ROWS_PER_SECTION = 40
-
-_SECTION_TITLES = {
-    "metrics": "Metrics (sim-derived)",
-    "spans": "Span durations (sim-derived)",
-    "analytics": "Analytics: latency percentiles & series (sim-derived)",
-    "profile": "Profile hotspots (wall-clock)",
-    "bench": "Bench timings (wall-clock)",
-}
+#: Table row cap; the per-kind counts stay exact.
+MAX_ROWS = 40
 
 
 def render_compare(result: ComparisonResult) -> str:
@@ -459,37 +210,25 @@ def render_compare(result: ComparisonResult) -> str:
         "",
         f"* A: `{result.label_a}`",
         f"* B: `{result.label_b}`",
-        f"* wall-clock threshold: ±{result.threshold * 100.0:g}% "
-        f"(floor {result.min_seconds:g} s)"
-        + ("; strict: sim drift fails too" if result.strict else ""),
+        f"* wall-clock threshold: ±{result.threshold * 100.0:g}%",
         "",
         f"**Verdict: {verdict}** — "
         + (", ".join(f"{counts[k]} {k}(s)" for k in sorted(counts))
            if counts else "no differences"),
         "",
+        "## Bench timings (wall-clock)",
+        "",
     ]
-    for note in result.skipped:
-        out.append(f"> note: {note}")
-    if result.skipped:
-        out.append("")
-
+    if not result.deltas:
+        return "\n".join(out + ["identical."]) + "\n"
     order = {"regression": 0, "removed": 1, "added": 2,
              "drift": 3, "improvement": 4}
-    for section in result.sections:
-        deltas = [d for d in result.deltas if d.section == section]
-        out += [f"## {_SECTION_TITLES.get(section, section)}", ""]
-        if not deltas:
-            out += ["identical.", ""]
-            continue
-        deltas.sort(key=lambda d: (order.get(d.kind, 9),
-                                   -(abs(d.rel) if d.rel is not None
-                                     else float("inf")), d.name))
-        rows = [[d.name, _fmt(d.a, d.unit), _fmt(d.b, d.unit),
-                 _fmt_rel(d.rel), d.kind]
-                for d in deltas[:MAX_ROWS_PER_SECTION]]
-        out += _md_table(["name", "A", "B", "Δ rel", "class"], rows)
-        if len(deltas) > MAX_ROWS_PER_SECTION:
-            out.append(f"\n({len(deltas) - MAX_ROWS_PER_SECTION} further "
-                       f"rows elided)")
-        out.append("")
+    deltas = sorted(result.deltas, key=lambda d: (
+        order[d.kind],
+        -(abs(d.rel) if d.rel is not None else float("inf")), d.name))
+    rows = [[d.name, _fmt(d.a), _fmt(d.b), _fmt_rel(d.rel), d.kind]
+            for d in deltas[:MAX_ROWS]]
+    out += _md_table(["name", "A", "B", "Δ rel", "class"], rows)
+    if len(deltas) > MAX_ROWS:
+        out.append(f"\n({len(deltas) - MAX_ROWS} further rows elided)")
     return "\n".join(out).rstrip() + "\n"

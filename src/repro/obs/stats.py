@@ -153,8 +153,8 @@ def _float(v: object) -> Optional[float]:
 
 class TraceSummary:
     """One pass over the events of a trace in the half-open window
-    ``[since, until)`` — what ``repro stats``, ``report``, ``timeline``
-    and ``compare`` render.  The events' fields are trusted to have
+    ``[since, until)`` — what ``repro stats``, ``report`` and
+    ``timeline`` render.  The events' fields are trusted to have
     their :data:`~repro.obs.trace.FIELDS` types (parsed traces are
     checked by :func:`~repro.obs.trace.iter_jsonl`).
 

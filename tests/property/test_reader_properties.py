@@ -1,19 +1,19 @@
 """The offline readers agree: on any stream whose fields have their
-``FIELDS`` types, every quantity two of ``repro stats``, ``report``,
-``timeline`` and ``compare`` both show is the same number."""
+``FIELDS`` types, every quantity two of ``repro stats``, ``report``
+and ``timeline`` both show is the same number, and the span rows are
+the ones the events themselves pair up."""
 
 import json
 import os
 import re
 import tempfile
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.analytics import build_analytics
-from repro.obs.compare import _span_distributions
 from repro.obs.report import render_run_report
-from repro.obs.stats import TraceSummary, render_trace_stats
+from repro.obs.stats import TraceSummary, percentile, render_trace_stats
 from repro.obs.trace import check_event, read_jsonl
 
 _RANKS = st.integers(min_value=0, max_value=6)
@@ -90,6 +90,24 @@ def _write(directory, events):
     return path
 
 
+def _closed_durations(events):
+    """Span name -> ascending durations of the spans closed by a
+    ``span.end`` that carries one, each end pairing with the latest
+    ``span.begin`` of its ``span_id`` if that span is still open."""
+    latest, out = {}, {}
+    for ev in events:
+        if ev["kind"] == "span.begin":
+            latest[ev["span_id"]] = [ev["name"], True]
+        elif ev["kind"] == "span.end":
+            begin = latest.get(ev["span_id"])
+            if begin is not None and begin[1]:
+                begin[1] = False
+                if ev.get("duration") is not None:
+                    out.setdefault(begin[0], []).append(
+                        float(ev["duration"]))
+    return {name: sorted(ds) for name, ds in out.items()}
+
+
 def _md_rows(report, heading):
     """Cells of the markdown table under *heading* (header excluded)."""
     section = report.split(heading, 1)[1].split("\n## ", 1)[0]
@@ -139,25 +157,27 @@ class TestReadersAgree:
         assert sum(counts.values()) == n and len(counts) == kinds
 
     @given(events=streams())
+    @example(events=[  # a second end of a closed span closes nothing
+        {"kind": "span.begin", "t": 0.0, "name": "flow", "span_id": 1},
+        {"kind": "span.end", "t": 1.0, "name": "flow", "span_id": 1,
+         "duration": 1.0},
+        {"kind": "span.end", "t": 5.0, "name": "flow", "span_id": 1,
+         "duration": 5.0}])
     @settings(max_examples=60, deadline=None)
     def test_span_statistics(self, events):
         with tempfile.TemporaryDirectory() as tmp:
             path = _write(tmp, events)
             report = render_run_report(path)
-            dists = _span_distributions(path)
         shown = {}
         if "## Span durations" in report and "(no spans" not in report:
             for name, closed, _open, _min, p50, _mean, mx, total in \
                     _md_rows(report, "## Span durations"):
                 if int(closed):
                     shown[name] = (int(closed), p50, mx, total)
-        names = {key.rsplit(".", 1)[0] for key in dists}
-        compared = {name: (int(dists[f"{name}.count"]),
-                           f"{dists[f'{name}.p50_s']:g}",
-                           f"{dists[f'{name}.max_s']:g}",
-                           f"{dists[f'{name}.total_s']:g}")
-                    for name in names}
-        assert shown == compared
+        expected = {name: (len(ds), f"{percentile(ds, 0.5):g}",
+                           f"{ds[-1]:g}", f"{sum(ds):g}")
+                    for name, ds in _closed_durations(events).items()}
+        assert shown == expected
 
     @given(events=streams(), window=windows())
     @settings(max_examples=60, deadline=None)

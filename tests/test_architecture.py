@@ -188,6 +188,10 @@ DELETED_NAMES = frozenset({
     "IdealPolicy", "get_runtime", "default_dataset_bytes",
     "scenario_kvs", "scenario_view_change", "scenario_sharding",
     "SCENARIOS", "run_scenarios",
+    "dashboard", "render_dashboard", "write_dashboard",
+    "_run_artifacts", "_load_json_quiet", "_flatten_numeric",
+    "_span_distributions", "_analytics_summary", "_profile_hotspots",
+    "DEFAULT_MIN_SECONDS",
 })
 
 #: Class -> members deleted from it.  Kept per class because several
@@ -215,6 +219,8 @@ DELETED_MEMBERS: Dict[str, FrozenSet[str]] = {
     "VirtualDisk": frozenset({"allocated_bytes", "is_allocated"}),
     "Gauge": frozenset({"dec"}),
     "LayoutVersionsResult": frozenset({"stats"}),
+    "ComparisonResult": frozenset({"add"}),
+    "Delta": frozenset({"to_dict"}),
 }
 
 
@@ -365,6 +371,9 @@ REMOVED_KNOBS: Dict[str, FrozenSet[str]] = {
     "repro.faults.transfers:TransferManager": frozenset({"parent_span"}),
     "repro.cluster.power:PowerModel": frozenset({"watts_off"}),
     "repro.cluster.server:StorageServer": frozenset({"network_bandwidth"}),
+    "repro.obs.compare:compare_runs": frozenset({"min_seconds", "strict"}),
+    "repro.obs.compare:ComparisonResult": frozenset({
+        "min_seconds", "strict"}),
 }
 
 #: Callable name -> the knobs it may not have again.
@@ -693,7 +702,12 @@ RULES = [
           "class StepSeries:\n    def __len__(self):\n        return 0\n",
           "class FluidFlow:\n    ranks: frozenset = frozenset()\n",
           "class PolicyConfig:\n    pass\n\n\n"
-          "def default_dataset_bytes(trace):\n    return 1e12\n")),
+          "def default_dataset_bytes(trace):\n    return 1e12\n",
+          "from repro.obs.dashboard import write_dashboard\n",
+          "import repro.obs.dashboard\n",
+          "def _run_artifacts(path):\n    return {}\n",
+          "__all__ = ['compare_runs', 'render_dashboard']\n",
+          "class Delta:\n    def to_dict(self):\n        return {}\n")),
     Rule("no-unturned-knob", "a knob nobody turns is a constant",
          python_under(SRC),
          on_tree(has_no_removed_knob),
@@ -704,7 +718,14 @@ RULES = [
           "    return CONTROLLERS[kind](**kwargs)\n",
           "class Simulator:\n"
           "    def __init__(self, start_time=0.0):\n"
-          "        self.now = start_time\n")),
+          "        self.now = start_time\n",
+          "def compare_runs(path_a, path_b, threshold=0.25, strict=False):\n"
+          "    return None\n",
+          "def compare_runs(path_a, path_b, *, min_seconds=1e-4):\n"
+          "    return None\n",
+          "class ComparisonResult:\n"
+          "    def __init__(self, a, b, threshold, strict):\n"
+          "        self.strict = strict\n")),
     Rule("one-heap-entry", "a scheduled event is its heap entry",
          python_under(SRC),
          one_heap_entry,

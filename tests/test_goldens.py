@@ -75,10 +75,9 @@ STAGES = [{
        for stem in TRACES},
     "check-three-phase": ["check", "bench-json/three_phase.jsonl"],
     "check-sweep": ["check", "sweep-w2/merged.jsonl"],
-    "dashboard": ["timeline", "chaos-trace.jsonl", "--json",
-                  "analytics.json", "--html", "dashboard.html"],
 }, {
-    "analytics-check-only": ["timeline", "analytics.json", "--check-only"],
+    "analytics-check-only": [
+        "timeline", "readers/chaos-trace.analytics.json", "--check-only"],
 }]
 RUNS = {name: run for stage in STAGES for name, run in stage.items()}
 
@@ -222,11 +221,6 @@ def test_trace_parity_refuses_a_disagreement(work, tmp_path):
     assert parity_problems(full, "no verdict here\n")
     assert parity_problems(full, live.replace(
         f"hold over {events[0]} events", f"hold over {events[0] - 3} events"))
-
-
-def test_dashboard_and_saved_analytics(work):
-    assert b"<svg" in (work / "dashboard.html").read_bytes()
-    assert (work / "analytics.json").stat().st_size > 0
 
 
 def test_timeline_shows_the_serving_latency_table(work):

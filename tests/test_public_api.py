@@ -91,7 +91,6 @@ SURFACE = {
         "AnalyticsError", "build_analytics", "analytics_from_trace",
         "merge_analytics", "validate_analytics", "load_analytics",
         "dump_analytics", "render_timeline", "percentile",
-        "render_dashboard", "write_dashboard",
     ],
     "repro.runner": [
         "TaskSpec", "TaskResult", "SweepRunner", "SweepResult",
