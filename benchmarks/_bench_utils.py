@@ -5,7 +5,9 @@ emits a plain-text report with the paper's numbers next to the
 measured ones.  Reports land in ``benchmarks/reports/<name>.txt`` (and
 on stdout when pytest runs with ``-s``), so ``pytest benchmarks/
 --benchmark-only`` leaves a reviewable trail regardless of output
-capture.
+capture.  A report holds only what the simulation decides: wall-clock
+timings are printed, never written, so a bench run leaves the
+committed reports as they were.
 
 Benches that pass ``data=`` to :func:`emit_report` additionally write
 ``benchmarks/reports/<name>.json`` — the measured series in

@@ -20,14 +20,16 @@ There is no A/B inside this bench: the product has no switch to force
 another path (docs/PERFORMANCE.md "Engine scale" records what the
 removed horizon batching cost on the grid).  To compare two trees,
 use pytest-benchmark's ``--benchmark-save`` / ``--benchmark-compare``
-(README "Tests and benchmarks").
+(README "Tests and benchmarks").  Every number here is a wall-clock
+median, so the tables are printed (``-s`` shows them), never written
+under ``reports/``.
 """
 
 import math
 import random
 import time
 
-from _bench_utils import emit_report, once
+from _bench_utils import once
 from repro.experiments import run_three_phase
 from repro.metrics.report import render_table
 from repro.simulation.bandwidth import FlowSpec, max_min_fair_scalar
@@ -189,7 +191,7 @@ def bench_engine_scale(benchmark):
                  for n, n_flows, elapsed in grid]
     other_rows = [[name, f"{median * 1e3:.3f}"]
                   for name, median in medians.items()]
-    emit_report("engine_scale", "\n".join([
+    print("\n".join([
         render_table(
             ["servers x flows", "ticks", "median ms", "ticks/s"],
             grid_rows,

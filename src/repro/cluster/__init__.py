@@ -24,7 +24,7 @@ from repro.cluster.server import (
     PowerState,
     StorageServer,
 )
-from repro.cluster.power import MachineHourMeter, PowerModel
+from repro.cluster.power import PowerModel
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
 from repro.cluster.vdi import VirtualDisk, VdiRange
 from repro.cluster.fsck import (
@@ -39,7 +39,6 @@ __all__ = [
     "PowerState",
     "StorageServer",
     "CapacityExceeded",
-    "MachineHourMeter",
     "PowerModel",
     "ElasticCluster",
     "OriginalCHCluster",

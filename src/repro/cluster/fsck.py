@@ -2,9 +2,8 @@
 
 Sheepdog ships a consistency checker that walks every object and
 verifies its replicas against the current epoch's placement; this is
-the equivalent for the simulated cluster, used by operators (the
-examples), by the test suite's stateful machine, and as a debugging
-aid when extending the system.
+the equivalent for the simulated cluster, used by the test suite's
+stateful machines and as a debugging aid when extending the system.
 
 :func:`check_cluster` performs three audits — the paper's guarantees —
 over the cluster's object table and returns a structured

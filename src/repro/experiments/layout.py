@@ -53,7 +53,14 @@ def run_layout_versions(
 
     Defaults follow the figure: 50,000 objects written in version 2
     with :data:`OFF_COUNT` (2) of the :data:`N` (10) servers off.
+    Both counts must be >= 1: an empty version has no distribution to
+    draw, and nothing written while shrunk leaves nothing to
+    re-integrate.
     """
+    for name, count in (("objects_v1", objects_v1),
+                        ("objects_v2", objects_v2)):
+        if count < 1:
+            raise ValueError(f"{name} must be >= 1 (got {count})")
     cluster = ElasticCluster(N, REPLICAS)
 
     # Version 1: full power.

@@ -476,10 +476,10 @@ def build_analytics(events: Sequence[TraceEvent],
     restricted to that window would see.
     """
     check_window(since, until)
-    if not is_number(bin_seconds) or bin_seconds <= 0:
+    if not is_number(bin_seconds) or not 0 < bin_seconds < math.inf:
         raise AnalyticsError(
-            f"--bin must be a positive number of simulated seconds, "
-            f"got {bin_seconds!r}")
+            f"--bin must be a positive finite number of simulated "
+            f"seconds, got {bin_seconds!r}")
     summary = TraceSummary(events, since, until)
     t_min, t_max = summary.extent()
 
@@ -665,9 +665,10 @@ def validate_analytics(doc: object,
     window = doc["window"]
     if (not isinstance(window, dict)
             or not is_number(window.get("bin_seconds"))
-            or window["bin_seconds"] <= 0):
+            or not 0 < window["bin_seconds"] < math.inf):
         raise AnalyticsError(
-            f"{source}: window.bin_seconds must be a positive number")
+            f"{source}: window.bin_seconds must be a positive finite "
+            f"number")
     if kind == ANALYTICS_KIND and not isinstance(doc["series"], dict):
         raise AnalyticsError(f"{source}: series must be an object")
     return doc

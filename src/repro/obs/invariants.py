@@ -38,8 +38,6 @@ checker                invariant
                        capacity in any tick
 ``flow-accounting``    every started flow finishes, is cancelled, or
                        is interrupted by a fault
-``machine-hours``      ``power.sample`` active counts agree with the
-                       ``server.state`` transitions between them
 ``no-lost-object``     no object ever loses its last replica
 ``replication-restored-after-repair``
                        the final ``chaos.audit`` of the run reports
@@ -101,7 +99,6 @@ __all__ = [
     "BandwidthCapChecker",
     "ServeQueueBoundedChecker",
     "FlowAccountingChecker",
-    "MachineHourChecker",
     "NoLostObjectChecker",
     "ReplicationRestoredChecker",
     "DirtyAckChecker",
@@ -347,48 +344,6 @@ class FlowAccountingChecker(Checker):
                       f"(span_id={event.get('span_id')!r}) started but "
                       f"never finished, was cancelled, or was "
                       f"interrupted")
-
-
-class MachineHourChecker(Checker):
-    """Machine-hour samples agree with power transitions: between two
-    consecutive ``power.sample`` events, the change in the sampled
-    active count must equal the net ``server.state`` on/off delta.
-    Traces without ``server.state`` events (pure policy timelines)
-    are vacuously consistent."""
-
-    name = "machine-hours"
-    kinds = ("server.state", "server.fail", "power.sample")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._last_sample: Optional[int] = None
-        self._delta = 0
-        self._state_seen_since_sample = False
-
-    def observe(self, event: TraceEvent, index: int) -> None:
-        kind = event.get("kind")
-        if kind == "server.state":
-            self._delta += 1 if event.get("state") == "on" else -1
-            self._state_seen_since_sample = True
-        elif kind == "server.fail":
-            self._delta -= 1
-            self._state_seen_since_sample = True
-        elif kind == "power.sample":
-            active = event.get("active")
-            if active is None:
-                return
-            if (self._last_sample is not None
-                    and self._state_seen_since_sample):
-                expected = self._last_sample + self._delta
-                if active != expected:
-                    self.fail(event, index,
-                              f"power.sample active={active} but "
-                              f"server.state transitions imply "
-                              f"{expected} "
-                              f"({self._last_sample}{self._delta:+d})")
-            self._last_sample = active
-            self._delta = 0
-            self._state_seen_since_sample = False
 
 
 class NoLostObjectChecker(Checker):
@@ -689,7 +644,6 @@ def default_checkers() -> List[Checker]:
         BandwidthCapChecker(),
         ServeQueueBoundedChecker(),
         FlowAccountingChecker(),
-        MachineHourChecker(),
         NoLostObjectChecker(),
         ReplicationRestoredChecker(),
         DirtyAckChecker(),

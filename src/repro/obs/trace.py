@@ -180,7 +180,6 @@ FIELDS: Dict[str, Dict[str, str]] = {
     "server.state": {"rank": "id"},
     "server.fail": {"rank": "id", "lost_bytes": "number"},
     "power.resize": {"powered_on": "ids", "powered_off": "ids"},
-    "power.sample": {"active": "int"},
     "bandwidth.solve": {"max_util": "number"},
     "serve.queue": {"depth": "int", "bound": "int"},
     "serve.complete": {"latency": "number"},

@@ -26,32 +26,20 @@ import numpy as np
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
 from repro.policy.ideal import ideal_servers
 from repro.policy.resizer import (DISK_BW, MIGRATION_FRACTION, RECOVERY_FRACTION,
-                                   REPLICAS, SELECTIVE_RATE_LIMIT, PolicyConfig)
+                                   REPLICAS, SELECTIVE_RATE_LIMIT, PolicyConfig,
+                                   PolicyResult)
 from repro.workloads.trace import LoadTrace
 
 __all__ = ["ReplayResult", "replay_policy"]
 
 
 @dataclass
-class ReplayResult:
-    """Measured outcome of one object-level replay."""
+class ReplayResult(PolicyResult):
+    """Measured outcome of one object-level replay: a
+    :class:`~repro.policy.resizer.PolicyResult` that also counts the
+    objects the window wrote."""
 
-    name: str
-    servers: np.ndarray
-    dt: float
-    ideal: np.ndarray
-    migrated_bytes: float
-    rereplicated_bytes: float
     objects_written: int
-
-    @property
-    def machine_hours(self) -> float:
-        return float(self.servers.sum() * self.dt / 3600.0)
-
-    @property
-    def relative_machine_hours(self) -> float:
-        return self.machine_hours / float(
-            self.ideal.sum() * self.dt / 3600.0)
 
 
 def replay_policy(

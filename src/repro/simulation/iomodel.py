@@ -185,15 +185,14 @@ class IOModel:
                      flows=len(self.flows), servers=len(self._caps))
         return achieved
 
-    def run(self, duration: float, start: float = 0.0) -> None:
-        """Convenience loop: tick from *start* for *duration* seconds.
-        A last tick cut short by *duration* advances the flows by its
+    def run(self, duration: float) -> None:
+        """Convenience loop: tick from 0 for *duration* seconds.  A
+        last tick cut short by *duration* advances the flows by its
         actual length."""
-        t = start
-        end = start + duration
-        while t < end - 1e-9:
-            short = end - t if end - t < self.dt - 1e-9 else None
-            t = min(t + self.dt, end)
+        t = 0.0
+        while t < duration - 1e-9:
+            short = duration - t if duration - t < self.dt - 1e-9 else None
+            t = min(t + self.dt, duration)
             self.step(t, short)
 
     # ------------------------------------------------------------------

@@ -1,55 +1,9 @@
-"""Machine-hour metering and the power model."""
+"""The power model: machine hours to energy."""
 
 import pytest
 
 from repro.cluster import power
-from repro.cluster.power import (
-    MachineHourMeter,
-    PowerModel,
-    machine_hours_of_series,
-)
-
-
-class TestMachineHourMeter:
-    def test_constant_count(self):
-        m = MachineHourMeter(0.0, 10)
-        assert m.finish(3600.0) == pytest.approx(10.0)
-
-    def test_step_change(self):
-        m = MachineHourMeter(0.0, 10)
-        m.record(1800.0, 4)
-        assert m.finish(3600.0) == pytest.approx(5.0 + 2.0)
-
-    def test_time_regression_rejected(self):
-        m = MachineHourMeter(0.0, 1)
-        m.record(10.0, 2)
-        with pytest.raises(ValueError):
-            m.record(5.0, 3)
-
-    def test_samples_recorded(self):
-        m = MachineHourMeter(0.0, 1)
-        m.record(5.0, 2)
-        assert m.samples[0] == (0.0, 1)
-        assert m.samples[1] == (5.0, 2)
-
-    def test_machine_seconds(self):
-        m = MachineHourMeter(0.0, 2)
-        m.finish(10.0)
-        assert m.machine_seconds == pytest.approx(20.0)
-
-
-class TestSeriesHelper:
-    def test_matches_meter(self):
-        mh = machine_hours_of_series([0.0, 1800.0], [10, 4],
-                                     end_time=3600.0)
-        assert mh == pytest.approx(7.0)
-
-    def test_empty_series(self):
-        assert machine_hours_of_series([], []) == 0.0
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            machine_hours_of_series([0.0], [1, 2])
+from repro.cluster.power import PowerModel
 
 
 class TestPowerModel:

@@ -51,7 +51,7 @@ class TestAcceptanceScenario:
         assert set(result.phase_ends) == {"phase1", "phase2", "phase3"}
 
     def test_checkers_were_attached_and_fed(self, result):
-        assert result.checkers == 15
+        assert result.checkers == 14
         assert result.events_seen > 0
 
 
@@ -104,7 +104,7 @@ class TestReport:
                         "## invariants", "## outcome"):
             assert heading in report
         assert "verdict: **OK**" in report
-        assert "all 15 checkers hold" in report
+        assert "all 14 checkers hold" in report
 
     def test_check_false_skips_checkers(self):
         result = run_chaos(seed=7, scale=0.02, check=False)

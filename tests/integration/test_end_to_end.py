@@ -4,8 +4,8 @@ way a deployment would."""
 import pytest
 
 from repro.cluster.cluster import ElasticCluster, OriginalCHCluster
-from repro.cluster.power import MachineHourMeter
 from repro.core.layout import CapacityPlan, EqualWorkLayout
+from repro.metrics.timeline import StepSeries
 from repro.simulation.engine import Simulator
 from repro.simulation.flows import FluidFlow
 from repro.simulation.iomodel import (
@@ -64,12 +64,13 @@ class TestElasticLifecycle:
 
     def test_machine_hours_accounting_with_resizes(self):
         cl = ElasticCluster(n=10, replicas=2)
-        meter = MachineHourMeter(0.0, cl.num_active)
+        active = StepSeries()
+        active.append(0.0, cl.num_active)
         schedule = [(3600.0, 6), (7200.0, 2), (10800.0, 10)]
         for t, k in schedule:
             cl.resize(k)
-            meter.record(t, cl.num_active)
-        hours = meter.finish(14400.0)
+            active.append(t, cl.num_active)
+        hours = active.integral(0.0, 14400.0) / 3600.0
         # 10 + 6 + 2 + 10 server-hours over four hours.
         assert hours == pytest.approx(28.0)
 

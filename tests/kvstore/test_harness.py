@@ -132,7 +132,7 @@ class TestAcceptanceScenario:
         assert result.final_audit["under_replicated"] == 0
 
     def test_checkers_were_attached_and_fed(self, result):
-        assert result.checkers == 15
+        assert result.checkers == 14
         assert result.events_seen > 0
 
     def test_no_write_was_quarantined(self, result):

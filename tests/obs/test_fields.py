@@ -72,7 +72,7 @@ class TestCheckEvent:
         ({"kind": "serve.queue", "depth": 9.0, "bound": 8}, "depth"),
         ({"kind": "kv.read", "key": "k", "client": "c", "vv": [["a", 1]]},
          "vv"),
-        ({"kind": "power.sample", "active": 9.0}, "active"),
+        ({"kind": "kv.audit", "lost_acked": 1.0}, "lost_acked"),
         ({"kind": "version.advance", "version": True}, "version"),
         ({"kind": "transfer.ack", "oids": "12"}, "oids"),
         ({"kind": "kv.write.ack", "vv": {"a": 1.0}}, "vv"),

@@ -14,7 +14,6 @@ from repro.obs.invariants import (
     DirtyDisciplineChecker,
     FlowAccountingChecker,
     InvariantSuite,
-    MachineHourChecker,
     NoLostObjectChecker,
     PoweredMoveChecker,
     ReplicationRestoredChecker,
@@ -204,26 +203,6 @@ class TestFlowAccounting:
         evs = [{"kind": "flow.start", "t": 0, "name": "client"},
                {"kind": "flow.finish", "t": 5, "name": "client"}]
         assert run_checker(FlowAccountingChecker(), evs) == []
-
-
-class TestMachineHours:
-    def test_consistent_samples_ok(self):
-        evs = [{"kind": "power.sample", "t": 0, "active": 10},
-               {"kind": "server.state", "t": 1, "rank": 7, "state": "off"},
-               {"kind": "power.sample", "t": 2, "active": 9}]
-        assert run_checker(MachineHourChecker(), evs) == []
-
-    def test_inconsistent_sample_caught(self):
-        evs = [{"kind": "power.sample", "t": 0, "active": 10},
-               {"kind": "server.state", "t": 1, "rank": 7, "state": "off"},
-               {"kind": "power.sample", "t": 2, "active": 10}]
-        v = run_checker(MachineHourChecker(), evs)
-        assert len(v) == 1 and "imply 9" in v[0].message
-
-    def test_policy_trace_without_states_vacuous(self):
-        evs = [{"kind": "power.sample", "t": 0, "active": 10},
-               {"kind": "power.sample", "t": 1, "active": 6}]
-        assert run_checker(MachineHourChecker(), evs) == []
 
 
 class TestSuite:

@@ -1,9 +1,9 @@
-"""Property tests for StepSeries and machine-hour accounting."""
+"""Property tests for StepSeries, the machine-hour integral of step
+changes."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.power import MachineHourMeter
 from repro.metrics.timeline import StepSeries
 
 
@@ -51,17 +51,6 @@ class TestStepSeriesProperties:
         integral = s.integral(times[0], end)
         assert min(values) * span - 1e-6 <= integral
         assert integral <= max(values) * span + 1e-6
-
-    @given(data=step_series())
-    @settings(max_examples=200, deadline=None)
-    def test_meter_agrees_with_series_integral(self, data):
-        times, values, end = data
-        meter = MachineHourMeter(times[0], int(values[0]))
-        s = build(times, [int(v) for v in values])
-        for t, v in zip(times[1:], values[1:]):
-            meter.record(t, int(v))
-        hours = meter.finish(end)
-        assert abs(hours * 3600.0 - s.integral(times[0], end)) < 1e-3
 
     @given(data=step_series(),
            probe=st.floats(min_value=0.0, max_value=500.0))

@@ -260,7 +260,8 @@ class TestCacheInvalidation:
             f = io_model.flows.add(FluidFlow("c", {"a": 1.0}))
             io_model.run(4.0)
             f.rate_cap = 30.0       # throttled mid-stretch
-            io_model.run(4.0, start=4.0)
+            for t in (5.0, 6.0, 7.0, 8.0):
+                io_model.step(t)
             return io_model.series("c")[1]
 
         cached = run()

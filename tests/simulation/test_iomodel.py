@@ -161,8 +161,9 @@ class TestIOModel:
         assert io.total_moved("s") == 25.0
         assert [e["dt"] for e in sink.events()
                 if e["kind"] == "engine.tick"] == [1.0, 1.0, 0.5]
-        # A further whole run keeps counting full ticks.
-        io.run(2.0, start=2.5)
+        # Whole ticks after it count in full.
+        io.step(3.5)
+        io.step(4.5)
         assert stream.progressed == 45.0
         assert io.total_moved("s") == 45.0
 

@@ -4,10 +4,10 @@ Two ``IOModel``\\ s are driven side by side through the same arbitrary
 interleaving of everything a driver can do between ticks — add and
 retire flows, preempt them, replace or re-point coefficients,
 throttle, change capacities (vouched for by a ``capacity_token`` or
-not), step, run.  One model is the product as shipped; on the other,
-``advance_cached`` always answers "not provably fresh", so every tick
-is a real solve.  After every operation the two must agree on what
-they emitted, and after every step on the samples, each flow's
+not), step, tick a stretch.  One model is the product as shipped; on
+the other, ``advance_cached`` always answers "not provably fresh", so
+every tick is a real solve.  After every operation the two must agree
+on what they emitted, and after every step on the samples, each flow's
 ``progressed`` and the order callbacks fired in: reuse may skip the
 solver, never change what the solver would have said.  On every tick
 the product's identity proof is also held to :func:`fresh_by_value`,
@@ -295,12 +295,18 @@ class ReuseMachine(RuleBasedStateMachine):
     @rule(ticks=st.integers(min_value=1, max_value=12),
           half=st.booleans())
     def run(self, ticks, half):
-        duration = ticks + (0.5 if half else 0.0)
-
+        # ``IOModel.run`` ticks from 0 and the machine has ticked by
+        # now, so the stretch is its loop by hand: whole ticks, then
+        # maybe one cut short.
         def run(side):
-            self.solving(side, lambda: side.io.run(
-                duration, start=side.now))
-            side.now = side.io.samples[-1][0]
+            def stretch():
+                for _ in range(ticks):
+                    side.now += side.io.dt
+                    side.io.step(side.now)
+                if half:
+                    side.now += 0.5
+                    side.io.step(side.now, 0.5)
+            self.solving(side, stretch)
         self.both(run)
 
     # -- the comparison ------------------------------------------------

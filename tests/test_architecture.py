@@ -194,6 +194,8 @@ DELETED_NAMES = frozenset({
     "DEFAULT_MIN_SECONDS",
     "compare", "compare_runs", "render_compare", "CompareError",
     "ComparisonResult", "Delta",
+    "MachineHourMeter", "machine_hours_of_series", "MachineHourChecker",
+    "power.sample",
 })
 
 #: Class -> members deleted from it.  Kept per class because several
@@ -382,7 +384,7 @@ REMOVED_KNOBS: Dict[str, FrozenSet[str]] = {
     "repro.obs.report:check_trace": frozenset({"checkers"}),
     "repro.obs.report:render_check": frozenset({"checkers"}),
     "repro.faults.plan:FaultPlan.generate": frozenset({"crashable"}),
-    "repro.simulation.iomodel:IOModel.run": frozenset({"on_tick"}),
+    "repro.simulation.iomodel:IOModel.run": frozenset({"on_tick", "start"}),
     "repro.metrics.proportionality:proportionality_curve": frozenset({
         "ks"}),
     "repro.metrics.proportionality:read_capacity": frozenset({
@@ -732,7 +734,12 @@ RULES = [
           "def render_compare(result):\n    return ''\n",
           "class CompareError(ValueError):\n    pass\n",
           "__all__ = ['ComparisonResult']\n",
-          "class Delta:\n    pass\n")),
+          "class Delta:\n    pass\n",
+          "class MachineHourMeter:\n    def record(self, t, active):\n"
+          "        pass\n",
+          "from repro.cluster.power import machine_hours_of_series\n",
+          "__all__ = ['MachineHourChecker']\n",
+          "OBS.bus.emit('power.sample', t=t, active=n)\n")),
     Rule("no-unturned-knob", "a knob nobody turns is a constant",
          python_under(SRC),
          on_tree(has_no_removed_knob),
@@ -756,7 +763,10 @@ RULES = [
           "@dataclass\nclass PlannedTransfer:\n"
           "    nbytes: float\n    coefficients: dict = None\n",
           "def run(self, duration, start=0.0, on_tick=None):\n"
-          "    return None\n")),
+          "    return None\n",
+          "class IOModel:\n"
+          "    def run(self, duration, start=0.0):\n"
+          "        return None\n")),
     Rule("one-heap-entry", "a scheduled event is its heap entry",
          python_under(SRC),
          one_heap_entry,

@@ -148,7 +148,8 @@ class TestBadInputIsAMessage:
     @pytest.mark.parametrize("argv, message", [
         (["three-phase", "--scale", "0"], "scale must be positive"),
         (["layout", "--n", "0"], "cannot hold"),
-        (["fig5", "--objects-v1", "0"], "degenerate"),
+        # Was the unrelated "degenerate (constant) distribution".
+        (["fig5", "--objects-v1", "0"], "objects_v1 must be >= 1 (got 0)"),
         (["info", "--n", "1", "--replicas", "3"], "cannot hold"),
         (["layout", "--n", "1", "--replicas", "3"], "cannot hold"),
         (["chaos", "--audit-every", "0"], "audit_every must be > 0"),
@@ -186,6 +187,9 @@ class TestBadInputIsAMessage:
         (["sweep", "--timeout", "nan"],
          "task_timeout must be > 0 and finite (got nan)"),
         (["sweep", "--since", "nan"], "--since must be a number (got nan)"),
+        # Was exit 0 with "re-integrated 0 objects": a vacuous Figure 5.
+        (["fig5", "--objects-v2", "-3"],
+         "objects_v2 must be >= 1 (got -3)"),
     ])
     def test_one_line_and_nonzero_exit(self, argv, message, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -670,6 +674,31 @@ class TestTimelineCommand:
         empty.write_text("")
         assert main(["timeline", str(empty)]) == 2
         assert "repro:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("width", ["nan", "inf"])
+    def test_non_finite_bin_is_refused(self, tmp_path, capsys, width):
+        # nan leaked "cannot convert float NaN to integer"; inf passed.
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"kind":"tick","t":1.0}\n')
+        assert main(["timeline", str(trace), "--bin", width]) == 2
+        assert ("--bin must be a positive finite number"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("width", [float("nan"), float("inf")])
+    def test_check_only_refuses_a_non_finite_bin_width(self, tmp_path,
+                                                       capsys, width):
+        # Both used to pass as "OK" with exit 0.
+        trace = tmp_path / "t.jsonl"
+        trace.write_text('{"kind":"tick","t":1.0}\n')
+        js = tmp_path / "analytics.json"
+        assert main(["timeline", str(trace), "--json", str(js)]) == 0
+        doc = json.loads(js.read_text())
+        doc["window"]["bin_seconds"] = width
+        js.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["timeline", str(js), "--check-only"]) == 2
+        assert ("window.bin_seconds must be a positive finite number"
+                in capsys.readouterr().err)
 
     def test_inverted_window_rejected(self, chaos_trace):
         with pytest.raises(SystemExit, match="empty time window"):

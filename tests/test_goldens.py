@@ -12,6 +12,7 @@ outputs stay in pytest's ``goldens0`` directory (under ``--basetemp``).
 """
 
 import hashlib
+import json
 import os
 import re
 import subprocess
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.report import check_trace
+from repro.obs.trace import FIELDS
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / ".github" / "golden"
@@ -221,6 +223,17 @@ def test_trace_parity_refuses_a_disagreement(work, tmp_path):
     assert parity_problems(full, "no verdict here\n")
     assert parity_problems(full, live.replace(
         f"hold over {events[0]} events", f"hold over {events[0] - 3} events"))
+
+
+def test_every_declared_kind_has_a_producer(work):
+    """Every kind :data:`~repro.obs.trace.FIELDS` declares is in some
+    trace the stages above write: a declared kind no run emits is a
+    schema row, and maybe a checker, that nothing exercises."""
+    seen = set()
+    for trace in work.rglob("*.jsonl"):
+        with open(trace, encoding="utf-8") as fh:
+            seen.update(json.loads(line)["kind"] for line in fh)
+    assert set(FIELDS) - {"*"} - seen == set()
 
 
 def test_timeline_shows_the_serving_latency_table(work):

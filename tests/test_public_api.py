@@ -28,7 +28,7 @@ SURFACE = {
         "ObjectTable", "PowerState", "CapacityExceeded",
         "MigrationPlan", "VirtualDisk", "VdiRange",
         "check_cluster", "FsckReport", "FsckIssue",
-        "MachineHourMeter", "PowerModel",
+        "PowerModel",
     ],
     "repro.cluster.runtime": [
         "ClusterRuntime", "ThreePhaseLoad", "REPLICAS", "DISK_BW",
