@@ -106,21 +106,29 @@ def bench_locate_bulk(benchmark, ech):
     assert len(bulk) == 100_000 and bulk.all_ok
 
 
-def bench_locate_bulk_cold(benchmark):
-    """The same 100k-object sweep against a membership version nothing
-    has placed yet: every round resizes first, so the sweep builds the
-    version's whole slot table (one array pass over all 24k slots) and
-    then gathers from it — what the first whole-catalog pass after
-    every resize costs."""
+def _resized(k):
+    """A fresh facade (n = 10) resized to *k*: no active set of it has a
+    slot table and no oid a memoised slot.  Slot tables are kept per
+    active set, so the cold benches build a new facade each round
+    rather than cycling sizes, which would find the tables of the first
+    two rounds again."""
     ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
+    ech.set_active(k)
+    return ech
+
+
+def bench_locate_bulk_cold(benchmark):
+    """The same 100k-object sweep against an active set nothing has
+    placed yet: the sweep builds the set's whole slot table (one array
+    pass over all 24k slots) and then gathers from it — what the first
+    whole-catalog pass after a resize to a new set costs."""
     oids = np.arange(100_000, dtype=np.int64)
     sizes = itertools.cycle((6, 8))
 
     def resize():
-        ech.set_active(next(sizes))    # new version: no table yet
-        return (), {}
+        return (_resized(next(sizes)),), {}
 
-    def place():
+    def place(ech):
         return ech.locate_bulk(oids)
 
     bulk = benchmark.pedantic(place, setup=resize, rounds=40)
@@ -128,21 +136,17 @@ def bench_locate_bulk_cold(benchmark):
 
 
 def bench_locate_scalar_cold(benchmark):
-    """5 000 scalar locates of never-seen oids against a membership
-    version nothing has placed yet — the shape ``repro serve`` and the
-    fig7 replay issue after a resize: one whole-table build, then per
-    oid hash + bisect + the first materialisation of its slot's
-    result (~4.5k distinct slots of 24k)."""
-    ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
+    """5 000 scalar locates of never-seen oids against an active set
+    nothing has placed yet — the shape ``repro serve`` and the fig7
+    replay issue after a resize to a new set: one whole-table build,
+    then per oid hash + bisect + the first materialisation of its
+    slot's result (~4.5k distinct slots of 24k)."""
     sizes = itertools.cycle((6, 8))
-    starts = itertools.count(0, 5_000)
 
     def resize():
-        ech.set_active(next(sizes))    # new version: no table yet
-        start = next(starts)
-        return (range(start, start + 5_000),), {}
+        return (_resized(next(sizes)), range(5_000)), {}
 
-    def place(oids):
+    def place(ech, oids):
         return [ech.locate(oid) for oid in oids]
 
     results = benchmark.pedantic(place, setup=resize, rounds=40)
@@ -154,21 +158,38 @@ def bench_locate_scalar_prehashed(benchmark):
     ``prehash`` (inside the timed region) — what a three-phase phase
     or a serve oid block pays: one array pass, then per oid two
     lookups and the slot's first materialisation."""
-    ech = ElasticConsistentHash(n=10, replicas=2, B=10_000)
     sizes = itertools.cycle((6, 8))
-    starts = itertools.count(0, 5_000)
 
     def resize():
-        ech.set_active(next(sizes))    # new version: no table yet
-        start = next(starts)
-        return (range(start, start + 5_000),), {}
+        return (_resized(next(sizes)), range(5_000)), {}
 
-    def place(oids):
+    def place(ech, oids):
         ech.prehash(oids)
         return [ech.locate(oid) for oid in oids]
 
     results = benchmark.pedantic(place, setup=resize, rounds=40)
     assert len(results) == 5_000
+
+
+def bench_resize_schedule_revisits(benchmark):
+    """``place_mix``'s resize schedule on a fresh n = 100, r = 3 facade:
+    ``set_active`` 80, 60, 40, 60, 80, 100, each followed by a
+    ``locate_bulk`` of one fixed 60k-key catalog.  The schedule has six
+    versions but four active sets: the second 60 and 80 and the return
+    to 100 find the table of an earlier version with their set."""
+    catalog = np.random.default_rng(7).integers(1, 2 ** 40, size=60_000)
+
+    def fresh():
+        return (ElasticConsistentHash(n=100, replicas=3),), {}
+
+    def schedule(ech):
+        for k in (80, 60, 40, 60, 80, 100):
+            ech.set_active(k)
+            bulk = ech.locate_bulk(catalog)
+        return bulk
+
+    bulk = benchmark.pedantic(schedule, setup=fresh, rounds=15)
+    assert len(bulk) == 60_000 and bulk.all_ok
 
 
 def bench_locate_loop_10k(benchmark, ech):

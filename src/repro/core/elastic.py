@@ -140,9 +140,10 @@ class ElasticConsistentHash:
         self.layout = layout
         self.ring = HashRing({rank: layout.weight_of(rank)
                               for rank in layout.ranks})
-        #: Slot-table placement kernel: places every slot of a
-        #: membership version once, so ``locate`` is a table read and
-        #: ``locate_bulk`` is pure array work.
+        #: Slot-table placement kernel: places every slot once per
+        #: active set (versions with equal sets share the table), so
+        #: ``locate`` is a table read and ``locate_bulk`` is pure array
+        #: work.
         self._kernel = PlacementKernel(
             self.ring, self.replicas,
             placement_mode=self.placement_mode,
@@ -233,9 +234,9 @@ class ElasticConsistentHash:
         if not active:
             self.failed.discard(rank)
             raise RuntimeError("failure would empty the cluster")
-        # Nothing to invalidate: a crash is a new version, and a new
-        # version is a new slot-table key; the old version's table is
-        # still that version's placement.
+        # Nothing to invalidate: slot tables are keyed by active set, a
+        # crash makes a new set, and every older version still reads the
+        # table of its own set.
         if active == self.history.current.active:
             return self.history.current   # was not active anyway
         return self.history.advance(sorted(active))
@@ -261,7 +262,7 @@ class ElasticConsistentHash:
                  else self.history.get(version))
         located, tbl = self._located
         if located is not table:
-            tbl = self._kernel.table(table.version, table.is_active)
+            tbl = self._kernel.table(table.active, table.is_active)
             self._located = (table, tbl)
         try:
             return tbl.lookup(self._kernel.slot_of(oid))
@@ -294,10 +295,11 @@ class ElasticConsistentHash:
         """Vectorised :meth:`locate` over a whole key collection.
 
         Hashes all keys (``bulk_hash``), resolves successor slots in
-        one ``searchsorted``, and gathers placements from the
-        version's slot table — built whole, in one array pass of the
-        placement rule, if this is the first lookup against the
-        version — so there is no per-object (or per-slot) Python work.
+        one ``searchsorted``, and gathers placements from the slot
+        table of the version's active set — built whole, in one array
+        pass of the placement rule, if no version with that set was
+        looked up before — so there is no per-object (or per-slot)
+        Python work.
         Returns compact arrays; see
         :class:`~repro.core.kernel.BulkPlacement`.
         """
@@ -312,7 +314,7 @@ class ElasticConsistentHash:
                  else self.history.get(version))
         slots = self.ring.bulk_successor_slots(
             np.asarray(positions, dtype=np.uint64))
-        tbl = self._kernel.table(table.version, table.is_active)
+        tbl = self._kernel.table(table.active, table.is_active)
         return tbl.gather(slots)
 
     def record_write(self, oid: int) -> PlacementResult:
@@ -336,7 +338,7 @@ class ElasticConsistentHash:
             return []
         table = self.history.current
         version = table.version
-        rows = self._kernel.rows(version, table.is_active, oids)
+        rows = self._kernel.rows(table.active, table.is_active, oids)
         insert = None if table.is_full_power else self.dirty.insert
         last_written, location_version = (self.last_written,
                                           self.location_version)

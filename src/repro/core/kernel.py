@@ -1,17 +1,19 @@
-"""The slot-table placement kernel: memoized per-version placement and
-vectorised bulk locate.
+"""The slot-table placement kernel: memoized placement per active set
+and vectorised bulk locate.
 
 The whole-cluster sweeps that dominate the paper's evaluation — resize
 planning, Algorithm 2 re-integration scans, fsck, distribution
 analysis, trace replay — all re-evaluate Algorithm 1 for every object.
-But for a *fixed* membership version the placement of a key depends
+But for a *fixed* set of active servers the placement of a key depends
 only on its successor slot (the first vnode at or after ``hash(key)``):
 every key landing in the same arc walks the identical server sequence.
-There are only V vnode slots, so the placement of an entire version is
+There are only V vnode slots, so the placement under an active set is
 a table of V rows — computed whole, in one array pass of the placement
-rule, the first time anything asks about that version, and immutable
-from then on (1–12 ms per version; a version pays for itself after a
-few hundred lookups, and the workloads issue thousands).
+rule, the first time anything asks about that set, and immutable from
+then on (1–12 ms per set; a set pays for itself after a few hundred
+lookups, and the workloads issue thousands).  Algorithm 1 reads only
+which servers are on, so versions with equal active sets (a resize
+schedule that revisits a size, rank-order power-down) share one table.
 
 Two access paths read the table:
 
@@ -47,7 +49,7 @@ from typing import (Callable, Dict, Hashable, List, Mapping, NamedTuple,
 import numpy as np
 
 from repro.core.placement import ChainMode, PlacementResult
-from repro.hashring.hashing import bulk_hash
+from repro.hashring.hashing import bulk_hash, hash64
 from repro.hashring.ring import HashRing
 
 __all__ = ["BulkPlacement", "SlotPlacementTable", "PlacementKernel"]
@@ -270,7 +272,7 @@ def _place_all_slots(owners: np.ndarray, r: int, cls: _SlotClasses,
 
 
 class SlotPlacementTable:
-    """Every slot's placement for one (membership version, chain, r).
+    """Every slot's placement for one (active set, chain, r).
 
     The constructor computes all V rows in one array pass
     (:func:`_place_all_slots`) and the table never changes afterwards.
@@ -377,11 +379,11 @@ class PlacementKernel:
     """Slot tables for every membership of one ring and one role
     assignment, plus an oid→slot cache for the scalar hot path.
 
-    Tables are keyed by the caller's membership key (a version number
-    for the elastic facade, the member set for the original-CH
-    baseline) and kept in an LRU of :data:`MAX_TABLES` — trace replays can
-    touch
-    hundreds of versions but only the recent few stay hot.  The ring
+    Tables are keyed by the caller's membership key — the frozenset of
+    active servers: a version's active set for the elastic facade, the
+    member set for the original-CH baseline — and kept in an LRU of
+    :data:`MAX_TABLES`; trace replays touch hundreds of versions but
+    far fewer active sets, and only the recent few stay hot.  The ring
     never changes, so neither does a table or a cached slot: a new
     weighting or role assignment is a new ring and a new kernel.
     """
@@ -408,7 +410,7 @@ class PlacementKernel:
             OrderedDict()
         self._slot_cache: Dict[Hashable, int] = {}
         # One-entry fast path over the LRU: repeated locates against a
-        # settled version skip the OrderedDict bookkeeping entirely.
+        # settled membership skip the OrderedDict bookkeeping entirely.
         self._last_key: Hashable = _NO_KEY
         self._last_tbl: Optional[SlotPlacementTable] = None
 
@@ -427,8 +429,13 @@ class PlacementKernel:
         *is_active* must be the pure membership predicate belonging to
         *key*; it is evaluated once per server at table creation, which
         is sound because a key names one membership for good.
+
+        The fast path compares keys by identity: frozenset ``==`` is an
+        O(n) subset check even against itself.  Callers hold one object
+        per membership (``VersionHistory`` shares equal active sets); an
+        equal key that is another object takes the LRU lookup.
         """
-        if key == self._last_key:
+        if key is self._last_key:
             # Already the most-recent LRU entry: no move_to_end needed.
             return self._last_tbl  # type: ignore[return-value]
         tbl = self._tables.get(key)
@@ -454,7 +461,9 @@ class PlacementKernel:
         """
         slot = self._slot_cache.get(oid)
         if slot is None:
-            slot = self._ring.successor_slot(self._ring.key_position(oid))
+            ring = self._ring
+            slot = ring.successor_slot(hash64(oid) if type(oid) is int
+                                       else ring.key_position(oid))
             if len(self._slot_cache) >= _SLOT_CACHE_MAX:
                 self._slot_cache.clear()
             self._slot_cache[oid] = slot

@@ -74,11 +74,6 @@ class MembershipTable:
         return sorted(self.active)
 
     # ------------------------------------------------------------------
-    def with_active(self, active: Sequence[int], version: int) -> "MembershipTable":
-        """A successor table with the given active set."""
-        return MembershipTable(version=version, ranks=self.ranks,
-                               active=frozenset(active))
-
     def states(self) -> Dict[int, str]:
         """``{rank: "on"|"off"}`` — the rendering used in Figure 6."""
         return {r: ("on" if r in self.active else "off") for r in self.ranks}
@@ -98,10 +93,13 @@ class VersionHistory:
         ranks_t = tuple(sorted(ranks))
         if not ranks_t:
             raise ValueError("cluster must have at least one server")
+        full = frozenset(ranks_t)
         self._tables: List[MembershipTable] = [
-            MembershipTable(version=1, ranks=ranks_t,
-                            active=frozenset(ranks_t))
-        ]
+            MembershipTable(version=1, ranks=ranks_t, active=full)]
+        #: Every active set seen so far, each held once: versions with
+        #: equal sets share one frozenset object, so placement can key
+        #: its slot tables by set and find a revisited one by identity.
+        self._sets: Dict[FrozenSet[int], FrozenSet[int]] = {full: full}
 
     # ------------------------------------------------------------------
     @property
@@ -137,7 +135,9 @@ class VersionHistory:
         cur = self.current
         if new_active == cur.active:
             raise ValueError("active set unchanged; refusing no-op version")
-        table = cur.with_active(new_active, version=cur.version + 1)
+        table = MembershipTable(
+            version=cur.version + 1, ranks=cur.ranks,
+            active=self._sets.setdefault(new_active, new_active))
         self._tables.append(table)
         OBS.metrics.inc("versions.created")
         if OBS.bus.active:

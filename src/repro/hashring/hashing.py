@@ -33,7 +33,6 @@ Key = Union[str, bytes, int]
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _to_bytes(key: Key) -> bytes:
@@ -54,28 +53,24 @@ def _to_bytes(key: Key) -> bytes:
     raise TypeError(f"unhashable key type for ring hashing: {type(key)!r}")
 
 
-def _splitmix64(h: int) -> int:
-    """The splitmix64 finalizer: full 64-bit avalanche in three
-    xor-shift-multiply rounds (Steele et al., the same mixer murmur3 and
-    xxHash use as their tail)."""
-    h = (h + 0x9E3779B97F4A7C15) & _MASK64
-    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return h ^ (h >> 31)
-
-
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return _splitmix64(h)
-
-
 def hash64(key: Key) -> int:
     """Hash *key* (object id, server id, or any ring key) to a position
-    in ``[0, 2**64)``."""
-    return _fnv1a64(_to_bytes(key))
+    in ``[0, 2**64)``: FNV-1a over :func:`_to_bytes`, then the
+    splitmix64 finalizer (Steele et al., the same mixer murmur3 and
+    xxHash use as their tail) in three xor-shift-multiply rounds.
+
+    One frame, as the scalar hot path of every first ``locate``: a
+    plain ``int`` key is encoded in place, and the fold and the
+    finalizer are inlined with literal constants.
+    """
+    data = b"%d" % key if type(key) is int else _to_bytes(key)
+    h = 0xCBF29CE484222325                         # _FNV_OFFSET
+    for byte in data:
+        h = ((h ^ byte) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+    h = (h + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    h = ((h ^ (h >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
+    h = ((h ^ (h >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
+    return h ^ (h >> 31)
 
 
 def vnode_positions(server_ids: Sequence[Hashable],

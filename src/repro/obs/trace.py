@@ -157,14 +157,18 @@ class TraceParseError(ValueError):
         super().__init__(f"{source}: line {line_no}: {reason}")
 
 
-#: The event fields the offline readers and the invariant checkers
-#: read, and their types: kind -> field -> type; ``"*"`` applies to
-#: every kind.  A field may be absent or null; when present it must have
-#: its declared type.  Only parsed traces are checked (:func:`iter_jsonl`)
-#: — never the emit path.
+#: Every kind the pinned runs emit, with the event fields the offline
+#: readers and the invariant checkers read and their types: kind ->
+#: field -> type; ``"*"`` applies to every kind, and ``{}`` declares a
+#: kind whose only read fields are those.  A field may be absent or
+#: null; when present it must have its declared type.  Only parsed
+#: traces are checked (:func:`iter_jsonl`) — never the emit path.
 FIELDS: Dict[str, Dict[str, str]] = {
     "*": {"kind": "str", "t": "number", "nbytes": "number",
           "total_bytes": "number", "duration": "number"},
+    "engine.event": {},
+    "engine.clock": {},
+    "engine.tick": {},
     "span.begin": {"span_id": "id", "parent_id": "id"},
     "span.end": {"span_id": "id"},
     "flow.start": {"span_id": "id"},
@@ -174,22 +178,38 @@ FIELDS: Dict[str, Dict[str, str]] = {
     "version.advance": {"version": "int", "full_power": "bool"},
     "dirty.insert": {"oid": "id"},
     "dirty.remove": {"oid": "id"},
+    "migration.plan": {},
     "migration.move": {"oid": "id", "to": "ids"},
+    "migration.full": {},
     "migration.addition": {"rank": "id"},
+    "reintegration.step": {},
+    "recovery.plan": {},
     "recovery.rereplicate": {"rank": "id"},
     "server.state": {"rank": "id"},
     "server.fail": {"rank": "id", "lost_bytes": "number"},
+    "server.repair": {},
     "power.resize": {"powered_on": "ids", "powered_off": "ids"},
     "bandwidth.solve": {"max_util": "number"},
+    "fault.inject": {},
+    "read.degraded": {"oid": "id"},
+    "read.unavailable": {"oid": "id"},
+    "serve.enqueue": {},
+    "serve.reject": {},
     "serve.queue": {"depth": "int", "bound": "int"},
     "serve.complete": {"latency": "number"},
+    "serve.failover": {},
+    "transfer.start": {},
     "transfer.ack": {"oids": "ids"},
+    "transfer.retry": {},
     "chaos.audit": {"lost": "int", "under_replicated": "int"},
     "kv.view.propose": {"epoch": "int"},
     "kv.view.commit": {"epoch": "int"},
+    "kv.node.crash": {},
+    "kv.node.repair": {},
     "kv.write.ack": {"key": "str", "client": "str", "vv": "vv"},
     "kv.read": {"key": "str", "client": "str", "vv": "vv",
                 "degraded": "bool"},
+    "kv.repair": {},
     "kv.audit": {"lost_acked": "int", "under_replicated": "int"},
 }
 

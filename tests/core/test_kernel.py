@@ -1,6 +1,7 @@
 """The slot-table placement kernel: table/bulk placement must be
 indistinguishable from the reference ring walk, and a memo belongs to
-one ring and one membership key — nothing ever needs dropping."""
+one ring and one membership key (a version's active set) — nothing
+ever needs dropping."""
 
 import json
 
@@ -51,7 +52,7 @@ class TestExhaustiveEquivalence:
             ech.set_active(k)
         for version in range(1, ech.current_version + 1):
             table = ech.history.get(version)
-            tbl = ech._kernel.table(version, table.is_active)
+            tbl = ech._kernel.table(table.active, table.is_active)
             for slot in range(tbl.num_slots):
                 try:
                     ref = place_primary_from_slot(
@@ -76,7 +77,7 @@ class TestExhaustiveEquivalence:
             ech.set_active(k)
         for version in range(1, ech.current_version + 1):
             table = ech.history.get(version)
-            tbl = ech._kernel.table(version, table.is_active)
+            tbl = ech._kernel.table(table.active, table.is_active)
             for slot in range(tbl.num_slots):
                 try:
                     ref = place_original_from_slot(
@@ -181,12 +182,13 @@ class TestInvalidation:
     def test_set_active_creates_new_table_keeps_old(self):
         ech = ElasticConsistentHash(n=6, replicas=2, B=100)
         before = ech.locate(42)
-        assert ech._kernel.cached_tables == (1,)
+        full = ech.history.get(1).active
+        assert ech._kernel.cached_tables == (full,)
         ech.set_active(4)
         after = ech.locate(42)
         # Version 1's table survives (history is append-only) ...
         assert ech.locate(42, version=1) == before
-        assert set(ech._kernel.cached_tables) == {1, 2}
+        assert set(ech._kernel.cached_tables) == {full, ech.membership.active}
         # ... and the new version re-placed against its own membership.
         assert after == reference(ech, 42, None)
 
@@ -202,7 +204,7 @@ class TestInvalidation:
         apply_relayout(ech, ech.p + 1)
         assert ech.ring is not ring and ech._kernel is not kernel
         assert ring.num_vnodes == num_vnodes != ech.ring.num_vnodes
-        assert kernel.cached_tables == (1,)
+        assert kernel.cached_tables == (ech.history.get(1).active,)
         assert ech._kernel.cached_tables == ()
         assert ech.locate(42) == reference(ech, 42, None)
 
@@ -236,17 +238,19 @@ class TestKernelInternals:
         """Every row is there before the first lookup, and traffic
         changes none of them."""
         ech = ElasticConsistentHash(n=10, replicas=2, B=200)
-        tbl = ech._kernel.table(1, ech.history.current.is_active)
+        full = ech.membership
+        tbl = ech._kernel.table(full.active, full.is_active)
         servers, flags = tbl._servers.copy(), tbl._flags.copy()
         assert servers.shape == (tbl.num_slots, 2)
         assert (servers >= 0).all()
         ech.locate(42)
         ech.locate_bulk(range(100))
-        assert ech._kernel.table(1, ech.history.current.is_active) is tbl
+        assert ech._kernel.table(full.active, full.is_active) is tbl
         assert np.array_equal(tbl._servers, servers)
         assert np.array_equal(tbl._flags, flags)
 
-    def test_one_table_construction_per_version_touched(self, monkeypatch):
+    def test_one_table_construction_per_active_set_touched(self,
+                                                           monkeypatch):
         built = []
         init = SlotPlacementTable.__init__
 
@@ -256,28 +260,61 @@ class TestKernelInternals:
 
         monkeypatch.setattr(SlotPlacementTable, "__init__", counted)
         ech = ElasticConsistentHash(n=10, replicas=2, B=200)
-        for k in (6, 8, 4):
-            ech.set_active(k)           # versions 2, 3, 4
+        for k in (6, 8, 4, 8, 10):
+            ech.set_active(k)           # versions 2 to 6
         assert built == []              # a resize alone builds nothing
-        for version in (1, 3, 3, 1, None, 3):
+        sets = {v: ech.history.get(v).active for v in range(1, 7)}
+        # A revisited size is the earlier version's set, the same object.
+        assert sets[5] is sets[3] and sets[6] is sets[1]
+        for version in (1, 3, 3, 1, 5, 6, 4, None, 3):
             ech.locate(7, version)
             ech.locate_bulk(range(300), version)
+            ech.record_writes(range(400, 410))
             for oid in range(50):
                 ech.locate(oid, version)
-        assert len(built) == 3          # versions 1, 3 and 4 — never 2
-        assert set(ech._kernel.cached_tables) == {1, 3, 4}
+        # Sets {1..10}, {1..8} and {1..4} — never version 2's {1..6},
+        # and versions 5 and 6 reuse the tables of 3 and 1.
+        assert len(built) == 3
+        assert set(ech._kernel.cached_tables) == {sets[1], sets[3], sets[4]}
+
+    def test_same_key_twice_costs_no_equality_check(self):
+        """The one-entry fast path compares keys by identity: frozenset
+        ``==`` is an O(n) subset check even against itself."""
+
+        class CountingSet(frozenset):
+            eqs = 0
+
+            def __eq__(self, other):
+                CountingSet.eqs += 1
+                return frozenset.__eq__(self, other)
+
+            __hash__ = frozenset.__hash__
+
+        ring = HashRing(dict.fromkeys(range(1, 101), 20))
+        kernel = PlacementKernel(ring, 2, placement_mode="original")
+        members = CountingSet(range(1, 101))
+        first = kernel.table(members, members.__contains__)
+        CountingSet.eqs = 0
+        assert kernel.table(members, members.__contains__) is first
+        kernel.rows(members, members.__contains__, [1, 2, 3])
+        assert CountingSet.eqs == 0
+        # An equal set that is another object still finds the table.
+        twin = CountingSet(members)
+        assert kernel.table(twin, twin.__contains__) is first
+        assert kernel.cached_tables == (members,)
 
     def test_evicted_version_rebuilds_identical_rows(self):
         ech = ElasticConsistentHash(n=10, replicas=3, B=200)
         ech._kernel._max_tables = 2
         for k in (6, 8):
             ech.set_active(k)
-        first = ech._kernel.table(1, ech.history.get(1).is_active)
+        full = ech.history.get(1)
+        first = ech._kernel.table(full.active, full.is_active)
         results = [first.lookup(slot) for slot in range(first.num_slots)]
         for version in (2, 3):
             ech.locate(7, version)
-        assert 1 not in ech._kernel.cached_tables
-        again = ech._kernel.table(1, ech.history.get(1).is_active)
+        assert full.active not in ech._kernel.cached_tables
+        again = ech._kernel.table(full.active, full.is_active)
         assert again is not first
         assert np.array_equal(again._servers, first._servers)
         assert np.array_equal(again._flags, first._flags)
@@ -345,10 +382,12 @@ class TestTraceIdentity:
 
 
 def assert_cached_versions_match_reference(ech, oids):
-    """Every memoized version still places *oids* exactly as the
-    reference walk does under that version."""
-    assert ech._kernel.cached_tables
-    for version in ech._kernel.cached_tables:
+    """Every version whose active set has a memoized table still places
+    *oids* exactly as the reference walk does under that version."""
+    cached = set(ech._kernel.cached_tables)
+    versions = [t.version for t in ech.history if t.active in cached]
+    assert {ech.history.get(v).active for v in versions} == cached
+    for version in versions:
         refs = [reference(ech, oid, version) for oid in oids]
         bulk = ech.locate_bulk(oids, version)
         for i, (oid, ref) in enumerate(zip(oids, refs)):
@@ -358,9 +397,10 @@ def assert_cached_versions_match_reference(ech, oids):
 
 class TestFaultInvalidation:
     """Fault-driven membership changes (crash, repair) drop nothing: a
-    crash is a new version, and a new version is a new key.  Every
-    table kept across one must still be its version's placement, and
-    no table may serve a failed rank to a later version."""
+    crash is a new active set, and a new set is a new key.  Every
+    table kept across one must still be the placement of each version
+    with its set, and no table may serve a failed rank to a later
+    version."""
 
     def _warm(self):
         ech = ElasticConsistentHash(n=8, replicas=2, B=100)
@@ -387,6 +427,8 @@ class TestFaultInvalidation:
         assert ech._kernel.cached_tables == kept
         ech.set_active(8)                           # 5 is back in
         ech.locate_bulk(range(200))
+        # Full power again is version 1's set: its table, not a new one.
+        assert set(ech._kernel.cached_tables) == set(kept)
         assert_cached_versions_match_reference(ech, range(200))
 
     def test_stale_table_never_served_after_crash(self):

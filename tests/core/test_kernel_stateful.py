@@ -1,10 +1,11 @@
 """Generated equivalence test for the placement kernel.
 
-The kernel answers ``locate`` / ``locate_bulk`` from whole-version slot
-tables kept in a small LRU, an oid→slot cache, and a bisect over the
-ring's positions; ``ElasticConsistentHash._locate_reference`` walks the
-ring per object.  Hypothesis drives arbitrary interleavings of resizes,
-crashes, repairs, re-layouts and lookups against *any* past version —
+The kernel answers ``locate`` / ``locate_bulk`` from slot tables, one
+per active set (versions with equal sets share one) kept in a small
+LRU, an oid→slot cache, and a bisect over the ring's positions;
+``ElasticConsistentHash._locate_reference`` walks the ring per object.
+Hypothesis drives arbitrary interleavings of resizes, crashes, repairs,
+re-layouts and lookups against *any* past version —
 with the LRU small enough that tables are evicted and rebuilt — and
 every answer (servers, flags, ``LookupError`` text) must be the
 reference's.
@@ -18,15 +19,17 @@ memo entry must be the scalar successor of its oid's position.
 
 Nothing in the kernel is ever invalidated: a kernel belongs to one ring
 and one role assignment, so a re-layout is a new ring and a new kernel,
-and a table belongs to one membership key.  ``OriginalKernelMachine``
-holds the original-CH baseline, whose tables are keyed by member set,
-to a ring built from the members alone.
+and a table belongs to one membership key: the facade's keys are
+active sets, and every version whose set is cached is checked.
+``OriginalKernelMachine`` holds the original-CH baseline, whose tables
+are keyed by member set, to a ring built from the members alone.
 
 ``TestSeededMutants`` shows the machines are not vacuous: they fail on
 a re-layout that swaps the layout but keeps the old ring and kernel, on
-an original-CH cluster that keys every table by ``None``, on
-``bisect_right``, on a successor that does not wrap at slot == V, and
-on a ``prehash`` that pairs each oid with its neighbour's slot.
+an original-CH cluster that keys every table by ``None``, on a facade
+that keys its tables by active-server count, on ``bisect_right``, on a
+successor that does not wrap at slot == V, and on a ``prehash`` that
+pairs each oid with its neighbour's slot.
 """
 
 import bisect
@@ -86,6 +89,8 @@ def outcome(fn, *args):
 
 
 class KernelMachine(RuleBasedStateMachine):
+    ECH = ElasticConsistentHash
+
     @initialize(
         n=st.integers(min_value=2, max_value=12),
         replicas=st.integers(min_value=1, max_value=3),
@@ -96,7 +101,7 @@ class KernelMachine(RuleBasedStateMachine):
         max_tables=st.integers(min_value=2, max_value=3))
     def build(self, n, replicas, B, chain, placement_mode, layout_mode,
               max_tables):
-        self.ech = ElasticConsistentHash(
+        self.ech = self.ECH(
             n=n, replicas=replicas, B=B, chain=chain,
             placement_mode=placement_mode, layout_mode=layout_mode)
         self.ech._kernel._max_tables = max_tables
@@ -223,7 +228,9 @@ class KernelMachine(RuleBasedStateMachine):
     @invariant()
     def cached_and_current_versions_equal_reference(self):
         ech = self.ech
-        for version in [*ech._kernel.cached_tables, ech.current_version]:
+        cached = set(ech._kernel.cached_tables)
+        for version in [*(t.version for t in ech.history
+                          if t.active in cached), ech.current_version]:
             for oid in PROBES[:4]:
                 self.check_scalar(oid, version)
             self.check_bulk(list(PROBES), version)
@@ -383,6 +390,23 @@ class OriginalKeysByNone(OriginalCHCluster):
                        "table(None,")
 
 
+def keyed_by_count(method):
+    """*method* of the facade asking for the table of its version's
+    active-server count instead of its active set."""
+    return rewritten(method, "(table.active,", "(table.num_active,")
+
+
+class EchKeysByCount(ElasticConsistentHash):
+    """Tables keyed by how many servers are on, not which: right while
+    power-down follows the rank chain, wrong once different ranks have
+    crashed at the same count."""
+
+    locate = keyed_by_count(ElasticConsistentHash.locate)
+    locate_bulk_positions = keyed_by_count(
+        ElasticConsistentHash.locate_bulk_positions)
+    record_writes = keyed_by_count(ElasticConsistentHash.record_writes)
+
+
 class TestSeededMutants:
     SETTINGS = settings(max_examples=200, stateful_step_count=30,
                         deadline=None, derandomize=True, database=None,
@@ -407,6 +431,21 @@ class TestSeededMutants:
 
         class Machine(OriginalKernelMachine):
             CLUSTER = OriginalKeysByNone
+
+        self.assert_caught(Machine)
+
+    def test_tables_keyed_by_active_count(self):
+        ech = EchKeysByCount(n=8, replicas=2, B=100)
+        ech.mark_failed(8)
+        ech.locate_bulk(range(200))         # {1..7}'s table, keyed 7
+        ech.mark_repaired(8)
+        ech.set_active(8)
+        ech.mark_failed(3)                  # {1,2,4,..,8}: also 7 on
+        assert any(ech.locate(oid) != ech._locate_reference(
+            oid, ech.membership) for oid in range(200))
+
+        class Machine(KernelMachine):
+            ECH = EchKeysByCount
 
         self.assert_caught(Machine)
 

@@ -8,14 +8,15 @@ from hypothesis import strategies as st
 from repro.hashring.hashing import (
     _FNV_OFFSET,
     _FNV_PRIME,
-    _MASK64,
-    _splitmix64,
+    _to_bytes,
     bulk_hash,
     bulk_hash_concat,
     hash64,
     splitmix64_array,
     vnode_positions,
 )
+
+from ._reference_hash import MASK64, fnv1a64, splitmix64
 
 
 class TestHash64:
@@ -57,6 +58,17 @@ class TestHash64:
         with pytest.raises(TypeError):
             hash64(3.14)  # type: ignore[arg-type]
 
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(
+        st.integers(), st.integers(max_value=-1),
+        st.integers(2 ** 64, 2 ** 80), st.sampled_from([0, True, False]),
+        st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64),
+        st.text(), st.binary()))
+    def test_one_frame_equals_the_byte_fold(self, key):
+        """``hash64`` inlines the encoding, the FNV-1a fold and the
+        finalizer; it must equal them called one after another."""
+        assert hash64(key) == fnv1a64(_to_bytes(key))
+
     def test_avalanche_on_sequential_ints(self):
         """Sequential object ids must land uniformly: chi-square over
         16 buckets of the top 4 bits."""
@@ -71,8 +83,8 @@ class TestHash64:
 
 def vnode_oracle(server_ids, counts):
     """Vnode *j* of server *s* from first principles, one at a time."""
-    return [_splitmix64((hash64(s if isinstance(s, (str, bytes, int))
-                                else repr(s)) + j) & _MASK64)
+    return [splitmix64((hash64(s if isinstance(s, (str, bytes, int))
+                               else repr(s)) + j) & MASK64)
             for s, count in zip(server_ids, counts) for j in range(count)]
 
 

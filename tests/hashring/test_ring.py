@@ -184,6 +184,30 @@ class TestBulkSuccessor:
         with pytest.raises(LookupError):
             HashRing({}).bulk_successor_slots(np.array([1], dtype=np.uint64))
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(),
+           weights=st.dictionaries(st.integers(0, 30), st.integers(1, 12),
+                                   min_size=1, max_size=6))
+    def test_sorted_search_is_plain_searchsorted(self, data, weights):
+        """The ascending-order search returns, needle for needle, what
+        one ``searchsorted`` of the needles in their own order does —
+        over duplicates, needles on a vnode and one past it, needles
+        above the last vnode (the wrap), and arrays of length 0 and 1."""
+        ring = HashRing(weights)
+        on = st.sampled_from(ring._position_ints)
+        needle = st.one_of(st.integers(0, TOP), on,
+                           on.map(lambda p: min(p + 1, TOP)),
+                           st.integers(ring._position_ints[-1], TOP))
+        drawn = data.draw(st.lists(needle, max_size=40))
+        repeats = data.draw(st.lists(st.sampled_from(drawn), max_size=10)
+                            if drawn else st.just([]))
+        order = data.draw(st.permutations(drawn + repeats))
+        needles = np.array(order, dtype=np.uint64)
+        want = np.searchsorted(ring._positions, needles) % ring.num_vnodes
+        got = ring.bulk_successor_slots(needles)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
 
 class TestArcShare:
     def test_shares_sum_to_one(self, ring):

@@ -16,8 +16,9 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.hashring.hashing import _MASK64, _splitmix64, hash64
+from repro.hashring.hashing import hash64
 from repro.hashring.ring import HashRing
+from tests.hashring._reference_hash import MASK64, splitmix64
 
 PROBE_KEYS = [f"probe-{i}" for i in range(25)]
 
@@ -27,7 +28,7 @@ def model_successors(weights, key, r):
     entries = []
     for idx, (sid, w) in enumerate(weights.items()):
         for j in range(w):
-            pos = _splitmix64((hash64(sid) + j) & _MASK64)
+            pos = splitmix64((hash64(sid) + j) & MASK64)
             entries.append((pos, idx, j, sid))
     entries.sort()
     kpos = hash64(key)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.invariants import SWEEP_BOUNDARY_KIND
 from repro.obs.report import check_trace
 from repro.obs.trace import FIELDS
 
@@ -225,15 +226,28 @@ def test_trace_parity_refuses_a_disagreement(work, tmp_path):
         f"hold over {events[0]} events", f"hold over {events[0] - 3} events"))
 
 
-def test_every_declared_kind_has_a_producer(work):
-    """Every kind :data:`~repro.obs.trace.FIELDS` declares is in some
-    trace the stages above write: a declared kind no run emits is a
-    schema row, and maybe a checker, that nothing exercises."""
+def traced_kinds(work):
+    """Every kind in some trace the stages above write."""
     seen = set()
     for trace in work.rglob("*.jsonl"):
         with open(trace, encoding="utf-8") as fh:
             seen.update(json.loads(line)["kind"] for line in fh)
-    assert set(FIELDS) - {"*"} - seen == set()
+    return seen
+
+
+def test_every_declared_kind_has_a_producer(work):
+    """Every kind :data:`~repro.obs.trace.FIELDS` declares is in some
+    trace the stages above write: a declared kind no run emits is a
+    schema row, and maybe a checker, that nothing exercises."""
+    assert set(FIELDS) - {"*"} - traced_kinds(work) == set()
+
+
+def test_every_produced_kind_is_declared(work):
+    """The converse: every kind the runs emit is in
+    :data:`~repro.obs.trace.FIELDS`, so a new kind is declared (and its
+    read fields typed) before a pinned trace carries it.  The sweep's
+    task boundary is written by the merge, not emitted."""
+    assert traced_kinds(work) - {SWEEP_BOUNDARY_KIND} - set(FIELDS) == set()
 
 
 def test_timeline_shows_the_serving_latency_table(work):
