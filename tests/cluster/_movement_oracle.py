@@ -178,13 +178,15 @@ def holders_after(before, moves):
 def check_rule(cluster, plan, expected, apply, tolerate=()):
     """*plan* is the oracle's *expected* moves; *apply* (returning the
     bytes it moved) changes the holders by exactly them — unless it
-    raises one of *tolerate* half-way."""
+    raises one of *tolerate* half-way.  Returns whether *apply* ran to
+    the end."""
     assert moves_of(plan.tasks) == expected
     assert plan.total_bytes == bytes_of(expected)
     before = holders_of(cluster)
     try:
         moved = apply()
     except tolerate:
-        return
+        return False
     assert moved == plan.total_bytes
     assert holders_of(cluster) == holders_after(before, expected)
+    return True

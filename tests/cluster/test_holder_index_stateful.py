@@ -125,8 +125,8 @@ class TableDifferential:
         return oracle.plan_purely(self.cluster, planner, *args), expected
 
     def check_rule(self, plan, expected, apply):
-        oracle.check_rule(self.cluster, plan, expected, apply,
-                          tolerate=DEGRADED if self.CORRUPT else ())
+        return oracle.check_rule(self.cluster, plan, expected, apply,
+                                 tolerate=DEGRADED if self.CORRUPT else ())
 
     @invariant()
     def table_answers_what_the_reference_answers(self):
@@ -285,11 +285,19 @@ class ElasticIndexMachine(TableDifferential, RuleBasedStateMachine):
                                   ref_work)
             return
         already_lost = list(cl.lost_objects)
-        self.check_rule(plan, expected,
-                        lambda: cl.commit_crash_recovery(work, strict=strict))
+        completed = self.check_rule(
+            plan, expected,
+            lambda: cl.commit_crash_recovery(work, strict=strict))
         self.reference_follows(
             lambda ref: ref.commit_crash_recovery(ref_work, strict=strict))
-        assert cl.lost_objects == already_lost + gone
+        if completed:
+            assert cl.lost_objects == already_lost + gone
+        else:
+            # A degraded raise part-way (a full server) stops the
+            # commit: only the losses met before it are recorded.
+            assert cl.lost_objects[:len(already_lost)] == already_lost
+            new = cl.lost_objects[len(already_lost):]
+            assert new == gone[:len(new)]
 
     @precondition(lambda self: self.cluster.ech.failed)
     @rule(data=st.data())

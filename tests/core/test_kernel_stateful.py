@@ -248,13 +248,27 @@ def members_alone(cluster):
     return HashRing(dict.fromkeys(cluster.members, cluster.vnodes_per_server))
 
 
+def first_mismatch(oids, got, want):
+    """The first ``(oid, got, want)`` where *got* and *want* differ, or
+    None.  Asserting on it keeps a failure's report one line long:
+    pytest's full diff of two long placement lists (``-v``, or ``CI``
+    set) runs ``difflib.ndiff``, which takes minutes on a few hundred
+    similar lines."""
+    assert len(got) == len(want), (len(got), len(want))
+    return next(((oid, g, w) for oid, g, w in zip(oids, got, want)
+                 if g != w), None)
+
+
 def assert_places_like_members_alone(cluster, oids):
     ring = members_alone(cluster)
+    oids = list(oids)
     want = [place_original(ring, oid, cluster.replicas).servers
             for oid in oids]
-    assert [cluster.placement(oid).servers for oid in oids] == want
-    assert [tuple(row) for row in cluster.placement_bulk(oids).rows()] \
-        == want
+    assert first_mismatch(
+        oids, [cluster.placement(oid).servers for oid in oids], want) is None
+    assert first_mismatch(
+        oids, [tuple(row) for row in cluster.placement_bulk(oids).rows()],
+        want) is None
 
 
 class OriginalKernelMachine(RuleBasedStateMachine):
