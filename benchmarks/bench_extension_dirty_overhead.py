@@ -49,12 +49,7 @@ def profile(size):
     entries = table.entries()
     merge_ms = (time.perf_counter() - t0) * 1e3
     assert len(entries) == size
-
-    t0 = time.perf_counter()
-    head = table.head()
-    head_us = (time.perf_counter() - t0) * 1e6
-    assert head is not None
-    return insert_us, bytes_per_entry, merge_ms, head_us
+    return insert_us, bytes_per_entry, merge_ms
 
 
 def bench_extension_dirty_overhead(benchmark):
@@ -76,13 +71,12 @@ def bench_extension_dirty_overhead(benchmark):
     ]))
 
     print(render_table(
-        ["entries", "insert µs/entry", "full fetch-order merge ms",
-         "head() µs"],
-        [[s, f"{r[0]:.1f}", f"{r[2]:.1f}", f"{r[3]:.0f}"]
+        ["entries", "insert µs/entry", "full fetch-order merge ms"],
+        [[s, f"{r[0]:.1f}", f"{r[2]:.1f}"]
          for s, r in results.items()],
         title="Dirty-table latencies (wall clock)"))
 
-    for s, (insert_us, bpe, merge_ms, _h) in results.items():
+    for s, (insert_us, bpe, merge_ms) in results.items():
         assert insert_us < 100, s          # sub-0.1 ms inserts
         assert bpe < 2_000, s              # well under 2 KB/entry
     # The merge is near-linear: 100x entries < 1000x time.

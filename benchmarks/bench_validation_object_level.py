@@ -3,9 +3,10 @@
 Table II comes from a fluid model (bytes and bandwidth, no objects).
 This bench replays a 90-minute CC-a window against the *object-level*
 cluster — every write placed, every dirty entry logged, every
-re-integration byte measured — under the same operational rules, and
-compares relative machine hours level-by-level.  Agreement here is
-what licenses trusting the fluid model on the full month-long traces.
+re-integration byte measured — under the same policy rules (one loop
+drives both levels), and compares relative machine hours level by
+level.  The report states the largest gap it measured; it covers this
+one CC-a window, not CC-b and not the month-long traces.
 """
 
 from _bench_utils import emit_report, once
@@ -39,6 +40,16 @@ def run_both_levels():
 
 def bench_validation_object_level(benchmark):
     results = once(benchmark, run_both_levels)
+    fluid_order = sorted(POLICIES,
+                         key=lambda p: results[p][0]
+                         .relative_machine_hours)
+    replay_order = sorted(POLICIES,
+                          key=lambda p: results[p][1]
+                          .relative_machine_hours)
+    gaps = {name: abs(fluid.relative_machine_hours
+                      - replay.relative_machine_hours)
+            for name, (fluid, replay) in results.items()}
+    widest = max(gaps, key=gaps.get)
 
     rows = []
     for name, (fluid, replay) in results.items():
@@ -58,17 +69,14 @@ def bench_validation_object_level(benchmark):
                   f"({WINDOW_MIN}-minute CC-a window, "
                   f"{FIGURE_N_MAX['CC-a']} servers)"),
         "",
-        "agreement within ~0.2 relative machine hours and identical "
-        "policy ordering validates using the fluid model on the "
-        "full-length traces.",
+        "Migration is the bytes drained within the window.  The "
+        f"largest gap is {gaps[widest]:.3f} relative machine hours "
+        f"({widest}), and the two levels order the policies "
+        f"{'the same' if fluid_order == replay_order else 'differently'}.",
+        f"This is {WINDOW_MIN} minutes of CC-a only: CC-b and the "
+        "month-long traces are not replayed here.",
     ]))
 
-    fluid_order = sorted(POLICIES,
-                         key=lambda p: results[p][0]
-                         .relative_machine_hours)
-    replay_order = sorted(POLICIES,
-                          key=lambda p: results[p][1]
-                          .relative_machine_hours)
     assert fluid_order == replay_order, "levels disagree on ordering"
     for name, (fluid, replay) in results.items():
         assert abs(fluid.relative_machine_hours

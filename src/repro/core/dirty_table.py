@@ -168,15 +168,6 @@ class DirtyTable:
     def __iter__(self) -> Iterator[DirtyEntry]:
         return iter(self.entries())
 
-    def head(self) -> Optional[DirtyEntry]:
-        """The globally-first entry, or None when empty: answered from
-        the in-memory index, with no backend call."""
-        if not self._index:
-            return None
-        version, oid = min((min(versions), oid)
-                           for oid, versions in self._index.items())
-        return DirtyEntry(version=version, oid=oid)
-
     # ------------------------------------------------------------------
     def remove(self, entry: DirtyEntry) -> bool:
         """Remove one specific entry (the LPOP/LREM path, taken when

@@ -150,21 +150,33 @@ def _equal_work_shares(n: int, p: int, r: int) -> np.ndarray:
 
 
 class _PolicyBase:
-    """Per-sample state machine shared by the three policies."""
+    """The §V-B rules, stated once: the per-sample loop of :meth:`_run`.
+
+    What the loop leaves to a *level* is only what moves bytes: the
+    debt a growth creates, a sample's drain, an instant shrink, the
+    clean-up of one departure, and the sample's writes.  A policy is
+    its own fluid level (the hooks below estimate bytes from layout
+    shares); :mod:`repro.policy.replay` gives the same hooks a real
+    cluster and measures them."""
 
     name = "base"
+    #: Uncontrolled re-integration occupies the recovery machinery, so
+    #: sizing down waits while the outstanding debt cannot drain within
+    #: one sample period — §V-B: "the IO load from full data
+    #: re-integration could prevent the cluster from sizing down for
+    #: some period ... this only occurs at extreme situations where the
+    #: cluster resizes abruptly".
+    debt_blocks_shrink = True
+    #: Departures are sequential and each waits for its clean-up
+    #: (original CH, §II-C); otherwise sizing down is instant.
+    sequential_departures = False
 
     def __init__(self, config: PolicyConfig) -> None:
         self.cfg = config
 
-    # Overridden hooks -------------------------------------------------
+    # Rules ------------------------------------------------------------
     @property
     def floor(self) -> int:
-        raise NotImplementedError
-
-    def growth_debt(self, k_old: int, k_new: int,
-                    state: Dict[str, float]) -> float:
-        """Bytes of re-integration triggered by growing k_old→k_new."""
         raise NotImplementedError
 
     def drain_capacity(self, k: int) -> float:
@@ -172,26 +184,44 @@ class _PolicyBase:
         disk speed)."""
         return MIGRATION_FRACTION * k * DISK_BW
 
-    def shrink(self, k: int, target: int, dt: float,
-               state: Dict[str, float]) -> int:
-        """New active count after a shrink opportunity (instant by
-        default; the baseline overrides with sequential delays)."""
-        return max(target, self.floor)
-
     def quantise_target(self, target: int) -> int:
         """Restrict the achievable active counts (identity by default;
         the tiered baseline rounds up to tier boundaries)."""
         return target
 
-    def _migration_blocks_shrink(self, k: int, dt: float,
-                                 state: Dict[str, float]) -> bool:
-        """Uncontrolled re-integration occupies the recovery machinery;
-        sizing down waits when the outstanding debt cannot drain within
-        roughly one sample period — §V-B: "the IO load from full data
-        re-integration could prevent the cluster from sizing down for
-        some period ... this only occurs at extreme situations where
-        the cluster resizes abruptly"."""
-        return state["debt"] > self.drain_capacity(k) * dt
+    # The fluid level --------------------------------------------------
+    def start(self, k: int) -> None:
+        """The window opens with k servers active."""
+
+    def drain(self, k: int, dt: float, state: Dict[str, float]) -> float:
+        """This sample's migration drain rate: the outstanding debt, at
+        most the drain capacity."""
+        if state["debt"] <= 0:
+            return 0.0
+        drain = min(state["debt"] / dt, self.drain_capacity(k))
+        state["debt"] -= drain * dt
+        return drain
+
+    def growth_debt(self, k_old: int, k_new: int,
+                    state: Dict[str, float]) -> float:
+        """Bytes of re-integration triggered by growing k_old→k_new."""
+        raise NotImplementedError
+
+    def shrink_to(self, k_old: int, k_new: int) -> None:
+        """An instant shrink moves nothing."""
+
+    def departure_bytes(self, k: int) -> float:
+        """What the next sequential departure re-replicates: a
+        departing server's replicas, D*r/k bytes."""
+        return self.cfg.dataset_bytes * REPLICAS / k
+
+    def depart(self, k: int) -> float:
+        """Carry out that departure; returns the bytes re-replicated."""
+        return self.departure_bytes(k)
+
+    def write(self, k: int, write_load: float, dt: float,
+              state: Dict[str, float]) -> None:
+        """The sample's writes (only selective tracks them)."""
 
     # ------------------------------------------------------------------
     def simulate(self, trace: LoadTrace,
@@ -204,6 +234,11 @@ class _PolicyBase:
         mechanical overheads (migration debt, clean-up delays, floors)
         apply either way.
         """
+        return self._run(trace, requested, self)
+
+    def _run(self, trace: LoadTrace, requested: "np.ndarray | None",
+             level: "_PolicyBase") -> PolicyResult:
+        """The rules, with every byte asked of *level*."""
         cfg = self.cfg
         ideal = ideal_servers(trace.load, cfg.per_server_bw, cfg.n_max)
         if requested is None:
@@ -212,9 +247,10 @@ class _PolicyBase:
             raise ValueError("requested series length mismatch")
         dt = trace.dt
         k = int(requested[0]) if requested[0] >= self.floor else self.floor
+        level.start(k)
         state: Dict[str, float] = {
             "debt": 0.0,            # migration bytes outstanding
-            "dirty": 0.0,           # offloaded bytes (selective only)
+            "dirty": 0.0,           # offloaded bytes (fluid selective)
             "removal_credit": 0.0,  # seconds of clean-up accumulated
             "migrated": 0.0,
             "rereplicated": 0.0,
@@ -225,13 +261,10 @@ class _PolicyBase:
             load = trace.load[t]
             write_load = load * trace.write_fraction
 
-            # Drain outstanding migration debt; while it drains, the
-            # cluster must carry load + drain.
-            drain = 0.0
-            if state["debt"] > 0:
-                drain = min(state["debt"] / dt, self.drain_capacity(k))
-                state["debt"] -= drain * dt
-                state["migrated"] += drain * dt
+            # While migration drains, the cluster must carry load +
+            # drain.
+            drain = level.drain(k, dt, state)
+            state["migrated"] += drain * dt
 
             # Migration eats a slice of every server's disk; the extra
             # servers needed to keep the foreground whole is the drain
@@ -244,14 +277,18 @@ class _PolicyBase:
             target = self.quantise_target(target)
 
             if target > k:
-                state["debt"] += self.growth_debt(k, target, state)
+                state["debt"] += level.growth_debt(k, target, state)
                 k = target           # growth is instant (§II-C)
-            elif target < k:
-                k = self.shrink(k, target, dt, state)
+            elif target < k and not (
+                    self.debt_blocks_shrink
+                    and state["debt"] > self.drain_capacity(k) * dt):
+                if self.sequential_departures:
+                    k = self._depart_in_turn(k, target, dt, state, level)
+                else:
+                    level.shrink_to(k, target)
+                    k = target
 
-            # Offload accounting while below full power.
-            self.track_dirty(k, write_load, dt, state)
-
+            level.write(k, write_load, dt, state)
             out[t] = k
 
         return PolicyResult(
@@ -261,15 +298,33 @@ class _PolicyBase:
             ideal=ideal,
         )
 
-    def track_dirty(self, k: int, write_load: float, dt: float,
-                    state: Dict[str, float]) -> None:
-        """Default: no dirty tracking (only selective uses it)."""
+    @staticmethod
+    def _depart_in_turn(k: int, target: int, dt: float,
+                        state: Dict[str, float], level: "_PolicyBase"
+                        ) -> int:
+        """Sequential removal: each departing server's replicas
+        re-replicate at the cluster's recovery bandwidth before the
+        next removal; the credit carries over until the target is
+        reached."""
+        state["removal_credit"] += dt
+        while k > target:
+            rate = RECOVERY_FRACTION * k * DISK_BW
+            needed = level.departure_bytes(k) / rate
+            if state["removal_credit"] < needed:
+                break
+            state["removal_credit"] -= needed
+            state["rereplicated"] += level.depart(k)
+            k -= 1
+        if k <= target:
+            state["removal_credit"] = 0.0
+        return k
 
 
 class OriginalCHPolicy(_PolicyBase):
     """The unmodified consistent-hashing baseline."""
 
     name = "original-ch"
+    sequential_departures = True
 
     @property
     def floor(self) -> int:
@@ -282,32 +337,11 @@ class OriginalCHPolicy(_PolicyBase):
         stored = self.cfg.dataset_bytes * REPLICAS
         return stored * (k_new - k_old) / k_new
 
-    def shrink(self, k: int, target: int, dt: float,
-               state: Dict[str, float]) -> int:
-        cfg = self.cfg
-        if self._migration_blocks_shrink(k, dt, state):
-            return k
-        # Sequential removal: each departing server's replicas
-        # (D*r/k bytes) re-replicate at the cluster's recovery
-        # bandwidth before the next removal.
-        state["removal_credit"] += dt
-        while k > max(target, self.floor):
-            per_server = cfg.dataset_bytes * REPLICAS / k
-            rate = RECOVERY_FRACTION * k * DISK_BW
-            needed = per_server / rate
-            if state["removal_credit"] < needed:
-                break
-            state["removal_credit"] -= needed
-            state["rereplicated"] += per_server
-            k -= 1
-        if k <= max(target, self.floor):
-            state["removal_credit"] = 0.0
-        return k
-
 
 class _ElasticPolicyBase(_PolicyBase):
-    """Shared by primary+full and primary+selective: equal-work layout
-    with instant resizing floored at the primary count."""
+    """Shared by the primary-server policies: equal-work layout with
+    instant resizing floored at the primary count, and growth that
+    re-integrates everything the layout maps onto the re-added ranks."""
 
     @property
     def floor(self) -> int:
@@ -317,12 +351,6 @@ class _ElasticPolicyBase(_PolicyBase):
         return _equal_work_shares(self.cfg.n_max, self.cfg.p,
                                   REPLICAS)
 
-
-class PrimaryFullPolicy(_ElasticPolicyBase):
-    """Primary servers + equal-work layout, full re-integration."""
-
-    name = "primary-full"
-
     def growth_debt(self, k_old: int, k_new: int,
                     state: Dict[str, float]) -> float:
         # Over-migration: everything the layout maps onto the re-added
@@ -331,13 +359,11 @@ class PrimaryFullPolicy(_ElasticPolicyBase):
         stored = self.cfg.dataset_bytes * REPLICAS
         return stored * float(shares[k_old:k_new].sum())
 
-    def shrink(self, k: int, target: int, dt: float,
-               state: Dict[str, float]) -> int:
-        # Uncontrolled re-integration can delay sizing down, but only
-        # when the debt is large (abrupt resizes).
-        if self._migration_blocks_shrink(k, dt, state):
-            return k
-        return max(target, self.floor)
+
+class PrimaryFullPolicy(_ElasticPolicyBase):
+    """Primary servers + equal-work layout, full re-integration."""
+
+    name = "primary-full"
 
 
 class PrimarySelectivePolicy(_ElasticPolicyBase):
@@ -345,14 +371,18 @@ class PrimarySelectivePolicy(_ElasticPolicyBase):
     re-integration (the paper's complete system)."""
 
     name = "primary-selective"
+    # Shrink stays instant even while draining: Algorithm 2 simply
+    # skips entries whose version has no fewer servers than the current
+    # one, so pending work never blocks sizing down.
+    debt_blocks_shrink = False
 
     def drain_capacity(self, k: int) -> float:
         # The token bucket caps re-integration traffic.
         return min(SELECTIVE_RATE_LIMIT,
                    super().drain_capacity(k))
 
-    def track_dirty(self, k: int, write_load: float, dt: float,
-                    state: Dict[str, float]) -> None:
+    def write(self, k: int, write_load: float, dt: float,
+              state: Dict[str, float]) -> None:
         if k >= self.cfg.n_max:
             return
         shares = self._shares()
@@ -372,10 +402,6 @@ class PrimarySelectivePolicy(_ElasticPolicyBase):
         portion = state["dirty"] * (added / inactive)
         state["dirty"] -= portion
         return portion
-
-    # Shrink stays instant even while draining: Algorithm 2 simply
-    # skips entries whose version has no fewer servers than the current
-    # one, so pending work never blocks sizing down.
 
 
 class GreenCHTPolicy(_ElasticPolicyBase):
@@ -417,20 +443,8 @@ class GreenCHTPolicy(_ElasticPolicyBase):
     def floor(self) -> int:
         return self.boundaries[0]
 
-    def growth_debt(self, k_old: int, k_new: int,
-                    state: Dict[str, float]) -> float:
-        shares = self._shares()
-        stored = self.cfg.dataset_bytes * REPLICAS
-        return stored * float(shares[k_old:k_new].sum())
-
     def quantise_target(self, target: int) -> int:
         return self._quantise(target)
-
-    def shrink(self, k: int, target: int, dt: float,
-               state: Dict[str, float]) -> int:
-        if self._migration_blocks_shrink(k, dt, state):
-            return k
-        return self._quantise(max(target, self.floor))
 
 
 _POLICIES = {

@@ -96,12 +96,6 @@ class TestFetchOrder:
         table.insert(99, 3)
         assert [e.oid for e in table.entries()] == [10, 99, 500]
 
-    def test_head(self, table):
-        assert table.head() is None
-        table.insert(300, 5)
-        table.insert(2, 5)
-        assert table.head() == DirtyEntry(version=5, oid=2)
-
     def test_iter_matches_entries(self, table):
         table.insert(1, 1)
         table.insert(2, 1)
@@ -131,7 +125,6 @@ class TestRemoval:
         table.insert(2, 2)
         table.clear()
         assert table.is_empty()
-        assert table.head() is None
 
 
 class TestSharding:
@@ -187,7 +180,6 @@ class TestMembershipChange:
             set_members(kv, NODES + ["s-new"])
             assert table.entries() == expected, label
             assert len(table) == len(expected), label
-            assert table.head() == expected[0], label
 
     def test_contents_intact_across_remove_shard(self):
         for label, kv in every_backend():
@@ -202,10 +194,10 @@ class TestMembershipChange:
             table = DirtyTable(kv)
             expected = self.fill(table)
             set_members(kv, NODES + ["s-new"])
-            head = table.head()
-            assert table.remove(head), label
+            first = table.entries()[0]
+            assert table.remove(first), label
             assert len(table) == len(expected) - 1, label
-            assert head not in table.entries(), label
+            assert first not in table.entries(), label
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +252,6 @@ class TestBackendDifferential:
             want = sorted(DirtyEntry(version=v, oid=o) for v, o in model)
             for label, _kv, table in tables:
                 assert table.entries() == want, label
-                assert table.head() == (want[0] if want else None), label
                 assert len(table) == len(want), label
                 for oid in range(8):
                     # The scan the oid-keyed index replaced, as oracle.
@@ -269,56 +260,6 @@ class TestBackendDifferential:
                     for v in range(7):
                         assert table.contains(oid, v) == (
                             (v, oid) in model), (label, oid, v)
-
-
-class _NoBackend:
-    """Stands in for a table's store: any use of it fails the test."""
-
-    def __getattr__(self, name):
-        raise AssertionError(f"the backend was asked for {name!r}")
-
-
-class TestHeadFromIndex:
-    """``head()`` is answered from the in-memory index: the first
-    entry in (version, oid) order, with no call on the store."""
-
-    @pytest.mark.parametrize("label", list(BACKENDS))
-    def test_head_makes_no_backend_call(self, label):
-        table = DirtyTable(BACKENDS[label]())
-        for oid, version in [(9, 1), (4, 1), (7, 2), (4, 2), (1, 3)]:
-            table.insert(oid, version)
-        want = table.entries()[0]
-        kv, table._kv = table._kv, _NoBackend()
-        try:
-            assert table.head() == want == DirtyEntry(version=1, oid=4)
-        finally:
-            table._kv = kv
-
-    @pytest.mark.parametrize("ops", [
-        [("insert", 5, 1), ("insert", 3, 1), ("insert", 8, 2)],
-        [("insert", 2, 1), ("insert", 2, 2), ("remove", 2, 1)],
-        [("insert", 6, 1), ("insert", 1, 2), ("remove_oid", 6)],
-        [("insert", 4, 1), ("insert", 4, 3), ("insert", 0, 3),
-         ("remove", 4, 1)],
-        [("insert", 3, 2), ("insert", 1, 2), ("clear",),
-         ("insert", 7, 4)],
-    ], ids=["version-then-oid", "older-version-removed",
-            "oid-removed", "ties-by-oid", "after-clear"])
-    def test_head_is_the_first_entry_after_every_op(self, ops):
-        table = DirtyTable()
-        assert table.head() is None
-        for op, *args in ops:
-            if op == "insert":
-                table.insert(*args)
-            elif op == "remove":
-                oid, version = args
-                assert table.remove(DirtyEntry(version=version, oid=oid))
-            elif op == "remove_oid":
-                assert table.remove_oid(*args)
-            else:
-                table.clear()
-            entries = table.entries()
-            assert table.head() == (entries[0] if entries else None), op
 
 
 class TestContainsOidCost:

@@ -102,10 +102,6 @@ class TestCheckEvent:
 
 
 class TestFieldsDeclared:
-    def test_every_declared_kind_is_emitted(self):
-        declared = set(FIELDS) - {"*"}
-        assert declared <= emitted_kinds(), declared - emitted_kinds()
-
     def test_every_emitted_kind_has_a_docs_row(self):
         docs = (ROOT / "docs" / "OBSERVABILITY.md").read_text(
             encoding="utf-8")

@@ -86,3 +86,15 @@ class TestCrossValidation:
         sim = simulate_policy("primary-selective", trace, config)
         assert rep.relative_machine_hours == pytest.approx(
             sim.relative_machine_hours, abs=0.35)
+
+    def test_original_ch_starts_where_the_fluid_model_does(self, config):
+        """Both levels run one loop: under a constant load below n_max
+        the baseline opens at the ideal count, so nothing departs and
+        nothing re-replicates."""
+        flat = LoadTrace(np.full(12, 5e6), dt=10.0, write_fraction=0.5)
+        rep = replay_policy("original-ch", flat, config,
+                            object_size=OBJ, preload_objects=50)
+        sim = simulate_policy("original-ch", flat, config)
+        assert rep.rereplicated_bytes == 0
+        np.testing.assert_array_equal(rep.servers, sim.servers)
+        assert rep.servers.max() < config.n_max

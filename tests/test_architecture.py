@@ -508,6 +508,11 @@ UPPER_MEDIAN = text_matches(r"// 2\]")
 # a second hand-wired one is a second capacity-token rule to keep right
 # ----------------------------------------------------------------------
 RUNTIME = "src/repro/cluster/runtime.py"
+RESIZER = "src/repro/policy/resizer.py"
+#: The §V-B bandwidth shares: the resize rules read them, so a second
+#: module under ``policy/`` that reads one restates a rule.
+RESIZE_SHARES = text_matches(
+    r"\b(MIGRATION_FRACTION|RECOVERY_FRACTION|SELECTIVE_RATE_LIMIT)\b")
 IO_MODEL = text_matches(r"IOModel\(")
 
 # ----------------------------------------------------------------------
@@ -821,6 +826,17 @@ RULES = [
           "# build an IOModel( here when the runtime is too slow\n",
           (RUNTIME, "io = None\n")),
          sites=(RUNTIME,)),
+    Rule("resize-rules-once", "one statement of the §V-B resize rules",
+         files_under(SRC / "policy"),
+         confined(RESIZE_SHARES, RESIZER),
+         (("src/repro/policy/replay.py",
+           "budget = int(SELECTIVE_RATE_LIMIT * dt)\n"),
+          ("src/repro/policy/replay.py",
+           "from repro.policy.resizer import MIGRATION_FRACTION\n"),
+          ("src/repro/policy/analysis.py",
+           "rate = RECOVERY_FRACTION * k * DISK_BW\n"),
+          (RESIZER, "DISK_BW = 80e6\n")),
+         sites=(RESIZER,)),
     Rule("profiled-in-one-module", "one module knows what is profiled",
          tuple(f for f in python_under(SRC)
                if not f.startswith("src/repro/obs/")),
